@@ -36,6 +36,7 @@ use hypertee::shard::{par_run, ShardSpec, ShardedMachine};
 use hypertee_bench::microbench::{bench, bench_pair};
 use hypertee_bench::report::{validate, PerfBench, PerfReport};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
+use hypertee_crypto::fnv;
 use hypertee_crypto::mac::{mac28_lines, mac28_ref};
 use hypertee_crypto::sha3::{keccakf, keccakf_ref, sha3_256_ref, Sha3_256};
 use hypertee_fabric::message::{Primitive, Privilege};
@@ -404,21 +405,20 @@ fn pump_tenants() -> (Machine, Vec<u64>) {
     (m, eids)
 }
 
-/// Folds one value into an order-sensitive FNV-1a accumulator.
-fn fold(digest: &mut u64, x: u64) {
-    *digest ^= x;
-    *digest = digest.wrapping_mul(0x100_0000_01b3);
-}
-
 /// Drains every collectable completion into `digest` (id, hart, outcome,
 /// latency, attempts — the same fields the differential suite compares).
 fn pump_drain(m: &mut Machine, digest: &mut u64) {
     for done in m.drain_completions() {
-        fold(digest, done.call.id);
-        fold(digest, done.hart_id as u64);
-        fold(digest, if done.result.is_ok() { 1 } else { 2 });
-        fold(digest, done.latency.0);
-        fold(digest, done.attempts as u64);
+        fnv::fold(
+            digest,
+            &[
+                done.call.id,
+                done.hart_id as u64,
+                if done.result.is_ok() { 1 } else { 2 },
+                done.latency.0,
+                done.attempts as u64,
+            ],
+        );
     }
 }
 
@@ -439,7 +439,7 @@ fn pump_to_idle(m: &mut Machine, digest: &mut u64) {
 /// asleep on the timer wheel, the scan oracle walks every call each round
 /// while the event pump touches only the handful the EMS woke.
 fn pump_churn_batch(m: &mut Machine, eids: &[u64], calls: usize) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = fnv::OFFSET_BASIS;
     for i in 0..calls {
         let h = i % PUMP_HARTS;
         m.submit_as(h, Privilege::Os, Primitive::Emeas, vec![eids[h]], vec![])
@@ -453,7 +453,7 @@ fn pump_churn_batch(m: &mut Machine, eids: &[u64], calls: usize) -> u64 {
 /// to `live` in-flight EMEAS calls every round for `rounds` rounds, then
 /// drains the tail.
 fn pump_fleet_storm(m: &mut Machine, eids: &[u64], rounds: u64, live: usize) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = fnv::OFFSET_BASIS;
     let mut next_hart = 0usize;
     for _ in 0..rounds {
         while m.pipeline_stats().in_flight < live {

@@ -108,10 +108,6 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_str(out: &mut String, s: &str) {
-    push_json_str(out, s);
-}
-
 /// Appends a `"key": value,` counter line at two-space indent.
 ///
 /// # Panics
@@ -124,6 +120,127 @@ pub fn push_kv_u64(out: &mut String, key: &str, v: u64) {
         "counter '{key}' = {v} would lose precision in JSON"
     );
     out.push_str(&format!("  \"{key}\": {v},\n"));
+}
+
+/// Appends a `"key": "0x…",` line: a full-range u64 as 16 hex digits (no
+/// `f64` loss), the form [`req_hex_u64`] accepts.
+pub fn push_kv_hex(out: &mut String, key: &str, v: u64) {
+    out.push_str(&format!("  \"{key}\": \"0x{v:016x}\",\n"));
+}
+
+/// Appends a `"key": true|false,` line.
+pub fn push_kv_bool(out: &mut String, key: &str, v: bool) {
+    out.push_str(&format!("  \"{key}\": {v},\n"));
+}
+
+/// Opens a report: `{`, then the `schema_version`, `suite` and `mode`
+/// keys every report of the workspace starts with. Leaves the `mode` line
+/// open (no comma) for the caller's next key.
+pub fn push_header(out: &mut String, schema_version: u64, suite: &str, mode: &str) {
+    out.push_str("{\n");
+    out.push_str(&format!("  \"schema_version\": {schema_version},\n"));
+    out.push_str("  \"suite\": ");
+    push_json_str(out, suite);
+    out.push_str(",\n  \"mode\": ");
+    push_json_str(out, mode);
+}
+
+/// Checks the [`push_header`] keys and returns the report's mode.
+///
+/// # Errors
+///
+/// A wrong or missing schema version or suite, or a missing mode.
+pub fn check_header<'a>(
+    doc: &'a Json,
+    schema_version: u64,
+    suite: &str,
+) -> Result<&'a str, String> {
+    match doc.get("schema_version").and_then(Json::as_num) {
+        Some(v) if v == schema_version as f64 => {}
+        Some(v) => return Err(format!("unsupported schema_version {v}")),
+        None => return Err("missing schema_version".to_string()),
+    }
+    match doc.get("suite").and_then(Json::as_str) {
+        Some(s) if s == suite => {}
+        Some(other) => return Err(format!("wrong suite '{other}', want '{suite}'")),
+        None => return Err("missing suite".to_string()),
+    }
+    doc.get("mode")
+        .and_then(Json::as_str)
+        .ok_or_else(|| "missing mode".to_string())
+}
+
+/// Appends a campaign SLO CDF as the `slo_cdf` array: one
+/// `{ "<x_key>": x, "fraction": f }` row per point.
+///
+/// # Panics
+///
+/// Panics on a non-finite fraction.
+pub fn push_slo_cdf(out: &mut String, x_key: &str, cdf: &[(u32, f64)]) {
+    out.push_str("  \"slo_cdf\": [\n");
+    for (i, (x, frac)) in cdf.iter().enumerate() {
+        assert!(frac.is_finite(), "refusing to emit non-finite fraction");
+        out.push_str(&format!(
+            "    {{ \"{x_key}\": {x}, \"fraction\": {frac:.6} }}"
+        ));
+        if i + 1 < cdf.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out.push_str("  ]\n");
+}
+
+/// Checks a [`push_slo_cdf`] array: non-empty, `x_key` strictly
+/// increasing, fractions in `[0, 1]` and non-decreasing.
+///
+/// # Errors
+///
+/// A human-readable description of the first violation.
+pub fn check_slo_cdf(doc: &Json, x_key: &str) -> Result<(), String> {
+    let Some(Json::Arr(cdf)) = doc.get("slo_cdf") else {
+        return Err("missing or non-array slo_cdf".to_string());
+    };
+    if cdf.is_empty() {
+        return Err("slo_cdf is empty".to_string());
+    }
+    let mut prev_x = 0.0f64;
+    let mut prev_frac = -1.0f64;
+    for row in cdf {
+        let x = req_counter(row, x_key)?;
+        let frac = req_counter(row, "fraction")?;
+        if x <= prev_x {
+            return Err(format!("slo_cdf {x_key} must be strictly increasing"));
+        }
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(format!("slo_cdf fraction {frac} out of [0, 1]"));
+        }
+        if frac < prev_frac {
+            return Err("slo_cdf fractions must be non-decreasing".to_string());
+        }
+        prev_x = x;
+        prev_frac = frac;
+    }
+    Ok(())
+}
+
+/// Checks the verdicts every campaign report carries: the consistency
+/// audit and the lockstep model green, and the campaign drained.
+///
+/// # Errors
+///
+/// The first red verdict, named by its key.
+pub fn check_verdicts(doc: &Json) -> Result<(), String> {
+    if !req_bool(doc, "audit_ok")? {
+        return Err("audit_ok is false: a consistency audit failed".to_string());
+    }
+    if !req_bool(doc, "lockstep_ok")? {
+        return Err("lockstep_ok is false: the reference model diverged".to_string());
+    }
+    if req_bool(doc, "stalled")? {
+        return Err("stalled is true: the campaign did not drain".to_string());
+    }
+    Ok(())
 }
 
 /// Validator helper: `key` must be a finite non-negative number.
@@ -176,18 +293,14 @@ impl PerfReport {
     /// Serializes the report.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"suite\": \"{SUITE}\",\n"));
-        out.push_str("  \"mode\": ");
-        push_str(&mut out, &self.mode);
+        push_header(&mut out, SCHEMA_VERSION, SUITE, &self.mode);
         if let Some(t) = self.threads {
             out.push_str(&format!(",\n  \"threads\": {t}"));
         }
         out.push_str(",\n  \"benches\": [\n");
         for (i, b) in self.benches.iter().enumerate() {
             out.push_str("    { \"name\": ");
-            push_str(&mut out, &b.name);
+            push_json_str(&mut out, &b.name);
             out.push_str(", \"ns_per_op\": ");
             push_f64(&mut out, b.ns_per_op);
             out.push_str(", \"gb_per_sec\": ");
@@ -451,16 +564,8 @@ fn check_finite(row: &Json, key: &str, required: bool) -> Result<(), String> {
 /// A description of the first schema violation.
 pub fn validate(text: &str) -> Result<(), String> {
     let root = parse_json(text)?;
-    match root.get("schema_version").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => return Err(format!("unsupported schema_version {v}")),
-        None => return Err("missing schema_version".to_string()),
-    }
-    if root.get("suite").and_then(Json::as_str) != Some(SUITE) {
-        return Err(format!("suite must be \"{SUITE}\""));
-    }
-    match root.get("mode").and_then(Json::as_str) {
-        Some("full") | Some("smoke") => {}
+    match check_header(&root, SCHEMA_VERSION, SUITE)? {
+        "full" | "smoke" => {}
         _ => return Err("mode must be \"full\" or \"smoke\"".to_string()),
     }
     match root.get("threads") {
@@ -549,6 +654,25 @@ mod tests {
                 "threads={bad} must be invalid"
             );
         }
+    }
+
+    #[test]
+    fn shared_header_is_byte_stable_and_checked() {
+        let mut s = String::new();
+        push_header(&mut s, 1, "hypertee-chaos", "fleet");
+        assert_eq!(
+            s,
+            "{\n  \"schema_version\": 1,\n  \"suite\": \"hypertee-chaos\",\n  \"mode\": \"fleet\""
+        );
+        s.push_str("\n}\n");
+        let doc = parse_json(&s).unwrap();
+        assert_eq!(check_header(&doc, 1, "hypertee-chaos"), Ok("fleet"));
+        assert!(check_header(&doc, 2, "hypertee-chaos")
+            .unwrap_err()
+            .contains("schema_version"));
+        assert!(check_header(&doc, 1, "hypertee-serving")
+            .unwrap_err()
+            .contains("suite"));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use hypertee::machine::{DegradePolicy, Machine, MachineError};
 use hypertee::pipeline::Completion;
 use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_crypto::fnv::{self, fold};
 use hypertee_ems::control::layout;
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_faults::{FaultConfig, FaultPlan};
@@ -356,14 +357,6 @@ struct Session {
     alloc_va: u64,
     window: Option<(Ppn, u64)>,
     stage: Option<(Ppn, u64)>,
-}
-
-/// FNV-1a fold of one event tuple into the running trace hash.
-fn fold(hash: &mut u64, vals: &[u64]) {
-    for v in vals {
-        *hash ^= *v;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 /// Stable numeric code for a completion outcome (feeds the trace hash).
@@ -877,7 +870,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         hart_owner: vec![None; HARTS],
         route: BTreeMap::new(),
         live: 0,
-        hash: 0xcbf2_9ce4_8422_2325 ^ cfg.seed,
+        hash: fnv::OFFSET_BASIS ^ cfg.seed,
         latencies: Vec::new(),
         sessions_done: 0,
         sessions_failed: 0,

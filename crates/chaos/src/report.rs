@@ -8,7 +8,8 @@
 //! out in the PR description.
 
 use hypertee_bench::report::{
-    parse_json, push_json_str, push_kv_u64, req_bool, req_counter, req_hex_u64, Json,
+    check_header, check_slo_cdf, check_verdicts, parse_json, push_header, push_kv_bool,
+    push_kv_hex, push_kv_u64, push_slo_cdf, req_counter as counter, req_hex_u64, Json,
 };
 
 use crate::campaign::ChaosOutcome;
@@ -64,18 +65,10 @@ pub fn render_sharded_report(out: &ShardedChaosOutcome) -> String {
 
 fn render(out: &ChaosOutcome, sharding: Option<&ShardedChaosOutcome>) -> String {
     let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"suite\": \"{SUITE}\",\n"));
-    s.push_str("  \"mode\": ");
-    push_json_str(&mut s, out.label);
+    push_header(&mut s, SCHEMA_VERSION, SUITE, out.label);
     s.push_str(",\n");
-    // Seed and trace hash are hex strings: full u64 range, no f64 loss.
-    s.push_str(&format!("  \"seed\": \"0x{:016x}\",\n", out.seed));
-    s.push_str(&format!(
-        "  \"trace_hash\": \"0x{:016x}\",\n",
-        out.trace_hash
-    ));
+    push_kv_hex(&mut s, "seed", out.seed);
+    push_kv_hex(&mut s, "trace_hash", out.trace_hash);
     push_kv_u64(&mut s, "ticks", out.ticks);
     push_kv_u64(&mut s, "requests", out.requests);
     push_kv_u64(&mut s, "completions", out.completions);
@@ -99,9 +92,9 @@ fn render(out: &ChaosOutcome, sharding: Option<&ShardedChaosOutcome>) -> String 
     push_kv_u64(&mut s, "queue_depth_hwm", out.queue_depth_hwm as u64);
     push_kv_u64(&mut s, "in_flight_hwm", out.in_flight_hwm as u64);
     push_kv_u64(&mut s, "audits", out.audits);
-    s.push_str(&format!("  \"audit_ok\": {},\n", out.audit_ok));
+    push_kv_bool(&mut s, "audit_ok", out.audit_ok);
     push_kv_u64(&mut s, "lockstep_rounds", u64::from(out.lockstep_rounds));
-    s.push_str(&format!("  \"lockstep_ok\": {},\n", out.lockstep_ok));
+    push_kv_bool(&mut s, "lockstep_ok", out.lockstep_ok);
     push_kv_u64(
         &mut s,
         "migrations_completed",
@@ -115,7 +108,7 @@ fn render(out: &ChaosOutcome, sharding: Option<&ShardedChaosOutcome>) -> String 
     push_kv_u64(&mut s, "blackout_p50_cycles", out.blackout_percentile(50));
     push_kv_u64(&mut s, "blackout_p99_cycles", out.blackout_percentile(99));
     push_kv_u64(&mut s, "clock_cycles", out.clock_cycles);
-    s.push_str(&format!("  \"stalled\": {},\n", out.stalled));
+    push_kv_bool(&mut s, "stalled", out.stalled);
     if let Some(sh) = sharding {
         s.push_str("  \"sharding\": {\n");
         s.push_str(&format!("    \"shards\": {},\n", sh.shards));
@@ -138,23 +131,10 @@ fn render(out: &ChaosOutcome, sharding: Option<&ShardedChaosOutcome>) -> String 
         }
         s.push_str("    ]\n  },\n");
     }
-    s.push_str("  \"slo_cdf\": [\n");
-    for (i, (mult, frac)) in out.slo_cdf.iter().enumerate() {
-        assert!(frac.is_finite(), "refusing to emit non-finite fraction");
-        s.push_str(&format!(
-            "    {{ \"round_trip_multiple\": {mult}, \"fraction\": {frac:.6} }}"
-        ));
-        if i + 1 < out.slo_cdf.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
+    push_slo_cdf(&mut s, "round_trip_multiple", &out.slo_cdf);
+    s.push_str("}\n");
     s
 }
-
-use req_bool as boolean;
-use req_counter as counter;
 
 /// Validates a `BENCH_chaos.json` document: schema version and suite,
 /// every counter present and finite, the audit and lockstep verdicts
@@ -167,19 +147,7 @@ use req_counter as counter;
 /// A human-readable description of the first violation.
 pub fn validate(text: &str) -> Result<(), String> {
     let doc = parse_json(text)?;
-    match doc.get("schema_version").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => return Err(format!("unsupported schema_version {v}")),
-        None => return Err("missing schema_version".to_string()),
-    }
-    match doc.get("suite").and_then(Json::as_str) {
-        Some(SUITE) => {}
-        Some(other) => return Err(format!("wrong suite '{other}'")),
-        None => return Err("missing suite".to_string()),
-    }
-    if doc.get("mode").and_then(Json::as_str).is_none() {
-        return Err("missing mode".to_string());
-    }
+    check_header(&doc, SCHEMA_VERSION, SUITE)?;
     for key in ["seed", "trace_hash"] {
         req_hex_u64(&doc, key)?;
     }
@@ -195,15 +163,7 @@ pub fn validate(text: &str) -> Result<(), String> {
     ] {
         counter(&doc, key)?;
     }
-    if !boolean(&doc, "audit_ok")? {
-        return Err("audit_ok is false: a consistency audit failed".to_string());
-    }
-    if !boolean(&doc, "lockstep_ok")? {
-        return Err("lockstep_ok is false: the reference model diverged".to_string());
-    }
-    if boolean(&doc, "stalled")? {
-        return Err("stalled is true: the campaign did not drain".to_string());
-    }
+    check_verdicts(&doc)?;
     // Conservation: every offered session must have terminated.
     let sessions = counter(&doc, "sessions")?;
     let done = counter(&doc, "sessions_done")?;
@@ -249,30 +209,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             ));
         }
     }
-    let Some(Json::Arr(cdf)) = doc.get("slo_cdf") else {
-        return Err("missing or non-array slo_cdf".to_string());
-    };
-    if cdf.is_empty() {
-        return Err("slo_cdf is empty".to_string());
-    }
-    let mut prev_mult = 0.0f64;
-    let mut prev_frac = -1.0f64;
-    for row in cdf {
-        let mult = counter(row, "round_trip_multiple")?;
-        let frac = counter(row, "fraction")?;
-        if mult <= prev_mult {
-            return Err("slo_cdf multiples must be strictly increasing".to_string());
-        }
-        if !(0.0..=1.0).contains(&frac) {
-            return Err(format!("slo_cdf fraction {frac} out of [0, 1]"));
-        }
-        if frac < prev_frac {
-            return Err("slo_cdf fractions must be non-decreasing".to_string());
-        }
-        prev_mult = mult;
-        prev_frac = frac;
-    }
-    Ok(())
+    check_slo_cdf(&doc, "round_trip_multiple")
 }
 
 #[cfg(test)]

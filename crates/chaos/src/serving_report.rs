@@ -8,7 +8,8 @@
 //! hand-rolled JSON helpers in `hypertee_bench::report`.
 
 use hypertee_bench::report::{
-    parse_json, push_json_str, push_kv_u64, req_bool, req_counter, req_hex_u64, Json,
+    check_header, check_slo_cdf, check_verdicts, parse_json, push_header, push_kv_bool,
+    push_kv_hex, push_kv_u64, push_slo_cdf, req_counter as counter, req_hex_u64,
 };
 
 use crate::campaign::ChaosOutcome;
@@ -75,17 +76,10 @@ pub fn render_serving_report(out: &ChaosOutcome) -> String {
         .as_ref()
         .expect("serving report requires a storm campaign outcome");
     let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"suite\": \"{SUITE}\",\n"));
-    s.push_str("  \"mode\": ");
-    push_json_str(&mut s, out.label);
+    push_header(&mut s, SCHEMA_VERSION, SUITE, out.label);
     s.push_str(",\n");
-    s.push_str(&format!("  \"seed\": \"0x{:016x}\",\n", out.seed));
-    s.push_str(&format!(
-        "  \"trace_hash\": \"0x{:016x}\",\n",
-        out.trace_hash
-    ));
+    push_kv_hex(&mut s, "seed", out.seed);
+    push_kv_hex(&mut s, "trace_hash", out.trace_hash);
     push_kv_u64(&mut s, "clients", storm.clients as u64);
     push_kv_u64(&mut s, "handshakes_attempted", storm.handshakes_attempted);
     push_kv_u64(&mut s, "handshakes_completed", storm.handshakes_completed);
@@ -133,26 +127,13 @@ pub fn render_serving_report(out: &ChaosOutcome) -> String {
     );
     push_kv_u64(&mut s, "fleet_requests", out.requests);
     push_kv_u64(&mut s, "reclaimed_enclaves", out.reclaimed_enclaves);
-    s.push_str(&format!("  \"audit_ok\": {},\n", out.audit_ok));
-    s.push_str(&format!("  \"lockstep_ok\": {},\n", out.lockstep_ok));
-    s.push_str(&format!("  \"stalled\": {},\n", out.stalled));
-    s.push_str("  \"slo_cdf\": [\n");
-    for (i, (bound, frac)) in storm.slo_cdf.iter().enumerate() {
-        assert!(frac.is_finite(), "refusing to emit non-finite fraction");
-        s.push_str(&format!(
-            "    {{ \"tick_bound\": {bound}, \"fraction\": {frac:.6} }}"
-        ));
-        if i + 1 < storm.slo_cdf.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
+    push_kv_bool(&mut s, "audit_ok", out.audit_ok);
+    push_kv_bool(&mut s, "lockstep_ok", out.lockstep_ok);
+    push_kv_bool(&mut s, "stalled", out.stalled);
+    push_slo_cdf(&mut s, "tick_bound", &storm.slo_cdf);
+    s.push_str("}\n");
     s
 }
-
-use req_bool as boolean;
-use req_counter as counter;
 
 /// Validates a `BENCH_serving.json` document: schema and suite, every
 /// counter present, **every accepted-attack counter exactly zero**, green
@@ -164,19 +145,7 @@ use req_counter as counter;
 /// A human-readable description of the first violation.
 pub fn validate_serving(text: &str) -> Result<(), String> {
     let doc = parse_json(text)?;
-    match doc.get("schema_version").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => return Err(format!("unsupported schema_version {v}")),
-        None => return Err("missing schema_version".to_string()),
-    }
-    match doc.get("suite").and_then(Json::as_str) {
-        Some(SUITE) => {}
-        Some(other) => return Err(format!("wrong suite '{other}'")),
-        None => return Err("missing suite".to_string()),
-    }
-    if doc.get("mode").and_then(Json::as_str).is_none() {
-        return Err("missing mode".to_string());
-    }
+    check_header(&doc, SCHEMA_VERSION, SUITE)?;
     for key in ["seed", "trace_hash"] {
         req_hex_u64(&doc, key)?;
     }
@@ -193,15 +162,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
             ));
         }
     }
-    if !boolean(&doc, "audit_ok")? {
-        return Err("audit_ok is false: a consistency audit failed".to_string());
-    }
-    if !boolean(&doc, "lockstep_ok")? {
-        return Err("lockstep_ok is false: the reference model diverged".to_string());
-    }
-    if boolean(&doc, "stalled")? {
-        return Err("stalled is true: the campaign did not drain".to_string());
-    }
+    check_verdicts(&doc)?;
     // Handshake accounting: completions never exceed attempts, and the
     // storm must actually have attested something.
     let attempted = counter(&doc, "handshakes_attempted")?;
@@ -220,30 +181,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
     if counter(&doc, "handshake_p99_ticks")? < counter(&doc, "handshake_p50_ticks")? {
         return Err("handshake p99 < p50".to_string());
     }
-    let Some(Json::Arr(cdf)) = doc.get("slo_cdf") else {
-        return Err("missing or non-array slo_cdf".to_string());
-    };
-    if cdf.is_empty() {
-        return Err("slo_cdf is empty".to_string());
-    }
-    let mut prev_bound = 0.0f64;
-    let mut prev_frac = -1.0f64;
-    for row in cdf {
-        let bound = counter(row, "tick_bound")?;
-        let frac = counter(row, "fraction")?;
-        if bound <= prev_bound {
-            return Err("slo_cdf tick bounds must be strictly increasing".to_string());
-        }
-        if !(0.0..=1.0).contains(&frac) {
-            return Err(format!("slo_cdf fraction {frac} out of [0, 1]"));
-        }
-        if frac < prev_frac {
-            return Err("slo_cdf fractions must be non-decreasing".to_string());
-        }
-        prev_bound = bound;
-        prev_frac = frac;
-    }
-    Ok(())
+    check_slo_cdf(&doc, "tick_bound")
 }
 
 #[cfg(test)]

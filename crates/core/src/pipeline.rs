@@ -112,14 +112,6 @@ pub struct PipelineStats {
     pub expired: u64,
     /// Stale duplicate responses currently quarantined in the mailbox.
     pub stale_duplicates: usize,
-    /// MKTME writes that took the full-line fast path (no RMW fetch-decrypt).
-    pub mktme_full_line_writes: u64,
-    /// AES-CTR keystream blocks produced in batched multi-line spans.
-    pub mktme_keystream_blocks_batched: u64,
-    /// Page-walk-cache hits summed over all harts.
-    pub ptw_cache_hits: u64,
-    /// Page-walk-cache misses summed over all harts.
-    pub ptw_cache_misses: u64,
 }
 
 /// One in-flight request's state machine.
@@ -326,6 +318,22 @@ impl Machine {
         self.hart_clock[hart_id]
     }
 
+    /// Runs `f` with `hart_id`'s privilege register temporarily set to
+    /// `privilege`, restoring it before returning. EMCall still reads the
+    /// privilege from the hart, never from a caller argument; the override
+    /// only lives for the one gate pass inside `f`.
+    pub(crate) fn with_privilege<R>(
+        &mut self,
+        hart_id: usize,
+        privilege: Privilege,
+        f: impl FnOnce(&mut Machine) -> R,
+    ) -> R {
+        let old = std::mem::replace(&mut self.harts[hart_id].privilege, privilege);
+        let out = f(self);
+        self.harts[hart_id].privilege = old;
+        out
+    }
+
     /// [`Machine::submit`] with a temporary privilege override on the hart.
     ///
     /// EMCall stamps the caller's identity and privilege into the request at
@@ -340,16 +348,14 @@ impl Machine {
     pub fn submit_as(
         &mut self,
         hart_id: usize,
-        privilege: hypertee_fabric::message::Privilege,
+        privilege: Privilege,
         primitive: Primitive,
         args: Vec<u64>,
         payload: Vec<u8>,
     ) -> MachineResult<PendingCall> {
-        let old = self.harts[hart_id].privilege;
-        self.harts[hart_id].privilege = privilege;
-        let out = self.submit(hart_id, primitive, args, payload);
-        self.harts[hart_id].privilege = old;
-        out
+        self.with_privilege(hart_id, privilege, |m| {
+            m.submit(hart_id, primitive, args, payload)
+        })
     }
 
     /// Submits one primitive from `hart_id` into the pipeline and returns a
@@ -378,16 +384,13 @@ impl Machine {
                 return Err(MachineError::Backpressure);
             }
         }
-        let req_id = {
-            let hart = &self.harts[hart_id];
-            self.emcall.submit_tracked(
-                hart,
-                &mut self.hub,
-                primitive,
-                args.clone(),
-                payload.clone(),
-            )?
-        };
+        let req_id = self.emcall.submit(
+            &self.harts[hart_id],
+            &mut self.hub,
+            primitive,
+            args.clone(),
+            payload.clone(),
+        )?;
         let call = PendingCall {
             id: self.pipeline.next_call,
             hart_id,
@@ -634,8 +637,7 @@ impl Machine {
         if let Some(deadline) = self.degrade.deadline {
             if self.hart_clock[hart_id] - inf.issued_at > deadline {
                 let inf = self.pipeline.in_flight.remove(&id).expect("checked above");
-                self.emcall
-                    .retire_tracked(self.harts[hart_id].hart_id, inf.req_id);
+                self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                 self.pipeline.service_done.remove(&inf.req_id);
                 self.pipeline.expired += 1;
                 self.finish_call(inf, Err(MachineError::DeadlineExpired));
@@ -648,7 +650,7 @@ impl Machine {
         // as a miss — the call falls through to the loss evaluation.)
         let polled = if self.hub.mailbox.has_response(req_id) {
             self.emcall
-                .poll_tracked(&mut self.hub, self.harts[hart_id].hart_id, req_id)
+                .poll(&mut self.hub, self.harts[hart_id].hart_id, req_id)
         } else {
             None
         };
@@ -687,19 +689,15 @@ impl Machine {
                 let backoff = self.backoff(inf.attempt, id);
                 let round_trip = self.book.mailbox_round_trip();
                 self.charge_hart(hart_id, Cycles((round_trip + backoff).round() as u64));
-                let resubmitted = {
-                    let old = self.harts[hart_id].privilege;
-                    self.harts[hart_id].privilege = inf.privilege;
-                    let result = self.emcall.submit_tracked(
-                        &self.harts[hart_id],
-                        &mut self.hub,
+                let resubmitted = self.with_privilege(hart_id, inf.privilege, |m| {
+                    m.emcall.submit(
+                        &m.harts[hart_id],
+                        &mut m.hub,
                         inf.primitive,
                         inf.args.clone(),
                         inf.payload.clone(),
-                    );
-                    self.harts[hart_id].privilege = old;
-                    result
-                };
+                    )
+                });
                 match resubmitted {
                     Ok(new_req_id) => {
                         self.pipeline.req_index.remove(&req_id);
@@ -727,8 +725,7 @@ impl Machine {
                 let mut inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 inf.attempt += 1;
                 if inf.attempt > self.retry.max_retries {
-                    self.emcall
-                        .retire_tracked(self.harts[hart_id].hart_id, inf.req_id);
+                    self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                     self.pipeline.service_done.remove(&inf.req_id);
                     self.pipeline.timeouts += 1;
                     self.finish_call(inf, Err(MachineError::Timeout));
@@ -747,20 +744,16 @@ impl Machine {
                 // Resubmit under the same req_id: if EMS in fact completed
                 // the request, its response cache replays the completion
                 // instead of re-executing the primitive.
-                let resubmitted = {
-                    let old = self.harts[hart_id].privilege;
-                    self.harts[hart_id].privilege = inf.privilege;
-                    let result = self.emcall.resubmit_tracked(
-                        &self.harts[hart_id],
-                        &mut self.hub,
+                let resubmitted = self.with_privilege(hart_id, inf.privilege, |m| {
+                    m.emcall.resubmit(
+                        &m.harts[hart_id],
+                        &mut m.hub,
                         inf.req_id,
                         inf.primitive,
                         inf.args.clone(),
                         inf.payload.clone(),
-                    );
-                    self.harts[hart_id].privilege = old;
-                    result
-                };
+                    )
+                });
                 match resubmitted {
                     Ok(()) => {
                         self.pipeline.service_done.remove(&inf.req_id);
@@ -769,8 +762,7 @@ impl Machine {
                         Step::Progress(hart_id)
                     }
                     Err(e) => {
-                        self.emcall
-                            .retire_tracked(self.harts[hart_id].hart_id, inf.req_id);
+                        self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                         self.finish_call(inf, Err(MachineError::Gate(e)));
                         Step::Completed(hart_id)
                     }
@@ -869,14 +861,6 @@ impl Machine {
             shed: self.pipeline.shed,
             expired: self.pipeline.expired,
             stale_duplicates: self.hub.mailbox.stale_duplicates(),
-            mktme_full_line_writes: self.sys.engine.stats.full_line_writes,
-            mktme_keystream_blocks_batched: self.sys.engine.stats.keystream_blocks_batched,
-            ptw_cache_hits: self.harts.iter().map(|h| h.mmu.walk_cache.stats.hits).sum(),
-            ptw_cache_misses: self
-                .harts
-                .iter()
-                .map(|h| h.mmu.walk_cache.stats.misses)
-                .sum(),
         }
     }
 }

@@ -32,19 +32,6 @@ impl ShmPerm {
 }
 
 impl Machine {
-    fn with_privilege<R>(
-        &mut self,
-        hart_id: usize,
-        privilege: Privilege,
-        f: impl FnOnce(&mut Machine) -> MachineResult<R>,
-    ) -> MachineResult<R> {
-        let old = self.harts[hart_id].privilege;
-        self.harts[hart_id].privilege = privilege;
-        let out = f(self);
-        self.harts[hart_id].privilege = old;
-        out
-    }
-
     /// Creates, loads, and measures an enclave from a manifest and image —
     /// ECREATE + EADD + EMEAS, driven by the CS OS on `hart_id`.
     ///
@@ -101,7 +88,7 @@ impl Machine {
                 vec![],
             )?;
             m.invoke(hart_id, Primitive::Emeas, vec![eid], vec![])?;
-            Ok(eid)
+            MachineResult::Ok(eid)
         })?;
 
         // Charge the size-dependent management time (EADD copy + EMEAS

@@ -301,7 +301,7 @@ impl ShardedMachine {
         T: Send,
         F: Fn(&mut ShardDomain) -> T + Sync,
     {
-        par_run_mut(&mut self.domains, self.threads, |_, d| f(d))
+        par_run(self.domains.iter_mut().collect(), self.threads, |_, d| f(d))
     }
 
     /// One pump barrier: every domain pumps its own pipeline one scheduling
@@ -357,10 +357,6 @@ impl ShardedMachine {
             merged.shed += s.shed;
             merged.expired += s.expired;
             merged.stale_duplicates += s.stale_duplicates;
-            merged.mktme_full_line_writes += s.mktme_full_line_writes;
-            merged.mktme_keystream_blocks_batched += s.mktme_keystream_blocks_batched;
-            merged.ptw_cache_hits += s.ptw_cache_hits;
-            merged.ptw_cache_misses += s.ptw_cache_misses;
         }
         merged
     }
@@ -405,8 +401,8 @@ impl ShardedMachine {
 /// Runs `f(index, item)` over owned `items` on a pool of `threads` scoped
 /// workers and returns the results *in item order*, independent of which
 /// worker ran what when. `threads <= 1` executes inline in order (the
-/// reference path). This is the generic engine campaign drivers build on;
-/// [`ShardedMachine::par_map`] is the borrowed-domain variant.
+/// reference path). Campaign drivers pass owned configs;
+/// [`ShardedMachine::par_map`] passes `&mut` domain borrows.
 pub fn par_run<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Vec<T>
 where
     I: Send,
@@ -419,42 +415,6 @@ where
     }
     let n = indexed.len();
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(indexed.into_iter().collect());
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let workers = threads.min(n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let next = queue.lock().expect("queue lock").pop_front();
-                let Some((i, item)) = next else { break };
-                let out = f(i, item);
-                results.lock().expect("result lock").push((i, out));
-            });
-        }
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, out) in results.into_inner().expect("result lock") {
-        slots[i] = Some(out);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item produced a result"))
-        .collect()
-}
-
-/// [`par_run`] over mutable borrows: each worker takes exclusive `&mut`
-/// items off a shared queue, so no item is ever visible to two threads.
-fn par_run_mut<I, T, F>(items: &mut [I], threads: usize, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, &mut I) -> T + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter_mut().enumerate().map(|(i, d)| f(i, d)).collect();
-    }
-    let n = items.len();
-    let queue: Mutex<VecDeque<(usize, &mut I)>> =
-        Mutex::new(items.iter_mut().enumerate().collect());
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     let workers = threads.min(n);
     std::thread::scope(|s| {

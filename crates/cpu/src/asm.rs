@@ -360,8 +360,8 @@ impl Asm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::difftest::Rng;
     use crate::isa::{decode, AluKind, BranchKind, Instr, LoadKind, StoreKind};
+    use hypertee_sim::rng::SplitMix64;
 
     #[test]
     fn emitted_words_decode_back() {
@@ -432,7 +432,7 @@ mod tests {
     /// was asked to encode.
     #[test]
     fn every_emitter_round_trips_through_decode() {
-        let mut rng = Rng::new(0xa5e);
+        let mut rng = SplitMix64::new(0xa5e);
         let mut regs: Vec<u8> = vec![0, 1, 15, 30, 31];
         regs.extend((0..8).map(|_| (rng.next_u64() % 32) as u8));
         let imms: Vec<i64> = vec![-2048, -1, 0, 1, 7, 2047];
@@ -687,7 +687,7 @@ mod tests {
 
     #[test]
     fn li_expansion_always_decodes_legal() {
-        let mut rng = Rng::new(0x11);
+        let mut rng = SplitMix64::new(0x11);
         let mut values: Vec<u64> = vec![0, 1, u64::MAX, i64::MIN as u64, 0xdead_beef];
         values.extend((0..64).map(|_| rng.next_u64()));
         for value in values {

@@ -12,9 +12,9 @@
 //! paths that can diverge: self-modifying stores into the code page,
 //! M-extension edge cases (division by zero, `i64::MIN / -1` overflow,
 //! MULH-shaped encodings the ISA rejects), illegal raw words, bounded
-//! branches, and wild indirect jumps that fault. [`shrink`] is a greedy
-//! ddmin (the `hypertee-model::shrink` idiom) that minimizes a diverging
-//! word stream; [`run_campaign`] ties the three together for
+//! branches, and wild indirect jumps that fault. [`shrink`] is the generic
+//! greedy ddmin (also behind `hypertee-model::shrink`) that minimizes a
+//! diverging word stream; [`run_campaign`] ties the three together for
 //! `tests/interp_diff.rs` and the `verify.sh` smoke.
 
 use crate::dicache::{DecodeCache, DEFAULT_LINES};
@@ -23,36 +23,18 @@ use hypertee_mem::addr::{KeyId, PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::pagetable::{PageTable, Perms};
 use hypertee_mem::phys::FrameAllocator;
 use hypertee_mem::system::{CoreMmu, MemorySystem};
+use hypertee_sim::rng::SplitMix64;
 
 /// Virtual base of the (writable — the fuzzer self-modifies) code page.
 pub const CODE: u64 = 0x1_0000;
 /// Virtual base of the data page.
 pub const DATA: u64 = 0x2_0000;
 
-/// Splitmix64 — the rig's seeded generator.
-#[derive(Debug, Clone)]
-pub struct Rng {
-    state: u64,
-}
-
-impl Rng {
-    /// A generator at `seed`.
-    pub fn new(seed: u64) -> Rng {
-        Rng { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
+/// A draw in `[0, n)` by plain modulo reduction. Deliberately not
+/// [`SplitMix64::gen_range`]: the generated programs (and every recorded
+/// repro hex) depend on this exact reduction.
+fn below(rng: &mut SplitMix64, n: u64) -> u64 {
+    rng.next_u64() % n
 }
 
 // Local encoders (the `asm.rs` ones are private; these four are all the
@@ -109,9 +91,9 @@ fn j_type(offset: i64, rd: u8) -> u32 {
 
 /// Destination register pick that never clobbers the dedicated base
 /// registers (`x8` = DATA, `x9` = CODE) the generator relies on.
-fn pick_rd(rng: &mut Rng) -> u8 {
+fn pick_rd(rng: &mut SplitMix64) -> u8 {
     loop {
-        let r = rng.below(32) as u8;
+        let r = below(rng, 32) as u8;
         if r != 8 && r != 9 {
             return r;
         }
@@ -120,7 +102,7 @@ fn pick_rd(rng: &mut Rng) -> u8 {
 
 /// Generates a seeded RV64IM word stream of length `len`, biased toward
 /// interpreter-divergence hazards (see module docs).
-pub fn gen_program(rng: &mut Rng, len: usize) -> Vec<u32> {
+pub fn gen_program(rng: &mut SplitMix64, len: usize) -> Vec<u32> {
     const ALU_RR: &[(u32, u32)] = &[
         (0b0000000, 0b000), // add
         (0b0100000, 0b000), // sub
@@ -152,23 +134,23 @@ pub fn gen_program(rng: &mut Rng, len: usize) -> Vec<u32> {
     let mut words = Vec::with_capacity(len);
     for _ in 0..len {
         let rd = pick_rd(rng);
-        let rs1 = rng.below(32) as u8;
-        let rs2 = rng.below(32) as u8;
-        let word = match rng.below(20) {
+        let rs1 = below(rng, 32) as u8;
+        let rs2 = below(rng, 32) as u8;
+        let word = match below(rng, 20) {
             0..=4 => {
                 // Register–register ALU, M included — with seeded register
                 // constants (0, -1, i64::MIN) this covers division by
                 // zero, remainder by zero, and the MIN/-1 overflow.
-                let (f7, f3) = ALU_RR[rng.below(ALU_RR.len() as u64) as usize];
+                let (f7, f3) = ALU_RR[below(rng, ALU_RR.len() as u64) as usize];
                 r_type(f7, rs2, rs1, f3, rd, 0x33)
             }
             5..=6 => {
-                let f3 = [0b000, 0b010, 0b011, 0b100, 0b110, 0b111][rng.below(6) as usize];
+                let f3 = [0b000, 0b010, 0b011, 0b100, 0b110, 0b111][below(rng, 6) as usize];
                 i_type(rng.next_u64() as i64 & 0xfff, rs1, f3, rd, 0x13)
             }
             7 => {
                 // 32-bit forms (addw/subw/sllw/srlw/sraw/mulw + addiw).
-                if rng.below(2) == 0 {
+                if below(rng, 2) == 0 {
                     let (f7, f3) = [
                         (0b0000000, 0b000),
                         (0b0100000, 0b000),
@@ -176,31 +158,31 @@ pub fn gen_program(rng: &mut Rng, len: usize) -> Vec<u32> {
                         (0b0000000, 0b101),
                         (0b0100000, 0b101),
                         (0b0000001, 0b000),
-                    ][rng.below(6) as usize];
+                    ][below(rng, 6) as usize];
                     r_type(f7, rs2, rs1, f3, rd, 0x3b)
                 } else {
                     i_type(rng.next_u64() as i64 & 0xfff, rs1, 0b000, rd, 0x1b)
                 }
             }
             8 => {
-                let opcode = if rng.below(2) == 0 { 0x37 } else { 0x17 };
+                let opcode = if below(rng, 2) == 0 { 0x37 } else { 0x17 };
                 ((rng.next_u64() as u32) & 0xffff_f000) | ((rd as u32) << 7) | opcode
             }
             9..=11 => {
                 // Load through the DATA base; mostly aligned, 1-in-8
                 // deliberately misaligned (a BusError both paths must
                 // report identically).
-                let (f3, size) = LOAD_F3[rng.below(LOAD_F3.len() as u64) as usize];
-                let mut offset = rng.below(2040) & !(size - 1);
-                if size > 1 && rng.below(8) == 0 {
+                let (f3, size) = LOAD_F3[below(rng, LOAD_F3.len() as u64) as usize];
+                let mut offset = below(rng, 2040) & !(size - 1);
+                if size > 1 && below(rng, 8) == 0 {
                     offset += 1;
                 }
                 i_type(offset as i64, 8, f3, rd, 0x03)
             }
             12..=13 => {
-                let (f3, size) = STORE_F3[rng.below(STORE_F3.len() as u64) as usize];
-                let mut offset = rng.below(2040) & !(size - 1);
-                if size > 1 && rng.below(8) == 0 {
+                let (f3, size) = STORE_F3[below(rng, STORE_F3.len() as u64) as usize];
+                let mut offset = below(rng, 2040) & !(size - 1);
+                if size > 1 && below(rng, 8) == 0 {
                     offset += 1;
                 }
                 s_type(offset as i64, rs2, 8, f3)
@@ -208,33 +190,33 @@ pub fn gen_program(rng: &mut Rng, len: usize) -> Vec<u32> {
             14 => {
                 // Self-modifying store into the code page: the decoded
                 // cache must drop the line and refetch like the oracle.
-                s_type((rng.below(510) * 4) as i64, rs2, 9, 0b010)
+                s_type((below(rng, 510) * 4) as i64, rs2, 9, 0b010)
             }
             15 => {
-                let f3 = [0b000, 0b001, 0b100, 0b101, 0b110, 0b111][rng.below(6) as usize];
-                let offset = (rng.below(16) as i64 - 8) * 4;
+                let f3 = [0b000, 0b001, 0b100, 0b101, 0b110, 0b111][below(rng, 6) as usize];
+                let offset = (below(rng, 16) as i64 - 8) * 4;
                 b_type(if offset == 0 { 4 } else { offset }, rs2, rs1, f3)
             }
             16 => {
-                if rng.below(2) == 0 {
-                    j_type((rng.below(16) as i64 - 8) * 4, rd)
+                if below(rng, 2) == 0 {
+                    j_type((below(rng, 16) as i64 - 8) * 4, rd)
                 } else {
                     // Indirect jump: through the CODE base (bounded) or a
                     // wild register (usually a fetch fault both paths
                     // must agree on).
-                    let base = if rng.below(2) == 0 { 9 } else { rs1 };
-                    i_type((rng.below(510) * 4) as i64, base, 0b000, rd, 0x67)
+                    let base = if below(rng, 2) == 0 { 9 } else { rs1 };
+                    i_type((below(rng, 510) * 4) as i64, base, 0b000, rd, 0x67)
                 }
             }
             17 => {
                 // MULH/MULHSU/MULHU-shaped probes: funct7=1 with funct3
                 // 001/010/011 is *outside* the supported subset and must
                 // decode Illegal on both paths.
-                let f3 = [0b001, 0b010, 0b011][rng.below(3) as usize];
+                let f3 = [0b001, 0b010, 0b011][below(rng, 3) as usize];
                 r_type(0b0000001, rs2, rs1, f3, rd, 0x33)
             }
             18 => rng.next_u64() as u32, // raw word, usually illegal
-            _ => match rng.below(4) {
+            _ => match below(rng, 4) {
                 0 => 0x0000_0073, // ecall
                 1 => 0x0010_0073, // ebreak
                 2 => 0x0000_000f, // fence
@@ -410,13 +392,21 @@ pub fn run_diff(words: &[u32], max_steps: u64) -> Result<(), String> {
     compare_memory(&mut a, &mut b)
 }
 
-/// Greedy ddmin over a word stream (the `hypertee-model::shrink` idiom):
-/// repeatedly deletes chunks, halving the chunk size, as long as
-/// `diverges` keeps reproducing. Returns the minimized stream.
-pub fn shrink(words: &[u32], mut diverges: impl FnMut(&[u32]) -> bool) -> Vec<u32> {
-    const MAX_RUNS: usize = 2000;
-    let mut current = words.to_vec();
-    if !diverges(&current) {
+/// Greedy ddmin: repeatedly deletes chunks of `items`, halving the chunk
+/// size, keeping every deletion under which `pred` still holds, until a
+/// pass at chunk size one removes nothing or `max_runs` candidates have
+/// been tried. Never proposes the empty sequence. Returns `items`
+/// unchanged when `pred` does not hold for it in the first place.
+///
+/// The one shrinker of the workspace: it minimizes diverging word streams
+/// here and diverging lifecycle traces in `hypertee-model`.
+pub fn shrink<T: Clone>(
+    items: &[T],
+    max_runs: usize,
+    mut pred: impl FnMut(&[T]) -> bool,
+) -> Vec<T> {
+    let mut current = items.to_vec();
+    if !pred(&current) {
         return current;
     }
     let mut runs = 0usize;
@@ -424,19 +414,19 @@ pub fn shrink(words: &[u32], mut diverges: impl FnMut(&[u32]) -> bool) -> Vec<u3
     loop {
         let mut shrunk_this_pass = false;
         let mut start = 0;
-        while start < current.len() && runs < MAX_RUNS {
+        while start < current.len() && runs < max_runs {
             let end = (start + chunk).min(current.len());
             let mut candidate = current.clone();
             candidate.drain(start..end);
             runs += 1;
-            if !candidate.is_empty() && diverges(&candidate) {
+            if !candidate.is_empty() && pred(&candidate) {
                 current = candidate; // retry in place: indices shifted
                 shrunk_this_pass = true;
             } else {
                 start = end;
             }
         }
-        if runs >= MAX_RUNS || (chunk == 1 && !shrunk_this_pass) {
+        if runs >= max_runs || (chunk == 1 && !shrunk_this_pass) {
             break;
         }
         if chunk > 1 {
@@ -460,6 +450,9 @@ pub struct Campaign {
     pub max_steps: u64,
 }
 
+/// Candidate replays one word-stream shrink may spend.
+const SHRINK_RUNS: usize = 2000;
+
 /// Runs a campaign; on the first divergence, ddmin-shrinks the program and
 /// reports everything needed to reproduce.
 ///
@@ -469,10 +462,10 @@ pub struct Campaign {
 /// the shrunk word stream in hex.
 pub fn run_campaign(cfg: &Campaign) -> Result<(), String> {
     for i in 0..cfg.programs {
-        let mut rng = Rng::new(cfg.seed.wrapping_add(i as u64));
+        let mut rng = SplitMix64::new(cfg.seed.wrapping_add(i as u64));
         let words = gen_program(&mut rng, cfg.prog_len);
         if let Err(msg) = run_diff(&words, cfg.max_steps) {
-            let shrunk = shrink(&words, |w| run_diff(w, cfg.max_steps).is_err());
+            let shrunk = shrink(&words, SHRINK_RUNS, |w| run_diff(w, cfg.max_steps).is_err());
             let final_msg = run_diff(&shrunk, cfg.max_steps)
                 .err()
                 .unwrap_or_else(|| msg.clone());
@@ -494,9 +487,9 @@ mod tests {
 
     #[test]
     fn generated_streams_are_seed_deterministic() {
-        let a = gen_program(&mut Rng::new(7), 64);
-        let b = gen_program(&mut Rng::new(7), 64);
-        let c = gen_program(&mut Rng::new(8), 64);
+        let a = gen_program(&mut SplitMix64::new(7), 64);
+        let b = gen_program(&mut SplitMix64::new(7), 64);
+        let c = gen_program(&mut SplitMix64::new(8), 64);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -517,11 +510,11 @@ mod tests {
         // Synthetic divergence predicate: the stream "diverges" while it
         // still contains both marker words. ddmin must reduce 256 words to
         // exactly those two.
-        let mut rng = Rng::new(42);
+        let mut rng = SplitMix64::new(42);
         let mut words = gen_program(&mut rng, 256);
         words[37] = 0xaaaa_aaaa;
         words[201] = 0xbbbb_bbbb;
-        let shrunk = shrink(&words, |w| {
+        let shrunk = shrink(&words, SHRINK_RUNS, |w| {
             w.contains(&0xaaaa_aaaa) && w.contains(&0xbbbb_bbbb)
         });
         assert_eq!(shrunk, vec![0xaaaa_aaaa, 0xbbbb_bbbb]);
@@ -530,6 +523,6 @@ mod tests {
     #[test]
     fn shrink_returns_input_when_nothing_diverges() {
         let words = vec![1, 2, 3];
-        assert_eq!(shrink(&words, |_| false), words);
+        assert_eq!(shrink(&words, SHRINK_RUNS, |_| false), words);
     }
 }

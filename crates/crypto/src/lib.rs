@@ -24,6 +24,8 @@
 //! * [`chacha`] — ChaCha20 block function and a deterministic random bit
 //!   generator used wherever EMS needs randomness (pool thresholds, swap
 //!   selection, salts).
+//! * [`fnv`] — FNV-1a-64, the non-cryptographic fold behind the mailbox
+//!   checksum and every replayable trace hash.
 //! * [`ed`], [`ecdh`], [`sig`] — Curve25519 in twisted-Edwards form, an ECDH
 //!   exchange for local attestation (§VI), and Schnorr signatures for remote
 //!   attestation certificates (EK/AK signing, §VI).
@@ -47,6 +49,7 @@ pub mod chacha;
 pub mod ecdh;
 pub mod ed;
 pub mod fe;
+pub mod fnv;
 pub mod hmac;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod keccak_avx512;

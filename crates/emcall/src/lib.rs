@@ -242,9 +242,42 @@ impl EmCall {
         EmCall::default()
     }
 
-    /// Assembles and submits a primitive request on behalf of the software
-    /// running on `hart`. The caller identity is taken from the hart's
-    /// privilege register and current-enclave state — never from arguments.
+    /// The Table II gate shared by every submission path: blocks a
+    /// cross-privilege call, and otherwise assembles the request with the
+    /// caller identity taken from the hart's privilege register and
+    /// current-enclave state — never from arguments. The mailbox assigns
+    /// the `req_id`.
+    fn gate(
+        &mut self,
+        hart: &HartState,
+        primitive: Primitive,
+        args: Vec<u64>,
+        payload: Vec<u8>,
+    ) -> Result<Request, EmCallError> {
+        let required = primitive.required_privilege();
+        if hart.privilege != required {
+            self.stats.blocked += 1;
+            return Err(EmCallError::CrossPrivilege {
+                required,
+                actual: hart.privilege,
+            });
+        }
+        Ok(Request {
+            req_id: 0,
+            primitive,
+            caller: CallerIdentity {
+                privilege: hart.privilege,
+                enclave: hart.current_enclave,
+            },
+            args,
+            payload,
+        })
+    }
+
+    /// Submits a primitive on behalf of the software running on `hart`,
+    /// parks the mailbox ticket in the per-hart table, and returns the
+    /// bound `req_id`, so the hart can keep issuing further primitives
+    /// while this one is in flight. Poll with [`EmCall::poll`].
     ///
     /// # Errors
     ///
@@ -257,129 +290,30 @@ impl EmCall {
         primitive: Primitive,
         args: Vec<u64>,
         payload: Vec<u8>,
-    ) -> Result<RequestTicket, EmCallError> {
-        let required = primitive.required_privilege();
-        if hart.privilege != required {
-            self.stats.blocked += 1;
-            return Err(EmCallError::CrossPrivilege {
-                required,
-                actual: hart.privilege,
-            });
-        }
-        let caller = CallerIdentity {
-            privilege: hart.privilege,
-            enclave: hart.current_enclave,
-        };
-        let request = Request {
-            req_id: 0,
-            primitive,
-            caller,
-            args,
-            payload,
-        };
-        self.stats.forwarded += 1;
-        Ok(hub.mailbox.submit(request))
-    }
-
-    /// Resubmits a primitive under the `req_id` of an existing ticket after
-    /// the original round trip was lost (dropped packet, corrupt response)
-    /// or aborted mid-primitive. The same gate checks apply as on first
-    /// submission; reusing the `req_id` lets the EMS-side response cache
-    /// make the retry idempotent.
-    ///
-    /// # Errors
-    ///
-    /// [`EmCallError::CrossPrivilege`] when Table II forbids this primitive
-    /// at the hart's privilege level.
-    pub fn resubmit(
-        &mut self,
-        hart: &HartState,
-        hub: &mut IHub,
-        ticket: &RequestTicket,
-        primitive: Primitive,
-        args: Vec<u64>,
-        payload: Vec<u8>,
-    ) -> Result<(), EmCallError> {
-        let required = primitive.required_privilege();
-        if hart.privilege != required {
-            self.stats.blocked += 1;
-            return Err(EmCallError::CrossPrivilege {
-                required,
-                actual: hart.privilege,
-            });
-        }
-        let caller = CallerIdentity {
-            privilege: hart.privilege,
-            enclave: hart.current_enclave,
-        };
-        let request = Request {
-            req_id: 0,
-            primitive,
-            caller,
-            args,
-            payload,
-        };
-        self.stats.forwarded += 1;
-        self.stats.resubmissions += 1;
-        hub.mailbox.resubmit(ticket, request);
-        Ok(())
-    }
-
-    /// Polls for the response bound to `ticket`, using the obfuscated
-    /// polling loop instead of CS interrupt handlers. Returns the response
-    /// once present, or the ticket for a later retry.
-    pub fn poll(
-        &mut self,
-        hub: &mut IHub,
-        ticket: RequestTicket,
-    ) -> Result<Response, RequestTicket> {
-        // Timing obfuscation: consume a pseudo-random number of extra poll
-        // slots so completion time does not directly expose EMS latency.
-        self.obf_state = self
-            .obf_state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1);
-        let extra = (self.obf_state >> 60) & 0x7;
-        self.stats.polls += 1 + extra;
-        hub.mailbox.poll(ticket)
-    }
-
-    /// Like [`EmCall::submit`], but parks the ticket in the per-hart table
-    /// and returns the bound `req_id` instead, so the hart can keep issuing
-    /// further primitives while this one is in flight. Poll with
-    /// [`EmCall::poll_tracked`].
-    ///
-    /// # Errors
-    ///
-    /// [`EmCallError::CrossPrivilege`] when Table II forbids this primitive
-    /// at the hart's privilege level.
-    pub fn submit_tracked(
-        &mut self,
-        hart: &HartState,
-        hub: &mut IHub,
-        primitive: Primitive,
-        args: Vec<u64>,
-        payload: Vec<u8>,
     ) -> Result<u64, EmCallError> {
-        let ticket = self.submit(hart, hub, primitive, args, payload)?;
+        let request = self.gate(hart, primitive, args, payload)?;
+        self.stats.forwarded += 1;
+        let ticket = hub.mailbox.submit(request);
         let req_id = ticket.req_id();
         self.tickets.insert((hart.hart_id, req_id), ticket);
         Ok(req_id)
     }
 
-    /// Polls for the response to a tracked request. On a miss the ticket
-    /// stays parked for the next poll; on a hit it is consumed and the
-    /// response returned. `None` also covers an unknown `(hart, req_id)`
-    /// pair — a foreign hart presenting someone else's `req_id` sees
-    /// exactly what it would see for a request that never existed.
-    pub fn poll_tracked(&mut self, hub: &mut IHub, hart_id: u32, req_id: u64) -> Option<Response> {
+    /// Polls for the response to a submitted request, using the obfuscated
+    /// polling loop instead of CS interrupt handlers: each poll consumes a
+    /// pseudo-random number of extra poll slots so completion time does not
+    /// directly expose EMS latency (§III-C). On a miss the ticket stays
+    /// parked for the next poll; on a hit it is consumed and the response
+    /// returned. `None` also covers an unknown `(hart, req_id)` pair — a
+    /// foreign hart presenting someone else's `req_id` sees exactly what it
+    /// would see for a request that never existed.
+    pub fn poll(&mut self, hub: &mut IHub, hart_id: u32, req_id: u64) -> Option<Response> {
         let ticket = self.tickets.remove(&(hart_id, req_id))?;
         self.obf_state = self
             .obf_state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1);
-        let extra = (self.obf_state >> 60) & 0x7;
-        self.stats.polls += 1 + extra;
+        self.stats.polls += 1 + ((self.obf_state >> 60) & 0x7);
         match hub.mailbox.poll(ticket) {
             Ok(resp) => Some(resp),
             Err(t) => {
@@ -389,16 +323,17 @@ impl EmCall {
         }
     }
 
-    /// Resubmits a tracked request under its existing `req_id` after the
-    /// round trip was declared lost. No-op if the ticket is not (or no
-    /// longer) parked for this hart. The gate checks apply as on first
-    /// submission.
+    /// Resubmits a request under its existing `req_id` after the round trip
+    /// was declared lost (dropped packet, corrupt response). The gate checks
+    /// apply as on first submission; reusing the `req_id` lets the EMS-side
+    /// response cache make the retry idempotent. No-op if the ticket is not
+    /// (or no longer) parked for this hart.
     ///
     /// # Errors
     ///
     /// [`EmCallError::CrossPrivilege`] when Table II forbids this primitive
     /// at the hart's privilege level.
-    pub fn resubmit_tracked(
+    pub fn resubmit(
         &mut self,
         hart: &HartState,
         hub: &mut IHub,
@@ -407,29 +342,11 @@ impl EmCall {
         args: Vec<u64>,
         payload: Vec<u8>,
     ) -> Result<(), EmCallError> {
-        let required = primitive.required_privilege();
-        if hart.privilege != required {
-            self.stats.blocked += 1;
-            return Err(EmCallError::CrossPrivilege {
-                required,
-                actual: hart.privilege,
-            });
-        }
-        let caller = CallerIdentity {
-            privilege: hart.privilege,
-            enclave: hart.current_enclave,
+        let request = self.gate(hart, primitive, args, payload)?;
+        let Some(ticket) = self.tickets.get(&(hart.hart_id, req_id)) else {
+            return Ok(());
         };
-        let request = Request {
-            req_id: 0,
-            primitive,
-            caller,
-            args,
-            payload,
-        };
-        match self.tickets.get(&(hart.hart_id, req_id)) {
-            Some(ticket) => hub.mailbox.resubmit(ticket, request),
-            None => return Ok(()),
-        }
+        hub.mailbox.resubmit(ticket, request);
         self.stats.forwarded += 1;
         self.stats.resubmissions += 1;
         Ok(())
@@ -437,7 +354,7 @@ impl EmCall {
 
     /// Drops a tracked ticket (timed-out request, or an abort replaced by a
     /// fresh submission). Returns whether a ticket was actually parked.
-    pub fn retire_tracked(&mut self, hart_id: u32, req_id: u64) -> bool {
+    pub fn retire(&mut self, hart_id: u32, req_id: u64) -> bool {
         self.tickets.remove(&(hart_id, req_id)).is_some()
     }
 
@@ -588,7 +505,7 @@ mod tests {
         let mut emcall = EmCall::new();
         let (mut hub, _cap) = IHub::new();
         // ECREATE needs OS privilege; user-mode invocation is blocked at the
-        // gate (never reaches the mailbox).
+        // gate (never reaches the mailbox, parks no ticket).
         let h = hart(Privilege::User, None);
         let err = emcall
             .submit(&h, &mut hub, Primitive::Ecreate, vec![0, 0, 0, 0], vec![])
@@ -602,6 +519,8 @@ mod tests {
         );
         assert_eq!(hub.mailbox.pending_requests(), 0);
         assert_eq!(emcall.stats.blocked, 1);
+        assert_eq!(emcall.stats.forwarded, 0);
+        assert_eq!(emcall.outstanding(), 0);
     }
 
     #[test]
@@ -609,10 +528,11 @@ mod tests {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let h = hart(Privilege::User, Some(7));
-        emcall
+        let req_id = emcall
             .submit(&h, &mut hub, Primitive::Ealloc, vec![7, 4096], vec![])
             .unwrap();
         let req = hub.ems_fetch_request(&cap).unwrap();
+        assert_eq!(req.req_id, req_id);
         assert_eq!(req.caller.enclave, Some(EnclaveId(7)));
         assert_eq!(req.caller.privilege, Privilege::User);
     }
@@ -622,57 +542,22 @@ mod tests {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let h = hart(Privilege::User, Some(1));
-        let ticket = emcall
+        let req_id = emcall
             .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
             .unwrap();
-        let ticket = emcall.poll(&mut hub, ticket).unwrap_err();
+        // Nothing answered yet: the miss keeps the ticket parked.
+        assert!(emcall.poll(&mut hub, 0, req_id).is_none());
+        assert_eq!(emcall.outstanding_for(0), 1);
         let req = hub.ems_fetch_request(&cap).unwrap();
         hub.ems_push_response(&cap, Response::ok(req.req_id, vec![0x2000_0000, 1]));
-        let resp = emcall.poll(&mut hub, ticket).unwrap();
+        let resp = emcall.poll(&mut hub, 0, req_id).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert!(emcall.stats.polls >= 2);
+        assert_eq!(emcall.outstanding(), 0);
     }
 
     #[test]
-    fn resubmit_reuses_ticket_req_id() {
-        let mut emcall = EmCall::new();
-        let (mut hub, cap) = IHub::new();
-        let h = hart(Privilege::User, Some(1));
-        let ticket = emcall
-            .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
-            .unwrap();
-        let first = hub.ems_fetch_request(&cap).unwrap();
-        // Pretend the response was lost; resubmit under the same ticket.
-        emcall
-            .resubmit(
-                &h,
-                &mut hub,
-                &ticket,
-                Primitive::Ealloc,
-                vec![1, 4096],
-                vec![],
-            )
-            .unwrap();
-        let second = hub.ems_fetch_request(&cap).unwrap();
-        assert_eq!(first.req_id, second.req_id);
-        assert_eq!(second.caller.enclave, Some(EnclaveId(1)));
-        assert_eq!(emcall.stats.resubmissions, 1);
-        // The gate still applies on the retry path.
-        let os = hart(Privilege::Os, None);
-        assert!(emcall
-            .resubmit(
-                &os,
-                &mut hub,
-                &ticket,
-                Primitive::Ealloc,
-                vec![1, 4096],
-                vec![]
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn tracked_tickets_let_distinct_harts_overlap() {
+    fn tickets_let_distinct_harts_overlap() {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let mut harts = Vec::new();
@@ -687,7 +572,7 @@ mod tests {
             .iter()
             .map(|h| {
                 emcall
-                    .submit_tracked(h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
+                    .submit(h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
                     .unwrap()
             })
             .collect();
@@ -707,28 +592,28 @@ mod tests {
         }
         // A foreign hart polling someone else's req_id sees nothing and
         // does not disturb the parked ticket.
-        assert!(emcall.poll_tracked(&mut hub, 3, ids[0]).is_none());
+        assert!(emcall.poll(&mut hub, 3, ids[0]).is_none());
         assert_eq!(emcall.outstanding(), 4);
         // Each hart collects exactly its own response.
         for (i, h) in harts.iter().enumerate() {
-            let resp = emcall.poll_tracked(&mut hub, h.hart_id, ids[i]).unwrap();
+            let resp = emcall.poll(&mut hub, h.hart_id, ids[i]).unwrap();
             assert_eq!(resp.vals[0], u64::from(h.hart_id) + 1);
         }
         assert_eq!(emcall.outstanding(), 0);
     }
 
     #[test]
-    fn tracked_resubmit_and_retire() {
+    fn resubmit_reuses_req_id_and_is_gated() {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let h = hart(Privilege::User, Some(1));
         let req_id = emcall
-            .submit_tracked(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
+            .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
             .unwrap();
         let first = hub.ems_fetch_request(&cap).unwrap();
         // Lost round trip: resubmit under the same req_id.
         emcall
-            .resubmit_tracked(
+            .resubmit(
                 &h,
                 &mut hub,
                 req_id,
@@ -739,14 +624,30 @@ mod tests {
             .unwrap();
         let second = hub.ems_fetch_request(&cap).unwrap();
         assert_eq!(first.req_id, second.req_id);
+        assert_eq!(second.caller.enclave, Some(EnclaveId(1)));
         assert_eq!(emcall.stats.resubmissions, 1);
+        // The gate still applies on the retry path: an OS-mode hart cannot
+        // resubmit a user primitive, even under a parked req_id.
+        let os = hart(Privilege::Os, None);
+        assert!(emcall
+            .resubmit(
+                &os,
+                &mut hub,
+                req_id,
+                Primitive::Ealloc,
+                vec![1, 4096],
+                vec![]
+            )
+            .is_err());
+        assert_eq!(emcall.stats.blocked, 1);
+        assert_eq!(hub.mailbox.pending_requests(), 0);
         // Resubmitting an unknown req_id is a silent no-op.
         emcall
-            .resubmit_tracked(&h, &mut hub, 9999, Primitive::Ealloc, vec![1, 4096], vec![])
+            .resubmit(&h, &mut hub, 9999, Primitive::Ealloc, vec![1, 4096], vec![])
             .unwrap();
         assert_eq!(emcall.stats.resubmissions, 1);
-        assert!(emcall.retire_tracked(0, req_id));
-        assert!(!emcall.retire_tracked(0, req_id));
+        assert!(emcall.retire(0, req_id));
+        assert!(!emcall.retire(0, req_id));
         assert_eq!(emcall.outstanding(), 0);
     }
 
@@ -758,10 +659,10 @@ mod tests {
         let mut counts = std::collections::BTreeSet::new();
         for _ in 0..16 {
             let before = emcall.stats.polls;
-            let t = emcall
+            let req_id = emcall
                 .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
                 .unwrap();
-            let _ = emcall.poll(&mut hub, t);
+            let _ = emcall.poll(&mut hub, 0, req_id);
             counts.insert(emcall.stats.polls - before);
         }
         assert!(counts.len() > 1, "poll costs must vary: {counts:?}");

@@ -377,48 +377,6 @@ impl Ems {
         self.enclaves.get_mut(&eid).ok_or(EmsError::NotFound)
     }
 
-    /// Serves every pending request in the mailbox. Returns the number of
-    /// primitives processed. (The multi-core EMS of Fig. 6 is modelled in
-    /// `hypertee-sim::queueing`; functionally, service order is FIFO.)
-    pub fn service(&mut self, ctx: &mut EmsContext<'_>) -> usize {
-        // An injected firmware crash loses this round and all volatile
-        // state; the warm restart reconstructs what it can.
-        if self.injector.roll(FaultKind::EmsCrash) {
-            self.crash_restart();
-            return 0;
-        }
-        // An injected core stall skips this entire service round; requests
-        // stay queued in the mailbox and are served next round.
-        if self.injector.roll(FaultKind::EmsStall) {
-            return 0;
-        }
-        // Stage ①: move pending requests from the mailbox into the Rx task
-        // queue (§III-C). Fetch only while the ring has room, so nothing is
-        // ever lost between mailbox and ring.
-        loop {
-            if self.rx.is_full() {
-                break;
-            }
-            let Some(req) = ctx.hub.ems_fetch_request(&self.cap) else {
-                break;
-            };
-            let _ = self.rx.push(req); // cannot fail: checked not-full above
-        }
-        // An injected ring stall wedges the read port for one pop; queued
-        // requests are retained and drain next round.
-        if self.injector.roll(FaultKind::RingStall) {
-            self.rx.stall(1);
-        }
-        // Stage ②: dispatch everything the ring delivers.
-        let mut served = 0;
-        while let Some(req) = self.rx.pop() {
-            let resp = self.handle(ctx, req);
-            ctx.hub.ems_push_response(&self.cap, resp);
-            served += 1;
-        }
-        served
-    }
-
     /// Crashes and warm-restarts the EMS firmware, returning how many staged
     /// requests were lost.
     ///

@@ -9,15 +9,15 @@
 //! [`EmsScheduler`] realises that policy deterministically (the simulator
 //! must replay): requests keep their per-enclave program order, the
 //! interleaving *across* enclaves is randomized per batch, and work spreads
-//! evenly over the EMS cores. The timing consequences are studied in
-//! `hypertee-sim::queueing` (Fig. 6); this module provides the functional
-//! ordering discipline and its security property (an attacker cannot steer
-//! where or when a victim's primitive runs).
+//! evenly over the EMS cores. [`Ems::service_round`] is the one EMS service
+//! loop: the machine's pipeline calls it once per pump round, and folds the
+//! placements it returns into its per-core timing model. This module
+//! provides the functional ordering discipline and its security property
+//! (an attacker cannot steer where or when a victim's primitive runs).
 
-use crate::error::EmsResult;
 use crate::runtime::{Ems, EmsContext};
 use hypertee_crypto::chacha::ChaChaRng;
-use hypertee_fabric::message::{Primitive, Request, Response};
+use hypertee_fabric::message::{Primitive, Response};
 use hypertee_faults::FaultKind;
 use hypertee_mem::ownership::EnclaveId;
 
@@ -109,92 +109,54 @@ impl EmsScheduler {
     }
 }
 
-/// One request serviced in a scheduled round (observability for the
+/// One request serviced in a scheduling round (observability for the
 /// machine's pipeline: where the request ran and what it answered).
 #[derive(Debug, Clone)]
 pub struct ServiceRecord {
-    /// Index of the request in this round's batch.
-    pub request_index: usize,
     /// The serviced request's identification.
     pub req_id: u64,
     /// The primitive executed.
     pub primitive: Primitive,
-    /// The caller's enclave identity (None for OS requests).
-    pub caller: Option<EnclaveId>,
     /// EMS core the scheduler placed the request on.
     pub core: u32,
-    /// Execution slot on that core.
-    pub slot: u64,
     /// The response pushed back through the mailbox (a copy: the live one
     /// crosses the fabric and may be dropped/corrupted by injected faults).
     pub response: Response,
 }
 
-/// A planned-but-not-yet-executed scheduling round: the batch popped from
-/// the Rx ring plus the randomized core/slot plan for it.
-///
-/// The plan/execute split is what lets a sharded machine run EMS rounds in
-/// parallel: each shard's [`Ems::plan_round`] draws from that shard's own
-/// scheduler stream (all the randomness of the round happens here), and the
-/// resulting `RoundPlan`s can then be serviced by [`Ems::execute_plan`] on
-/// worker threads without any further draws — so execution timing cannot
-/// perturb any random stream. [`Ems::service_round`] composes the two
-/// back-to-back and remains the single-threaded reference behavior.
-#[derive(Debug, Clone, Default)]
-pub struct RoundPlan {
-    batch: Vec<Request>,
-    plan: Vec<Assignment>,
-}
-
-impl RoundPlan {
-    /// Whether the round has nothing to execute (crashed, stalled, or no
-    /// pending requests).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
-
-    /// Requests in the round's batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// The core/slot assignments, in execution (merged) order.
-    #[must_use]
-    pub fn assignments(&self) -> &[Assignment] {
-        &self.plan
-    }
-}
-
 impl Ems {
-    /// The *plan* half of a scheduling round: rolls the round's fault
-    /// injections (an injected firmware crash warm-restarts and loses the
-    /// round; a core stall skips it; a ring stall wedges one pop), stages
-    /// pending mailbox requests into the Rx task queue, pops up to
-    /// `max_requests` as this round's batch, and plans the batch across the
-    /// cores. Every random draw of the round happens here.
-    pub fn plan_round(
+    /// One scheduling round of the multi-core EMS. In draw order:
+    ///
+    /// 1. the round's fault rolls — an injected firmware crash
+    ///    warm-restarts and loses the round, a core stall skips it, and
+    ///    (after staging pending mailbox requests into the Rx task queue) a
+    ///    ring stall wedges one pop;
+    /// 2. up to `max_requests` are popped as this round's batch and
+    ///    [`EmsScheduler::plan`] places it across the cores;
+    /// 3. each request is handled in plan order, then every response is
+    ///    pushed back through the mailbox.
+    ///
+    /// Anything not drained stays queued for the next round. A zero budget
+    /// is a no-op that draws nothing. A sharded machine runs a whole
+    /// machine per worker, so each shard's rounds draw only from that
+    /// shard's own streams.
+    pub fn service_round(
         &mut self,
         ctx: &mut EmsContext<'_>,
         scheduler: &mut EmsScheduler,
         max_requests: usize,
-    ) -> RoundPlan {
+    ) -> Vec<ServiceRecord> {
         if max_requests == 0 {
-            return RoundPlan::default();
+            return Vec::new();
         }
-        // An injected firmware crash loses the round and all volatile state.
         if self.injector.roll(FaultKind::EmsCrash) {
             self.crash_restart();
-            return RoundPlan::default();
+            return Vec::new();
         }
         if self.injector.roll(FaultKind::EmsStall) {
-            return RoundPlan::default();
+            return Vec::new();
         }
-        loop {
-            if self.rx.is_full() {
-                break;
-            }
+        while !self.rx.is_full() {
             let Some(req) = ctx.hub.ems_fetch_request(&self.cap) else {
                 break;
             };
@@ -204,36 +166,24 @@ impl Ems {
             self.rx.stall(1);
         }
         let mut batch = Vec::new();
+        let mut callers = Vec::new();
         while batch.len() < max_requests {
             let Some(req) = self.rx.pop() else { break };
-            batch.push(req);
+            callers.push(req.caller.enclave);
+            batch.push(Some(req));
         }
-        let callers: Vec<Option<EnclaveId>> = batch.iter().map(|r| r.caller.enclave).collect();
         let plan = scheduler.plan(&callers);
-        RoundPlan { batch, plan }
-    }
-
-    /// The *service* half of a scheduling round: executes a [`RoundPlan`]
-    /// in plan order (slot-major per the merged sequence) and pushes the
-    /// responses back through the mailbox. Draws no randomness.
-    pub fn execute_plan(
-        &mut self,
-        ctx: &mut EmsContext<'_>,
-        round: RoundPlan,
-    ) -> Vec<ServiceRecord> {
-        let RoundPlan { batch, plan } = round;
         let mut records = Vec::with_capacity(plan.len());
         for a in &plan {
-            let req = batch[a.request_index].clone();
-            let (req_id, primitive, caller) = (req.req_id, req.primitive, req.caller.enclave);
+            let req = batch[a.request_index]
+                .take()
+                .expect("the plan visits each request once");
+            let (req_id, primitive) = (req.req_id, req.primitive);
             let response = self.handle(ctx, req);
             records.push(ServiceRecord {
-                request_index: a.request_index,
                 req_id,
                 primitive,
-                caller,
                 core: a.core,
-                slot: a.slot,
                 response,
             });
         }
@@ -241,47 +191,6 @@ impl Ems {
             ctx.hub.ems_push_response(&self.cap, r.response.clone());
         }
         records
-    }
-
-    /// One scheduling round of the multi-core EMS: stages pending mailbox
-    /// requests into the Rx task queue, pops up to `max_requests` of them
-    /// as this round's batch, plans the batch across the cores, executes in
-    /// plan order, and pushes the responses. Injected EMS crashes and
-    /// EMS/ring stalls apply exactly as in [`Ems::service`]: a crash
-    /// warm-restarts the firmware and loses the round, a core stall skips
-    /// the round, a ring stall wedges one pop. Anything not drained stays
-    /// queued for the next round.
-    ///
-    /// Exactly [`Ems::plan_round`] followed by [`Ems::execute_plan`].
-    pub fn service_round(
-        &mut self,
-        ctx: &mut EmsContext<'_>,
-        scheduler: &mut EmsScheduler,
-        max_requests: usize,
-    ) -> Vec<ServiceRecord> {
-        let round = self.plan_round(ctx, scheduler, max_requests);
-        self.execute_plan(ctx, round)
-    }
-
-    /// Drains the mailbox in scheduler order: fetches every pending request
-    /// (up to the Rx ring capacity), plans the batch, executes in the
-    /// randomized plan order, and responds. Returns the plan (for
-    /// observability/tests). Thin wrapper over [`Ems::service_round`] with
-    /// an unbounded per-round batch.
-    pub fn service_scheduled(
-        &mut self,
-        ctx: &mut EmsContext<'_>,
-        scheduler: &mut EmsScheduler,
-    ) -> EmsResult<Vec<Assignment>> {
-        let records = self.service_round(ctx, scheduler, usize::MAX);
-        Ok(records
-            .iter()
-            .map(|r| Assignment {
-                request_index: r.request_index,
-                core: r.core,
-                slot: r.slot,
-            })
-            .collect())
     }
 }
 

@@ -584,10 +584,11 @@ fn scheduled_service_preserves_correctness() {
         tickets.push(m.hub.mailbox.submit(req));
     }
     let mut sched = EmsScheduler::new(2, 5);
-    let plan = m
-        .with(|ems, ctx| ems.service_scheduled(ctx, &mut sched))
-        .unwrap();
-    assert_eq!(plan.len(), 6);
+    let records = m.with(|ems, ctx| ems.service_round(ctx, &mut sched, usize::MAX));
+    assert_eq!(records.len(), 6);
+    // Work spreads over both cores (balanced to within one request).
+    let on_core0 = records.iter().filter(|r| r.core == 0).count();
+    assert_eq!(on_core0, 3);
     // Every response arrived, bound to its own ticket, all successful —
     // and per-enclave heap addresses are monotone (program order held).
     let mut vas = (Vec::new(), Vec::new());

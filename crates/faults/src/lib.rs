@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_crypto::fnv;
 
 /// Every fault the harness can inject, across fabric and EMS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -362,14 +363,9 @@ impl FaultPlan {
     /// such as `"mailbox"`, `"ems"`, or `"dma"`.
     pub fn injector(&self, site: &str) -> FaultInjector {
         // FNV-1a over the site label decorrelates per-site streams.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in site.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
         FaultInjector {
             armed: true,
-            rng: ChaChaRng::from_u64(self.seed ^ h),
+            rng: ChaChaRng::from_u64(self.seed ^ fnv::hash_bytes(site.as_bytes())),
             config: self.config.clone(),
             stats: FaultStats::default(),
         }

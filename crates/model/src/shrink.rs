@@ -14,49 +14,15 @@ use crate::ops::Command;
 const MAX_RUNS: usize = 300;
 
 /// Reduces a diverging `commands` trace to a (locally) minimal one that
-/// still diverges under the same `campaign`, using greedy delta debugging:
-/// repeatedly try to delete chunks of halving size, keeping any deletion
-/// that preserves the divergence.
+/// still diverges under the same `campaign`, using the workspace's greedy
+/// delta debugging ([`hypertee_cpu::difftest::shrink`]): repeatedly try to
+/// delete chunks of halving size, keeping any deletion that preserves the
+/// divergence.
 ///
 /// If the input trace does not diverge in the first place it is returned
 /// unchanged.
 pub fn shrink(campaign: &Campaign, commands: &[Command]) -> Vec<Command> {
-    let mut current = commands.to_vec();
-    let mut runs = 0usize;
-    if !diverges(campaign, &current, &mut runs) {
-        return current;
-    }
-    let mut chunk = current.len().div_ceil(2).max(1);
-    loop {
-        let mut reduced = false;
-        let mut i = 0;
-        while i < current.len() {
-            if runs >= MAX_RUNS {
-                return current;
-            }
-            let end = (i + chunk).min(current.len());
-            let mut candidate = current.clone();
-            candidate.drain(i..end);
-            if diverges(campaign, &candidate, &mut runs) {
-                current = candidate;
-                reduced = true;
-                // Same index now holds the next chunk; retry in place.
-            } else {
-                i = end;
-            }
-        }
-        if chunk == 1 {
-            if !reduced {
-                return current;
-            }
-            // One more sweep at granularity 1 until a fixpoint.
-        } else {
-            chunk = (chunk / 2).max(1);
-        }
-    }
-}
-
-fn diverges(campaign: &Campaign, commands: &[Command], runs: &mut usize) -> bool {
-    *runs += 1;
-    run_campaign(campaign, commands).divergence.is_some()
+    hypertee_cpu::difftest::shrink(commands, MAX_RUNS, |c| {
+        run_campaign(campaign, c).divergence.is_some()
+    })
 }

@@ -74,6 +74,11 @@ cargo run --release --offline -p hypertee-chaos --bin serving_bench -- \
 cargo run --release --offline -p hypertee-chaos --bin serving_bench -- \
     --check BENCH_serving.json
 
+echo "==> committed serving replay (full storm campaign, trace hash vs BENCH_serving.json)"
+cargo run --release --offline -p hypertee-chaos --bin serving_bench -- \
+    --out target/BENCH_serving_replay.json > /dev/null
+cmp <(grep '"trace_hash"' target/BENCH_serving_replay.json) <(grep '"trace_hash"' BENCH_serving.json)
+
 echo "==> scan-oracle serving replay (--ref-pump, byte-compared against the event pump)"
 cargo run --release --offline -p hypertee-chaos --bin serving_bench -- --smoke --ref-pump \
     --out target/BENCH_serving_smoke_refpump.json > /dev/null
