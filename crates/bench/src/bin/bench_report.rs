@@ -1,4 +1,4 @@
-//! Tracked perf pipeline: runs the crypto/MKTME/PTW microbenches plus
+//! Tracked perf pipeline: runs the crypto/curve/MKTME/PTW microbenches plus
 //! memstream + wolfSSL workload passes and emits the schema-stable
 //! `BENCH_perf.json` (see `hypertee_bench::report`).
 //!
@@ -36,9 +36,13 @@ use hypertee::shard::{par_run, ShardSpec, ShardedMachine};
 use hypertee_bench::microbench::{bench, bench_pair};
 use hypertee_bench::report::{validate, PerfBench, PerfReport};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
+use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_crypto::ed::Point;
 use hypertee_crypto::fnv;
 use hypertee_crypto::mac::{mac28_lines, mac28_ref};
+use hypertee_crypto::scalar::Scalar;
 use hypertee_crypto::sha3::{keccakf, keccakf_ref, sha3_256_ref, Sha3_256};
+use hypertee_crypto::sig::Keypair;
 use hypertee_fabric::message::{Primitive, Privilege};
 use hypertee_faults::{FaultConfig, FaultPlan};
 use hypertee_mem::addr::{KeyId, PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
@@ -164,6 +168,90 @@ fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
         "aes128_ctr_4k",
         opt.ns_per_iter,
         4096,
+        Some(base.ns_per_iter),
+    ));
+}
+
+fn curve_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
+    // Curve25519 attestation arithmetic (§VI): the fixed-base table and the
+    // windowed variable-base multiply against the seed double-and-add, and
+    // a whole Schnorr verification against the same verification on the
+    // seed arithmetic. Outputs are asserted identical before timing.
+    let mut rng = ChaChaRng::from_u64(0xC0_25519);
+    let k = Scalar::random(&mut rng);
+    let p = Point::mul_base(&Scalar::random(&mut rng));
+    let kp = Keypair::from_key_material(&rng.gen_bytes32());
+    let msg = b"bench_report schnorr_verify";
+    let sig = kp.sign(msg);
+    assert_eq!(
+        Point::mul_base(&k).encode(),
+        Point::base().mul_ref(&k).encode_ref(),
+        "fixed-base multiply must match the seed"
+    );
+    assert_eq!(
+        p.mul(&k).encode(),
+        p.mul_ref(&k).encode_ref(),
+        "variable-base multiply must match the seed"
+    );
+    assert!(kp.public.verify(msg, &sig) && kp.public.verify_ref(msg, &sig));
+
+    let n = iters(cfg, 40, 8);
+    let base_point = Point::base();
+    let (opt, base) = bench_pair(
+        "ed_base_mul",
+        "ed_base_mul_ref",
+        n,
+        0,
+        || {
+            black_box(Point::mul_base(black_box(&k)));
+        },
+        || {
+            black_box(black_box(&base_point).mul_ref(black_box(&k)));
+        },
+    );
+    rows.push(PerfBench::from_timings(
+        "ed_base_mul",
+        opt.ns_per_iter,
+        0,
+        Some(base.ns_per_iter),
+    ));
+
+    let (opt, base) = bench_pair(
+        "ed_var_mul",
+        "ed_var_mul_ref",
+        n,
+        0,
+        || {
+            black_box(black_box(&p).mul(black_box(&k)));
+        },
+        || {
+            black_box(black_box(&p).mul_ref(black_box(&k)));
+        },
+    );
+    rows.push(PerfBench::from_timings(
+        "ed_var_mul",
+        opt.ns_per_iter,
+        0,
+        Some(base.ns_per_iter),
+    ));
+
+    let n = iters(cfg, 20, 4);
+    let (opt, base) = bench_pair(
+        "schnorr_verify",
+        "schnorr_verify_ref",
+        n,
+        0,
+        || {
+            assert!(kp.public.verify(black_box(msg), black_box(&sig)));
+        },
+        || {
+            assert!(kp.public.verify_ref(black_box(msg), black_box(&sig)));
+        },
+    );
+    rows.push(PerfBench::from_timings(
+        "schnorr_verify",
+        opt.ns_per_iter,
+        0,
         Some(base.ns_per_iter),
     ));
 }
@@ -813,6 +901,7 @@ fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
 fn run(cfg: &Config) -> Result<(), String> {
     let mut rows = Vec::new();
     crypto_benches(cfg, &mut rows);
+    curve_benches(cfg, &mut rows);
     mktme_bench(cfg, &mut rows);
     ptw_bench(cfg, &mut rows);
     memstream_pass(cfg, &mut rows);

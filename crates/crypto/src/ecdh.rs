@@ -32,10 +32,11 @@ impl core::fmt::Debug for EcdhPrivate {
 pub struct EcdhPublic(pub Point);
 
 impl EcdhPrivate {
-    /// Generates a fresh ephemeral key.
+    /// Generates a fresh ephemeral key. The public point is normalised
+    /// once (Z = 1), so sending it never pays an inversion.
     pub fn generate(rng: &mut ChaChaRng) -> EcdhPrivate {
         let secret = Scalar::random(rng);
-        let public = EcdhPublic(Point::base().mul(&secret));
+        let public = EcdhPublic(Point::mul_base(&secret).normalize());
         EcdhPrivate { secret, public }
     }
 
@@ -68,7 +69,8 @@ impl EcdhPublic {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidPoint`] for off-curve encodings.
+    /// Returns [`CryptoError::InvalidPoint`] for off-curve or non-canonical
+    /// encodings.
     pub fn from_bytes(bytes: &[u8; 64]) -> Result<EcdhPublic, CryptoError> {
         Ok(EcdhPublic(Point::decode(bytes)?))
     }

@@ -61,7 +61,9 @@ fn mask255(x: &U512) -> U512 {
     U512(limbs)
 }
 
-/// Reduces a 512-bit product modulo p using 2^255 ≡ 19 (mod p).
+/// The seed reduction of a 512-bit product modulo p: fold with
+/// 2^255 ≡ 19 until nothing is left above bit 255. Kept for
+/// [`Fe::mul_ref`].
 fn reduce_p(mut x: U512) -> U256 {
     loop {
         let hi = shr255(&x);
@@ -79,6 +81,67 @@ fn reduce_p(mut x: U512) -> U256 {
     r
 }
 
+/// 256-bit square: the six cross products once, doubled by a shift, plus
+/// the four diagonal squares.
+#[inline]
+fn square_wide(a: &[u64; 4]) -> [u64; 8] {
+    let mut out = [0u64; 8];
+    for i in 0..3 {
+        let mut carry = 0u128;
+        for j in i + 1..4 {
+            let acc = out[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry;
+            out[i + j] = acc as u64;
+            carry = acc >> 64;
+        }
+        out[i + 4] = carry as u64;
+    }
+    let mut top = 0u64;
+    for limb in out.iter_mut() {
+        let v = *limb;
+        *limb = (v << 1) | top;
+        top = v >> 63;
+    }
+    let mut carry = 0u128;
+    for i in 0..4 {
+        let sq = (a[i] as u128) * (a[i] as u128);
+        let lo = out[2 * i] as u128 + (sq as u64) as u128 + carry;
+        out[2 * i] = lo as u64;
+        let hi = out[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+        out[2 * i + 1] = hi as u64;
+        carry = hi >> 64;
+    }
+    out
+}
+
+/// Reduces a 512-bit value modulo p in one pass: fold the high half with
+/// 2^256 ≡ 38, fold everything above bit 255 with 2^255 ≡ 19, then one
+/// conditional subtraction.
+#[inline]
+fn reduce_wide(w: &[u64; 8]) -> U256 {
+    let mut r = [0u64; 4];
+    let mut carry = 0u128;
+    for i in 0..4 {
+        let acc = w[i] as u128 + (w[i + 4] as u128) * 38 + carry;
+        r[i] = acc as u64;
+        carry = acc >> 64;
+    }
+    // carry < 40, so the part above bit 255 is below 80 and the sum below
+    // stays under 2^255 + 1520 < p + 2^11: one subtraction canonicalises.
+    let top = ((carry as u64) << 1) | (r[3] >> 63);
+    r[3] &= 0x7fff_ffff_ffff_ffff;
+    let mut c = (top * 19) as u128;
+    for limb in r.iter_mut() {
+        let acc = *limb as u128 + c;
+        *limb = acc as u64;
+        c = acc >> 64;
+    }
+    let r = U256(r);
+    match r.sbb(&P) {
+        (reduced, false) => reduced,
+        (_, true) => r,
+    }
+}
+
 impl Fe {
     /// The additive identity.
     pub const ZERO: Fe = Fe(U256([0, 0, 0, 0]));
@@ -94,6 +157,13 @@ impl Fe {
     pub fn from_le_bytes(bytes: &[u8; 32]) -> Fe {
         let raw = U256::from_le_bytes(bytes);
         Fe(U512::from_u256(&raw).reduce_mod(&P))
+    }
+
+    /// Parses 32 little-endian bytes, refusing values ≥ p, so that every
+    /// accepted element has exactly one encoding.
+    pub(crate) fn from_canonical_le_bytes(bytes: &[u8; 32]) -> Option<Fe> {
+        let raw = U256::from_le_bytes(bytes);
+        raw.cmp_u256(&P).is_lt().then_some(Fe(raw))
     }
 
     /// Serializes to 32 little-endian bytes (canonical form).
@@ -121,43 +191,85 @@ impl Fe {
         Fe::ZERO.sub(self)
     }
 
-    /// Field multiplication with the fast 2^255 ≡ 19 reduction.
+    /// Field multiplication: schoolbook product, one-pass reduction.
     pub fn mul(&self, other: &Fe) -> Fe {
-        Fe(reduce_p(self.0.widening_mul(&other.0)))
+        Fe(reduce_wide(&self.0.widening_mul(&other.0).0))
     }
 
-    /// Field squaring.
+    /// Field squaring (ten limb products instead of sixteen).
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        Fe(reduce_wide(&square_wide(&self.0 .0)))
+    }
+
+    /// `self^(2^n)`: `n` successive squarings.
+    fn square_n(&self, n: u32) -> Fe {
+        let mut acc = *self;
+        for _ in 0..n {
+            acc = acc.square();
+        }
+        acc
+    }
+
+    /// The seed multiplication (iterated 2^255 ≡ 19 fold), kept as the
+    /// differential oracle and benchmark baseline for [`Fe::mul`].
+    pub fn mul_ref(&self, other: &Fe) -> Fe {
+        Fe(reduce_p(self.0.widening_mul(&other.0)))
     }
 
     /// Raises to the power `exp` (square-and-multiply).
     pub fn pow(&self, exp: &U256) -> Fe {
-        let mut acc = Fe::ONE;
-        let mut base = *self;
-        let top = exp.highest_bit().unwrap_or(0);
-        for i in 0..=top {
-            if exp.bit(i) {
-                acc = acc.mul(&base);
-            }
-            base = base.square();
-        }
-        if exp.is_zero() {
-            Fe::ONE
-        } else {
-            acc
-        }
+        pow_with(self, exp, Fe::mul)
     }
 
-    /// Multiplicative inverse via Fermat: `self^(p−2)`.
+    /// Multiplicative inverse via Fermat, `self^(p−2)`, along the fixed
+    /// addition chain for p − 2 = 2^255 − 21: 254 squarings, 11 multiplies.
     ///
     /// # Panics
     ///
     /// Panics when called on zero.
     pub fn invert(&self) -> Fe {
         assert!(!self.is_zero(), "zero has no inverse");
+        let z2 = self.square();
+        let z9 = z2.square_n(2).mul(self);
+        let z11 = z9.mul(&z2);
+        let z_5_0 = z11.square().mul(&z9); // 2^5 − 1
+        let z_10_0 = z_5_0.square_n(5).mul(&z_5_0);
+        let z_20_0 = z_10_0.square_n(10).mul(&z_10_0);
+        let z_40_0 = z_20_0.square_n(20).mul(&z_20_0);
+        let z_50_0 = z_40_0.square_n(10).mul(&z_10_0);
+        let z_100_0 = z_50_0.square_n(50).mul(&z_50_0);
+        let z_200_0 = z_100_0.square_n(100).mul(&z_100_0);
+        let z_250_0 = z_200_0.square_n(50).mul(&z_50_0);
+        z_250_0.square_n(5).mul(&z11) // 2^255 − 32 + 11 = p − 2
+    }
+
+    /// The seed inversion — square-and-multiply over the bits of p − 2 on
+    /// [`Fe::mul_ref`] — kept as the oracle for [`Fe::invert`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when called on zero.
+    pub fn invert_ref(&self) -> Fe {
+        assert!(!self.is_zero(), "zero has no inverse");
         let (p_minus_2, _) = P.sbb(&U256::from_u64(2));
-        self.pow(&p_minus_2)
+        pow_with(self, &p_minus_2, Fe::mul_ref)
+    }
+}
+
+/// Square-and-multiply over the bits of `exp`, LSB first, on `mul`.
+fn pow_with(x: &Fe, exp: &U256, mul: fn(&Fe, &Fe) -> Fe) -> Fe {
+    let mut acc = Fe::ONE;
+    let mut base = *x;
+    for i in 0..=exp.highest_bit().unwrap_or(0) {
+        if exp.bit(i) {
+            acc = mul(&acc, &base);
+        }
+        base = mul(&base, &base);
+    }
+    if exp.is_zero() {
+        Fe::ONE
+    } else {
+        acc
     }
 }
 

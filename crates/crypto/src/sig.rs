@@ -35,14 +35,17 @@ impl Signature {
         out
     }
 
-    /// Parses a 96-byte signature.
+    /// Parses a 96-byte signature. `s` must be canonical (< L), so a
+    /// signature has exactly one accepted byte form.
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidPoint`] when R is off-curve.
+    /// Returns [`CryptoError::InvalidPoint`] when R is off-curve or
+    /// non-canonical, and [`CryptoError::InvalidScalar`] when s ≥ L.
     pub fn from_bytes(bytes: &[u8; 96]) -> Result<Signature, CryptoError> {
         let r = Point::decode(&bytes[..64].try_into().expect("64 bytes"))?;
-        let s = Scalar::from_le_bytes(&bytes[64..].try_into().expect("32 bytes"));
+        let s = Scalar::from_canonical_le_bytes(&bytes[64..].try_into().expect("32 bytes"))
+            .ok_or(CryptoError::InvalidScalar)?;
         Ok(Signature { r, s })
     }
 }
@@ -68,11 +71,56 @@ impl core::fmt::Debug for Keypair {
     }
 }
 
-fn challenge(r: &Point, a: &Point, msg: &[u8]) -> Scalar {
+/// The curve and scalar arithmetic a signature runs on: the fast paths,
+/// or the seed algorithms kept as oracles (`*_ref`).
+#[derive(Clone, Copy)]
+enum Arith {
+    Fast,
+    Ref,
+}
+
+impl Arith {
+    fn mul_base(self, k: &Scalar) -> Point {
+        match self {
+            Arith::Fast => Point::mul_base(k),
+            Arith::Ref => Point::base().mul_ref(k),
+        }
+    }
+
+    fn mul(self, p: &Point, k: &Scalar) -> Point {
+        match self {
+            Arith::Fast => p.mul(k),
+            Arith::Ref => p.mul_ref(k),
+        }
+    }
+
+    fn encode(self, p: &Point) -> [u8; 64] {
+        match self {
+            Arith::Fast => p.encode(),
+            Arith::Ref => p.encode_ref(),
+        }
+    }
+
+    fn scalar_wide(self, wide: &[u8; 64]) -> Scalar {
+        match self {
+            Arith::Fast => Scalar::from_le_bytes_wide(wide),
+            Arith::Ref => Scalar::from_le_bytes_wide_ref(wide),
+        }
+    }
+
+    fn scalar_mul(self, a: &Scalar, b: &Scalar) -> Scalar {
+        match self {
+            Arith::Fast => a.mul(b),
+            Arith::Ref => a.mul_ref(b),
+        }
+    }
+}
+
+fn challenge(arith: Arith, r: &Point, a: &Point, msg: &[u8]) -> Scalar {
     let mut h = Sha256::new();
     h.update(b"hypertee-schnorr-v1");
-    h.update(&r.encode());
-    h.update(&a.encode());
+    h.update(&arith.encode(r));
+    h.update(&arith.encode(a));
     h.update(msg);
     let d1 = h.finalize();
     // Widen to 64 bytes with a second domain-separated digest so the scalar
@@ -84,7 +132,7 @@ fn challenge(r: &Point, a: &Point, msg: &[u8]) -> Scalar {
     let mut wide = [0u8; 64];
     wide[..32].copy_from_slice(&d1);
     wide[32..].copy_from_slice(&d2);
-    Scalar::from_le_bytes_wide(&wide)
+    arith.scalar_wide(&wide)
 }
 
 impl Keypair {
@@ -92,12 +140,7 @@ impl Keypair {
     pub fn generate(rng: &mut ChaChaRng) -> Keypair {
         let secret = Scalar::random(rng);
         let seed = rng.gen_bytes32();
-        let public = PublicKey(Point::base().mul(&secret));
-        Keypair {
-            secret,
-            seed,
-            public,
-        }
+        Keypair::new(secret, seed)
     }
 
     /// Derives a keypair deterministically from 32 bytes of key material —
@@ -122,16 +165,30 @@ impl Keypair {
         h3.update(b"hypertee-keygen-seed");
         h3.update(material);
         let seed = h3.finalize();
-        let public = PublicKey(Point::base().mul(&secret));
+        Keypair::new(secret, seed)
+    }
+
+    /// Builds the keypair with its public point normalised once (Z = 1),
+    /// so every signature's challenge encodes it without an inversion.
+    fn new(secret: Scalar, seed: [u8; 32]) -> Keypair {
         Keypair {
             secret,
             seed,
-            public,
+            public: PublicKey(Point::mul_base(&secret).normalize()),
         }
     }
 
     /// Signs a message.
     pub fn sign(&self, msg: &[u8]) -> Signature {
+        self.sign_with(Arith::Fast, msg)
+    }
+
+    /// [`Keypair::sign`] on the seed arithmetic: the differential oracle.
+    pub fn sign_ref(&self, msg: &[u8]) -> Signature {
+        self.sign_with(Arith::Ref, msg)
+    }
+
+    fn sign_with(&self, arith: Arith, msg: &[u8]) -> Signature {
         // Deterministic nonce r = H(seed ‖ msg) widened mod L.
         let mut h = Sha256::new();
         h.update(b"hypertee-schnorr-nonce");
@@ -145,13 +202,15 @@ impl Keypair {
         let mut wide = [0u8; 64];
         wide[..32].copy_from_slice(&d1);
         wide[32..].copy_from_slice(&d2);
-        let mut r = Scalar::from_le_bytes_wide(&wide);
+        let mut r = arith.scalar_wide(&wide);
         if r.is_zero() {
             r = Scalar::ONE;
         }
-        let big_r = Point::base().mul(&r);
-        let e = challenge(&big_r, &self.public.0, msg);
-        let s = r.add(&e.mul(&self.secret));
+        // Normalised once: this challenge, the wire bytes and every
+        // verifier's challenge all encode R.
+        let big_r = arith.mul_base(&r).normalize();
+        let e = challenge(arith, &big_r, &self.public.0, msg);
+        let s = r.add(&arith.scalar_mul(&e, &self.secret));
         Signature { r: big_r, s }
     }
 }
@@ -159,10 +218,20 @@ impl Keypair {
 impl PublicKey {
     /// Verifies a signature over `msg`. Returns `true` on success.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        let e = challenge(&sig.r, &self.0, msg);
+        self.verify_with(Arith::Fast, msg, sig)
+    }
+
+    /// [`PublicKey::verify`] on the seed arithmetic: the differential
+    /// oracle and benchmark baseline.
+    pub fn verify_ref(&self, msg: &[u8], sig: &Signature) -> bool {
+        self.verify_with(Arith::Ref, msg, sig)
+    }
+
+    fn verify_with(&self, arith: Arith, msg: &[u8], sig: &Signature) -> bool {
+        let e = challenge(arith, &sig.r, &self.0, msg);
         // s·B == R + e·A.
-        let lhs = Point::base().mul(&sig.s);
-        let rhs = sig.r.add(&self.0.mul(&e));
+        let lhs = arith.mul_base(&sig.s);
+        let rhs = sig.r.add(&arith.mul(&self.0, &e));
         lhs == rhs
     }
 
@@ -175,7 +244,8 @@ impl PublicKey {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidPoint`] for off-curve encodings.
+    /// Returns [`CryptoError::InvalidPoint`] for off-curve or non-canonical
+    /// encodings.
     pub fn from_bytes(bytes: &[u8; 64]) -> Result<PublicKey, CryptoError> {
         Ok(PublicKey(Point::decode(bytes)?))
     }

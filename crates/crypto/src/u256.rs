@@ -1,9 +1,14 @@
 //! Minimal fixed-width big integers (256/512-bit) backing the Curve25519
 //! field and scalar arithmetic. Little-endian `u64` limbs throughout.
 //!
-//! Performance note: EMS invokes attestation-grade arithmetic at primitive
-//! granularity (a handful of times per enclave lifetime), so these routines
-//! favour obvious correctness over speed.
+//! Performance note: these routines favour obvious correctness over speed.
+//! The hot curve paths do not run on them: the attestation facade performs
+//! about 12 scalar multiplications per client handshake, so the field
+//! multiply, the scalar reductions mod L and the point arithmetic have
+//! dedicated fixed-width code in [`crate::fe`], [`crate::scalar`] and
+//! [`crate::ed`]. What remains here backs field and scalar addition,
+//! parsing, and the seed `*_ref` oracles ([`U512::reduce_mod`]'s binary
+//! long division among them).
 
 /// A 256-bit unsigned integer, little-endian limbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -84,7 +89,8 @@ impl U256 {
         (U256(out), borrow != 0)
     }
 
-    /// Full 256×256 → 512-bit multiplication.
+    /// Full 256×256 → 512-bit multiplication (schoolbook).
+    #[inline]
     pub fn widening_mul(&self, other: &U256) -> U512 {
         let mut out = [0u64; 8];
         for i in 0..4 {
@@ -94,13 +100,8 @@ impl U256 {
                 out[i + j] = acc as u64;
                 carry = acc >> 64;
             }
-            let mut k = i + 4;
-            while carry != 0 {
-                let acc = out[k] as u128 + carry;
-                out[k] = acc as u64;
-                carry = acc >> 64;
-                k += 1;
-            }
+            // Row i has not reached limb i + 4 yet, so the carry lands whole.
+            out[i + 4] = carry as u64;
         }
         U512(out)
     }
@@ -194,7 +195,8 @@ impl U512 {
     }
 
     /// Reduces a 512-bit value modulo a 256-bit modulus via binary long
-    /// division. O(512) limb subtractions — fine at EMS call rates.
+    /// division: O(512) limb subtractions. The seed reduction, kept as the
+    /// oracle for the Barrett reduction mod L in [`crate::scalar`].
     ///
     /// # Panics
     ///

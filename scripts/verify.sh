@@ -28,6 +28,9 @@ cargo build --release --offline --workspace
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
+echo "==> crypto tests in release (limb arithmetic wraps where debug panics)"
+cargo test --release --offline -p hypertee-crypto -q
+
 echo "==> fig6_slo --live smoke (release, reduced workload)"
 cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --live --smoke --allocs 32 \
     > /dev/null

@@ -1,9 +1,17 @@
 //! Negative-path coverage for the attestation evidence chain: malformed
 //! quote wire bytes, cross-platform verification, and SIGMA handshake
 //! tampering/replay — everything the fail-closed service facade leans on
-//! must reject cleanly at this layer too.
+//! must reject cleanly at this layer too. The curve decoders are strict:
+//! a coordinate ≥ p or a signature scalar ≥ L is refused, so every
+//! accepted quote, key and signature has exactly one byte form.
 
 use hypertee_repro::crypto::chacha::ChaChaRng;
+use hypertee_repro::crypto::ecdh::{EcdhPrivate, EcdhPublic};
+use hypertee_repro::crypto::fe::P;
+use hypertee_repro::crypto::scalar::L;
+use hypertee_repro::crypto::sig::{Keypair, PublicKey, Signature};
+use hypertee_repro::crypto::u256::U256;
+use hypertee_repro::crypto::CryptoError;
 use hypertee_repro::ems::attest::{Quote, SigmaInitiator};
 use hypertee_repro::ems::error::EmsError;
 use hypertee_repro::hypertee::machine::Machine;
@@ -129,5 +137,160 @@ fn sigma_rejects_replayed_msg1() {
     assert_eq!(
         m.ems.sigma_respond(eid, &msg1).unwrap_err(),
         EmsError::AccessDenied
+    );
+}
+
+/// Adds `m` to the 32-byte little-endian integer at `bytes[at..at + 32]`;
+/// the sum must still fit in 256 bits.
+fn add_at(bytes: &mut [u8], at: usize, m: &U256) {
+    let field: &mut [u8; 32] = (&mut bytes[at..at + 32]).try_into().unwrap();
+    let (sum, carry) = U256::from_le_bytes(field).adc(m);
+    assert!(!carry, "test value must fit in 256 bits");
+    *field = sum.to_le_bytes();
+}
+
+/// Wire offsets inside the 384-byte quote.
+const AK_PUB_X: usize = 128;
+const ENCLAVE_SIG_S: usize = 288 + 64;
+
+#[test]
+fn quote_rejects_non_canonical_scalar_and_coordinate() {
+    let (m, _eid, quote) = quoted_machine(6, b"canonical check");
+    let ek = m.ek_public();
+    let bytes = quote.to_bytes();
+    assert!(Quote::from_bytes(&bytes).unwrap().verify(&ek));
+
+    // s + L is the same residue mod L: before strict decoding it parsed
+    // to the identical signature and verified.
+    let mut s_plus_l = bytes.clone();
+    add_at(&mut s_plus_l, ENCLAVE_SIG_S, &L);
+    assert_eq!(
+        Quote::from_bytes(&s_plus_l).unwrap_err(),
+        EmsError::InvalidArgument
+    );
+
+    // x + p is the same field element: the AK would decode to the same
+    // point and the EK certificate (over its canonical bytes) would hold.
+    let mut x_plus_p = bytes.clone();
+    add_at(&mut x_plus_p, AK_PUB_X, &P);
+    assert_eq!(
+        Quote::from_bytes(&x_plus_p).unwrap_err(),
+        EmsError::InvalidArgument
+    );
+}
+
+#[test]
+fn curve_decoders_reject_non_canonical_forms() {
+    let kp = Keypair::from_key_material(&[0x42; 32]);
+    let sig = kp.sign(b"canonical");
+    let mut bytes = sig.to_bytes();
+    add_at(&mut bytes, 64, &L);
+    assert_eq!(
+        Signature::from_bytes(&bytes).unwrap_err(),
+        CryptoError::InvalidScalar
+    );
+    for coord in [0, 32] {
+        let mut key = kp.public.to_bytes();
+        add_at(&mut key, coord, &P);
+        assert_eq!(
+            PublicKey::from_bytes(&key).unwrap_err(),
+            CryptoError::InvalidPoint
+        );
+        assert_eq!(
+            EcdhPublic::from_bytes(&key).unwrap_err(),
+            CryptoError::InvalidPoint
+        );
+    }
+}
+
+/// Mutations of `genuine` for a decoder sweep: every single-bit flip,
+/// every truncation and a few extensions, and seeded multi-byte
+/// corruptions (including the top bytes that decide canonicity).
+fn mutations(genuine: &[u8], rng: &mut ChaChaRng) -> Vec<Vec<u8>> {
+    let mut out = vec![genuine.to_vec()];
+    for bit in 0..genuine.len() * 8 {
+        let mut v = genuine.to_vec();
+        v[bit / 8] ^= 1 << (bit % 8);
+        out.push(v);
+    }
+    for len in 0..genuine.len() {
+        out.push(genuine[..len].to_vec());
+    }
+    for extra in [1usize, 2, 32] {
+        let mut v = genuine.to_vec();
+        v.extend(std::iter::repeat_n(0xa5, extra));
+        out.push(v);
+    }
+    for _ in 0..256 {
+        let mut v = genuine.to_vec();
+        for _ in 0..1 + rng.gen_range(4) {
+            let at = rng.gen_range(v.len() as u64) as usize;
+            v[at] = if rng.gen_range(2) == 0 {
+                rng.next_u32() as u8
+            } else {
+                0xff
+            };
+        }
+        out.push(v);
+    }
+    out
+}
+
+/// Runs `decode` on every mutation that has the decoder's length: none may
+/// panic, and every accepted input must re-encode to exactly its bytes.
+fn sweep<const N: usize, T>(
+    what: &str,
+    genuine: &[u8; N],
+    rng: &mut ChaChaRng,
+    decode: impl Fn(&[u8; N]) -> Result<T, CryptoError>,
+    encode: impl Fn(&T) -> [u8; N],
+) {
+    let (mut accepted, mut refused) = (0usize, 0usize);
+    for input in mutations(genuine, rng) {
+        let Ok(fixed) = <&[u8; N]>::try_from(input.as_slice()) else {
+            refused += 1; // wrong length: the typed API cannot even be called
+            continue;
+        };
+        match decode(fixed) {
+            Ok(v) => {
+                accepted += 1;
+                assert_eq!(
+                    encode(&v).as_slice(),
+                    input.as_slice(),
+                    "{what}: accepted input re-encodes differently"
+                );
+            }
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(accepted > 0 && refused > 0, "{what}: degenerate sweep");
+}
+
+#[test]
+fn curve_decoders_are_fail_closed_under_mutation() {
+    let mut rng = ChaChaRng::from_u64(0xDEC0_DE55);
+    let kp = Keypair::from_key_material(&[0x17; 32]);
+    let sig = kp.sign(b"decoder sweep");
+    let ecdh = EcdhPrivate::generate(&mut rng);
+    sweep(
+        "Signature",
+        &sig.to_bytes(),
+        &mut rng,
+        Signature::from_bytes,
+        Signature::to_bytes,
+    );
+    sweep(
+        "PublicKey",
+        &kp.public.to_bytes(),
+        &mut rng,
+        PublicKey::from_bytes,
+        PublicKey::to_bytes,
+    );
+    sweep(
+        "EcdhPublic",
+        &ecdh.public.to_bytes(),
+        &mut rng,
+        EcdhPublic::from_bytes,
+        EcdhPublic::to_bytes,
     );
 }
