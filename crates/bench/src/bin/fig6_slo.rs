@@ -1,135 +1,62 @@
 //! Fig. 6: efficiency of resolving concurrent primitive requests from CS
 //! cores to EMS cores — SLO curves per (CS, EMS) configuration.
 //!
-//! Two modes:
+//! Replays the paper workload (per-hart enclave creation + closed-loop
+//! EALLOC(2 MiB)) through the real machine's asynchronous submit/pump
+//! pipeline — every request crosses the EMCall gate, the mailbox, and the
+//! multi-core EMS scheduler onto real page tables — for all 16 paper
+//! configurations (CS ∈ {4, 16, 32, 64} × EMS ∈ {1 in-order, 2 in-order,
+//! 2 OoO, 4 OoO}).
 //!
-//! * analytic (default): the closed-loop queueing model of
-//!   `hypertee-sim::queueing`. Pass `--full` for the paper's full
-//!   16384-allocation run (slower); the default uses 2048 allocations,
-//!   which preserves the queueing shape. `--mesh` switches to the
-//!   topology-accurate mesh NoC transmission model.
-//! * `--live`: replays the paper workload (per-hart enclave creation +
-//!   closed-loop EALLOC(2 MiB)) through the real machine's asynchronous
-//!   submit/pump pipeline — every request crosses the EMCall gate, the
-//!   mailbox, and the multi-core EMS scheduler onto real page tables — and
-//!   prints live vs analytic SLO CDFs side by side. `--allocs N` overrides
-//!   the allocation count (default 1024); `--smoke` runs a reduced matrix
-//!   for CI.
+//! `--allocs N` sets the allocations per configuration (default 1024; the
+//! paper runs 16384). `--smoke` runs only the 4- and 16-CS rows, with a
+//! default of 96 allocations, for CI.
 
-use hypertee_sim::config::EmsCluster;
-
-fn arg_value(name: &str) -> Option<u32> {
+fn main() {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let allocs = args
+        .iter()
+        .position(|a| a == "--allocs")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
-}
+        .unwrap_or(if smoke { 96 } else { 1024 });
+    // CS-major order: the first 8 configurations are the 4- and 16-CS rows.
+    let configs = if smoke { 8 } else { 16 };
 
-fn live(smoke: bool, allocs: u32) {
-    let multiples: Vec<f64> = vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-    let matrix: Vec<(u32, EmsCluster)> = if smoke {
-        vec![
-            (4, EmsCluster::single_inorder()),
-            (4, EmsCluster::dual_ooo()),
-            (8, EmsCluster::single_inorder()),
-            (8, EmsCluster::dual_ooo()),
-        ]
-    } else {
-        let mut v = Vec::new();
-        for cs in [4u32, 16, 32] {
-            for ems in [
-                EmsCluster::single_inorder(),
-                EmsCluster::dual_ooo(),
-                EmsCluster::quad_ooo(),
-            ] {
-                v.push((cs, ems));
-            }
-        }
-        v
-    };
-    println!("Fig. 6 — LIVE pipeline replay ({allocs} x EALLOC 2MiB per configuration)");
-    println!("live = measured through Machine::submit/pump on real page tables");
-    println!("analytic = hypertee-sim closed-loop queueing model");
+    println!("Fig. 6 — live pipeline replay ({allocs} x EALLOC 2MiB per configuration)");
     println!("baseline = 99%-SLO latency of non-enclave (host malloc) allocation\n");
-    for (cs, ems) in matrix {
-        let row = hypertee_bench::fig6_live(cs, ems, allocs, &multiples);
-        println!("--- {} ---", row.label);
-        println!(
-            "p50 live {:>12.0}   p99 live {:>12.0}   p99 analytic {:>12.0}   baseline {:>10.0}",
-            row.live_p50, row.live_p99, row.analytic_p99, row.baseline
-        );
-        print!("{:<10}", "x*baseline");
-        for (x, _) in &row.live_curve {
-            print!("{:>8}", format!("{x:.0}x"));
-        }
-        println!();
-        print!("{:<10}", "live");
-        for (_, frac) in &row.live_curve {
-            print!("{:>8}", format!("{:.1}%", frac * 100.0));
-        }
-        println!();
-        print!("{:<10}", "analytic");
-        for (_, frac) in &row.analytic_curve {
-            print!("{:>8}", format!("{:.1}%", frac * 100.0));
-        }
-        println!();
-        let s = &row.stats;
-        println!(
-            "pipeline: {} submitted, in-flight hwm {}, queue hwm {}, per-core {:?}, \
-             retries {}, timeouts {}\n",
-            s.submitted,
-            s.in_flight_hwm,
-            s.queue_depth_hwm,
-            s.serviced_per_core,
-            s.retries,
-            s.timeouts
-        );
-    }
-    println!("Paper conclusions reproduced on the live pipeline:");
-    println!("  - one in-order EMS core: p99 degrades as CS core count grows");
-    println!("  - a multi-core (OoO) EMS cluster restores the SLO");
-}
-
-fn analytic(full: bool, mesh: bool) {
-    let allocs = if full { 16384 } else { 2048 };
-    println!("Fig. 6 — SLO for concurrent primitive requests ({allocs} x EALLOC 2MiB)");
-    if mesh {
-        println!("transmission: topology-accurate mesh NoC (XY routing)");
-    }
-    println!("baseline = 99%-SLO latency of non-enclave (host malloc) allocation\n");
-    let curves = hypertee_bench::fig6_with_mesh(allocs, mesh);
     let mut last_cs = 0;
-    for curve in &curves {
+    for curve in hypertee_bench::fig6(allocs).take(configs) {
         if curve.cs_cores != last_cs {
             last_cs = curve.cs_cores;
-            println!("--- {} CS cores ---", curve.cs_cores);
-            print!("{:<24}", "config \\ x*baseline");
+            println!(
+                "--- {} CS cores (baseline {:.0} cycles) ---",
+                curve.cs_cores, curve.baseline
+            );
+            print!(
+                "{:<24}{:>10}{:>10}",
+                "config \\ x*baseline", "p50 kcyc", "p99 kcyc"
+            );
             for (x, _) in &curve.points {
                 print!("{:>8}", format!("{x:.0}x"));
             }
             println!();
         }
-        print!("{:<24}", curve.label);
+        print!(
+            "{:<24}{:>10.1}{:>10.1}",
+            curve.label,
+            curve.p50 / 1e3,
+            curve.p99 / 1e3
+        );
         for (_, frac) in &curve.points {
             print!("{:>8}", format!("{:.1}%", frac * 100.0));
         }
         println!();
-    }
-    println!();
-    println!("Paper conclusions reproduced:");
-    println!("  - <=4-core CS: a single in-order EMS core meets the SLO");
-    println!("  - 16-core CS: dual in-order suffices");
-    println!("  - 32/64-core CS: dual OoO ~ quad OoO (dual is adequate)");
-}
-
-fn main() {
-    let has = |name: &str| std::env::args().any(|a| a == name);
-    if has("--live") {
-        let smoke = has("--smoke");
-        let allocs = arg_value("--allocs").unwrap_or(if smoke { 96 } else { 1024 });
-        live(smoke, allocs);
-    } else {
-        analytic(has("--full"), has("--mesh"));
+        let s = &curve.stats;
+        println!(
+            "{:<24}in-flight hwm {}, queue hwm {}, per-core {:?}, retries {}, timeouts {}",
+            "", s.in_flight_hwm, s.queue_depth_hwm, s.serviced_per_core, s.retries, s.timeouts
+        );
     }
 }

@@ -33,56 +33,52 @@ use hypertee_sim::latency::LatencyBook;
 use hypertee_sim::perf::{
     enclave_run, encryption_cycles, host_bitmap_run, primitive_cycles, tlb_flush_cycles,
 };
-use hypertee_sim::queueing::SloExperiment;
 use hypertee_workloads::{dnn, memstream, nic, rv8, spec, wolfssl};
 
-/// One Fig. 6 curve: configuration label and (x-multiple, fraction) points.
+/// Multiples of the baseline latency at which Fig. 6 reads its SLO curves.
+const FIG6_MULTIPLES: [f64; 11] = [
+    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+];
+
+/// The paper's Fig. 6 allocation size: EALLOC(2 MiB).
+const FIG6_ALLOC_BYTES: u64 = 2 * 1024 * 1024;
+
+/// One Fig. 6 curve, measured through the live submit/pump pipeline.
 #[derive(Debug, Clone)]
 pub struct SloCurve {
-    /// "{cs}CS / {label}" configuration.
+    /// "{cs} CS / {n} {in-order|OoO} EMS" configuration.
     pub label: String,
     /// CS core count.
     pub cs_cores: u32,
+    /// Median EALLOC latency (CS cycles).
+    pub p50: f64,
+    /// 99th-percentile EALLOC latency (CS cycles).
+    pub p99: f64,
+    /// The non-enclave baseline: the 99%-SLO latency of a host `malloc` of
+    /// the same size (host mallocs have low variance, so p99 ≈ mean × 1.02).
+    pub baseline: f64,
     /// Curve points: (multiple of baseline latency, fraction resolved).
     pub points: Vec<(f64, f64)>,
+    /// Pipeline counters at the end of the run.
+    pub stats: hypertee::pipeline::PipelineStats,
 }
 
-/// Fig. 6: SLO curves for the paper's CS × EMS sweep.
-///
-/// `allocs` scales the experiment (paper: 16384; smaller values keep tests
-/// fast while preserving the queueing behaviour).
-pub fn fig6(allocs: u32) -> Vec<SloCurve> {
-    fig6_with_mesh(allocs, false)
-}
-
-/// [`fig6`] with topology-accurate mesh transmission instead of the flat
-/// fabric constant.
-pub fn fig6_with_mesh(allocs: u32, mesh: bool) -> Vec<SloCurve> {
-    let multiples: Vec<f64> = vec![
-        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-    ];
-    let ems_options: Vec<(&str, EmsCluster)> = vec![
-        ("1 in-order", EmsCluster::single_inorder()),
-        ("2 in-order", EmsCluster::dual_inorder()),
-        ("2 OoO", EmsCluster::dual_ooo()),
-        ("4 OoO", EmsCluster::quad_ooo()),
-    ];
-    let mut curves = Vec::new();
-    for &cs in &[4u32, 16, 32, 64] {
-        for (label, ems) in &ems_options {
-            let exp = SloExperiment {
-                total_allocs: allocs,
-                mesh_transmission: mesh,
-                ..SloExperiment::paper(cs, ems.clone())
-            };
-            curves.push(SloCurve {
-                label: format!("{cs} CS / {label} EMS"),
-                cs_cores: cs,
-                points: exp.slo_curve(&multiples),
-            });
-        }
-    }
-    curves
+/// Fig. 6: the paper's CS × EMS matrix (CS ∈ {4, 16, 32, 64}; EMS ∈
+/// {1 in-order, 2 in-order, 2 OoO, 4 OoO}), each configuration replaying
+/// `allocs` × EALLOC(2 MiB) through [`fig6_point`]. The iterator is lazy
+/// and yields CS-major, so callers can print each curve as it lands or
+/// `take` the leading rows.
+pub fn fig6(allocs: u32) -> impl Iterator<Item = SloCurve> {
+    [4u32, 16, 32, 64].into_iter().flat_map(move |cs| {
+        [
+            EmsCluster::single_inorder(),
+            EmsCluster::dual_inorder(),
+            EmsCluster::dual_ooo(),
+            EmsCluster::quad_ooo(),
+        ]
+        .into_iter()
+        .map(move |ems| fig6_point(cs, ems, allocs, FIG6_ALLOC_BYTES))
+    })
 }
 
 /// One Fig. 7 row.
@@ -379,88 +375,39 @@ pub fn empirical_attacks() -> Vec<AttackReport> {
     attacks::run_all(&mut machine)
 }
 
-/// One live Fig. 6 measurement: the same (CS, EMS) point measured twice —
-/// through the real machine's async submit/pump pipeline (every EALLOC goes
-/// through the EMCall gate, the mailbox, and the multi-core EMS scheduler
-/// onto real page tables) and through the analytic closed-loop queueing
-/// model of `hypertee-sim::queueing`.
-#[derive(Debug, Clone)]
-pub struct LiveSlo {
-    /// "{cs}CS / {label}" configuration.
-    pub label: String,
-    /// CS core count.
-    pub cs_cores: u32,
-    /// Live pipeline median EALLOC latency (CS cycles).
-    pub live_p50: f64,
-    /// Live pipeline 99th-percentile EALLOC latency (CS cycles).
-    pub live_p99: f64,
-    /// Analytic model 99th-percentile latency (CS cycles).
-    pub analytic_p99: f64,
-    /// The non-enclave (host malloc) baseline both are normalised against.
-    pub baseline: f64,
-    /// Live SLO curve: (multiple of baseline, fraction resolved within).
-    pub live_curve: Vec<(f64, f64)>,
-    /// Analytic SLO curve over the same multiples.
-    pub analytic_curve: Vec<(f64, f64)>,
-    /// Pipeline counters at the end of the run.
-    pub stats: hypertee::pipeline::PipelineStats,
-}
-
-/// The enclave heap VA window EALLOCs bump through (EFREE never rewinds the
-/// cursor): `HOST_SHARED_BASE - HEAP_BASE`. Once a workload's allocations
-/// have walked the whole window the enclave must be rotated (destroyed and
-/// recreated) — which is also faithful to the paper workload's "necessary
-/// enclave creation primitives".
-const HEAP_VA_WINDOW: u64 = 256 * 1024 * 1024;
-
-/// Fig. 6 `--live`: replays the paper workload (per-hart enclave creation +
-/// closed-loop EALLOC(2 MiB)) through the machine's asynchronous pipeline.
-/// Every hart keeps one request outstanding (alternating EALLOC/EFREE so
-/// physical memory stays bounded), so up to `cs_cores` requests contend for
-/// the EMS cluster concurrently; [`hypertee::machine::Machine::pump`]
-/// services them through the randomized multi-core scheduler and charges
-/// queueing delay to the per-hart clocks that the sampled latencies read.
+/// One Fig. 6 configuration: replays the paper workload (per-hart enclave
+/// creation + closed-loop EALLOC of `bytes`) through the machine's
+/// asynchronous pipeline. Every request crosses the EMCall gate, the
+/// mailbox and the multi-core EMS scheduler onto real page tables. Every
+/// hart keeps one request outstanding (alternating EALLOC/EFREE so physical
+/// memory stays bounded), so up to `cs_cores` requests contend for the EMS
+/// cluster concurrently; [`hypertee::machine::Machine::pump`] services them
+/// and charges queueing delay to the per-hart clocks that the sampled
+/// latencies read.
+///
+/// The paper point is 2 MiB, as [`fig6`] runs it; smaller sizes keep the
+/// functional page-table work cheap (service time scales with the pages
+/// actually mapped) and are normalised against a same-size baseline.
 ///
 /// # Panics
 ///
 /// Panics when the machine rejects the workload (enclave creation or an
 /// EALLOC/EFREE failing), which indicates a machine bug, not a measurement.
-pub fn fig6_live(cs_cores: u32, ems: EmsCluster, allocs: u32, multiples: &[f64]) -> LiveSlo {
-    fig6_live_sized(cs_cores, ems, allocs, 2 * 1024 * 1024, multiples)
-}
-
-/// [`fig6_live`] with a custom allocation size. The paper point is 2 MiB;
-/// smaller sizes keep the functional page-table work cheap for tests while
-/// preserving the queueing behaviour (service time scales with the pages
-/// actually mapped, exactly as the analytic model's service law does).
-///
-/// # Panics
-///
-/// As [`fig6_live`].
-pub fn fig6_live_sized(
-    cs_cores: u32,
-    ems: EmsCluster,
-    allocs: u32,
-    bytes: u64,
-    multiples: &[f64],
-) -> LiveSlo {
+pub fn fig6_point(cs_cores: u32, ems: EmsCluster, allocs: u32, bytes: u64) -> SloCurve {
     use hypertee::machine::EnclaveHandle;
     use hypertee::pipeline::PendingCall;
+    use hypertee_ems::control::layout;
     use hypertee_fabric::message::Primitive;
-    use hypertee_sim::config::SocConfig;
+    use hypertee_sim::config::{PipelineKind, SocConfig};
     use hypertee_sim::stats::Samples;
 
-    let analytic = SloExperiment {
-        total_allocs: allocs,
-        ..SloExperiment::paper(cs_cores, ems.clone())
-    };
     let label = format!(
         "{} CS / {} {} EMS",
         cs_cores,
         ems.cores,
         match ems.core.pipeline {
-            hypertee_sim::config::PipelineKind::InOrder => "in-order",
-            hypertee_sim::config::PipelineKind::OutOfOrder => "OoO",
+            PipelineKind::InOrder => "in-order",
+            PipelineKind::OutOfOrder => "OoO",
         }
     );
 
@@ -489,7 +436,12 @@ pub fn fig6_live_sized(
         allocs_in_enclave: u32,
     }
 
-    let allocs_per_enclave = (HEAP_VA_WINDOW / bytes.max(1)).max(1) as u32;
+    // EALLOCs bump through the enclave heap VA window and EFREE never
+    // rewinds the cursor. Once a hart has walked the whole window its
+    // enclave is rotated (destroyed and recreated), which is also faithful
+    // to the paper workload's "necessary enclave creation primitives".
+    let heap_window = layout::HOST_SHARED_BASE.0 - layout::HEAP_BASE.0;
+    let allocs_per_enclave = (heap_window / bytes.max(1)).max(1) as u32;
     let per_hart = (allocs / cs_cores).max(1);
     let harts = cs_cores as usize;
     let mut loops: Vec<HartLoop> = (0..harts)
@@ -569,24 +521,19 @@ pub fn fig6_live_sized(
             }
         }
     }
-    let stats = m.pipeline_stats();
 
-    let baseline = analytic.baseline_latency();
-    let live_curve: Vec<(f64, f64)> = multiples
-        .iter()
-        .map(|&x| (x, samples.fraction_within(x * baseline)))
-        .collect();
-    let mut analytic_samples = analytic.run();
-    LiveSlo {
+    let baseline = m.book.host_malloc(bytes) * 1.02;
+    SloCurve {
         label,
         cs_cores,
-        live_p50: samples.percentile(0.50),
-        live_p99: samples.percentile(0.99),
-        analytic_p99: analytic_samples.percentile(0.99),
+        p50: samples.percentile(0.50),
+        p99: samples.percentile(0.99),
         baseline,
-        live_curve,
-        analytic_curve: analytic.slo_curve(multiples),
-        stats,
+        points: FIG6_MULTIPLES
+            .iter()
+            .map(|&x| (x, samples.fraction_within(x * baseline)))
+            .collect(),
+        stats: m.pipeline_stats(),
     }
 }
 
@@ -724,65 +671,57 @@ mod tests {
         assert!(sgx.cells.iter().all(|c| *c == Defense::No));
     }
 
-    // The live tests use 16 KiB allocations: the functional page-table work
-    // stays cheap in debug builds while the queueing behaviour (what Fig. 6
-    // is about) is unchanged in shape. The release binary's --live mode
-    // runs the paper-size 2 MiB workload.
+    // The Fig. 6 tests use 16 KiB allocations: the functional page-table
+    // work stays cheap in debug builds while the queueing behaviour (what
+    // Fig. 6 is about) keeps its shape. `fig6_slo` runs the 2 MiB workload.
+    const KIB16: u64 = 16 * 1024;
+
+    fn frac_at(curve: &SloCurve, x: f64) -> f64 {
+        curve
+            .points
+            .iter()
+            .find(|(m, _)| (*m - x).abs() < 1e-9)
+            .map(|(_, f)| *f)
+            .unwrap()
+    }
+
     #[test]
-    fn fig6_live_single_core_queueing_grows_with_cs() {
-        let multiples = [1.0, 4.0, 16.0, 64.0];
-        let kib16 = 16 * 1024;
-        let small = fig6_live_sized(2, EmsCluster::single_inorder(), 24, kib16, &multiples);
-        assert_eq!(small.stats.timeouts, 0, "{:?}", small.stats);
-        assert_eq!(small.stats.retries, 0, "fault-free run must not retry");
+    fn fig6_single_inorder_core_handles_four_cs() {
+        let curve = fig6_point(4, EmsCluster::single_inorder(), 64, KIB16);
+        assert_eq!(curve.stats.timeouts, 0, "{:?}", curve.stats);
+        assert_eq!(curve.stats.retries, 0, "fault-free run must not retry");
         assert!(
-            small.stats.in_flight_hwm >= 2,
+            curve.stats.in_flight_hwm >= 2,
             "harts must overlap: {:?}",
-            small.stats
+            curve.stats
         );
-        let big = fig6_live_sized(8, EmsCluster::single_inorder(), 64, kib16, &multiples);
+        assert!(frac_at(&curve, 64.0) > 0.95, "{curve:?}");
+    }
+
+    #[test]
+    fn fig6_single_inorder_p99_grows_with_cs() {
+        let small = fig6_point(4, EmsCluster::single_inorder(), 64, KIB16);
+        let big = fig6_point(16, EmsCluster::single_inorder(), 64, KIB16);
         assert!(
-            big.live_p99 > small.live_p99,
+            big.p99 > small.p99,
             "one EMS core must queue harder under more CS cores: {} vs {}",
-            big.live_p99,
-            small.live_p99
+            big.p99,
+            small.p99
         );
     }
 
     #[test]
-    fn fig6_live_multi_core_ems_improves_p99() {
-        let multiples = [1.0, 4.0, 16.0, 64.0];
-        let kib16 = 16 * 1024;
-        let single = fig6_live_sized(8, EmsCluster::single_inorder(), 64, kib16, &multiples);
-        let quad = fig6_live_sized(8, EmsCluster::quad_ooo(), 64, kib16, &multiples);
+    fn fig6_more_ems_cores_move_the_curve_left_at_64_cs() {
+        let single = fig6_point(64, EmsCluster::single_inorder(), 128, KIB16);
+        let quad = fig6_point(64, EmsCluster::quad_ooo(), 128, KIB16);
+        for (s, q) in single.points.iter().zip(&quad.points) {
+            assert!(q.1 >= s.1, "quad OoO below one in-order at {}x", q.0);
+        }
         assert!(
-            quad.live_p99 < single.live_p99,
+            quad.p99 < single.p99,
             "a quad OoO cluster must beat one in-order core: {} vs {}",
-            quad.live_p99,
-            single.live_p99
+            quad.p99,
+            single.p99
         );
-    }
-
-    #[test]
-    fn fig6_small_run_shape() {
-        // A reduced-size run preserves the ordering conclusions of Fig. 6.
-        let curves = fig6(512);
-        let frac_at = |label_contains: &str, cs: u32, x: f64| -> f64 {
-            curves
-                .iter()
-                .find(|c| c.cs_cores == cs && c.label.contains(label_contains))
-                .map(|c| {
-                    c.points
-                        .iter()
-                        .find(|(m, _)| (*m - x).abs() < 1e-9)
-                        .map(|(_, f)| *f)
-                        .unwrap()
-                })
-                .unwrap()
-        };
-        // More EMS cores resolve more requests within the same bound.
-        assert!(frac_at("4 OoO", 64, 64.0) >= frac_at("1 in-order", 64, 64.0));
-        // A small CS is fine with one in-order EMS core.
-        assert!(frac_at("1 in-order", 4, 64.0) > 0.95);
     }
 }

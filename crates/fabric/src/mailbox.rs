@@ -96,9 +96,13 @@ impl Mailbox {
     /// fabric fault may lose the packet after the identification is
     /// assigned — exactly like real hardware, the sender still holds a
     /// valid ticket and recovers by resubmission after a poll timeout.
+    ///
+    /// Identifications start at 1: `req_id == 0` is reserved for requests
+    /// that never crossed a mailbox (direct EMS calls), which the EMS does
+    /// not cache for replay.
     pub fn submit(&mut self, mut request: Request) -> RequestTicket {
-        let req_id = self.next_req_id;
         self.next_req_id += 1;
+        let req_id = self.next_req_id;
         request.req_id = req_id;
         self.stats.requests += 1;
         if self.injector.roll(FaultKind::MailboxDropRequest) {
@@ -299,6 +303,7 @@ mod tests {
         let t3 = mb.submit(request());
         assert_ne!(t1.req_id(), t2.req_id());
         assert_ne!(t2.req_id(), t3.req_id());
+        assert_ne!(t1.req_id(), 0, "0 is the direct-call sentinel");
     }
 
     #[test]

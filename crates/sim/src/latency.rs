@@ -10,7 +10,6 @@ use crate::clock::ClockDomains;
 
 /// Cycle-cost calibration table.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyBook {
     /// Clock domains used for EMS→CS conversions.
     pub clocks: ClockDomains,

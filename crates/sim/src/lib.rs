@@ -1,4 +1,4 @@
-//! Discrete-event timing simulator for the HyperTEE SoC.
+//! Timing models for the HyperTEE SoC.
 //!
 //! The paper evaluates HyperTEE on a Synopsys HAPS-80 FPGA carrying BOOM
 //! (out-of-order) computing-subsystem cores and Rocket/BOOM enclave-management
@@ -11,9 +11,6 @@
 //!   *weak* / *medium* / *strong*) and SoC-level configuration.
 //! * [`latency`] — the calibration book: every cycle cost the models charge,
 //!   each annotated with the paper number it was anchored to.
-//! * [`engine`] — a small generic discrete-event kernel.
-//! * [`queueing`] — the multi-server primitive-request queue used for the
-//!   Fig. 6 SLO study.
 //! * [`perf`] — the analytic core-performance model that turns workload
 //!   profiles plus an execution environment into cycle counts (Figs. 7–11).
 //! * [`crypto_engine`] — timing for the EMS crypto engine (Table III rates)
@@ -32,10 +29,7 @@ pub mod cache;
 pub mod clock;
 pub mod config;
 pub mod crypto_engine;
-pub mod engine;
 pub mod latency;
-pub mod noc;
 pub mod perf;
-pub mod queueing;
 pub mod rng;
 pub mod stats;

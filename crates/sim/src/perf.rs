@@ -12,7 +12,6 @@ use crate::latency::LatencyBook;
 
 /// Description of one benchmark workload.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadProfile {
     /// Benchmark name as the paper prints it.
     pub name: String,

@@ -31,8 +31,8 @@ cargo test --offline --workspace -q
 echo "==> crypto tests in release (limb arithmetic wraps where debug panics)"
 cargo test --release --offline -p hypertee-crypto -q
 
-echo "==> fig6_slo --live smoke (release, reduced workload)"
-cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --live --smoke --allocs 32 \
+echo "==> fig6_slo smoke (release, live pipeline, 4- and 16-CS rows)"
+cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --smoke --allocs 32 \
     > /dev/null
 
 echo "==> lockstep model-check smoke (release, fixed seed)"
@@ -55,6 +55,12 @@ cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke 
     --out target/BENCH_chaos_smoke.json > /dev/null
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
     --check target/BENCH_chaos_smoke.json
+
+echo "==> fleet campaign at seed 16 (a lost first ECREATE response must replay, not re-run)"
+cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --seed 16 \
+    --out target/BENCH_chaos_seed16.json > /dev/null
+cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
+    --check target/BENCH_chaos_seed16.json
 
 echo "==> scan-oracle campaign replay (--ref-pump, byte-compared against the event pump)"
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke --ref-pump \

@@ -570,3 +570,60 @@ fn crash_restart_recovers_the_in_flight_batch() {
     assert!(recovered >= 1, "no request needed the resubmit path");
     m.audit().expect("audit after crash-restart");
 }
+
+/// A lost response to the very first mailbox request must replay from the
+/// EMS response cache, not re-execute: a re-run ECREATE would orphan an
+/// enclave that still maps the session's host window. The cache skips
+/// `req_id == 0` (the direct-call sentinel), so mailbox ids start at 1.
+#[test]
+fn lost_first_ecreate_response_replays_instead_of_recreating() {
+    let mut m = Machine::boot_default();
+    let window = m.os.alloc_contiguous(4).expect("host window frames");
+    m.arm_faults(&FaultPlan::new(
+        1,
+        FaultConfig {
+            drop_response_pm: 1000,
+            ..FaultConfig::disabled()
+        },
+    ));
+    let call = m
+        .submit_as(
+            0,
+            Privilege::Os,
+            Primitive::Ecreate,
+            vec![4 << 20, 32 << 10, 16 << 10, window.base().0],
+            vec![],
+        )
+        .unwrap();
+    for _ in 0..64 {
+        if m.hub.mailbox.stats.dropped_responses > 0 {
+            break;
+        }
+        m.pump();
+    }
+    assert_eq!(
+        m.hub.mailbox.stats.dropped_responses, 1,
+        "the ECREATE answer was not lost"
+    );
+
+    // Calm weather from here on: the pipeline times out and resubmits.
+    m.arm_faults(&FaultPlan::new(1, FaultConfig::disabled()));
+    let mut done = None;
+    for _ in 0..20_000 {
+        m.pump();
+        done = m.take_completion(call);
+        if done.is_some() {
+            break;
+        }
+    }
+    let done = done.expect("the resubmitted ECREATE completes");
+    assert!(
+        done.attempts > 0,
+        "completion must come through the resubmit path"
+    );
+    let eid = done.result.unwrap().new_enclave_id().unwrap();
+    let views = m.enclave_views();
+    assert_eq!(views.len(), 1, "resubmission re-ran ECREATE: {views:?}");
+    assert_eq!(views[0].eid, eid);
+    m.audit().expect("audit after the replayed ECREATE");
+}
