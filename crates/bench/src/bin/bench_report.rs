@@ -20,11 +20,11 @@
 //!   parallel yield — ~1x on a single-core container, and that is the
 //!   honest number;
 //! * **simulated-clock scaling** (`threads_simclock_*_x4`): deterministic
-//!   cycle counts from the sharded machine — `ns_per_op` is the makespan
-//!   (max shard clock) and `baseline_ns_per_op` the sequential schedule
-//!   (sum of shard clocks), both in *simulated cycles*, so `speedup` is
-//!   the architectural scaling of the shard composition and is identical
-//!   on any host at any `--threads` width.
+//!   cycle counts from four independent shard machines — `ns_per_op` is
+//!   the makespan (max shard clock) and `baseline_ns_per_op` the
+//!   sequential schedule (sum of shard clocks), both in *simulated
+//!   cycles*, so `speedup` is the architectural scaling of the shard
+//!   composition and is identical on any host at any `--threads` width.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use hypertee::exec::{InterpMode, RunOutcome};
 use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
-use hypertee::shard::{par_run, ShardSpec, ShardedMachine};
+use hypertee::shard::par_run;
 use hypertee_bench::microbench::{bench, bench_pair};
 use hypertee_bench::report::{validate, PerfBench, PerfReport};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
@@ -52,6 +52,7 @@ use hypertee_mem::phys::{FrameAllocator, PhysMemory};
 use hypertee_mem::system::{CoreMmu, MemorySystem};
 use hypertee_model::harness::{run_campaign, Campaign};
 use hypertee_model::ops::generate;
+use hypertee_sim::config::SocConfig;
 use hypertee_sim::rng::derive_stream;
 use hypertee_workloads::{memstream, programs, wolfssl};
 
@@ -814,25 +815,29 @@ fn threads_wallclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-/// Runs `f` on every shard of a fresh 4-shard machine and returns
-/// `(sum, max)` of the per-shard simulated clocks: the sequential-schedule
-/// cost and the parallel-composition makespan, in cycles.
+/// Runs `f(shard, machine)` on `FANOUT` independent machines, each booted
+/// from its own derived seed and audited afterwards, and returns `(sum,
+/// max)` of the per-shard simulated clocks: the sequential-schedule cost
+/// and the parallel-composition makespan, in cycles.
 fn sharded_simclock<F>(cfg: &Config, salt: u64, f: F) -> (u64, u64)
 where
-    F: Fn(&mut hypertee::shard::ShardDomain) + Sync,
+    F: Fn(usize, &mut Machine) + Sync,
 {
-    let spec = ShardSpec::new(FANOUT, cfg.threads, THREADS_SEED ^ salt);
-    let mut m = ShardedMachine::boot(spec).expect("shard boot");
-    m.par_map(|d| f(d));
-    let audit = m.audit_all().expect("post-workload shard audit");
-    assert_eq!(audit.audits.len(), FANOUT);
-    let sum: u64 = m.domains().iter().map(|d| d.machine.clock.0).sum();
-    (sum, m.merged_clock().0)
+    let shards: Vec<usize> = (0..FANOUT).collect();
+    let clocks = par_run(shards, cfg.threads, |_, i| {
+        let seed = derive_stream(THREADS_SEED ^ salt, i as u64);
+        let mut m = Machine::boot(SocConfig::default(), seed).expect("shard boot");
+        f(i, &mut m);
+        m.audit().expect("post-workload shard audit");
+        m.clock.0
+    });
+    let max = clocks.iter().copied().max().unwrap_or(0);
+    (clocks.iter().sum(), max)
 }
 
 fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // Deterministic simulated-clock scaling rows: both numbers are cycle
-    // counts from the sharded machine (not nanoseconds), so the recorded
+    // counts from the shard machines (not nanoseconds), so the recorded
     // speedup — sequential schedule over parallel makespan — is a property
     // of the shard composition, identical on any host. Shards carry
     // deliberately unequal session counts so the makespan is set by the
@@ -840,21 +845,17 @@ fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     let manifest =
         EnclaveManifest::parse("heap = 4M\nstack = 64K\nhost_shared = 64K").expect("manifest");
     let sessions = iters(cfg, 6, 2) as usize;
-    let (sum, max) = sharded_simclock(cfg, 0x51, |d| {
-        for s in 0..sessions + (d.shard_id & 1) {
-            let image = [d.shard_id as u8, s as u8, 0x5a];
-            let e = d
-                .machine
+    let (sum, max) = sharded_simclock(cfg, 0x51, |shard, m| {
+        for s in 0..sessions + (shard & 1) {
+            let image = [shard as u8, s as u8, 0x5a];
+            let e = m
                 .create_enclave(0, &manifest, &image)
                 .expect("shard create");
-            d.machine.enter(0, e).expect("shard enter");
-            let quote = d
-                .machine
-                .attest(0, e, b"threads-bench")
-                .expect("shard attest");
+            m.enter(0, e).expect("shard enter");
+            let quote = m.attest(0, e, b"threads-bench").expect("shard attest");
             black_box(quote);
-            d.machine.exit(0).expect("shard exit");
-            d.machine.destroy(0, e).expect("shard destroy");
+            m.exit(0).expect("shard exit");
+            m.destroy(0, e).expect("shard destroy");
         }
     });
     rows.push(PerfBench::from_timings(
@@ -868,27 +869,22 @@ fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // writes enclave memory through the encrypted data plane, and evicts
     // pages with EWB.
     let pages = iters(cfg, 24, 8) as u64;
-    let (sum, max) = sharded_simclock(cfg, 0x52, |d| {
-        let image = [d.shard_id as u8, 0xe1];
-        let e = d
-            .machine
+    let (sum, max) = sharded_simclock(cfg, 0x52, |shard, m| {
+        let image = [shard as u8, 0xe1];
+        let e = m
             .create_enclave(0, &manifest, &image)
             .expect("shard create");
-        d.machine.enter(0, e).expect("shard enter");
-        let extra = (d.shard_id & 1) as u64 * 4;
-        let va = d
-            .machine
-            .ealloc(0, (pages + extra) * 4096)
-            .expect("shard ealloc");
+        m.enter(0, e).expect("shard enter");
+        let extra = (shard & 1) as u64 * 4;
+        let va = m.ealloc(0, (pages + extra) * 4096).expect("shard ealloc");
         for p in 0..pages + extra {
             let word = (0x5eed_u64 ^ p).to_le_bytes();
-            d.machine
-                .enclave_store(0, VirtAddr(va.0 + p * PAGE_SIZE), &word)
+            m.enclave_store(0, VirtAddr(va.0 + p * PAGE_SIZE), &word)
                 .expect("shard store");
         }
-        let evicted = d.machine.ewb(0, 4).expect("shard ewb");
+        let evicted = m.ewb(0, 4).expect("shard ewb");
         black_box(evicted);
-        d.machine.exit(0).expect("shard exit");
+        m.exit(0).expect("shard exit");
     });
     rows.push(PerfBench::from_timings(
         "threads_simclock_paging_x4",

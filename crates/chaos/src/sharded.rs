@@ -1,5 +1,5 @@
-//! Sharded chaos campaigns: the fleet split across `ShardDomain`s and
-//! serviced by a worker pool, with a deterministic merge.
+//! Sharded chaos campaigns: the fleet split across independent campaigns,
+//! each on its own `Machine`, run by [`par_run`] with a deterministic merge.
 //!
 //! A [`ShardedChaosConfig`] fixes a *shard count* (part of the seeded
 //! configuration) and a *thread count* (a free execution parameter). Each

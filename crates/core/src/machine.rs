@@ -65,10 +65,6 @@ pub enum MachineError {
     /// hart's clock and was expired by the pipeline watchdog (terminal:
     /// the request will not be retried further).
     DeadlineExpired,
-    /// A sharded machine was constructed on an invalid memory-partition
-    /// map (overlapping, empty, or mis-sized shard slices) — see
-    /// [`crate::shard::ShardedMachine`].
-    Partition(hypertee_mem::partition::PartitionError),
 }
 
 impl From<EmCallError> for MachineError {
@@ -96,7 +92,6 @@ impl core::fmt::Display for MachineError {
             MachineError::Timeout => write!(f, "primitive retries exhausted"),
             MachineError::Backpressure => write!(f, "submission shed: EMS backlog saturated"),
             MachineError::DeadlineExpired => write!(f, "request deadline expired"),
-            MachineError::Partition(p) => write!(f, "invalid shard partition: {p}"),
         }
     }
 }

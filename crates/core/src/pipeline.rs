@@ -799,8 +799,8 @@ impl Machine {
         let base = self.book.retry_backoff * f64::from(1u32 << (attempt - 1).min(16));
         // splitmix64 finalizer (shared via `hypertee_sim::rng`): stateless,
         // so the jitter draw can never perturb any other random stream, and
-        // in a sharded machine the jitter seed is itself derived from the
-        // shard's splitmix stream, keeping jitter thread-count-invariant.
+        // a shard's machine boots from its own splitmix-derived seed, so the
+        // jitter stays thread-count-invariant.
         let x = rng::mix(
             self.pipeline.jitter_seed
                 ^ call_id.wrapping_mul(rng::GOLDEN_GAMMA)

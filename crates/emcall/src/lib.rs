@@ -478,11 +478,11 @@ impl EmCall {
     }
 }
 
-/// Compile-time `Send` pins for the sharded-execution refactor
-/// (`hypertee::shard`): each shard domain owns a whole gate — including
-/// its per-hart ticket table — and carries it across the worker-pool
-/// boundary, so a regression to non-`Send` state (an `Rc`, a raw
-/// pointer) must fail the build here, not a test run.
+/// Compile-time `Send` pins for sharded execution (`hypertee::shard`):
+/// each shard's machine owns a whole gate — including its per-hart ticket
+/// table — and carries it across the worker-pool boundary, so a regression
+/// to non-`Send` state (an `Rc`, a raw pointer) must fail the build here,
+/// not a test run.
 fn assert_send<T: Send>() {}
 const _: fn() = assert_send::<EmCall>;
 const _: fn() = assert_send::<HartState>;

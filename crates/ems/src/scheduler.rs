@@ -137,9 +137,8 @@ impl Ems {
     ///    pushed back through the mailbox.
     ///
     /// Anything not drained stays queued for the next round. A zero budget
-    /// is a no-op that draws nothing. A sharded machine runs a whole
-    /// machine per worker, so each shard's rounds draw only from that
-    /// shard's own streams.
+    /// is a no-op that draws nothing. Each shard is a whole machine, so its
+    /// rounds draw only from that shard's own streams.
     pub fn service_round(
         &mut self,
         ctx: &mut EmsContext<'_>,

@@ -172,6 +172,16 @@ impl ConsistencyAudit {
                 return Err(AuditError::MissingBitmapBit { ppn: Ppn(ppn) });
             }
         }
+        // A tracked frame past the bitmap's reach has no bit at all; the
+        // sweep above never visits it.
+        let beyond = [owned.last(), free.last()]
+            .into_iter()
+            .flatten()
+            .filter(|&&ppn| ppn >= sys.bitmap.covered_frames)
+            .min();
+        if let Some(&ppn) = beyond {
+            return Err(AuditError::MissingBitmapBit { ppn: Ppn(ppn) });
+        }
 
         // ④ Leaf PTEs reach only frames their enclave may reach.
         for (eid, table) in tables {
@@ -244,6 +254,17 @@ mod tests {
         own.claim(Ppn(60), PageOwner::EmsPrivate).unwrap();
         let err = ConsistencyAudit::run(&mut sys, &own, &[], 1, &[]).unwrap_err();
         assert_eq!(err, AuditError::MissingBitmapBit { ppn: Ppn(60) });
+    }
+
+    #[test]
+    fn tracked_frame_beyond_bitmap_caught() {
+        let (mut sys, mut own) = setup();
+        let past = Ppn(sys.bitmap.covered_frames + 5);
+        let err = ConsistencyAudit::run(&mut sys, &own, &[past], 0, &[]).unwrap_err();
+        assert_eq!(err, AuditError::MissingBitmapBit { ppn: past });
+        own.claim(past, PageOwner::EmsPrivate).unwrap();
+        let err = ConsistencyAudit::run(&mut sys, &own, &[], 1, &[]).unwrap_err();
+        assert_eq!(err, AuditError::MissingBitmapBit { ppn: past });
     }
 
     #[test]

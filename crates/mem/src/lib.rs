@@ -35,7 +35,6 @@ pub mod bitmap;
 pub mod mktme;
 pub mod ownership;
 pub mod pagetable;
-pub mod partition;
 pub mod phys;
 pub mod ptw;
 pub mod snapshot;

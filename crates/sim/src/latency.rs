@@ -243,6 +243,23 @@ mod tests {
     }
 
     #[test]
+    fn engine_costs_beat_software_fallback() {
+        let book = LatencyBook::default();
+        for n in [4096u64, 1 << 20, 16 << 20] {
+            assert!(
+                book.measure_cost(n, true) < book.measure_cost(n, false),
+                "engine must accelerate SHA at {n} bytes"
+            );
+        }
+        // 1 MiB at 0.062 B/cycle ≈ 16.9M cycles.
+        let aes = book.ems_aes_cost(1 << 20, true);
+        assert!((aes - (1u64 << 20) as f64 / 0.062).abs() < 1.0);
+        // Signing is expensive either way, and worse in software.
+        assert!(book.sign_cost(true) > 1e7);
+        assert!(book.sign_cost(false) > book.sign_cost(true));
+    }
+
+    #[test]
     fn fig8a_overhead_endpoints() {
         // Fig. 8(a): overhead 49.7% at 128 KiB falling to 6.3% at 2 MiB.
         let book = LatencyBook::default();

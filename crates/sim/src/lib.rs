@@ -13,8 +13,6 @@
 //!   each annotated with the paper number it was anchored to.
 //! * [`perf`] — the analytic core-performance model that turns workload
 //!   profiles plus an execution environment into cycle counts (Figs. 7–11).
-//! * [`crypto_engine`] — timing for the EMS crypto engine (Table III rates)
-//!   and its software fallback (Table IV).
 //! * [`area`] — the ASIC area model behind Table V.
 //! * [`stats`] — summary statistics and percentile helpers.
 //!
@@ -28,7 +26,6 @@ pub mod area;
 pub mod cache;
 pub mod clock;
 pub mod config;
-pub mod crypto_engine;
 pub mod latency;
 pub mod perf;
 pub mod rng;

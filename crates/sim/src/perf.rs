@@ -84,7 +84,7 @@ pub fn primitive_cycles(
     let allocs = profile.ealloc_calls * book.ealloc(profile.ealloc_bytes as u64);
     // Attestation (EATTEST) is once-per-launch and amortised out of the
     // paper's per-run shares; price it separately with
-    // `CryptoOp::Sign` when a flow actually attests.
+    // `LatencyBook::sign_cost` when a flow actually attests.
     let others = book.lifecycle_fixed + eadd + allocs;
     PrimitiveBreakdown { emeas, others }
 }

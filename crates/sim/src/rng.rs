@@ -1,13 +1,13 @@
 //! SplitMix64: stateless mixing and per-shard deterministic streams.
 //!
 //! The parallel simulator (see `hypertee::shard`) needs randomness that is
-//! *independent of thread count and interleaving*: every shard draws from
-//! its own stream, keyed by `(campaign seed, shard id)`, so the schedule a
-//! shard sees never depends on when the host OS ran its worker thread. The
-//! splitmix64 finalizer used here is the same one the request pipeline has
-//! charged its retry-back-off jitter with since the async-pipeline PR; this
-//! module is its canonical home so every consumer provably shares one
-//! definition.
+//! *independent of thread count and interleaving*: every shard's machine
+//! boots from its own stream, keyed by `(campaign seed, shard index)`, so
+//! the schedule a shard sees never depends on when the host OS ran its
+//! worker thread. The splitmix64 finalizer used here is the same one the
+//! request pipeline has charged its retry-back-off jitter with since the
+//! async-pipeline PR; this module is its canonical home so every consumer
+//! provably shares one definition.
 //!
 //! Two layers:
 //!
@@ -15,7 +15,7 @@
 //!   inputs yields decorrelated outputs; it can never perturb any other
 //!   random stream because it carries no state.
 //! * [`SplitMix64`] — a tiny sequential generator over the Weyl sequence,
-//!   for shard-local draws that need a stream rather than a hash.
+//!   for draws that need a stream rather than a hash.
 //!
 //! [`derive_stream`] composes the two: a per-shard seed that is stable
 //! under re-partitioning of *other* shards.
@@ -60,8 +60,8 @@ pub fn derive_stream(seed: u64, stream: u64) -> u64 {
 
 /// A sequential splitmix64 generator (Weyl sequence + [`mix`]).
 ///
-/// Small, `Copy`-cheap, and `Send`: exactly what a shard domain carries for
-/// its private draws. Not cryptographic — campaign scheduling only.
+/// Small, cheap to clone, and `Send`: a seeded stream for private draws.
+/// Not cryptographic — campaign scheduling and test generation only.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

@@ -46,6 +46,8 @@ cargo run --release --offline -p hypertee-bench --bin bench_report -- --smoke \
     --out target/BENCH_perf_smoke.json > /dev/null
 cargo run --release --offline -p hypertee-bench --bin bench_report -- \
     --check target/BENCH_perf_smoke.json
+cargo run --release --offline -p hypertee-bench --bin bench_report -- \
+    --check BENCH_perf.json
 
 echo "==> pump equivalence smoke (event scheduler vs scan oracle, fixed seeds)"
 cargo run --release --offline --example pump_smoke
@@ -55,6 +57,8 @@ cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke 
     --out target/BENCH_chaos_smoke.json > /dev/null
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
     --check target/BENCH_chaos_smoke.json
+cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
+    --check BENCH_chaos.json
 
 echo "==> fleet campaign at seed 16 (a lost first ECREATE response must replay, not re-run)"
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --seed 16 \

@@ -14,12 +14,14 @@ use hypertee_repro::ems::control::layout;
 use hypertee_repro::hypertee::exec::{InterpMode, RunOutcome};
 use hypertee_repro::hypertee::machine::Machine;
 use hypertee_repro::hypertee::manifest::EnclaveManifest;
-use hypertee_repro::hypertee::shard::{ShardSpec, ShardedMachine};
+use hypertee_repro::hypertee::shard::par_run;
 use hypertee_repro::hypertee_cpu::asm::Asm;
 use hypertee_repro::mem::addr::{KeyId, PhysAddr, VirtAddr};
 use hypertee_repro::mem::mktme::MktmeEngine;
 use hypertee_repro::mem::phys::PhysMemory;
 use hypertee_repro::mem::MemFault;
+use hypertee_repro::sim::config::SocConfig;
+use hypertee_repro::sim::rng::derive_stream;
 use hypertee_repro::workloads::programs;
 
 /// A deterministic xorshift so the operation mix is reproducible.
@@ -249,45 +251,44 @@ fn host_store_over_cached_block_reexecutes_new_bytes_with_identical_charges() {
     );
 }
 
-/// The decoded-block interpreter must be invisible in the sharded merged
-/// reports: per-shard simulated clocks, the merged clock, and the merged
-/// stats from a 4-shard enclave-program workload are identical at every
-/// (thread width, interpreter mode) combination — the same invariance
-/// `tests/sharding.rs` pins for thread width alone.
+/// The decoded-block interpreter must be invisible across shards: the
+/// per-shard simulated clocks and pipeline stats of a 4-shard
+/// enclave-program workload are identical at every (thread width,
+/// interpreter mode) combination — the same invariance `tests/sharding.rs`
+/// pins for thread width alone.
 #[test]
 fn interpreter_mode_is_invisible_in_sharded_merged_reports() {
     let manifest =
         EnclaveManifest::parse("heap = 4M\nstack = 64K\nhost_shared = 64K").expect("manifest");
     let run = |threads: usize, mode: InterpMode| {
-        let mut m = ShardedMachine::boot(ShardSpec::new(4, threads, 0x1f7e_0006)).expect("boot");
-        m.par_map(|d| {
-            d.machine.interp = mode;
+        par_run((0..4u64).collect(), threads, |_, shard| {
+            let seed = derive_stream(0x1f7e_0006, shard);
+            let mut m = Machine::boot(SocConfig::default(), seed).expect("boot");
+            m.interp = mode;
             let image = programs::fib(30);
-            let e = d
-                .machine
-                .create_enclave(0, &manifest, &image)
-                .expect("create");
-            d.machine.enter(0, e).expect("enter");
-            match d.machine.run_enclave_program(0, 1_000_000).expect("run") {
+            let e = m.create_enclave(0, &manifest, &image).expect("create");
+            m.enter(0, e).expect("enter");
+            match m.run_enclave_program(0, 1_000_000).expect("run") {
                 RunOutcome::Exited { code, .. } => assert_eq!(code, 832_040),
                 other => panic!("fib must exit, got {other:?}"),
             }
-            d.machine.exit(0).expect("exit");
-        });
-        let clocks: Vec<u64> = m.domains().iter().map(|d| d.machine.clock.0).collect();
-        let merged = m.merged_clock();
-        (clocks, merged, m.merged_stats())
+            m.exit(0).expect("exit");
+            m.audit().expect("audit must stay green");
+            (m.clock, m.pipeline_stats())
+        })
     };
     let reference = run(1, InterpMode::Reference);
     for (threads, mode) in [
         (1, InterpMode::Fast),
+        (2, InterpMode::Fast),
         (4, InterpMode::Fast),
+        (8, InterpMode::Fast),
         (4, InterpMode::Reference),
     ] {
         assert_eq!(
             run(threads, mode),
             reference,
-            "merged report must be identical at threads={threads}, mode={mode:?}"
+            "per-shard reports must be identical at threads={threads}, mode={mode:?}"
         );
     }
 }

@@ -8,15 +8,12 @@ use hypertee_repro::chaos::campaign::ChaosConfig;
 use hypertee_repro::chaos::report::render_sharded_report;
 use hypertee_repro::chaos::sharded::{run_sharded, shard_config, ShardedChaosConfig};
 use hypertee_repro::crypto::fnv;
-use hypertee_repro::hypertee::machine::MachineError;
-use hypertee_repro::hypertee::shard::{
-    assert_send, par_run, BarrierReport, ShardDomain, ShardPumpReport, ShardSpec, ShardedMachine,
-};
+use hypertee_repro::hypertee::machine::Machine;
+use hypertee_repro::hypertee::shard::par_run;
 use hypertee_repro::hypertee::EnclaveManifest;
-use hypertee_repro::mem::addr::{Ppn, PAGE_SIZE};
-use hypertee_repro::mem::partition::{MemPartition, PartitionError};
 use hypertee_repro::model::harness::{run_campaign, Campaign};
 use hypertee_repro::model::ops::generate;
+use hypertee_repro::sim::config::SocConfig;
 use hypertee_repro::sim::rng::derive_stream;
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -32,17 +29,6 @@ fn small_base(seed: u64) -> ChaosConfig {
     base.lockstep_rounds = 1;
     base.lockstep_commands = 24;
     base
-}
-
-#[test]
-fn shard_payload_types_are_send() {
-    // Compile-time: the domain and every barrier-merge payload must cross
-    // the pool boundary. (The same bounds are also asserted in
-    // `hypertee::shard` itself; this pins them at the workspace surface.)
-    assert_send::<ShardDomain>();
-    assert_send::<ShardPumpReport>();
-    assert_send::<BarrierReport>();
-    assert_send::<ShardedMachine>();
 }
 
 #[test]
@@ -142,62 +128,33 @@ fn lockstep_campaign_fanout_is_identical_at_every_thread_width() {
 }
 
 #[test]
-fn overlapping_partitions_cannot_boot() {
-    let spec = ShardSpec::new(2, 1, 0xBAD_0004);
-    let frames = spec.soc.phys_mem_bytes / PAGE_SIZE;
-    let parts = vec![
-        MemPartition {
-            shard_id: 0,
-            base: Ppn(0),
-            frames,
-        },
-        MemPartition {
-            shard_id: 1,
-            base: Ppn(frames / 2), // overlaps shard 0's tail
-            frames,
-        },
-    ];
-    match ShardedMachine::boot_with_partitions(spec, parts) {
-        Err(MachineError::Partition(PartitionError::Overlap(0, 1))) => {}
-        other => panic!("overlapping partitions must be rejected, got {other:?}"),
-    }
-}
-
-#[test]
 fn sharded_machine_workload_audits_green_and_merges_deterministically() {
+    // Four independent shard machines run one enclave session each, pump
+    // once, and audit; the per-shard (clock, pipeline stats) vector must
+    // not depend on the worker width.
     let manifest =
         EnclaveManifest::parse("heap = 4M\nstack = 64K\nhost_shared = 64K").expect("manifest");
     let run_width = |threads: usize| {
-        let mut m = ShardedMachine::boot(ShardSpec::new(4, threads, 0xF1E7_0005)).expect("boot");
-        m.par_map(|d| {
-            let image = [d.shard_id as u8, 0xaa];
-            let e = d
-                .machine
-                .create_enclave(0, &manifest, &image)
-                .expect("create");
-            d.machine.enter(0, e).expect("enter");
-            let quote = d.machine.attest(0, e, b"sharding-test").expect("attest");
-            assert!(quote.verify(&d.machine.ek_public()));
-            d.machine.exit(0).expect("exit");
-        });
-        let barrier = m.pump_barrier();
-        assert_eq!(barrier.per_shard.len(), 4);
-        for (i, r) in barrier.per_shard.iter().enumerate() {
-            assert_eq!(r.shard_id, i, "barrier merge must be in shard order");
-        }
-        assert_eq!(barrier.clock, m.merged_clock());
-        let audit = m.audit_all().expect("audit must stay green");
-        assert_eq!(audit.audits.len(), 4);
-        let clocks: Vec<u64> = m.domains().iter().map(|d| d.machine.clock.0).collect();
-        let stats = m.merged_stats();
-        (clocks, stats)
+        par_run((0..4u64).collect(), threads, |_, shard| {
+            let seed = derive_stream(0xF1E7_0005, shard);
+            let mut m = Machine::boot(SocConfig::default(), seed).expect("boot");
+            let image = [shard as u8, 0xaa];
+            let e = m.create_enclave(0, &manifest, &image).expect("create");
+            m.enter(0, e).expect("enter");
+            let quote = m.attest(0, e, b"sharding-test").expect("attest");
+            assert!(quote.verify(&m.ek_public()));
+            m.exit(0).expect("exit");
+            m.pump();
+            m.audit().expect("audit must stay green");
+            (m.clock, m.pipeline_stats())
+        })
     };
     let reference = run_width(1);
     for threads in WIDTHS {
         assert_eq!(
             run_width(threads),
             reference,
-            "shard clocks and merged stats must be identical at threads={threads}"
+            "per-shard clocks and stats must be identical at threads={threads}"
         );
     }
 }
