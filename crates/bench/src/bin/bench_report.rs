@@ -34,7 +34,7 @@ use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
 use hypertee::shard::par_run;
 use hypertee_bench::microbench::{bench, bench_pair};
-use hypertee_bench::report::{validate, PerfBench, PerfReport};
+use hypertee_bench::report::{validate, HostFacts, PerfBench, PerfReport};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_crypto::ed::Point;
@@ -910,6 +910,7 @@ fn run(cfg: &Config) -> Result<(), String> {
     let report = PerfReport {
         mode: if cfg.smoke { "smoke" } else { "full" }.to_string(),
         threads: Some(cfg.threads as u64),
+        host: HostFacts::detect(),
         benches: rows,
     };
     let json = report.to_json();

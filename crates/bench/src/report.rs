@@ -11,6 +11,8 @@
 //!   "suite": "hypertee-perf",
 //!   "mode": "full" | "smoke",
 //!   "threads": 4,            // optional: worker-pool width of threads_* rows
+//!   "available_parallelism": 2,
+//!   "kernels": { "aes": true, "bmi2": true, "avx512f": false },
 //!   "benches": [
 //!     { "name": "...", "ns_per_op": 123.4, "gb_per_sec": 1.2|null,
 //!       "baseline_ns_per_op": 456.7|null, "speedup": 3.7|null }, ...
@@ -21,6 +23,9 @@
 //! `baseline_ns_per_op` is the pre-optimization reference path (`*_ref`)
 //! measured in the same run on the same host, so `speedup` is a
 //! like-for-like before/after delta rather than a cross-machine comparison.
+//! `available_parallelism` and `kernels` record the host facts the rows
+//! depend on: how many workers could run at once, and which
+//! runtime-dispatched crypto kernels the run took.
 
 /// Version of the emitted JSON schema.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -67,6 +72,27 @@ impl PerfBench {
     }
 }
 
+/// The host facts a report's timings depend on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostFacts {
+    /// `std::thread::available_parallelism`.
+    pub available_parallelism: u64,
+    /// [`hypertee_crypto::dispatched_kernels`]: each runtime-dispatched
+    /// kernel's CPU feature and whether this host has it.
+    pub kernels: [(&'static str, bool); 3],
+}
+
+impl HostFacts {
+    /// The facts of the running host.
+    pub fn detect() -> HostFacts {
+        HostFacts {
+            available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get())
+                as u64,
+            kernels: hypertee_crypto::dispatched_kernels(),
+        }
+    }
+}
+
 /// A full report, ready to serialize.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
@@ -75,6 +101,8 @@ pub struct PerfReport {
     /// Worker-pool width used by the `threads_*` scaling rows, when the
     /// run measured any. `None` keeps the pre-sharding schema byte-stable.
     pub threads: Option<u64>,
+    /// The host the rows were measured on.
+    pub host: HostFacts,
     /// Benchmark rows.
     pub benches: Vec<PerfBench>,
 }
@@ -297,6 +325,17 @@ impl PerfReport {
         if let Some(t) = self.threads {
             out.push_str(&format!(",\n  \"threads\": {t}"));
         }
+        let kernels: Vec<String> = self
+            .host
+            .kernels
+            .iter()
+            .map(|(name, on)| format!("\"{name}\": {on}"))
+            .collect();
+        out.push_str(&format!(
+            ",\n  \"available_parallelism\": {},\n  \"kernels\": {{ {} }}",
+            self.host.available_parallelism,
+            kernels.join(", ")
+        ));
         out.push_str(",\n  \"benches\": [\n");
         for (i, b) in self.benches.iter().enumerate() {
             out.push_str("    { \"name\": ");
@@ -573,6 +612,17 @@ pub fn validate(text: &str) -> Result<(), String> {
         Some(Json::Num(t)) if t.is_finite() && *t >= 1.0 && t.fract() == 0.0 => {}
         Some(_) => return Err("threads must be an integer >= 1".to_string()),
     }
+    match root.get("available_parallelism") {
+        Some(Json::Num(n)) if *n >= 1.0 && n.fract() == 0.0 => {}
+        Some(_) => return Err("available_parallelism must be an integer >= 1".to_string()),
+        None => return Err("missing available_parallelism".to_string()),
+    }
+    let kernels = root.get("kernels").ok_or("missing kernels")?;
+    for (name, _) in hypertee_crypto::dispatched_kernels() {
+        if !matches!(kernels.get(name), Some(Json::Bool(_))) {
+            return Err(format!("kernels: '{name}' must be true or false"));
+        }
+    }
     let benches = match root.get("benches") {
         Some(Json::Arr(items)) if !items.is_empty() => items,
         Some(Json::Arr(_)) => return Err("benches array is empty".to_string()),
@@ -612,10 +662,18 @@ pub fn validate(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn fixed_host() -> HostFacts {
+        HostFacts {
+            available_parallelism: 2,
+            kernels: [("aes", true), ("bmi2", true), ("avx512f", false)],
+        }
+    }
+
     fn sample() -> PerfReport {
         PerfReport {
             mode: "smoke".to_string(),
             threads: None,
+            host: fixed_host(),
             benches: vec![
                 PerfBench::from_timings("aes", 10.0, 4096, Some(40.0)),
                 PerfBench::from_timings("walk", 25.0, 0, Some(75.0)),
@@ -653,6 +711,25 @@ mod tests {
                 validate(&doctored).is_err(),
                 "threads={bad} must be invalid"
             );
+        }
+    }
+
+    #[test]
+    fn host_facts_are_required() {
+        let json = sample().to_json();
+        assert!(json.contains("\"available_parallelism\": 2"));
+        assert!(json.contains("\"kernels\": { \"aes\": true, \"bmi2\": true, \"avx512f\": false }"));
+        validate(&json).unwrap();
+        for doctored in [
+            json.replace(
+                "\"available_parallelism\": 2",
+                "\"available_parallelism\": 0",
+            ),
+            json.replace("\"available_parallelism\": 2,\n", ""),
+            json.replace("\"avx512f\": false", "\"avx512f\": 0"),
+            json.replace(", \"bmi2\": true", ""),
+        ] {
+            assert!(validate(&doctored).is_err(), "must be invalid:\n{doctored}");
         }
     }
 
@@ -700,6 +777,7 @@ mod tests {
         let empty = PerfReport {
             mode: "full".to_string(),
             threads: None,
+            host: fixed_host(),
             benches: vec![],
         };
         assert!(validate(&empty.to_json()).is_err());
@@ -722,6 +800,7 @@ mod tests {
         let ok = PerfReport {
             mode: "smoke".to_string(),
             threads: None,
+            host: fixed_host(),
             benches: vec![PerfBench::from_timings(
                 "interp_memstream_pass",
                 10.0,
@@ -736,6 +815,7 @@ mod tests {
             let bad = PerfReport {
                 mode: "smoke".to_string(),
                 threads: None,
+                host: fixed_host(),
                 benches: vec![PerfBench::from_timings(name, 10.0, 4096, None)],
             };
             let err = validate(&bad.to_json()).unwrap_err();
@@ -748,6 +828,7 @@ mod tests {
         let regressed = PerfReport {
             mode: "smoke".to_string(),
             threads: None,
+            host: fixed_host(),
             benches: vec![PerfBench::from_timings(
                 "ptw_translate_walk",
                 100.0,
@@ -762,6 +843,7 @@ mod tests {
             let jittery = PerfReport {
                 mode: "smoke".to_string(),
                 threads: Some(4),
+                host: fixed_host(),
                 benches: vec![PerfBench::from_timings(name, 100.0, 0, Some(95.0))],
             };
             validate(&jittery.to_json()).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -770,6 +852,7 @@ mod tests {
         let flat = PerfReport {
             mode: "smoke".to_string(),
             threads: None,
+            host: fixed_host(),
             benches: vec![PerfBench::from_timings("x", 10.0, 0, Some(10.0))],
         };
         validate(&flat.to_json()).unwrap();
@@ -781,6 +864,7 @@ mod tests {
         let r = PerfReport {
             mode: "full".to_string(),
             threads: None,
+            host: fixed_host(),
             benches: vec![PerfBench {
                 name: "bad".to_string(),
                 ns_per_op: f64::NAN,

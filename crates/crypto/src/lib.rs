@@ -62,6 +62,25 @@ pub mod sig;
 pub mod u256;
 pub mod util;
 
+/// The CPU features that runtime dispatch keys its kernels on, each with
+/// whether this host has it: `aes` selects the AES-NI CTR path, `bmi2` (with
+/// BMI1) the `andn`-scheduled Keccak, `avx512f` the eight-lane line MAC.
+pub fn dispatched_kernels() -> [(&'static str, bool); 3] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        [
+            ("aes", has!("aes")),
+            ("bmi2", has!("bmi2") && has!("bmi1")),
+            ("avx512f", has!("avx512f")),
+        ]
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        [("aes", false), ("bmi2", false), ("avx512f", false)]
+    }
+}
+
 /// Errors produced by cryptographic operations in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoError {

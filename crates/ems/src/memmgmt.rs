@@ -13,6 +13,7 @@ use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_mem::addr::{KeyId, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::ownership::{EnclaveId, PageOwner};
 use hypertee_mem::pagetable::{PageTable, Perms};
+use std::collections::HashSet;
 
 impl Ems {
     /// The enclave's heap cursor (next unmapped VA) and heap limit in
@@ -207,6 +208,8 @@ impl Ems {
         for frame in &detached {
             self.pool.give_back(*frame, ctx.sys)?;
         }
+        // Order-preserving: EDESTROY walks `data_frames` from the back.
+        let detached: HashSet<Ppn> = detached.into_iter().collect();
         let enclave = self.enclave_mut(eid)?;
         enclave.data_frames.retain(|f| !detached.contains(f));
         Ok(())

@@ -12,20 +12,33 @@
 //! on) really fault — the behaviour the paper's attack-surface analysis
 //! (§VIII-C, "PTW cannot decrypt enclave data correctly") relies on.
 
-use crate::addr::{KeyId, PhysAddr};
+use crate::addr::{KeyId, PhysAddr, Ppn, PAGE_SIZE};
 use crate::phys::PhysMemory;
 use crate::MemFault;
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::mac::{mac28, mac28_lines, mac28_ref, MacTag, MAC_BATCH_LINES};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Memory-line granularity of encryption and MAC (bytes).
 pub const LINE_SIZE: u64 = 64;
 
-#[derive(Clone)]
-struct KeySlot {
+/// Lines per 4 KiB frame.
+const FRAME_LINES: u64 = PAGE_SIZE / LINE_SIZE;
+
+/// A programmed key. Shared by reference so a lazily zeroed frame keeps
+/// the key it was zeroed under across revocation and re-programming.
+pub(crate) struct KeySlot {
     cipher: Aes128,
     mac_key: [u8; 32],
+}
+
+impl KeySlot {
+    /// XORs the MKTME keystream of the line at `line_base` into `line`.
+    pub(crate) fn keystream(&self, line_base: u64, line: &mut [u8]) {
+        let iv = ctr_iv(line_base, 0x4d4b_544d_4531_0001); // "MKTME1" domain tag
+        self.cipher.ctr_apply(&iv, line);
+    }
 }
 
 impl core::fmt::Debug for KeySlot {
@@ -62,34 +75,61 @@ const MAC_PAGE_LINES: u64 = 512;
 /// can never collide with one.
 const MAC_EMPTY: u32 = u32::MAX;
 
+/// Sentinel for "the tag of a zero line under the frame's zeroing MAC
+/// key", computed on demand.
+const MAC_ZERO: u32 = u32::MAX - 1;
+
 /// Paged flat MAC store indexed by line number — replaces the previous
 /// per-line `HashMap<u64, MacTag>`: one hash probe per 512-line page plus
 /// an array index, instead of one probe per line.
 #[derive(Debug, Default)]
 pub struct MacTable {
     pages: HashMap<u64, Box<[u32]>>,
+    /// MAC key each lazily zeroed frame was zeroed under, by PPN.
+    zeroed: HashMap<u64, [u8; 32]>,
 }
 
 impl MacTable {
-    /// Looks up the tag recorded for a line number (`pa / LINE_SIZE`).
+    /// Looks up the tag recorded for a line number (`pa / LINE_SIZE`). A
+    /// line of a lazily zeroed frame gets its zero-line tag computed here.
     pub fn get(&self, line: u64) -> Option<MacTag> {
         let tag = *self
             .pages
             .get(&(line / MAC_PAGE_LINES))?
             .get((line % MAC_PAGE_LINES) as usize)?;
-        (tag != MAC_EMPTY).then_some(MacTag(tag))
+        match tag {
+            MAC_EMPTY => None,
+            MAC_ZERO => {
+                let key = &self.zeroed[&(line / FRAME_LINES)];
+                Some(mac28(key, line * LINE_SIZE, &[0u8; LINE_SIZE as usize]))
+            }
+            tag => Some(MacTag(tag)),
+        }
+    }
+
+    fn page_mut(&mut self, line: u64) -> &mut [u32] {
+        self.pages
+            .entry(line / MAC_PAGE_LINES)
+            .or_insert_with(|| vec![MAC_EMPTY; MAC_PAGE_LINES as usize].into_boxed_slice())
     }
 
     /// Records the tag for a line number.
     pub fn insert(&mut self, line: u64, tag: MacTag) {
-        let page = self
-            .pages
-            .entry(line / MAC_PAGE_LINES)
-            .or_insert_with(|| vec![MAC_EMPTY; MAC_PAGE_LINES as usize].into_boxed_slice());
-        page[(line % MAC_PAGE_LINES) as usize] = tag.0;
+        self.page_mut(line)[(line % MAC_PAGE_LINES) as usize] = tag.0;
     }
 
-    /// Number of lines with a recorded tag (observability/audits).
+    /// Records every line of frame `ppn` as a zero line tagged under
+    /// `mac_key`, exactly as 64 [`MacTable::insert`]s of
+    /// `mac28(mac_key, line_base, zeros)` would, without computing them.
+    fn insert_zero_frame(&mut self, ppn: Ppn, mac_key: &[u8; 32]) {
+        let first = ppn.0 * FRAME_LINES;
+        let at = (first % MAC_PAGE_LINES) as usize;
+        self.page_mut(first)[at..at + FRAME_LINES as usize].fill(MAC_ZERO);
+        self.zeroed.insert(ppn.0, *mac_key);
+    }
+
+    /// Number of lines with a recorded tag, zero lines included
+    /// (observability/audits).
     pub fn len(&self) -> usize {
         self.pages
             .values()
@@ -103,10 +143,27 @@ impl MacTable {
     }
 }
 
+/// Lines covered by `len` bytes at `pa`, at least one; 0 when the range
+/// wraps the address space, which sends the request down the per-line
+/// path to fault at its first out-of-range line.
+fn span_lines(pa: PhysAddr, len: usize) -> u64 {
+    let span_base = pa.0 & !(LINE_SIZE - 1);
+    pa.0.checked_add(len as u64)
+        .and_then(|end| end.checked_next_multiple_of(LINE_SIZE))
+        .map_or(0, |span_end| ((span_end - span_base) / LINE_SIZE).max(1))
+}
+
+/// Whether every byte of `data` is zero. The OR-fold per line vectorizes;
+/// a byte-wise early-exit scan of a 4 KiB page does not.
+fn is_zero(data: &[u8]) -> bool {
+    data.chunks(64)
+        .all(|chunk| chunk.iter().fold(0u8, |acc, &b| acc | b) == 0)
+}
+
 /// The multi-key engine.
 #[derive(Debug)]
 pub struct MktmeEngine {
-    keys: HashMap<u16, KeySlot>,
+    keys: HashMap<u16, Arc<KeySlot>>,
     /// Per-line MACs: line number → tag (keyed by the writing key's
     /// MAC key, so re-programming the same key under a new KeyID — the
     /// suspension/resume path of §IV-C — keeps lines verifiable).
@@ -142,10 +199,10 @@ impl MktmeEngine {
         assert!(key.is_encrypted(), "KeyID 0 is the plaintext domain");
         self.keys.insert(
             key.0,
-            KeySlot {
+            Arc::new(KeySlot {
                 cipher: Aes128::new(aes_key),
                 mac_key: *mac_key,
-            },
+            }),
         );
     }
 
@@ -165,12 +222,7 @@ impl MktmeEngine {
         self.keys.len()
     }
 
-    fn keystream(slot: &KeySlot, line_base: u64, line: &mut [u8]) {
-        let iv = ctr_iv(line_base, 0x4d4b_544d_4531_0001); // "MKTME1" domain tag
-        slot.cipher.ctr_apply(&iv, line);
-    }
-
-    /// [`MktmeEngine::keystream`] over the pre-optimization scalar AES
+    /// [`KeySlot::keystream`] over the pre-optimization scalar AES
     /// (reference data plane).
     fn keystream_ref(slot: &KeySlot, line_base: u64, line: &mut [u8]) {
         let iv = ctr_iv(line_base, 0x4d4b_544d_4531_0001);
@@ -219,7 +271,11 @@ impl MktmeEngine {
     /// * a write covering a whole aligned line skips the
     ///   read-decrypt-splice RMW entirely;
     /// * a request spanning several contiguous lines makes one physical
-    ///   round trip for the whole span and streams the keystream across it.
+    ///   round trip for the whole span and streams the keystream across it;
+    /// * an aligned page of zeros (EALLOC's §IV-A zeroing) is recorded, not
+    ///   computed: the frame becomes "zeros under this key" in
+    ///   [`PhysMemory`] and its 64 line tags become on-demand zero-line
+    ///   tags, charged exactly as the span path would charge the page.
     ///
     /// # Errors
     ///
@@ -240,11 +296,26 @@ impl MktmeEngine {
             .get(&key.0)
             .ok_or(MemFault::BusError { pa: pa.0 })?;
         self.stats.bytes_encrypted += data.len() as u64;
+        if pa.0.is_multiple_of(PAGE_SIZE)
+            && data.len() as u64 == PAGE_SIZE
+            && pa.ppn().0 < mem.total_frames()
+            && is_zero(data)
+        {
+            mem.zero_under_key(pa.ppn(), Arc::clone(slot));
+            if self.integrity {
+                self.macs.insert_zero_frame(pa.ppn(), &slot.mac_key);
+            }
+            // The span path's charges: one read and one write per line,
+            // every line full, the whole page through the keystream.
+            mem.access_count += 2 * FRAME_LINES;
+            self.stats.full_line_writes += FRAME_LINES;
+            self.stats.keystream_blocks_batched += PAGE_SIZE / 16;
+            return Ok(());
+        }
         let span_base = pa.0 & !(LINE_SIZE - 1);
-        let span_end = (pa.0 + data.len() as u64).div_ceil(LINE_SIZE) * LINE_SIZE;
-        let nlines = ((span_end - span_base) / LINE_SIZE).max(1);
+        let nlines = span_lines(pa, data.len());
         if nlines > 1 {
-            let mut span = vec![0u8; (span_end - span_base) as usize];
+            let mut span = vec![0u8; (nlines * LINE_SIZE) as usize];
             if mem.read(PhysAddr(span_base), &mut span).is_ok() {
                 // The raw-access counter stays on the per-line trajectory
                 // (one read + one write per line) even though the span makes
@@ -263,7 +334,7 @@ impl MktmeEngine {
                         line.copy_from_slice(&data[written..written + take]);
                         self.stats.full_line_writes += 1;
                     } else {
-                        Self::keystream(slot, line_base, line);
+                        slot.keystream(line_base, line);
                         line[off..off + take].copy_from_slice(&data[written..written + take]);
                     }
                     written += take;
@@ -279,7 +350,7 @@ impl MktmeEngine {
                     }
                 }
                 for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    Self::keystream(slot, span_base + i as u64 * LINE_SIZE, line);
+                    slot.keystream(span_base + i as u64 * LINE_SIZE, line);
                 }
                 return mem.write(PhysAddr(span_base), &span);
             }
@@ -304,7 +375,7 @@ impl MktmeEngine {
             } else {
                 // Fetch the current line ciphertext and decrypt it.
                 mem.read(PhysAddr(line_base), &mut line)?;
-                Self::keystream(slot, line_base, &mut line);
+                slot.keystream(line_base, &mut line);
                 // Splice in the new plaintext bytes.
                 line[off..off + take].copy_from_slice(&data[written..written + take]);
             }
@@ -314,7 +385,7 @@ impl MktmeEngine {
                 self.macs.insert(line_base / LINE_SIZE, tag);
             }
             // Re-encrypt and store.
-            Self::keystream(slot, line_base, &mut line);
+            slot.keystream(line_base, &mut line);
             mem.write(PhysAddr(line_base), &line)?;
             written += take;
             addr += take as u64;
@@ -349,10 +420,9 @@ impl MktmeEngine {
             .ok_or(MemFault::BusError { pa: pa.0 })?;
         self.stats.bytes_decrypted += buf.len() as u64;
         let span_base = pa.0 & !(LINE_SIZE - 1);
-        let span_end = (pa.0 + buf.len() as u64).div_ceil(LINE_SIZE) * LINE_SIZE;
-        let nlines = ((span_end - span_base) / LINE_SIZE).max(1);
+        let nlines = span_lines(pa, buf.len());
         if nlines > 1 {
-            let mut span = vec![0u8; (span_end - span_base) as usize];
+            let mut span = vec![0u8; (nlines * LINE_SIZE) as usize];
             if mem.read(PhysAddr(span_base), &mut span).is_ok() {
                 self.stats.keystream_blocks_batched += span.len() as u64 / 16;
                 // Decrypt the whole span and batch-compute the expected tags
@@ -361,7 +431,7 @@ impl MktmeEngine {
                 // the first-failing-line fault are identical to the scalar
                 // data plane.
                 for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    Self::keystream(slot, span_base + i as u64 * LINE_SIZE, line);
+                    slot.keystream(span_base + i as u64 * LINE_SIZE, line);
                 }
                 let tags = if self.integrity {
                     Self::span_tags(slot, span_base, &span)
@@ -405,7 +475,7 @@ impl MktmeEngine {
             let take = (LINE_SIZE as usize - off).min(buf.len() - done);
             let mut line = [0u8; LINE_SIZE as usize];
             mem.read(PhysAddr(line_base), &mut line)?;
-            Self::keystream(slot, line_base, &mut line);
+            slot.keystream(line_base, &mut line);
             if self.integrity {
                 self.stats.mac_checks += 1;
                 let valid = match self.macs.get(line_base / LINE_SIZE) {
@@ -643,6 +713,54 @@ mod tests {
             engine.read(&mut mem, pa, KeyId(1), &mut buf),
             Err(MemFault::IntegrityViolation { .. })
         ));
+    }
+
+    #[test]
+    fn range_wrapping_the_address_space_is_bus_error() {
+        let (mut mem, mut engine) = setup();
+        let pa = PhysAddr(u64::MAX - 10);
+        let mut buf = [0u8; 64];
+        assert!(matches!(
+            engine.write(&mut mem, pa, KeyId(1), &[1u8; 64]),
+            Err(MemFault::BusError { .. })
+        ));
+        assert!(matches!(
+            engine.read(&mut mem, pa, KeyId(1), &mut buf),
+            Err(MemFault::BusError { .. })
+        ));
+        assert_eq!(mem.materialized_frames().count(), 0);
+    }
+
+    /// A zero page is recorded, not computed, yet charges exactly what the
+    /// span path charges for any other whole page, and reads back as zeros.
+    #[test]
+    fn zero_page_is_lazy_and_charged_like_any_page() {
+        let (mut lazy_mem, mut lazy) = setup();
+        let (mut eager_mem, mut eager) = setup();
+        let pa = PhysAddr(0x70_000);
+        lazy.write(&mut lazy_mem, pa, KeyId(1), &[0u8; 4096])
+            .unwrap();
+        eager
+            .write(&mut eager_mem, pa, KeyId(1), &[0x01; 4096])
+            .unwrap();
+        assert_eq!(lazy.stats, eager.stats);
+        assert_eq!(lazy_mem.access_count, eager_mem.access_count);
+        assert_eq!(lazy.macs.len(), 64);
+        assert_eq!(lazy_mem.materialized_frames().count(), 0);
+        let mut buf = [0xffu8; 4096];
+        lazy.read(&mut lazy_mem, pa, KeyId(1), &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 4096]);
+        assert_eq!(lazy_mem.materialized_frames().count(), 0, "reads stay lazy");
+        // A partial store materialises the frame and keeps the rest zero.
+        lazy.write(&mut lazy_mem, PhysAddr(pa.0 + 100), KeyId(1), &[9; 4])
+            .unwrap();
+        assert_eq!(
+            lazy_mem.materialized_frames().collect::<Vec<_>>(),
+            [pa.ppn()]
+        );
+        lazy.read(&mut lazy_mem, pa, KeyId(1), &mut buf).unwrap();
+        assert_eq!(&buf[100..104], &[9; 4]);
+        assert!(buf[..100].iter().chain(&buf[104..]).all(|&b| b == 0));
     }
 
     #[test]

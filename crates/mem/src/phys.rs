@@ -3,15 +3,47 @@
 //! Frames are materialised lazily, so simulating a multi-gigabyte SoC costs
 //! only what is actually touched. Raw byte access here is *below* the
 //! encryption engine: [`crate::mktme`] layers AES-CTR on top.
+//!
+//! A frame is in one of three states: absent (reads as zeros), bytes, or
+//! a zero page written through an MKTME key and untouched since. The last
+//! holds only the key: its raw bytes are the key's per-line keystream
+//! (CTR ciphertext of zeros), generated for the lines a read touches and
+//! materialised in full by the first partial write.
 
 use crate::addr::{PhysAddr, Ppn, PAGE_SIZE};
+use crate::mktme::{KeySlot, LINE_SIZE};
 use crate::MemFault;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// What a present frame holds.
+#[derive(Debug)]
+enum Frame {
+    Bytes(Box<[u8]>),
+    /// Zeros encrypted under this key slot.
+    Keystream(Arc<KeySlot>),
+}
+
+/// Raw bytes `[off, off + out.len())` of a zero page encrypted under
+/// `slot` at frame `ppn`; only the lines the range touches are generated.
+fn keystream_bytes(slot: &KeySlot, ppn: u64, off: usize, out: &mut [u8]) {
+    let line = LINE_SIZE as usize;
+    let mut done = 0usize;
+    while done < out.len() {
+        let pos = off + done;
+        let line_off = pos % line;
+        let take = (line - line_off).min(out.len() - done);
+        let mut ks = [0u8; LINE_SIZE as usize];
+        slot.keystream(ppn * PAGE_SIZE + (pos - line_off) as u64, &mut ks);
+        out[done..done + take].copy_from_slice(&ks[line_off..line_off + take]);
+        done += take;
+    }
+}
 
 /// Sparse physical memory of a fixed installed size.
 #[derive(Debug)]
 pub struct PhysMemory {
-    frames: BTreeMap<u64, Box<[u8]>>,
+    frames: BTreeMap<u64, Frame>,
     total_frames: u64,
     /// Number of raw physical accesses performed (timing-model input).
     pub access_count: u64,
@@ -34,16 +66,43 @@ impl PhysMemory {
     }
 
     fn check(&self, pa: PhysAddr, len: u64) -> Result<(), MemFault> {
-        if pa.0 + len > self.total_frames * PAGE_SIZE {
-            return Err(MemFault::BusError { pa: pa.0 });
+        match pa.0.checked_add(len) {
+            Some(end) if end <= self.total_frames * PAGE_SIZE => Ok(()),
+            _ => Err(MemFault::BusError { pa: pa.0 }),
         }
-        Ok(())
     }
 
+    /// The frame's bytes, materialising an absent or keystream frame.
     fn frame_mut(&mut self, ppn: u64) -> &mut [u8] {
-        self.frames
+        let frame = self
+            .frames
             .entry(ppn)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+            .or_insert_with(|| Frame::Bytes(vec![0u8; PAGE_SIZE as usize].into_boxed_slice()));
+        if let Frame::Keystream(slot) = frame {
+            let mut bytes = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+            keystream_bytes(slot, ppn, 0, &mut bytes);
+            *frame = Frame::Bytes(bytes);
+        }
+        let Frame::Bytes(bytes) = frame else {
+            unreachable!("materialised above")
+        };
+        bytes
+    }
+
+    /// Records frame `ppn` as a zero page encrypted under `slot`, replacing
+    /// its contents. Counts no access: the engine charges the write.
+    pub(crate) fn zero_under_key(&mut self, ppn: Ppn, slot: Arc<KeySlot>) {
+        assert!(ppn.0 < self.total_frames, "frame beyond installed memory");
+        self.frames.insert(ppn.0, Frame::Keystream(slot));
+    }
+
+    /// Frames whose bytes are allocated, in PPN order. Absent frames and
+    /// zero pages still waiting for their first write are not listed.
+    pub fn materialized_frames(&self) -> impl Iterator<Item = Ppn> + '_ {
+        self.frames
+            .iter()
+            .filter(|(_, f)| matches!(f, Frame::Bytes(_)))
+            .map(|(&ppn, _)| Ppn(ppn))
     }
 
     /// Reads `buf.len()` bytes starting at `pa`. Crossing frame boundaries is
@@ -61,9 +120,11 @@ impl PhysMemory {
             let ppn = addr / PAGE_SIZE;
             let off = (addr % PAGE_SIZE) as usize;
             let take = (PAGE_SIZE as usize - off).min(buf.len() - done);
+            let out = &mut buf[done..done + take];
             match self.frames.get(&ppn) {
-                Some(frame) => buf[done..done + take].copy_from_slice(&frame[off..off + take]),
-                None => buf[done..done + take].fill(0),
+                Some(Frame::Bytes(frame)) => out.copy_from_slice(&frame[off..off + take]),
+                Some(Frame::Keystream(slot)) => keystream_bytes(slot, ppn, off, out),
+                None => out.fill(0),
             }
             addr += take as u64;
             done += take;
@@ -85,8 +146,16 @@ impl PhysMemory {
             let ppn = addr / PAGE_SIZE;
             let off = (addr % PAGE_SIZE) as usize;
             let take = (PAGE_SIZE as usize - off).min(buf.len() - done);
-            let frame = self.frame_mut(ppn);
-            frame[off..off + take].copy_from_slice(&buf[done..done + take]);
+            let src = &buf[done..done + take];
+            match self.frames.get_mut(&ppn) {
+                Some(Frame::Bytes(frame)) => frame[off..off + take].copy_from_slice(src),
+                // A whole-frame write replaces the frame without
+                // materialising what it held.
+                _ if take == PAGE_SIZE as usize => {
+                    self.frames.insert(ppn, Frame::Bytes(src.into()));
+                }
+                _ => self.frame_mut(ppn)[off..off + take].copy_from_slice(src),
+            }
             addr += take as u64;
             done += take;
         }
@@ -234,6 +303,26 @@ mod tests {
         ));
         // A straddling access is also rejected.
         assert!(mem.write(PhysAddr(2 * PAGE_SIZE - 2), &[0; 4]).is_err());
+    }
+
+    #[test]
+    fn range_wrapping_the_address_space_is_bus_error() {
+        let mut mem = PhysMemory::new(1 << 20);
+        let pa = PhysAddr(u64::MAX - 10);
+        let mut buf = [0u8; 64];
+        assert!(matches!(
+            mem.read(pa, &mut buf),
+            Err(MemFault::BusError { .. })
+        ));
+        assert!(matches!(
+            mem.write(pa, &buf),
+            Err(MemFault::BusError { .. })
+        ));
+        assert!(matches!(
+            mem.zero_frame(Ppn(u64::MAX / PAGE_SIZE)),
+            Err(MemFault::BusError { .. })
+        ));
+        assert_eq!(mem.materialized_frames().count(), 0, "no phantom frame");
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! mixes — aligned, unaligned, and line-straddling — plus the wrong-key and
 //! tamper fault paths, and check the walk-cache flush discipline at the
 //! EFREE/EDESTROY teardown sites.
+//!
+//! Aligned zero pages take a third path: the engine records them as "zeros
+//! under this key" and materializes them on first touch. A seeded mix pins
+//! that path to both the oracle and the span path it replaces.
 
 use hypertee_repro::ems::control::layout;
 use hypertee_repro::hypertee::exec::{InterpMode, RunOutcome};
@@ -16,13 +20,14 @@ use hypertee_repro::hypertee::machine::Machine;
 use hypertee_repro::hypertee::manifest::EnclaveManifest;
 use hypertee_repro::hypertee::shard::par_run;
 use hypertee_repro::hypertee_cpu::asm::Asm;
-use hypertee_repro::mem::addr::{KeyId, PhysAddr, VirtAddr};
+use hypertee_repro::mem::addr::{KeyId, PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_repro::mem::mktme::MktmeEngine;
 use hypertee_repro::mem::phys::PhysMemory;
 use hypertee_repro::mem::MemFault;
 use hypertee_repro::sim::config::SocConfig;
 use hypertee_repro::sim::rng::derive_stream;
 use hypertee_repro::workloads::programs;
+use std::collections::HashSet;
 
 /// A deterministic xorshift so the operation mix is reproducible.
 struct Rng(u64);
@@ -155,6 +160,314 @@ fn tamper_fault_parity_mid_span() {
     assert_eq!(ref_mem.access_count - ref_base, 14);
     assert_eq!(opt.stats.mac_checks, re.stats.mac_checks);
     assert_eq!(opt.stats.mac_failures, re.stats.mac_failures);
+}
+
+/// One data plane of the zero-page differential.
+struct Plane {
+    mem: PhysMemory,
+    engine: MktmeEngine,
+}
+
+/// How a plane stores a write.
+#[derive(Clone, Copy, PartialEq)]
+enum WritePath {
+    /// `write`, zero pages recorded lazily.
+    Lazy,
+    /// `write`, but an in-range aligned zero page goes in as two halves:
+    /// the span path (and charges) every zero page took before.
+    Span,
+    /// `write_ref`, the seed oracle.
+    Oracle,
+}
+
+impl Plane {
+    fn write(
+        &mut self,
+        path: WritePath,
+        pa: PhysAddr,
+        key: KeyId,
+        data: &[u8],
+    ) -> Result<(), MemFault> {
+        let zero_page = pa.0.is_multiple_of(PAGE_SIZE)
+            && data.len() as u64 == PAGE_SIZE
+            && pa.ppn().0 < self.mem.total_frames()
+            && data.iter().all(|&b| b == 0);
+        match path {
+            WritePath::Oracle => self.engine.write_ref(&mut self.mem, pa, key, data),
+            WritePath::Span if zero_page => {
+                let (lo, hi) = data.split_at(data.len() / 2);
+                self.engine.write(&mut self.mem, pa, key, lo)?;
+                self.engine
+                    .write(&mut self.mem, PhysAddr(pa.0 + lo.len() as u64), key, hi)
+            }
+            _ => self.engine.write(&mut self.mem, pa, key, data),
+        }
+    }
+
+    fn read(
+        &mut self,
+        path: WritePath,
+        pa: PhysAddr,
+        key: KeyId,
+        buf: &mut [u8],
+    ) -> Result<(), MemFault> {
+        match path {
+            WritePath::Oracle => self.engine.read_ref(&mut self.mem, pa, key, buf),
+            _ => self.engine.read(&mut self.mem, pa, key, buf),
+        }
+    }
+}
+
+/// Runs a seeded mix of zero pages, partial and full-line writes, reads
+/// under the right and the wrong KeyID, raw ciphertext tampering,
+/// `zero_frame`, and key revocation and re-programming on the lazy plane,
+/// the span plane and the oracle plane. Results, read data, raw frame
+/// bytes and raw access counts must agree on all three; every
+/// [`MktmeStats`](hypertee_repro::mem::mktme::MktmeStats) field must agree
+/// between the lazy and the span plane, and the modelled ones with the
+/// oracle. Returns how many zero pages stayed unmaterialized.
+fn zero_page_mix(integrity: bool, seed: u64) -> usize {
+    const PATHS: [WritePath; 3] = [WritePath::Lazy, WritePath::Span, WritePath::Oracle];
+    const WINDOW: u64 = 16; // frames [16, 32) plus the last installed frame
+    let mut planes: Vec<Plane> = PATHS
+        .iter()
+        .map(|_| {
+            let mut engine = MktmeEngine::new(integrity);
+            engine.program_key(KeyId(1), &[0x11; 16], &[0xa1; 32]);
+            engine.program_key(KeyId(2), &[0x22; 16], &[0xa2; 32]);
+            Plane {
+                mem: PhysMemory::new(4 << 20),
+                engine,
+            }
+        })
+        .collect();
+    let last = planes[0].mem.total_frames() - 1;
+    let mut rng = Rng(seed);
+    let mut lazy_pages = 0;
+    let sizes = [1, 7, 63, 64, 65, 520, 4096, 4160];
+    for round in 0..300 {
+        let key = KeyId(1 + rng.range(2) as u16);
+        let window_pa = |rng: &mut Rng, len: u64| {
+            PhysAddr(WINDOW * PAGE_SIZE + rng.range(WINDOW * PAGE_SIZE - len))
+        };
+        let results: Vec<Result<Vec<u8>, MemFault>> = match rng.range(100) {
+            0..=29 => {
+                let ppn = match rng.range(8) {
+                    0 => last,
+                    1 => last + 1, // beyond installed memory
+                    _ => WINDOW + rng.range(WINDOW),
+                };
+                let pa = Ppn(ppn).base();
+                let results: Vec<_> = PATHS
+                    .iter()
+                    .zip(&mut planes)
+                    .map(|(&path, p)| p.write(path, pa, key, &[0u8; 4096]).map(|()| Vec::new()))
+                    .collect();
+                if results[0].is_ok() && !planes[0].mem.materialized_frames().any(|f| f.0 == ppn) {
+                    lazy_pages += 1;
+                }
+                results
+            }
+            30..=54 => {
+                let size = sizes[rng.range(sizes.len() as u64) as usize];
+                let pa = window_pa(&mut rng, size);
+                let mut data = vec![0u8; size as usize];
+                if rng.range(4) != 0 {
+                    data.iter_mut().for_each(|b| *b = rng.next() as u8);
+                }
+                PATHS
+                    .iter()
+                    .zip(&mut planes)
+                    .map(|(&path, p)| p.write(path, pa, key, &data).map(|()| Vec::new()))
+                    .collect()
+            }
+            55..=64 => {
+                let lines = 1 + rng.range(8);
+                let pa = PhysAddr(window_pa(&mut rng, lines * 64).0 & !63);
+                let data: Vec<u8> = (0..lines * 64).map(|_| rng.next() as u8).collect();
+                PATHS
+                    .iter()
+                    .zip(&mut planes)
+                    .map(|(&path, p)| p.write(path, pa, key, &data).map(|()| Vec::new()))
+                    .collect()
+            }
+            65..=84 => {
+                let size = sizes[rng.range(sizes.len() as u64) as usize];
+                let pa = window_pa(&mut rng, size);
+                PATHS
+                    .iter()
+                    .zip(&mut planes)
+                    .map(|(&path, p)| {
+                        let mut buf = vec![0u8; size as usize];
+                        p.read(path, pa, key, &mut buf).map(|()| buf)
+                    })
+                    .collect()
+            }
+            85..=90 => {
+                let pa = window_pa(&mut rng, 1);
+                let flip = 1u8 << rng.range(8);
+                planes
+                    .iter_mut()
+                    .map(|p| {
+                        let mut raw = [0u8; 1];
+                        p.mem.read(pa, &mut raw)?;
+                        raw[0] ^= flip;
+                        p.mem.write(pa, &raw).map(|()| raw.to_vec())
+                    })
+                    .collect()
+            }
+            91..=94 => {
+                let ppn = Ppn(WINDOW + rng.range(WINDOW));
+                planes
+                    .iter_mut()
+                    .map(|p| p.mem.zero_frame(ppn).map(|()| Vec::new()))
+                    .collect()
+            }
+            95..=97 => {
+                for p in &mut planes {
+                    p.engine.revoke_key(key);
+                }
+                vec![Ok(Vec::new()); 3]
+            }
+            _ => {
+                // Re-program the KeyID with a key it has never held.
+                let aes = [rng.next() as u8; 16];
+                let mac = [rng.next() as u8; 32];
+                for p in &mut planes {
+                    p.engine.program_key(key, &aes, &mac);
+                }
+                vec![Ok(Vec::new()); 3]
+            }
+        };
+        assert_eq!(
+            results[0], results[1],
+            "lazy vs span diverged at round {round}"
+        );
+        assert_eq!(
+            results[0], results[2],
+            "lazy vs oracle diverged at round {round}"
+        );
+        let (lazy, span, oracle) = (&planes[0], &planes[1], &planes[2]);
+        assert_eq!(
+            lazy.engine.stats, span.engine.stats,
+            "stats diverged at round {round}"
+        );
+        let modelled = |p: &Plane| {
+            let s = p.engine.stats;
+            (
+                s.bytes_encrypted,
+                s.bytes_decrypted,
+                s.mac_checks,
+                s.mac_failures,
+            )
+        };
+        assert_eq!(
+            modelled(lazy),
+            modelled(oracle),
+            "charges diverged at round {round}"
+        );
+        assert_eq!(lazy.mem.access_count, span.mem.access_count);
+        assert_eq!(lazy.mem.access_count, oracle.mem.access_count);
+        if round % 50 == 49 {
+            let raw: Vec<Vec<u8>> = planes
+                .iter_mut()
+                .map(|p| {
+                    let mut raw = vec![0u8; (WINDOW * PAGE_SIZE) as usize + 4096];
+                    let (window, tail) = raw.split_at_mut((WINDOW * PAGE_SIZE) as usize);
+                    p.mem.read(Ppn(WINDOW).base(), window).unwrap();
+                    p.mem.read(Ppn(last).base(), tail).unwrap();
+                    raw
+                })
+                .collect();
+            assert!(
+                raw[0] == raw[1],
+                "raw bytes lazy vs span diverged at round {round}"
+            );
+            assert!(
+                raw[0] == raw[2],
+                "raw bytes lazy vs oracle diverged at round {round}"
+            );
+        }
+    }
+    lazy_pages
+}
+
+/// Lazily recorded zero pages are byte-, fault- and counter-identical to
+/// the span path they replace and to the seed oracle, with integrity on
+/// and off.
+#[test]
+fn zero_pages_match_span_path_and_oracle() {
+    for integrity in [true, false] {
+        for seed in [0x2e20_9a6e, 0x1a2b_3c4d] {
+            let lazy = zero_page_mix(integrity, seed);
+            assert!(
+                lazy > 0,
+                "integrity={integrity}: the mix recorded no lazy page"
+            );
+        }
+    }
+}
+
+/// A 2 MiB EALLOC records its 512 zero pages without allocating them: a
+/// guest store materializes exactly the stored frame, loads return zeros,
+/// the consistency audit stays green, and after EFREE none of the frames
+/// holds allocated bytes.
+#[test]
+fn ealloc_zero_pages_materialize_on_first_store() {
+    let manifest = EnclaveManifest::parse("heap = 4M\nstack = 64K\nhost_shared = 64K").unwrap();
+    let mut m = Machine::boot_default();
+    let e = m.create_enclave(0, &manifest, b"lazy zero pages").unwrap();
+    m.enter(0, e).unwrap();
+    let bytes = 2 << 20;
+    let va = m.ealloc(0, bytes).unwrap();
+    let table = m.harts[0].mmu.table.expect("inside the enclave");
+    let frames: Vec<Ppn> = (0..bytes / PAGE_SIZE)
+        .map(|i| {
+            table
+                .inspect(VirtAddr(va.0 + i * PAGE_SIZE), &mut m.sys.phys)
+                .unwrap()
+                .ppn()
+        })
+        .collect();
+    let heap: HashSet<Ppn> = frames.iter().copied().collect();
+    assert_eq!(heap.len(), 512);
+    let materialized = |m: &Machine| -> Vec<Ppn> {
+        m.sys
+            .phys
+            .materialized_frames()
+            .filter(|f| heap.contains(f))
+            .collect()
+    };
+    assert!(
+        materialized(&m).is_empty(),
+        "EALLOC materialized its zero pages"
+    );
+
+    let store_va = VirtAddr(va.0 + 7 * PAGE_SIZE + 40);
+    m.enclave_store(0, store_va, &[0xab; 16]).unwrap();
+    assert_eq!(materialized(&m), [frames[7]]);
+    let mut page = vec![0xffu8; PAGE_SIZE as usize];
+    m.enclave_load(0, VirtAddr(va.0 + 300 * PAGE_SIZE), &mut page)
+        .unwrap();
+    assert!(
+        page.iter().all(|&b| b == 0),
+        "an untouched page reads zeros"
+    );
+    m.enclave_load(0, VirtAddr(va.0 + 7 * PAGE_SIZE), &mut page)
+        .unwrap();
+    assert_eq!(&page[40..56], &[0xab; 16]);
+    assert!(page[..40].iter().chain(&page[56..]).all(|&b| b == 0));
+    assert_eq!(materialized(&m), [frames[7]], "loads materialize nothing");
+    m.audit().expect("audit must stay green over lazy frames");
+
+    m.efree(0, va, bytes).unwrap();
+    assert!(
+        materialized(&m).is_empty(),
+        "EFREE left a frame materialized"
+    );
+    m.audit().expect("audit must stay green after EFREE");
+    m.exit(0).unwrap();
+    m.destroy(0, e).unwrap();
 }
 
 /// EFREE must drop the freeing hart's walk-cache pointers along with its
