@@ -17,6 +17,7 @@
 use hypertee::attacks;
 use hypertee::machine::Machine;
 use hypertee_sim::latency::LatencyBook;
+use hypertee_sim::perf::primitive_cycles;
 
 /// Result of one ablation arm.
 #[derive(Debug, Clone)]
@@ -157,7 +158,7 @@ pub fn engine_ablation() -> AblationRow {
     let avg = |engine: bool| {
         workloads
             .iter()
-            .map(|p| hypertee_sim::perf::primitive_cycles(p, &book, engine).total() / p.host_cycles)
+            .map(|(p, ealloc)| primitive_cycles(p, &book, engine, *ealloc).total() / p.host_cycles)
             .sum::<f64>()
             / workloads.len() as f64
     };

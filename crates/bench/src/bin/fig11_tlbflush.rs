@@ -24,46 +24,4 @@ fn main() {
         println!();
     }
     println!("\npaper: no more than 1.81% at 32MiB / 400Hz; 16.72 flushes per 1e9 instructions");
-
-    if std::env::args().any(|a| a == "--functional") {
-        functional_validation();
-    } else {
-        println!("(add --functional to cross-validate the mechanism on the RV64 core)");
-    }
-}
-
-/// Cross-validation of the Fig. 11 mechanism on the functional core: the
-/// same stride-walking program is preempted at increasing frequencies; each
-/// context switch flushes the TLB, so the per-run TLB miss count — the
-/// refill work the figure prices — must grow with the switch rate.
-fn functional_validation() {
-    use hypertee::exec::RunOutcome;
-    use hypertee::machine::Machine;
-    use hypertee::manifest::EnclaveManifest;
-    use hypertee_workloads::programs::stride_walk;
-
-    println!(
-        "\nFunctional cross-validation (RV64 core, 16-page working set (fits the 32-entry TLB)):"
-    );
-    println!(
-        "{:<22}{:>14}{:>14}",
-        "quantum (instrs)", "preemptions", "TLB misses"
-    );
-    let manifest = EnclaveManifest::parse("heap = 2M\nstack = 64K\nhost_shared = 16K").unwrap();
-    for quantum in [1_000_000u64, 4_000, 1_000, 250] {
-        let mut m = Machine::boot_default();
-        let e = m
-            .create_enclave(0, &manifest, &stride_walk(16, 48))
-            .unwrap();
-        m.enter(0, e).unwrap();
-        let (outcome, preemptions) = m
-            .run_enclave_program_preemptive(0, 3_000_000, quantum)
-            .unwrap();
-        assert!(matches!(outcome, RunOutcome::Exited { .. }), "{outcome:?}");
-        println!(
-            "{:<22}{:>14}{:>14}",
-            quantum, preemptions, m.harts[0].mmu.tlb.stats.misses
-        );
-    }
-    println!("TLB refill work grows with switch frequency — the Fig. 11 mechanism.");
 }

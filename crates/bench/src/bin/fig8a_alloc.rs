@@ -1,5 +1,6 @@
 //! Fig. 8(a): latency of `malloc` (Host-Native) vs EALLOC (enclave),
-//! 128 KiB – 2 MiB.
+//! 128 KiB – 2 MiB. Each EALLOC row is a round trip on the live machine's
+//! simulated clock.
 
 use hypertee_bench::{fig8a, pct};
 
@@ -19,39 +20,4 @@ fn main() {
         );
     }
     println!("\npaper: overhead ranges 6.3% (2MiB) to 49.7% (128KiB)");
-
-    if std::env::args().any(|a| a == "--live") {
-        live_measurement();
-    } else {
-        println!("(add --live to re-measure EALLOC on the functional machine's clock)");
-    }
-}
-
-/// Re-measures the enclave line of Fig. 8(a) on the live machine: each
-/// EALLOC goes through EMCall → mailbox → EMS and charges the machine
-/// clock; the simulated-time deltas are reported next to the model.
-fn live_measurement() {
-    use hypertee::machine::Machine;
-    use hypertee::manifest::EnclaveManifest;
-
-    println!("\nLive re-measurement (functional machine, simulated clock):");
-    println!(
-        "{:<10}{:>18}{:>16}",
-        "size", "live EALLOC (cyc)", "model (cyc)"
-    );
-    let mut m = Machine::boot_default();
-    let manifest = EnclaveManifest::parse("heap = 64M").unwrap();
-    let e = m.create_enclave(0, &manifest, b"fig8a live").unwrap();
-    m.enter(0, e).unwrap();
-    for kib in [128u64, 256, 512, 1024, 2048] {
-        let before = m.clock;
-        m.ealloc(0, kib * 1024).unwrap();
-        let live = (m.clock - before).0;
-        println!(
-            "{:<10}{:>18}{:>16.0}",
-            format!("{kib}K"),
-            live,
-            m.book.ealloc(kib * 1024)
-        );
-    }
 }

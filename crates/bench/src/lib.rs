@@ -32,8 +32,10 @@ use hypertee_sim::config::{CoreConfig, EmsCluster};
 use hypertee_sim::latency::LatencyBook;
 use hypertee_sim::perf::{
     enclave_run, encryption_cycles, host_bitmap_run, primitive_cycles, tlb_flush_cycles,
+    WorkloadProfile,
 };
 use hypertee_workloads::{dnn, memstream, nic, rv8, spec, wolfssl};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Multiples of the baseline latency at which Fig. 6 reads its SLO curves.
 const FIG6_MULTIPLES: [f64; 11] = [
@@ -94,11 +96,18 @@ pub struct Fig7Row {
     pub strong: f64,
 }
 
-/// All enclave workloads of Fig. 7 / Table IV: the RV8 suite plus wolfSSL.
-pub fn enclave_workloads() -> Vec<hypertee_sim::perf::WorkloadProfile> {
+/// All enclave workloads of Fig. 7 / Table IV (the RV8 suite, then
+/// wolfSSL), each with the live price of one of its EALLOC calls.
+pub fn enclave_workloads() -> Vec<(WorkloadProfile, f64)> {
     let mut v = rv8::suite();
     v.push(wolfssl::profile());
-    v
+    let prices = live_ealloc_cycles(v.iter().map(|p| p.ealloc_bytes as u64));
+    v.into_iter()
+        .map(|p| {
+            let price = prices[&(p.ealloc_bytes as u64)];
+            (p, price)
+        })
+        .collect()
 }
 
 /// Fig. 7: enclave overhead for the three EMS core configurations.
@@ -110,9 +119,9 @@ pub fn fig7() -> Vec<Fig7Row> {
         CoreConfig::ems_strong(),
     ];
     enclave_workloads()
-        .iter()
-        .map(|p| {
-            let ov = |core: &CoreConfig| enclave_run(p, &book, core, true, true, 100.0).overhead();
+        .into_iter()
+        .map(|(p, ealloc)| {
+            let ov = |core| enclave_run(&p, &book, core, true, true, 100.0, ealloc).overhead();
             Fig7Row {
                 name: p.name.clone(),
                 weak: ov(&cores[0]),
@@ -148,12 +157,12 @@ pub struct Table4Row {
 pub fn table4() -> Vec<Table4Row> {
     let book = LatencyBook::default();
     enclave_workloads()
-        .iter()
-        .map(|p| {
-            let nc = primitive_cycles(p, &book, false);
-            let c = primitive_cycles(p, &book, true);
+        .into_iter()
+        .map(|(p, ealloc)| {
+            let nc = primitive_cycles(&p, &book, false, ealloc);
+            let c = primitive_cycles(&p, &book, true, ealloc);
             Table4Row {
-                name: p.name.clone(),
+                name: p.name,
                 all_noncrypto: nc.total() / p.host_cycles,
                 emeas_noncrypto: nc.emeas / p.host_cycles,
                 all_crypto: c.total() / p.host_cycles,
@@ -181,18 +190,41 @@ impl Fig8aRow {
     }
 }
 
-/// Fig. 8(a): malloc vs EALLOC latency, 128 KiB – 2 MiB.
+/// Fig. 8(a): malloc vs EALLOC latency, 128 KiB – 2 MiB. The EALLOC line
+/// is measured on the live machine; host `malloc` is not simulated, so its
+/// line is the `LatencyBook` baseline.
 pub fn fig8a() -> Vec<Fig8aRow> {
     let book = LatencyBook::default();
-    [128u64, 256, 512, 1024, 2048]
-        .iter()
-        .map(|&kib| {
-            let bytes = kib * 1024;
-            Fig8aRow {
-                bytes,
-                malloc_cycles: book.host_malloc(bytes),
-                ealloc_cycles: book.ealloc(bytes),
-            }
+    let sizes = [128u64, 256, 512, 1024, 2048].map(|kib| kib * 1024);
+    let prices = live_ealloc_cycles(sizes);
+    sizes
+        .into_iter()
+        .map(|bytes| Fig8aRow {
+            bytes,
+            malloc_cycles: book.host_malloc(bytes),
+            ealloc_cycles: prices[&bytes],
+        })
+        .collect()
+}
+
+/// The only EALLOC price: CS cycles for each distinct size in `sizes`
+/// (bytes, probed smallest first), read off the live machine's clock around
+/// [`Machine::ealloc`] in one enclave built from the default manifest
+/// (32 MiB heap). Panics if the machine rejects a probe.
+pub fn live_ealloc_cycles(sizes: impl IntoIterator<Item = u64>) -> BTreeMap<u64, f64> {
+    let sizes: BTreeSet<u64> = sizes.into_iter().collect();
+    let mut m = Machine::boot_default();
+    let manifest = hypertee::manifest::EnclaveManifest::default();
+    let e = m
+        .create_enclave(0, &manifest, b"ealloc price")
+        .expect("a fresh machine creates the default enclave");
+    m.enter(0, e).expect("a fresh enclave enters");
+    sizes
+        .into_iter()
+        .map(|bytes| {
+            let before = m.clock;
+            m.ealloc(0, bytes).expect("the heap holds every probe size");
+            (bytes, (m.clock - before).0 as f64)
         })
         .collect()
 }
@@ -249,8 +281,8 @@ impl Fig9Breakdown {
 /// Fig. 9: performance impact of enclave memory management on wolfSSL.
 pub fn fig9() -> Fig9Breakdown {
     let book = LatencyBook::default();
-    let p = wolfssl::profile();
-    let allocation = p.ealloc_calls * book.ealloc(p.ealloc_bytes as u64);
+    let (p, ealloc) = enclave_workloads().pop().expect("wolfSSL comes last");
+    let allocation = p.ealloc_calls * ealloc;
     Fig9Breakdown {
         encryption: encryption_cycles(&p, &book) / p.host_cycles,
         allocation: allocation / p.host_cycles,
@@ -576,6 +608,26 @@ mod tests {
         assert!(emeas_c < 0.002, "emeas_c {emeas_c:.5}");
         // About three quarters of the non-engine total is EMEAS.
         assert!((emeas_nc / all_nc - 0.75).abs() < 0.05);
+    }
+
+    #[test]
+    fn table4_wolfssl_row() {
+        let book = LatencyBook::default();
+        let (p, ealloc) = enclave_workloads().pop().unwrap();
+        assert_eq!(p.name, wolfssl::profile().name);
+        let nc = primitive_cycles(&p, &book, false, ealloc);
+        // Paper: EMEAS 15.0%, all primitives 19.9% without the engine.
+        let emeas_share = nc.emeas / p.host_cycles;
+        let all_share = nc.total() / p.host_cycles;
+        assert!(
+            (emeas_share - 0.150).abs() < 0.006,
+            "emeas {emeas_share:.3}"
+        );
+        assert!((all_share - 0.199).abs() < 0.02, "all {all_share:.3}");
+        // With the engine: 4.7% all, 0.19% EMEAS.
+        let c = primitive_cycles(&p, &book, true, ealloc);
+        assert!((c.emeas / p.host_cycles) < 0.004);
+        assert!((c.total() / p.host_cycles - 0.047).abs() < 0.012);
     }
 
     #[test]

@@ -402,7 +402,12 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Every report is a
+/// few levels deep; the limit keeps a hostile file from exhausting the stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -483,7 +488,16 @@ impl<'a> Parser<'a> {
                         other => return Err(format!("unsupported escape '\\{}'", other as char)),
                     }
                 }
-                other => s.push(other as char),
+                _ => {
+                    // `"` and `\\` are ASCII, so the run up to the next one
+                    // ends on a char boundary of the (valid UTF-8) text.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    s.push_str(&self.text[self.pos - 1..end]);
+                    self.pos = end;
+                }
             }
         }
     }
@@ -504,8 +518,13 @@ impl<'a> Parser<'a> {
             .map_err(|_| format!("bad number '{text}'"))
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
+    /// A value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        let open = self.peek()?;
+        if depth == MAX_DEPTH && matches!(open, b'{' | b'[') {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        match open {
             b'{' => {
                 self.expect(b'{')?;
                 let mut fields = Vec::new();
@@ -517,7 +536,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     let key = self.string()?;
                     self.expect(b':')?;
-                    fields.push((key, self.value()?));
+                    fields.push((key, self.value(depth + 1)?));
                     match self.peek()? {
                         b',' => self.pos += 1,
                         b'}' => {
@@ -538,7 +557,7 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     match self.peek()? {
                         b',' => self.pos += 1,
                         b']' => {
@@ -567,10 +586,11 @@ impl<'a> Parser<'a> {
 /// A human-readable description of the first syntax error.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
@@ -764,6 +784,26 @@ mod tests {
         assert_eq!(arr[2], Json::Str("s\n".to_string()));
         assert_eq!(arr[3], Json::Bool(true));
         assert_eq!(arr[4], Json::Null);
+    }
+
+    #[test]
+    fn parser_rejects_deep_nesting_without_overflowing() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&deep(MAX_DEPTH)).is_ok());
+        let err = parse_json(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Deep enough to overflow any thread stack without the limit.
+        assert!(parse_json(&deep(200_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn parser_decodes_utf8_strings() {
+        let v = parse_json("{\"host\": \"Xeon® — 2×vCPU\\n🦀\"}").unwrap();
+        assert_eq!(v.get("host"), Some(&Json::Str("Xeon® — 2×vCPU\n🦀".into())));
+        let mut out = String::new();
+        push_json_str(&mut out, "naïve ü");
+        assert_eq!(parse_json(&out).unwrap(), Json::Str("naïve ü".into()));
     }
 
     #[test]

@@ -1,0 +1,130 @@
+//! Hostile-input sweep over the report and manifest parsers.
+//!
+//! The committed `BENCH_*.json` reports and a few valid enclave manifests
+//! are bit-flipped, truncated and extended by a seeded [`SplitMix64`]
+//! campaign. Every mutant goes through the parser or validator an untrusted
+//! file reaches: `parse_json`, the three report validators (the `--check`
+//! paths of `bench_report`, `chaos_campaign` and `serving_bench`) and
+//! `EnclaveManifest::parse`. None may panic. Each mutant is either rejected
+//! with `Err` or parses.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use hypertee::manifest::EnclaveManifest;
+use hypertee_bench::report::{parse_json, validate as validate_perf};
+use hypertee_chaos::report::validate as validate_chaos;
+use hypertee_chaos::serving_report::validate_serving;
+use hypertee_sim::rng::SplitMix64;
+
+const PERF: &str = include_str!("../../../BENCH_perf.json");
+const CHAOS: &str = include_str!("../../../BENCH_chaos.json");
+const SERVING: &str = include_str!("../../../BENCH_serving.json");
+
+const MANIFESTS: [&str; 3] = [
+    "heap = 256M\nstack = 32K\nhost_shared = 16K",
+    "name = demo\nheap = 8M\nstack = 128K # trailing comment\n",
+    "\n# defaults, then overrides\nhost_shared=64k\nheap=1G\n",
+];
+
+const MUTANTS_PER_SEED: u64 = 1500;
+
+/// One seeded mutant of `genuine`: one to four bit flips, a truncation,
+/// random bytes inserted at a random offset, or a short slice repeated up
+/// to 4096 times in place (deep nesting, huge numbers, long keys).
+fn mutate(genuine: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
+    let mut v = genuine.to_vec();
+    let len = v.len() as u64;
+    match rng.gen_range(4) {
+        0 => {
+            for _ in 0..1 + rng.gen_range(4) {
+                let bit = rng.gen_range(len * 8) as usize;
+                v[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        1 => v.truncate(rng.gen_range(len) as usize),
+        2 => {
+            let at = rng.gen_range(len + 1) as usize;
+            let junk: Vec<u8> = (0..1 + rng.gen_range(64))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            v.splice(at..at, junk);
+        }
+        _ => {
+            let at = rng.gen_range(len) as usize;
+            let run = 1 + rng.gen_range((len - at as u64).min(8)) as usize;
+            let slice = v[at..at + run].to_vec();
+            v.splice(at..at, slice.repeat(rng.gen_range(4096) as usize));
+        }
+    }
+    v
+}
+
+/// Feeds `MUTANTS_PER_SEED` mutants of `genuine` to `accepts`, which must
+/// accept the genuine input, never panic, and refuse at least one mutant.
+/// Returns how many mutants were accepted.
+fn sweep(what: &str, seed: u64, genuine: &str, accepts: impl Fn(&str) -> bool) -> u64 {
+    assert!(accepts(genuine), "{what}: the genuine input is refused");
+    let mut rng = SplitMix64::new(seed);
+    let mut accepted = 0;
+    for i in 0..MUTANTS_PER_SEED {
+        let bytes = mutate(genuine.as_bytes(), &mut rng);
+        let text = String::from_utf8_lossy(&bytes);
+        let ok = catch_unwind(AssertUnwindSafe(|| accepts(&text)))
+            .unwrap_or_else(|_| panic!("{what}: mutant {i} of seed {seed:#x} panicked"));
+        accepted += u64::from(ok);
+    }
+    assert!(
+        accepted < MUTANTS_PER_SEED,
+        "{what}: degenerate sweep, every mutant accepted"
+    );
+    accepted
+}
+
+#[test]
+fn parse_json_is_total_on_mutated_reports() {
+    let mut accepted = 0;
+    for (i, doc) in [PERF, CHAOS, SERVING].into_iter().enumerate() {
+        accepted += sweep("parse_json", 0x4a53_4f4e + i as u64, doc, |t| {
+            parse_json(t).is_ok()
+        });
+    }
+    assert!(accepted > 0, "no mutant parsed: the sweep only hits syntax");
+}
+
+#[test]
+fn report_validators_are_total_on_mutated_reports() {
+    sweep("bench::report::validate", 0x5045_5246, PERF, |t| {
+        validate_perf(t).is_ok()
+    });
+    sweep("chaos::report::validate", 0x4348_414f, CHAOS, |t| {
+        validate_chaos(t).is_ok()
+    });
+    sweep("validate_serving", 0x5345_5256, SERVING, |t| {
+        validate_serving(t).is_ok()
+    });
+    // Each validator also refuses the other suites' reports.
+    for (doc, own) in [(PERF, 0), (CHAOS, 1), (SERVING, 2)] {
+        let verdicts = [
+            validate_perf(doc).is_ok(),
+            validate_chaos(doc).is_ok(),
+            validate_serving(doc).is_ok(),
+        ];
+        for (i, ok) in verdicts.into_iter().enumerate() {
+            assert_eq!(ok, i == own, "validator {i} on report {own}");
+        }
+    }
+}
+
+#[test]
+fn manifest_parse_is_total_on_mutated_manifests() {
+    let mut accepted = 0;
+    for (i, text) in MANIFESTS.into_iter().enumerate() {
+        accepted += sweep(
+            "EnclaveManifest::parse",
+            0x4d41_4e49 + i as u64,
+            text,
+            |t| EnclaveManifest::parse(t).is_ok(),
+        );
+    }
+    assert!(accepted > 0, "no mutant parsed: the sweep only hits syntax");
+}

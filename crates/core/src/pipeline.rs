@@ -51,7 +51,6 @@ use hypertee_ems::runtime::EmsContext;
 use hypertee_ems::scheduler::{EmsScheduler, ServiceRecord};
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_sim::clock::Cycles;
-use hypertee_sim::config::CoreConfig;
 use hypertee_sim::rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -257,10 +256,10 @@ impl Machine {
 
     /// EMS service time (in CS cycles) implied by a completed primitive's
     /// response — the Fig. 8(a)-calibrated cost the EMS core was busy for,
-    /// scaled by the configured core's management IPC relative to the
-    /// medium core the `LatencyBook` is calibrated against. Failed
-    /// primitives bail out in the sanity checks and cost (to first order)
-    /// nothing beyond the round trip.
+    /// scaled by the configured core's `CoreConfig::ems_scale` (its
+    /// management IPC relative to the medium core the `LatencyBook` is
+    /// calibrated against). Failed primitives bail out in the sanity checks
+    /// and cost (to first order) nothing beyond the round trip.
     fn primitive_service_cycles(&self, primitive: Primitive, resp: &Response) -> f64 {
         if resp.status != Status::Ok {
             return 0.0;
@@ -288,8 +287,7 @@ impl Machine {
             }
             Primitive::Eattest => book.sign_cost(engine),
         };
-        let medium_ipc = CoreConfig::ems_medium().management_ipc();
-        base * (medium_ipc / self.config.ems.core.management_ipc())
+        base * self.config.ems.core.ems_scale()
     }
 
     /// Adds `cycles` to a hart's clock and max-merges into the machine

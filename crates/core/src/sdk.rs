@@ -35,6 +35,13 @@ impl Machine {
     /// Creates, loads, and measures an enclave from a manifest and image —
     /// ECREATE + EADD + EMEAS, driven by the CS OS on `hart_id`.
     ///
+    /// A failed call leaves nothing behind: the staging and host-window
+    /// frames are zeroed and returned to the OS, and an enclave that ECREATE
+    /// built but EADD or EMEAS rejected is destroyed again. The one
+    /// exception is an ECREATE whose outcome is unknown (its retries ran
+    /// out or its deadline expired): the EMS may then hold an enclave that
+    /// maps the host window, so the window is kept from the OS.
+    ///
     /// # Errors
     ///
     /// Propagates gate, primitive, and memory errors.
@@ -51,64 +58,75 @@ impl Machine {
             .ok_or(MachineError::OutOfMemory)?;
         // Stage the image in contiguous host frames for EADD to read.
         let image_pages = (image.len() as u64).div_ceil(PAGE_SIZE).max(1);
-        let stage = self
-            .os
-            .alloc_contiguous(image_pages)
-            .ok_or(MachineError::OutOfMemory)?;
-        self.sys
+        let Some(stage) = self.os.alloc_contiguous(image_pages) else {
+            self.release_host_frames(window_base, window_pages)?;
+            return Err(MachineError::OutOfMemory);
+        };
+        let mut created = None;
+        let mut ecreate_unknown = false;
+        let built = self
+            .sys
             .phys
             .write(stage.base(), image)
-            .map_err(MachineError::Mem)?;
-
-        let eid = self.with_privilege(hart_id, Privilege::Os, |m| {
-            let resp = m.invoke(
-                hart_id,
-                Primitive::Ecreate,
-                vec![
-                    manifest.heap_max,
-                    manifest.stack_bytes,
-                    manifest.host_shared_bytes,
-                    window_base.base().0,
-                ],
-                vec![],
-            )?;
-            let eid = resp
-                .new_enclave_id()
-                .expect("ECREATE answers with the new enclave id");
-            m.invoke(
-                hart_id,
-                Primitive::Eadd,
-                vec![
-                    eid,
-                    layout::CODE_BASE.0,
-                    stage.base().0,
-                    image.len() as u64,
-                    0b111,
-                ],
-                vec![],
-            )?;
-            m.invoke(hart_id, Primitive::Emeas, vec![eid], vec![])?;
-            MachineResult::Ok(eid)
-        })?;
+            .map_err(MachineError::Mem)
+            .and_then(|()| {
+                self.with_privilege(hart_id, Privilege::Os, |m| {
+                    let ecreate = vec![
+                        manifest.heap_max,
+                        manifest.stack_bytes,
+                        manifest.host_shared_bytes,
+                        window_base.base().0,
+                    ];
+                    let resp = m.invoke(hart_id, Primitive::Ecreate, ecreate, vec![]);
+                    // Only a rejected, shed or gated ECREATE surely built nothing.
+                    ecreate_unknown = resp.as_ref().is_err_and(|e| {
+                        !matches!(
+                            e,
+                            MachineError::Primitive(_)
+                                | MachineError::Backpressure
+                                | MachineError::Gate(_)
+                        )
+                    });
+                    let eid = resp?
+                        .new_enclave_id()
+                        .expect("ECREATE answers with the new enclave id");
+                    created = Some(eid);
+                    let len = image.len() as u64;
+                    let eadd = vec![eid, layout::CODE_BASE.0, stage.base().0, len, 0b111];
+                    m.invoke(hart_id, Primitive::Eadd, eadd, vec![])?;
+                    m.invoke(hart_id, Primitive::Emeas, vec![eid], vec![])?;
+                    MachineResult::Ok(eid)
+                })
+            });
+        // Release the staging frames back to the OS, built or not.
+        self.release_host_frames(stage, image_pages)?;
+        let eid = match built {
+            Ok(eid) => eid,
+            Err(e) => {
+                // A half-built enclave still maps the host window: destroy
+                // it first, and keep the window from the OS if that fails
+                // or if ECREATE may have built an enclave we never heard of.
+                let torn_down = match created {
+                    None => !ecreate_unknown,
+                    Some(eid) => self
+                        .with_privilege(hart_id, Privilege::Os, |m| {
+                            m.invoke(hart_id, Primitive::Edestroy, vec![eid], vec![])
+                        })
+                        .is_ok(),
+                };
+                if torn_down {
+                    self.release_host_frames(window_base, window_pages)?;
+                }
+                return Err(e);
+            }
+        };
 
         // Charge the size-dependent management time (EADD copy + EMEAS
         // measurement) that the generic primitive accounting skips.
         let engine = self.config.crypto_engine;
-        let image_cost = image.len() as f64 * self.book.eadd_copy_per_byte
-            + self.book.measure_cost(image.len() as u64, engine);
-        self.charge_hart(
-            hart_id,
-            hypertee_sim::clock::Cycles(image_cost.round() as u64),
-        );
-
-        // Release the staging frames back to the OS.
-        for i in 0..image_pages {
-            self.sys
-                .phys
-                .zero_frame(Ppn(stage.0 + i))
-                .map_err(MachineError::Mem)?;
-            self.os.free(Ppn(stage.0 + i));
-        }
+        let (eadd, emeas) = self.book.image_load(image.len() as u64, engine);
+        let image_cost = (eadd + emeas).round() as u64;
+        self.charge_hart(hart_id, hypertee_sim::clock::Cycles(image_cost));
         self.enclaves.insert(
             eid,
             EnclaveInfo {
@@ -120,6 +138,18 @@ impl Machine {
             },
         );
         Ok(EnclaveHandle(eid))
+    }
+
+    /// Zeroes `pages` host frames from `base` and returns them to the OS.
+    fn release_host_frames(&mut self, base: Ppn, pages: u64) -> MachineResult<()> {
+        for i in 0..pages {
+            self.sys
+                .phys
+                .zero_frame(Ppn(base.0 + i))
+                .map_err(MachineError::Mem)?;
+            self.os.free(Ppn(base.0 + i));
+        }
+        Ok(())
     }
 
     /// Enters an enclave on a hart: EENTER followed by EMCall's atomic
@@ -500,6 +530,30 @@ mod tests {
 
     fn manifest() -> EnclaveManifest {
         EnclaveManifest::parse("heap = 4M\nstack = 64K\nhost_shared = 64K").unwrap()
+    }
+
+    #[test]
+    fn failed_creation_returns_every_host_frame() {
+        // ECREATE rejects a stack larger than the enclave's stack window.
+        let mut m = Machine::boot_default();
+        let oversized = EnclaveManifest::parse("stack = 256M").unwrap();
+        let free = m.os.available();
+        for _ in 0..3 {
+            assert!(m.create_enclave(0, &oversized, &[0x5a; 64 * 1024]).is_err());
+            assert_eq!(m.os.available(), free, "staging or window frames leaked");
+        }
+        assert_eq!(m.ems.enclave_count(), 0);
+    }
+
+    #[test]
+    fn failed_load_destroys_the_half_built_enclave() {
+        // ECREATE succeeds, then EADD rejects the empty image.
+        let mut m = Machine::boot_default();
+        assert!(m.create_enclave(0, &manifest(), b"").is_err());
+        assert_eq!(m.ems.enclave_count(), 0, "half-built enclave left alive");
+        m.audit().expect("consistent after a failed creation");
+        let e = m.create_enclave(0, &manifest(), b"after").unwrap();
+        m.enter(0, e).unwrap();
     }
 
     #[test]

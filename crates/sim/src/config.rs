@@ -140,6 +140,13 @@ impl CoreConfig {
             (PipelineKind::OutOfOrder, _) => 1.71,
         }
     }
+
+    /// EMS-time scaling factor of this core: how much longer (or shorter)
+    /// EMS work takes than on the medium core the
+    /// [`crate::latency::LatencyBook`] is calibrated against.
+    pub fn ems_scale(&self) -> f64 {
+        CoreConfig::ems_medium().management_ipc() / self.management_ipc()
+    }
 }
 
 /// EMS cluster choice (count × core class), as explored in Fig. 6.

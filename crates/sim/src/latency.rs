@@ -176,6 +176,16 @@ impl LatencyBook {
         }
     }
 
+    /// Size-dependent cost of loading an enclave image of `bytes`, as
+    /// `(EADD copy, EMEAS measurement)` cycles, with or without the crypto
+    /// engine.
+    pub fn image_load(&self, bytes: u64, engine: bool) -> (f64, f64) {
+        (
+            bytes as f64 * self.eadd_copy_per_byte,
+            self.measure_cost(bytes, engine),
+        )
+    }
+
     /// Cycles for one attestation signature, with or without the engine.
     pub fn sign_cost(&self, engine: bool) -> f64 {
         if engine {
@@ -189,14 +199,6 @@ impl LatencyBook {
     pub fn host_malloc(&self, bytes: u64) -> f64 {
         let pages = bytes.div_ceil(4096) as f64;
         self.host_malloc_base + pages * self.host_page_cost
-    }
-
-    /// EALLOC latency for an allocation of `bytes` (Fig. 8(a) enclave line).
-    pub fn ealloc(&self, bytes: u64) -> f64 {
-        let pages = bytes.div_ceil(4096) as f64;
-        self.mailbox_round_trip()
-            + self.ems_cycles(self.ealloc_base_ems_cycles)
-            + pages * (self.host_page_cost + self.ealloc_page_extra)
     }
 
     /// Average cost of one memory access in a MemStream-style pointer chase,
@@ -257,19 +259,6 @@ mod tests {
         // Signing is expensive either way, and worse in software.
         assert!(book.sign_cost(true) > 1e7);
         assert!(book.sign_cost(false) > book.sign_cost(true));
-    }
-
-    #[test]
-    fn fig8a_overhead_endpoints() {
-        // Fig. 8(a): overhead 49.7% at 128 KiB falling to 6.3% at 2 MiB.
-        let book = LatencyBook::default();
-        let ov =
-            |bytes: u64| (book.ealloc(bytes) - book.host_malloc(bytes)) / book.host_malloc(bytes);
-        let small = ov(128 * 1024);
-        let large = ov(2 * 1024 * 1024);
-        assert!((small - 0.497).abs() < 0.12, "small overhead = {small}");
-        assert!((large - 0.063).abs() < 0.02, "large overhead = {large}");
-        assert!(small > large, "overhead must amortise with size");
     }
 
     #[test]

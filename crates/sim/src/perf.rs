@@ -71,28 +71,24 @@ impl PrimitiveBreakdown {
 /// Computes the primitive cost breakdown (Table IV) for a workload.
 ///
 /// `engine` selects whether the crypto engine accelerates measurement and
-/// attestation. All EMS-executed costs are valued at the *medium* EMS core
-/// that the `LatencyBook` is calibrated for; scale with
-/// [`ems_scale`] for other configurations.
+/// attestation. `ealloc_cycles` is the price of one of the profile's
+/// EALLOC calls (`ealloc_bytes` each) as measured on the live machine;
+/// this model has no EALLOC formula of its own. All EMS-executed costs are
+/// valued at the *medium* EMS core that the `LatencyBook` is calibrated
+/// for; scale with [`CoreConfig::ems_scale`] for other configurations.
 pub fn primitive_cycles(
     profile: &WorkloadProfile,
     book: &LatencyBook,
     engine: bool,
+    ealloc_cycles: f64,
 ) -> PrimitiveBreakdown {
-    let emeas = book.measure_cost(profile.image_bytes as u64, engine);
-    let eadd = profile.image_bytes * book.eadd_copy_per_byte;
-    let allocs = profile.ealloc_calls * book.ealloc(profile.ealloc_bytes as u64);
+    let (eadd, emeas) = book.image_load(profile.image_bytes as u64, engine);
+    let allocs = profile.ealloc_calls * ealloc_cycles;
     // Attestation (EATTEST) is once-per-launch and amortised out of the
     // paper's per-run shares; price it separately with
     // `LatencyBook::sign_cost` when a flow actually attests.
     let others = book.lifecycle_fixed + eadd + allocs;
     PrimitiveBreakdown { emeas, others }
-}
-
-/// EMS-time scaling factor for a non-medium EMS core: how much longer (or
-/// shorter) EMS-executed work takes relative to the calibration core.
-pub fn ems_scale(core: &CoreConfig) -> f64 {
-    CoreConfig::ems_medium().management_ipc() / core.management_ipc()
 }
 
 /// Memory-encryption + integrity overhead cycles for a run (charged on each
@@ -143,7 +139,8 @@ impl EnclaveRun {
 /// encryption and TLB-flush contributions included.
 pub const STATIC_ALLOC_CREDIT: f64 = 0.39;
 
-/// Prices a full enclave run.
+/// Prices a full enclave run; `ealloc_cycles` is as for
+/// [`primitive_cycles`].
 pub fn enclave_run(
     profile: &WorkloadProfile,
     book: &LatencyBook,
@@ -151,9 +148,10 @@ pub fn enclave_run(
     engine: bool,
     mem_encryption: bool,
     switch_hz: f64,
+    ealloc_cycles: f64,
 ) -> EnclaveRun {
-    let prims = primitive_cycles(profile, book, engine);
-    let scale = ems_scale(ems_core);
+    let prims = primitive_cycles(profile, book, engine, ealloc_cycles);
+    let scale = ems_core.ems_scale();
     let mut extra = prims.total() * scale * (1.0 - STATIC_ALLOC_CREDIT);
     if mem_encryption {
         extra += encryption_cycles(profile, book);
@@ -177,6 +175,9 @@ pub fn host_bitmap_run(profile: &WorkloadProfile, book: &LatencyBook) -> Enclave
 mod tests {
     use super::*;
 
+    /// Live-machine price of one 2 MiB EALLOC (Fig. 8(a), medium core).
+    const TOY_EALLOC: f64 = 333_419.0;
+
     fn toy_profile() -> WorkloadProfile {
         WorkloadProfile {
             name: "toy".into(),
@@ -198,13 +199,13 @@ mod tests {
         // engine is present.
         let p = toy_profile();
         let book = LatencyBook::default();
-        let b = primitive_cycles(&p, &book, false);
+        let b = primitive_cycles(&p, &book, false, TOY_EALLOC);
         assert!(
             b.emeas / b.total() > 0.6,
             "emeas share = {}",
             b.emeas / b.total()
         );
-        let b_eng = primitive_cycles(&p, &book, true);
+        let b_eng = primitive_cycles(&p, &book, true, TOY_EALLOC);
         assert!(b_eng.emeas / b_eng.total() < 0.1);
         assert!(b_eng.total() < b.total());
     }
@@ -213,9 +214,10 @@ mod tests {
     fn weak_core_scales_overhead_up() {
         let p = toy_profile();
         let book = LatencyBook::default();
-        let medium = enclave_run(&p, &book, &CoreConfig::ems_medium(), true, true, 100.0);
-        let weak = enclave_run(&p, &book, &CoreConfig::ems_weak(), true, true, 100.0);
-        let strong = enclave_run(&p, &book, &CoreConfig::ems_strong(), true, true, 100.0);
+        let run = |core| enclave_run(&p, &book, &core, true, true, 100.0, TOY_EALLOC);
+        let medium = run(CoreConfig::ems_medium());
+        let weak = run(CoreConfig::ems_weak());
+        let strong = run(CoreConfig::ems_strong());
         assert!(weak.overhead() > medium.overhead());
         assert!(strong.overhead() <= medium.overhead());
         // Fig. 7 spread: weak ≈ 2.85× medium on the primitive component.

@@ -188,7 +188,6 @@ pub mod kernels {
 mod tests {
     use super::*;
     use hypertee_sim::latency::LatencyBook;
-    use hypertee_sim::perf::primitive_cycles;
 
     #[test]
     fn table4_emeas_shares_reproduce() {
@@ -205,8 +204,7 @@ mod tests {
         let book = LatencyBook::default();
         for (p, (name, share)) in suite().iter().zip(expected) {
             assert_eq!(p.name, name);
-            let b = primitive_cycles(p, &book, false);
-            let measured = b.emeas / p.host_cycles;
+            let measured = book.measure_cost(p.image_bytes as u64, false) / p.host_cycles;
             assert!(
                 (measured - share).abs() < 0.004,
                 "{name}: emeas share {measured:.4} vs paper {share}"
@@ -218,8 +216,7 @@ mod tests {
     fn table4_engine_reduces_emeas_to_noise() {
         let book = LatencyBook::default();
         for p in suite() {
-            let b = primitive_cycles(&p, &book, true);
-            let share = b.emeas / p.host_cycles;
+            let share = book.measure_cost(p.image_bytes as u64, true) / p.host_cycles;
             assert!(share < 0.002, "{}: engine EMEAS share {share:.5}", p.name);
         }
     }

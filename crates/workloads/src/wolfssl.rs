@@ -107,27 +107,6 @@ fn session(seed: u64, records: usize, record_len: usize, ctr_ref: bool) -> Sessi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypertee_sim::latency::LatencyBook;
-    use hypertee_sim::perf::primitive_cycles;
-
-    #[test]
-    fn table4_wolfssl_row() {
-        let book = LatencyBook::default();
-        let p = profile();
-        let nc = primitive_cycles(&p, &book, false);
-        // Paper: EMEAS 15.0%, all primitives 19.9% without the engine.
-        let emeas_share = nc.emeas / p.host_cycles;
-        let all_share = nc.total() / p.host_cycles;
-        assert!(
-            (emeas_share - 0.150).abs() < 0.006,
-            "emeas {emeas_share:.3}"
-        );
-        assert!((all_share - 0.199).abs() < 0.02, "all {all_share:.3}");
-        // With the engine: 4.7% all, 0.19% EMEAS.
-        let c = primitive_cycles(&p, &book, true);
-        assert!((c.emeas / p.host_cycles) < 0.004);
-        assert!((c.total() / p.host_cycles - 0.047).abs() < 0.012);
-    }
 
     #[test]
     fn session_completes_and_verifies() {

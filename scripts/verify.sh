@@ -35,6 +35,12 @@ echo "==> fig6_slo smoke (release, live pipeline, 4- and 16-CS rows)"
 cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --smoke --allocs 32 \
     > /dev/null
 
+echo "==> figure regenerators (release, every paper figure/table binary runs to completion)"
+for fig in fig7_ems_configs table4_primitives fig8a_alloc fig8b_memstream fig9_wolfssl \
+    fig10_bitmap fig11_tlbflush fig12_comm table5_area table6_defense ablations; do
+    cargo run --release --offline -p hypertee-bench --bin "$fig" > /dev/null
+done
+
 echo "==> lockstep model-check smoke (release, fixed seed)"
 cargo run --release --offline --example model_smoke
 

@@ -627,3 +627,45 @@ fn lost_first_ecreate_response_replays_instead_of_recreating() {
     assert_eq!(views[0].eid, eid);
     m.audit().expect("audit after the replayed ECREATE");
 }
+
+/// An ECREATE whose every response is lost ends in `Timeout`, yet the EMS
+/// did build the enclave, and its page table maps the host window. The
+/// failed `create_enclave` may return the staging frames to the OS but must
+/// keep the window frames out of it, or the OS could hand them to another
+/// enclave while the orphan still maps them.
+#[test]
+fn lost_ecreate_responses_keep_the_host_window_from_the_os() {
+    // A fault-free twin shows which frames the window takes and how many
+    // frames a built enclave holds once its staging frames are back.
+    let mut twin = Machine::boot_default();
+    let built = twin.create_enclave(0, &manifest(), b"unanswered").unwrap();
+    let window = twin.enclave_info(built).unwrap().host_window_pa.0 / 4096;
+    let window_pages = manifest().host_shared_bytes.div_ceil(4096);
+
+    let mut m = Machine::boot_default();
+    m.arm_faults(&FaultPlan::new(
+        2,
+        FaultConfig {
+            drop_response_pm: 1_000_000,
+            ..FaultConfig::disabled()
+        },
+    ));
+    let err = m
+        .create_enclave(0, &manifest(), b"unanswered")
+        .expect_err("no ECREATE answer ever arrives");
+    assert!(
+        matches!(err, MachineError::Timeout | MachineError::DeadlineExpired),
+        "expected an unknown outcome, got {err}"
+    );
+    assert_eq!(m.enclave_views().len(), 1, "the EMS never ran ECREATE");
+    assert_eq!(m.os.available(), twin.os.available(), "frames leaked");
+    m.audit().expect("audit after the unanswered ECREATE");
+    let handed_out: Vec<u64> = std::iter::from_fn(|| m.os.alloc()).map(|p| p.0).collect();
+    assert!(!handed_out.is_empty());
+    assert!(
+        handed_out
+            .iter()
+            .all(|&p| p < window || p >= window + window_pages),
+        "the OS handed out a window frame the orphan still maps"
+    );
+}

@@ -6,6 +6,7 @@ use hypertee_repro::hypertee::exec::RunOutcome;
 use hypertee_repro::hypertee::machine::Machine;
 use hypertee_repro::hypertee::manifest::EnclaveManifest;
 use hypertee_repro::hypertee_cpu::asm::Asm;
+use hypertee_repro::workloads::programs::stride_walk;
 
 fn manifest() -> EnclaveManifest {
     EnclaveManifest::parse("heap = 2M\nstack = 64K\nhost_shared = 16K").unwrap()
@@ -240,43 +241,12 @@ fn preemption_preserves_architectural_state() {
 #[test]
 fn preemption_frequency_drives_tlb_refills() {
     // Fig. 11's mechanism, observed functionally: the same memory-walking
-    // program takes more TLB misses when context switches (each flushing
-    // the TLB) come more often.
-    let build = || {
-        let mut a = Asm::new();
-        // Allocate 8 pages, then loop 64 times touching one word per page.
-        a.addi(17, 0, 1);
-        a.li(10, 8 * 4096);
-        a.ecall();
-        a.addi(5, 10, 0); // base
-        a.addi(6, 0, 64); // outer
-        let outer = a.label();
-        let outer_done = a.label();
-        a.bind(outer);
-        a.beq(6, 0, outer_done);
-        a.addi(7, 0, 8); // inner: 8 pages
-        a.addi(28, 5, 0);
-        let inner = a.label();
-        let inner_done = a.label();
-        a.bind(inner);
-        a.beq(7, 0, inner_done);
-        a.ld(29, 0, 28);
-        a.li(30, 4096);
-        a.add(28, 28, 30);
-        a.addi(7, 7, -1);
-        a.jal(0, inner);
-        a.bind(inner_done);
-        a.addi(6, 6, -1);
-        a.jal(0, outer);
-        a.bind(outer_done);
-        a.addi(10, 0, 0);
-        a.addi(17, 0, 93);
-        a.ecall();
-        a.assemble()
-    };
+    // program (8 pages swept 64 times) takes more TLB misses when context
+    // switches (each flushing the TLB) come more often.
+    let image = stride_walk(8, 64);
     let run_with_quantum = |quantum: u64| -> u64 {
         let mut m = Machine::boot_default();
-        let e = m.create_enclave(0, &manifest(), &build()).unwrap();
+        let e = m.create_enclave(0, &manifest(), &image).unwrap();
         m.enter(0, e).unwrap();
         let (outcome, _) = m
             .run_enclave_program_preemptive(0, 2_000_000, quantum)
