@@ -43,8 +43,7 @@ use hypertee_crypto::mac::{mac28_lines, mac28_ref};
 use hypertee_crypto::scalar::Scalar;
 use hypertee_crypto::sha3::{keccakf, keccakf_ref, sha3_256_ref, Sha3_256};
 use hypertee_crypto::sig::Keypair;
-use hypertee_fabric::message::{Primitive, Privilege};
-use hypertee_faults::{FaultConfig, FaultPlan};
+use hypertee_fabric::message::Primitive;
 use hypertee_mem::addr::{KeyId, PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::mktme::MktmeEngine;
 use hypertee_mem::pagetable::{PageTable, Perms};
@@ -475,86 +474,102 @@ fn wolfssl_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
 /// CS harts driven by the pump benchmark rows (SocConfig default).
 const PUMP_HARTS: usize = 4;
 
-/// Boots a machine with one enclave per CS hart for the pump rows. The
-/// harts stay outside their enclaves: the storm replays OS-privilege
-/// `EMEAS` calls, which read the measurement without mutating enclave
-/// state, so one machine can be reused across timed iterations.
+/// Bytes each pump-row EALLOC asks for.
+const PUMP_ALLOC: u64 = PAGE_SIZE;
+
+/// Boots a machine with one enclave per CS hart for the pump rows and
+/// enters each hart into its enclave. The storms run in-enclave
+/// EALLOC/EFREE pairs, and every pair returns its page, so one machine can
+/// be reused across timed iterations. EALLOC never reuses heap VA (it
+/// bumps a cursor), so the heaps are sized for every iteration of a row.
 fn pump_tenants() -> (Machine, Vec<u64>) {
     let mut m = Machine::boot_default();
     let manifest =
-        EnclaveManifest::parse("heap = 4M\nstack = 32K\nhost_shared = 16K").expect("manifest");
+        EnclaveManifest::parse("heap = 256M\nstack = 32K\nhost_shared = 16K").expect("manifest");
     let eids = (0..PUMP_HARTS)
         .map(|h| {
             let image = format!("pump tenant {h}");
-            m.create_enclave(h, &manifest, image.as_bytes())
-                .expect("bench create")
-                .0
+            let e = m
+                .create_enclave(h, &manifest, image.as_bytes())
+                .expect("bench create");
+            m.enter(h, e).expect("bench enter");
+            e.0
         })
         .collect();
     (m, eids)
 }
 
-/// Drains every collectable completion into `digest` (id, hart, outcome,
-/// latency, attempts — the same fields the differential suite compares).
-fn pump_drain(m: &mut Machine, digest: &mut u64) {
+/// Submits one EALLOC from hart `h`'s enclave.
+fn pump_alloc(m: &mut Machine, eids: &[u64], h: usize) {
+    m.submit(h, Primitive::Ealloc, vec![eids[h], PUMP_ALLOC], vec![])
+        .expect("bench submit");
+}
+
+/// Drains every collectable completion into `digest` (id, hart, latency,
+/// attempts — the fields the differential suite compares) and answers
+/// each EALLOC with the EFREE of its page.
+///
+/// # Panics
+///
+/// On a failed completion: a row times work the EMS does, not a refusal.
+fn pump_drain(m: &mut Machine, eids: &[u64], digest: &mut u64) {
     for done in m.drain_completions() {
+        let h = done.hart_id;
+        let response = done
+            .result
+            .unwrap_or_else(|e| panic!("pump bench call {} failed: {e:?}", done.call.id));
         fnv::fold(
             digest,
-            &[
-                done.call.id,
-                done.hart_id as u64,
-                if done.result.is_ok() { 1 } else { 2 },
-                done.latency.0,
-                done.attempts as u64,
-            ],
+            &[done.call.id, h as u64, done.latency.0, done.attempts as u64],
         );
+        if let Some(va) = response.mapped_va() {
+            m.submit(h, Primitive::Efree, vec![eids[h], va, PUMP_ALLOC], vec![])
+                .expect("bench submit");
+        }
     }
 }
 
 /// Pumps until the pipeline is idle, folding completions as they land.
-fn pump_to_idle(m: &mut Machine, digest: &mut u64) {
+fn pump_to_idle(m: &mut Machine, eids: &[u64], digest: &mut u64) {
     for _ in 0..500_000u32 {
         if m.pipeline_stats().in_flight == 0 {
             return;
         }
         m.pump();
-        pump_drain(m, digest);
+        pump_drain(m, eids, digest);
     }
     panic!("pump bench failed to drain: {:?}", m.pipeline_stats());
 }
 
-/// One churn batch: `calls` EMEAS submissions round-robined across the
-/// harts up front, then pump to drain. With the whole batch in flight and
-/// asleep on the timer wheel, the scan oracle walks every call each round
-/// while the event pump touches only the handful the EMS woke.
-fn pump_churn_batch(m: &mut Machine, eids: &[u64], calls: usize) -> u64 {
+/// One churn batch: `pairs` EALLOCs round-robined across the harts up
+/// front, each freed as its page comes back, then pump to drain. With the
+/// batch in flight and asleep on the timer wheel, the scan oracle walks
+/// every call each round while the event pump touches only the handful the
+/// EMS woke.
+fn pump_churn_batch(m: &mut Machine, eids: &[u64], pairs: usize) -> u64 {
     let mut digest = fnv::OFFSET_BASIS;
-    for i in 0..calls {
-        let h = i % PUMP_HARTS;
-        m.submit_as(h, Privilege::Os, Primitive::Emeas, vec![eids[h]], vec![])
-            .expect("bench submit");
+    for i in 0..pairs {
+        pump_alloc(m, eids, i % PUMP_HARTS);
     }
-    pump_to_idle(m, &mut digest);
+    pump_to_idle(m, eids, &mut digest);
     digest
 }
 
 /// One fleet round-trip: an open-loop storm that tops the pipeline back up
-/// to `live` in-flight EMEAS calls every round for `rounds` rounds, then
-/// drains the tail.
+/// to `live` in-flight calls with new EALLOCs every round for `rounds`
+/// rounds, then drains the tail.
 fn pump_fleet_storm(m: &mut Machine, eids: &[u64], rounds: u64, live: usize) -> u64 {
     let mut digest = fnv::OFFSET_BASIS;
     let mut next_hart = 0usize;
     for _ in 0..rounds {
         while m.pipeline_stats().in_flight < live {
-            let h = next_hart % PUMP_HARTS;
-            m.submit_as(h, Privilege::Os, Primitive::Emeas, vec![eids[h]], vec![])
-                .expect("bench submit");
+            pump_alloc(m, eids, next_hart % PUMP_HARTS);
             next_hart += 1;
         }
         m.pump();
-        pump_drain(m, &mut digest);
+        pump_drain(m, eids, &mut digest);
     }
-    pump_to_idle(m, &mut digest);
+    pump_to_idle(m, eids, &mut digest);
     digest
 }
 
@@ -564,18 +579,19 @@ fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // Both arms run the identical storm; the traces are proven equal on
     // fresh machines before any clock starts, so the timed delta is pure
     // scheduler overhead.
-    let churn_calls = iters(cfg, 1_024, 128) as usize;
+    let churn_pairs = iters(cfg, 1_024, 128) as usize;
     let fleet_live = iters(cfg, 1_200, 256) as usize;
     let fleet_rounds = iters(cfg, 400, 60) as u64;
 
-    // pump_churn: a full batch submitted up front, pumped to drain.
+    // pump_churn: a full batch of EALLOCs submitted up front, each freed as
+    // it returns, pumped to drain. Timed per call (two per pair).
     {
         let (mut fresh_evt, eids) = pump_tenants();
         let (mut fresh_scan, scan_eids) = pump_tenants();
         fresh_scan.set_scan_scheduler(true);
         assert_eq!(
-            pump_churn_batch(&mut fresh_evt, &eids, churn_calls),
-            pump_churn_batch(&mut fresh_scan, &scan_eids, churn_calls),
+            pump_churn_batch(&mut fresh_evt, &eids, churn_pairs),
+            pump_churn_batch(&mut fresh_scan, &scan_eids, churn_pairs),
             "pump flavours diverged on the churn batch"
         );
 
@@ -589,29 +605,28 @@ fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
             n,
             0,
             || {
-                black_box(pump_churn_batch(&mut evt, &eids, churn_calls));
+                black_box(pump_churn_batch(&mut evt, &eids, churn_pairs));
             },
             || {
-                black_box(pump_churn_batch(&mut scan, &scan_eids, churn_calls));
+                black_box(pump_churn_batch(&mut scan, &scan_eids, churn_pairs));
             },
         );
         rows.push(PerfBench::from_timings(
             "pump_churn_1k",
-            opt.ns_per_iter / churn_calls as f64,
+            opt.ns_per_iter / (2 * churn_pairs) as f64,
             0,
-            Some(base.ns_per_iter / churn_calls as f64),
+            Some(base.ns_per_iter / (2 * churn_pairs) as f64),
         ));
     }
 
-    // fleet_wallclock: sustained open-loop load under a light fault
-    // campaign — the ISSUE's fleet-throughput headline (≥3x at 1,000+
-    // live sessions).
+    // fleet_wallclock: sustained open-loop load at 1,000+ live sessions
+    // (≥3x). Fault-free: the row times completed pairs, and at this depth
+    // a faulted storm cannot finish every call `Ok`. Retries run out
+    // (`Timeout`), and a retried EFREE whose response has left the EMS's
+    // response cache runs again and fails.
     {
-        let plan = FaultPlan::new(0xF1EE_75ED, FaultConfig::light());
         let (mut fresh_evt, eids) = pump_tenants();
-        fresh_evt.arm_faults(&plan);
         let (mut fresh_scan, scan_eids) = pump_tenants();
-        fresh_scan.arm_faults(&plan);
         fresh_scan.set_scan_scheduler(true);
         assert_eq!(
             pump_fleet_storm(&mut fresh_evt, &eids, fleet_rounds, fleet_live),
@@ -621,9 +636,7 @@ fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
 
         let n = iters(cfg, 3, 1);
         let (mut evt, eids) = pump_tenants();
-        evt.arm_faults(&plan);
         let (mut scan, scan_eids) = pump_tenants();
-        scan.arm_faults(&plan);
         scan.set_scan_scheduler(true);
         let (opt, base) = bench_pair(
             "fleet_wallclock_1200",

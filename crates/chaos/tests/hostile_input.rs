@@ -1,15 +1,18 @@
-//! Hostile-input sweep over the report and manifest parsers.
+//! Hostile-input sweep over the report and manifest parsers and the EMS's
+//! unsealing of sealed blobs.
 //!
-//! The committed `BENCH_*.json` reports and a few valid enclave manifests
-//! are bit-flipped, truncated and extended by a seeded [`SplitMix64`]
-//! campaign. Every mutant goes through the parser or validator an untrusted
-//! file reaches: `parse_json`, the three report validators (the `--check`
-//! paths of `bench_report`, `chaos_campaign` and `serving_bench`) and
-//! `EnclaveManifest::parse`. None may panic. Each mutant is either rejected
-//! with `Err` or parses.
+//! The committed `BENCH_*.json` reports, a few valid enclave manifests and
+//! blobs sealed by a live EMS are bit-flipped, truncated and extended by a
+//! seeded [`SplitMix64`] campaign. Every mutant goes through the parser or
+//! validator an untrusted input reaches: `parse_json`, the three report
+//! validators (the `--check` paths of `bench_report`, `chaos_campaign` and
+//! `serving_bench`), `EnclaveManifest::parse` and `Ems::unseal`. None may
+//! panic. Each mutant is either rejected with `Err` or parses; a mutated
+//! blob that unseals must give back exactly the sealed plaintext.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
 use hypertee_bench::report::{parse_json, validate as validate_perf};
 use hypertee_chaos::report::validate as validate_chaos;
@@ -127,4 +130,49 @@ fn manifest_parse_is_total_on_mutated_manifests() {
         );
     }
     assert!(accepted > 0, "no mutant parsed: the sweep only hits syntax");
+}
+
+/// Sealed blobs are at least 48 bytes: a 16-byte nonce, the ciphertext and
+/// a 32-byte MAC. Mutants cross that bound both ways.
+#[test]
+fn unseal_is_total_on_mutated_blobs() {
+    let mut m = Machine::boot_default();
+    let manifest = EnclaveManifest::parse(MANIFESTS[0]).expect("manifest");
+    let owner = m.create_enclave(0, &manifest, b"sealer").expect("owner").0;
+    let other = m
+        .create_enclave(1, &manifest, b"bystander")
+        .expect("bystander")
+        .0;
+    let mut rng = SplitMix64::new(0x5345_414c);
+    let mut refused = 0u64;
+    for len in [0usize, 1, 31, 32, 200] {
+        let plaintext: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let blob = m.ems.seal(owner, &plaintext).expect("seal");
+        assert_eq!(blob.len(), 48 + len);
+        assert_eq!(m.ems.unseal(owner, &blob).as_deref(), Ok(&plaintext[..]));
+        assert!(
+            m.ems.unseal(other, &blob).is_err(),
+            "another enclave unsealed"
+        );
+        let truncations = (0..blob.len()).map(|n| blob[..n].to_vec());
+        let extensions = (1..=64).map(|n| {
+            let mut v = blob.clone();
+            v.extend((0..n).map(|_| rng.next_u64() as u8));
+            v
+        });
+        let mutants: Vec<Vec<u8>> = truncations
+            .chain(extensions.collect::<Vec<_>>())
+            .chain((0..MUTANTS_PER_SEED).map(|_| mutate(&blob, &mut rng)))
+            .collect();
+        for (i, mutant) in mutants.iter().enumerate() {
+            let verdict = catch_unwind(AssertUnwindSafe(|| m.ems.unseal(owner, mutant)))
+                .unwrap_or_else(|_| panic!("unseal: mutant {i} of a {len}-byte seal panicked"));
+            match verdict {
+                Ok(pt) => assert_eq!(pt, plaintext, "unseal: mutant {i} forged a plaintext"),
+                Err(_) => refused += 1,
+            }
+        }
+    }
+    assert!(refused > 0, "degenerate sweep, every mutant unsealed");
+    m.audit().expect("consistent after the sweep");
 }

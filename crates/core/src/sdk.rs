@@ -31,6 +31,11 @@ impl ShmPerm {
     }
 }
 
+/// Frames of a host window of `bytes`: at least one.
+fn window_pages(bytes: u64) -> u64 {
+    bytes.div_ceil(PAGE_SIZE).max(1)
+}
+
 impl Machine {
     /// Creates, loads, and measures an enclave from a manifest and image —
     /// ECREATE + EADD + EMEAS, driven by the CS OS on `hart_id`.
@@ -51,7 +56,7 @@ impl Machine {
         manifest: &EnclaveManifest,
         image: &[u8],
     ) -> MachineResult<EnclaveHandle> {
-        let window_pages = manifest.host_shared_bytes.div_ceil(PAGE_SIZE).max(1);
+        let window_pages = window_pages(manifest.host_shared_bytes);
         let window_base = self
             .os
             .alloc_contiguous(window_pages)
@@ -220,7 +225,8 @@ impl Machine {
         Ok(())
     }
 
-    /// Destroys an enclave (must not be running on any hart).
+    /// Destroys an enclave (must not be running on any hart). Its host
+    /// window is zeroed and returned to the OS.
     ///
     /// # Errors
     ///
@@ -229,7 +235,10 @@ impl Machine {
         self.with_privilege(hart_id, Privilege::Os, |m| {
             m.invoke(hart_id, Primitive::Edestroy, vec![handle.0], vec![])
         })?;
-        self.enclaves.remove(&handle.0);
+        if let Some(info) = self.enclaves.remove(&handle.0) {
+            let pages = window_pages(info.host_window_bytes);
+            self.release_host_frames(info.host_window_pa.ppn(), pages)?;
+        }
         // The destroyed enclave's frames return to the pool and may be
         // reused for data or code: drop every hart's walk-cache pointers so
         // none of them can later interpret reused frames as page tables,
@@ -543,6 +552,27 @@ mod tests {
             assert_eq!(m.os.available(), free, "staging or window frames leaked");
         }
         assert_eq!(m.ems.enclave_count(), 0);
+    }
+
+    #[test]
+    fn destroy_returns_the_host_window() {
+        let mut m = Machine::boot_default();
+        // The first enclave fills the EMS pool from the OS, and the pool
+        // keeps those frames; every later lifecycle must be frame-neutral.
+        let mut free = None;
+        for round in 0..4 {
+            let e = m.create_enclave(0, &manifest(), b"window owner").unwrap();
+            m.host_window_write(e, 0, b"left for the next owner")
+                .unwrap();
+            m.destroy(0, e).unwrap();
+            m.audit().expect("consistent after destroy");
+            let now = m.os.available();
+            assert_eq!(
+                *free.get_or_insert(now),
+                now,
+                "round {round}: host window leaked"
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::MemFault;
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::mac::{mac28, mac28_lines, mac28_ref, MacTag, MAC_BATCH_LINES};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Memory-line granularity of encryption and MAC (bytes).
@@ -26,11 +27,18 @@ pub const LINE_SIZE: u64 = 64;
 /// Lines per 4 KiB frame.
 const FRAME_LINES: u64 = PAGE_SIZE / LINE_SIZE;
 
+/// Serial of the next programmed [`KeySlot`]. Process-wide, so no two
+/// slots share one: not a KeyID's old and new key, not two KeyIDs, not
+/// two engines over the same memory. 0 is never issued.
+static NEXT_SLOT_SERIAL: AtomicU64 = AtomicU64::new(1);
+
 /// A programmed key. Shared by reference so a lazily zeroed frame keeps
 /// the key it was zeroed under across revocation and re-programming.
 pub(crate) struct KeySlot {
     cipher: Aes128,
     mac_key: [u8; 32],
+    /// Names this slot in [`PhysMemory`]'s checked lines.
+    serial: u64,
 }
 
 impl KeySlot {
@@ -202,6 +210,7 @@ impl MktmeEngine {
             Arc::new(KeySlot {
                 cipher: Aes128::new(aes_key),
                 mac_key: *mac_key,
+                serial: NEXT_SLOT_SERIAL.fetch_add(1, Ordering::Relaxed),
             }),
         );
     }
@@ -260,6 +269,22 @@ impl MktmeEngine {
             i += 1;
         }
         tags
+    }
+
+    /// Stores whole encrypted lines. Under integrity their tags were just
+    /// refreshed, so the lines count as checked under `slot`.
+    fn store(
+        &self,
+        mem: &mut PhysMemory,
+        slot: &KeySlot,
+        pa: PhysAddr,
+        lines: &[u8],
+    ) -> Result<(), MemFault> {
+        if self.integrity {
+            mem.write_checked(pa, lines, slot.serial)
+        } else {
+            mem.write(pa, lines)
+        }
     }
 
     /// Writes `data` at `pa` through `key`.
@@ -352,7 +377,7 @@ impl MktmeEngine {
                 for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
                     slot.keystream(span_base + i as u64 * LINE_SIZE, line);
                 }
-                return mem.write(PhysAddr(span_base), &span);
+                return self.store(mem, slot, PhysAddr(span_base), &span);
             }
             // Span read refused (range straddles the end of installed
             // memory): fall through to the per-line path, which faults at
@@ -386,7 +411,7 @@ impl MktmeEngine {
             }
             // Re-encrypt and store.
             slot.keystream(line_base, &mut line);
-            mem.write(PhysAddr(line_base), &line)?;
+            self.store(mem, slot, PhysAddr(line_base), &line)?;
             written += take;
             addr += take as u64;
         }
@@ -397,7 +422,10 @@ impl MktmeEngine {
     ///
     /// Requests spanning several contiguous lines make one physical round
     /// trip for the whole span; per-line MAC verification, fill order, and
-    /// every fault are identical to the scalar data plane.
+    /// every fault are identical to the scalar data plane. A single-line
+    /// request reuses the line's verdict when it passed under this key slot
+    /// and its frame has not changed since (or this engine wrote it): the
+    /// check is still counted, but no MAC is computed.
     ///
     /// # Errors
     ///
@@ -474,17 +502,22 @@ impl MktmeEngine {
             let off = (addr - line_base) as usize;
             let take = (LINE_SIZE as usize - off).min(buf.len() - done);
             let mut line = [0u8; LINE_SIZE as usize];
-            mem.read(PhysAddr(line_base), &mut line)?;
+            let checked = mem.read_line(PhysAddr(line_base), slot.serial, &mut line)?;
             slot.keystream(line_base, &mut line);
             if self.integrity {
                 self.stats.mac_checks += 1;
-                let valid = match self.macs.get(line_base / LINE_SIZE) {
-                    Some(tag) => mac28(&slot.mac_key, line_base, &line) == tag,
-                    None => false,
-                };
-                if !valid {
-                    self.stats.mac_failures += 1;
-                    return Err(MemFault::IntegrityViolation { pa: line_base });
+                // A line that passed under this slot and has not changed
+                // since would pass again: its verdict is reused.
+                if !checked {
+                    let valid = match self.macs.get(line_base / LINE_SIZE) {
+                        Some(tag) => mac28(&slot.mac_key, line_base, &line) == tag,
+                        None => false,
+                    };
+                    if !valid {
+                        self.stats.mac_failures += 1;
+                        return Err(MemFault::IntegrityViolation { pa: line_base });
+                    }
+                    mem.mark_checked(PhysAddr(line_base), slot.serial);
                 }
             }
             buf[done..done + take].copy_from_slice(&line[off..off + take]);
@@ -656,6 +689,70 @@ mod tests {
             Err(MemFault::IntegrityViolation { .. })
         ));
         assert_eq!(engine.stats.mac_failures, 1);
+    }
+
+    /// A checked line's verdict does not outlive a change to its
+    /// ciphertext: a flipped byte faults at that line on the next read.
+    #[test]
+    fn tampering_after_a_checked_read_is_detected() {
+        let (mut mem, mut engine) = setup();
+        let line = PhysAddr(0x30_040);
+        engine.write(&mut mem, line, KeyId(1), &[3u8; 64]).unwrap();
+        let mut buf = [0u8; 8];
+        engine.read(&mut mem, line, KeyId(1), &mut buf).unwrap();
+        engine.read(&mut mem, line, KeyId(1), &mut buf).unwrap();
+        assert_eq!(buf, [3u8; 8]);
+        let mut raw = [0u8; 1];
+        let victim = PhysAddr(line.0 + 9);
+        mem.read(victim, &mut raw).unwrap();
+        mem.write(victim, &[raw[0] ^ 1]).unwrap();
+        assert_eq!(
+            engine.read(&mut mem, line, KeyId(1), &mut buf),
+            Err(MemFault::IntegrityViolation { pa: line.0 })
+        );
+        assert_eq!(engine.stats.mac_checks, 3);
+        assert_eq!(engine.stats.mac_failures, 1);
+    }
+
+    /// Which lines count as checked, and under which slot.
+    #[test]
+    fn checked_lines_follow_writes_reads_and_slots() {
+        let (mut mem, mut engine) = setup();
+        let serial = |e: &MktmeEngine, k: u16| e.keys[&k].serial;
+        let (one, two) = (serial(&engine, 1), serial(&engine, 2));
+        assert_ne!(one, two);
+        let mut line = [0u8; 64];
+        let mut is_checked = |mem: &mut PhysMemory, pa: u64, s: u64| {
+            mem.read_line(PhysAddr(pa), s, &mut line).unwrap()
+        };
+        // An engine write checks exactly the lines it stored.
+        engine
+            .write(&mut mem, PhysAddr(0x8040), KeyId(1), &[1u8; 128])
+            .unwrap();
+        assert!(is_checked(&mut mem, 0x8040, one));
+        assert!(is_checked(&mut mem, 0x8080, one));
+        assert!(!is_checked(&mut mem, 0x8000, one));
+        assert!(!is_checked(&mut mem, 0x80c0, one));
+        assert!(!is_checked(&mut mem, 0x8040, two), "another slot");
+        // A passing read checks its line; one under another slot replaces
+        // the frame's verdicts.
+        engine
+            .write(&mut mem, PhysAddr(0x8fc0), KeyId(2), &[2u8; 64])
+            .unwrap();
+        assert!(is_checked(&mut mem, 0x8fc0, two));
+        assert!(!is_checked(&mut mem, 0x8040, one));
+        let mut buf = [0u8; 8];
+        engine
+            .read(&mut mem, PhysAddr(0x8048), KeyId(1), &mut buf)
+            .unwrap();
+        assert!(is_checked(&mut mem, 0x8040, one));
+        assert!(!is_checked(&mut mem, 0x8fc0, two));
+        // Re-programming a KeyID issues a new slot.
+        engine.program_key(KeyId(1), &[0x11; 16], &[0xa1; 32]);
+        assert!(serial(&engine, 1) > two);
+        // Any raw write forgets the whole frame's verdicts.
+        mem.write(PhysAddr(0x8800), &[0]).unwrap();
+        assert!(!is_checked(&mut mem, 0x8040, one));
     }
 
     #[test]

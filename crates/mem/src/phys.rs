@@ -9,6 +9,10 @@
 //! holds only the key: its raw bytes are the key's per-line keystream
 //! (CTR ciphertext of zeros), generated for the lines a read touches and
 //! materialised in full by the first partial write.
+//!
+//! A frame of bytes also carries its *checked lines*: which of its lines
+//! passed the engine's MAC check, and under which key slot. Any raw
+//! mutation of the frame forgets them.
 
 use crate::addr::{PhysAddr, Ppn, PAGE_SIZE};
 use crate::mktme::{KeySlot, LINE_SIZE};
@@ -19,9 +23,66 @@ use std::sync::Arc;
 /// What a present frame holds.
 #[derive(Debug)]
 enum Frame {
-    Bytes(Box<[u8]>),
+    Bytes(Page),
     /// Zeros encrypted under this key slot.
     Keystream(Arc<KeySlot>),
+}
+
+const PAGE_LEN: usize = PAGE_SIZE as usize;
+/// Offset of the checked-line mask in a [`Page`]'s allocation.
+const MASK_AT: usize = PAGE_LEN;
+/// Offset of the key slot serial the mask's lines passed under.
+const SERIAL_AT: usize = PAGE_LEN + 8;
+
+/// A materialised frame: its raw bytes, then its check state, a 64-bit
+/// mask of lines whose MAC check passed and the serial of the key slot
+/// they passed under. Both sit in the frame's one zeroed allocation, so a
+/// new page costs what its bytes did and starts with nothing checked
+/// (serial 0 is never issued). The bytes are mutable only through
+/// [`Page::bytes_mut`], which clears the mask.
+#[derive(Debug)]
+struct Page(Box<[u8]>);
+
+impl Page {
+    fn zeroed() -> Self {
+        Page(vec![0u8; SERIAL_AT + 8].into_boxed_slice())
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.0[..PAGE_LEN]
+    }
+
+    /// The bytes, for a raw mutation: every checked line is forgotten.
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self.set_word(MASK_AT, 0);
+        &mut self.0[..PAGE_LEN]
+    }
+
+    fn word(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.0[at..at + 8].try_into().expect("eight bytes"))
+    }
+
+    fn set_word(&mut self, at: usize, v: u64) {
+        self.0[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Whether line `line` passed its check under key slot `serial`.
+    fn checked(&self, line: usize, serial: u64) -> bool {
+        self.word(SERIAL_AT) == serial && self.word(MASK_AT) >> line & 1 == 1
+    }
+
+    /// Records lines `[first, first + n)` as checked under key slot
+    /// `serial`; lines checked under another slot are forgotten.
+    fn mark(&mut self, first: usize, n: usize, serial: u64) {
+        let lines = u64::MAX >> (64 - n) << first;
+        let mask = if self.word(SERIAL_AT) == serial {
+            self.word(MASK_AT) | lines
+        } else {
+            self.set_word(SERIAL_AT, serial);
+            lines
+        };
+        self.set_word(MASK_AT, mask);
+    }
 }
 
 /// Raw bytes `[off, off + out.len())` of a zero page encrypted under
@@ -72,21 +133,25 @@ impl PhysMemory {
         }
     }
 
-    /// The frame's bytes, materialising an absent or keystream frame.
-    fn frame_mut(&mut self, ppn: u64) -> &mut [u8] {
+    /// The frame's page, materialising an absent or keystream frame. With
+    /// `whole`, the caller overwrites every byte, so what a keystream
+    /// frame held is not generated.
+    fn page_mut(&mut self, ppn: u64, whole: bool) -> &mut Page {
         let frame = self
             .frames
             .entry(ppn)
-            .or_insert_with(|| Frame::Bytes(vec![0u8; PAGE_SIZE as usize].into_boxed_slice()));
+            .or_insert_with(|| Frame::Bytes(Page::zeroed()));
         if let Frame::Keystream(slot) = frame {
-            let mut bytes = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
-            keystream_bytes(slot, ppn, 0, &mut bytes);
-            *frame = Frame::Bytes(bytes);
+            let mut page = Page::zeroed();
+            if !whole {
+                keystream_bytes(slot, ppn, 0, page.bytes_mut());
+            }
+            *frame = Frame::Bytes(page);
         }
-        let Frame::Bytes(bytes) = frame else {
+        let Frame::Bytes(page) = frame else {
             unreachable!("materialised above")
         };
-        bytes
+        page
     }
 
     /// Records frame `ppn` as a zero page encrypted under `slot`, replacing
@@ -103,6 +168,48 @@ impl PhysMemory {
             .iter()
             .filter(|(_, f)| matches!(f, Frame::Bytes(_)))
             .map(|(&ppn, _)| Ppn(ppn))
+    }
+
+    /// Reads the aligned line at `line_base`, counting one access as
+    /// [`PhysMemory::read`] does, and reports whether it passed its MAC
+    /// check under key slot `serial` since its frame last changed.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] when the line exceeds installed memory.
+    pub(crate) fn read_line(
+        &mut self,
+        line_base: PhysAddr,
+        serial: u64,
+        line: &mut [u8; LINE_SIZE as usize],
+    ) -> Result<bool, MemFault> {
+        self.check(line_base, LINE_SIZE)?;
+        self.access_count += 1;
+        let ppn = line_base.0 / PAGE_SIZE;
+        let off = (line_base.0 % PAGE_SIZE) as usize;
+        Ok(match self.frames.get(&ppn) {
+            Some(Frame::Bytes(page)) => {
+                line.copy_from_slice(&page.bytes()[off..off + LINE_SIZE as usize]);
+                page.checked(off / LINE_SIZE as usize, serial)
+            }
+            Some(Frame::Keystream(slot)) => {
+                keystream_bytes(slot, ppn, off, line);
+                false
+            }
+            None => {
+                line.fill(0);
+                false
+            }
+        })
+    }
+
+    /// Records the aligned line at `line_base` as checked under key slot
+    /// `serial`. A line of an unmaterialised frame is not recorded.
+    pub(crate) fn mark_checked(&mut self, line_base: PhysAddr, serial: u64) {
+        let off = (line_base.0 % PAGE_SIZE) as usize;
+        if let Some(Frame::Bytes(page)) = self.frames.get_mut(&(line_base.0 / PAGE_SIZE)) {
+            page.mark(off / LINE_SIZE as usize, 1, serial);
+        }
     }
 
     /// Reads `buf.len()` bytes starting at `pa`. Crossing frame boundaries is
@@ -122,7 +229,7 @@ impl PhysMemory {
             let take = (PAGE_SIZE as usize - off).min(buf.len() - done);
             let out = &mut buf[done..done + take];
             match self.frames.get(&ppn) {
-                Some(Frame::Bytes(frame)) => out.copy_from_slice(&frame[off..off + take]),
+                Some(Frame::Bytes(page)) => out.copy_from_slice(&page.bytes()[off..off + take]),
                 Some(Frame::Keystream(slot)) => keystream_bytes(slot, ppn, off, out),
                 None => out.fill(0),
             }
@@ -138,6 +245,29 @@ impl PhysMemory {
     ///
     /// [`MemFault::BusError`] when the range exceeds installed memory.
     pub fn write(&mut self, pa: PhysAddr, buf: &[u8]) -> Result<(), MemFault> {
+        self.store(pa, buf, None)
+    }
+
+    /// Writes whole aligned lines at `pa`, as [`PhysMemory::write`] does,
+    /// and records each as checked under key slot `serial`: the engine has
+    /// just stored their ciphertext together with their tags.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] when the range exceeds installed memory.
+    pub(crate) fn write_checked(
+        &mut self,
+        pa: PhysAddr,
+        buf: &[u8],
+        serial: u64,
+    ) -> Result<(), MemFault> {
+        debug_assert!(
+            pa.0.is_multiple_of(LINE_SIZE) && (buf.len() as u64).is_multiple_of(LINE_SIZE)
+        );
+        self.store(pa, buf, Some(serial))
+    }
+
+    fn store(&mut self, pa: PhysAddr, buf: &[u8], checked: Option<u64>) -> Result<(), MemFault> {
         self.check(pa, buf.len() as u64)?;
         self.access_count += 1;
         let mut addr = pa.0;
@@ -145,16 +275,12 @@ impl PhysMemory {
         while done < buf.len() {
             let ppn = addr / PAGE_SIZE;
             let off = (addr % PAGE_SIZE) as usize;
-            let take = (PAGE_SIZE as usize - off).min(buf.len() - done);
-            let src = &buf[done..done + take];
-            match self.frames.get_mut(&ppn) {
-                Some(Frame::Bytes(frame)) => frame[off..off + take].copy_from_slice(src),
-                // A whole-frame write replaces the frame without
-                // materialising what it held.
-                _ if take == PAGE_SIZE as usize => {
-                    self.frames.insert(ppn, Frame::Bytes(src.into()));
-                }
-                _ => self.frame_mut(ppn)[off..off + take].copy_from_slice(src),
+            let take = (PAGE_LEN - off).min(buf.len() - done);
+            let page = self.page_mut(ppn, take == PAGE_LEN);
+            page.bytes_mut()[off..off + take].copy_from_slice(&buf[done..done + take]);
+            if let Some(serial) = checked {
+                let line = LINE_SIZE as usize;
+                page.mark(off / line, take / line, serial);
             }
             addr += take as u64;
             done += take;
@@ -333,6 +459,23 @@ mod tests {
         let mut buf = [0xffu8; 64];
         mem.read(PhysAddr(0x2000), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
+    }
+
+    #[test]
+    fn page_marks_and_forgets_checked_lines() {
+        let mut page = Page::zeroed();
+        assert!(!page.checked(0, 0), "serial 0 checks nothing");
+        page.mark(0, 64, 7);
+        assert!((0..64).all(|l| page.checked(l, 7)));
+        assert!(!page.checked(5, 8));
+        page.mark(63, 1, 8);
+        assert!(page.checked(63, 8));
+        assert!((0..63).all(|l| !page.checked(l, 8) && !page.checked(l, 7)));
+        page.mark(2, 3, 8);
+        assert_eq!((0..64).filter(|&l| page.checked(l, 8)).count(), 4);
+        page.bytes_mut()[100] = 1;
+        assert!((0..64).all(|l| !page.checked(l, 8)));
+        assert_eq!(page.bytes().len(), PAGE_LEN);
     }
 
     #[test]

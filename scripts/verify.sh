@@ -31,6 +31,10 @@ cargo test --offline --workspace -q
 echo "==> crypto tests in release (limb arithmetic wraps where debug panics)"
 cargo test --release --offline -p hypertee-crypto -q
 
+echo "==> memory-engine tests and the data-plane wall in release (the build the benchmark measures)"
+cargo test --release --offline -p hypertee-mem -q
+cargo test --release --offline --test fastpath -q
+
 echo "==> fig6_slo smoke (release, live pipeline, 4- and 16-CS rows)"
 cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --smoke --allocs 32 \
     > /dev/null

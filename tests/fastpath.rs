@@ -13,6 +13,11 @@
 //! Aligned zero pages take a third path: the engine records them as "zeros
 //! under this key" and materializes them on first touch. A seeded mix pins
 //! that path to both the oracle and the span path it replaces.
+//!
+//! A single-line read reuses a line's MAC verdict while the line, its tag
+//! and its key slot are unchanged. A second seeded mix, with tampering,
+//! re-keying, wrong-KeyID reads and a second engine over the same memory,
+//! pins that memo to the oracle, which checks every line every time.
 
 use hypertee_repro::ems::control::layout;
 use hypertee_repro::hypertee::exec::{InterpMode, RunOutcome};
@@ -405,6 +410,159 @@ fn zero_pages_match_span_path_and_oracle() {
                 "integrity={integrity}: the mix recorded no lazy page"
             );
         }
+    }
+}
+
+/// One side of the checked-line wall: a memory and two engines over it,
+/// which program the same KeyIDs with different keys.
+struct Twin {
+    mem: PhysMemory,
+    engines: [MktmeEngine; 2],
+}
+
+impl Twin {
+    fn new() -> Twin {
+        let engines = [0x10u8, 0x20].map(|salt| {
+            let mut e = MktmeEngine::new(true);
+            for k in 1..=3u8 {
+                e.program_key(KeyId(k.into()), &[salt + k; 16], &[salt ^ k; 32]);
+            }
+            e
+        });
+        Twin {
+            mem: PhysMemory::new(1 << 20),
+            engines,
+        }
+    }
+}
+
+/// Runs `ops` seeded operations on a twin driven through `write`/`read`
+/// and one driven through `write_ref`/`read_ref`, and compares after every
+/// operation: the result (data, or the fault and its line), both engines'
+/// modelled counters and the raw access count. The operations: stores and
+/// loads through either engine and any KeyID (so wrong-KeyID reads), raw
+/// bit flips, `write_u64` and `zero_frame` on the memory, and revoking a
+/// KeyID and programming it with a key it never held. Returns the number of
+/// single-line loads that passed, the ones the memo may answer.
+fn checked_line_mix(seed: u64, ops: u32) -> u64 {
+    const WINDOW: u64 = 0x4000; // four frames at 0x8000
+    let mut twins = [Twin::new(), Twin::new()];
+    let mut rng = Rng(seed);
+    let mut passed_loads = 0;
+    // Recent stores (engine, KeyID, line): most accesses revisit one, so
+    // loads pass, and pass again, often enough to exercise the memo. Some
+    // revisit it through the other engine or another KeyID.
+    let mut recent: Vec<(usize, KeyId, u64)> = Vec::new();
+    for op in 0..ops {
+        let (mut e, mut key) = (rng.range(2) as usize, KeyId(1 + rng.range(3) as u16));
+        let (pa, len) = if rng.range(4) == 0 {
+            let len = [65u64, 130, 520][rng.range(3) as usize];
+            (0x8000 + rng.range(WINDOW - len), len)
+        } else if !recent.is_empty() && rng.range(4) != 0 {
+            let line;
+            (e, key, line) = recent[rng.range(recent.len() as u64) as usize];
+            match rng.range(8) {
+                0 => e ^= 1,
+                1 => key = KeyId(1 + (key.0 + rng.range(2) as u16) % 3),
+                _ => {}
+            }
+            (line + rng.range(8) * 8, 8)
+        } else {
+            (0x8000 + rng.range(WINDOW / 8) * 8, 8)
+        };
+        let pa = PhysAddr(pa);
+        let results: Vec<Result<Vec<u8>, MemFault>> = match rng.range(100) {
+            0..=29 => {
+                if recent.len() == 16 {
+                    recent.remove(0);
+                }
+                recent.push((e, key, pa.0 & !63));
+                let data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+                let (fast, oracle) = twins.split_at_mut(1);
+                vec![
+                    fast[0].engines[e].write(&mut fast[0].mem, pa, key, &data),
+                    oracle[0].engines[e].write_ref(&mut oracle[0].mem, pa, key, &data),
+                ]
+                .into_iter()
+                .map(|r| r.map(|()| Vec::new()))
+                .collect()
+            }
+            30..=84 => {
+                let (fast, oracle) = twins.split_at_mut(1);
+                let mut a = vec![0u8; len as usize];
+                let mut b = vec![0u8; len as usize];
+                let ra = fast[0].engines[e].read(&mut fast[0].mem, pa, key, &mut a);
+                let rb = oracle[0].engines[e].read_ref(&mut oracle[0].mem, pa, key, &mut b);
+                if len == 8 && ra.is_ok() {
+                    passed_loads += 1;
+                }
+                vec![ra.map(|()| a), rb.map(|()| b)]
+            }
+            85..=91 => {
+                let flip = 1u8 << rng.range(8);
+                twins
+                    .iter_mut()
+                    .map(|t| {
+                        let mut raw = [0u8; 1];
+                        t.mem.read(pa, &mut raw)?;
+                        t.mem.write(pa, &[raw[0] ^ flip]).map(|()| Vec::new())
+                    })
+                    .collect()
+            }
+            92..=93 => {
+                let v = rng.next();
+                twins
+                    .iter_mut()
+                    .map(|t| t.mem.write_u64(pa, v).map(|()| Vec::new()))
+                    .collect()
+            }
+            94..=95 => twins
+                .iter_mut()
+                .map(|t| t.mem.zero_frame(pa.ppn()).map(|()| Vec::new()))
+                .collect(),
+            _ => {
+                let aes = [rng.next() as u8; 16];
+                let mac = [rng.next() as u8; 32];
+                for t in &mut twins {
+                    t.engines[e].revoke_key(key);
+                    t.engines[e].program_key(key, &aes, &mac);
+                }
+                vec![Ok(Vec::new()); 2]
+            }
+        };
+        assert_eq!(results[0], results[1], "seed {seed:#x}: op {op} diverged");
+        for e in 0..2 {
+            let modelled = |t: &Twin| {
+                let s = t.engines[e].stats;
+                (
+                    s.bytes_encrypted,
+                    s.bytes_decrypted,
+                    s.mac_checks,
+                    s.mac_failures,
+                )
+            };
+            assert_eq!(
+                modelled(&twins[0]),
+                modelled(&twins[1]),
+                "seed {seed:#x}: engine {e} counters diverged at op {op}"
+            );
+        }
+        assert_eq!(
+            twins[0].mem.access_count, twins[1].mem.access_count,
+            "seed {seed:#x}: access count diverged at op {op}"
+        );
+    }
+    passed_loads
+}
+
+/// The checked-line memo is invisible: every result, fault and charge
+/// matches the oracle across tampering, re-keying, wrong-KeyID reads and a
+/// second engine over the same memory.
+#[test]
+fn checked_lines_match_the_oracle() {
+    for seed in [0x0c4e_c4ed, 0x5eed_0001, 0x7777_2024] {
+        let passed = checked_line_mix(seed, 2000);
+        assert!(passed > 200, "seed {seed:#x}: only {passed} loads passed");
     }
 }
 
