@@ -26,8 +26,7 @@ use hypertee_crypto::fnv::{self, fold};
 use hypertee_ems::control::layout;
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_faults::{FaultConfig, FaultPlan};
-use hypertee_mem::addr::{Ppn, PAGE_SIZE};
-use hypertee_mem::ownership::EnclaveId;
+use hypertee_mem::addr::Ppn;
 use hypertee_model::harness::{run_campaign, Campaign};
 use hypertee_model::ops::generate;
 use hypertee_sim::clock::Cycles;
@@ -434,10 +433,7 @@ struct Driver {
 impl Driver {
     fn free_frames(&mut self, range: Option<(Ppn, u64)>) {
         if let Some((base, pages)) = range {
-            for i in 0..pages {
-                let _ = self.m.sys.phys.zero_frame(Ppn(base.0 + i));
-                self.m.os.free(Ppn(base.0 + i));
-            }
+            let _ = self.m.release_host_frames(base, pages);
         }
     }
 
@@ -528,10 +524,9 @@ impl Driver {
         let submission = match step {
             Step::Create => {
                 if self.sessions[s].window.is_none() {
-                    let pages = profile.window_bytes.div_ceil(PAGE_SIZE).max(1);
-                    match self.m.os.alloc_contiguous(pages) {
-                        Some(base) => self.sessions[s].window = Some((base, pages)),
-                        None => {
+                    match self.m.stage_host_frames(profile.window_bytes, &[]) {
+                        Ok(window) => self.sessions[s].window = Some(window),
+                        Err(_) => {
                             self.defer_alloc(s, tick);
                             return;
                         }
@@ -541,18 +536,14 @@ impl Driver {
                     let image: Vec<u8> = (0..profile.image_len as usize)
                         .map(|i| image_byte(s, i))
                         .collect();
-                    let pages = (image.len() as u64).div_ceil(PAGE_SIZE).max(1);
-                    match self.m.os.alloc_contiguous(pages) {
-                        Some(base) => {
-                            if self.m.sys.phys.write(base.base(), &image).is_err() {
-                                self.free_frames(Some((base, pages)));
-                                self.fail_session(s, tick, true);
-                                return;
-                            }
-                            self.sessions[s].stage = Some((base, pages));
-                        }
-                        None => {
+                    match self.m.stage_host_frames(image.len() as u64, &image) {
+                        Ok(stage) => self.sessions[s].stage = Some(stage),
+                        Err(MachineError::OutOfMemory) => {
                             self.defer_alloc(s, tick);
+                            return;
+                        }
+                        Err(_) => {
+                            self.fail_session(s, tick, true);
                             return;
                         }
                     }
@@ -719,34 +710,19 @@ impl Driver {
             }
             Step::Meas => self.sessions[s].step = Step::Enter,
             Step::Enter => {
-                let Some((root, entry, _key)) = resp.entry_context() else {
+                if resp.entry_context().is_none() {
                     self.fail_session(s, tick, true);
                     return;
-                };
-                let hart = self.sessions[s].hart;
-                let eid = self.sessions[s].eid;
-                let stack = self.tenants[self.sessions[s].tenant].stack_bytes;
-                self.m.emcall.enter_enclave(
-                    &mut self.m.harts[hart],
-                    EnclaveId(eid),
-                    Ppn(root),
-                    entry,
-                );
-                // Fresh-entry ABI: SP at the top of the static stack.
-                self.m.harts[hart].regs[2] = layout::STACK_BASE.0 + stack - 16;
+                }
                 self.sessions[s].entered = true;
                 self.sessions[s].ops_left = self.tenants[self.sessions[s].tenant].entered_ops;
                 self.sessions[s].step = Step::Alloc;
             }
             Step::Alloc => {
                 self.sessions[s].alloc_va = resp.mapped_va().unwrap_or(layout::HEAP_BASE.0);
-                let hart = self.sessions[s].hart;
-                self.m.harts[hart].mmu.tlb.flush_all();
                 self.sessions[s].step = Step::Free;
             }
             Step::Free => {
-                let hart = self.sessions[s].hart;
-                self.m.harts[hart].mmu.tlb.flush_all();
                 self.sessions[s].ops_left -= 1;
                 self.sessions[s].step = if self.sessions[s].ops_left > 0 {
                     Step::Alloc
@@ -756,7 +732,6 @@ impl Driver {
             }
             Step::Exit => {
                 let hart = self.sessions[s].hart;
-                self.m.emcall.exit_enclave(&mut self.m.harts[hart]);
                 self.sessions[s].entered = false;
                 self.hart_owner[hart] = None;
                 self.sessions[s].step = Step::Destroy;
@@ -818,18 +793,10 @@ impl Driver {
     }
 
     /// One synchronous OS-privileged EDESTROY through the pipeline (EMCall
-    /// gates the primitive to OS callers; [`Machine::invoke`] would submit
-    /// at the hart's resting privilege and be refused at the gate).
+    /// gates the primitive to OS callers).
     fn destroy_once(&mut self, eid: u64) -> Result<Response, MachineError> {
-        let call = self
-            .m
-            .submit_as(0, Privilege::Os, Primitive::Edestroy, vec![eid], vec![])?;
-        loop {
-            self.m.pump();
-            if let Some(done) = self.m.take_completion(call) {
-                return done.result;
-            }
-        }
+        self.m
+            .invoke_as(0, Privilege::Os, Primitive::Edestroy, vec![eid], vec![])
     }
 
     fn run_audit(&mut self, tick: u64) {

@@ -1,5 +1,5 @@
-//! Hostile-input sweep over the report and manifest parsers and the EMS's
-//! unsealing of sealed blobs.
+//! Hostile-input sweep over the report and manifest parsers, the EMS's
+//! unsealing of sealed blobs, and the submit/pump request path.
 //!
 //! The committed `BENCH_*.json` reports, a few valid enclave manifests and
 //! blobs sealed by a live EMS are bit-flipped, truncated and extended by a
@@ -9,6 +9,11 @@
 //! `serving_bench`), `EnclaveManifest::parse` and `Ems::unseal`. None may
 //! panic. Each mutant is either rejected with `Err` or parses; a mutated
 //! blob that unseals must give back exactly the sealed plaintext.
+//!
+//! The request path gets seeded arbitrary primitive + argument vectors from
+//! both privileges on two harts, one of them inside an enclave: every
+//! accepted call must complete, the consistency audit must stay green, and a
+//! hart's enclave context may change only on an Ok EENTER, ERESUME or EEXIT.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -17,6 +22,9 @@ use hypertee::manifest::EnclaveManifest;
 use hypertee_bench::report::{parse_json, validate as validate_perf};
 use hypertee_chaos::report::validate as validate_chaos;
 use hypertee_chaos::serving_report::validate_serving;
+use hypertee_ems::control::{layout, EnclaveState};
+use hypertee_fabric::message::{Primitive, Privilege};
+use hypertee_mem::addr::PAGE_SIZE;
 use hypertee_sim::rng::SplitMix64;
 
 const PERF: &str = include_str!("../../../BENCH_perf.json");
@@ -175,4 +183,160 @@ fn unseal_is_total_on_mutated_blobs() {
     }
     assert!(refused > 0, "degenerate sweep, every mutant unsealed");
     m.audit().expect("consistent after the sweep");
+}
+
+/// One hostile argument: a live, dead or foreign enclave id, a plausible
+/// or unaligned VA, a huge length, a value near `u64::MAX`, or noise.
+fn hostile_arg(rng: &mut SplitMix64, live: &[u64], dead: &[u64], stage_pa: u64) -> u64 {
+    let pick = |rng: &mut SplitMix64, ids: &[u64]| ids[rng.gen_range(ids.len() as u64) as usize];
+    match rng.gen_range(12) {
+        0 if !live.is_empty() => pick(rng, live),
+        0 | 1 => pick(rng, dead),
+        2 => layout::HEAP_BASE.0 + PAGE_SIZE * rng.gen_range(8),
+        3 => layout::HEAP_BASE.0 + 1 + rng.gen_range(PAGE_SIZE - 1),
+        4 => PAGE_SIZE * (1 + rng.gen_range(16)),
+        5 => 1 << (32 + rng.gen_range(32)),
+        6 => u64::MAX - rng.gen_range(2 * PAGE_SIZE),
+        7 => u64::MAX - PAGE_SIZE * (1 + rng.gen_range(4)) + 1,
+        8 => stage_pa,
+        9 => rng.gen_range(4),
+        10 => [
+            layout::CODE_BASE.0,
+            layout::SHM_BASE.0,
+            layout::HOST_SHARED_BASE.0,
+        ][rng.gen_range(3) as usize],
+        _ => rng.next_u64(),
+    }
+}
+
+/// How many arguments the EMS decodes for `primitive`.
+fn arity(primitive: Primitive) -> u64 {
+    match primitive {
+        Primitive::Eenter
+        | Primitive::Eresume
+        | Primitive::Eexit
+        | Primitive::Edestroy
+        | Primitive::Ewb
+        | Primitive::Emeas
+        | Primitive::Eattest => 1,
+        Primitive::Ealloc | Primitive::Eshmdt | Primitive::Eshmdes => 2,
+        Primitive::Efree | Primitive::Eshmat => 3,
+        Primitive::Ecreate | Primitive::Eshmget | Primitive::Eshmshr => 4,
+        Primitive::Eadd => 5,
+    }
+}
+
+/// Arbitrary primitive + argument vectors through `submit`/`pump`, from
+/// both privileges on hart 0 and hart 1. Between batches the driver keeps
+/// hart 1 inside a live enclave and one enclave measured, so hostile calls
+/// keep meeting every lifecycle state.
+#[test]
+fn submit_and_pump_are_total_on_hostile_arg_vectors() {
+    let mut m = Machine::boot_default();
+    let manifest =
+        EnclaveManifest::parse("heap = 16M\nstack = 16K\nhost_shared = 8K").expect("manifest");
+    let dead = m.create_enclave(0, &manifest, b"dead").expect("create");
+    m.destroy(0, dead).expect("destroy");
+    let (stage, _) = m
+        .stage_host_frames(2 * PAGE_SIZE, b"hostile source bytes")
+        .expect("stage");
+    let dead = [dead.0, 0, u64::MAX, 1 << 40];
+    let primitives = Primitive::all();
+    let mut rng = SplitMix64::new(0x4e05_7113);
+    let (mut accepted, mut ok, mut switches) = (0usize, 0usize, 0u64);
+    for batch in 0..1200 {
+        // Re-provision: a hart 1 outside any live enclave enters a fresh
+        // one, and a fresh enclave waits measured whenever none does.
+        let alive = |m: &Machine, eid: u64| m.ems.enclave_view(eid).is_some();
+        if m.current_enclave(1).is_none_or(|e| !alive(&m, e)) {
+            if m.current_enclave(1).is_some() {
+                m.emcall.exit_enclave(&mut m.harts[1]);
+            }
+            if let Ok(e) = m.create_enclave(1, &manifest, b"inside") {
+                let _ = m.enter(1, e);
+            }
+        }
+        let measured = m
+            .enclave_views()
+            .iter()
+            .any(|v| v.state == EnclaveState::Measured);
+        if !measured {
+            let _ = m.create_enclave(0, &manifest, b"measured");
+        }
+        let live: Vec<u64> = m.enclave_views().iter().map(|v| v.eid).collect();
+        let before: Vec<_> = m
+            .harts
+            .iter()
+            .map(|h| (h.current_enclave, h.mmu.table))
+            .collect();
+        let mut batch_accepted = 0;
+        for _ in 0..1 + rng.gen_range(4) {
+            let hart = rng.gen_range(2) as usize;
+            let privilege = if rng.gen_range(2) == 0 {
+                Privilege::Os
+            } else {
+                Privilege::User
+            };
+            let primitive = primitives[rng.gen_range(16) as usize];
+            // Mostly the arity the EMS decodes, often with the hart's own
+            // (or a live) enclave first, so calls get past the sanity checks.
+            let own = m.current_enclave(hart).or(live.first().copied());
+            let len = match rng.gen_range(4) {
+                0 => rng.gen_range(7),
+                _ => arity(primitive),
+            };
+            let args: Vec<u64> = (0..len)
+                .map(|i| match (i, own, rng.gen_range(2)) {
+                    (0, Some(eid), 0) => eid,
+                    _ => hostile_arg(&mut rng, &live, &dead, stage.base().0),
+                })
+                .collect();
+            let payload: Vec<u8> = (0..rng.gen_range(96))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            if m.submit_as(hart, privilege, primitive, args, payload)
+                .is_ok()
+            {
+                batch_accepted += 1;
+            }
+        }
+        let mut rounds = 0;
+        while m.pipeline_stats().in_flight > 0 {
+            m.pump();
+            rounds += 1;
+            assert!(
+                rounds < 10_000,
+                "batch {batch}: an accepted call never completed"
+            );
+        }
+        let done = m.drain_completions();
+        assert_eq!(done.len(), batch_accepted, "batch {batch}: a call was lost");
+        accepted += batch_accepted;
+        for (h, was) in before.iter().enumerate() {
+            let now = (m.harts[h].current_enclave, m.harts[h].mmu.table);
+            let switched = done.iter().any(|c| {
+                c.hart_id == h
+                    && c.result.is_ok()
+                    && matches!(
+                        c.primitive,
+                        Primitive::Eenter | Primitive::Eresume | Primitive::Eexit
+                    )
+            });
+            assert!(
+                now == *was || switched,
+                "batch {batch}: hart {h} changed enclave context without an Ok EENTER, ERESUME or EEXIT"
+            );
+            switches += u64::from(now != *was);
+        }
+        ok += done.iter().filter(|c| c.result.is_ok()).count();
+        if batch % 16 == 15 {
+            m.audit()
+                .unwrap_or_else(|e| panic!("batch {batch}: audit failed: {e:?}"));
+        }
+    }
+    m.audit().expect("consistent after the campaign");
+    assert!(
+        ok > 60 && switches > 10,
+        "degenerate campaign: {accepted} accepted, {ok} Ok, {switches} context switches"
+    );
 }

@@ -5,7 +5,7 @@ use hypertee_ems::boot::{provision_flash, secure_boot, BootError, BootReport};
 use hypertee_ems::keys::EFuse;
 use hypertee_ems::runtime::Ems;
 use hypertee_fabric::ihub::IHub;
-use hypertee_fabric::message::{Primitive, Response, Status};
+use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_faults::{FaultPlan, FaultStats};
 use hypertee_mem::addr::{PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::audit::{AuditError, ConsistencyAudit};
@@ -337,10 +337,28 @@ impl Machine {
         )
     }
 
-    /// Invokes one enclave primitive from `hart_id` synchronously: a thin
-    /// wrapper over the asynchronous pipeline ([`Machine::submit`] followed
-    /// by [`Machine::pump`] until the call completes). Recovery semantics
-    /// are the pipeline's: a response lost past [`RetryPolicy::poll_budget`]
+    /// Invokes one enclave primitive from `hart_id` synchronously, at the
+    /// hart's current privilege: [`Machine::invoke_as`] without an override.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`Machine::invoke_as`].
+    pub fn invoke(
+        &mut self,
+        hart_id: usize,
+        primitive: Primitive,
+        args: Vec<u64>,
+        payload: Vec<u8>,
+    ) -> MachineResult<Response> {
+        let privilege = self.harts[hart_id].privilege;
+        self.invoke_as(hart_id, privilege, primitive, args, payload)
+    }
+
+    /// Invokes one enclave primitive from `hart_id` under `privilege`
+    /// synchronously: a thin wrapper over the asynchronous pipeline
+    /// ([`Machine::submit_as`] followed by [`Machine::pump`] until the call
+    /// completes, which lands its CS-side effect). Recovery semantics are
+    /// the pipeline's: a response lost past [`RetryPolicy::poll_budget`]
     /// polls is resubmitted under the same `req_id` (the EMS response cache
     /// makes replays idempotent), an [`Status::Aborted`] response triggers a
     /// fresh submission, both after an exponential back-off charged to the
@@ -352,14 +370,15 @@ impl Machine {
     /// [`MachineError::Primitive`] for EMS-side failures, and
     /// [`MachineError::Timeout`] when [`RetryPolicy::max_retries`]
     /// resubmissions still produced no completion.
-    pub fn invoke(
+    pub fn invoke_as(
         &mut self,
         hart_id: usize,
+        privilege: Privilege,
         primitive: Primitive,
         args: Vec<u64>,
         payload: Vec<u8>,
     ) -> MachineResult<Response> {
-        let call = self.submit(hart_id, primitive, args, payload)?;
+        let call = self.submit_as(hart_id, privilege, primitive, args, payload)?;
         loop {
             self.pump();
             if let Some(done) = self.take_completion(call) {
@@ -419,6 +438,41 @@ impl Machine {
                 .map_err(MachineError::Mem)?;
         }
         Ok((base_va, base_ppn))
+    }
+
+    /// Allocates contiguous OS frames for `bytes` (at least one) and writes
+    /// `data` from the first. Returns `(base, pages)`.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError::OutOfMemory`]; a failed write frees the frames.
+    pub fn stage_host_frames(&mut self, bytes: u64, data: &[u8]) -> MachineResult<(Ppn, u64)> {
+        let pages = bytes.div_ceil(PAGE_SIZE).max(1);
+        let base = self
+            .os
+            .alloc_contiguous(pages)
+            .ok_or(MachineError::OutOfMemory)?;
+        if let Err(e) = self.sys.phys.write(base.base(), data) {
+            self.release_host_frames(base, pages)?;
+            return Err(MachineError::Mem(e));
+        }
+        Ok((base, pages))
+    }
+
+    /// Zeroes `pages` host frames from `base` and returns them to the OS.
+    ///
+    /// # Errors
+    ///
+    /// A memory fault zeroing a frame (it and the rest stay allocated).
+    pub fn release_host_frames(&mut self, base: Ppn, pages: u64) -> MachineResult<()> {
+        for i in 0..pages {
+            self.sys
+                .phys
+                .zero_frame(Ppn(base.0 + i))
+                .map_err(MachineError::Mem)?;
+            self.os.free(Ppn(base.0 + i));
+        }
+        Ok(())
     }
 
     /// Host-mode virtual store from `hart_id` (splits at page boundaries).

@@ -10,7 +10,9 @@
 //!   — the hart is immediately free to submit more;
 //! * [`Machine::pump`] advances the whole SoC one scheduling round;
 //! * [`Machine::take_completion`] / [`Machine::drain_completions`] collect
-//!   finished calls.
+//!   finished calls and *land* them: EMCall's CS-side half of the primitive
+//!   (context switch, translation flush, walk-cache teardown) is applied
+//!   exactly once, at collection.
 //!
 //! # Event-driven rounds (DESIGN.md §15)
 //!
@@ -50,6 +52,8 @@ use crate::timerwheel::TimerWheel;
 use hypertee_ems::runtime::EmsContext;
 use hypertee_ems::scheduler::{EmsScheduler, ServiceRecord};
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
+use hypertee_mem::addr::Ppn;
+use hypertee_mem::ownership::EnclaveId;
 use hypertee_sim::clock::Cycles;
 use hypertee_sim::rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -70,6 +74,11 @@ pub struct Completion {
     pub call: PendingCall,
     /// The submitting hart.
     pub hart_id: usize,
+    /// The primitive the call carried.
+    pub primitive: Primitive,
+    /// The enclave the call targets: its first argument (0 when it has
+    /// none). Landing an EENTER/ERESUME stamps it on the hart.
+    pub eid: u64,
     /// The outcome, exactly as `invoke` would have returned it.
     pub result: MachineResult<Response>,
     /// Modelled response latency on the submitting hart's clock, from
@@ -824,6 +833,8 @@ impl Machine {
             Completion {
                 call: inf.call,
                 hart_id,
+                primitive: inf.primitive,
+                eid: inf.args.first().copied().unwrap_or(0),
                 result,
                 latency,
                 attempts: inf.attempt,
@@ -831,17 +842,54 @@ impl Machine {
         );
     }
 
-    /// Collects the completion for `call`, if it has finished.
+    /// Collects the completion for `call`, if it has finished, and lands
+    /// its CS-side effect on the harts (DESIGN.md §8).
     pub fn take_completion(&mut self, call: PendingCall) -> Option<Completion> {
-        self.pipeline.completed.remove(&call.id)
+        let done = self.pipeline.completed.remove(&call.id)?;
+        self.land(&done);
+        Some(done)
     }
 
-    /// Collects every finished call (submission order).
+    /// Collects and lands every finished call (submission order).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let ids: Vec<u64> = self.pipeline.completed.keys().copied().collect();
-        ids.into_iter()
-            .filter_map(|id| self.pipeline.completed.remove(&id))
-            .collect()
+        let done = std::mem::take(&mut self.pipeline.completed);
+        for c in done.values() {
+            self.land(c);
+        }
+        done.into_values().collect()
+    }
+
+    /// EMCall's CS-side half of a primitive (§III-B ④), applied exactly
+    /// once per completion as it is collected (the table is in DESIGN.md
+    /// §8). An unknown outcome (`Timeout`, `DeadlineExpired`) may still
+    /// have changed the mappings, so it flushes too. Landing runs here and
+    /// not in `pump`, so a same-round resubmission is still stamped with
+    /// the hart's identity at submission time.
+    fn land(&mut self, c: &Completion) {
+        let h = c.hart_id;
+        match (c.primitive, &c.result) {
+            (Primitive::Eenter | Primitive::Eresume, Ok(resp)) => {
+                if let Some((root, entry, _key)) = resp.entry_context() {
+                    let (hart, eid, root) = (&mut self.harts[h], EnclaveId(c.eid), Ppn(root));
+                    if c.primitive == Primitive::Eenter {
+                        self.emcall.enter_enclave(hart, eid, root, entry);
+                    } else {
+                        self.emcall.resume_enclave(hart, eid, root, entry);
+                    }
+                }
+            }
+            (Primitive::Eexit, Ok(_)) => self.emcall.exit_enclave(&mut self.harts[h]),
+            (
+                Primitive::Ealloc | Primitive::Efree | Primitive::Eshmat | Primitive::Eshmdt,
+                Ok(_) | Err(MachineError::Timeout | MachineError::DeadlineExpired),
+            ) => self.harts[h].mmu.flush_translations(),
+            (Primitive::Edestroy, Ok(_)) => {
+                for hart in &mut self.harts {
+                    hart.mmu.note_mapping_teardown();
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Live pipeline observability counters.

@@ -9,9 +9,7 @@ use crate::manifest::EnclaveManifest;
 use hypertee_ems::attest::Quote;
 use hypertee_ems::control::layout;
 use hypertee_fabric::message::{Primitive, Privilege};
-use hypertee_mem::addr::Ppn;
 use hypertee_mem::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
-use hypertee_mem::ownership::EnclaveId;
 
 /// Shared-memory permission requested for a receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,11 +27,6 @@ impl ShmPerm {
             ShmPerm::ReadWrite => 0b11,
         }
     }
-}
-
-/// Frames of a host window of `bytes`: at least one.
-fn window_pages(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE).max(1)
 }
 
 impl Machine {
@@ -56,53 +49,42 @@ impl Machine {
         manifest: &EnclaveManifest,
         image: &[u8],
     ) -> MachineResult<EnclaveHandle> {
-        let window_pages = window_pages(manifest.host_shared_bytes);
-        let window_base = self
-            .os
-            .alloc_contiguous(window_pages)
-            .ok_or(MachineError::OutOfMemory)?;
+        let (window_base, window_pages) =
+            self.stage_host_frames(manifest.host_shared_bytes, &[])?;
         // Stage the image in contiguous host frames for EADD to read.
-        let image_pages = (image.len() as u64).div_ceil(PAGE_SIZE).max(1);
-        let Some(stage) = self.os.alloc_contiguous(image_pages) else {
-            self.release_host_frames(window_base, window_pages)?;
-            return Err(MachineError::OutOfMemory);
+        let (stage, image_pages) = match self.stage_host_frames(image.len() as u64, image) {
+            Ok(stage) => stage,
+            Err(e) => {
+                self.release_host_frames(window_base, window_pages)?;
+                return Err(e);
+            }
         };
         let mut created = None;
-        let mut ecreate_unknown = false;
-        let built = self
-            .sys
-            .phys
-            .write(stage.base(), image)
-            .map_err(MachineError::Mem)
-            .and_then(|()| {
-                self.with_privilege(hart_id, Privilege::Os, |m| {
-                    let ecreate = vec![
-                        manifest.heap_max,
-                        manifest.stack_bytes,
-                        manifest.host_shared_bytes,
-                        window_base.base().0,
-                    ];
-                    let resp = m.invoke(hart_id, Primitive::Ecreate, ecreate, vec![]);
-                    // Only a rejected, shed or gated ECREATE surely built nothing.
-                    ecreate_unknown = resp.as_ref().is_err_and(|e| {
-                        !matches!(
-                            e,
-                            MachineError::Primitive(_)
-                                | MachineError::Backpressure
-                                | MachineError::Gate(_)
-                        )
-                    });
-                    let eid = resp?
-                        .new_enclave_id()
-                        .expect("ECREATE answers with the new enclave id");
-                    created = Some(eid);
-                    let len = image.len() as u64;
-                    let eadd = vec![eid, layout::CODE_BASE.0, stage.base().0, len, 0b111];
-                    m.invoke(hart_id, Primitive::Eadd, eadd, vec![])?;
-                    m.invoke(hart_id, Primitive::Emeas, vec![eid], vec![])?;
-                    MachineResult::Ok(eid)
-                })
-            });
+        let ecreate = vec![
+            manifest.heap_max,
+            manifest.stack_bytes,
+            manifest.host_shared_bytes,
+            window_base.base().0,
+        ];
+        let resp = self.invoke_as(hart_id, Privilege::Os, Primitive::Ecreate, ecreate, vec![]);
+        // Only a rejected, shed or gated ECREATE surely built nothing.
+        let ecreate_unknown = resp.as_ref().is_err_and(|e| {
+            !matches!(
+                e,
+                MachineError::Primitive(_) | MachineError::Backpressure | MachineError::Gate(_)
+            )
+        });
+        let built = resp.and_then(|resp| {
+            let eid = resp
+                .new_enclave_id()
+                .expect("ECREATE answers with the new enclave id");
+            created = Some(eid);
+            let len = image.len() as u64;
+            let eadd = vec![eid, layout::CODE_BASE.0, stage.base().0, len, 0b111];
+            self.invoke_as(hart_id, Privilege::Os, Primitive::Eadd, eadd, vec![])?;
+            self.invoke_as(hart_id, Privilege::Os, Primitive::Emeas, vec![eid], vec![])?;
+            MachineResult::Ok(eid)
+        });
         // Release the staging frames back to the OS, built or not.
         self.release_host_frames(stage, image_pages)?;
         let eid = match built {
@@ -114,9 +96,13 @@ impl Machine {
                 let torn_down = match created {
                     None => !ecreate_unknown,
                     Some(eid) => self
-                        .with_privilege(hart_id, Privilege::Os, |m| {
-                            m.invoke(hart_id, Primitive::Edestroy, vec![eid], vec![])
-                        })
+                        .invoke_as(
+                            hart_id,
+                            Privilege::Os,
+                            Primitive::Edestroy,
+                            vec![eid],
+                            vec![],
+                        )
                         .is_ok(),
                 };
                 if torn_down {
@@ -145,20 +131,8 @@ impl Machine {
         Ok(EnclaveHandle(eid))
     }
 
-    /// Zeroes `pages` host frames from `base` and returns them to the OS.
-    fn release_host_frames(&mut self, base: Ppn, pages: u64) -> MachineResult<()> {
-        for i in 0..pages {
-            self.sys
-                .phys
-                .zero_frame(Ppn(base.0 + i))
-                .map_err(MachineError::Mem)?;
-            self.os.free(Ppn(base.0 + i));
-        }
-        Ok(())
-    }
-
-    /// Enters an enclave on a hart: EENTER followed by EMCall's atomic
-    /// context switch.
+    /// Enters an enclave on a hart: EENTER, whose completion lands EMCall's
+    /// atomic context switch.
     ///
     /// # Errors
     ///
@@ -168,18 +142,13 @@ impl Machine {
         if self.harts[hart_id].current_enclave.is_some() {
             return Err(MachineError::WrongMode);
         }
-        let resp = self.with_privilege(hart_id, Privilege::Os, |m| {
-            m.invoke(hart_id, Primitive::Eenter, vec![handle.0], vec![])
-        })?;
-        let (root, entry, _key) = resp
-            .entry_context()
-            .expect("EENTER answers with the entry context");
-        self.emcall.enter_enclave(
-            &mut self.harts[hart_id],
-            EnclaveId(handle.0),
-            Ppn(root),
-            entry,
-        );
+        self.invoke_as(
+            hart_id,
+            Privilege::Os,
+            Primitive::Eenter,
+            vec![handle.0],
+            vec![],
+        )?;
         // ABI setup for fresh entries: stack pointer at the top of the
         // statically allocated stack (EMCall zeroed the bank).
         let info = self.enclave_info(handle)?;
@@ -197,23 +166,18 @@ impl Machine {
         if self.harts[hart_id].current_enclave.is_some() {
             return Err(MachineError::WrongMode);
         }
-        let resp = self.with_privilege(hart_id, Privilege::Os, |m| {
-            m.invoke(hart_id, Primitive::Eresume, vec![handle.0], vec![])
-        })?;
-        let (root, entry, _key) = resp
-            .entry_context()
-            .expect("ERESUME answers with the entry context");
-        self.emcall.resume_enclave(
-            &mut self.harts[hart_id],
-            EnclaveId(handle.0),
-            Ppn(root),
-            entry,
-        );
+        self.invoke_as(
+            hart_id,
+            Privilege::Os,
+            Primitive::Eresume,
+            vec![handle.0],
+            vec![],
+        )?;
         Ok(())
     }
 
-    /// Exits the enclave currently running on a hart (EEXIT + context
-    /// restore).
+    /// Exits the enclave currently running on a hart (EEXIT, whose
+    /// completion lands the context restore).
     ///
     /// # Errors
     ///
@@ -221,7 +185,6 @@ impl Machine {
     pub fn exit(&mut self, hart_id: usize) -> MachineResult<()> {
         let eid = self.current_eid(hart_id)?;
         self.invoke(hart_id, Primitive::Eexit, vec![eid], vec![])?;
-        self.emcall.exit_enclave(&mut self.harts[hart_id]);
         Ok(())
     }
 
@@ -232,32 +195,22 @@ impl Machine {
     ///
     /// Gate/primitive failures.
     pub fn destroy(&mut self, hart_id: usize, handle: EnclaveHandle) -> MachineResult<()> {
-        self.with_privilege(hart_id, Privilege::Os, |m| {
-            m.invoke(hart_id, Primitive::Edestroy, vec![handle.0], vec![])
-        })?;
+        self.invoke_as(
+            hart_id,
+            Privilege::Os,
+            Primitive::Edestroy,
+            vec![handle.0],
+            vec![],
+        )?;
         if let Some(info) = self.enclaves.remove(&handle.0) {
-            let pages = window_pages(info.host_window_bytes);
+            let pages = info.host_window_bytes.div_ceil(PAGE_SIZE).max(1);
             self.release_host_frames(info.host_window_pa.ppn(), pages)?;
-        }
-        // The destroyed enclave's frames return to the pool and may be
-        // reused for data or code: drop every hart's walk-cache pointers so
-        // none of them can later interpret reused frames as page tables,
-        // and bump the flush epoch so decoded-instruction caches drop any
-        // lines decoded from the recycled frames. (TLB entries for the
-        // torn-down mappings are already gone — the last exit_enclave
-        // switched tables and flushed — so this adds no TLB flush and
-        // leaves TlbStats trajectories unchanged.)
-        for hart in &mut self.harts {
-            hart.mmu.note_mapping_teardown();
         }
         Ok(())
     }
 
     fn current_eid(&self, hart_id: usize) -> MachineResult<u64> {
-        self.harts[hart_id]
-            .current_enclave
-            .map(|e| e.0)
-            .ok_or(MachineError::WrongMode)
+        self.current_enclave(hart_id).ok_or(MachineError::WrongMode)
     }
 
     /// EALLOC from inside the enclave on `hart_id`. Returns the mapped VA.
@@ -268,10 +221,6 @@ impl Machine {
     pub fn ealloc(&mut self, hart_id: usize, bytes: u64) -> MachineResult<VirtAddr> {
         let eid = self.current_eid(hart_id)?;
         let resp = self.invoke(hart_id, Primitive::Ealloc, vec![eid, bytes], vec![])?;
-        // New mappings were created: EMCall flushes the hart's cached
-        // translations (TLB + walk cache) so the enclave observes them
-        // (and no stale entries survive).
-        self.harts[hart_id].mmu.flush_translations();
         Ok(VirtAddr(
             resp.mapped_va().expect("EALLOC answers with the mapped VA"),
         ))
@@ -285,7 +234,6 @@ impl Machine {
     pub fn efree(&mut self, hart_id: usize, va: VirtAddr, bytes: u64) -> MachineResult<()> {
         let eid = self.current_eid(hart_id)?;
         self.invoke(hart_id, Primitive::Efree, vec![eid, va.0, bytes], vec![])?;
-        self.harts[hart_id].mmu.flush_translations();
         Ok(())
     }
 
@@ -296,9 +244,13 @@ impl Machine {
     ///
     /// Primitive failures.
     pub fn ewb(&mut self, hart_id: usize, requested: u64) -> MachineResult<Vec<PhysAddr>> {
-        let resp = self.with_privilege(hart_id, Privilege::Os, |m| {
-            m.invoke(hart_id, Primitive::Ewb, vec![requested], vec![])
-        })?;
+        let resp = self.invoke_as(
+            hart_id,
+            Privilege::Os,
+            Primitive::Ewb,
+            vec![requested],
+            vec![],
+        )?;
         let pas: Vec<PhysAddr> = resp
             .written_back_frames()
             .iter()
@@ -372,7 +324,6 @@ impl Machine {
             vec![eid, shmid, sender.0],
             vec![],
         )?;
-        self.harts[hart_id].mmu.flush_translations();
         Ok(VirtAddr(
             resp.mapped_va().expect("ESHMAT answers with the mapped VA"),
         ))
@@ -386,7 +337,6 @@ impl Machine {
     pub fn shmdt(&mut self, hart_id: usize, shmid: u64) -> MachineResult<()> {
         let eid = self.current_eid(hart_id)?;
         self.invoke(hart_id, Primitive::Eshmdt, vec![eid, shmid], vec![])?;
-        self.harts[hart_id].mmu.flush_translations();
         Ok(())
     }
 

@@ -390,18 +390,9 @@ impl EmCall {
         table_root: Ppn,
         entry: u64,
     ) {
-        if hart.saved_host_table.is_none() {
-            hart.saved_host_table = hart.mmu.table;
-        }
-        hart.mmu
-            .switch_table(Some(PageTable { root: table_root }), true);
-        hart.current_enclave = Some(enclave);
-        hart.privilege = Privilege::User;
-        hart.pc = entry;
-        hart.regs = [0; 32];
+        // A resume with nothing saved is exactly a fresh entry.
         hart.saved_enclave_ctx = None;
-        self.stats.context_switches += 1;
-        self.stats.tlb_flushes += 1;
+        self.resume_enclave(hart, enclave, table_root, entry);
     }
 
     /// Atomically resumes an enclave context: like [`EmCall::enter_enclave`]

@@ -227,7 +227,9 @@ impl Ems {
         if !dest_va.is_multiple_of(PAGE_SIZE)
             || len == 0
             || dest_va < layout::CODE_BASE.0
-            || dest_va + len > layout::STACK_BASE.0
+            || dest_va
+                .checked_add(len)
+                .is_none_or(|end| end > layout::STACK_BASE.0)
         {
             return Err(EmsError::InvalidArgument);
         }

@@ -7,7 +7,7 @@
 
 use crate::control::{layout, EnclaveState};
 use crate::error::{EmsError, EmsResult};
-use crate::runtime::{Ems, EmsContext, StagedFrames};
+use crate::runtime::{range_end, Ems, EmsContext, StagedFrames};
 use crate::txn::{Txn, UndoOp};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_mem::addr::{KeyId, Ppn, VirtAddr, PAGE_SIZE};
@@ -54,7 +54,7 @@ impl Ems {
         }
         let base = enclave.heap_cursor;
         let heap_end = layout::HEAP_BASE.0 + enclave.config.heap_max;
-        if base.0 + pages * PAGE_SIZE > heap_end {
+        if range_end(base.0, pages).is_none_or(|end| end > heap_end) {
             return Err(EmsError::InvalidArgument);
         }
         let key = enclave.key.ok_or(EmsError::BadState)?;
@@ -159,7 +159,9 @@ impl Ems {
             return Err(EmsError::InvalidArgument);
         }
         let pages = bytes.div_ceil(PAGE_SIZE);
-        if va < layout::HEAP_BASE.0 || va + pages * PAGE_SIZE > enclave.heap_cursor.0 {
+        if va < layout::HEAP_BASE.0
+            || range_end(va, pages).is_none_or(|end| end > enclave.heap_cursor.0)
+        {
             return Err(EmsError::InvalidArgument);
         }
         let table = enclave.page_table;

@@ -581,6 +581,14 @@ impl Ems {
     }
 }
 
+/// End of a `pages`-page range from `start`, or `None` when a hostile
+/// length or address overflows the address space.
+pub(crate) fn range_end(start: u64, pages: u64) -> Option<u64> {
+    pages
+        .checked_mul(hypertee_mem::addr::PAGE_SIZE)
+        .and_then(|len| start.checked_add(len))
+}
+
 /// Decodes exactly `N` scalar arguments, rejecting short/long vectors — the
 /// first line of the EMS sanity check.
 fn fixed_args<const N: usize>(args: &[u64]) -> EmsResult<[u64; N]> {

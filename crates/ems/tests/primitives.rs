@@ -214,6 +214,47 @@ fn heap_limit_enforced() {
 }
 
 #[test]
+fn overflowing_lengths_are_rejected() {
+    // Lengths whose page range wraps the address space must not slip past
+    // the bounds checks (debug builds used to panic on the overflow, and
+    // release builds to stage a wrapped frame count).
+    let mut m = Machine::new(6);
+    let eid = m.build_enclave(b"overflow");
+    m.with(|ems, ctx| ems.eenter(ctx, eid)).unwrap();
+    for bytes in [u64::MAX, u64::MAX - PAGE_SIZE + 1, 1 << 63, (1 << 52) + 1] {
+        let err = m.with(|ems, ctx| ems.ealloc(ctx, eid, bytes)).unwrap_err();
+        assert_eq!(err, EmsError::InvalidArgument, "EALLOC of {bytes:#x}");
+    }
+    let (va, _) = m.with(|ems, ctx| ems.ealloc(ctx, eid, PAGE_SIZE)).unwrap();
+    for (start, bytes) in [(va.0, u64::MAX), (u64::MAX - PAGE_SIZE + 1, PAGE_SIZE)] {
+        let err = m
+            .with(|ems, ctx| ems.efree(ctx, eid, start, bytes))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EmsError::InvalidArgument,
+            "EFREE of {bytes:#x} at {start:#x}"
+        );
+    }
+    let building = m
+        .with(|ems, ctx| {
+            let config = EnclaveConfig {
+                heap_max: PAGE_SIZE,
+                stack_bytes: PAGE_SIZE,
+                host_shared_bytes: PAGE_SIZE,
+            };
+            let window = ctx.os_frames.alloc().unwrap();
+            ems.ecreate(ctx, config, window.base().0)
+        })
+        .unwrap()
+        .0;
+    let err = m
+        .with(|ems, ctx| ems.eadd(ctx, building, layout::CODE_BASE.0, 0, u64::MAX, 0b101))
+        .unwrap_err();
+    assert_eq!(err, EmsError::InvalidArgument);
+}
+
+#[test]
 fn ewb_returns_randomized_clean_pages() {
     let mut m = Machine::new(7);
     let _eid = m.build_enclave(b"swap");

@@ -39,7 +39,7 @@ pub struct TlbStats {
 }
 
 /// A finite-capacity TLB with FIFO replacement.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     entries: VecDeque<TlbEntry>,
     capacity: usize,

@@ -38,8 +38,9 @@ use hypertee_ems::control::{layout, EnclaveState};
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_faults::{FaultConfig, FaultPlan};
 use hypertee_mem::addr::{Ppn, VirtAddr, PAGE_SIZE};
-use hypertee_mem::ownership::{EnclaveId, PageOwner};
+use hypertee_mem::ownership::PageOwner;
 use hypertee_mem::snapshot::{stale_tlb_entries, MemSnapshot};
+use hypertee_mem::tlb::Tlb;
 use hypertee_sim::config::SocConfig;
 use std::collections::BTreeSet;
 
@@ -67,8 +68,9 @@ pub enum Mutation {
     /// as enclave memory — simulating an EMS that forgot to clear the
     /// bitmap bit when evicting the frame to the OS.
     RemarkWritebackFrame,
-    /// Skip the post-EFREE TLB shootdown on the issuing hart — simulating a
-    /// missed coherence flush after pages were unmapped.
+    /// Undo the post-EFREE TLB shootdown on the issuing hart — the TLB
+    /// snapshotted at submission is put back after the completion lands,
+    /// simulating a missed coherence flush after pages were unmapped.
     SkipFreeTlbFlush,
 }
 
@@ -171,9 +173,9 @@ enum Apply {
     AddImage { base_va: u64 },
     /// EMEAS: finalise the mirror; the response payload must equal it.
     Measure,
-    /// EENTER/ERESUME: perform EMCall's context switch on the hart.
-    EnterCtx { resume: bool },
-    /// EEXIT: restore the host context on the hart.
+    /// EENTER/ERESUME: the hart is now inside the slot's enclave.
+    EnterCtx,
+    /// EEXIT: the hart is back in the host context.
     ExitCtx,
     /// EALLOC: the response must map `pages` at exactly `va`.
     Alloc { va: u64, pages: u64 },
@@ -256,6 +258,9 @@ struct Driver<'a> {
     /// Whole-machine model diffs remain sound (no orphaned creations).
     strict_global: bool,
     mutation_done: bool,
+    /// Per hart, the TLB as it stood when its EFREE was submitted (only
+    /// under [`Mutation::SkipFreeTlbFlush`]).
+    tlb_before_free: Vec<Option<Tlb>>,
     executed: usize,
     local_noops: usize,
     completions: usize,
@@ -302,6 +307,7 @@ pub fn run_campaign(campaign: &Campaign, commands: &[Command]) -> CampaignOutcom
         faulted,
         strict_global: true,
         mutation_done: false,
+        tlb_before_free: (0..campaign.harts).map(|_| None).collect(),
         executed: 0,
         local_noops: 0,
         completions: 0,
@@ -470,24 +476,6 @@ impl Driver<'_> {
         }
     }
 
-    /// Stages `image` in contiguous host frames (the EMS reads EADD sources
-    /// from CS memory). Returns `(base, pages)`.
-    fn stage_image(&mut self, image: &[u8]) -> Option<(Ppn, u64)> {
-        let pages = (image.len() as u64).div_ceil(PAGE_SIZE).max(1);
-        let base = self.m.os.alloc_contiguous(pages)?;
-        self.m.sys.phys.write(base.base(), image).ok()?;
-        Some((base, pages))
-    }
-
-    fn free_stage(&mut self, stage: Option<(Ppn, u64)>) {
-        if let Some((base, pages)) = stage {
-            for i in 0..pages {
-                let _ = self.m.sys.phys.zero_frame(Ppn(base.0 + i));
-                self.m.os.free(Ppn(base.0 + i));
-            }
-        }
-    }
-
     fn submit(
         &mut self,
         idx: usize,
@@ -531,12 +519,12 @@ impl Driver<'_> {
         if self.model.slots.contains_key(&slot) || self.inside[hart].is_some() {
             return None; // slot occupied, or hart busy inside an enclave
         }
-        let window_pages = window_bytes.div_ceil(PAGE_SIZE).max(1);
-        let window = self.m.os.alloc_contiguous(window_pages)?;
+        let (window, _) = self.m.stage_host_frames(window_bytes, &[]).ok()?;
         let image: Vec<u8> = (0..image_len as usize)
             .map(|i| image_byte(idx, i))
             .collect();
-        let stage = self.stage_image(&image)?;
+        // The EMS reads EADD sources from CS memory.
+        let stage = self.m.stage_host_frames(image_len, &image).ok()?;
         let call = self.submit(
             idx,
             cmd,
@@ -577,7 +565,7 @@ impl Driver<'_> {
         }
         let eid = self.wire_eid(slot);
         let image: Vec<u8> = (0..len as usize).map(|i| image_byte(idx, i)).collect();
-        let stage = self.stage_image(&image)?;
+        let stage = self.m.stage_host_frames(len, &image).ok()?;
         // A slot is never observably `Building` between commands on the
         // happy path (Create measures before releasing the slot), but an
         // abandoned mid-create flow under faults can leave one; appending
@@ -634,10 +622,8 @@ impl Driver<'_> {
         let eid = self.wire_eid(slot);
         let pred = match self.model.slots.get(&slot).map(|s| s.state) {
             None => Pred::exact(Status::NotFound, Apply::Nothing),
-            Some(SlotState::Measured) if !resume => {
-                Pred::exact(Status::Ok, Apply::EnterCtx { resume })
-            }
-            Some(SlotState::Stopped) => Pred::exact(Status::Ok, Apply::EnterCtx { resume }),
+            Some(SlotState::Measured) if !resume => Pred::exact(Status::Ok, Apply::EnterCtx),
+            Some(SlotState::Stopped) => Pred::exact(Status::Ok, Apply::EnterCtx),
             Some(_) => Pred::exact(Status::BadState, Apply::Nothing),
         };
         let primitive = if resume {
@@ -757,6 +743,8 @@ impl Driver<'_> {
                 vec![eid, layout::HEAP_BASE.0, PAGE_SIZE],
             )
         };
+        self.tlb_before_free[hart] = (self.campaign.mutation == Mutation::SkipFreeTlbFlush)
+            .then(|| self.m.harts[hart].mmu.tlb.clone());
         let call = self.submit(
             idx,
             cmd,
@@ -1031,10 +1019,9 @@ impl Driver<'_> {
                 }
                 self.check_view(act.idx, act.cmd, slot);
             }
-            Apply::EnterCtx { resume } => self.apply_enter(&act, &resp, resume),
+            Apply::EnterCtx => self.apply_enter(&act, &resp),
             Apply::ExitCtx => {
                 let slot = target_slot(act.cmd.op).expect("exit has a slot");
-                self.m.emcall.exit_enclave(&mut self.m.harts[act.hart]);
                 self.inside[act.hart] = None;
                 self.model.exit(slot);
                 self.check_view(act.idx, act.cmd, slot);
@@ -1113,28 +1100,15 @@ impl Driver<'_> {
         }
     }
 
-    fn apply_enter(&mut self, act: &Active, resp: &Response, resume: bool) {
+    fn apply_enter(&mut self, act: &Active, resp: &Response) {
         let slot = target_slot(act.cmd.op).expect("enter has a slot");
-        let Some((root, entry, _key)) = resp.entry_context() else {
+        if resp.entry_context().is_none() {
             self.diverge(
                 act.idx,
                 Some(act.cmd),
                 "EENTER/ERESUME Ok carried no entry context",
             );
             return;
-        };
-        let hart = &mut self.m.harts[act.hart];
-        if resume {
-            self.m
-                .emcall
-                .resume_enclave(hart, EnclaveId(act.eid), Ppn(root), entry);
-        } else {
-            self.m
-                .emcall
-                .enter_enclave(hart, EnclaveId(act.eid), Ppn(root), entry);
-            // Fresh-entry ABI: stack pointer at the top of the static stack.
-            let stack_bytes = self.model.slots[&slot].stack_pages * PAGE_SIZE;
-            self.m.harts[act.hart].regs[2] = layout::STACK_BASE.0 + stack_bytes - 16;
         }
         self.inside[act.hart] = Some(slot);
         self.model.enter(slot, act.hart);
@@ -1155,9 +1129,8 @@ impl Driver<'_> {
             return;
         }
         self.model.alloc(slot, pages);
-        // Mirror the SDK: new mappings exist, shoot down the hart's TLB …
-        self.m.harts[act.hart].mmu.tlb.flush_all();
-        // … then touch the fresh pages as the enclave would, which both
+        // Landing flushed the hart's translations; touch the fresh pages as
+        // the enclave would, which both
         // verifies the memory is usable end-to-end (translate + encrypt +
         // integrity) and warms the TLB so coherence bugs become visible.
         for i in 0..pages.min(4) {
@@ -1183,10 +1156,10 @@ impl Driver<'_> {
             s.allocs.pop();
         }
         self.model.free(slot, pages);
-        // Mirror the SDK's post-EFREE shootdown — unless the planted
-        // mutation deliberately skips it to prove the oracle notices.
-        if self.campaign.mutation != Mutation::SkipFreeTlbFlush {
-            self.m.harts[act.hart].mmu.tlb.flush_all();
+        // Landing flushed the hart's translations; the planted mutation
+        // puts the pre-EFREE TLB back to prove the oracle notices.
+        if let Some(tlb) = self.tlb_before_free[act.hart].take() {
+            self.m.harts[act.hart].mmu.tlb = tlb;
         }
         self.check_tlb(act.idx, Some(act.cmd), act.hart);
         self.check_view(act.idx, act.cmd, slot);
@@ -1278,7 +1251,9 @@ impl Driver<'_> {
         if let Some(slot) = target_slot(act.cmd.op) {
             self.locked.remove(&slot);
         }
-        self.free_stage(act.stage);
+        if let Some((base, pages)) = act.stage {
+            let _ = self.m.release_host_frames(base, pages);
+        }
         self.executed += 1;
     }
 

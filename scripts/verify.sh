@@ -35,6 +35,9 @@ echo "==> memory-engine tests and the data-plane wall in release (the build the 
 cargo test --release --offline -p hypertee-mem -q
 cargo test --release --offline --test fastpath -q
 
+echo "==> hostile-input sweep in release (overflowed lengths wrap here where debug panics)"
+cargo test --release --offline -p hypertee-chaos --test hostile_input -q
+
 echo "==> fig6_slo smoke (release, live pipeline, 4- and 16-CS rows)"
 cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --smoke --allocs 32 \
     > /dev/null

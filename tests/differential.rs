@@ -1,4 +1,4 @@
-//! Differential regression: the synchronous [`Machine::invoke`] path and
+//! Differential regression: the synchronous [`Machine::invoke_as`] path and
 //! the asynchronous `submit`/`pump`/`take_completion` pipeline must be
 //! observationally equivalent — identical responses and cycle charges
 //! within 1% — over randomized primitive sequences.
@@ -109,10 +109,17 @@ fn invoke_and_pipeline_agree() {
     for seed in [11u64, 0xd1f_f001, 0xfeed_beef] {
         let mut ma = Machine::boot(SocConfig::default(), seed).expect("boot");
         let calls_a = schedule(seed, &mut ma, 24);
-        ma.harts[0].privilege = Privilege::Os;
         let results_a: Vec<MachineResult<Response>> = calls_a
             .iter()
-            .map(|c| ma.invoke(0, c.primitive, c.args.clone(), c.payload.clone()))
+            .map(|c| {
+                ma.invoke_as(
+                    0,
+                    Privilege::Os,
+                    c.primitive,
+                    c.args.clone(),
+                    c.payload.clone(),
+                )
+            })
             .collect();
         let cycles_a = ma.hart_clock(0).0;
 

@@ -1,12 +1,15 @@
 //! Workspace-level security tests: the paper's threat model (§II-B)
 //! exercised across crate boundaries.
 
+use hypertee_repro::fabric::message::Primitive;
+use hypertee_repro::faults::{FaultConfig, FaultPlan};
 use hypertee_repro::hypertee::attacks;
-use hypertee_repro::hypertee::machine::Machine;
+use hypertee_repro::hypertee::machine::{Machine, MachineError};
 use hypertee_repro::hypertee::manifest::EnclaveManifest;
 use hypertee_repro::hypertee::sdk::ShmPerm;
-use hypertee_repro::mem::addr::{KeyId, VirtAddr};
+use hypertee_repro::mem::addr::{KeyId, VirtAddr, PAGE_SIZE};
 use hypertee_repro::mem::pagetable::{PageTable, Perms};
+use hypertee_repro::mem::snapshot::stale_tlb_entries;
 use hypertee_repro::mem::MemFault;
 
 fn manifest() -> EnclaveManifest {
@@ -202,4 +205,70 @@ fn privilege_matrix_enforced_for_every_primitive() {
         m.harts[0].privilege = Privilege::User;
     }
     assert_eq!(m.emcall.stats.blocked, 16);
+}
+
+/// Enters an enclave on hart 0, EALLOCs four pages and touches each one,
+/// warming the hart's TLB and walk cache. Returns the enclave id and VA.
+fn warm_four_pages(m: &mut Machine) -> (u64, VirtAddr) {
+    let e = m.create_enclave(0, &manifest(), b"efree target").unwrap();
+    m.enter(0, e).unwrap();
+    let va = m.ealloc(0, 4 * PAGE_SIZE).unwrap();
+    for i in 0..4 {
+        m.enclave_store(0, VirtAddr(va.0 + i * PAGE_SIZE), b"warm")
+            .unwrap();
+    }
+    assert!(
+        m.harts[0].mmu.tlb.len() >= 4,
+        "the touches must fill the TLB"
+    );
+    (e.0, va)
+}
+
+/// TLB entries on hart 0 that disagree with its current page table.
+fn stale_on_hart0(m: &mut Machine) -> usize {
+    let table = m.harts[0].mmu.table.expect("hart 0 has a page table");
+    stale_tlb_entries(&m.harts[0].mmu.tlb, &table, &mut m.sys.phys)
+        .unwrap()
+        .len()
+}
+
+#[test]
+fn raw_pipeline_efree_leaves_no_stale_translations() {
+    // A raw submit/pump client gets the same post-EFREE flush as the SDK:
+    // the completion lands it, not the caller.
+    let mut m = Machine::boot_default();
+    let (eid, va) = warm_four_pages(&mut m);
+    m.submit(0, Primitive::Efree, vec![eid, va.0, 4 * PAGE_SIZE], vec![])
+        .unwrap();
+    while m.pipeline_stats().in_flight > 0 {
+        m.pump();
+    }
+    let done = m.drain_completions();
+    assert_eq!(done.len(), 1);
+    assert!(done[0].result.is_ok(), "EFREE failed: {:?}", done[0].result);
+    assert_eq!(stale_on_hart0(&mut m), 0, "stale TLB entries after EFREE");
+    assert!(
+        m.harts[0].mmu.walk_cache.is_empty(),
+        "walk cache survived EFREE"
+    );
+}
+
+#[test]
+fn efree_with_lost_responses_still_flushes() {
+    // Every response is dropped: the EMS executes the EFREE but the call
+    // ends in Timeout. Its outcome is unknown, so the hart must still drop
+    // its translations to the maybe-freed frames.
+    let mut m = Machine::boot_default();
+    let (_, va) = warm_four_pages(&mut m);
+    let drops = FaultConfig {
+        drop_response_pm: 1000,
+        ..FaultConfig::disabled()
+    };
+    m.arm_faults(&FaultPlan::new(0x10_57, drops));
+    assert_eq!(m.efree(0, va, 4 * PAGE_SIZE), Err(MachineError::Timeout));
+    assert_eq!(stale_on_hart0(&mut m), 0, "stale TLB entries after EFREE");
+    assert!(
+        m.harts[0].mmu.walk_cache.is_empty(),
+        "walk cache survived EFREE"
+    );
 }
