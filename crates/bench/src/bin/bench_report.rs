@@ -34,7 +34,7 @@ use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
 use hypertee::shard::par_run;
 use hypertee_bench::microbench::{bench, bench_pair};
-use hypertee_bench::report::{validate, HostFacts, PerfBench, PerfReport};
+use hypertee_bench::report::{check_report, validate, HostFacts, PerfBench, PerfReport};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_crypto::ed::Point;
@@ -981,19 +981,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = check {
-        return match std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| validate(&text))
-        {
-            Ok(()) => {
-                println!("{path}: valid BENCH_perf schema");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return check_report(&path, validate);
     }
 
     match run(&cfg) {

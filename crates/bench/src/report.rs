@@ -27,6 +27,8 @@
 //! depend on: how many workers could run at once, and which
 //! runtime-dispatched crypto kernels the run took.
 
+use std::process::ExitCode;
+
 /// Version of the emitted JSON schema.
 pub const SCHEMA_VERSION: u64 = 1;
 
@@ -269,6 +271,25 @@ pub fn check_verdicts(doc: &Json) -> Result<(), String> {
         return Err("stalled is true: the campaign did not drain".to_string());
     }
     Ok(())
+}
+
+/// The `--check PATH` mode every report binary shares: reads `path`, runs
+/// `validate` on it, prints `PATH: OK` (stdout) or `PATH: INVALID: …`
+/// (stderr), and returns the process exit code.
+pub fn check_report(path: &str, validate: fn(&str) -> Result<(), String>) -> ExitCode {
+    let verdict = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|text| validate(&text).map_err(|e| format!("INVALID: {e}")));
+    match verdict {
+        Ok(()) => {
+            println!("{path}: OK");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Validator helper: `key` must be a finite non-negative number.

@@ -18,242 +18,54 @@
 //! `--shards` fixes the logical split (part of the seeded configuration);
 //! `--threads` only sizes the worker pool, so the emitted report is
 //! byte-identical at any thread count. Wall-clock timing goes to stderr
-//! and never into the report.
+//! and never into the report. The shared steps live in
+//! `hypertee_chaos::runner`.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use hypertee_chaos::campaign::{run, ChaosConfig, ChaosOutcome};
-use hypertee_chaos::report::{render_report, render_sharded_report, validate};
-use hypertee_chaos::sharded::{run_sharded, ShardedChaosConfig};
+use hypertee_chaos::campaign::{ChaosConfig, ChaosOutcome};
+use hypertee_chaos::report::{render_report, validate};
+use hypertee_chaos::runner::{Floor, Runner};
 
-struct Cli {
-    smoke: bool,
-    seed: u64,
-    out: String,
-    check: Option<String>,
-    shards: usize,
-    threads: usize,
-    ref_pump: bool,
-}
+/// Acceptance floors for the committed fleet campaign.
+const FLOORS: &[Floor] = &[
+    ("requests", 10_000, |o| o.requests),
+    ("enclaves", 1_000, |o| o.enclaves_created),
+];
 
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        smoke: false,
-        seed: 0xC4A0_5EED,
-        out: String::new(),
-        check: None,
-        shards: 1,
-        threads: 1,
-        ref_pump: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cli.smoke = true,
-            "--ref-pump" => cli.ref_pump = true,
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                cli.seed = v.parse().map_err(|_| format!("bad --seed value '{v}'"))?;
-            }
-            "--out" => cli.out = args.next().ok_or("--out needs a path")?,
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a path")?),
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a value")?;
-                cli.shards = v.parse().map_err(|_| format!("bad --shards value '{v}'"))?;
-                if cli.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                cli.threads = v
-                    .parse()
-                    .map_err(|_| format!("bad --threads value '{v}'"))?;
-                if cli.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    if cli.out.is_empty() {
-        cli.out = "BENCH_chaos.json".to_string();
-    }
-    Ok(cli)
+fn summary(o: &ChaosOutcome) -> String {
+    format!(
+        "{} requests, {} ok ({} recovered), shed={} expired={} timeouts={}, \
+         {} enclaves created, {} crash-restarts, audits={} ({}), lockstep={}, \
+         blackout p50/p99 = {}/{} cycles",
+        o.requests,
+        o.ok_responses,
+        o.recovered,
+        o.shed,
+        o.expired,
+        o.timeouts,
+        o.enclaves_created,
+        o.crash_restarts,
+        o.audits,
+        if o.audit_ok { "green" } else { "RED" },
+        if o.lockstep_ok { "green" } else { "DIVERGED" },
+        o.blackout_percentile(50),
+        o.blackout_percentile(99),
+    )
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("chaos_campaign: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(path) = &cli.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("chaos_campaign: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate(&text) {
-            Ok(()) => {
-                println!("{path}: OK");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    Runner {
+        name: "chaos_campaign",
+        default_seed: 0xC4A0_5EED,
+        default_out: "BENCH_chaos.json",
+        smoke: ChaosConfig::smoke,
+        full: ChaosConfig::fleet,
+        render: render_report,
+        validate,
+        floors: FLOORS,
+        summary,
+        sharding: true,
     }
-
-    let mut cfg = if cli.smoke {
-        ChaosConfig::smoke(cli.seed)
-    } else {
-        ChaosConfig::fleet(cli.seed)
-    };
-    cfg.ref_pump = cli.ref_pump;
-    eprintln!(
-        "chaos_campaign: mode={} seed={:#x} sessions={} shards={} threads={} \
-         (faults, {} crashes, {} migrations)",
-        cfg.label,
-        cfg.seed,
-        cfg.traffic.sessions,
-        cli.shards,
-        cli.threads,
-        cfg.scripted_crashes,
-        cfg.migrations
-    );
-    // Wall-clock timing is observability only: it goes to stderr, never
-    // into the report, which stays byte-identical at any --threads width.
-    let started = Instant::now();
-    let (out, text): (ChaosOutcome, String) = if cli.shards > 1 {
-        let scfg = ShardedChaosConfig {
-            base: cfg.clone(),
-            shards: cli.shards,
-            threads: cli.threads,
-        };
-        let sharded = run_sharded(&scfg);
-        eprintln!(
-            "chaos_campaign: {} shards on {} threads in {:.2}s wall, \
-             simulated speedup {:.2}x (sum {} / max {} cycles)",
-            sharded.shards,
-            sharded.threads,
-            started.elapsed().as_secs_f64(),
-            sharded.simulated_speedup(),
-            sharded.sequential_clock_cycles(),
-            sharded.merged.clock_cycles,
-        );
-        // Determinism gate: the identical seed must reproduce the
-        // identical merged event stream at any worker width — replay on
-        // one inline thread and insist on a bit-identical hash.
-        let mut replay_cfg = scfg.clone();
-        replay_cfg.threads = 1;
-        let replay = run_sharded(&replay_cfg);
-        if replay.merged.trace_hash != sharded.merged.trace_hash {
-            eprintln!(
-                "chaos_campaign: NON-DETERMINISTIC across widths: trace {:#x} != replay {:#x}",
-                sharded.merged.trace_hash, replay.merged.trace_hash
-            );
-            return ExitCode::FAILURE;
-        }
-        let text = render_sharded_report(&sharded);
-        (sharded.merged, text)
-    } else {
-        let out = run(&cfg);
-        // Determinism gate: the identical seed must reproduce the
-        // identical event stream, bit for bit.
-        let replay = run(&cfg);
-        if replay.trace_hash != out.trace_hash {
-            eprintln!(
-                "chaos_campaign: NON-DETERMINISTIC: trace {:#x} != replay {:#x}",
-                out.trace_hash, replay.trace_hash
-            );
-            return ExitCode::FAILURE;
-        }
-        let text = render_report(&out);
-        (out, text)
-    };
-    eprintln!(
-        "chaos_campaign: {} requests, {} ok ({} recovered), shed={} expired={} timeouts={}, \
-         {} enclaves created, {} crash-restarts, audits={} ({}), lockstep={}",
-        out.requests,
-        out.ok_responses,
-        out.recovered,
-        out.shed,
-        out.expired,
-        out.timeouts,
-        out.enclaves_created,
-        out.crash_restarts,
-        out.audits,
-        if out.audit_ok { "green" } else { "RED" },
-        if out.lockstep_ok { "green" } else { "DIVERGED" },
-    );
-    eprintln!(
-        "chaos_campaign: replay reproduced trace {:#018x}",
-        out.trace_hash
-    );
-
-    let mut failed = false;
-    if !out.audit_ok {
-        eprintln!(
-            "chaos_campaign: consistency audit failed: {:?}",
-            out.first_audit_error
-        );
-        failed = true;
-    }
-    if !out.lockstep_ok {
-        eprintln!(
-            "chaos_campaign: lockstep divergence: {:?}",
-            out.first_divergence
-        );
-        failed = true;
-    }
-    if out.stalled {
-        eprintln!("chaos_campaign: campaign stalled before draining");
-        failed = true;
-    }
-    if !cli.smoke {
-        // Acceptance floor for the committed fleet campaign.
-        if out.requests < 10_000 {
-            eprintln!(
-                "chaos_campaign: only {} requests (< 10,000 floor)",
-                out.requests
-            );
-            failed = true;
-        }
-        if out.enclaves_created < 1_000 {
-            eprintln!(
-                "chaos_campaign: only {} enclaves (< 1,000 floor)",
-                out.enclaves_created
-            );
-            failed = true;
-        }
-    }
-
-    if let Err(e) = validate(&text) {
-        eprintln!("chaos_campaign: emitted report fails validation: {e}");
-        failed = true;
-    }
-    if let Err(e) = std::fs::write(&cli.out, &text) {
-        eprintln!("chaos_campaign: cannot write {}: {e}", cli.out);
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {} ({} mode, blackout p50/p99 = {}/{} cycles)",
-        cli.out,
-        out.label,
-        out.blackout_percentile(50),
-        out.blackout_percentile(99),
-    );
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    .main()
 }

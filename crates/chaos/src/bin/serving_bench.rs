@@ -1,207 +1,78 @@
 //! Serving benchmark runner: the attestation-storm campaign, emitting the
-//! schema-stable `BENCH_serving.json` (see `hypertee_chaos::serving_report`).
+//! schema-stable `BENCH_serving.json` (see `hypertee_chaos::report`).
 //!
 //! The full campaign layers thousands of challenge-response handshakes and
 //! authenticated calls — with seeded service-transport faults (dropped /
 //! duplicated / delayed / replayed frames, stale-quote substitution, token
 //! forgery) — on top of the fleet chaos campaign, through scripted EMS
 //! crash-restarts and live migrations. The run fails unless the facade
-//! refused **every** attack, the consistency audit and lockstep verdicts
-//! stayed green, and the identical seed reproduces a bit-identical trace.
+//! refused **every** attack (the report validator pins every
+//! `*_accepted` counter to zero), the consistency audit and lockstep
+//! verdicts stayed green, and the identical seed reproduces a
+//! bit-identical trace.
 //!
 //! ```text
 //! serving_bench [--smoke] [--seed N] [--out PATH]   # run + emit
 //! serving_bench --ref-pump [...]                    # scan-scheduler oracle
 //! serving_bench --check PATH                        # validate a report
 //! ```
+//!
+//! The shared steps live in `hypertee_chaos::runner`.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use hypertee_chaos::campaign::{run, ChaosConfig};
-use hypertee_chaos::serving_report::{render_serving_report, validate_serving};
+use hypertee_chaos::campaign::{ChaosConfig, ChaosOutcome};
+use hypertee_chaos::report::{render_serving_report, validate_serving};
+use hypertee_chaos::runner::{Floor, Runner};
+use hypertee_chaos::storm::StormOutcome;
 
-struct Cli {
-    smoke: bool,
-    ref_pump: bool,
-    seed: u64,
-    out: String,
-    check: Option<String>,
+fn storm(o: &ChaosOutcome) -> &StormOutcome {
+    o.storm.as_ref().expect("serving presets carry a storm")
 }
 
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        smoke: false,
-        ref_pump: false,
-        seed: 0x5E11_F00D,
-        out: String::new(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cli.smoke = true,
-            "--ref-pump" => cli.ref_pump = true,
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                cli.seed = v.parse().map_err(|_| format!("bad --seed value '{v}'"))?;
-            }
-            "--out" => cli.out = args.next().ok_or("--out needs a path")?,
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a path")?),
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    if cli.out.is_empty() {
-        cli.out = "BENCH_serving.json".to_string();
-    }
-    Ok(cli)
+/// Acceptance floors for the committed serving campaign: a real storm
+/// (1,000+ handshakes) under a real fault campaign (1,000+
+/// service-transport injections).
+const FLOORS: &[Floor] = &[
+    ("handshakes", 1_000, |o| storm(o).handshakes_attempted),
+    ("service faults", 1_000, |o| {
+        storm(o).service_faults_injected
+    }),
+];
+
+fn summary(o: &ChaosOutcome) -> String {
+    let s = storm(o);
+    format!(
+        "{} clients, {} handshakes attempted, {} completed, {} calls ok, \
+         {} re-attestations, {} service faults, {} attacks accepted, \
+         breaker open/half/closed = {}/{}/{}, p50/p99 = {}/{} ticks",
+        s.clients,
+        s.handshakes_attempted,
+        s.handshakes_completed,
+        s.calls_ok,
+        s.reattestations,
+        s.service_faults_injected,
+        s.accepted_attacks(),
+        s.breaker_to_open,
+        s.breaker_to_half_open,
+        s.breaker_to_closed,
+        s.handshake_p50_ticks,
+        s.handshake_p99_ticks,
+    )
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("serving_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(path) = &cli.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serving_bench: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_serving(&text) {
-            Ok(()) => {
-                println!("{path}: OK");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    Runner {
+        name: "serving_bench",
+        default_seed: 0x5E11_F00D,
+        default_out: "BENCH_serving.json",
+        smoke: ChaosConfig::serving_smoke,
+        full: ChaosConfig::serving_fleet,
+        render: render_serving_report,
+        validate: validate_serving,
+        floors: FLOORS,
+        summary,
+        sharding: false,
     }
-
-    let mut cfg = if cli.smoke {
-        ChaosConfig::serving_smoke(cli.seed)
-    } else {
-        ChaosConfig::serving_fleet(cli.seed)
-    };
-    cfg.ref_pump = cli.ref_pump;
-    let storm_cfg = cfg.storm.clone().expect("serving presets carry a storm");
-    eprintln!(
-        "serving_bench: mode={} seed={:#x} clients={} target {} handshakes \
-         over {} sessions ({} crashes, {} migrations)",
-        cfg.label,
-        cfg.seed,
-        storm_cfg.clients,
-        storm_cfg.clients * storm_cfg.handshakes_per_client as usize,
-        cfg.traffic.sessions,
-        cfg.scripted_crashes,
-        cfg.migrations
-    );
-    // Wall-clock timing is observability only: stderr, never the report.
-    let started = Instant::now();
-    let out = run(&cfg);
-    // Determinism gate: the identical seed must reproduce the identical
-    // event stream — storm, faults, and attacks included — bit for bit.
-    let replay = run(&cfg);
-    if replay.trace_hash != out.trace_hash {
-        eprintln!(
-            "serving_bench: NON-DETERMINISTIC: trace {:#x} != replay {:#x}",
-            out.trace_hash, replay.trace_hash
-        );
-        return ExitCode::FAILURE;
-    }
-    let storm = out.storm.as_ref().expect("storm campaign yields a storm");
-    eprintln!(
-        "serving_bench: {} handshakes attempted, {} completed, {} calls ok, \
-         {} re-attestations, {} service faults, {} attacks accepted, \
-         breaker open/half/closed = {}/{}/{}, p50/p99 = {}/{} ticks ({:.2}s wall)",
-        storm.handshakes_attempted,
-        storm.handshakes_completed,
-        storm.calls_ok,
-        storm.reattestations,
-        storm.service_faults_injected,
-        storm.accepted_attacks(),
-        storm.breaker_to_open,
-        storm.breaker_to_half_open,
-        storm.breaker_to_closed,
-        storm.handshake_p50_ticks,
-        storm.handshake_p99_ticks,
-        started.elapsed().as_secs_f64(),
-    );
-    eprintln!(
-        "serving_bench: replay reproduced trace {:#018x}",
-        out.trace_hash
-    );
-
-    let mut failed = false;
-    if storm.accepted_attacks() > 0 {
-        eprintln!(
-            "serving_bench: FAIL-CLOSED VIOLATED: {} attacks served",
-            storm.accepted_attacks()
-        );
-        failed = true;
-    }
-    if !out.audit_ok {
-        eprintln!(
-            "serving_bench: consistency audit failed: {:?}",
-            out.first_audit_error
-        );
-        failed = true;
-    }
-    if !out.lockstep_ok {
-        eprintln!(
-            "serving_bench: lockstep divergence: {:?}",
-            out.first_divergence
-        );
-        failed = true;
-    }
-    if out.stalled {
-        eprintln!("serving_bench: campaign stalled before draining");
-        failed = true;
-    }
-    if !cli.smoke {
-        // Acceptance floors for the committed serving campaign: a real
-        // storm (1,000+ handshakes) under a real fault campaign (1,000+
-        // service-transport injections).
-        if storm.handshakes_attempted < 1_000 {
-            eprintln!(
-                "serving_bench: only {} handshakes (< 1,000 floor)",
-                storm.handshakes_attempted
-            );
-            failed = true;
-        }
-        if storm.service_faults_injected < 1_000 {
-            eprintln!(
-                "serving_bench: only {} service faults (< 1,000 floor)",
-                storm.service_faults_injected
-            );
-            failed = true;
-        }
-    }
-
-    let text = render_serving_report(&out);
-    if let Err(e) = validate_serving(&text) {
-        eprintln!("serving_bench: emitted report fails validation: {e}");
-        failed = true;
-    }
-    if let Err(e) = std::fs::write(&cli.out, &text) {
-        eprintln!("serving_bench: cannot write {}: {e}", cli.out);
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {} ({} mode, {} handshakes, 0 attacks accepted required)",
-        cli.out, out.label, storm.handshakes_completed,
-    );
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    .main()
 }

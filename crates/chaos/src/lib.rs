@@ -29,14 +29,15 @@
 pub mod campaign;
 pub mod migration;
 pub mod report;
-pub mod serving_report;
+pub mod runner;
 pub mod sharded;
 pub mod storm;
 pub mod traffic;
 
 pub use campaign::{run, ChaosConfig, ChaosOutcome};
-pub use report::{render_report, render_sharded_report, validate};
-pub use serving_report::{render_serving_report, validate_serving};
+pub use report::{
+    render_report, render_serving_report, render_sharded_report, validate, validate_serving,
+};
 pub use sharded::{run_sharded, ShardedChaosConfig, ShardedChaosOutcome};
 pub use storm::{StormConfig, StormDriver, StormOutcome};
 pub use traffic::{schedule, Arrival, TenantProfile, TrafficConfig};

@@ -14,17 +14,25 @@
 //! both privileges on two harts, one of them inside an enclave: every
 //! accepted call must complete, the consistency audit must stay green, and a
 //! hart's enclave context may change only on an Ok EENTER, ERESUME or EEXIT.
+//!
+//! The service facade gets forged session tokens, off-sequence numbers,
+//! flipped request MACs and op bodies changed after signing, and its
+//! replies get bit flips, truncations and extensions: only genuine calls
+//! are served, no mutated reply verifies, and the session survives.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
 use hypertee_bench::report::{parse_json, validate as validate_perf};
-use hypertee_chaos::report::validate as validate_chaos;
-use hypertee_chaos::serving_report::validate_serving;
+use hypertee_chaos::report::{validate as validate_chaos, validate_serving};
+use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_ems::attest::SigmaInitiator;
 use hypertee_ems::control::{layout, EnclaveState};
 use hypertee_fabric::message::{Primitive, Privilege};
 use hypertee_mem::addr::PAGE_SIZE;
+use hypertee_service::{request_mac, ServiceConfig, ServiceFacade, ServiceOp, ServiceReply};
 use hypertee_sim::rng::SplitMix64;
 
 const PERF: &str = include_str!("../../../BENCH_perf.json");
@@ -339,4 +347,167 @@ fn submit_and_pump_are_total_on_hostile_arg_vectors() {
         ok > 60 && switches > 10,
         "degenerate campaign: {accepted} accepted, {ok} Ok, {switches} context switches"
     );
+}
+
+/// Flips one to `max_bits` distinct bits of `bytes`, so the result always
+/// differs from the input.
+fn flip_bits(bytes: &mut [u8], max_bits: u64, rng: &mut SplitMix64) {
+    let want = 1 + rng.gen_range(max_bits) as usize;
+    let mut bits = BTreeSet::new();
+    while bits.len() < want {
+        bits.insert(rng.gen_range(bytes.len() as u64 * 8) as usize);
+    }
+    for bit in bits {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// Eight mutants of a genuine reply: bit flips in its seq, payload or MAC,
+/// or its payload truncated or extended. None may verify.
+fn assert_reply_mutants_refused(reply: &ServiceReply, key: &[u8; 32], rng: &mut SplitMix64) {
+    for j in 0..8 {
+        let mut r = reply.clone();
+        match rng.gen_range(5) {
+            0 => {
+                let mut seq = r.seq.to_le_bytes();
+                flip_bits(&mut seq, 4, rng);
+                r.seq = u64::from_le_bytes(seq);
+            }
+            1 => flip_bits(&mut r.payload, 4, rng),
+            2 => r
+                .payload
+                .truncate(rng.gen_range(r.payload.len() as u64) as usize),
+            3 => r
+                .payload
+                .extend((0..1 + rng.gen_range(32)).map(|_| rng.next_u64() as u8)),
+            _ => flip_bits(&mut r.mac, 4, rng),
+        }
+        let ok = catch_unwind(AssertUnwindSafe(|| r.verify(key)))
+            .unwrap_or_else(|_| panic!("verify: reply mutant {j} of seq {} panicked", reply.seq));
+        assert!(
+            !ok,
+            "verify: reply mutant {j} of seq {} verified",
+            reply.seq
+        );
+    }
+}
+
+/// Requests through `ServiceFacade::call` on one attested session, each
+/// with one part mutated: a token field (`id`, `tenant`, `epoch`,
+/// `expires_at`) or one to four token-MAC bits, the sequence number (off
+/// by ±k, 0 or `u64::MAX`, its MAC sometimes recomputed as a replayed
+/// request would carry), one to four request-MAC bits, or the op changed
+/// after its MAC was computed. Every eighth request is genuine, and its
+/// reply is mutated too. A request is served exactly when it is genuine.
+#[test]
+fn facade_call_and_reply_verify_are_total_on_forged_requests() {
+    let mut m = Machine::boot_default();
+    let mut f = ServiceFacade::new(ServiceConfig::production(0xfa5e)).expect("facade");
+    f.probe(&mut m, 0).expect("probe");
+    let (cid, nonce) = f.issue_challenge(7, 1).expect("challenge");
+    let (init, msg1) = SigmaInitiator::start_with_nonce(&mut ChaChaRng::from_u64(0x5167), nonce);
+    let (msg2, token) = f.attest(&mut m, cid, &msg1, 1).expect("attest");
+    let key = init
+        .finish(
+            &msg2,
+            &m.ek_public(),
+            &f.service_measurement().expect("probed"),
+        )
+        .expect("facade quote verifies");
+    let now = 2;
+    let mut rng = SplitMix64::new(0x544f_4b4e);
+    let (mut next_seq, mut served, mut refused) = (0u64, 0u64, 0u64);
+    for i in 0..MUTANTS_PER_SEED {
+        let body: Vec<u8> = (0..1 + rng.gen_range(48))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        let op = if rng.gen_range(2) == 0 {
+            ServiceOp::Ping(body)
+        } else {
+            ServiceOp::Seal(body)
+        };
+        let (mut tok, mut seq, mut req_op) = (token.clone(), next_seq, op.clone());
+        let mut mac = request_mac(&key, seq, &op);
+        match (i % 8 == 7, rng.gen_range(5)) {
+            (true, _) => {}
+            (false, 0) => {
+                let field = match rng.gen_range(4) {
+                    0 => &mut tok.id,
+                    1 => &mut tok.tenant,
+                    2 => &mut tok.epoch,
+                    _ => &mut tok.expires_at,
+                };
+                *field ^= match rng.gen_range(2) {
+                    0 => 1 + rng.gen_range(4),
+                    _ => 1 + rng.gen_range(u64::MAX),
+                };
+            }
+            (false, 1) => flip_bits(&mut tok.mac, 4, &mut rng),
+            (false, 2) => {
+                seq = match rng.gen_range(4) {
+                    0 => next_seq.wrapping_add(1 + rng.gen_range(8)),
+                    1 => next_seq.wrapping_sub(1 + rng.gen_range(8)),
+                    2 => 0,
+                    _ => u64::MAX,
+                };
+                if rng.gen_range(2) == 0 {
+                    mac = request_mac(&key, seq, &op);
+                }
+            }
+            (false, 3) => flip_bits(&mut mac, 4, &mut rng),
+            (false, _) => {
+                req_op = match (&op, rng.gen_range(4)) {
+                    (ServiceOp::Ping(b), 0) => ServiceOp::Seal(b.clone()),
+                    (ServiceOp::Seal(b), 0) => ServiceOp::Ping(b.clone()),
+                    (ServiceOp::Ping(b), _) => ServiceOp::Ping(mutate(b, &mut rng)),
+                    (ServiceOp::Seal(b), _) => ServiceOp::Seal(mutate(b, &mut rng)),
+                    _ => unreachable!("only Ping and Seal are sent"),
+                };
+            }
+        }
+        let genuine =
+            tok == token && seq == next_seq && req_op == op && mac == request_mac(&key, seq, &op);
+        let calls_ok = f.stats.calls_ok;
+        let verdict = catch_unwind(AssertUnwindSafe(|| {
+            f.call(&mut m, &tok, seq, &req_op, &mac, now)
+        }))
+        .unwrap_or_else(|_| panic!("call: request {i} panicked"));
+        assert_eq!(
+            f.stats.calls_ok,
+            calls_ok + u64::from(genuine),
+            "call: request {i} moved calls_ok wrongly"
+        );
+        match verdict {
+            Ok(reply) => {
+                assert!(genuine, "call: mutated request {i} was served");
+                assert!(reply.seq == seq && reply.verify(&key), "call: reply {i}");
+                assert_reply_mutants_refused(&reply, &key, &mut rng);
+                next_seq += 1;
+                served += 1;
+            }
+            Err(e) => {
+                assert!(!genuine, "call: genuine request {i} refused: {e:?}");
+                refused += 1;
+            }
+        }
+    }
+    let op = ServiceOp::Ping(b"after the sweep".to_vec());
+    let reply = f
+        .call(
+            &mut m,
+            &token,
+            next_seq,
+            &op,
+            &request_mac(&key, next_seq, &op),
+            now,
+        )
+        .expect("the session survives the sweep");
+    assert!(reply.verify(&key));
+    assert_eq!(reply.payload, b"after the sweep");
+    assert_eq!(f.stats.calls_ok, served + 1);
+    assert!(
+        served >= MUTANTS_PER_SEED / 8 && refused > MUTANTS_PER_SEED / 2,
+        "degenerate sweep: {served} served, {refused} refused"
+    );
+    m.audit().expect("consistent after the sweep");
 }

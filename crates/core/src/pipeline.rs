@@ -215,15 +215,9 @@ pub(crate) struct Pipeline {
     /// The deadline policy the index was built with; a change triggers a
     /// rebuild at the next round.
     last_deadline: Option<Cycles>,
-    submitted: u64,
-    completed_count: u64,
-    in_flight_hwm: usize,
-    serviced_per_core: Vec<u64>,
-    queue_depth_hwm: usize,
-    retries: u64,
-    timeouts: u64,
-    shed: u64,
-    expired: u64,
+    /// Running counters; the live fields (`in_flight`, `rounds`,
+    /// `stale_duplicates`) are filled in by [`Machine::pipeline_stats`].
+    stats: PipelineStats,
     /// Seed for the deterministic retry-back-off jitter.
     jitter_seed: u64,
 }
@@ -242,15 +236,10 @@ impl Pipeline {
             wheel: TimerWheel::new(0),
             deadline_index: BTreeSet::new(),
             last_deadline: None,
-            submitted: 0,
-            completed_count: 0,
-            in_flight_hwm: 0,
-            serviced_per_core: vec![0; ems_cores as usize],
-            queue_depth_hwm: 0,
-            retries: 0,
-            timeouts: 0,
-            shed: 0,
-            expired: 0,
+            stats: PipelineStats {
+                serviced_per_core: vec![0; ems_cores as usize],
+                ..PipelineStats::default()
+            },
             jitter_seed: seed ^ 0x6a69_7474_6572,
         }
     }
@@ -387,7 +376,7 @@ impl Machine {
         if let Some(limit) = self.degrade.shed_backlog_limit {
             let backlog = self.hub.mailbox.pending_requests() + self.ems.rx_backlog();
             if backlog >= limit {
-                self.pipeline.shed += 1;
+                self.pipeline.stats.shed += 1;
                 return Err(MachineError::Backpressure);
             }
         }
@@ -435,10 +424,10 @@ impl Machine {
             base_round + u64::from(self.retry.poll_budget) + u64::from(slack),
             call.id,
         );
-        self.pipeline.submitted += 1;
+        self.pipeline.stats.submitted += 1;
         let depth = self.pipeline.in_flight.len();
-        if depth > self.pipeline.in_flight_hwm {
-            self.pipeline.in_flight_hwm = depth;
+        if depth > self.pipeline.stats.in_flight_hwm {
+            self.pipeline.stats.in_flight_hwm = depth;
         }
         Ok(call)
     }
@@ -506,8 +495,8 @@ impl Machine {
         self.pipeline.round += 1;
         // Observability: request backlog before this round services any.
         let backlog = self.hub.mailbox.pending_requests() + self.ems.rx_backlog();
-        if backlog > self.pipeline.queue_depth_hwm {
-            self.pipeline.queue_depth_hwm = backlog;
+        if backlog > self.pipeline.stats.queue_depth_hwm {
+            self.pipeline.stats.queue_depth_hwm = backlog;
         }
         if self.pipeline.last_deadline != self.degrade.deadline {
             self.rebuild_deadline_index();
@@ -618,7 +607,7 @@ impl Machine {
             let done = start + svc;
             self.pipeline.ems_busy_until[core] = done;
             self.pipeline.service_done.insert(r.req_id, done);
-            self.pipeline.serviced_per_core[core] += 1;
+            self.pipeline.stats.serviced_per_core[core] += 1;
             work.insert(id);
             let loss = round + budget.saturating_sub(1);
             if loss > round {
@@ -646,7 +635,7 @@ impl Machine {
                 let inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                 self.pipeline.service_done.remove(&inf.req_id);
-                self.pipeline.expired += 1;
+                self.pipeline.stats.expired += 1;
                 self.finish_call(inf, Err(MachineError::DeadlineExpired));
                 return Step::Completed(hart_id);
             }
@@ -689,7 +678,7 @@ impl Machine {
                 let mut inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 inf.attempt += 1;
                 if inf.attempt > self.retry.max_retries {
-                    self.pipeline.timeouts += 1;
+                    self.pipeline.stats.timeouts += 1;
                     self.finish_call(inf, Err(MachineError::Timeout));
                     return Step::Completed(hart_id);
                 }
@@ -734,7 +723,7 @@ impl Machine {
                 if inf.attempt > self.retry.max_retries {
                     self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                     self.pipeline.service_done.remove(&inf.req_id);
-                    self.pipeline.timeouts += 1;
+                    self.pipeline.stats.timeouts += 1;
                     self.finish_call(inf, Err(MachineError::Timeout));
                     return Step::Completed(hart_id);
                 }
@@ -792,7 +781,7 @@ impl Machine {
             inf.base_round + u64::from(self.retry.poll_budget) + u64::from(inf.slack),
             inf.call.id,
         );
-        self.pipeline.retries += 1;
+        self.pipeline.stats.retries += 1;
     }
 
     /// Exponential back-off for retry `attempt` (1-based) with seeded
@@ -827,7 +816,7 @@ impl Machine {
                 .remove(&(hart_id, key, inf.call.id));
         }
         let latency = self.hart_clock[hart_id] - inf.issued_at;
-        self.pipeline.completed_count += 1;
+        self.pipeline.stats.completed += 1;
         self.pipeline.completed.insert(
             inf.call.id,
             Completion {
@@ -895,18 +884,10 @@ impl Machine {
     /// Live pipeline observability counters.
     pub fn pipeline_stats(&self) -> PipelineStats {
         PipelineStats {
-            submitted: self.pipeline.submitted,
-            completed: self.pipeline.completed_count,
             in_flight: self.pipeline.in_flight.len(),
-            in_flight_hwm: self.pipeline.in_flight_hwm,
             rounds: self.pipeline.round,
-            serviced_per_core: self.pipeline.serviced_per_core.clone(),
-            queue_depth_hwm: self.pipeline.queue_depth_hwm,
-            retries: self.pipeline.retries,
-            timeouts: self.pipeline.timeouts,
-            shed: self.pipeline.shed,
-            expired: self.pipeline.expired,
             stale_duplicates: self.hub.mailbox.stale_duplicates(),
+            ..self.pipeline.stats.clone()
         }
     }
 }

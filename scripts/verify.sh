@@ -84,10 +84,10 @@ cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke 
     --out target/BENCH_chaos_smoke_refpump.json > /dev/null
 cmp target/BENCH_chaos_smoke.json target/BENCH_chaos_smoke_refpump.json
 
-echo "==> committed chaos replay (full fleet campaign, trace hash vs BENCH_chaos.json)"
+echo "==> committed chaos replay (full fleet campaign, whole report byte-compared with BENCH_chaos.json)"
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
     --out target/BENCH_chaos_replay.json > /dev/null
-cmp <(grep '"trace_hash"' target/BENCH_chaos_replay.json) <(grep '"trace_hash"' BENCH_chaos.json)
+cmp target/BENCH_chaos_replay.json BENCH_chaos.json
 
 echo "==> service facade smoke (boot, fail closed, attest, crash, re-attest)"
 cargo run --release --offline --example service_quickstart > /dev/null
@@ -100,10 +100,10 @@ cargo run --release --offline -p hypertee-chaos --bin serving_bench -- \
 cargo run --release --offline -p hypertee-chaos --bin serving_bench -- \
     --check BENCH_serving.json
 
-echo "==> committed serving replay (full storm campaign, trace hash vs BENCH_serving.json)"
+echo "==> committed serving replay (full storm campaign, whole report byte-compared with BENCH_serving.json)"
 cargo run --release --offline -p hypertee-chaos --bin serving_bench -- \
     --out target/BENCH_serving_replay.json > /dev/null
-cmp <(grep '"trace_hash"' target/BENCH_serving_replay.json) <(grep '"trace_hash"' BENCH_serving.json)
+cmp target/BENCH_serving_replay.json BENCH_serving.json
 
 echo "==> scan-oracle serving replay (--ref-pump, byte-compared against the event pump)"
 cargo run --release --offline -p hypertee-chaos --bin serving_bench -- --smoke --ref-pump \
