@@ -1,8 +1,8 @@
 //! A dependency-free micro-benchmark harness.
 //!
-//! The workspace builds with no registry access, so the `[[bench]]`
-//! targets cannot use criterion; this module provides the small subset the
-//! in-tree benches need: warm-up, repeated timed batches, and a
+//! The workspace builds with no registry access, so `bench_report` cannot
+//! use criterion; this module provides the small subset it needs:
+//! warm-up, repeated timed batches, and a
 //! best-of-batches report in ns/iter (plus throughput when the caller
 //! supplies a per-iteration byte count).
 

@@ -619,12 +619,6 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Rows whose "speedup" is a thin-margin parallel-scaling ratio (worker
-/// pool vs sequential at x4 fan-out) rather than an algorithmic claim; they
-/// sit near 1.1x and jitter below 1.0 on loaded CI hosts, so the regression
-/// gate tracks but does not fail them.
-const SPEEDUP_GATE_EXEMPT: [&str; 2] = ["threads_lockstep_x4", "threads_wolfssl_x4"];
-
 fn check_finite(row: &Json, key: &str, required: bool) -> Result<(), String> {
     match row.get(key) {
         Some(Json::Num(v)) if v.is_finite() => Ok(()),
@@ -690,7 +684,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             .get("speedup")
             .and_then(Json::as_num)
             .ok_or(format!("bench '{name}': missing speedup"))?;
-        if speedup < 1.0 && !SPEEDUP_GATE_EXEMPT.contains(&name) {
+        if speedup < 1.0 {
             return Err(format!(
                 "bench '{name}': speedup {speedup:.4} < 1.0 — optimized path regressed below its reference"
             ));
@@ -899,15 +893,15 @@ mod tests {
         };
         let err = validate(&regressed.to_json()).unwrap_err();
         assert!(err.contains("regressed"), "{err}");
-        // The thin-margin scaling rows are tracked but not gated.
-        for name in SPEEDUP_GATE_EXEMPT {
-            let jittery = PerfReport {
+        // The wall-clock fan-out rows are gated like every other row.
+        for name in ["threads_lockstep_x4", "threads_wolfssl_x4"] {
+            let slower = PerfReport {
                 mode: "smoke".to_string(),
                 threads: Some(4),
                 host: fixed_host(),
                 benches: vec![PerfBench::from_timings(name, 100.0, 0, Some(95.0))],
             };
-            validate(&jittery.to_json()).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(validate(&slower.to_json()).is_err(), "{name} is gated");
         }
         // Exactly 1.0 passes.
         let flat = PerfReport {

@@ -34,7 +34,7 @@ use hypertee_sim::config::{CoreConfig, EmsCluster, SocConfig};
 
 use crate::migration::MigrationEngine;
 use crate::storm::{StormConfig, StormDriver, StormOutcome};
-use crate::traffic::{schedule, TenantProfile, TrafficConfig};
+use crate::traffic::{schedule, TrafficConfig, TENANTS};
 
 /// Bytes each entered session allocates (and frees) per EALLOC round.
 const ALLOC_BYTES: u64 = 64 * 1024;
@@ -400,7 +400,6 @@ enum Route {
 
 struct Driver {
     m: Machine,
-    tenants: Vec<TenantProfile>,
     sessions: Vec<Session>,
     /// Entered-hart lock: the session currently occupying each hart's
     /// enclave context. EMCall stamps caller identity at submission time,
@@ -520,7 +519,7 @@ impl Driver {
             let sess = &self.sessions[s];
             (sess.step, sess.hart, sess.tenant)
         };
-        let profile = self.tenants[tenant].clone();
+        let profile = TENANTS[tenant];
         let submission = match step {
             Step::Create => {
                 if self.sessions[s].window.is_none() {
@@ -715,7 +714,7 @@ impl Driver {
                     return;
                 }
                 self.sessions[s].entered = true;
-                self.sessions[s].ops_left = self.tenants[self.sessions[s].tenant].entered_ops;
+                self.sessions[s].ops_left = TENANTS[self.sessions[s].tenant].entered_ops;
                 self.sessions[s].step = Step::Alloc;
             }
             Step::Alloc => {
@@ -832,7 +831,6 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     };
     let mut d = Driver {
         m: Machine::boot(soc, cfg.seed).expect("pristine firmware boots"),
-        tenants: cfg.traffic.tenants.clone(),
         sessions: Vec::new(),
         hart_owner: vec![None; HARTS],
         route: BTreeMap::new(),
@@ -1205,7 +1203,6 @@ mod tests {
                 burst_pm: 120,
                 burst_size_max: 3,
                 max_live: 12,
-                tenants: TrafficConfig::default_tenants(),
             },
             faults: Some(ChaosConfig::chaos_faults()),
             deadline_cycles: Some(20_000_000),

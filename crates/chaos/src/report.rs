@@ -370,7 +370,6 @@ mod tests {
                 burst_pm: 100,
                 burst_size_max: 2,
                 max_live: 8,
-                tenants: TrafficConfig::default_tenants(),
             },
             faults: Some(ChaosConfig::chaos_faults()),
             deadline_cycles: Some(20_000_000),

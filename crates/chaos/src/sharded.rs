@@ -89,7 +89,6 @@ pub fn shard_config(base: &ChaosConfig, shards: usize, shard: usize) -> ChaosCon
             burst_pm: base.traffic.burst_pm,
             burst_size_max: base.traffic.burst_size_max,
             max_live: split_count(base.traffic.max_live, shards, shard).max(1),
-            tenants: base.traffic.tenants.clone(),
         },
         faults: base.faults.clone(),
         deadline_cycles: base.deadline_cycles,
@@ -264,7 +263,6 @@ mod tests {
             burst_pm: 120,
             burst_size_max: 3,
             max_live: 12,
-            tenants: TrafficConfig::default_tenants(),
         };
         base.scripted_crashes = 2;
         base.migrations = 0;

@@ -3,7 +3,7 @@
 //! chaos campaign crashes, migrates, and faults the machine underneath.
 //!
 //! Every client is a tick-driven state machine with its own
-//! [`CircuitBreaker`] and [`BackoffPolicy`]; the storm injects
+//! [`CircuitBreaker`] and [`backoff_delay`] schedule; the storm injects
 //! service-transport faults (dropped / duplicated / delayed / replayed
 //! frames, stale-quote substitution, token forgery) *between* the two
 //! halves of each exchange, from the campaign's own seeded
@@ -21,9 +21,13 @@ use hypertee_crypto::sig::PublicKey;
 use hypertee_ems::attest::{SigmaInitiator, SigmaMsg1, SigmaMsg2};
 use hypertee_faults::{FaultInjector, FaultKind};
 use hypertee_service::{
-    request_mac, BackoffPolicy, CircuitBreaker, ServiceConfig, ServiceError, ServiceFacade,
+    backoff_delay, request_mac, CircuitBreaker, ServiceConfig, ServiceError, ServiceFacade,
     ServiceOp, SessionToken,
 };
+
+/// Facade challenge freshness window for the storm (small, so organic client
+/// latency under delay faults exercises the stale path).
+const FRESHNESS_WINDOW_TICKS: u64 = 12;
 
 /// Storm shape, all deterministic in the campaign seed.
 #[derive(Debug, Clone)]
@@ -42,9 +46,6 @@ pub struct StormConfig {
     /// Unauthenticated probe calls fired before the facade's startup
     /// probes pass — every one must be refused.
     pub pre_ready_attempts: u32,
-    /// Facade challenge freshness window (small, so organic client
-    /// latency under delay faults exercises the stale path).
-    pub freshness_window_ticks: u64,
     /// Facade token TTL (small enough that long-lived clients re-attest).
     pub token_ttl_ticks: u64,
 }
@@ -59,7 +60,6 @@ impl StormConfig {
             spawn_every_ticks: 3,
             idle_between_ticks: 120,
             pre_ready_attempts: 64,
-            freshness_window_ticks: 12,
             token_ttl_ticks: 900,
         }
     }
@@ -73,7 +73,6 @@ impl StormConfig {
             spawn_every_ticks: 2,
             idle_between_ticks: 40,
             pre_ready_attempts: 8,
-            freshness_window_ticks: 12,
             token_ttl_ticks: 400,
         }
     }
@@ -199,7 +198,6 @@ pub struct StormDriver {
     facade: ServiceFacade,
     injector: FaultInjector,
     rng: ChaChaRng,
-    backoff: BackoffPolicy,
     clients: Vec<Client>,
     /// Pinned verifier inputs, learned at boot/probe time.
     trusted_ek: Option<PublicKey>,
@@ -219,11 +217,11 @@ impl StormDriver {
     /// before the first tick.
     pub fn new(cfg: StormConfig, seed: u64, injector: FaultInjector) -> StormDriver {
         let facade_config = ServiceConfig {
-            freshness_window_ticks: cfg.freshness_window_ticks,
+            freshness_window_ticks: FRESHNESS_WINDOW_TICKS,
             token_ttl_ticks: cfg.token_ttl_ticks,
             ..ServiceConfig::production(seed ^ 0x7374_6f72_6d00_0001)
         };
-        let facade = ServiceFacade::new(facade_config).expect("production mode constructs");
+        let facade = ServiceFacade::new(facade_config).expect("facade constructs");
         let clients = (0..cfg.clients)
             .map(|i| Client {
                 tenant: 0x5000 + i as u64,
@@ -278,7 +276,6 @@ impl StormDriver {
             cfg,
             facade,
             injector,
-            backoff: BackoffPolicy::default(),
             clients,
             trusted_ek: None,
             expected_measurement: [0; 32],
@@ -367,7 +364,7 @@ impl StormDriver {
     fn back_off(&mut self, i: usize, tick: u64) {
         self.clients[i].backoff_attempt += 1;
         let attempt = self.clients[i].backoff_attempt;
-        let delay = self.backoff.delay(attempt, &mut self.rng);
+        let delay = backoff_delay(attempt, &mut self.rng);
         self.clients[i].wait_until = tick + delay;
     }
 

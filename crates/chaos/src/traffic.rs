@@ -13,7 +13,7 @@
 use hypertee_crypto::chacha::ChaChaRng;
 
 /// One class of tenant in the mix: the enclave shape its sessions deploy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TenantProfile {
     /// Stable tenant-class name (lands in logs and the report).
     pub name: &'static str,
@@ -31,6 +31,38 @@ pub struct TenantProfile {
     pub entered_ops: u32,
 }
 
+/// The tenant mix: small/medium/large enclave shapes roughly mirroring a
+/// multi-tenant serving fleet (weights need not be normalized).
+pub const TENANTS: [TenantProfile; 3] = [
+    TenantProfile {
+        name: "micro",
+        weight: 5,
+        heap_bytes: 1 << 20,
+        stack_bytes: 16 * 1024,
+        window_bytes: 8 * 1024,
+        image_len: 1800,
+        entered_ops: 1,
+    },
+    TenantProfile {
+        name: "web",
+        weight: 3,
+        heap_bytes: 4 << 20,
+        stack_bytes: 32 * 1024,
+        window_bytes: 16 * 1024,
+        image_len: 5200,
+        entered_ops: 2,
+    },
+    TenantProfile {
+        name: "batch",
+        weight: 1,
+        heap_bytes: 16 << 20,
+        stack_bytes: 32 * 1024,
+        window_bytes: 16 * 1024,
+        image_len: 12_000,
+        entered_ops: 3,
+    },
+];
+
 /// Shape of the offered load.
 #[derive(Debug, Clone)]
 pub struct TrafficConfig {
@@ -47,45 +79,9 @@ pub struct TrafficConfig {
     /// against any deadline-to-first-byte SLO, but nothing enters the
     /// pipeline).
     pub max_live: usize,
-    /// The tenant mix (must be non-empty; weights need not be normalized).
-    pub tenants: Vec<TenantProfile>,
 }
 
 impl TrafficConfig {
-    /// The default tenant mix: small/medium/large enclave shapes roughly
-    /// mirroring a multi-tenant serving fleet.
-    pub fn default_tenants() -> Vec<TenantProfile> {
-        vec![
-            TenantProfile {
-                name: "micro",
-                weight: 5,
-                heap_bytes: 1 << 20,
-                stack_bytes: 16 * 1024,
-                window_bytes: 8 * 1024,
-                image_len: 1800,
-                entered_ops: 1,
-            },
-            TenantProfile {
-                name: "web",
-                weight: 3,
-                heap_bytes: 4 << 20,
-                stack_bytes: 32 * 1024,
-                window_bytes: 16 * 1024,
-                image_len: 5200,
-                entered_ops: 2,
-            },
-            TenantProfile {
-                name: "batch",
-                weight: 1,
-                heap_bytes: 16 << 20,
-                stack_bytes: 32 * 1024,
-                window_bytes: 16 * 1024,
-                image_len: 12_000,
-                entered_ops: 3,
-            },
-        ]
-    }
-
     /// The full fleet campaign: enough sessions that the driven request
     /// count clears 10,000 across well over 1,000 enclaves.
     pub fn fleet(sessions: usize) -> TrafficConfig {
@@ -95,7 +91,6 @@ impl TrafficConfig {
             burst_pm: 120,
             burst_size_max: 6,
             max_live: 192,
-            tenants: TrafficConfig::default_tenants(),
         }
     }
 
@@ -107,7 +102,6 @@ impl TrafficConfig {
             burst_pm: 150,
             burst_size_max: 4,
             max_live: 48,
-            tenants: TrafficConfig::default_tenants(),
         }
     }
 }
@@ -117,7 +111,7 @@ impl TrafficConfig {
 pub struct Arrival {
     /// Pump tick the session arrives at.
     pub tick: u64,
-    /// Index into [`TrafficConfig::tenants`].
+    /// Index into [`TENANTS`].
     pub tenant: usize,
     /// Session index (dense, `0..sessions`).
     pub session: usize,
@@ -129,27 +123,22 @@ fn unit(rng: &mut ChaChaRng) -> f64 {
 }
 
 /// Draws a tenant index by cumulative weight.
-fn draw_tenant(rng: &mut ChaChaRng, tenants: &[TenantProfile]) -> usize {
-    let total: u64 = tenants.iter().map(|t| u64::from(t.weight)).sum();
-    let mut pick = rng.gen_range(total.max(1));
-    for (i, t) in tenants.iter().enumerate() {
+fn draw_tenant(rng: &mut ChaChaRng) -> usize {
+    let total: u64 = TENANTS.iter().map(|t| u64::from(t.weight)).sum();
+    let mut pick = rng.gen_range(total);
+    for (i, t) in TENANTS.iter().enumerate() {
         let w = u64::from(t.weight);
         if pick < w {
             return i;
         }
         pick -= w;
     }
-    tenants.len() - 1
+    TENANTS.len() - 1
 }
 
 /// Builds the full arrival schedule for `cfg` from `seed`. Deterministic:
 /// the same `(seed, cfg)` always yields the same schedule.
-///
-/// # Panics
-///
-/// Panics when the tenant mix is empty.
 pub fn schedule(seed: u64, cfg: &TrafficConfig) -> Vec<Arrival> {
-    assert!(!cfg.tenants.is_empty(), "tenant mix must be non-empty");
     let mut rng = ChaChaRng::from_u64(seed ^ 0x7472_6166_6669_6330);
     let mut arrivals = Vec::with_capacity(cfg.sessions);
     let mut tick = 0u64;
@@ -169,7 +158,7 @@ pub fn schedule(seed: u64, cfg: &TrafficConfig) -> Vec<Arrival> {
             }
             arrivals.push(Arrival {
                 tick,
-                tenant: draw_tenant(&mut rng, &cfg.tenants),
+                tenant: draw_tenant(&mut rng),
                 session,
             });
             session += 1;
@@ -196,7 +185,7 @@ mod tests {
         assert_eq!(arr.len(), 500);
         for (i, a) in arr.iter().enumerate() {
             assert_eq!(a.session, i);
-            assert!(a.tenant < cfg.tenants.len());
+            assert!(a.tenant < TENANTS.len());
             if i > 0 {
                 assert!(a.tick >= arr[i - 1].tick, "arrivals must be sorted");
             }

@@ -55,7 +55,7 @@ pub enum MachineError {
     /// Unknown enclave handle.
     UnknownEnclave,
     /// The primitive round trip kept failing (lost packets, repeated
-    /// aborts) past the retry budget of [`RetryPolicy`].
+    /// aborts) past the pipeline's retry budget.
     Timeout,
     /// The submission was shed at the gate: the EMS backlog exceeded
     /// [`DegradePolicy::shed_backlog_limit`]. Nothing was enqueued — the
@@ -101,36 +101,12 @@ impl std::error::Error for MachineError {}
 /// Shorthand result.
 pub type MachineResult<T> = Result<T, MachineError>;
 
-/// How stubbornly [`Machine::invoke`] chases a response.
-///
-/// A fault-free round trip completes within one or two polls, so the poll
-/// budget only bites when a packet was dropped, corrupted, or delayed by an
-/// injected fault. Each retry resubmits the request under the *same*
-/// `req_id`, which the EMS response cache makes idempotent, and charges an
-/// exponentially growing back-off to the machine clock.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Poll iterations per attempt before the request is declared lost.
-    pub poll_budget: u32,
-    /// Resubmissions after the first attempt before giving up with
-    /// [`MachineError::Timeout`].
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            poll_budget: 32,
-            max_retries: 6,
-        }
-    }
-}
-
 /// Graceful-degradation knobs for the pipeline under overload and faults.
 ///
 /// Both default to `None`, which disables the machinery entirely: a machine
 /// that never sets them behaves exactly as before (no shed, no expiry —
-/// only the bounded [`RetryPolicy`] limits a faulted call's lifetime).
+/// only the pipeline's bounded retry budget limits a faulted call's
+/// lifetime).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DegradePolicy {
     /// When the request backlog (mailbox + EMS Rx ring) is at or above this
@@ -165,8 +141,6 @@ pub struct Machine {
     pub config: SocConfig,
     /// The timing calibration used for live cycle accounting.
     pub book: LatencyBook,
-    /// Poll/retry budget for primitive round trips under faults.
-    pub retry: RetryPolicy,
     /// Load-shedding and deadline policy (disabled by default).
     pub degrade: DegradePolicy,
     /// Simulated-time clock: the max-merge over the per-hart clocks, so
@@ -268,7 +242,6 @@ impl Machine {
             boot_report: report,
             config,
             book: LatencyBook::default(),
-            retry: RetryPolicy::default(),
             degrade: DegradePolicy::default(),
             clock: Cycles::ZERO,
             interp: crate::exec::InterpMode::default(),
@@ -358,9 +331,9 @@ impl Machine {
     /// synchronously: a thin wrapper over the asynchronous pipeline
     /// ([`Machine::submit_as`] followed by [`Machine::pump`] until the call
     /// completes, which lands its CS-side effect). Recovery semantics are
-    /// the pipeline's: a response lost past [`RetryPolicy::poll_budget`]
-    /// polls is resubmitted under the same `req_id` (the EMS response cache
-    /// makes replays idempotent), an [`Status::Aborted`] response triggers a
+    /// the pipeline's: a response lost past `POLL_BUDGET` polls is
+    /// resubmitted under the same `req_id` (the EMS response cache makes
+    /// replays idempotent), an [`Status::Aborted`] response triggers a
     /// fresh submission, both after an exponential back-off charged to the
     /// hart's clock.
     ///
@@ -368,8 +341,8 @@ impl Machine {
     ///
     /// [`MachineError::Gate`] for cross-privilege calls,
     /// [`MachineError::Primitive`] for EMS-side failures, and
-    /// [`MachineError::Timeout`] when [`RetryPolicy::max_retries`]
-    /// resubmissions still produced no completion.
+    /// [`MachineError::Timeout`] when `MAX_RETRIES` resubmissions still
+    /// produced no completion.
     pub fn invoke_as(
         &mut self,
         hart_id: usize,

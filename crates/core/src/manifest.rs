@@ -7,8 +7,6 @@
 //! The format is deliberately tiny: `key = value` lines with binary-suffix
 //! sizes, `#` comments, blank lines ignored.
 
-use hypertee_ems::control::EnclaveConfig;
-
 /// A parsed enclave manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnclaveManifest {
@@ -123,15 +121,6 @@ impl EnclaveManifest {
             }
         }
         Ok(m)
-    }
-
-    /// Converts to the EMS-side configuration structure.
-    pub fn to_config(&self) -> EnclaveConfig {
-        EnclaveConfig {
-            heap_max: self.heap_max,
-            stack_bytes: self.stack_bytes,
-            host_shared_bytes: self.host_shared_bytes,
-        }
     }
 }
 

@@ -58,6 +58,16 @@ use hypertee_sim::clock::Cycles;
 use hypertee_sim::rng;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Poll rounds per attempt before a request is declared lost. A fault-free
+/// round trip completes within one or two polls, so the budget only bites
+/// when a packet was dropped, corrupted, or delayed by an injected fault.
+const POLL_BUDGET: u32 = 32;
+
+/// Resubmissions after the first attempt before a call gives up with
+/// [`MachineError::Timeout`]. Each one charges an exponentially growing
+/// back-off to the hart's clock.
+const MAX_RETRIES: u32 = 6;
+
 /// Handle to a submitted-but-not-yet-completed primitive call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PendingCall {
@@ -167,14 +177,14 @@ struct InFlight {
 
 impl InFlight {
     /// First round at which the current submission counts as lost: the
-    /// serviced-loss round `serviced_round + poll_budget - 1` (the derived
+    /// serviced-loss round `serviced_round + POLL_BUDGET - 1` (the derived
     /// poll count reaches the budget) or the unserviced-loss round
-    /// `base_round + poll_budget + slack` (the derived age exceeds budget
+    /// `base_round + POLL_BUDGET + slack` (the derived age exceeds budget
     /// plus backlog grace).
-    fn loss_round(&self, poll_budget: u32) -> u64 {
+    fn loss_round(&self) -> u64 {
         match self.serviced_round {
-            Some(sr) => sr + u64::from(poll_budget).saturating_sub(1),
-            None => self.base_round + u64::from(poll_budget) + u64::from(self.slack),
+            Some(sr) => sr + u64::from(POLL_BUDGET) - 1,
+            None => self.base_round + u64::from(POLL_BUDGET) + u64::from(self.slack),
         }
     }
 }
@@ -421,7 +431,7 @@ impl Machine {
             },
         );
         self.pipeline.wheel.schedule(
-            base_round + u64::from(self.retry.poll_budget) + u64::from(slack),
+            base_round + u64::from(POLL_BUDGET) + u64::from(slack),
             call.id,
         );
         self.pipeline.stats.submitted += 1;
@@ -588,7 +598,6 @@ impl Machine {
     /// timer.
     fn apply_service_timing(&mut self, records: &[ServiceRecord], work: &mut BTreeSet<u64>) {
         let round = self.pipeline.round;
-        let budget = u64::from(self.retry.poll_budget);
         for r in records {
             let Some(&id) = self.pipeline.req_index.get(&r.req_id) else {
                 continue; // stale replay of an already-collected call
@@ -609,10 +618,9 @@ impl Machine {
             self.pipeline.service_done.insert(r.req_id, done);
             self.pipeline.stats.serviced_per_core[core] += 1;
             work.insert(id);
-            let loss = round + budget.saturating_sub(1);
-            if loss > round {
-                self.pipeline.wheel.schedule(loss, id);
-            }
+            self.pipeline
+                .wheel
+                .schedule(round + u64::from(POLL_BUDGET) - 1, id);
         }
     }
 
@@ -677,7 +685,7 @@ impl Machine {
                 self.pipeline.service_done.remove(&req_id);
                 let mut inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 inf.attempt += 1;
-                if inf.attempt > self.retry.max_retries {
+                if inf.attempt > MAX_RETRIES {
                     self.pipeline.stats.timeouts += 1;
                     self.finish_call(inf, Err(MachineError::Timeout));
                     return Step::Completed(hart_id);
@@ -714,13 +722,13 @@ impl Machine {
                 // the submission's precomputed loss round (the condition the
                 // armed timer predicts; a stale timer fails it and drops
                 // out here with no side effects).
-                let lost = self.pipeline.round >= inf.loss_round(self.retry.poll_budget);
+                let lost = self.pipeline.round >= inf.loss_round();
                 if !lost {
                     return Step::Idle;
                 }
                 let mut inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 inf.attempt += 1;
-                if inf.attempt > self.retry.max_retries {
+                if inf.attempt > MAX_RETRIES {
                     self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                     self.pipeline.service_done.remove(&inf.req_id);
                     self.pipeline.stats.timeouts += 1;
@@ -731,8 +739,8 @@ impl Machine {
                 // serviced poll count (= the full budget) or unserviced age
                 // (= budget + slack), whichever applies.
                 let waited_polls = match inf.serviced_round {
-                    Some(sr) => u64::from(self.retry.poll_budget).max(sr - 1 - inf.base_round),
-                    None => u64::from(self.retry.poll_budget) + u64::from(inf.slack),
+                    Some(sr) => u64::from(POLL_BUDGET).max(sr - 1 - inf.base_round),
+                    None => u64::from(POLL_BUDGET) + u64::from(inf.slack),
                 };
                 let waited = waited_polls as f64 * self.book.emcall_poll;
                 let backoff = self.backoff(inf.attempt, id);
@@ -778,7 +786,7 @@ impl Machine {
         inf.serviced_round = None;
         inf.arrive = self.hart_clock[hart_id] + self.half_round_trip();
         self.pipeline.wheel.schedule(
-            inf.base_round + u64::from(self.retry.poll_budget) + u64::from(inf.slack),
+            inf.base_round + u64::from(POLL_BUDGET) + u64::from(inf.slack),
             inf.call.id,
         );
         self.pipeline.stats.retries += 1;
@@ -889,5 +897,37 @@ impl Machine {
             stale_duplicates: self.hub.mailbox.stale_duplicates(),
             ..self.pipeline.stats.clone()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hypertee_faults::{FaultConfig, FaultPlan};
+
+    #[test]
+    fn a_call_whose_every_request_is_dropped_spends_the_retry_budget() {
+        let mut m = Machine::boot_default();
+        m.arm_faults(&FaultPlan::new(
+            0x10_57,
+            FaultConfig {
+                drop_request_pm: 1_000_000,
+                ..FaultConfig::disabled()
+            },
+        ));
+        let retries = m.pipeline_stats().retries;
+        let call = m
+            .submit_as(0, Privilege::Os, Primitive::Ewb, vec![1], vec![])
+            .unwrap();
+        for _ in 0..10_000 {
+            if m.pipeline_stats().in_flight == 0 {
+                break;
+            }
+            m.pump();
+        }
+        let done = m.take_completion(call).expect("the call completed");
+        assert_eq!(done.result.unwrap_err(), MachineError::Timeout);
+        assert_eq!(done.attempts, MAX_RETRIES + 1);
+        assert_eq!(m.pipeline_stats().retries - retries, u64::from(MAX_RETRIES));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The event-driven pump (DESIGN.md §15) needs "wake call N at round R"
 //! with O(1) insertion and O(1) amortised expiry, for R spanning anything
-//! from `poll_budget` rounds (a serviced-loss deadline) to thousands of
+//! from `POLL_BUDGET` rounds (a serviced-loss deadline) to thousands of
 //! rounds (retry slack proportional to the in-flight population). A flat
 //! per-round bucket map would work but wastes memory at fleet scale; a
 //! classic hashed hierarchical wheel (Varghese & Lauck) gives the same

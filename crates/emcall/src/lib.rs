@@ -163,62 +163,6 @@ pub struct EmCallStats {
     pub to_cs: u64,
 }
 
-/// Verdict of the interrupt-frequency monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterruptVerdict {
-    /// Interrupt rate within the normal envelope; resume the enclave.
-    Continue,
-    /// Abnormal interrupt frequency detected — terminate the enclave, the
-    /// Varys-style response the paper endorses as orthogonal hardening
-    /// (§IX: "terminate enclave execution upon detecting abnormal
-    /// interrupt frequency").
-    Terminate,
-}
-
-/// Sliding-window interrupt-frequency monitor (per hart).
-///
-/// Single-stepping attacks (SGX-Step-class) need interrupt rates orders of
-/// magnitude above a 100 Hz scheduler tick; the monitor counts enclave
-/// interrupts per window of cycles and flags outliers.
-#[derive(Debug, Clone, Copy)]
-pub struct InterruptMonitor {
-    /// Window length in cycles.
-    pub window_cycles: u64,
-    /// Maximum enclave interrupts tolerated per window.
-    pub max_per_window: u32,
-    window_start: u64,
-    count: u32,
-}
-
-impl InterruptMonitor {
-    /// A monitor tuned for a 2.5 GHz CS core: a 25M-cycle (10 ms) window
-    /// tolerating 4 interrupts — ~4× the standard 100 Hz tick, far below
-    /// stepping rates.
-    pub fn standard() -> InterruptMonitor {
-        InterruptMonitor {
-            window_cycles: 25_000_000,
-            max_per_window: 4,
-            window_start: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one enclave interrupt at `now` (cycles) and returns the
-    /// verdict.
-    pub fn record(&mut self, now: u64) -> InterruptVerdict {
-        if now.saturating_sub(self.window_start) >= self.window_cycles {
-            self.window_start = now;
-            self.count = 0;
-        }
-        self.count += 1;
-        if self.count > self.max_per_window {
-            InterruptVerdict::Terminate
-        } else {
-            InterruptVerdict::Continue
-        }
-    }
-}
-
 /// The trusted call gate.
 #[derive(Debug, Default)]
 pub struct EmCall {
@@ -717,46 +661,6 @@ mod tests {
         );
         assert_eq!(emcall.stats.to_ems, 2);
         assert_eq!(emcall.stats.to_cs, 2);
-    }
-
-    #[test]
-    fn interrupt_monitor_tolerates_scheduler_ticks() {
-        let mut mon = InterruptMonitor::standard();
-        // 100 Hz ticks at 2.5 GHz: one interrupt every 25M cycles — each
-        // lands in its own window.
-        let mut now = 0u64;
-        for _ in 0..100 {
-            now += 25_000_000;
-            assert_eq!(mon.record(now), InterruptVerdict::Continue);
-        }
-    }
-
-    #[test]
-    fn interrupt_monitor_flags_single_stepping() {
-        let mut mon = InterruptMonitor::standard();
-        // SGX-Step-style: an interrupt every few thousand cycles.
-        let mut now = 0u64;
-        let mut verdict = InterruptVerdict::Continue;
-        for _ in 0..10 {
-            now += 5_000;
-            verdict = mon.record(now);
-            if verdict == InterruptVerdict::Terminate {
-                break;
-            }
-        }
-        assert_eq!(verdict, InterruptVerdict::Terminate);
-    }
-
-    #[test]
-    fn interrupt_monitor_resets_per_window() {
-        let mut mon = InterruptMonitor::standard();
-        // A short burst below the limit, then quiet, then another burst:
-        // neither trips the monitor.
-        for base in [0u64, 100_000_000] {
-            for i in 0..4 {
-                assert_eq!(mon.record(base + i * 1000), InterruptVerdict::Continue);
-            }
-        }
     }
 
     #[test]

@@ -447,6 +447,18 @@ fn device_shared_region_and_dma_whitelist() {
     );
     assert!(!ok);
     assert!(m.hub.dma_discarded() > 0);
+    // Driver teardown revokes the device: its DMA into the region is
+    // refused from then on.
+    m.with(|ems, ctx| ems.eshm_revoke_device(ctx, dev));
+    let discarded = m.hub.dma_discarded();
+    let ok = m.hub.dma_access(
+        dev,
+        &mut m.sys.phys,
+        frame.base(),
+        hypertee_fabric::ihub::DmaOp::Write(b"after revoke"),
+    );
+    assert!(!ok);
+    assert_eq!(m.hub.dma_discarded(), discarded + 1);
 }
 
 #[test]

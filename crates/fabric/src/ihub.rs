@@ -111,11 +111,6 @@ impl IHub {
         self.iommu.map(dev, iova, entry);
     }
 
-    /// EMS removes one IOMMU mapping (with IOTLB invalidation).
-    pub fn ems_iommu_unmap(&mut self, _cap: &EmsCapability, dev: DeviceId, iova: IoVpn) -> bool {
-        self.iommu.unmap(dev, iova)
-    }
-
     /// EMS detaches a translating device entirely.
     pub fn ems_iommu_detach(&mut self, _cap: &EmsCapability, dev: DeviceId) {
         self.iommu.detach(dev);

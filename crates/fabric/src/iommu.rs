@@ -10,8 +10,8 @@
 //! Devices issue I/O virtual addresses (IOVAs); the IOMMU translates through
 //! per-device tables that only EMS can edit (the [`crate::ihub`] capability
 //! gates the mutating calls). The IOTLB caches translations and is
-//! invalidated by EMS on unmap — the same stale-entry discipline as the CS
-//! TLB and the bitmap.
+//! invalidated by EMS on remap and detach — the same stale-entry discipline
+//! as the CS TLB and the bitmap.
 
 use hypertee_mem::addr::{PhysAddr, Ppn, PAGE_SIZE};
 use std::collections::{HashMap, VecDeque};
@@ -69,17 +69,6 @@ impl Iommu {
         self.tables.entry(dev).or_default().insert(iova, entry);
         // A remap must not leave a stale cached translation.
         self.invalidate(dev, iova);
-    }
-
-    /// Removes one mapping and invalidates the IOTLB (EMS-only).
-    pub(crate) fn unmap(&mut self, dev: DeviceId, iova: IoVpn) -> bool {
-        let removed = self
-            .tables
-            .get_mut(&dev)
-            .map(|t| t.remove(&iova).is_some())
-            .unwrap_or(false);
-        self.invalidate(dev, iova);
-        removed
     }
 
     /// Removes every mapping of a device (EMS-only; device teardown).
@@ -227,9 +216,10 @@ mod tests {
         iommu.translate(dev(), 3 * PAGE_SIZE, 8, false).unwrap();
         iommu.translate(dev(), 3 * PAGE_SIZE + 8, 8, false).unwrap();
         assert_eq!(iommu.stats.iotlb_hits, 1);
-        // EMS unmaps: the cached translation must die with the mapping —
-        // the stale-IOTLB attack the paper's invalidation discipline stops.
-        assert!(iommu.unmap(dev(), IoVpn(3)));
+        // EMS detaches the device: the cached translation must die with the
+        // mapping — the stale-IOTLB attack the paper's invalidation
+        // discipline stops.
+        iommu.detach(dev());
         assert!(iommu.translate(dev(), 3 * PAGE_SIZE, 8, false).is_none());
     }
 

@@ -395,11 +395,6 @@ impl FaultInjector {
         }
     }
 
-    /// Whether this injector can fire at all.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Rolls for `kind`: `true` means inject. Disarmed injectors draw no
     /// randomness, so arming a site never perturbs another site's stream.
     pub fn roll(&mut self, kind: FaultKind) -> bool {

@@ -192,11 +192,6 @@ impl MktmeEngine {
         }
     }
 
-    /// Whether integrity protection is enabled.
-    pub fn integrity_enabled(&self) -> bool {
-        self.integrity
-    }
-
     /// Programs a key slot. In the real SoC only EMS can reach this register
     /// interface (via iHub); the fabric layer enforces that restriction.
     ///

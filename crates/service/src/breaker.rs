@@ -16,26 +16,13 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Breaker tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Consecutive failures in `Closed` that trip the breaker.
-    pub failure_threshold: u32,
-    /// Ticks the breaker stays `Open` before probing.
-    pub open_cooldown_ticks: u64,
-    /// Successful probes in `HalfOpen` required to close again.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 4,
-            open_cooldown_ticks: 32,
-            half_open_probes: 2,
-        }
-    }
-}
+/// Consecutive failures in `Closed` that trip the breaker.
+const FAILURE_THRESHOLD: u32 = 4;
+/// Ticks the breaker stays `Open` before probing.
+const OPEN_COOLDOWN_TICKS: u64 = 32;
+/// Successful probes in `HalfOpen` required to close again, and the bound
+/// on outstanding probes.
+const HALF_OPEN_PROBES: u32 = 2;
 
 /// Counts of state transitions (for reports and trace folding).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +40,6 @@ pub struct BreakerTransitions {
 /// The circuit breaker.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: u64,
@@ -62,11 +48,10 @@ pub struct CircuitBreaker {
     transitions: BreakerTransitions,
 }
 
-impl CircuitBreaker {
+impl Default for CircuitBreaker {
     /// A closed (healthy) breaker.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
+    fn default() -> Self {
         CircuitBreaker {
-            config,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             opened_at: 0,
@@ -75,7 +60,9 @@ impl CircuitBreaker {
             transitions: BreakerTransitions::default(),
         }
     }
+}
 
+impl CircuitBreaker {
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
@@ -88,13 +75,13 @@ impl CircuitBreaker {
 
     /// Admission check at `now`. `false` means shed the request locally —
     /// do not touch the transport. `Open` flips to `HalfOpen` once the
-    /// cooldown has elapsed; `HalfOpen` admits at most the configured
-    /// number of outstanding probes.
+    /// cooldown has elapsed; `HalfOpen` admits at most
+    /// `HALF_OPEN_PROBES` outstanding probes.
     pub fn allow(&mut self, now: u64) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
-                if now.saturating_sub(self.opened_at) >= self.config.open_cooldown_ticks {
+                if now.saturating_sub(self.opened_at) >= OPEN_COOLDOWN_TICKS {
                     self.state = BreakerState::HalfOpen;
                     self.transitions.to_half_open += 1;
                     self.probes_in_flight = 1;
@@ -106,7 +93,7 @@ impl CircuitBreaker {
                 }
             }
             BreakerState::HalfOpen => {
-                if self.probes_in_flight < self.config.half_open_probes {
+                if self.probes_in_flight < HALF_OPEN_PROBES {
                     self.probes_in_flight += 1;
                     true
                 } else {
@@ -124,7 +111,7 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => {
                 self.probes_in_flight = self.probes_in_flight.saturating_sub(1);
                 self.probe_successes += 1;
-                if self.probe_successes >= self.config.half_open_probes {
+                if self.probe_successes >= HALF_OPEN_PROBES {
                     self.state = BreakerState::Closed;
                     self.transitions.to_closed += 1;
                     self.consecutive_failures = 0;
@@ -140,7 +127,7 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.trip(now);
                 }
             }
@@ -160,31 +147,29 @@ impl CircuitBreaker {
     }
 }
 
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        CircuitBreaker::new(BreakerConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            open_cooldown_ticks: 10,
-            half_open_probes: 2,
+    /// A breaker tripped by `FAILURE_THRESHOLD` failures at ticks `0..`.
+    fn tripped() -> CircuitBreaker {
+        let mut b = CircuitBreaker::default();
+        for t in 0..u64::from(FAILURE_THRESHOLD) {
+            assert!(b.allow(t));
+            b.on_failure(t);
         }
+        b
     }
 
     #[test]
     fn trips_after_threshold_and_sheds() {
-        let mut b = CircuitBreaker::new(cfg());
-        for t in 0..3 {
-            assert!(b.allow(t));
+        let mut b = CircuitBreaker::default();
+        for t in 0..u64::from(FAILURE_THRESHOLD - 1) {
+            b.allow(t);
             b.on_failure(t);
         }
+        assert_eq!(b.state(), BreakerState::Closed, "one failure short");
+        let mut b = tripped();
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.allow(5), "open breaker sheds before cooldown");
         assert_eq!(b.transitions().to_open, 1);
@@ -193,18 +178,22 @@ mod tests {
 
     #[test]
     fn half_open_recovers_after_enough_probes() {
-        let mut b = CircuitBreaker::new(cfg());
-        for t in 0..3 {
-            b.allow(t);
-            b.on_failure(t);
-        }
-        // Cooldown elapses at tick 12: first allow becomes a probe.
-        assert!(b.allow(12));
+        let mut b = tripped();
+        // The last failure opened it at tick FAILURE_THRESHOLD - 1.
+        let opened = u64::from(FAILURE_THRESHOLD - 1);
+        assert!(!b.allow(opened + OPEN_COOLDOWN_TICKS - 1));
+        // Cooldown elapses: the first allow becomes a probe.
+        let t = opened + OPEN_COOLDOWN_TICKS;
+        assert!(b.allow(t));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.allow(12), "second probe fits the budget");
-        assert!(!b.allow(12), "third concurrent probe is shed");
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::HalfOpen, "one probe is not enough");
+        for _ in 1..HALF_OPEN_PROBES {
+            assert!(b.allow(t), "further probes fit the budget");
+        }
+        assert!(!b.allow(t), "a probe past the budget is shed");
+        for _ in 1..HALF_OPEN_PROBES {
+            b.on_success();
+            assert_eq!(b.state(), BreakerState::HalfOpen, "too few probes");
+        }
         b.on_success();
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.transitions().to_closed, 1);
@@ -212,17 +201,14 @@ mod tests {
 
     #[test]
     fn failed_probe_retrips() {
-        let mut b = CircuitBreaker::new(cfg());
-        for t in 0..3 {
-            b.allow(t);
-            b.on_failure(t);
-        }
-        assert!(b.allow(12));
-        b.on_failure(12);
+        let mut b = tripped();
+        let probe = u64::from(FAILURE_THRESHOLD - 1) + OPEN_COOLDOWN_TICKS;
+        assert!(b.allow(probe));
+        b.on_failure(probe);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.transitions().to_open, 2);
         // And the cooldown restarts from the re-trip instant.
-        assert!(!b.allow(20));
-        assert!(b.allow(22));
+        assert!(!b.allow(probe + OPEN_COOLDOWN_TICKS - 1));
+        assert!(b.allow(probe + OPEN_COOLDOWN_TICKS));
     }
 }

@@ -1,6 +1,7 @@
 //! A reference client for the facade: challenge → SIGMA handshake →
-//! authenticated calls, with retry, exponential backoff, and the circuit
-//! breaker wired in.
+//! authenticated calls, with one re-attestation retry and the circuit
+//! breaker wired in, plus the exponential backoff schedule the chaos storm
+//! waits out between retries.
 //!
 //! The client pins two values out of band, like a real tenant would: the
 //! platform EK (manufacturer-published) and the service enclave measurement
@@ -9,11 +10,11 @@
 //!
 //! [`ServiceClient`] is the synchronous convenience wrapper used by the
 //! examples and integration tests; the chaos storm drives the same
-//! [`CircuitBreaker`] / [`BackoffPolicy`] pieces from its own tick loop so
+//! [`CircuitBreaker`] / [`backoff_delay`] pieces from its own tick loop so
 //! transport faults can be injected between the two halves of each
 //! exchange.
 
-use crate::breaker::{BreakerState, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::facade::{
     request_mac, ServiceError, ServiceFacade, ServiceOp, ServiceReply, SessionToken,
 };
@@ -22,39 +23,20 @@ use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_crypto::sig::PublicKey;
 use hypertee_ems::attest::SigmaInitiator;
 
-/// Exponential backoff with deterministic jitter, in ticks.
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffPolicy {
-    /// First-retry delay.
-    pub base_ticks: u64,
-    /// Cap on any single delay.
-    pub max_ticks: u64,
-    /// Attempts (including the first) before the operation is abandoned.
-    pub max_attempts: u32,
-}
+/// First-retry delay of [`backoff_delay`], in ticks.
+const BACKOFF_BASE_TICKS: u64 = 2;
+/// Cap on [`backoff_delay`] before jitter, in ticks.
+const BACKOFF_MAX_TICKS: u64 = 64;
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base_ticks: 2,
-            max_ticks: 64,
-            max_attempts: 5,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// Delay before retry number `attempt` (1-based): `base * 2^(attempt-1)`
-    /// capped at `max_ticks`, plus up to 50% seeded jitter so a fleet of
-    /// clients does not retry in lockstep.
-    pub fn delay(&self, attempt: u32, rng: &mut ChaChaRng) -> u64 {
-        let exp = attempt.saturating_sub(1).min(32);
-        let raw = self
-            .base_ticks
-            .saturating_mul(1u64 << exp)
-            .min(self.max_ticks.max(1));
-        raw + rng.gen_range(raw / 2 + 1)
-    }
+/// Delay in ticks before retry number `attempt` (1-based):
+/// `BACKOFF_BASE_TICKS * 2^(attempt-1)` capped at `BACKOFF_MAX_TICKS`, plus
+/// up to 50% seeded jitter so a fleet of clients does not retry in lockstep.
+pub fn backoff_delay(attempt: u32, rng: &mut ChaChaRng) -> u64 {
+    let exp = attempt.saturating_sub(1).min(32);
+    let raw = BACKOFF_BASE_TICKS
+        .saturating_mul(1u64 << exp)
+        .min(BACKOFF_MAX_TICKS);
+    raw + rng.gen_range(raw / 2 + 1)
 }
 
 /// What one client operation amounted to.
@@ -93,8 +75,6 @@ pub struct ServiceClient {
     rng: ChaChaRng,
     /// The client's breaker (public so harnesses can inspect transitions).
     pub breaker: CircuitBreaker,
-    /// Retry/backoff policy for harness-driven loops.
-    pub backoff: BackoffPolicy,
     token: Option<SessionToken>,
     key: Option<[u8; 32]>,
     seq: u64,
@@ -117,7 +97,6 @@ impl ServiceClient {
             expected_measurement,
             rng: ChaChaRng::from_u64(seed ^ 0xc11e_0000_0000_0001 ^ tenant.rotate_left(17)),
             breaker: CircuitBreaker::default(),
-            backoff: BackoffPolicy::default(),
             token: None,
             key: None,
             seq: 0,
@@ -226,11 +205,6 @@ impl ServiceClient {
         self.seq += 1;
         Ok(reply)
     }
-
-    /// Breaker state (for harness assertions).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
 }
 
 /// Rejections that mean "this session will never work again — re-attest".
@@ -264,20 +238,19 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = BackoffPolicy {
-            base_ticks: 2,
-            max_ticks: 16,
-            max_attempts: 6,
-        };
         let mut rng = ChaChaRng::from_u64(1);
-        let d1 = p.delay(1, &mut rng);
+        let d1 = backoff_delay(1, &mut rng);
         assert!((2..=3).contains(&d1));
-        let d4 = p.delay(4, &mut rng);
-        assert!((16..=24).contains(&d4), "capped at max plus jitter: {d4}");
+        let d3 = backoff_delay(3, &mut rng);
+        assert!((8..=12).contains(&d3), "doubles per attempt: {d3}");
+        for attempt in [6, 7, 40] {
+            let d = backoff_delay(attempt, &mut rng);
+            assert!((64..=96).contains(&d), "capped at max plus jitter: {d}");
+        }
         // Deterministic under the same rng stream.
         let mut a = ChaChaRng::from_u64(9);
         let mut b = ChaChaRng::from_u64(9);
-        assert_eq!(p.delay(3, &mut a), p.delay(3, &mut b));
+        assert_eq!(backoff_delay(3, &mut a), backoff_delay(3, &mut b));
     }
 
     #[test]

@@ -38,31 +38,19 @@ use hypertee_ems::boot::BootStage;
 /// [`ServiceFacade::service_measurement`]) for their SIGMA verification.
 pub const SERVICE_IMAGE: &[u8] = b"hypertee-service enclave v1: seal/unseal/quote worker";
 
-/// Deployment mode of a facade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceMode {
-    /// Full verification: boot chain, self-attestation, token MACs.
-    Production,
-    /// A development shim that would skip attestation. Deliberately
-    /// unconstructible through [`ServiceFacade::new`] — the guardrail that a
-    /// dev build can never serve production traffic.
-    DevShim,
-}
+/// Bound on outstanding challenges; issuing past it evicts the oldest.
+const MAX_PENDING_CHALLENGES: usize = 1024;
 
 /// Facade configuration. All windows are in caller ticks (the facade has no
 /// clock of its own).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Deployment mode ([`ServiceMode::DevShim`] is refused at construction).
-    pub mode: ServiceMode,
     /// The pinned platform measurement the boot report must match.
     pub expected_platform_measurement: [u8; 32],
     /// How many ticks a challenge stays answerable after issue.
     pub freshness_window_ticks: u64,
     /// Session-token lifetime in ticks.
     pub token_ttl_ticks: u64,
-    /// Bound on outstanding challenges (oldest are evicted).
-    pub max_pending_challenges: usize,
     /// Seed for the facade's nonce generator.
     pub seed: u64,
 }
@@ -72,11 +60,9 @@ impl ServiceConfig {
     /// reproduction (see [`pinned_platform_measurement`]).
     pub fn production(seed: u64) -> ServiceConfig {
         ServiceConfig {
-            mode: ServiceMode::Production,
             expected_platform_measurement: pinned_platform_measurement(),
             freshness_window_ticks: 64,
             token_ttl_ticks: 4096,
-            max_pending_challenges: 1024,
             seed,
         }
     }
@@ -113,8 +99,6 @@ pub enum ServiceError {
     NotReady,
     /// A startup probe failed the stated check; the facade is latched.
     ProbeFailed(&'static str),
-    /// [`ServiceMode::DevShim`] was refused at construction.
-    DevShimRefused,
     /// The challenge id was never issued (or already evicted).
     UnknownChallenge,
     /// The challenge was answered once already (replay).
@@ -147,9 +131,6 @@ impl core::fmt::Display for ServiceError {
         match self {
             ServiceError::NotReady => write!(f, "service not ready: traffic refused"),
             ServiceError::ProbeFailed(why) => write!(f, "startup probe failed: {why}"),
-            ServiceError::DevShimRefused => {
-                write!(f, "dev-shim mode refused: attestation cannot be skipped")
-            }
             ServiceError::UnknownChallenge => write!(f, "unknown challenge id"),
             ServiceError::ChallengeConsumed => write!(f, "challenge already consumed"),
             ServiceError::NonceMismatch => write!(f, "challenge nonce mismatch"),
@@ -348,16 +329,14 @@ pub struct ServiceFacade {
 
 impl ServiceFacade {
     /// Builds a facade in [`ServiceState::Booting`] — it serves nothing
-    /// until [`ServiceFacade::probe`] passes.
+    /// until [`ServiceFacade::probe`] passes. There is no mode that skips
+    /// attestation, so every facade starts fail-closed.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::DevShimRefused`] for [`ServiceMode::DevShim`]: the
-    /// shim would skip attestation, so it cannot be constructed at all.
+    /// None: construction always succeeds. The `Result` is kept for
+    /// existing callers.
     pub fn new(config: ServiceConfig) -> ServiceResult<ServiceFacade> {
-        if config.mode == ServiceMode::DevShim {
-            return Err(ServiceError::DevShimRefused);
-        }
         let seed = config.seed;
         Ok(ServiceFacade {
             config,
@@ -490,7 +469,7 @@ impl ServiceFacade {
         let id = self.next_challenge_id;
         self.next_challenge_id += 1;
         let nonce = self.rng.gen_bytes32();
-        if self.challenges.len() >= self.config.max_pending_challenges {
+        if self.challenges.len() >= MAX_PENDING_CHALLENGES {
             self.challenges.pop_front();
         }
         self.challenges.push_back(Challenge {
@@ -716,16 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn dev_shim_is_unconstructible() {
-        let mut cfg = ServiceConfig::production(1);
-        cfg.mode = ServiceMode::DevShim;
-        assert_eq!(
-            ServiceFacade::new(cfg).unwrap_err(),
-            ServiceError::DevShimRefused
-        );
-    }
-
-    #[test]
     fn traffic_is_refused_before_probe() {
         let mut f = ServiceFacade::new(ServiceConfig::production(2)).unwrap();
         assert!(f.healthz(), "liveness holds even while booting");
@@ -793,6 +762,25 @@ mod tests {
             ServiceError::NonceMismatch
         );
         assert_eq!(f.stats.handshakes_ok, 0);
+    }
+
+    #[test]
+    fn oldest_challenge_is_evicted_past_the_pending_bound() {
+        let (mut m, mut f) = ready_facade();
+        let mut rng = ChaChaRng::from_u64(6);
+        let issued: Vec<(u64, [u8; 32])> = (0..=MAX_PENDING_CHALLENGES)
+            .map(|_| f.issue_challenge(1, 10).unwrap())
+            .collect();
+        let (evicted, nonce) = issued[0];
+        let (_i, msg1) = SigmaInitiator::start_with_nonce(&mut rng, nonce);
+        assert_eq!(
+            f.attest(&mut m, evicted, &msg1, 10).unwrap_err(),
+            ServiceError::UnknownChallenge
+        );
+        let (kept, nonce) = issued[1];
+        let (_i, msg1) = SigmaInitiator::start_with_nonce(&mut rng, nonce);
+        assert!(f.attest(&mut m, kept, &msg1, 10).is_ok());
+        assert_eq!(f.stats.handshakes_ok, 1);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   facade sheds load instead of queueing it.
 //! * [`client`] — [`client::ServiceClient`]: a reference client that drives
 //!   the full protocol (challenge → SIGMA handshake → authenticated calls)
-//!   with retry, exponential backoff, and the breaker wired in.
+//!   with one re-attestation retry and the breaker wired in, and
+//!   [`client::backoff_delay`], the storm clients' retry schedule.
 //!
 //! Every rejection path increments a named counter in
 //! [`facade::FacadeStats`]; the chaos attestation-storm harness folds those
@@ -31,9 +32,9 @@ pub mod breaker;
 pub mod client;
 pub mod facade;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use client::{BackoffPolicy, ClientOutcome, ServiceClient};
+pub use breaker::{BreakerState, CircuitBreaker};
+pub use client::{backoff_delay, ClientOutcome, ServiceClient};
 pub use facade::{
     pinned_platform_measurement, request_mac, FacadeStats, ServiceConfig, ServiceError,
-    ServiceFacade, ServiceMode, ServiceOp, ServiceReply, ServiceState, SessionToken,
+    ServiceFacade, ServiceOp, ServiceReply, ServiceState, SessionToken,
 };

@@ -73,38 +73,6 @@ impl Samples {
     }
 }
 
-/// One row of an overhead report: a workload with baseline and treated times.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadRow {
-    /// Workload name.
-    pub name: String,
-    /// Baseline cycles (e.g. Host-Native).
-    pub baseline: f64,
-    /// Treated cycles (e.g. Enclave-M_encrypt).
-    pub treated: f64,
-}
-
-impl OverheadRow {
-    /// Relative overhead: `(treated − baseline) / baseline`.
-    pub fn overhead(&self) -> f64 {
-        (self.treated - self.baseline) / self.baseline
-    }
-
-    /// Speedup of baseline over treated (used for Fig. 12 where the
-    /// *baseline* is the slow conventional design).
-    pub fn speedup(&self) -> f64 {
-        self.baseline / self.treated
-    }
-}
-
-/// Geometric-mean overhead across rows (how the paper reports averages).
-pub fn mean_overhead(rows: &[OverheadRow]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    rows.iter().map(|r| r.overhead()).sum::<f64>() / rows.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,22 +99,6 @@ mod tests {
         assert_eq!(s.fraction_within(2.5), 0.5);
         assert_eq!(s.fraction_within(0.0), 0.0);
         assert_eq!(s.fraction_within(100.0), 1.0);
-    }
-
-    #[test]
-    fn overhead_row_math() {
-        let row = OverheadRow {
-            name: "x".into(),
-            baseline: 100.0,
-            treated: 102.0,
-        };
-        assert!((row.overhead() - 0.02).abs() < 1e-12);
-        let fig12 = OverheadRow {
-            name: "resnet".into(),
-            baseline: 400.0,
-            treated: 100.0,
-        };
-        assert!((fig12.speedup() - 4.0).abs() < 1e-12);
     }
 
     #[test]
