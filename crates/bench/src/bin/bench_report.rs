@@ -3,28 +3,24 @@
 //! `BENCH_perf.json` (see `hypertee_bench::report`).
 //!
 //! Every kernel with a pre-optimization reference path (`*_ref`) is
-//! measured against it in the same run, so the recorded `speedup` is a
-//! like-for-like before/after delta on the same host.
+//! measured against it in the same run, its two arms interleaved by
+//! `microbench::pair`, so the recorded `speedup` is a like-for-like
+//! before/after delta on the same host.
 //!
 //! ```text
-//! bench_report [--smoke] [--threads N] [--out PATH]   # run + emit
-//! bench_report --check PATH                           # validate a report
+//! bench_report [--smoke] [--out PATH]   # run + emit
+//! bench_report --check PATH             # validate a report
 //! ```
 //!
-//! `--threads` sizes the worker pool for the `threads_*` scaling rows
-//! (default 4). Two kinds of scaling rows are emitted:
-//!
-//! * **wall-clock fan-out** (`threads_lockstep_x4`, `threads_wolfssl_x4`):
-//!   the same four independent jobs run sequentially (baseline) and on the
-//!   pool (optimized) in the same run, so `speedup` is the host's real
-//!   parallel yield — ~1x on a single-core container, and that is the
-//!   honest number;
-//! * **simulated-clock scaling** (`threads_simclock_*_x4`): deterministic
-//!   cycle counts from four independent shard machines — `ns_per_op` is
-//!   the makespan (max shard clock) and `baseline_ns_per_op` the
-//!   sequential schedule (sum of shard clocks), both in *simulated
-//!   cycles*, so `speedup` is the architectural scaling of the shard
-//!   composition and is identical on any host at any `--threads` width.
+//! The **simulated-clock scaling** rows (`threads_simclock_*_x4`) time
+//! nothing: they carry deterministic cycle counts from four independent
+//! shard machines. `ns_per_op` is the makespan (max shard clock) and
+//! `baseline_ns_per_op` the sequential schedule (sum of shard clocks), both
+//! in *simulated cycles*, so `speedup` is the architectural scaling of the
+//! shard composition and is identical on any host. No row times the
+//! worker pool on the wall clock: that reads how many cores the host lends
+//! at the moment, not the code. `hypertee::shard`'s tests check instead
+//! that `par_run` runs items at once.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -33,7 +29,7 @@ use hypertee::exec::{InterpMode, RunOutcome};
 use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
 use hypertee::shard::par_run;
-use hypertee_bench::microbench::{bench, bench_pair};
+use hypertee_bench::microbench::pair;
 use hypertee_bench::report::{check_report, validate, HostFacts, PerfBench, PerfReport};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::chacha::ChaChaRng;
@@ -49,8 +45,6 @@ use hypertee_mem::mktme::MktmeEngine;
 use hypertee_mem::pagetable::{PageTable, Perms};
 use hypertee_mem::phys::{FrameAllocator, PhysMemory};
 use hypertee_mem::system::{CoreMmu, MemorySystem};
-use hypertee_model::harness::{run_campaign, Campaign};
-use hypertee_model::ops::generate;
 use hypertee_sim::config::SocConfig;
 use hypertee_sim::rng::derive_stream;
 use hypertee_workloads::{memstream, programs, wolfssl};
@@ -61,7 +55,6 @@ const BENCH_KEY: KeyId = KeyId(2);
 struct Config {
     smoke: bool,
     out: String,
-    threads: usize,
 }
 
 fn iters(cfg: &Config, full: u32, smoke: u32) -> u32 {
@@ -74,40 +67,33 @@ fn iters(cfg: &Config, full: u32, smoke: u32) -> u32 {
 
 fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // Keccak-f[1600]: the unrolled permutation vs the scalar loop nest.
-    // Interleaved batches: at ~1.3-1.4x this row's margin is thinner than
-    // the host's drift between two back-to-back timing windows. Smoke
-    // iterations stay high enough that one batch is ~1 ms: shorter batches
-    // never dodge a preemption window, so the min-batch estimator starves.
+    // Smoke iterations stay high enough that one batch is ~1 ms: shorter
+    // batches never dodge a preemption window, so the min-batch estimator
+    // starves.
     let n = iters(cfg, 8_000, 3_000);
     let mut st = [0x5a5a_5a5a_u64.wrapping_mul(7); 25];
     let mut st_ref = [0x5a5a_5a5a_u64.wrapping_mul(7); 25];
-    let (opt, base) = bench_pair(
+    rows.push(pair(
         "keccak_f1600",
-        "keccak_f1600_ref",
         n,
         200,
+        1,
         || {
             keccakf(black_box(&mut st));
         },
         || {
             keccakf_ref(black_box(&mut st_ref));
         },
-    );
-    rows.push(PerfBench::from_timings(
-        "keccak_f1600",
-        opt.ns_per_iter,
-        200,
-        Some(base.ns_per_iter),
     ));
 
     // SHA3-256 over 1 KiB.
     let n = iters(cfg, 2_000, 100);
     let data = vec![0xabu8; 1024];
-    let (opt, base) = bench_pair(
+    rows.push(pair(
         "sha3_256_1k",
-        "sha3_256_1k_ref",
         n,
         1024,
+        1,
         || {
             let mut h = Sha3_256::new();
             h.update(black_box(&data));
@@ -116,12 +102,6 @@ fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
         || {
             black_box(sha3_256_ref(black_box(&data)));
         },
-    );
-    rows.push(PerfBench::from_timings(
-        "sha3_256_1k",
-        opt.ns_per_iter,
-        1024,
-        Some(base.ns_per_iter),
     ));
 
     // The 28-bit line MAC of §IV-C, measured as the data plane consumes
@@ -135,40 +115,42 @@ fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     for (i, b) in lines.iter_mut().enumerate() {
         *b = (i as u8).wrapping_mul(0x3c);
     }
-    let opt = bench("sha3_mac28_line_x8", n, 512, || {
-        black_box(mac28_lines(black_box(&key), 0x8000, black_box(&lines)));
-    });
-    let base = bench("sha3_mac28_line_x8_ref", n, 512, || {
-        for i in 0..8u64 {
-            let line: &[u8; 64] = lines[64 * i as usize..64 * i as usize + 64]
-                .try_into()
-                .expect("64 bytes");
-            black_box(mac28_ref(black_box(&key), 0x8000 + 64 * i, black_box(line)));
-        }
-    });
-    rows.push(PerfBench::from_timings(
+    rows.push(pair(
         "sha3_mac28_line",
-        opt.ns_per_iter / 8.0,
+        n,
         64,
-        Some(base.ns_per_iter / 8.0),
+        8,
+        || {
+            black_box(mac28_lines(black_box(&key), 0x8000, black_box(&lines)));
+        },
+        || {
+            for i in 0..8u64 {
+                let line: &[u8; 64] = lines[64 * i as usize..64 * i as usize + 64]
+                    .try_into()
+                    .expect("64 bytes");
+                black_box(mac28_ref(black_box(&key), 0x8000 + 64 * i, black_box(line)));
+            }
+        },
     ));
 
-    // AES-128 CTR over 4 KiB: AES-NI (T-table fallback) vs the scalar seed.
+    // AES-128 CTR over 4 KiB: AES-NI (T-table fallback) vs the scalar seed,
+    // each arm on its own buffer.
     let n = iters(cfg, 500, 50);
     let cipher = Aes128::new(&[0x42; 16]);
     let iv = ctr_iv(0x1000, 0xdead_beef);
     let mut buf = vec![0x11u8; 4096];
-    let opt = bench("aes128_ctr_4k", n, 4096, || {
-        cipher.ctr_apply(black_box(&iv), black_box(&mut buf));
-    });
-    let base = bench("aes128_ctr_4k_ref", n, 4096, || {
-        cipher.ctr_apply_ref(black_box(&iv), black_box(&mut buf));
-    });
-    rows.push(PerfBench::from_timings(
+    let mut buf_ref = buf.clone();
+    rows.push(pair(
         "aes128_ctr_4k",
-        opt.ns_per_iter,
+        n,
         4096,
-        Some(base.ns_per_iter),
+        1,
+        || {
+            cipher.ctr_apply(black_box(&iv), black_box(&mut buf));
+        },
+        || {
+            cipher.ctr_apply_ref(black_box(&iv), black_box(&mut buf_ref));
+        },
     ));
 }
 
@@ -197,102 +179,87 @@ fn curve_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
 
     let n = iters(cfg, 40, 8);
     let base_point = Point::base();
-    let (opt, base) = bench_pair(
+    rows.push(pair(
         "ed_base_mul",
-        "ed_base_mul_ref",
         n,
         0,
+        1,
         || {
             black_box(Point::mul_base(black_box(&k)));
         },
         || {
             black_box(black_box(&base_point).mul_ref(black_box(&k)));
         },
-    );
-    rows.push(PerfBench::from_timings(
-        "ed_base_mul",
-        opt.ns_per_iter,
-        0,
-        Some(base.ns_per_iter),
     ));
-
-    let (opt, base) = bench_pair(
+    rows.push(pair(
         "ed_var_mul",
-        "ed_var_mul_ref",
         n,
         0,
+        1,
         || {
             black_box(black_box(&p).mul(black_box(&k)));
         },
         || {
             black_box(black_box(&p).mul_ref(black_box(&k)));
         },
-    );
-    rows.push(PerfBench::from_timings(
-        "ed_var_mul",
-        opt.ns_per_iter,
-        0,
-        Some(base.ns_per_iter),
     ));
 
     let n = iters(cfg, 20, 4);
-    let (opt, base) = bench_pair(
+    rows.push(pair(
         "schnorr_verify",
-        "schnorr_verify_ref",
         n,
         0,
+        1,
         || {
             assert!(kp.public.verify(black_box(msg), black_box(&sig)));
         },
         || {
             assert!(kp.public.verify_ref(black_box(msg), black_box(&sig)));
         },
-    );
-    rows.push(PerfBench::from_timings(
-        "schnorr_verify",
-        opt.ns_per_iter,
-        0,
-        Some(base.ns_per_iter),
     ));
 }
 
 fn mktme_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // Encrypted + MAC-verified 4 KiB write/read roundtrip through the
-    // engine, against the seed's per-line scalar path.
+    // engine, against the seed's per-line scalar path. Each arm owns its
+    // engine, memory and read-back buffer.
     let n = iters(cfg, 50, 10);
     let data = vec![0x77u8; 4096];
-    let mut back = vec![0u8; 4096];
     let pa = PhysAddr(0x10_000);
-
-    let mut engine = MktmeEngine::new(true);
-    engine.program_key(BENCH_KEY, &[1; 16], &[2; 32]);
-    let mut mem = PhysMemory::new(16 << 20);
-    let opt = bench("mktme_roundtrip_4k", n, 8192, || {
+    let setup = || {
+        let mut engine = MktmeEngine::new(true);
+        engine.program_key(BENCH_KEY, &[1; 16], &[2; 32]);
+        (engine, PhysMemory::new(16 << 20), vec![0u8; 4096])
+    };
+    let (mut engine, mut mem, mut back) = setup();
+    let (mut engine_ref, mut mem_ref, mut back_ref) = setup();
+    let mut roundtrip = |back: &mut [u8]| {
         engine
             .write(&mut mem, pa, BENCH_KEY, black_box(&data))
             .expect("bench write");
         engine
-            .read(&mut mem, pa, BENCH_KEY, black_box(&mut back))
+            .read(&mut mem, pa, BENCH_KEY, black_box(back))
             .expect("bench read");
-    });
-
-    let mut engine = MktmeEngine::new(true);
-    engine.program_key(BENCH_KEY, &[1; 16], &[2; 32]);
-    let mut mem = PhysMemory::new(16 << 20);
-    let base = bench("mktme_roundtrip_4k_ref", n, 8192, || {
-        engine
-            .write_ref(&mut mem, pa, BENCH_KEY, black_box(&data))
+    };
+    let mut roundtrip_ref = |back: &mut [u8]| {
+        engine_ref
+            .write_ref(&mut mem_ref, pa, BENCH_KEY, black_box(&data))
             .expect("bench write_ref");
-        engine
-            .read_ref(&mut mem, pa, BENCH_KEY, black_box(&mut back))
+        engine_ref
+            .read_ref(&mut mem_ref, pa, BENCH_KEY, black_box(back))
             .expect("bench read_ref");
-    });
+    };
+    roundtrip(&mut back);
+    roundtrip_ref(&mut back_ref);
     assert_eq!(back, data, "roundtrip must return the plaintext");
-    rows.push(PerfBench::from_timings(
+    assert_eq!(back_ref, data, "seed roundtrip must return the plaintext");
+    rows.push(pair(
         "mktme_roundtrip_4k",
-        opt.ns_per_iter,
+        n,
         8192,
-        Some(base.ns_per_iter),
+        1,
+        || roundtrip(&mut back),
+        || roundtrip_ref(&mut back_ref),
     ));
 }
 
@@ -330,11 +297,11 @@ fn ptw_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
     let (mut sys_cold, mut mmu_cold) = setup();
     mmu_cold.walk_cache.bypass = true; // pre-walk-cache trajectory
 
-    let (opt, base) = bench_pair(
+    rows.push(pair(
         "ptw_translate_walk",
-        "ptw_translate_walk_cold",
         n,
         0,
+        pages,
         || {
             mmu.tlb.flush_all(); // force walks, keep the walk cache warm
             for i in 0..pages {
@@ -354,52 +321,52 @@ fn ptw_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
                 );
             }
         },
-    );
-    rows.push(PerfBench::from_timings(
-        "ptw_translate_walk",
-        opt.ns_per_iter / pages as f64,
-        0,
-        Some(base.ns_per_iter / pages as f64),
     ));
 }
 
 fn memstream_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // Pointer-chase through encrypted enclave memory: the full
     // TLB → PTW → MKTME data plane per step. The reference arm rides the
-    // same translations but the byte-for-byte MKTME spec data plane.
+    // same translations but the byte-for-byte MKTME spec data plane. One
+    // identical (memory system, MMU) pair per arm, as in `ptw_bench`.
     let slots = 4096usize; // 32 KiB of u64 slots = 8 pages
     let steps = 2048usize;
     let n = iters(cfg, 10, 3);
     let chain = memstream::build_chain(slots, 0xfeed_5eed);
-
-    let mut sys = MemorySystem::new(64 << 20, PhysAddr(0x4000));
-    sys.engine.program_key(BENCH_KEY, &[3; 16], &[4; 32]);
-    let mut alloc = FrameAllocator::new(Ppn(64), Ppn(16000));
-    let pt = PageTable::new(&mut alloc, &mut sys.phys);
     let base_va = VirtAddr(0x80_0000);
-    for i in 0..(slots as u64 * 8 / PAGE_SIZE) {
-        let frame = alloc.alloc().expect("bench frame");
-        sys.bitmap.set(frame, true, &mut sys.phys).expect("bitmap");
-        pt.map(
-            VirtAddr(base_va.0 + i * PAGE_SIZE),
-            frame,
-            Perms::RW,
-            BENCH_KEY,
-            &mut alloc,
-            &mut sys.phys,
-        )
-        .expect("bench map");
-    }
-    let mut mmu = CoreMmu::new(32);
-    mmu.switch_table(Some(pt), true);
-    for (i, &next) in chain.iter().enumerate() {
-        mmu.store_u64(
-            &mut sys,
-            VirtAddr(base_va.0 + i as u64 * 8),
-            u64::from(next),
-        )
-        .expect("seed chain");
-    }
+    let setup = || {
+        let mut sys = MemorySystem::new(64 << 20, PhysAddr(0x4000));
+        sys.engine.program_key(BENCH_KEY, &[3; 16], &[4; 32]);
+        let mut alloc = FrameAllocator::new(Ppn(64), Ppn(16000));
+        let pt = PageTable::new(&mut alloc, &mut sys.phys);
+        for i in 0..(slots as u64 * 8 / PAGE_SIZE) {
+            let frame = alloc.alloc().expect("bench frame");
+            sys.bitmap.set(frame, true, &mut sys.phys).expect("bitmap");
+            pt.map(
+                VirtAddr(base_va.0 + i * PAGE_SIZE),
+                frame,
+                Perms::RW,
+                BENCH_KEY,
+                &mut alloc,
+                &mut sys.phys,
+            )
+            .expect("bench map");
+        }
+        let mut mmu = CoreMmu::new(32);
+        mmu.switch_table(Some(pt), true);
+        for (i, &next) in chain.iter().enumerate() {
+            mmu.store_u64(
+                &mut sys,
+                VirtAddr(base_va.0 + i as u64 * 8),
+                u64::from(next),
+            )
+            .expect("seed chain");
+        }
+        (sys, mmu)
+    };
+    let (mut sys, mut mmu) = setup();
+    let (mut sys_ref, mut mmu_ref) = setup();
+    mmu_ref.data_path_ref = true;
 
     let chase = |mmu: &mut CoreMmu, sys: &mut MemorySystem| {
         let mut idx = 0u64;
@@ -410,27 +377,22 @@ fn memstream_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
         }
         idx
     };
-    let r = bench("memstream_pass", n, steps as u64 * 8, || {
-        black_box(chase(&mut mmu, &mut sys));
-    });
-    mmu.data_path_ref = true;
-    let base = bench("memstream_pass_ref", n, steps as u64 * 8, || {
-        black_box(chase(&mut mmu, &mut sys));
-    });
-    mmu.data_path_ref = false;
     assert_eq!(
         chase(&mut mmu, &mut sys),
-        {
-            mmu.data_path_ref = true;
-            chase(&mut mmu, &mut sys)
-        },
+        chase(&mut mmu_ref, &mut sys_ref),
         "data planes must agree"
     );
-    rows.push(PerfBench::from_timings(
+    rows.push(pair(
         "memstream_pass",
-        r.ns_per_iter,
+        n,
         steps as u64 * 8,
-        Some(base.ns_per_iter),
+        1,
+        || {
+            black_box(chase(&mut mmu, &mut sys));
+        },
+        || {
+            black_box(chase(&mut mmu_ref, &mut sys_ref));
+        },
     ));
 }
 
@@ -442,11 +404,16 @@ fn wolfssl_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
     let records = 4usize;
     let record_len = 1024usize;
     let n = iters(cfg, 10, 3);
-    let (r, base) = bench_pair(
+    assert_eq!(
+        wolfssl::run_session(0x5e55_10eb, records, record_len),
+        wolfssl::run_session_ref(0x5e55_10eb, records, record_len),
+        "CTR kernels must agree"
+    );
+    rows.push(pair(
         "wolfssl_pass",
-        "wolfssl_pass_ref",
         n,
         (records * record_len) as u64,
+        1,
         || {
             let s = wolfssl::run_session(0x5e55_10eb, records, record_len);
             assert!(s.cert_ok, "handshake must verify");
@@ -457,17 +424,6 @@ fn wolfssl_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
             assert!(s.cert_ok, "handshake must verify");
             black_box(s.transcript);
         },
-    );
-    assert_eq!(
-        wolfssl::run_session(0x5e55_10eb, records, record_len),
-        wolfssl::run_session_ref(0x5e55_10eb, records, record_len),
-        "CTR kernels must agree"
-    );
-    rows.push(PerfBench::from_timings(
-        "wolfssl_pass",
-        r.ns_per_iter,
-        (records * record_len) as u64,
-        Some(base.ns_per_iter),
     ));
 }
 
@@ -599,23 +555,17 @@ fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
         let (mut evt, eids) = pump_tenants();
         let (mut scan, scan_eids) = pump_tenants();
         scan.set_scan_scheduler(true);
-        let (opt, base) = bench_pair(
+        rows.push(pair(
             "pump_churn_1k",
-            "pump_churn_1k_scan",
             n,
             0,
+            2 * churn_pairs as u64,
             || {
                 black_box(pump_churn_batch(&mut evt, &eids, churn_pairs));
             },
             || {
                 black_box(pump_churn_batch(&mut scan, &scan_eids, churn_pairs));
             },
-        );
-        rows.push(PerfBench::from_timings(
-            "pump_churn_1k",
-            opt.ns_per_iter / (2 * churn_pairs) as f64,
-            0,
-            Some(base.ns_per_iter / (2 * churn_pairs) as f64),
         ));
     }
 
@@ -638,11 +588,11 @@ fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
         let (mut evt, eids) = pump_tenants();
         let (mut scan, scan_eids) = pump_tenants();
         scan.set_scan_scheduler(true);
-        let (opt, base) = bench_pair(
+        rows.push(pair(
             "fleet_wallclock_1200",
-            "fleet_wallclock_1200_scan",
             n,
             0,
+            fleet_rounds,
             || {
                 black_box(pump_fleet_storm(&mut evt, &eids, fleet_rounds, fleet_live));
             },
@@ -654,12 +604,6 @@ fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
                     fleet_live,
                 ));
             },
-        );
-        rows.push(PerfBench::from_timings(
-            "fleet_wallclock_1200",
-            opt.ns_per_iter / fleet_rounds as f64,
-            0,
-            Some(base.ns_per_iter / fleet_rounds as f64),
         ));
     }
 }
@@ -721,123 +665,42 @@ fn interp_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
             fast_clock, ref_clock,
             "{name}: cycle charges diverge between interpreter modes"
         );
-        let opt = bench(name, n, bytes, || {
-            black_box(run_interp(black_box(&image), InterpMode::Fast, max_steps));
-        });
-        let base = bench(&format!("{name}_ref"), n, bytes, || {
-            black_box(run_interp(
-                black_box(&image),
-                InterpMode::Reference,
-                max_steps,
-            ));
-        });
-        rows.push(PerfBench::from_timings(
+        rows.push(pair(
             name,
-            opt.ns_per_iter,
+            n,
             bytes,
-            Some(base.ns_per_iter),
+            1,
+            || {
+                black_box(run_interp(black_box(&image), InterpMode::Fast, max_steps));
+            },
+            || {
+                black_box(run_interp(
+                    black_box(&image),
+                    InterpMode::Reference,
+                    max_steps,
+                ));
+            },
         ));
     }
 }
 
-/// Jobs per fan-out row. Fixed so row names stay schema-stable; only the
-/// worker-pool width (`--threads`) varies.
+/// Shards per simulated-clock scaling row, and the width of the pool that
+/// runs them.
 const FANOUT: usize = 4;
 
-/// Seed for the scaling rows; per-job streams derive from it.
+/// Seed for the scaling rows; per-shard streams derive from it.
 const THREADS_SEED: u64 = 0xBE4C_5EED;
-
-fn threads_wallclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
-    // Wall-clock fan-out of four independent multi-hart lockstep campaigns
-    // (real machine vs reference model, §PR 3): sequential baseline and
-    // pooled run measured back to back in the same process. This is the
-    // honest host-parallelism number — on a single-core container it is
-    // ~1x, and the report says so rather than inventing scaling.
-    let n = iters(cfg, 3, 1);
-    let cmds = iters(cfg, 96, 24) as usize;
-    let run_fanout = |threads: usize| {
-        let seeds: Vec<u64> = (0..FANOUT as u64)
-            .map(|i| derive_stream(THREADS_SEED, i))
-            .collect();
-        let outcomes = par_run(seeds, threads, |_, seed| {
-            let commands = generate(seed, cmds, 4);
-            run_campaign(&Campaign::new(seed), &commands)
-        });
-        let mut executed = 0u64;
-        for o in &outcomes {
-            assert!(
-                !o.diverged(),
-                "lockstep fan-out diverged: {:?}",
-                o.divergence
-            );
-            executed += o.executed as u64;
-        }
-        executed
-    };
-    let opt = bench("threads_lockstep_x4", n, 0, || {
-        black_box(run_fanout(cfg.threads));
-    });
-    let base = bench("threads_lockstep_x4_seq", n, 0, || {
-        black_box(run_fanout(1));
-    });
-    rows.push(PerfBench::from_timings(
-        "threads_lockstep_x4",
-        opt.ns_per_iter,
-        0,
-        Some(base.ns_per_iter),
-    ));
-
-    // Wall-clock fan-out of four independent wolfSSL workload passes
-    // (handshake + 4 encrypted 1 KiB records each).
-    let records = 4usize;
-    let record_len = 1024usize;
-    let n = iters(cfg, 6, 2);
-    let run_fanout = |threads: usize| {
-        let seeds: Vec<u64> = (0..FANOUT as u64)
-            .map(|i| derive_stream(THREADS_SEED ^ 0x77, i))
-            .collect();
-        let sessions = par_run(seeds, threads, |_, seed| {
-            wolfssl::run_session(seed, records, record_len)
-        });
-        for s in &sessions {
-            assert!(s.cert_ok, "fan-out handshake must verify");
-        }
-        sessions.len()
-    };
-    let opt = bench(
-        "threads_wolfssl_x4",
-        n,
-        (FANOUT * records * record_len) as u64,
-        || {
-            black_box(run_fanout(cfg.threads));
-        },
-    );
-    let base = bench(
-        "threads_wolfssl_x4_seq",
-        n,
-        (FANOUT * records * record_len) as u64,
-        || {
-            black_box(run_fanout(1));
-        },
-    );
-    rows.push(PerfBench::from_timings(
-        "threads_wolfssl_x4",
-        opt.ns_per_iter,
-        (FANOUT * records * record_len) as u64,
-        Some(base.ns_per_iter),
-    ));
-}
 
 /// Runs `f(shard, machine)` on `FANOUT` independent machines, each booted
 /// from its own derived seed and audited afterwards, and returns `(sum,
 /// max)` of the per-shard simulated clocks: the sequential-schedule cost
 /// and the parallel-composition makespan, in cycles.
-fn sharded_simclock<F>(cfg: &Config, salt: u64, f: F) -> (u64, u64)
+fn sharded_simclock<F>(salt: u64, f: F) -> (u64, u64)
 where
     F: Fn(usize, &mut Machine) + Sync,
 {
     let shards: Vec<usize> = (0..FANOUT).collect();
-    let clocks = par_run(shards, cfg.threads, |_, i| {
+    let clocks = par_run(shards, FANOUT, |_, i| {
         let seed = derive_stream(THREADS_SEED ^ salt, i as u64);
         let mut m = Machine::boot(SocConfig::default(), seed).expect("shard boot");
         f(i, &mut m);
@@ -858,7 +721,7 @@ fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     let manifest =
         EnclaveManifest::parse("heap = 4M\nstack = 64K\nhost_shared = 64K").expect("manifest");
     let sessions = iters(cfg, 6, 2) as usize;
-    let (sum, max) = sharded_simclock(cfg, 0x51, |shard, m| {
+    let (sum, max) = sharded_simclock(0x51, |shard, m| {
         for s in 0..sessions + (shard & 1) {
             let image = [shard as u8, s as u8, 0x5a];
             let e = m
@@ -882,7 +745,7 @@ fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // writes enclave memory through the encrypted data plane, and evicts
     // pages with EWB.
     let pages = iters(cfg, 24, 8) as u64;
-    let (sum, max) = sharded_simclock(cfg, 0x52, |shard, m| {
+    let (sum, max) = sharded_simclock(0x52, |shard, m| {
         let image = [shard as u8, 0xe1];
         let e = m
             .create_enclave(0, &manifest, &image)
@@ -917,12 +780,10 @@ fn run(cfg: &Config) -> Result<(), String> {
     wolfssl_pass(cfg, &mut rows);
     pump_benches(cfg, &mut rows);
     interp_benches(cfg, &mut rows);
-    threads_wallclock_benches(cfg, &mut rows);
     threads_simclock_benches(cfg, &mut rows);
 
     let report = PerfReport {
         mode: if cfg.smoke { "smoke" } else { "full" }.to_string(),
-        threads: Some(cfg.threads as u64),
         host: HostFacts::detect(),
         benches: rows,
     };
@@ -944,7 +805,6 @@ fn main() -> ExitCode {
     let mut cfg = Config {
         smoke: false,
         out: "BENCH_perf.json".to_string(),
-        threads: 4,
     };
     let mut check: Option<String> = None;
     let mut i = 0;
@@ -955,25 +815,13 @@ fn main() -> ExitCode {
                 i += 1;
                 cfg.out = args[i].clone();
             }
-            "--threads" if i + 1 < args.len() => {
-                i += 1;
-                cfg.threads = match args[i].parse() {
-                    Ok(t) if t >= 1 => t,
-                    _ => {
-                        eprintln!("bad --threads value '{}'", args[i]);
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
             "--check" if i + 1 < args.len() => {
                 i += 1;
                 check = Some(args[i].clone());
             }
             other => {
                 eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: bench_report [--smoke] [--threads N] [--out PATH] | --check PATH"
-                );
+                eprintln!("usage: bench_report [--smoke] [--out PATH] | --check PATH");
                 return ExitCode::FAILURE;
             }
         }

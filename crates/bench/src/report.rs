@@ -10,7 +10,7 @@
 //!   "schema_version": 1,
 //!   "suite": "hypertee-perf",
 //!   "mode": "full" | "smoke",
-//!   "threads": 4,            // optional: worker-pool width of threads_* rows
+//!   "threads": 4,            // optional, no longer emitted: older reports' pool width
 //!   "available_parallelism": 2,
 //!   "kernels": { "aes": true, "bmi2": true, "avx512f": false },
 //!   "benches": [
@@ -40,7 +40,7 @@ pub const SUITE: &str = "hypertee-perf";
 pub struct PerfBench {
     /// Stable benchmark identifier.
     pub name: String,
-    /// Optimized-path median time per operation.
+    /// Optimized-path best-batch time per operation.
     pub ns_per_op: f64,
     /// Optimized-path throughput, when a byte count is meaningful.
     pub gb_per_sec: Option<f64>,
@@ -100,9 +100,6 @@ impl HostFacts {
 pub struct PerfReport {
     /// `"full"` for the committed trajectory, `"smoke"` for the CI gate.
     pub mode: String,
-    /// Worker-pool width used by the `threads_*` scaling rows, when the
-    /// run measured any. `None` keeps the pre-sharding schema byte-stable.
-    pub threads: Option<u64>,
     /// The host the rows were measured on.
     pub host: HostFacts,
     /// Benchmark rows.
@@ -343,9 +340,6 @@ impl PerfReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         push_header(&mut out, SCHEMA_VERSION, SUITE, &self.mode);
-        if let Some(t) = self.threads {
-            out.push_str(&format!(",\n  \"threads\": {t}"));
-        }
         let kernels: Vec<String> = self
             .host
             .kernels
@@ -707,7 +701,6 @@ mod tests {
     fn sample() -> PerfReport {
         PerfReport {
             mode: "smoke".to_string(),
-            threads: None,
             host: fixed_host(),
             benches: vec![
                 PerfBench::from_timings("aes", 10.0, 4096, Some(40.0)),
@@ -731,14 +724,14 @@ mod tests {
     }
 
     #[test]
-    fn threads_dimension_roundtrips_and_is_validated() {
-        let mut r = sample();
-        r.threads = Some(4);
-        let json = r.to_json();
-        assert!(json.contains("\"threads\": 4"));
+    fn older_reports_threads_key_is_still_validated() {
+        let json = sample().to_json();
+        assert!(!json.contains("\"threads\""));
+        let json = json.replace(
+            "\"mode\": \"smoke\"",
+            "\"mode\": \"smoke\",\n  \"threads\": 4",
+        );
         validate(&json).unwrap();
-        // Absent threads stays valid (pre-sharding reports).
-        validate(&sample().to_json()).unwrap();
         // Zero, fractional, or non-numeric widths are rejected.
         for bad in ["0", "2.5", "\"4\""] {
             let doctored = json.replace("\"threads\": 4", &format!("\"threads\": {bad}"));
@@ -831,7 +824,6 @@ mod tests {
         // Missing benches.
         let empty = PerfReport {
             mode: "full".to_string(),
-            threads: None,
             host: fixed_host(),
             benches: vec![],
         };
@@ -854,7 +846,6 @@ mod tests {
         // With a measured reference, the row is fine.
         let ok = PerfReport {
             mode: "smoke".to_string(),
-            threads: None,
             host: fixed_host(),
             benches: vec![PerfBench::from_timings(
                 "interp_memstream_pass",
@@ -869,7 +860,6 @@ mod tests {
         for name in ["interp_memstream_pass", "memstream_pass", "wolfssl_pass"] {
             let bad = PerfReport {
                 mode: "smoke".to_string(),
-                threads: None,
                 host: fixed_host(),
                 benches: vec![PerfBench::from_timings(name, 10.0, 4096, None)],
             };
@@ -882,7 +872,6 @@ mod tests {
     fn sub_unity_speedup_fails_the_gate() {
         let regressed = PerfReport {
             mode: "smoke".to_string(),
-            threads: None,
             host: fixed_host(),
             benches: vec![PerfBench::from_timings(
                 "ptw_translate_walk",
@@ -893,20 +882,9 @@ mod tests {
         };
         let err = validate(&regressed.to_json()).unwrap_err();
         assert!(err.contains("regressed"), "{err}");
-        // The wall-clock fan-out rows are gated like every other row.
-        for name in ["threads_lockstep_x4", "threads_wolfssl_x4"] {
-            let slower = PerfReport {
-                mode: "smoke".to_string(),
-                threads: Some(4),
-                host: fixed_host(),
-                benches: vec![PerfBench::from_timings(name, 100.0, 0, Some(95.0))],
-            };
-            assert!(validate(&slower.to_json()).is_err(), "{name} is gated");
-        }
         // Exactly 1.0 passes.
         let flat = PerfReport {
             mode: "smoke".to_string(),
-            threads: None,
             host: fixed_host(),
             benches: vec![PerfBench::from_timings("x", 10.0, 0, Some(10.0))],
         };
@@ -918,7 +896,6 @@ mod tests {
     fn emitter_refuses_nan() {
         let r = PerfReport {
             mode: "full".to_string(),
-            threads: None,
             host: fixed_host(),
             benches: vec![PerfBench {
                 name: "bad".to_string(),

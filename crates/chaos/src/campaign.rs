@@ -200,7 +200,7 @@ impl ChaosConfig {
 
 /// What a finished campaign measured. Every field is deterministic in the
 /// config; [`ChaosOutcome::trace_hash`] folds the full event stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosOutcome {
     /// Campaign seed (replays the run).
     pub seed: u64,
@@ -410,23 +410,11 @@ struct Driver {
     live: usize,
     hash: u64,
     latencies: Vec<u64>,
-    sessions_done: usize,
-    sessions_failed: usize,
-    enclaves_created: u64,
-    enclaves_destroyed: u64,
-    leaked_enclaves: u64,
     /// Leaks whose enclave id is known: candidates for the post-drain
     /// reaper. Deliberate taints (id never learned) are not recorded.
     leaked_eids: Vec<u64>,
-    reclaimed_enclaves: u64,
-    ok_responses: u64,
-    recovered: u64,
-    rejections: u64,
-    completions: u64,
-    crash_dropped: u64,
-    audits: u64,
-    audit_ok: bool,
-    first_audit_error: Option<String>,
+    /// The counters the driver accumulates; `run` fills in the rest.
+    out: ChaosOutcome,
 }
 
 impl Driver {
@@ -473,7 +461,7 @@ impl Driver {
         if self.sessions[s].eid != 0 || !clean {
             // A known enclave we could not destroy, or a tainted early step
             // (the EMS may have registered the window): leak, don't free.
-            self.leaked_enclaves += 1;
+            self.out.leaked_enclaves += 1;
             if self.sessions[s].eid != 0 {
                 self.leaked_eids.push(self.sessions[s].eid);
             }
@@ -482,7 +470,7 @@ impl Driver {
         let window = self.sessions[s].window.take();
         self.free_frames(window);
         self.sessions[s].state = SessionState::Failed;
-        self.sessions_failed += 1;
+        self.out.sessions_failed += 1;
         self.live -= 1;
     }
 
@@ -490,7 +478,7 @@ impl Driver {
         let window = self.sessions[s].window.take();
         self.free_frames(window);
         self.sessions[s].state = SessionState::Done;
-        self.sessions_done += 1;
+        self.out.sessions_done += 1;
         self.live -= 1;
     }
 
@@ -639,9 +627,9 @@ impl Driver {
         self.sessions[s].wait_until = tick;
         match &c.result {
             Ok(resp) => {
-                self.ok_responses += 1;
+                self.out.ok_responses += 1;
                 if c.attempts > 0 {
-                    self.recovered += 1;
+                    self.out.recovered += 1;
                 }
                 self.latencies.push(c.latency.0);
                 self.sessions[s].step_retries = 0;
@@ -649,7 +637,7 @@ impl Driver {
             }
             Err(MachineError::Primitive(Status::Exhausted)) => {
                 // Transient resource rejection: bounded same-step retry.
-                self.rejections += 1;
+                self.out.rejections += 1;
                 self.unreserve_enter(s, step);
                 let sess = &mut self.sessions[s];
                 sess.step_retries += 1;
@@ -659,7 +647,7 @@ impl Driver {
                 }
             }
             Err(MachineError::Primitive(status)) => {
-                self.rejections += 1;
+                self.out.rejections += 1;
                 if step == Step::Destroy {
                     if *status == Status::NotFound {
                         // Already gone (an earlier destroy's lost response
@@ -699,7 +687,7 @@ impl Driver {
                     self.fail_session(s, tick, true);
                     return;
                 }
-                self.enclaves_created += 1;
+                self.out.enclaves_created += 1;
                 self.sessions[s].step = Step::Add;
             }
             Step::Add => {
@@ -736,7 +724,7 @@ impl Driver {
                 self.sessions[s].step = Step::Destroy;
             }
             Step::Destroy => {
-                self.enclaves_destroyed += 1;
+                self.out.enclaves_destroyed += 1;
                 self.finish_session(s);
             }
         }
@@ -751,11 +739,11 @@ impl Driver {
             sess.window = None;
             sess.state = SessionState::Failed;
             let eid = sess.eid;
-            self.leaked_enclaves += 1;
+            self.out.leaked_enclaves += 1;
             if eid != 0 {
                 self.leaked_eids.push(eid);
             }
-            self.sessions_failed += 1;
+            self.out.sessions_failed += 1;
             self.live -= 1;
         }
     }
@@ -772,7 +760,7 @@ impl Driver {
             for _ in 0..DESTROY_TRY_MAX {
                 match self.destroy_once(eid) {
                     Ok(_) => {
-                        self.enclaves_destroyed += 1;
+                        self.out.enclaves_destroyed += 1;
                         reclaimed = true;
                     }
                     Err(MachineError::Primitive(Status::NotFound)) => reclaimed = true,
@@ -785,7 +773,7 @@ impl Driver {
                 break;
             }
             if reclaimed {
-                self.reclaimed_enclaves += 1;
+                self.out.reclaimed_enclaves += 1;
             }
             fold(&mut self.hash, &[9, tick, eid, u64::from(reclaimed)]);
         }
@@ -799,14 +787,14 @@ impl Driver {
     }
 
     fn run_audit(&mut self, tick: u64) {
-        self.audits += 1;
+        self.out.audits += 1;
         match self.m.audit() {
             Ok(_) => fold(&mut self.hash, &[6, tick, 1]),
             Err(e) => {
                 fold(&mut self.hash, &[6, tick, 0]);
-                if self.audit_ok {
-                    self.audit_ok = false;
-                    self.first_audit_error = Some(format!("tick {tick}: {e:?}"));
+                if self.out.audit_ok {
+                    self.out.audit_ok = false;
+                    self.out.first_audit_error = Some(format!("tick {tick}: {e:?}"));
                 }
             }
         }
@@ -837,21 +825,11 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         live: 0,
         hash: fnv::OFFSET_BASIS ^ cfg.seed,
         latencies: Vec::new(),
-        sessions_done: 0,
-        sessions_failed: 0,
-        enclaves_created: 0,
-        enclaves_destroyed: 0,
-        leaked_enclaves: 0,
         leaked_eids: Vec::new(),
-        reclaimed_enclaves: 0,
-        ok_responses: 0,
-        recovered: 0,
-        rejections: 0,
-        completions: 0,
-        crash_dropped: 0,
-        audits: 0,
-        audit_ok: true,
-        first_audit_error: None,
+        out: ChaosOutcome {
+            audit_ok: true,
+            ..ChaosOutcome::default()
+        },
     };
     d.m.set_scan_scheduler(cfg.ref_pump);
     d.m.degrade = DegradePolicy {
@@ -944,7 +922,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         // must reconstruct a consistent management plane.
         if next_crash < crash_ticks.len() && tick >= crash_ticks[next_crash] {
             let dropped = d.m.crash_restart_ems() as u64;
-            d.crash_dropped += dropped;
+            d.out.crash_dropped_requests += dropped;
             fold(&mut d.hash, &[4, tick, dropped]);
             d.run_audit(tick);
             // Supervised recovery: the facade notices the epoch bump,
@@ -1020,7 +998,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
 
         // Collect and apply completions.
         for c in d.m.drain_completions() {
-            d.completions += 1;
+            d.out.completions += 1;
             let code = outcome_code(&c.result);
             match d.route.remove(&c.call.id) {
                 Some(Route::Session(s)) => {
@@ -1133,8 +1111,8 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         &[
             8,
             stats.submitted,
-            d.ok_responses,
-            d.recovered,
+            d.out.ok_responses,
+            d.out.recovered,
             stats.shed,
             stats.expired,
             stats.timeouts,
@@ -1148,32 +1126,18 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         label: cfg.label,
         ticks: tick,
         requests: stats.submitted,
-        completions: d.completions,
-        ok_responses: d.ok_responses,
-        recovered: d.recovered,
-        rejections: d.rejections,
         timeouts: stats.timeouts,
         shed: stats.shed,
         expired: stats.expired,
         retries: stats.retries,
         sessions: d.sessions.len(),
-        sessions_done: d.sessions_done,
-        sessions_failed: d.sessions_failed,
-        enclaves_created: d.enclaves_created,
-        enclaves_destroyed: d.enclaves_destroyed,
-        leaked_enclaves: d.leaked_enclaves,
-        reclaimed_enclaves: d.reclaimed_enclaves,
         faults_injected: d.m.fault_stats().total()
             + storm_outcome
                 .as_ref()
                 .map_or(0, |s| s.service_faults_injected),
         crash_restarts,
-        crash_dropped_requests: d.crash_dropped,
         queue_depth_hwm: stats.queue_depth_hwm,
         in_flight_hwm: stats.in_flight_hwm,
-        audits: d.audits,
-        audit_ok: d.audit_ok,
-        first_audit_error: d.first_audit_error,
         lockstep_rounds: cfg.lockstep_rounds,
         lockstep_ok,
         first_divergence,
@@ -1185,6 +1149,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         clock_cycles: d.m.clock.0,
         trace_hash: d.hash,
         stalled,
+        ..d.out
     }
 }
 

@@ -80,7 +80,7 @@ impl StormConfig {
 
 /// What the storm measured. Attempt/accept pairs separate "the attack was
 /// launched" from "the facade fell for it" — the latter must stay zero.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StormOutcome {
     /// Clients the storm ran.
     pub clients: usize,
@@ -240,36 +240,7 @@ impl StormDriver {
             .collect();
         let out = StormOutcome {
             clients: cfg.clients,
-            handshakes_attempted: 0,
-            handshakes_completed: 0,
-            handshake_retries: 0,
-            calls_attempted: 0,
-            calls_ok: 0,
-            reattestations: 0,
-            pre_ready_attempts: 0,
-            pre_ready_accepted: 0,
-            stale_quote_attempts: 0,
-            stale_quote_accepted: 0,
-            replay_attempts: 0,
-            replay_accepted: 0,
-            duplicate_attempts: 0,
-            duplicate_accepted: 0,
-            forged_token_attempts: 0,
-            forged_token_accepted: 0,
-            breaker_to_open: 0,
-            breaker_to_half_open: 0,
-            breaker_to_closed: 0,
-            breaker_shed: 0,
-            reprobes: 0,
-            sessions_revoked: 0,
-            not_ready_rejects: 0,
-            stale_challenge_rejects: 0,
-            epoch_rejects: 0,
-            expired_token_rejects: 0,
-            service_faults_injected: 0,
-            handshake_p50_ticks: 0,
-            handshake_p99_ticks: 0,
-            slo_cdf: Vec::new(),
+            ..StormOutcome::default()
         };
         StormDriver {
             rng: ChaChaRng::from_u64(seed ^ 0x7374_6f72_6d5f_7267),

@@ -77,4 +77,25 @@ mod tests {
             assert_eq!(out, reference, "threads={threads}");
         }
     }
+
+    #[test]
+    fn par_run_runs_two_items_at_once() {
+        // Each item signals the other, then waits for the other's signal.
+        // Only a pool that runs both at once lets both hear back; a pool
+        // that ran them one after another times out instead of hanging.
+        for threads in [2usize, 4] {
+            let (tx0, rx0) = std::sync::mpsc::channel();
+            let (tx1, rx1) = std::sync::mpsc::channel();
+            let ends = [(tx0, Mutex::new(rx1)), (tx1, Mutex::new(rx0))];
+            let heard = par_run(vec![(); 2], threads, |i, ()| {
+                let (tx, rx) = &ends[i];
+                tx.send(i).expect("peer receiver alive");
+                rx.lock()
+                    .expect("receiver lock")
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .ok()
+            });
+            assert_eq!(heard, [Some(1), Some(0)], "threads={threads}");
+        }
+    }
 }

@@ -62,8 +62,8 @@ cargo run --release --offline -p hypertee-bench --bin bench_report -- \
 cargo run --release --offline -p hypertee-bench --bin bench_report -- \
     --check BENCH_perf.json
 
-echo "==> pump equivalence smoke (event scheduler vs scan oracle, fixed seeds)"
-cargo run --release --offline --example pump_smoke
+echo "==> pump equivalence in release (event scheduler vs scan oracle, seeded storms and campaigns)"
+cargo test --release --offline --test pump_equivalence -q
 
 echo "==> chaos campaign smoke (release, seeded, schema-validated)"
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke \

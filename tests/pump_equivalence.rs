@@ -134,9 +134,18 @@ fn storm(seed: u64, flavour: Flavour, faults: Option<&FaultPlan>, rounds: u64) -
 
 #[test]
 fn clean_storm_matches_scan_oracle_across_seeds() {
-    for seed in [0x1u64, 0xDEC0DE, 0x5EED_CAFE, 0xFFFF_FFFF_0000_0001] {
-        let event = storm(seed, Flavour::Event, None, 96);
-        let scan = storm(seed, Flavour::Scan, None, 96);
+    for (seed, rounds) in [
+        (0x1u64, 96),
+        (0xDEC0DE, 96),
+        (0x5EED_CAFE, 96),
+        (0xFFFF_FFFF_0000_0001, 96),
+        (0x51, 64),
+        (0xDEC0_DE5E, 64),
+        (0x5EED_CAFE, 64),
+        (0xFFFF_0000_0000_0001, 64),
+    ] {
+        let event = storm(seed, Flavour::Event, None, rounds);
+        let scan = storm(seed, Flavour::Scan, None, rounds);
         assert!(!event.completions.is_empty(), "seed {seed:#x} did no work");
         assert_eq!(event, scan, "clean storm diverged at seed {seed:#x}");
     }
@@ -147,10 +156,18 @@ fn faulty_storm_matches_scan_oracle_across_seeds() {
     // `heavy` arms drops, duplicates, delays, corruption, aborts, EMS
     // stalls and crashes — every fault site the pump must re-walk
     // identically (retry charges, backoff jitter, loss rounds).
-    for seed in [0xBAD_5EEDu64, 0x0DDB_A115, 0x7777_1234] {
+    for (seed, rounds) in [
+        (0xBAD_5EEDu64, 128),
+        (0x0DDB_A115, 128),
+        (0x7777_1234, 128),
+        (0x51, 64),
+        (0xDEC0_DE5E, 64),
+        (0x5EED_CAFE, 64),
+        (0xFFFF_0000_0000_0001, 64),
+    ] {
         let plan = FaultPlan::new(seed, FaultConfig::heavy());
-        let event = storm(seed, Flavour::Event, Some(&plan), 128);
-        let scan = storm(seed, Flavour::Scan, Some(&plan), 128);
+        let event = storm(seed, Flavour::Event, Some(&plan), rounds);
+        let scan = storm(seed, Flavour::Scan, Some(&plan), rounds);
         assert!(
             event.completions.iter().any(|o| o.attempts > 0) || event.stats.contains("retries: 0"),
             "fault plan armed but nothing retried and stats disagree: {}",
