@@ -16,7 +16,6 @@
 
 use hypertee::attacks;
 use hypertee::machine::Machine;
-use hypertee_sim::latency::LatencyBook;
 use hypertee_sim::perf::primitive_cycles;
 
 /// Result of one ablation arm.
@@ -153,12 +152,11 @@ pub fn isolation_ablation() -> AblationRow {
 /// Crypto-engine ablation (the paper's own Table IV, distilled): average
 /// primitive share with vs without the engine.
 pub fn engine_ablation() -> AblationRow {
-    let book = LatencyBook::default();
     let workloads = crate::enclave_workloads();
     let avg = |engine: bool| {
         workloads
             .iter()
-            .map(|(p, ealloc)| primitive_cycles(p, &book, engine, *ealloc).total() / p.host_cycles)
+            .map(|(p, ealloc)| primitive_cycles(p, engine, *ealloc).total() / p.host_cycles)
             .sum::<f64>()
             / workloads.len() as f64
     };

@@ -29,7 +29,7 @@ use hypertee::baselines::{table6_policies, Defense};
 use hypertee::machine::Machine;
 use hypertee_sim::area::{table5 as area_table5, AreaRow};
 use hypertee_sim::config::{CoreConfig, EmsCluster};
-use hypertee_sim::latency::LatencyBook;
+use hypertee_sim::latency::host_malloc;
 use hypertee_sim::perf::{
     enclave_run, encryption_cycles, host_bitmap_run, primitive_cycles, tlb_flush_cycles,
     WorkloadProfile,
@@ -112,7 +112,6 @@ pub fn enclave_workloads() -> Vec<(WorkloadProfile, f64)> {
 
 /// Fig. 7: enclave overhead for the three EMS core configurations.
 pub fn fig7() -> Vec<Fig7Row> {
-    let book = LatencyBook::default();
     let cores = [
         CoreConfig::ems_weak(),
         CoreConfig::ems_medium(),
@@ -121,7 +120,7 @@ pub fn fig7() -> Vec<Fig7Row> {
     enclave_workloads()
         .into_iter()
         .map(|(p, ealloc)| {
-            let ov = |core| enclave_run(&p, &book, core, true, true, 100.0, ealloc).overhead();
+            let ov = |core| enclave_run(&p, core, true, true, 100.0, ealloc).overhead();
             Fig7Row {
                 name: p.name.clone(),
                 weak: ov(&cores[0]),
@@ -155,12 +154,11 @@ pub struct Table4Row {
 
 /// Table IV: execution time of enclave primitives vs Host-Native.
 pub fn table4() -> Vec<Table4Row> {
-    let book = LatencyBook::default();
     enclave_workloads()
         .into_iter()
         .map(|(p, ealloc)| {
-            let nc = primitive_cycles(&p, &book, false, ealloc);
-            let c = primitive_cycles(&p, &book, true, ealloc);
+            let nc = primitive_cycles(&p, false, ealloc);
+            let c = primitive_cycles(&p, true, ealloc);
             Table4Row {
                 name: p.name,
                 all_noncrypto: nc.total() / p.host_cycles,
@@ -192,16 +190,15 @@ impl Fig8aRow {
 
 /// Fig. 8(a): malloc vs EALLOC latency, 128 KiB – 2 MiB. The EALLOC line
 /// is measured on the live machine; host `malloc` is not simulated, so its
-/// line is the `LatencyBook` baseline.
+/// line is the [`host_malloc`] baseline.
 pub fn fig8a() -> Vec<Fig8aRow> {
-    let book = LatencyBook::default();
     let sizes = [128u64, 256, 512, 1024, 2048].map(|kib| kib * 1024);
     let prices = live_ealloc_cycles(sizes);
     sizes
         .into_iter()
         .map(|bytes| Fig8aRow {
             bytes,
-            malloc_cycles: book.host_malloc(bytes),
+            malloc_cycles: host_malloc(bytes),
             ealloc_cycles: prices[&bytes],
         })
         .collect()
@@ -249,13 +246,12 @@ impl Fig8bRow {
 
 /// Fig. 8(b): MemStream latency with memory encryption + integrity.
 pub fn fig8b() -> Vec<Fig8bRow> {
-    let book = LatencyBook::default();
     memstream::sweep_sizes()
         .into_iter()
         .map(|bytes| Fig8bRow {
             bytes,
-            native: memstream::access_latency(&book, bytes, false),
-            encrypted: memstream::access_latency(&book, bytes, true),
+            native: memstream::access_latency(bytes, false),
+            encrypted: memstream::access_latency(bytes, true),
         })
         .collect()
 }
@@ -280,13 +276,12 @@ impl Fig9Breakdown {
 
 /// Fig. 9: performance impact of enclave memory management on wolfSSL.
 pub fn fig9() -> Fig9Breakdown {
-    let book = LatencyBook::default();
     let (p, ealloc) = enclave_workloads().pop().expect("wolfSSL comes last");
     let allocation = p.ealloc_calls * ealloc;
     Fig9Breakdown {
-        encryption: encryption_cycles(&p, &book) / p.host_cycles,
+        encryption: encryption_cycles(&p) / p.host_cycles,
         allocation: allocation / p.host_cycles,
-        tlb_flush: tlb_flush_cycles(&p, &book, 100.0) / p.host_cycles,
+        tlb_flush: tlb_flush_cycles(&p, 100.0) / p.host_cycles,
     }
 }
 
@@ -303,12 +298,11 @@ pub struct Fig10Row {
 
 /// Fig. 10: bitmap-check overhead on SPEC CPU2017 Integer.
 pub fn fig10() -> Vec<Fig10Row> {
-    let book = LatencyBook::default();
     spec::suite()
         .iter()
         .map(|p| Fig10Row {
             name: p.name.clone(),
-            overhead: host_bitmap_run(p, &book).overhead(),
+            overhead: host_bitmap_run(p).overhead(),
             tlb_miss_rate: p.tlb_miss_rate,
         })
         .collect()
@@ -327,7 +321,6 @@ pub struct Fig11Cell {
 
 /// Fig. 11: TLB-flush overhead on enclaves (miniz, 2–32 MiB, 100–400 Hz).
 pub fn fig11() -> Vec<Fig11Cell> {
-    let book = LatencyBook::default();
     let mut cells = Vec::new();
     for &mb in &[2u64, 4, 8, 16, 32] {
         let p = rv8::miniz_with_memory(mb << 20);
@@ -335,7 +328,7 @@ pub fn fig11() -> Vec<Fig11Cell> {
             cells.push(Fig11Cell {
                 mem_bytes: mb << 20,
                 switch_hz: hz,
-                overhead: tlb_flush_cycles(&p, &book, hz) / p.host_cycles,
+                overhead: tlb_flush_cycles(&p, hz) / p.host_cycles,
             });
         }
     }
@@ -355,20 +348,18 @@ pub struct Fig12Row {
 
 /// Fig. 12: enclave-communication performance (Gemmini DNNs + NIC).
 pub fn fig12() -> Vec<Fig12Row> {
-    let book = LatencyBook::default();
-    let g = dnn::Gemmini::default();
     let mut rows: Vec<Fig12Row> = dnn::models()
         .iter()
         .map(|m| Fig12Row {
             name: m.name.to_string(),
-            conventional_crypto_share: dnn::conventional(m, &g, &book).crypto_share(),
-            speedup: dnn::speedup(m, &book),
+            conventional_crypto_share: dnn::conventional(m).crypto_share(),
+            speedup: dnn::speedup(m),
         })
         .collect();
     rows.push(Fig12Row {
         name: "NIC (64 MiB stream)".to_string(),
-        conventional_crypto_share: nic::conventional(&book, 64 << 20, 4096).crypto_share(),
-        speedup: nic::speedup(&book, 64 << 20, 4096),
+        conventional_crypto_share: nic::conventional(64 << 20, 4096).crypto_share(),
+        speedup: nic::speedup(64 << 20, 4096),
     });
     rows
 }
@@ -554,7 +545,7 @@ pub fn fig6_point(cs_cores: u32, ems: EmsCluster, allocs: u32, bytes: u64) -> Sl
         }
     }
 
-    let baseline = m.book.host_malloc(bytes) * 1.02;
+    let baseline = host_malloc(bytes) * 1.02;
     SloCurve {
         label,
         cs_cores,
@@ -612,10 +603,9 @@ mod tests {
 
     #[test]
     fn table4_wolfssl_row() {
-        let book = LatencyBook::default();
         let (p, ealloc) = enclave_workloads().pop().unwrap();
         assert_eq!(p.name, wolfssl::profile().name);
-        let nc = primitive_cycles(&p, &book, false, ealloc);
+        let nc = primitive_cycles(&p, false, ealloc);
         // Paper: EMEAS 15.0%, all primitives 19.9% without the engine.
         let emeas_share = nc.emeas / p.host_cycles;
         let all_share = nc.total() / p.host_cycles;
@@ -625,7 +615,7 @@ mod tests {
         );
         assert!((all_share - 0.199).abs() < 0.02, "all {all_share:.3}");
         // With the engine: 4.7% all, 0.19% EMEAS.
-        let c = primitive_cycles(&p, &book, true, ealloc);
+        let c = primitive_cycles(&p, true, ealloc);
         assert!((c.emeas / p.host_cycles) < 0.004);
         assert!((c.total() / p.host_cycles - 0.047).abs() < 0.012);
     }

@@ -31,6 +31,7 @@ use hypertee_model::harness::{run_campaign, Campaign};
 use hypertee_model::ops::generate;
 use hypertee_sim::clock::Cycles;
 use hypertee_sim::config::{CoreConfig, EmsCluster, SocConfig};
+use hypertee_sim::latency::MAILBOX_ROUND_TRIP;
 
 use crate::migration::MigrationEngine;
 use crate::storm::{StormConfig, StormDriver, StormOutcome};
@@ -289,13 +290,29 @@ pub struct ChaosOutcome {
 impl ChaosOutcome {
     /// Percentile over the blackout windows (0 when none ran).
     pub fn blackout_percentile(&self, pct: u32) -> u64 {
-        if self.blackouts.is_empty() {
-            return 0;
-        }
         let mut v = self.blackouts.clone();
         v.sort_unstable();
-        let idx = (v.len() - 1) * pct as usize / 100;
-        v[idx]
+        floor_percentile(&v, pct as usize)
+    }
+}
+
+/// Floor-rank percentile `sorted[(len - 1) * pct / 100]` of an ascending
+/// slice (0 when empty).
+pub(crate) fn floor_percentile(sorted: &[u64], pct: usize) -> u64 {
+    if sorted.is_empty() {
+        0
+    } else {
+        sorted[(sorted.len() - 1) * pct / 100]
+    }
+}
+
+/// Fraction of `latencies` at or under `bound` (0 when empty): one point of
+/// an SLO CDF.
+pub(crate) fn slo_fraction(latencies: &[u64], bound: f64) -> f64 {
+    if latencies.is_empty() {
+        0.0
+    } else {
+        latencies.iter().filter(|&&l| (l as f64) <= bound).count() as f64 / latencies.len() as f64
     }
 }
 
@@ -1089,18 +1106,11 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     }
 
     // SLO CDF of Ok-completion latency under faults.
-    let rt = d.m.book.mailbox_round_trip();
     let slo_cdf: Vec<(u32, f64)> = SLO_MULTIPLES
         .iter()
         .map(|&mult| {
-            let bound = rt * f64::from(mult);
-            let frac = if d.latencies.is_empty() {
-                0.0
-            } else {
-                d.latencies.iter().filter(|&&l| (l as f64) <= bound).count() as f64
-                    / d.latencies.len() as f64
-            };
-            (mult, frac)
+            let bound = MAILBOX_ROUND_TRIP * f64::from(mult);
+            (mult, slo_fraction(&d.latencies, bound))
         })
         .collect();
 

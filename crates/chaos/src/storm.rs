@@ -15,6 +15,7 @@
 //! [`hypertee_faults::FaultInjector`], and clients step in ascending index
 //! order, so the whole storm folds into the campaign trace hash.
 
+use crate::campaign::{floor_percentile, slo_fraction};
 use hypertee::machine::Machine;
 use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_crypto::sig::PublicKey;
@@ -596,29 +597,11 @@ impl StormDriver {
         self.out.expired_token_rejects = fs.expired_tokens;
         self.out.service_faults_injected = self.injector.stats().total();
         self.latencies.sort_unstable();
-        let pct = |p: usize| -> u64 {
-            if self.latencies.is_empty() {
-                0
-            } else {
-                self.latencies[(self.latencies.len() - 1) * p / 100]
-            }
-        };
-        self.out.handshake_p50_ticks = pct(50);
-        self.out.handshake_p99_ticks = pct(99);
+        self.out.handshake_p50_ticks = floor_percentile(&self.latencies, 50);
+        self.out.handshake_p99_ticks = floor_percentile(&self.latencies, 99);
         self.out.slo_cdf = SLO_TICK_BOUNDS
             .iter()
-            .map(|&bound| {
-                let frac = if self.latencies.is_empty() {
-                    0.0
-                } else {
-                    self.latencies
-                        .iter()
-                        .filter(|&&l| l <= u64::from(bound))
-                        .count() as f64
-                        / self.latencies.len() as f64
-                };
-                (bound, frac)
-            })
+            .map(|&bound| (bound, slo_fraction(&self.latencies, f64::from(bound))))
             .collect();
         self.out
     }

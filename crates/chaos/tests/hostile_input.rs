@@ -19,6 +19,11 @@
 //! flipped request MACs and op bodies changed after signing, and its
 //! replies get bit flips, truncations and extensions: only genuine calls
 //! are served, no mutated reply verifies, and the session survives.
+//!
+//! The HostApp side of an enclave's shared window gets offsets near
+//! `u64::MAX` and around the window's edges: a read or write succeeds
+//! exactly when the range fits the window without wrapping, and the pages
+//! on either side of the window keep their bytes.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,7 +36,7 @@ use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_ems::attest::SigmaInitiator;
 use hypertee_ems::control::{layout, EnclaveState};
 use hypertee_fabric::message::{Primitive, Privilege};
-use hypertee_mem::addr::PAGE_SIZE;
+use hypertee_mem::addr::{PhysAddr, PAGE_SIZE};
 use hypertee_service::{request_mac, ServiceConfig, ServiceFacade, ServiceOp, ServiceReply};
 use hypertee_sim::rng::SplitMix64;
 
@@ -190,6 +195,60 @@ fn unseal_is_total_on_mutated_blobs() {
         }
     }
     assert!(refused > 0, "degenerate sweep, every mutant unsealed");
+    m.audit().expect("consistent after the sweep");
+}
+
+#[test]
+fn host_window_access_is_bounded_on_hostile_offsets() {
+    let mut m = Machine::boot_default();
+    let manifest =
+        EnclaveManifest::parse("heap = 4M\nstack = 16K\nhost_shared = 16K").expect("manifest");
+    m.create_enclave(0, &manifest, b"first").expect("first");
+    let handle = m.create_enclave(1, &manifest, b"second").expect("second");
+    let info = m.enclave_info(handle).expect("info");
+    let (base, size) = (info.host_window_pa.0, info.host_window_bytes);
+    let guards = [base - PAGE_SIZE, base + size];
+    let snapshot = |m: &mut Machine| -> Vec<Vec<u8>> {
+        guards
+            .iter()
+            .map(|&pa| {
+                let mut page = vec![0u8; PAGE_SIZE as usize];
+                m.sys
+                    .phys
+                    .read(PhysAddr(pa), &mut page)
+                    .expect("guard page");
+                page
+            })
+            .collect()
+    };
+    let before = snapshot(&mut m);
+    let mut offsets = vec![0, 1, size - 32, size - 1, size, size + 1, size + PAGE_SIZE];
+    for back in [0, 1, 15, 31, 32, size - 1, size, size + 1] {
+        offsets.push(u64::MAX - back);
+    }
+    let mut fits = 0;
+    for &offset in &offsets {
+        for len in [0, 1, 32, size as usize] {
+            let expect_ok = offset
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= size);
+            fits += usize::from(expect_ok);
+            let data = vec![0xAA; len];
+            let wrote = catch_unwind(AssertUnwindSafe(|| {
+                m.host_window_write(handle, offset, &data)
+            }))
+            .unwrap_or_else(|_| panic!("write of {len} bytes at {offset:#x} panicked"));
+            assert_eq!(wrote.is_ok(), expect_ok, "write of {len} at {offset:#x}");
+            let mut buf = vec![0u8; len];
+            let read = catch_unwind(AssertUnwindSafe(|| {
+                m.host_window_read(handle, offset, &mut buf)
+            }))
+            .unwrap_or_else(|_| panic!("read of {len} bytes at {offset:#x} panicked"));
+            assert_eq!(read.is_ok(), expect_ok, "read of {len} at {offset:#x}");
+        }
+    }
+    assert!(fits > 0, "degenerate sweep, no range fits the window");
+    assert_eq!(snapshot(&mut m), before, "bytes outside the window changed");
     m.audit().expect("consistent after the sweep");
 }
 

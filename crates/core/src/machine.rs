@@ -15,7 +15,6 @@ use hypertee_mem::system::MemorySystem;
 use hypertee_mem::MemFault;
 use hypertee_sim::clock::Cycles;
 use hypertee_sim::config::SocConfig;
-use hypertee_sim::latency::LatencyBook;
 use std::collections::BTreeMap;
 
 /// SDK-side record of a created enclave.
@@ -139,8 +138,6 @@ pub struct Machine {
     pub boot_report: BootReport,
     /// SoC configuration.
     pub config: SocConfig,
-    /// The timing calibration used for live cycle accounting.
-    pub book: LatencyBook,
     /// Load-shedding and deadline policy (disabled by default).
     pub degrade: DegradePolicy,
     /// Simulated-time clock: the max-merge over the per-hart clocks, so
@@ -241,7 +238,6 @@ impl Machine {
             host_table,
             boot_report: report,
             config,
-            book: LatencyBook::default(),
             degrade: DegradePolicy::default(),
             clock: Cycles::ZERO,
             interp: crate::exec::InterpMode::default(),
@@ -550,7 +546,7 @@ mod tests {
         let t2 = m.clock;
         assert!(t2 > t1, "context switch must cost time");
         // EADD/EMEAS of a 100 KB image dominates the fixed costs.
-        assert!((t1 - t0).0 as f64 > m.book.measure_cost(100_000, true));
+        assert!((t1 - t0).0 as f64 > hypertee_sim::latency::measure_cost(100_000, true));
     }
 
     #[test]

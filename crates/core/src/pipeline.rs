@@ -55,6 +55,10 @@ use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_mem::addr::Ppn;
 use hypertee_mem::ownership::EnclaveId;
 use hypertee_sim::clock::Cycles;
+use hypertee_sim::latency::{
+    ems_cycles, sign_cost, CTX_SWITCH, EALLOC_BASE_EMS_CYCLES, EALLOC_PAGE_EXTRA, EMCALL_POLL,
+    EMS_DISPATCH_EMS_CYCLES, HOST_PAGE_COST, LIFECYCLE_FIXED, MAILBOX_ROUND_TRIP, RETRY_BACKOFF,
+};
 use hypertee_sim::rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -259,41 +263,37 @@ impl Machine {
     /// Half the fixed mailbox round trip: the request (or response) leg of
     /// the CS ↔ EMS transmission.
     fn half_round_trip(&self) -> Cycles {
-        Cycles((self.book.mailbox_round_trip() / 2.0).round() as u64)
+        Cycles((MAILBOX_ROUND_TRIP / 2.0).round() as u64)
     }
 
     /// EMS service time (in CS cycles) implied by a completed primitive's
     /// response — the Fig. 8(a)-calibrated cost the EMS core was busy for,
     /// scaled by the configured core's `CoreConfig::ems_scale` (its
-    /// management IPC relative to the medium core the `LatencyBook` is
-    /// calibrated against). Failed primitives bail out in the sanity checks
-    /// and cost (to first order) nothing beyond the round trip.
+    /// management IPC relative to the medium core the `sim::latency`
+    /// constants are calibrated against). Failed primitives bail out in the
+    /// sanity checks and cost (to first order) nothing beyond the round trip.
     fn primitive_service_cycles(&self, primitive: Primitive, resp: &Response) -> f64 {
         if resp.status != Status::Ok {
             return 0.0;
         }
-        let book = &self.book;
         let engine = self.config.crypto_engine;
         let base = match primitive {
             Primitive::Ealloc => {
                 let pages = resp.pages_mapped().unwrap_or(0) as f64;
-                book.ems_cycles(book.ealloc_base_ems_cycles)
-                    + pages * (book.host_page_cost + book.ealloc_page_extra)
+                ems_cycles(EALLOC_BASE_EMS_CYCLES) + pages * (HOST_PAGE_COST + EALLOC_PAGE_EXTRA)
             }
-            Primitive::Efree | Primitive::Eshmdt => book.ems_cycles(book.ealloc_base_ems_cycles),
+            Primitive::Efree | Primitive::Eshmdt => ems_cycles(EALLOC_BASE_EMS_CYCLES),
             Primitive::Ewb => {
                 let count = resp.pages_written_back().unwrap_or(0) as f64;
-                count * (book.host_page_cost + book.ealloc_page_extra)
+                count * (HOST_PAGE_COST + EALLOC_PAGE_EXTRA)
             }
-            Primitive::Ecreate | Primitive::Edestroy => book.lifecycle_fixed / 2.0,
+            Primitive::Ecreate | Primitive::Edestroy => LIFECYCLE_FIXED / 2.0,
             Primitive::Eadd => 0.0,  // charged per byte by the SDK wrapper
             Primitive::Emeas => 0.0, // likewise (needs the image size)
-            Primitive::Eenter | Primitive::Eresume | Primitive::Eexit => book.ctx_switch,
-            Primitive::Eshmget | Primitive::Eshmat => book.ems_cycles(book.ealloc_base_ems_cycles),
-            Primitive::Eshmshr | Primitive::Eshmdes => {
-                book.ems_cycles(book.ems_dispatch_ems_cycles)
-            }
-            Primitive::Eattest => book.sign_cost(engine),
+            Primitive::Eenter | Primitive::Eresume | Primitive::Eexit => CTX_SWITCH,
+            Primitive::Eshmget | Primitive::Eshmat => ems_cycles(EALLOC_BASE_EMS_CYCLES),
+            Primitive::Eshmshr | Primitive::Eshmdes => ems_cycles(EMS_DISPATCH_EMS_CYCLES),
+            Primitive::Eattest => sign_cost(engine),
         };
         base * self.config.ems.core.ems_scale()
     }
@@ -691,8 +691,10 @@ impl Machine {
                     return Step::Completed(hart_id);
                 }
                 let backoff = self.backoff(inf.attempt, id);
-                let round_trip = self.book.mailbox_round_trip();
-                self.charge_hart(hart_id, Cycles((round_trip + backoff).round() as u64));
+                self.charge_hart(
+                    hart_id,
+                    Cycles((MAILBOX_ROUND_TRIP + backoff).round() as u64),
+                );
                 let resubmitted = self.with_privilege(hart_id, inf.privilege, |m| {
                     m.emcall.submit(
                         &m.harts[hart_id],
@@ -742,7 +744,7 @@ impl Machine {
                     Some(sr) => u64::from(POLL_BUDGET).max(sr - 1 - inf.base_round),
                     None => u64::from(POLL_BUDGET) + u64::from(inf.slack),
                 };
-                let waited = waited_polls as f64 * self.book.emcall_poll;
+                let waited = waited_polls as f64 * EMCALL_POLL;
                 let backoff = self.backoff(inf.attempt, id);
                 self.charge_hart(hart_id, Cycles((waited + backoff).round() as u64));
                 // Resubmit under the same req_id: if EMS in fact completed
@@ -800,7 +802,7 @@ impl Machine {
     /// points instead of retrying in lockstep (retry storms), while the
     /// same seed still replays the exact same trace.
     fn backoff(&self, attempt: u32, call_id: u64) -> f64 {
-        let base = self.book.retry_backoff * f64::from(1u32 << (attempt - 1).min(16));
+        let base = RETRY_BACKOFF * f64::from(1u32 << (attempt - 1).min(16));
         // splitmix64 finalizer (shared via `hypertee_sim::rng`): stateless,
         // so the jitter draw can never perturb any other random stream, and
         // a shard's machine boots from its own splitmix-derived seed, so the

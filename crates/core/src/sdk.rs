@@ -115,7 +115,7 @@ impl Machine {
         // Charge the size-dependent management time (EADD copy + EMEAS
         // measurement) that the generic primitive accounting skips.
         let engine = self.config.crypto_engine;
-        let (eadd, emeas) = self.book.image_load(image.len() as u64, engine);
+        let (eadd, emeas) = hypertee_sim::latency::image_load(image.len() as u64, engine);
         let image_cost = (eadd + emeas).round() as u64;
         self.charge_hart(hart_id, hypertee_sim::clock::Cycles(image_cost));
         self.enclaves.insert(
@@ -437,13 +437,7 @@ impl Machine {
         offset: u64,
         data: &[u8],
     ) -> MachineResult<()> {
-        let info = self.enclave_info(handle)?;
-        if offset + data.len() as u64 > info.host_window_bytes {
-            return Err(MachineError::Mem(hypertee_mem::MemFault::BusError {
-                pa: info.host_window_pa.0 + offset,
-            }));
-        }
-        let pa = PhysAddr(info.host_window_pa.0 + offset);
+        let pa = self.host_window_range(handle, offset, data.len())?;
         self.sys.phys.write(pa, data).map_err(MachineError::Mem)?;
         // A raw physical write bypasses the MMU store hooks; drop any
         // decoded lines it may have rewritten on every hart.
@@ -464,16 +458,28 @@ impl Machine {
         offset: u64,
         buf: &mut [u8],
     ) -> MachineResult<()> {
+        let pa = self.host_window_range(handle, offset, buf.len())?;
+        self.sys.phys.read(pa, buf).map_err(MachineError::Mem)
+    }
+
+    /// Physical address of `len` bytes at `offset` into the enclave's host
+    /// window. `offset` comes from the untrusted host side, so a range that
+    /// wraps or leaves the window is a `BusError`.
+    fn host_window_range(
+        &self,
+        handle: EnclaveHandle,
+        offset: u64,
+        len: usize,
+    ) -> MachineResult<PhysAddr> {
         let info = self.enclave_info(handle)?;
-        if offset + buf.len() as u64 > info.host_window_bytes {
-            return Err(MachineError::Mem(hypertee_mem::MemFault::BusError {
-                pa: info.host_window_pa.0 + offset,
-            }));
-        }
-        self.sys
-            .phys
-            .read(PhysAddr(info.host_window_pa.0 + offset), buf)
-            .map_err(MachineError::Mem)
+        offset
+            .checked_add(len as u64)
+            .filter(|&end| end <= info.host_window_bytes)
+            .and_then(|_| info.host_window_pa.0.checked_add(offset))
+            .map(PhysAddr)
+            .ok_or(MachineError::Mem(hypertee_mem::MemFault::BusError {
+                pa: info.host_window_pa.0.wrapping_add(offset),
+            }))
     }
 
     /// The enclave-side VA of the host shared window.

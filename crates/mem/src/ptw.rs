@@ -17,8 +17,9 @@ use crate::tlb::TlbEntry;
 use crate::walkcache::WalkCache;
 use crate::MemFault;
 
-/// Walker event counters (timing-model input: each walk costs
-/// `LatencyBook::ptw_walk`, each bitmap check `bitmap_check_extra`).
+/// Walker event counters. Functional only: no cycle cost is charged from
+/// them (the Fig. 10 bitmap-check cost is priced per profiled walk by
+/// `sim::perf::bitmap_cycles`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PtwStats {
     /// Completed walks.

@@ -21,18 +21,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss rate in \[0, 1\]; 0 for an untouched cache.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// One set-associative cache level with LRU replacement.
 #[derive(Debug)]
 pub struct Cache {

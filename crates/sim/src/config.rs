@@ -142,8 +142,8 @@ impl CoreConfig {
     }
 
     /// EMS-time scaling factor of this core: how much longer (or shorter)
-    /// EMS work takes than on the medium core the
-    /// [`crate::latency::LatencyBook`] is calibrated against.
+    /// EMS work takes than on the medium core the [`crate::latency`]
+    /// constants are calibrated against.
     pub fn ems_scale(&self) -> f64 {
         CoreConfig::ems_medium().management_ipc() / self.management_ipc()
     }

@@ -5,12 +5,12 @@
 //! cores (Table III). No FPGA is available to this reproduction, so this crate
 //! provides the timing substrate instead:
 //!
-//! * [`clock`] — cycle bookkeeping and CS/EMS clock-domain conversion
-//!   (2.5 GHz CS, 750 MHz EMS per §VII-E).
+//! * [`clock`] — cycle bookkeeping in the CS clock domain.
 //! * [`config`] — the Table III core configurations (CS 8-wide OoO; EMS
 //!   *weak* / *medium* / *strong*) and SoC-level configuration.
-//! * [`latency`] — the calibration book: every cycle cost the models charge,
-//!   each annotated with the paper number it was anchored to.
+//! * [`latency`] — the calibration: every cycle cost the models charge and
+//!   the CS/EMS clock frequencies (2.5 GHz CS, 750 MHz EMS per §VII-E), each
+//!   a constant annotated with the paper number it was anchored to.
 //! * [`perf`] — the analytic core-performance model that turns workload
 //!   profiles plus an execution environment into cycle counts (Figs. 7–11).
 //! * [`area`] — the ASIC area model behind Table V.

@@ -8,7 +8,10 @@
 //! HyperTEE's mechanisms on top of the Host-Native baseline.
 
 use crate::config::CoreConfig;
-use crate::latency::LatencyBook;
+use crate::latency::{
+    image_load, BITMAP_CHECK_EXTRA, CS_GHZ, INTEGRITY_EXTRA, LIFECYCLE_FIXED, MKTME_EXTRA,
+    POST_FLUSH_WALK, TLB_FLUSH_OP,
+};
 
 /// Description of one benchmark workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +50,8 @@ impl WorkloadProfile {
     }
 
     /// Runtime in seconds at the CS clock.
-    pub fn runtime_secs(&self, book: &LatencyBook) -> f64 {
-        self.host_cycles / (book.clocks.cs_ghz * 1e9)
+    pub fn runtime_secs(&self) -> f64 {
+        self.host_cycles / (CS_GHZ * 1e9)
     }
 }
 
@@ -74,40 +77,39 @@ impl PrimitiveBreakdown {
 /// attestation. `ealloc_cycles` is the price of one of the profile's
 /// EALLOC calls (`ealloc_bytes` each) as measured on the live machine;
 /// this model has no EALLOC formula of its own. All EMS-executed costs are
-/// valued at the *medium* EMS core that the `LatencyBook` is calibrated
+/// valued at the *medium* EMS core that [`crate::latency`] is calibrated
 /// for; scale with [`CoreConfig::ems_scale`] for other configurations.
 pub fn primitive_cycles(
     profile: &WorkloadProfile,
-    book: &LatencyBook,
     engine: bool,
     ealloc_cycles: f64,
 ) -> PrimitiveBreakdown {
-    let (eadd, emeas) = book.image_load(profile.image_bytes as u64, engine);
+    let (eadd, emeas) = image_load(profile.image_bytes as u64, engine);
     let allocs = profile.ealloc_calls * ealloc_cycles;
     // Attestation (EATTEST) is once-per-launch and amortised out of the
     // paper's per-run shares; price it separately with
-    // `LatencyBook::sign_cost` when a flow actually attests.
-    let others = book.lifecycle_fixed + eadd + allocs;
+    // `latency::sign_cost` when a flow actually attests.
+    let others = LIFECYCLE_FIXED + eadd + allocs;
     PrimitiveBreakdown { emeas, others }
 }
 
 /// Memory-encryption + integrity overhead cycles for a run (charged on each
 /// DRAM access — Fig. 8(b) §IV-C mechanisms).
-pub fn encryption_cycles(profile: &WorkloadProfile, book: &LatencyBook) -> f64 {
-    profile.dram_accesses() * (book.mktme_extra + book.integrity_extra)
+pub fn encryption_cycles(profile: &WorkloadProfile) -> f64 {
+    profile.dram_accesses() * (MKTME_EXTRA + INTEGRITY_EXTRA)
 }
 
 /// Bitmap-check overhead cycles for a *non-enclave* run (Fig. 10): one extra
 /// bitmap fetch per page-table walk.
-pub fn bitmap_cycles(profile: &WorkloadProfile, book: &LatencyBook) -> f64 {
-    profile.ptw_walks() * book.bitmap_check_extra
+pub fn bitmap_cycles(profile: &WorkloadProfile) -> f64 {
+    profile.ptw_walks() * BITMAP_CHECK_EXTRA
 }
 
 /// TLB-flush overhead cycles (Fig. 11) at a given enclave context-switch
 /// frequency. Each flush forces the touched working set to be re-walked.
-pub fn tlb_flush_cycles(profile: &WorkloadProfile, book: &LatencyBook, switch_hz: f64) -> f64 {
-    let flushes = profile.runtime_secs(book) * switch_hz;
-    flushes * (book.tlb_flush_op + profile.touched_pages * book.post_flush_walk)
+pub fn tlb_flush_cycles(profile: &WorkloadProfile, switch_hz: f64) -> f64 {
+    let flushes = profile.runtime_secs() * switch_hz;
+    flushes * (TLB_FLUSH_OP + profile.touched_pages * POST_FLUSH_WALK)
 }
 
 /// Full enclave-mode runtime for a workload (Fig. 7 and Fig. 9): baseline
@@ -143,20 +145,19 @@ pub const STATIC_ALLOC_CREDIT: f64 = 0.39;
 /// [`primitive_cycles`].
 pub fn enclave_run(
     profile: &WorkloadProfile,
-    book: &LatencyBook,
     ems_core: &CoreConfig,
     engine: bool,
     mem_encryption: bool,
     switch_hz: f64,
     ealloc_cycles: f64,
 ) -> EnclaveRun {
-    let prims = primitive_cycles(profile, book, engine, ealloc_cycles);
+    let prims = primitive_cycles(profile, engine, ealloc_cycles);
     let scale = ems_core.ems_scale();
     let mut extra = prims.total() * scale * (1.0 - STATIC_ALLOC_CREDIT);
     if mem_encryption {
-        extra += encryption_cycles(profile, book);
+        extra += encryption_cycles(profile);
     }
-    extra += tlb_flush_cycles(profile, book, switch_hz);
+    extra += tlb_flush_cycles(profile, switch_hz);
     EnclaveRun {
         baseline: profile.host_cycles,
         enclave: profile.host_cycles + extra,
@@ -164,10 +165,10 @@ pub fn enclave_run(
 }
 
 /// Prices a non-enclave run with bitmap checking enabled (Host-Bitmap).
-pub fn host_bitmap_run(profile: &WorkloadProfile, book: &LatencyBook) -> EnclaveRun {
+pub fn host_bitmap_run(profile: &WorkloadProfile) -> EnclaveRun {
     EnclaveRun {
         baseline: profile.host_cycles,
-        enclave: profile.host_cycles + bitmap_cycles(profile, book),
+        enclave: profile.host_cycles + bitmap_cycles(profile),
     }
 }
 
@@ -198,14 +199,13 @@ mod tests {
         // Table IV: ~three quarters of primitive time is EMEAS when no
         // engine is present.
         let p = toy_profile();
-        let book = LatencyBook::default();
-        let b = primitive_cycles(&p, &book, false, TOY_EALLOC);
+        let b = primitive_cycles(&p, false, TOY_EALLOC);
         assert!(
             b.emeas / b.total() > 0.6,
             "emeas share = {}",
             b.emeas / b.total()
         );
-        let b_eng = primitive_cycles(&p, &book, true, TOY_EALLOC);
+        let b_eng = primitive_cycles(&p, true, TOY_EALLOC);
         assert!(b_eng.emeas / b_eng.total() < 0.1);
         assert!(b_eng.total() < b.total());
     }
@@ -213,8 +213,7 @@ mod tests {
     #[test]
     fn weak_core_scales_overhead_up() {
         let p = toy_profile();
-        let book = LatencyBook::default();
-        let run = |core| enclave_run(&p, &book, &core, true, true, 100.0, TOY_EALLOC);
+        let run = |core| enclave_run(&p, &core, true, true, 100.0, TOY_EALLOC);
         let medium = run(CoreConfig::ems_medium());
         let weak = run(CoreConfig::ems_weak());
         let strong = run(CoreConfig::ems_strong());
@@ -227,36 +226,33 @@ mod tests {
 
     #[test]
     fn bitmap_cost_tracks_tlb_miss_rate() {
-        let book = LatencyBook::default();
         let mut hot = toy_profile();
         hot.tlb_miss_rate = 0.008; // xalancbmk-like.
         let mut cold = toy_profile();
         cold.tlb_miss_rate = 0.001;
-        assert!(bitmap_cycles(&hot, &book) > 4.0 * bitmap_cycles(&cold, &book));
+        assert!(bitmap_cycles(&hot) > 4.0 * bitmap_cycles(&cold));
     }
 
     #[test]
     fn tlb_flush_cost_scales_with_frequency_and_pages() {
-        let book = LatencyBook::default();
         let p = toy_profile();
-        let base = tlb_flush_cycles(&p, &book, 100.0);
-        assert!((tlb_flush_cycles(&p, &book, 400.0) / base - 4.0).abs() < 1e-9);
+        let base = tlb_flush_cycles(&p, 100.0);
+        assert!((tlb_flush_cycles(&p, 400.0) / base - 4.0).abs() < 1e-9);
         let mut big = p.clone();
         big.touched_pages *= 4.0;
-        assert!(tlb_flush_cycles(&big, &book, 100.0) > 3.0 * base);
+        assert!(tlb_flush_cycles(&big, 100.0) > 3.0 * base);
     }
 
     #[test]
     fn fig11_anchor_1_81_percent() {
         // miniz, 32 MiB working set (0.345 touch fraction), 400 Hz switches:
         // the paper reports ≤1.81% overhead.
-        let book = LatencyBook::default();
         let pages_32m = 32.0 * 1024.0 * 1024.0 / 4096.0;
         let p = WorkloadProfile {
             touched_pages: pages_32m * 0.345,
             ..toy_profile()
         };
-        let ov = tlb_flush_cycles(&p, &book, 400.0) / p.host_cycles;
+        let ov = tlb_flush_cycles(&p, 400.0) / p.host_cycles;
         assert!(ov <= 0.0185, "overhead = {ov}");
         assert!(
             ov > 0.015,

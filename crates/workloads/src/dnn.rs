@@ -12,32 +12,18 @@
 //! is calibrated to the crypto share the paper measured (ResNet50: software
 //! encryption/decryption ≥ 74.7% of conventional execution).
 
-use hypertee_sim::latency::LatencyBook;
+use hypertee_sim::latency::{COPY_CPB_CS, SW_AES_CPB_CS};
 
-/// Gemmini configuration (Table III): 16×16 PEs, 256 KiB global buffer,
-/// 64 KiB accumulator, output/weight-stationary dataflow.
-#[derive(Debug, Clone, Copy)]
-pub struct Gemmini {
-    /// Processing elements (16×16).
-    pub pes: u64,
-    /// Sustained utilisation across layers.
-    pub utilization: f64,
-}
+// Gemmini configuration (Table III): 16×16 PEs, 256 KiB global buffer,
+// 64 KiB accumulator, output/weight-stationary dataflow.
+/// Gemmini processing elements (16×16).
+pub const GEMMINI_PES: u64 = 256;
+/// Gemmini's sustained utilisation across layers.
+pub const GEMMINI_UTILIZATION: f64 = 0.70;
 
-impl Default for Gemmini {
-    fn default() -> Self {
-        Gemmini {
-            pes: 256,
-            utilization: 0.70,
-        }
-    }
-}
-
-impl Gemmini {
-    /// Compute cycles for `macs` multiply-accumulates.
-    pub fn compute_cycles(&self, macs: f64) -> f64 {
-        macs / (self.pes as f64 * self.utilization)
-    }
+/// Gemmini compute cycles for `macs` multiply-accumulates.
+pub fn compute_cycles(macs: f64) -> f64 {
+    macs / (GEMMINI_PES as f64 * GEMMINI_UTILIZATION)
 }
 
 /// One inference workload.
@@ -115,28 +101,27 @@ impl InferenceTime {
 
 /// Conventional design: every boundary byte is encrypted on one side and
 /// decrypted on the other (2× software AES passes).
-pub fn conventional(model: &DnnModel, gemmini: &Gemmini, book: &LatencyBook) -> InferenceTime {
+pub fn conventional(model: &DnnModel) -> InferenceTime {
     InferenceTime {
-        compute: gemmini.compute_cycles(model.macs),
-        transfer: model.boundary_bytes * book.copy_cpb_cs,
-        crypto: 2.0 * model.boundary_bytes * book.sw_aes_cpb_cs,
+        compute: compute_cycles(model.macs),
+        transfer: model.boundary_bytes * COPY_CPB_CS,
+        crypto: 2.0 * model.boundary_bytes * SW_AES_CPB_CS,
     }
 }
 
 /// HyperTEE: boundary traffic through protected shared enclave memory —
 /// plaintext-speed, no software crypto (§V).
-pub fn hypertee(model: &DnnModel, gemmini: &Gemmini, book: &LatencyBook) -> InferenceTime {
+pub fn hypertee(model: &DnnModel) -> InferenceTime {
     InferenceTime {
-        compute: gemmini.compute_cycles(model.macs),
-        transfer: model.boundary_bytes * book.copy_cpb_cs,
+        compute: compute_cycles(model.macs),
+        transfer: model.boundary_bytes * COPY_CPB_CS,
         crypto: 0.0,
     }
 }
 
 /// Fig. 12 speedup of HyperTEE over the conventional design.
-pub fn speedup(model: &DnnModel, book: &LatencyBook) -> f64 {
-    let g = Gemmini::default();
-    conventional(model, &g, book).total() / hypertee(model, &g, book).total()
+pub fn speedup(model: &DnnModel) -> f64 {
+    conventional(model).total() / hypertee(model).total()
 }
 
 #[cfg(test)]
@@ -145,9 +130,8 @@ mod tests {
 
     #[test]
     fn fig12_resnet50_anchors() {
-        let book = LatencyBook::default();
         let resnet = &models()[0];
-        let conv = conventional(resnet, &Gemmini::default(), &book);
+        let conv = conventional(resnet);
         // Paper: software enc/dec ≥ 74.7% of conventional execution…
         assert!(
             conv.crypto_share() > 0.747,
@@ -155,24 +139,22 @@ mod tests {
             conv.crypto_share()
         );
         // …and HyperTEE achieves more than 4.0× speedup.
-        let s = speedup(resnet, &book);
+        let s = speedup(resnet);
         assert!(s > 4.0 && s < 6.0, "ResNet50 speedup {s:.2}");
     }
 
     #[test]
     fn fig12_mobilenet_anchor() {
-        let book = LatencyBook::default();
-        let s = speedup(&models()[1], &book);
+        let s = speedup(&models()[1]);
         assert!(s > 3.3 && s < 6.0, "MobileNet speedup {s:.2}");
     }
 
     #[test]
     fn fig12_mlps_anchor() {
-        let book = LatencyBook::default();
         for m in models().iter().filter(|m| m.name.starts_with("MLP")) {
-            let s = speedup(m, &book);
+            let s = speedup(m);
             assert!(s > 27.7, "{}: speedup {s:.1} (paper: > 27.7x)", m.name);
-            let share = conventional(m, &Gemmini::default(), &book).crypto_share();
+            let share = conventional(m).crypto_share();
             assert!(share > 0.9, "{}: MLP crypto share {share:.3}", m.name);
         }
     }
@@ -180,9 +162,8 @@ mod tests {
     #[test]
     fn crypto_share_rises_as_compute_shrinks() {
         // The paper's explanation: fewer layers → higher enc/dec proportion.
-        let book = LatencyBook::default();
-        let resnet_share = conventional(&models()[0], &Gemmini::default(), &book).crypto_share();
-        let mlp_share = conventional(&models()[2], &Gemmini::default(), &book).crypto_share();
+        let resnet_share = conventional(&models()[0]).crypto_share();
+        let mlp_share = conventional(&models()[2]).crypto_share();
         assert!(mlp_share > resnet_share);
     }
 }

@@ -3,7 +3,7 @@
 //! encryption + integrity.
 
 use hypertee_crypto::chacha::ChaChaRng;
-use hypertee_sim::latency::LatencyBook;
+use hypertee_sim::latency::stream_access;
 
 /// LLC size assumed by the sweep (CS core, Table III: 1 MiB L2; the paper
 /// requires working sets ≥ 4× the last-level cache).
@@ -14,22 +14,22 @@ pub const LLC_BYTES: u64 = 1 << 20;
 ///
 /// Accesses that miss the LLC pay the DRAM latency (plus the engine extras
 /// when enabled); the rest hit in cache.
-pub fn access_latency(book: &LatencyBook, working_set: u64, encrypted: bool) -> f64 {
+pub fn access_latency(working_set: u64, encrypted: bool) -> f64 {
     let llc_hit_latency = 20.0;
     let miss_fraction = if working_set <= LLC_BYTES {
         0.05
     } else {
         1.0 - (LLC_BYTES as f64 / working_set as f64)
     };
-    let miss_cost = book.stream_access(encrypted);
+    let miss_cost = stream_access(encrypted);
     miss_fraction * miss_cost + (1.0 - miss_fraction) * llc_hit_latency
 }
 
 /// Fig. 8(b) row: relative latency overhead of `Enclave-M_encrypt` over
 /// `Host-Native` at one working-set size.
-pub fn overhead(book: &LatencyBook, working_set: u64) -> f64 {
-    let native = access_latency(book, working_set, false);
-    let enc = access_latency(book, working_set, true);
+pub fn overhead(working_set: u64) -> f64 {
+    let native = access_latency(working_set, false);
+    let enc = access_latency(working_set, true);
     (enc - native) / native
 }
 
@@ -72,9 +72,8 @@ mod tests {
 
     #[test]
     fn fig8b_average_overhead() {
-        let book = LatencyBook::default();
         let sizes = sweep_sizes();
-        let avg = sizes.iter().map(|&s| overhead(&book, s)).sum::<f64>() / sizes.len() as f64;
+        let avg = sizes.iter().map(|&s| overhead(s)).sum::<f64>() / sizes.len() as f64;
         assert!(
             (avg - 0.031).abs() < 0.005,
             "average {avg:.4} vs paper 3.1%"
@@ -83,8 +82,7 @@ mod tests {
 
     #[test]
     fn overhead_grows_with_miss_rate() {
-        let book = LatencyBook::default();
-        assert!(overhead(&book, 64 << 20) > overhead(&book, 4 << 20));
+        assert!(overhead(64 << 20) > overhead(4 << 20));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! software-encrypted into non-enclave memory and decrypted by the driver;
 //! HyperTEE uses protected shared memory and the DMA whitelist instead.
 
-use hypertee_sim::latency::LatencyBook;
+use hypertee_sim::latency::{COPY_CPB_CS, SW_AES_CPB_CS};
 
 /// Per-transfer cycle breakdown.
 #[derive(Debug, Clone, Copy)]
@@ -47,27 +47,27 @@ pub const DRIVER_PROC_CPB: f64 = 0.55;
 
 /// Conventional path: encrypt at the user enclave, decrypt at the driver
 /// enclave, plus two copies through non-enclave memory.
-pub fn conventional(book: &LatencyBook, bytes: u64, packets: u64) -> TransferTime {
+pub fn conventional(bytes: u64, packets: u64) -> TransferTime {
     TransferTime {
-        crypto: 2.0 * bytes as f64 * book.sw_aes_cpb_cs,
-        plumbing: bytes as f64 * (2.0 * book.copy_cpb_cs + DRIVER_PROC_CPB)
+        crypto: 2.0 * bytes as f64 * SW_AES_CPB_CS,
+        plumbing: bytes as f64 * (2.0 * COPY_CPB_CS + DRIVER_PROC_CPB)
             + packets as f64 * PER_PACKET_CYCLES,
     }
 }
 
 /// HyperTEE path: one plaintext copy through shared enclave memory; the
 /// NIC DMA reads the device-shared region directly.
-pub fn hypertee(book: &LatencyBook, bytes: u64, packets: u64) -> TransferTime {
+pub fn hypertee(bytes: u64, packets: u64) -> TransferTime {
     TransferTime {
         crypto: 0.0,
-        plumbing: bytes as f64 * (2.0 * book.copy_cpb_cs + DRIVER_PROC_CPB)
+        plumbing: bytes as f64 * (2.0 * COPY_CPB_CS + DRIVER_PROC_CPB)
             + packets as f64 * PER_PACKET_CYCLES,
     }
 }
 
 /// Fig. 12's NIC speedup for a bulk transfer.
-pub fn speedup(book: &LatencyBook, bytes: u64, packets: u64) -> f64 {
-    conventional(book, bytes, packets).total() / hypertee(book, bytes, packets).total()
+pub fn speedup(bytes: u64, packets: u64) -> f64 {
+    conventional(bytes, packets).total() / hypertee(bytes, packets).total()
 }
 
 #[cfg(test)]
@@ -77,25 +77,22 @@ mod tests {
     #[test]
     fn crypto_dominates_conventional_path() {
         // Paper: > 98.0% of transmission time is encryption/decryption.
-        let book = LatencyBook::default();
-        let t = conventional(&book, 64 << 20, 4096);
+        let t = conventional(64 << 20, 4096);
         assert!(t.crypto_share() > 0.98, "share {:.4}", t.crypto_share());
     }
 
     #[test]
     fn fig12_nic_speedup_about_50x() {
-        let book = LatencyBook::default();
-        let s = speedup(&book, 64 << 20, 4096);
+        let s = speedup(64 << 20, 4096);
         assert!(s > 45.0 && s < 55.0, "NIC speedup {s:.1} (paper: 50x)");
     }
 
     #[test]
     fn tiny_transfers_are_plumbing_bound() {
-        let book = LatencyBook::default();
         // One 64-byte packet: fixed costs dominate, speedup collapses —
         // the crossover the shared-memory design implies.
-        let s = speedup(&book, 64, 1);
+        let s = speedup(64, 1);
         assert!(s < 12.0, "tiny-transfer speedup {s:.2}");
-        assert!(s < speedup(&book, 64 << 20, 4096) / 4.0);
+        assert!(s < speedup(64 << 20, 4096) / 4.0);
     }
 }

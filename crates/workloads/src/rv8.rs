@@ -187,7 +187,7 @@ pub mod kernels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypertee_sim::latency::LatencyBook;
+    use hypertee_sim::latency::measure_cost;
 
     #[test]
     fn table4_emeas_shares_reproduce() {
@@ -201,10 +201,9 @@ mod tests {
             ("qsort", 0.021),
             ("sha512", 0.081),
         ];
-        let book = LatencyBook::default();
         for (p, (name, share)) in suite().iter().zip(expected) {
             assert_eq!(p.name, name);
-            let measured = book.measure_cost(p.image_bytes as u64, false) / p.host_cycles;
+            let measured = measure_cost(p.image_bytes as u64, false) / p.host_cycles;
             assert!(
                 (measured - share).abs() < 0.004,
                 "{name}: emeas share {measured:.4} vs paper {share}"
@@ -214,9 +213,8 @@ mod tests {
 
     #[test]
     fn table4_engine_reduces_emeas_to_noise() {
-        let book = LatencyBook::default();
         for p in suite() {
-            let share = book.measure_cost(p.image_bytes as u64, true) / p.host_cycles;
+            let share = measure_cost(p.image_bytes as u64, true) / p.host_cycles;
             assert!(share < 0.002, "{}: engine EMEAS share {share:.5}", p.name);
         }
     }

@@ -44,15 +44,13 @@ pub fn suite() -> Vec<WorkloadProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypertee_sim::latency::LatencyBook;
     use hypertee_sim::perf::host_bitmap_run;
 
     #[test]
     fn fig10_average_and_outlier() {
-        let book = LatencyBook::default();
         let overheads: Vec<(String, f64)> = suite()
             .iter()
-            .map(|p| (p.name.clone(), host_bitmap_run(p, &book).overhead()))
+            .map(|p| (p.name.clone(), host_bitmap_run(p).overhead()))
             .collect();
         let avg = overheads.iter().map(|(_, o)| o).sum::<f64>() / overheads.len() as f64;
         assert!(

@@ -11,7 +11,6 @@ use hypertee_repro::fabric::ihub::DmaOp;
 use hypertee_repro::hypertee::machine::Machine;
 use hypertee_repro::hypertee::manifest::EnclaveManifest;
 use hypertee_repro::hypertee::sdk::ShmPerm;
-use hypertee_repro::sim::latency::LatencyBook;
 use hypertee_repro::workloads::dnn;
 
 const GEMMINI: DeviceId = DeviceId(1);
@@ -134,14 +133,13 @@ fn main() {
     println!("rogue device blocked by the DMA whitelist");
 
     // Performance story (Fig. 12): what this plumbing buys.
-    let book = LatencyBook::default();
     println!("\nFig. 12 projection for this data path:");
     for model in dnn::models() {
         println!(
             "  {:<16} conventional crypto share {:>5.1}%  ->  HyperTEE speedup {:>5.1}x",
             model.name,
-            dnn::conventional(&model, &dnn::Gemmini::default(), &book).crypto_share() * 100.0,
-            dnn::speedup(&model, &book),
+            dnn::conventional(&model).crypto_share() * 100.0,
+            dnn::speedup(&model),
         );
     }
 }

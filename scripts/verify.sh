@@ -38,14 +38,16 @@ cargo test --release --offline --test fastpath -q
 echo "==> hostile-input sweep in release (overflowed lengths wrap here where debug panics)"
 cargo test --release --offline -p hypertee-chaos --test hostile_input -q
 
-echo "==> fig6_slo smoke (release, live pipeline, 4- and 16-CS rows)"
+echo "==> figure regenerators (release, every figure/table binary's stdout byte-compared with figures/)"
+mkdir -p target/figures
 cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --smoke --allocs 32 \
-    > /dev/null
-
-echo "==> figure regenerators (release, every paper figure/table binary runs to completion)"
+    > target/figures/fig6_slo.txt
 for fig in fig7_ems_configs table4_primitives fig8a_alloc fig8b_memstream fig9_wolfssl \
     fig10_bitmap fig11_tlbflush fig12_comm table5_area table6_defense ablations; do
-    cargo run --release --offline -p hypertee-bench --bin "$fig" > /dev/null
+    cargo run --release --offline -p hypertee-bench --bin "$fig" > "target/figures/$fig.txt"
+done
+for fig in figures/*.txt; do
+    cmp "target/figures/$(basename "$fig")" "$fig"
 done
 
 echo "==> lockstep model-check smoke (release, fixed seed)"

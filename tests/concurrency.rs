@@ -39,7 +39,6 @@ fn core_types_are_send() {
 #[test]
 fn shared_read_types_are_sync() {
     fn assert_sync<T: Sync>() {}
-    assert_sync::<hypertee_repro::sim::latency::LatencyBook>();
     assert_sync::<hypertee_repro::sim::config::SocConfig>();
     assert_sync::<hypertee_repro::hypertee::manifest::EnclaveManifest>();
     assert_sync::<hypertee_repro::crypto::sig::PublicKey>();

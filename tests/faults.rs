@@ -309,6 +309,7 @@ fn disarmed_machine_never_retries() {
 use hypertee_repro::faults::FaultKind;
 use hypertee_repro::sim::clock::Cycles;
 use hypertee_repro::sim::config::SocConfig;
+use hypertee_repro::sim::latency::MAILBOX_ROUND_TRIP;
 
 /// Boots a machine, creates one enclave fault-free, then fires a batch of
 /// EMEAS probes through the async pipeline under `config`, pumping to
@@ -391,7 +392,7 @@ fn deadline_and_retry_budget_terminate_stuck_calls() {
     // With a tight deadline the watchdog expires stuck calls first.
     let mut m = Machine::boot(SocConfig::default(), 9).unwrap();
     let _enclave = m.create_enclave(0, &manifest(), b"deadline probe").unwrap();
-    m.degrade.deadline = Some(Cycles((4.0 * m.book.mailbox_round_trip()) as u64));
+    m.degrade.deadline = Some(Cycles((4.0 * MAILBOX_ROUND_TRIP) as u64));
     m.arm_faults(&FaultPlan::new(0xdead_11fe, storm));
     let calls: Vec<_> = (0..16)
         .map(|_| {
