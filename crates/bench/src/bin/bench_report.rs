@@ -499,7 +499,7 @@ fn pump_to_idle(m: &mut Machine, eids: &[u64], digest: &mut u64) {
 
 /// One churn batch: `pairs` EALLOCs round-robined across the harts up
 /// front, each freed as its page comes back, then pump to drain. With the
-/// batch in flight and asleep on the timer wheel, the scan oracle walks
+/// batch in flight and asleep on its loss timers, the scan oracle walks
 /// every call each round while the event pump touches only the handful the
 /// EMS woke.
 fn pump_churn_batch(m: &mut Machine, eids: &[u64], pairs: usize) -> u64 {
@@ -531,7 +531,7 @@ fn pump_fleet_storm(m: &mut Machine, eids: &[u64], rounds: u64, live: usize) -> 
 
 fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // Control-plane scheduler rows (DESIGN.md §15): the event-driven pump
-    // (ready queues + timer wheel) against the retained O(n) scan oracle.
+    // (a per-round work set) against the retained O(n) scan oracle.
     // Both arms run the identical storm; the traces are proven equal on
     // fresh machines before any clock starts, so the timed delta is pure
     // scheduler overhead.

@@ -40,7 +40,6 @@ pub mod manifest;
 pub mod pipeline;
 pub mod sdk;
 pub mod shard;
-pub mod timerwheel;
 
 pub use machine::Machine;
 pub use manifest::EnclaveManifest;

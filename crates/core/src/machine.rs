@@ -114,7 +114,9 @@ pub struct DegradePolicy {
     pub shed_backlog_limit: Option<usize>,
     /// Total per-call lifetime budget on the submitting hart's clock. A
     /// call still in flight past this is expired by the pump watchdog with
-    /// the terminal [`MachineError::DeadlineExpired`].
+    /// the terminal [`MachineError::DeadlineExpired`]. A call keeps the
+    /// deadline in force when it was submitted: changing this field later
+    /// affects only calls submitted after the change.
     pub deadline: Option<Cycles>,
 }
 

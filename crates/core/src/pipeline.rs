@@ -24,14 +24,14 @@
 //!   serviced-loss clock);
 //! * delayed responses released by [`hypertee_fabric::mailbox::Mailbox::
 //!   advance_round`];
-//! * the hierarchical [`crate::timerwheel::TimerWheel`], which arms one
-//!   timer per (re)submission (unserviced-loss round) and one per service
-//!   observation (serviced-loss round) — fired entries are lazily
-//!   re-validated against live call state, so retries never need timer
-//!   cancellation;
+//! * the **loss timers**, a `BTreeSet<(round, call)>` holding one entry per
+//!   (re)submission (unserviced-loss round) and one per service observation
+//!   (serviced-loss round) — due entries are lazily re-validated against
+//!   live call state, so retries never need timer cancellation;
 //! * the per-hart **deadline index**, a `BTreeSet<(hart, expiry, call)>`
 //!   swept at round start and again whenever a processed call raises its
-//!   hart clock mid-round.
+//!   hart clock mid-round. A call's expiry is fixed at submission by the
+//!   [`crate::machine::DegradePolicy::deadline`] then in force.
 //!
 //! All wake sources merge into one `BTreeSet` work set popped in ascending
 //! call-id order, so the event path visits side-effecting calls in exactly
@@ -48,7 +48,6 @@
 //! synchronous SDK keeps working unchanged on top of the pipeline.
 
 use crate::machine::{Machine, MachineError, MachineResult};
-use crate::timerwheel::TimerWheel;
 use hypertee_ems::runtime::EmsContext;
 use hypertee_ems::scheduler::{EmsScheduler, ServiceRecord};
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
@@ -142,7 +141,7 @@ pub struct PipelineStats {
 /// anchors* from which the event-driven core derives them on demand:
 /// `age(r) = r - base_round` while unserviced, `polls(r) = r -
 /// serviced_round + 1` once serviced. The loss round is therefore a pure
-/// function of this struct, which is what lets a timer wheel predict it at
+/// function of this struct, which is what lets a loss timer predict it at
 /// (re)submission time.
 #[derive(Debug)]
 struct InFlight {
@@ -163,19 +162,22 @@ struct InFlight {
     /// other in-flight call (plus one), since an unserviced request may be
     /// queued behind all of them. Snapshotting (rather than re-reading the
     /// live backlog every round) is what makes the loss round a constant
-    /// the timer wheel can schedule.
+    /// a loss timer can hold.
     slack: u32,
     /// Round the current submission was seen serviced by EMS (`None` =
     /// unserviced; a miss past the poll budget then means it was lost).
     serviced_round: Option<u64>,
+    /// EMS-side completion time of the current submission (`None` until it
+    /// is serviced, or when a cache replay carries no fresh service time).
+    service_done: Option<Cycles>,
     /// Hart clock at first submission (latency base).
     issued_at: Cycles,
     /// Earliest time the current submission can reach the EMS (half the
     /// mailbox round trip after the hart clock at submission).
     arrive: Cycles,
-    /// Key this call holds in the deadline index (`issued_at + deadline`
-    /// under the policy the index was built with; `None` when no deadline
-    /// watchdog is armed).
+    /// Key this call holds in the deadline index: `issued_at + deadline`
+    /// under the policy in force at submission (`None` when no deadline
+    /// watchdog was armed then).
     deadline_key: Option<Cycles>,
 }
 
@@ -214,21 +216,16 @@ pub(crate) struct Pipeline {
     scheduler: EmsScheduler,
     /// Absolute time each EMS core is busy until (hart-clock timeline).
     ems_busy_until: Vec<Cycles>,
-    /// EMS-side completion time per serviced req_id.
-    service_done: BTreeMap<u64, Cycles>,
     /// Scheduling rounds pumped (shared by both pump flavours).
     round: u64,
     /// Live req_id → call id (the EMS wake-list: a service record or a
     /// released delayed response resolves to its caller in O(log n)).
     req_index: BTreeMap<u64, u64>,
-    /// Retry/loss timers keyed by absolute round.
-    wheel: TimerWheel,
+    /// Loss timers, `(absolute round, call)`.
+    timers: BTreeSet<(u64, u64)>,
     /// `(hart, issued_at + deadline, call)` — range-swept per hart against
     /// the hart clock instead of checking every call every round.
     deadline_index: BTreeSet<(usize, Cycles, u64)>,
-    /// The deadline policy the index was built with; a change triggers a
-    /// rebuild at the next round.
-    last_deadline: Option<Cycles>,
     /// Running counters; the live fields (`in_flight`, `rounds`,
     /// `stale_duplicates`) are filled in by [`Machine::pipeline_stats`].
     stats: PipelineStats,
@@ -244,12 +241,10 @@ impl Pipeline {
             completed: BTreeMap::new(),
             scheduler: EmsScheduler::new(ems_cores, seed ^ 0x7363_6865_6475_6c65),
             ems_busy_until: vec![Cycles::ZERO; ems_cores as usize],
-            service_done: BTreeMap::new(),
             round: 0,
             req_index: BTreeMap::new(),
-            wheel: TimerWheel::new(0),
+            timers: BTreeSet::new(),
             deadline_index: BTreeSet::new(),
-            last_deadline: None,
             stats: PipelineStats {
                 serviced_per_core: vec![0; ems_cores as usize],
                 ..PipelineStats::default()
@@ -425,15 +420,16 @@ impl Machine {
                 base_round,
                 slack,
                 serviced_round: None,
+                service_done: None,
                 issued_at,
                 arrive,
                 deadline_key,
             },
         );
-        self.pipeline.wheel.schedule(
+        self.pipeline.timers.insert((
             base_round + u64::from(POLL_BUDGET) + u64::from(slack),
             call.id,
-        );
+        ));
         self.pipeline.stats.submitted += 1;
         let depth = self.pipeline.in_flight.len();
         if depth > self.pipeline.stats.in_flight_hwm {
@@ -499,7 +495,7 @@ impl Machine {
     /// The shared per-round prologue of both pump flavours: advances the
     /// round counter, runs one EMS scheduling round (skipped entirely when
     /// nothing is queued — the wake-list fast path), folds service timing,
-    /// releases delayed mailbox responses, matures timers, and sweeps
+    /// releases delayed mailbox responses, pops due loss timers, and sweeps
     /// expired deadlines. Returns the round's initial work set.
     fn begin_round(&mut self) -> BTreeSet<u64> {
         self.pipeline.round += 1;
@@ -507,9 +503,6 @@ impl Machine {
         let backlog = self.hub.mailbox.pending_requests() + self.ems.rx_backlog();
         if backlog > self.pipeline.stats.queue_depth_hwm {
             self.pipeline.stats.queue_depth_hwm = backlog;
-        }
-        if self.pipeline.last_deadline != self.degrade.deadline {
-            self.rebuild_deadline_index();
         }
 
         // One scheduling round of the EMS cluster. An idle cluster (no
@@ -537,13 +530,16 @@ impl Machine {
             }
         }
 
-        // Matured retry/loss timers. Fired entries may be stale (the call
-        // completed or was re-anchored by a retry since arming); they are
-        // re-validated against live call state in `try_advance`.
-        for id in self.pipeline.wheel.advance() {
+        // Due loss timers. An entry may be stale (the call completed or was
+        // re-anchored by a retry since arming); it is re-validated against
+        // live call state in `try_advance`.
+        while let Some(&(due, id)) = self.pipeline.timers.first() {
+            if due > self.pipeline.round {
+                break;
+            }
+            self.pipeline.timers.pop_first();
             work.insert(id);
         }
-        debug_assert_eq!(self.pipeline.wheel.current(), self.pipeline.round);
 
         // Deadline watchdog: per-hart range sweep of the expiry index.
         if !self.pipeline.deadline_index.is_empty() {
@@ -574,22 +570,6 @@ impl Machine {
             .collect()
     }
 
-    /// Rebuilds the deadline index after a [`crate::machine::DegradePolicy`]
-    /// change (the watchdog compares against the *current* policy, so every
-    /// in-flight expiry key moves).
-    fn rebuild_deadline_index(&mut self) {
-        let deadline = self.degrade.deadline;
-        let mut entries = Vec::new();
-        for (&id, inf) in self.pipeline.in_flight.iter_mut() {
-            inf.deadline_key = deadline.map(|d| inf.issued_at + d);
-            if let Some(key) = inf.deadline_key {
-                entries.push((inf.call.hart_id, key, id));
-            }
-        }
-        self.pipeline.deadline_index = entries.into_iter().collect();
-        self.pipeline.last_deadline = deadline;
-    }
-
     /// Folds one service round into the timing model: each serviced request
     /// starts when both its packet has arrived and its assigned EMS core is
     /// free, and occupies the core for its modelled service time. Serviced
@@ -602,25 +582,23 @@ impl Machine {
             let Some(&id) = self.pipeline.req_index.get(&r.req_id) else {
                 continue; // stale replay of an already-collected call
             };
+            let core = r.core as usize;
+            let svc = Cycles(
+                self.primitive_service_cycles(r.primitive, &r.response)
+                    .round() as u64,
+            );
             let Some(inf) = self.pipeline.in_flight.get_mut(&id) else {
                 continue;
             };
+            let done = self.pipeline.ems_busy_until[core].max(inf.arrive) + svc;
             inf.serviced_round = Some(round);
-            let arrive = inf.arrive;
-            let (primitive, core) = (r.primitive, r.core as usize);
-            let svc = Cycles(
-                self.primitive_service_cycles(primitive, &r.response)
-                    .round() as u64,
-            );
-            let start = self.pipeline.ems_busy_until[core].max(arrive);
-            let done = start + svc;
+            inf.service_done = Some(done);
             self.pipeline.ems_busy_until[core] = done;
-            self.pipeline.service_done.insert(r.req_id, done);
             self.pipeline.stats.serviced_per_core[core] += 1;
             work.insert(id);
             self.pipeline
-                .wheel
-                .schedule(round + u64::from(POLL_BUDGET) - 1, id);
+                .timers
+                .insert((round + u64::from(POLL_BUDGET) - 1, id));
         }
     }
 
@@ -638,15 +616,13 @@ impl Machine {
         // budget is expired terminally — even if a response is waiting —
         // with no further retries; the ticket is retired so a late response
         // is quarantined rather than delivered.
-        if let Some(deadline) = self.degrade.deadline {
-            if self.hart_clock[hart_id] - inf.issued_at > deadline {
-                let inf = self.pipeline.in_flight.remove(&id).expect("checked above");
-                self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
-                self.pipeline.service_done.remove(&inf.req_id);
-                self.pipeline.stats.expired += 1;
-                self.finish_call(inf, Err(MachineError::DeadlineExpired));
-                return Step::Completed(hart_id);
-            }
+        let clock = self.hart_clock[hart_id];
+        if inf.deadline_key.is_some_and(|key| clock > key) {
+            let inf = self.pipeline.in_flight.remove(&id).expect("checked above");
+            self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
+            self.pipeline.stats.expired += 1;
+            self.finish_call(inf, Err(MachineError::DeadlineExpired));
+            return Step::Completed(hart_id);
         }
         // Poll only when a response is actually deliverable: the poll's
         // obfuscation stream and counters then advance identically in both
@@ -664,11 +640,7 @@ impl Machine {
                 // after the EMS finished (or after the full uncontended
                 // round trip for cache replays with no fresh service time).
                 let inf = self.pipeline.in_flight.remove(&id).expect("checked above");
-                let done = self.pipeline.service_done.remove(&req_id);
-                let finish = match done {
-                    Some(d) => d + self.half_round_trip(),
-                    None => inf.arrive + self.half_round_trip(),
-                };
+                let finish = inf.service_done.unwrap_or(inf.arrive) + self.half_round_trip();
                 self.raise_hart(hart_id, finish);
                 let result = if resp.status == Status::Ok {
                     Ok(resp)
@@ -682,7 +654,6 @@ impl Machine {
                 // Aborted mid-primitive: EMS rolled back and cached nothing,
                 // so a fresh submission (new req_id) is safe. The abort
                 // response itself still crossed the fabric.
-                self.pipeline.service_done.remove(&req_id);
                 let mut inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 inf.attempt += 1;
                 if inf.attempt > MAX_RETRIES {
@@ -732,7 +703,6 @@ impl Machine {
                 inf.attempt += 1;
                 if inf.attempt > MAX_RETRIES {
                     self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
-                    self.pipeline.service_done.remove(&inf.req_id);
                     self.pipeline.stats.timeouts += 1;
                     self.finish_call(inf, Err(MachineError::Timeout));
                     return Step::Completed(hart_id);
@@ -762,7 +732,6 @@ impl Machine {
                 });
                 match resubmitted {
                     Ok(()) => {
-                        self.pipeline.service_done.remove(&inf.req_id);
                         self.rearm_resubmission(&mut inf, hart_id);
                         self.pipeline.in_flight.insert(id, inf);
                         Step::Progress(hart_id)
@@ -778,19 +747,20 @@ impl Machine {
     }
 
     /// Re-anchors a call after a retry submission: fresh base round, fresh
-    /// backlog-slack snapshot, unserviced state, new arrival estimate — and
-    /// arms the new unserviced-loss timer. The caller has already removed
+    /// backlog-slack snapshot, unserviced state (no service time), new
+    /// arrival estimate — and arms the new unserviced-loss timer. The caller has already removed
     /// the call from the in-flight map (so the slack snapshot counts only
     /// the *other* live calls, plus one) and re-inserts it afterwards.
     fn rearm_resubmission(&mut self, inf: &mut InFlight, hart_id: usize) {
         inf.base_round = self.pipeline.round;
         inf.slack = self.pipeline.in_flight.len() as u32 + 1;
         inf.serviced_round = None;
+        inf.service_done = None;
         inf.arrive = self.hart_clock[hart_id] + self.half_round_trip();
-        self.pipeline.wheel.schedule(
+        self.pipeline.timers.insert((
             inf.base_round + u64::from(POLL_BUDGET) + u64::from(inf.slack),
             inf.call.id,
-        );
+        ));
         self.pipeline.stats.retries += 1;
     }
 
@@ -931,5 +901,49 @@ mod tests {
         assert_eq!(done.result.unwrap_err(), MachineError::Timeout);
         assert_eq!(done.attempts, MAX_RETRIES + 1);
         assert_eq!(m.pipeline_stats().retries - retries, u64::from(MAX_RETRIES));
+    }
+
+    /// Submits two EMEAS calls on hart 0 under `before`, switches the
+    /// deadline policy to `after`, and drains both in order. The first
+    /// delivery raises the hart clock a full round trip, which strands the
+    /// second past a one-cycle deadline.
+    fn two_calls_across_a_policy_change(
+        before: Option<Cycles>,
+        after: Option<Cycles>,
+    ) -> [MachineResult<Response>; 2] {
+        let mut m = Machine::boot_default();
+        m.degrade.deadline = before;
+        let calls = [(); 2].map(|()| {
+            m.submit_as(0, Privilege::Os, Primitive::Emeas, vec![999], vec![])
+                .unwrap()
+        });
+        m.degrade.deadline = after;
+        calls.map(|call| loop {
+            m.pump();
+            if let Some(done) = m.take_completion(call) {
+                break done.result;
+            }
+        })
+    }
+
+    #[test]
+    fn a_calls_deadline_is_the_policy_in_force_at_submission() {
+        // Armed after submission: neither call is expired.
+        for result in two_calls_across_a_policy_change(None, Some(Cycles(1))) {
+            assert!(
+                matches!(result, Err(MachineError::Primitive(_))),
+                "{result:?}"
+            );
+        }
+        // Cleared after submission: the stranded second call still expires.
+        let [first, second] = two_calls_across_a_policy_change(Some(Cycles(1)), None);
+        assert!(
+            matches!(first, Err(MachineError::Primitive(_))),
+            "{first:?}"
+        );
+        assert!(
+            matches!(second, Err(MachineError::DeadlineExpired)),
+            "{second:?}"
+        );
     }
 }

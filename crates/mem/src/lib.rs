@@ -14,8 +14,8 @@
 //!   simulated physical memory exactly like the real MMU sees them.
 //! * [`tlb`] — a TLB with the "checked" bit of Fig. 5 and selective flush.
 //! * [`ptw`] — the page-table walker with integrated bitmap checking.
-//! * [`snapshot`] — model-facing captures of bitmap/ownership/pool state and
-//!   the TLB-coherence predicate used by the lockstep reference model.
+//! * [`snapshot`] — the TLB-coherence predicate used by the lockstep
+//!   reference model.
 //! * [`mktme`] — the multi-key memory encryption engine with per-KeyID
 //!   AES-CTR encryption and the 28-bit SHA-3 integrity MAC.
 //! * [`system`] — [`system::MemorySystem`], the façade combining TLB, PTW,

@@ -1,71 +1,16 @@
-//! Model-facing snapshots of the memory-plane structures.
+//! The model-facing TLB-coherence check.
 //!
-//! The lockstep reference model (`hypertee-model`) diffs abstract sets and
-//! maps against the real machine after every pipeline completion. This
-//! module provides the read-only capture side: a [`MemSnapshot`] of the
-//! bitmap/ownership/pool views, and the TLB-coherence predicate
-//! [`stale_tlb_entries`] that checks every resident TLB entry against the
-//! page table it is supposed to cache (the paper's stale-TLB prevention
-//! argument, §IV-A).
+//! The lockstep reference model (`hypertee-model`) diffs the real machine
+//! against its abstract state after every pipeline completion. This module
+//! provides the predicate [`stale_tlb_entries`], which checks every
+//! resident TLB entry against the page table it is supposed to cache (the
+//! paper's stale-TLB prevention argument, §IV-A).
 
 use crate::addr::{KeyId, Ppn, VirtAddr};
-use crate::ownership::{OwnershipTable, PageOwner};
 use crate::pagetable::{PageTable, Perms};
 use crate::phys::PhysMemory;
-use crate::system::MemorySystem;
 use crate::tlb::{Tlb, TlbEntry};
 use crate::MemFault;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// A point-in-time capture of who-owns-what across the three memory-plane
-/// structures an external checker cares about.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemSnapshot {
-    /// Frames bitmap-marked as enclave memory (the bitmap's own backing
-    /// frames are excluded — they are self-protected, not tracked).
-    pub enclave_marked: BTreeSet<u64>,
-    /// The ownership table: frame → owner.
-    pub owned: BTreeMap<u64, PageOwner>,
-    /// Frames currently on the pool free list.
-    pub pool_free: BTreeSet<u64>,
-}
-
-impl MemSnapshot {
-    /// Captures the bitmap, ownership table, and pool free list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates faults from reading the bitmap's backing memory.
-    pub fn capture(
-        sys: &mut MemorySystem,
-        ownership: &OwnershipTable,
-        pool_free: &[Ppn],
-    ) -> Result<MemSnapshot, MemFault> {
-        let mut snap = MemSnapshot {
-            enclave_marked: BTreeSet::new(),
-            owned: ownership.iter().map(|(p, o)| (p.0, o)).collect(),
-            pool_free: pool_free.iter().map(|p| p.0).collect(),
-        };
-        for ppn in 0..sys.bitmap.covered_frames {
-            if sys.bitmap.is_self_frame(Ppn(ppn)) {
-                continue;
-            }
-            if sys.bitmap.is_enclave(Ppn(ppn), &mut sys.phys)? {
-                snap.enclave_marked.insert(ppn);
-            }
-        }
-        Ok(snap)
-    }
-
-    /// Frames owned by the given enclave id (raw `u64` form).
-    pub fn owned_by_enclave(&self, eid: u64) -> Vec<Ppn> {
-        self.owned
-            .iter()
-            .filter(|(_, o)| matches!(o, PageOwner::Enclave(e) if e.0 == eid))
-            .map(|(&p, _)| Ppn(p))
-            .collect()
-    }
-}
 
 /// Why a TLB entry disagrees with the page table it caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +93,7 @@ mod tests {
     use super::*;
     use crate::addr::PhysAddr;
     use crate::pagetable::FrameSource;
+    use crate::system::MemorySystem;
 
     struct Seq(u64);
     impl FrameSource for Seq {
@@ -155,19 +101,6 @@ mod tests {
             self.0 += 1;
             Some(Ppn(self.0))
         }
-    }
-
-    #[test]
-    fn capture_reflects_bitmap_and_tables() {
-        let mut sys = MemorySystem::new(16 << 20, PhysAddr(0x4000));
-        let mut own = OwnershipTable::new();
-        sys.bitmap.set(Ppn(100), true, &mut sys.phys).unwrap();
-        own.claim(Ppn(100), PageOwner::EmsPrivate).unwrap();
-        let snap = MemSnapshot::capture(&mut sys, &own, &[Ppn(101)]).unwrap();
-        assert!(snap.enclave_marked.contains(&100));
-        assert!(snap.owned.contains_key(&100));
-        assert!(snap.pool_free.contains(&101));
-        assert!(snap.owned_by_enclave(7).is_empty());
     }
 
     #[test]

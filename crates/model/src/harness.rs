@@ -2,7 +2,7 @@
 //! booted [`Machine`] through the asynchronous `submit`/`pump`/
 //! `take_completion` pipeline while updating the [`RefModel`] in parallel,
 //! diffing every completion (status, response values, per-enclave view) and
-//! periodically the whole memory plane (bitmap accounting, ownership,
+//! periodically the whole memory plane (the consistency audit, ownership,
 //! page-table/TLB coherence, ticket leaks) against the model.
 //!
 //! # Concurrency discipline
@@ -38,8 +38,8 @@ use hypertee_ems::control::{layout, EnclaveState};
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_faults::{FaultConfig, FaultPlan};
 use hypertee_mem::addr::{Ppn, VirtAddr, PAGE_SIZE};
-use hypertee_mem::ownership::PageOwner;
-use hypertee_mem::snapshot::{stale_tlb_entries, MemSnapshot};
+use hypertee_mem::ownership::{EnclaveId, PageOwner};
+use hypertee_mem::snapshot::stale_tlb_entries;
 use hypertee_mem::tlb::Tlb;
 use hypertee_sim::config::SocConfig;
 use std::collections::BTreeSet;
@@ -1181,7 +1181,8 @@ impl Driver<'_> {
         }
         // Planted bug: "forget" the bitmap clear on the first evicted frame.
         // The OS cannot reuse a frame still marked as enclave memory, so it
-        // stays leaked until the quiescent bitmap-accounting diff flags it.
+        // stays leaked until the consistency audit at a quiescent checkpoint
+        // flags it.
         let mutate =
             if self.campaign.mutation == Mutation::RemarkWritebackFrame && !self.mutation_done {
                 frames.first().map(|pa| Ppn(pa / PAGE_SIZE))
@@ -1359,8 +1360,8 @@ impl Driver<'_> {
         }
     }
 
-    /// The quiescent whole-machine diff: cross-structure audit, bitmap /
-    /// ownership / pool accounting against the model, per-slot views, TLB
+    /// The quiescent whole-machine diff: cross-structure audit (bitmap,
+    /// ownership and pool), ownership against the model, per-slot views, TLB
     /// coherence on every hart, EMCall ticket leaks, and the hart-context
     /// mirror.
     fn checkpoint(&mut self, at: usize) {
@@ -1372,63 +1373,30 @@ impl Driver<'_> {
             self.diverge(at, None, format!("consistency audit failed: {e:?}"));
             return;
         }
-        let snap = {
-            let m = &mut self.m;
-            match MemSnapshot::capture(&mut m.sys, m.ems.ownership(), m.ems.pool().free_list()) {
-                Ok(s) => s,
-                Err(f) => {
-                    self.diverge(at, None, format!("memory snapshot failed: {f:?}"));
-                    return;
-                }
-            }
-        };
         if self.strict_global {
-            // Bitmap accounting: enclave-marked frames are exactly the pool
-            // free list plus every owned frame — nothing leaks out of either.
-            let expected: BTreeSet<u64> = snap
-                .pool_free
-                .iter()
-                .chain(snap.owned.keys())
-                .copied()
-                .collect();
-            if snap.enclave_marked != expected {
-                let extra: Vec<u64> = snap.enclave_marked.difference(&expected).copied().collect();
-                let missing: Vec<u64> =
-                    expected.difference(&snap.enclave_marked).copied().collect();
+            // The audit above already matched the bitmap against the pool
+            // free list and the ownership table. Here every owned frame
+            // must belong to an enclave the model knows.
+            let known = self.model.known_eids();
+            let ownership = self.m.ems.ownership();
+            let unknown = ownership.iter().find_map(|(ppn, owner)| match owner {
+                PageOwner::Enclave(e) if !known.contains(&e.0) => Some((ppn.0, e.0)),
+                _ => None,
+            });
+            if let Some((ppn, eid)) = unknown {
                 self.diverge(
                     at,
                     None,
-                    format!(
-                        "bitmap accounting broken: {} marked frame(s) neither pooled nor owned \
-                         (first: {:?}), {} owned/pooled frame(s) unmarked (first: {:?})",
-                        extra.len(),
-                        extra.first(),
-                        missing.len(),
-                        missing.first(),
-                    ),
+                    format!("frame {ppn} owned by unknown enclave {eid}"),
                 );
                 return;
-            }
-            // Every owned frame must belong to an enclave the model knows.
-            let known = self.model.known_eids();
-            for (&ppn, owner) in &snap.owned {
-                if let PageOwner::Enclave(e) = owner {
-                    if !known.contains(&e.0) {
-                        self.diverge(
-                            at,
-                            None,
-                            format!("frame {ppn} owned by unknown enclave {}", e.0),
-                        );
-                        return;
-                    }
-                }
             }
             // Ownership-table frame counts per untainted slot.
             for (&slot, s) in &self.model.slots {
                 if s.tainted {
                     continue;
                 }
-                let owned = snap.owned_by_enclave(s.eid).len() as u64;
+                let owned = self.m.ems.ownership().pages_of(EnclaveId(s.eid)).len() as u64;
                 if owned != s.data_pages() {
                     self.diverge(
                         at,

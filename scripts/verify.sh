@@ -50,11 +50,8 @@ for fig in figures/*.txt; do
     cmp "target/figures/$(basename "$fig")" "$fig"
 done
 
-echo "==> lockstep model-check smoke (release, fixed seed)"
-cargo run --release --offline --example model_smoke
-
-echo "==> interp-diff smoke (decoded-block fast path vs step_ref oracle, fixed seed)"
-cargo run --release --offline --example interp_smoke
+echo "==> lockstep model check and interp-diff wall in release (seeded campaigns vs the reference model and the step_ref oracle)"
+cargo test --release --offline --test model --test interp_diff -q
 
 echo "==> bench_report smoke (release, reduced iterations, schema-validated)"
 cargo run --release --offline -p hypertee-bench --bin bench_report -- --smoke \

@@ -33,12 +33,17 @@ fn seeded_campaigns_stay_lockstep() {
     // The main wall: several independent seeds, each driving a batch of
     // generated programs through the lockstep rig. Any divergence panics
     // with a shrunk hex repro embedding the failing seed.
-    for seed in [0x1f7e_0001u64, 0xc0de_cafe, 0x5eed_f00d] {
+    for (seed, programs, prog_len, max_steps) in [
+        (0x1f7e_0001u64, 8, 128, 2000),
+        (0xc0de_cafe, 8, 128, 2000),
+        (0x5eed_f00d, 8, 128, 2000),
+        (0x1f7e_5eed, 6, 96, 1500),
+    ] {
         let cfg = Campaign {
             seed,
-            programs: 8,
-            prog_len: 128,
-            max_steps: 2000,
+            programs,
+            prog_len,
+            max_steps,
         };
         if let Err(report) = run_campaign(&cfg) {
             panic!("interpreter diverged from step_ref oracle:\n{report}");
