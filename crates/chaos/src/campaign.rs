@@ -446,7 +446,6 @@ impl Driver {
         let hart = self.sessions[s].hart;
         if self.sessions[s].entered {
             self.m.emcall.exit_enclave(&mut self.m.harts[hart]);
-            self.m.harts[hart].mmu.tlb.flush_all();
             self.sessions[s].entered = false;
         }
         if self.hart_owner[hart] == Some(s) {

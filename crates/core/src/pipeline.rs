@@ -50,6 +50,7 @@
 use crate::machine::{Machine, MachineError, MachineResult};
 use hypertee_ems::runtime::EmsContext;
 use hypertee_ems::scheduler::{EmsScheduler, ServiceRecord};
+use hypertee_fabric::mailbox::RequestTicket;
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_mem::addr::Ppn;
 use hypertee_mem::ownership::EnclaveId;
@@ -131,8 +132,6 @@ pub struct PipelineStats {
     /// Calls expired by the
     /// [`crate::machine::DegradePolicy::deadline`] watchdog.
     pub expired: u64,
-    /// Stale duplicate responses currently quarantined in the mailbox.
-    pub stale_duplicates: usize,
 }
 
 /// One in-flight request's state machine.
@@ -146,7 +145,9 @@ pub struct PipelineStats {
 #[derive(Debug)]
 struct InFlight {
     call: PendingCall,
-    req_id: u64,
+    /// The mailbox ticket of the current submission: the only handle that
+    /// can poll or resubmit it, dropped when the call finishes.
+    ticket: RequestTicket,
     primitive: Primitive,
     args: Vec<u64>,
     payload: Vec<u8>,
@@ -226,8 +227,8 @@ pub(crate) struct Pipeline {
     /// `(hart, issued_at + deadline, call)` — range-swept per hart against
     /// the hart clock instead of checking every call every round.
     deadline_index: BTreeSet<(usize, Cycles, u64)>,
-    /// Running counters; the live fields (`in_flight`, `rounds`,
-    /// `stale_duplicates`) are filled in by [`Machine::pipeline_stats`].
+    /// Running counters; the live fields (`in_flight`, `rounds`) are filled
+    /// in by [`Machine::pipeline_stats`].
     stats: PipelineStats,
     /// Seed for the deterministic retry-back-off jitter.
     jitter_seed: u64,
@@ -360,10 +361,10 @@ impl Machine {
     }
 
     /// Submits one primitive from `hart_id` into the pipeline and returns a
-    /// handle. The hart may hold any number of calls in flight; responses
-    /// are bound to the submitting hart through EMCall's per-hart ticket
-    /// table. Drive the machine with [`Machine::pump`] and collect with
-    /// [`Machine::take_completion`].
+    /// handle. The hart may hold any number of calls in flight; each call
+    /// holds its own mailbox ticket, so a response can only ever reach the
+    /// call that submitted it. Drive the machine with [`Machine::pump`] and
+    /// collect with [`Machine::take_completion`].
     ///
     /// # Errors
     ///
@@ -385,7 +386,7 @@ impl Machine {
                 return Err(MachineError::Backpressure);
             }
         }
-        let req_id = self.emcall.submit(
+        let ticket = self.emcall.submit(
             &self.harts[hart_id],
             &mut self.hub,
             primitive,
@@ -406,12 +407,12 @@ impl Machine {
         if let Some(key) = deadline_key {
             self.pipeline.deadline_index.insert((hart_id, key, call.id));
         }
-        self.pipeline.req_index.insert(req_id, call.id);
+        self.pipeline.req_index.insert(ticket.req_id(), call.id);
         self.pipeline.in_flight.insert(
             call.id,
             InFlight {
                 call,
-                req_id,
+                ticket,
                 primitive,
                 args,
                 payload,
@@ -611,15 +612,14 @@ impl Machine {
             return Step::Idle; // completed earlier this round (stale wake)
         };
         let hart_id = inf.call.hart_id;
-        let req_id = inf.req_id;
+        let req_id = inf.ticket.req_id();
         // Deadline watchdog first: a call that outlived its total lifetime
         // budget is expired terminally — even if a response is waiting —
-        // with no further retries; the ticket is retired so a late response
-        // is quarantined rather than delivered.
+        // with no further retries; its ticket goes with it, so a late
+        // response is never delivered.
         let clock = self.hart_clock[hart_id];
         if inf.deadline_key.is_some_and(|key| clock > key) {
             let inf = self.pipeline.in_flight.remove(&id).expect("checked above");
-            self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
             self.pipeline.stats.expired += 1;
             self.finish_call(inf, Err(MachineError::DeadlineExpired));
             return Step::Completed(hart_id);
@@ -629,8 +629,7 @@ impl Machine {
         // pump flavours. (A corrupt packet is consumed here and discarded
         // as a miss — the call falls through to the loss evaluation.)
         let polled = if self.hub.mailbox.has_response(req_id) {
-            self.emcall
-                .poll(&mut self.hub, self.harts[hart_id].hart_id, req_id)
+            self.emcall.poll(&mut self.hub, &inf.ticket)
         } else {
             None
         };
@@ -676,10 +675,10 @@ impl Machine {
                     )
                 });
                 match resubmitted {
-                    Ok(new_req_id) => {
+                    Ok(ticket) => {
                         self.pipeline.req_index.remove(&req_id);
-                        self.pipeline.req_index.insert(new_req_id, id);
-                        inf.req_id = new_req_id;
+                        self.pipeline.req_index.insert(ticket.req_id(), id);
+                        inf.ticket = ticket;
                         self.rearm_resubmission(&mut inf, hart_id);
                         self.pipeline.in_flight.insert(id, inf);
                         Step::Progress(hart_id)
@@ -702,7 +701,6 @@ impl Machine {
                 let mut inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 inf.attempt += 1;
                 if inf.attempt > MAX_RETRIES {
-                    self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                     self.pipeline.stats.timeouts += 1;
                     self.finish_call(inf, Err(MachineError::Timeout));
                     return Step::Completed(hart_id);
@@ -724,7 +722,7 @@ impl Machine {
                     m.emcall.resubmit(
                         &m.harts[hart_id],
                         &mut m.hub,
-                        inf.req_id,
+                        &inf.ticket,
                         inf.primitive,
                         inf.args.clone(),
                         inf.payload.clone(),
@@ -737,7 +735,6 @@ impl Machine {
                         Step::Progress(hart_id)
                     }
                     Err(e) => {
-                        self.emcall.retire(self.harts[hart_id].hart_id, inf.req_id);
                         self.finish_call(inf, Err(MachineError::Gate(e)));
                         Step::Completed(hart_id)
                     }
@@ -786,10 +783,11 @@ impl Machine {
     }
 
     /// Moves a call into the completed set, releasing its wake-list and
-    /// deadline-index entries.
+    /// deadline-index entries. The call's mailbox ticket is dropped here:
+    /// this is the one place a request ends.
     fn finish_call(&mut self, inf: InFlight, result: MachineResult<Response>) {
         let hart_id = inf.call.hart_id;
-        self.pipeline.req_index.remove(&inf.req_id);
+        self.pipeline.req_index.remove(&inf.ticket.req_id());
         if let Some(key) = inf.deadline_key {
             self.pipeline
                 .deadline_index
@@ -866,7 +864,6 @@ impl Machine {
         PipelineStats {
             in_flight: self.pipeline.in_flight.len(),
             rounds: self.pipeline.round,
-            stale_duplicates: self.hub.mailbox.stale_duplicates(),
             ..self.pipeline.stats.clone()
         }
     }

@@ -1,151 +1,28 @@
-//! AVX-512F backend for the Keccak-f\[1600\] permutation.
+//! AVX-512F backend for the batched per-line memory MAC.
 //!
-//! The scalar permutation is throughput-bound at roughly a thousand host
-//! cycles: ~76 ALU ops per round over a 25-lane working set that cannot fit
-//! the 16 general-purpose registers, so every round pays spill traffic.
-//! AVX-512 removes both limits at once:
+//! One scalar Keccak-f\[1600\] permutation is throughput-bound at roughly
+//! a thousand host cycles: ~76 ALU ops per round over a 25-lane working set
+//! that cannot fit the 16 general-purpose registers. Eight *independent*
+//! permutations, lane-sliced across the eight qword slots of 25 zmm
+//! registers, share those ops: theta and chi become `vpternlogq` trees, rho
+//! an immediate rotate per register, and pi pure register renaming. That is
+//! what [`mac28_lines8`] uses to tag eight cache lines at once.
 //!
-//! * the whole state lives in five zmm registers (one 5-lane *plane* per
-//!   register, qword positions 5..7 unused),
-//! * theta's column parity is two `vpternlogq` (3-way XOR) instructions,
-//! * rho is one `vprolvq` per-lane variable rotate per plane,
-//! * chi's `a ^ (!b & c)` is a single `vpternlogq` (imm 0xD2) per plane.
-//!
-//! Pi is the awkward part: each output plane gathers one lane from every
-//! input plane, which costs two `vpermi2q` two-source shuffles, a blend and
-//! a masked `vpermq` per plane.
+//! A single-state AVX-512 permutation (one 5-lane plane per register) was
+//! measured slower than the BMI scalar kernel and is not provided; one-shot
+//! permutations in [`crate::sha3`] dispatch to the scalar paths only.
 //!
 //! This module is the only `unsafe` code in the crate (together with the
 //! AES-NI backend); it is reachable solely through the runtime-dispatched
-//! wrappers in [`crate::sha3`], which fall back to the safe scalar path when
-//! AVX-512F is absent. Equivalence with the scalar implementation is pinned
-//! by the crate's NIST KATs and the `*_matches_reference` differential tests,
+//! [`crate::mac::mac28_lines`], which falls back to eight scalar tags when
+//! AVX-512F is absent. Equivalence with the scalar tags is pinned by the
+//! `mac28_lines` doc test and `mac::tests::batched_lines_match_single_line_macs`,
 //! which exercise this backend on any AVX-512 host.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
 
-use crate::sha3::{RATE, RC};
-
-/// Lane-position rotation amounts (rho), one vector per plane `y`,
-/// position `x` holding the offset of lane `(x, y)`.
-const RHO_BY_PLANE: [[i64; 8]; 5] = [
-    [0, 1, 62, 28, 27, 0, 0, 0],
-    [36, 44, 6, 55, 20, 0, 0, 0],
-    [3, 10, 43, 25, 39, 0, 0, 0],
-    [41, 45, 15, 21, 8, 0, 0, 0],
-    [18, 2, 61, 56, 14, 0, 0, 0],
-];
-
-/// Pi source-lane index per output plane: output plane `y'` takes its
-/// position `x'` from input plane `x'` at qword `(x' + 3*y') % 5`.
-const PI_Q: [[i64; 5]; 5] = [
-    [0, 1, 2, 3, 4],
-    [3, 4, 0, 1, 2],
-    [1, 2, 3, 4, 0],
-    [4, 0, 1, 2, 3],
-    [2, 3, 4, 0, 1],
-];
-
-/// The full 24-round permutation over five plane registers.
-///
-/// Positions 5..7 of each register carry garbage after the first round; the
-/// index vectors for positions 0..4 only ever reference positions 0..4 (or
-/// the matching garbage positions of another register), so the junk never
-/// contaminates the live lanes, and the callers store with a 5-lane mask.
-///
-/// # Safety
-///
-/// Requires AVX-512F; callers must verify with `is_x86_feature_detected!`.
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn permute(r: &mut [__m512i; 5]) {
-    // SAFETY: every intrinsic below is AVX-512F, guaranteed available by the
-    // caller contract; no memory is touched outside `r`.
-    unsafe {
-        let left = _mm512_setr_epi64(4, 0, 1, 2, 3, 5, 6, 7); // C[x-1] at x
-        let right = _mm512_setr_epi64(1, 2, 3, 4, 0, 5, 6, 7); // C[x+1] at x
-        let plus2 = _mm512_setr_epi64(2, 3, 4, 0, 1, 5, 6, 7); // B[x+2] at x
-        let mut rho = [_mm512_setzero_si512(); 5];
-        for (v, amounts) in rho.iter_mut().zip(RHO_BY_PLANE.iter()) {
-            *v = _mm512_loadu_si512(amounts.as_ptr().cast());
-        }
-        // Two-source gather indices for pi: positions 0/1 from planes 0 and
-        // 1, positions 2/3 from planes 2 and 3, position 4 from plane 4.
-        let mut pi01 = [_mm512_setzero_si512(); 5];
-        let mut pi23 = [_mm512_setzero_si512(); 5];
-        let mut pi4 = [_mm512_setzero_si512(); 5];
-        for y in 0..5 {
-            let q = &PI_Q[y];
-            pi01[y] = _mm512_setr_epi64(q[0], 8 + q[1], 0, 0, 0, 0, 0, 0);
-            pi23[y] = _mm512_setr_epi64(0, 0, q[2], 8 + q[3], 0, 0, 0, 0);
-            pi4[y] = _mm512_setr_epi64(0, 0, 0, 0, q[4], 0, 0, 0);
-        }
-        for &rc in RC.iter() {
-            // Theta: column parity in two 3-way XORs, then D = C[x-1] ^
-            // rol(C[x+1], 1) broadcast to every plane.
-            let c = _mm512_ternarylogic_epi64(
-                _mm512_ternarylogic_epi64(r[0], r[1], r[2], 0x96),
-                r[3],
-                r[4],
-                0x96,
-            );
-            let d = _mm512_xor_si512(
-                _mm512_permutexvar_epi64(left, c),
-                _mm512_rol_epi64(_mm512_permutexvar_epi64(right, c), 1),
-            );
-            // Theta apply + rho: one XOR and one variable rotate per plane.
-            let t = [
-                _mm512_rolv_epi64(_mm512_xor_si512(r[0], d), rho[0]),
-                _mm512_rolv_epi64(_mm512_xor_si512(r[1], d), rho[1]),
-                _mm512_rolv_epi64(_mm512_xor_si512(r[2], d), rho[2]),
-                _mm512_rolv_epi64(_mm512_xor_si512(r[3], d), rho[3]),
-                _mm512_rolv_epi64(_mm512_xor_si512(r[4], d), rho[4]),
-            ];
-            // Pi: rebuild each plane from one lane of every input plane.
-            let mut b = [_mm512_setzero_si512(); 5];
-            for y in 0..5 {
-                let p01 = _mm512_permutex2var_epi64(t[0], pi01[y], t[1]);
-                let p23 = _mm512_permutex2var_epi64(t[2], pi23[y], t[3]);
-                let merged = _mm512_mask_blend_epi64(0b0000_1100, p01, p23);
-                b[y] = _mm512_mask_permutexvar_epi64(merged, 0b0001_0000, pi4[y], t[4]);
-            }
-            // Chi: a ^ (!b & c) is ternary function 0xD2.
-            for y in 0..5 {
-                let s1 = _mm512_permutexvar_epi64(right, b[y]);
-                let s2 = _mm512_permutexvar_epi64(plus2, b[y]);
-                r[y] = _mm512_ternarylogic_epi64(b[y], s1, s2, 0xd2);
-            }
-            // Iota.
-            r[0] = _mm512_xor_si512(r[0], _mm512_maskz_set1_epi64(0b0000_0001, rc as i64));
-        }
-    }
-}
-
-/// Applies the permutation to a 25-lane state in memory.
-///
-/// # Safety
-///
-/// Requires AVX-512F; callers must verify with `is_x86_feature_detected!`.
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn keccakf(state: &mut [u64; 25]) {
-    // SAFETY: masked loads/stores touch exactly lanes 0..4 of each plane
-    // (fault-suppressed beyond the mask), all within the 25-lane array.
-    unsafe {
-        let p = state.as_mut_ptr().cast::<i64>();
-        let mut r = [
-            _mm512_maskz_loadu_epi64(0x1f, p),
-            _mm512_maskz_loadu_epi64(0x1f, p.add(5)),
-            _mm512_maskz_loadu_epi64(0x1f, p.add(10)),
-            _mm512_maskz_loadu_epi64(0x1f, p.add(15)),
-            _mm512_maskz_loadu_epi64(0x1f, p.add(20)),
-        ];
-        permute(&mut r);
-        for (y, v) in r.iter().enumerate() {
-            _mm512_mask_storeu_epi64(p.add(5 * y), 0x1f, *v);
-        }
-    }
-}
+use crate::sha3::RC;
 
 /// Rotates every qword left by a compile-time amount, tolerating 0.
 #[target_feature(enable = "avx512f")]
@@ -174,9 +51,8 @@ unsafe fn chi(a: __m512i, b: __m512i, c: __m512i) -> __m512i {
 
 /// Eight *independent* Keccak-f\[1600\] permutations, one per qword slot.
 ///
-/// Unlike the single-state path above, the lane-sliced layout (register `i`
-/// holds state lane `i` of all eight instances) makes every Keccak step
-/// elementwise: theta and chi are `vpternlogq` trees, rho is an immediate
+/// The lane-sliced layout (register `i` holds state lane `i` of all eight
+/// instances) makes every Keccak step elementwise: theta and chi are `vpternlogq` trees, rho is an immediate
 /// rotate per register, and pi is pure register renaming — zero shuffles.
 /// The ~76 ops per round are shared by eight instances, which is where the
 /// batched line-MAC gets its near-order-of-magnitude over one-at-a-time
@@ -339,30 +215,5 @@ pub(crate) unsafe fn mac28_lines8(
         let mut out = [0u64; 8];
         _mm512_storeu_si512(out.as_mut_ptr().cast(), s[0]);
         out
-    }
-}
-
-/// Fused single-block sponge: absorbs one padded rate block into an all-zero
-/// state, permutes, and returns lane 0 (the first 8 digest bytes) — the
-/// entire SHA3-256 computation for the per-line memory MAC.
-///
-/// # Safety
-///
-/// Requires AVX-512F; callers must verify with `is_x86_feature_detected!`.
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn keccakf_single_block(lanes: &[u64; RATE / 8]) -> u64 {
-    // SAFETY: masked loads read exactly lanes 0..16 of the 17-lane block;
-    // the capacity lanes start zero as the sponge requires.
-    unsafe {
-        let p = lanes.as_ptr().cast::<i64>();
-        let mut r = [
-            _mm512_maskz_loadu_epi64(0x1f, p),
-            _mm512_maskz_loadu_epi64(0x1f, p.add(5)),
-            _mm512_maskz_loadu_epi64(0x1f, p.add(10)),
-            _mm512_maskz_loadu_epi64(0x03, p.add(15)),
-            _mm512_setzero_si512(),
-        ];
-        permute(&mut r);
-        _mm_cvtsi128_si64(_mm512_castsi512_si128(r[0])) as u64
     }
 }

@@ -211,20 +211,6 @@ pub fn keccakf(state: &mut [u64; 25]) {
             return keccakf_bmi(state);
         }
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // Reachable only on AVX-512 hardware without BMI (none exists; kept
-        // for completeness). Single-state AVX-512 measured *slower* than
-        // the BMI scalar kernel here — the vector backend earns its keep in
-        // the 8-way batched line MAC (`mac28_lines8`), not in one-shot
-        // permutations.
-        // SAFETY: the required CPU feature was verified just above.
-        #[allow(unsafe_code)]
-        unsafe {
-            crate::keccak_avx512::keccakf(state)
-        };
-        return;
-    }
     keccakf_portable(state);
 }
 
@@ -253,14 +239,6 @@ pub(crate) fn keccakf_single_block(lanes: &[u64; RATE / 8]) -> u64 {
         #[allow(unsafe_code)]
         unsafe {
             return keccakf_single_block_bmi(lanes);
-        }
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: the required CPU feature was verified just above.
-        #[allow(unsafe_code)]
-        unsafe {
-            return crate::keccak_avx512::keccakf_single_block(lanes);
         }
     }
     keccakf_single_block_portable(lanes)

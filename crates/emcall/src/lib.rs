@@ -171,13 +171,6 @@ pub struct EmCall {
     /// Obfuscation state: a deterministic counter that staggers poll timing
     /// so response-latency observation is noisy (§III-C).
     obf_state: u64,
-    /// Per-hart table of outstanding request tickets, keyed by
-    /// `(hart_id, req_id)`. [`RequestTicket`] is deliberately non-clonable
-    /// (one request, one collector); parking tickets here lets every hart
-    /// hold several requests in flight at once while the exclusive-binding
-    /// property survives — a ticket is only ever handed back to the mailbox
-    /// on behalf of the hart that submitted it.
-    tickets: std::collections::BTreeMap<(u32, u64), RequestTicket>,
 }
 
 impl EmCall {
@@ -218,9 +211,11 @@ impl EmCall {
         })
     }
 
-    /// Submits a primitive on behalf of the software running on `hart`,
-    /// parks the mailbox ticket in the per-hart table, and returns the
-    /// bound `req_id`, so the hart can keep issuing further primitives
+    /// Submits a primitive on behalf of the software running on `hart` and
+    /// returns the mailbox ticket. [`RequestTicket`] is not `Clone` (one
+    /// request, one collector): whoever holds it is the only party that
+    /// can poll or resubmit the request, and the request ends when the
+    /// ticket is dropped. The hart can keep issuing further primitives
     /// while this one is in flight. Poll with [`EmCall::poll`].
     ///
     /// # Errors
@@ -234,44 +229,30 @@ impl EmCall {
         primitive: Primitive,
         args: Vec<u64>,
         payload: Vec<u8>,
-    ) -> Result<u64, EmCallError> {
+    ) -> Result<RequestTicket, EmCallError> {
         let request = self.gate(hart, primitive, args, payload)?;
         self.stats.forwarded += 1;
-        let ticket = hub.mailbox.submit(request);
-        let req_id = ticket.req_id();
-        self.tickets.insert((hart.hart_id, req_id), ticket);
-        Ok(req_id)
+        Ok(hub.mailbox.submit(request))
     }
 
     /// Polls for the response to a submitted request, using the obfuscated
     /// polling loop instead of CS interrupt handlers: each poll consumes a
     /// pseudo-random number of extra poll slots so completion time does not
-    /// directly expose EMS latency (§III-C). On a miss the ticket stays
-    /// parked for the next poll; on a hit it is consumed and the response
-    /// returned. `None` also covers an unknown `(hart, req_id)` pair — a
-    /// foreign hart presenting someone else's `req_id` sees exactly what it
-    /// would see for a request that never existed.
-    pub fn poll(&mut self, hub: &mut IHub, hart_id: u32, req_id: u64) -> Option<Response> {
-        let ticket = self.tickets.remove(&(hart_id, req_id))?;
+    /// directly expose EMS latency (§III-C). `None` is a miss; the caller
+    /// keeps the ticket and polls again.
+    pub fn poll(&mut self, hub: &mut IHub, ticket: &RequestTicket) -> Option<Response> {
         self.obf_state = self
             .obf_state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1);
         self.stats.polls += 1 + ((self.obf_state >> 60) & 0x7);
-        match hub.mailbox.poll(ticket) {
-            Ok(resp) => Some(resp),
-            Err(t) => {
-                self.tickets.insert((hart_id, req_id), t);
-                None
-            }
-        }
+        hub.mailbox.poll(ticket)
     }
 
-    /// Resubmits a request under its existing `req_id` after the round trip
+    /// Resubmits a request under its ticket's `req_id` after the round trip
     /// was declared lost (dropped packet, corrupt response). The gate checks
     /// apply as on first submission; reusing the `req_id` lets the EMS-side
-    /// response cache make the retry idempotent. No-op if the ticket is not
-    /// (or no longer) parked for this hart.
+    /// response cache make the retry idempotent.
     ///
     /// # Errors
     ///
@@ -281,46 +262,16 @@ impl EmCall {
         &mut self,
         hart: &HartState,
         hub: &mut IHub,
-        req_id: u64,
+        ticket: &RequestTicket,
         primitive: Primitive,
         args: Vec<u64>,
         payload: Vec<u8>,
     ) -> Result<(), EmCallError> {
         let request = self.gate(hart, primitive, args, payload)?;
-        let Some(ticket) = self.tickets.get(&(hart.hart_id, req_id)) else {
-            return Ok(());
-        };
         hub.mailbox.resubmit(ticket, request);
         self.stats.forwarded += 1;
         self.stats.resubmissions += 1;
         Ok(())
-    }
-
-    /// Drops a tracked ticket (timed-out request, or an abort replaced by a
-    /// fresh submission). Returns whether a ticket was actually parked.
-    pub fn retire(&mut self, hart_id: u32, req_id: u64) -> bool {
-        self.tickets.remove(&(hart_id, req_id)).is_some()
-    }
-
-    /// Number of requests this hart currently has in flight.
-    pub fn outstanding_for(&self, hart_id: u32) -> usize {
-        self.tickets
-            .range((hart_id, 0)..=(hart_id, u64::MAX))
-            .count()
-    }
-
-    /// Total tracked requests in flight across all harts.
-    pub fn outstanding(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// The request ids a hart currently has in flight, in submission-id
-    /// order (observability for harnesses asserting no ticket leaks).
-    pub fn tracked_requests(&self, hart_id: u32) -> Vec<u64> {
-        self.tickets
-            .range((hart_id, 0)..=(hart_id, u64::MAX))
-            .map(|((_, req_id), _)| *req_id)
-            .collect()
     }
 
     /// Atomically switches a hart into a *fresh* enclave context: saves the
@@ -414,10 +365,10 @@ impl EmCall {
 }
 
 /// Compile-time `Send` pins for sharded execution (`hypertee::shard`):
-/// each shard's machine owns a whole gate — including its per-hart ticket
-/// table — and carries it across the worker-pool boundary, so a regression
-/// to non-`Send` state (an `Rc`, a raw pointer) must fail the build here,
-/// not a test run.
+/// each shard's machine owns a whole gate and every in-flight call's
+/// ticket, and carries them across the worker-pool boundary, so a
+/// regression to non-`Send` state (an `Rc`, a raw pointer) must fail the
+/// build here, not a test run.
 fn assert_send<T: Send>() {}
 const _: fn() = assert_send::<EmCall>;
 const _: fn() = assert_send::<HartState>;
@@ -440,7 +391,7 @@ mod tests {
         let mut emcall = EmCall::new();
         let (mut hub, _cap) = IHub::new();
         // ECREATE needs OS privilege; user-mode invocation is blocked at the
-        // gate (never reaches the mailbox, parks no ticket).
+        // gate (never reaches the mailbox, issues no ticket).
         let h = hart(Privilege::User, None);
         let err = emcall
             .submit(&h, &mut hub, Primitive::Ecreate, vec![0, 0, 0, 0], vec![])
@@ -455,7 +406,6 @@ mod tests {
         assert_eq!(hub.mailbox.pending_requests(), 0);
         assert_eq!(emcall.stats.blocked, 1);
         assert_eq!(emcall.stats.forwarded, 0);
-        assert_eq!(emcall.outstanding(), 0);
     }
 
     #[test]
@@ -463,11 +413,11 @@ mod tests {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let h = hart(Privilege::User, Some(7));
-        let req_id = emcall
+        let ticket = emcall
             .submit(&h, &mut hub, Primitive::Ealloc, vec![7, 4096], vec![])
             .unwrap();
         let req = hub.ems_fetch_request(&cap).unwrap();
-        assert_eq!(req.req_id, req_id);
+        assert_eq!(req.req_id, ticket.req_id());
         assert_eq!(req.caller.enclave, Some(EnclaveId(7)));
         assert_eq!(req.caller.privilege, Privilege::User);
     }
@@ -477,18 +427,16 @@ mod tests {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let h = hart(Privilege::User, Some(1));
-        let req_id = emcall
+        let ticket = emcall
             .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
             .unwrap();
-        // Nothing answered yet: the miss keeps the ticket parked.
-        assert!(emcall.poll(&mut hub, 0, req_id).is_none());
-        assert_eq!(emcall.outstanding_for(0), 1);
+        // Nothing answered yet: a miss.
+        assert!(emcall.poll(&mut hub, &ticket).is_none());
         let req = hub.ems_fetch_request(&cap).unwrap();
         hub.ems_push_response(&cap, Response::ok(req.req_id, vec![0x2000_0000, 1]));
-        let resp = emcall.poll(&mut hub, 0, req_id).unwrap();
+        let resp = emcall.poll(&mut hub, &ticket).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert!(emcall.stats.polls >= 2);
-        assert_eq!(emcall.outstanding(), 0);
     }
 
     #[test]
@@ -503,7 +451,7 @@ mod tests {
             harts.push(h);
         }
         // All four harts submit before anyone polls.
-        let ids: Vec<u64> = harts
+        let tickets: Vec<RequestTicket> = harts
             .iter()
             .map(|h| {
                 emcall
@@ -511,10 +459,6 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        assert_eq!(emcall.outstanding(), 4);
-        for h in &harts {
-            assert_eq!(emcall.outstanding_for(h.hart_id), 1);
-        }
         // EMS answers in reverse order, tagging each response with the
         // caller's enclave so delivery can be checked.
         let mut fetched = Vec::new();
@@ -525,16 +469,11 @@ mod tests {
             let tag = req.caller.enclave.unwrap().0;
             hub.ems_push_response(&cap, Response::ok(req.req_id, vec![tag, 1]));
         }
-        // A foreign hart polling someone else's req_id sees nothing and
-        // does not disturb the parked ticket.
-        assert!(emcall.poll(&mut hub, 3, ids[0]).is_none());
-        assert_eq!(emcall.outstanding(), 4);
-        // Each hart collects exactly its own response.
-        for (i, h) in harts.iter().enumerate() {
-            let resp = emcall.poll(&mut hub, h.hart_id, ids[i]).unwrap();
+        // Each hart's ticket collects exactly its own response.
+        for (h, ticket) in harts.iter().zip(&tickets) {
+            let resp = emcall.poll(&mut hub, ticket).unwrap();
             assert_eq!(resp.vals[0], u64::from(h.hart_id) + 1);
         }
-        assert_eq!(emcall.outstanding(), 0);
     }
 
     #[test]
@@ -542,7 +481,7 @@ mod tests {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let h = hart(Privilege::User, Some(1));
-        let req_id = emcall
+        let ticket = emcall
             .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
             .unwrap();
         let first = hub.ems_fetch_request(&cap).unwrap();
@@ -551,7 +490,7 @@ mod tests {
             .resubmit(
                 &h,
                 &mut hub,
-                req_id,
+                &ticket,
                 Primitive::Ealloc,
                 vec![1, 4096],
                 vec![],
@@ -562,28 +501,21 @@ mod tests {
         assert_eq!(second.caller.enclave, Some(EnclaveId(1)));
         assert_eq!(emcall.stats.resubmissions, 1);
         // The gate still applies on the retry path: an OS-mode hart cannot
-        // resubmit a user primitive, even under a parked req_id.
+        // resubmit a user primitive, even holding a live ticket.
         let os = hart(Privilege::Os, None);
         assert!(emcall
             .resubmit(
                 &os,
                 &mut hub,
-                req_id,
+                &ticket,
                 Primitive::Ealloc,
                 vec![1, 4096],
                 vec![]
             )
             .is_err());
         assert_eq!(emcall.stats.blocked, 1);
-        assert_eq!(hub.mailbox.pending_requests(), 0);
-        // Resubmitting an unknown req_id is a silent no-op.
-        emcall
-            .resubmit(&h, &mut hub, 9999, Primitive::Ealloc, vec![1, 4096], vec![])
-            .unwrap();
         assert_eq!(emcall.stats.resubmissions, 1);
-        assert!(emcall.retire(0, req_id));
-        assert!(!emcall.retire(0, req_id));
-        assert_eq!(emcall.outstanding(), 0);
+        assert_eq!(hub.mailbox.pending_requests(), 0);
     }
 
     #[test]
@@ -594,10 +526,10 @@ mod tests {
         let mut counts = std::collections::BTreeSet::new();
         for _ in 0..16 {
             let before = emcall.stats.polls;
-            let req_id = emcall
+            let ticket = emcall
                 .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
                 .unwrap();
-            let _ = emcall.poll(&mut hub, 0, req_id);
+            let _ = emcall.poll(&mut hub, &ticket);
             counts.insert(emcall.stats.polls - before);
         }
         assert!(counts.len() > 1, "poll costs must vary: {counts:?}");

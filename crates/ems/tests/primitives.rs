@@ -646,7 +646,7 @@ fn scheduled_service_preserves_correctness() {
     // and per-enclave heap addresses are monotone (program order held).
     let mut vas = (Vec::new(), Vec::new());
     for (i, t) in tickets.into_iter().enumerate() {
-        let resp = m.hub.mailbox.poll(t).expect("response present");
+        let resp = m.hub.mailbox.poll(&t).expect("response present");
         assert_eq!(resp.status, Status::Ok, "request {i}");
         if i % 2 == 0 {
             vas.0.push(resp.vals[0]);

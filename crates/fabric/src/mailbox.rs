@@ -51,8 +51,9 @@ pub struct MailboxStats {
     pub dropped_requests: u64,
     /// Responses lost on the fabric (injected).
     pub dropped_responses: u64,
-    /// Responses duplicated on the fabric (injected); the stale copy is
-    /// quarantined and never delivered to any ticket.
+    /// Responses duplicated on the fabric (injected). The copy never
+    /// reaches a ticket: a response is delivered at most once, by the poll
+    /// that consumes it.
     pub duplicated_responses: u64,
     /// Responses held back for a number of polls (injected).
     pub delayed_responses: u64,
@@ -68,8 +69,6 @@ pub struct Mailbox {
     responses: HashMap<u64, Response>,
     /// Responses held in flight for `u32` more polls (injected delay).
     delayed: Vec<(u32, Response)>,
-    /// Stale duplicate copies: observable for tests, never deliverable.
-    stale: Vec<Response>,
     injector: FaultInjector,
     /// Counters.
     pub stats: MailboxStats,
@@ -150,7 +149,6 @@ impl Mailbox {
         }
         if self.injector.roll(FaultKind::MailboxDuplicateResponse) {
             self.stats.duplicated_responses += 1;
-            self.stale.push(response.clone());
         }
         if self.injector.roll(FaultKind::MailboxDelayResponse) {
             self.stats.delayed_responses += 1;
@@ -196,27 +194,22 @@ impl Mailbox {
         self.responses.contains_key(&req_id)
     }
 
-    /// Polls for the response bound to `ticket`. Returns the ticket back on
-    /// a miss so the caller can poll again — the polling loop EMCall uses
-    /// instead of trusting CS interrupt handlers. A response that fails its
-    /// integrity check is discarded and reported as a miss: the caller's
-    /// retry path treats it exactly like a lost packet.
-    pub fn poll(&mut self, ticket: RequestTicket) -> Result<Response, RequestTicket> {
+    /// Polls for the response bound to `ticket`; `None` is a miss and the
+    /// caller polls again — the polling loop EMCall uses instead of
+    /// trusting CS interrupt handlers. A response that fails its integrity
+    /// check is discarded and reported as a miss: the caller's retry path
+    /// treats it exactly like a lost packet.
+    pub fn poll(&mut self, ticket: &RequestTicket) -> Option<Response> {
         match self.responses.remove(&ticket.req_id) {
-            Some(r) if r.intact() => {
-                // Quarantined duplicates of a collected response can never
-                // be delivered again; drop them.
-                self.stale.retain(|s| s.req_id != ticket.req_id);
-                Ok(r)
-            }
+            Some(r) if r.intact() => Some(r),
             Some(_) => {
                 self.stats.corrupt_dropped += 1;
                 self.stats.empty_polls += 1;
-                Err(ticket)
+                None
             }
             None => {
                 self.stats.empty_polls += 1;
-                Err(ticket)
+                None
             }
         }
     }
@@ -229,11 +222,6 @@ impl Mailbox {
     /// Number of responses waiting for collection (delivered or delayed).
     pub fn pending_responses(&self) -> usize {
         self.responses.len() + self.delayed.len()
-    }
-
-    /// Number of quarantined stale duplicates (test observability).
-    pub fn stale_duplicates(&self) -> usize {
-        self.stale.len()
     }
 }
 
@@ -263,7 +251,7 @@ mod tests {
         let req = mb.fetch_request().unwrap();
         assert_eq!(req.req_id, ticket.req_id());
         mb.push_response(Response::ok(req.req_id, vec![42]));
-        let resp = mb.poll(ticket).unwrap();
+        let resp = mb.poll(&ticket).unwrap();
         assert_eq!(resp.vals, vec![42]);
         assert_eq!(resp.status, Status::Ok);
     }
@@ -272,11 +260,11 @@ mod tests {
     fn poll_before_response_misses() {
         let mut mb = Mailbox::new();
         let ticket = mb.submit(request());
-        let ticket = mb.poll(ticket).unwrap_err();
+        assert!(mb.poll(&ticket).is_none());
         assert_eq!(mb.stats.empty_polls, 1);
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![]));
-        assert!(mb.poll(ticket).is_ok());
+        assert!(mb.poll(&ticket).is_some());
     }
 
     #[test]
@@ -291,8 +279,8 @@ mod tests {
         // EMS completes the *second* request first.
         mb.push_response(Response::ok(r2.req_id, vec![2]));
         mb.push_response(Response::ok(r1.req_id, vec![1]));
-        assert_eq!(mb.poll(t1).unwrap().vals, vec![1]);
-        assert_eq!(mb.poll(t2).unwrap().vals, vec![2]);
+        assert_eq!(mb.poll(&t1).unwrap().vals, vec![1]);
+        assert_eq!(mb.poll(&t2).unwrap().vals, vec![2]);
     }
 
     #[test]
@@ -337,13 +325,13 @@ mod tests {
         let mut resp = Response::ok(req.req_id, vec![42]);
         resp.vals[0] ^= 1; // corrupted in flight, checksum now stale
         mb.push_response(resp);
-        let ticket = mb.poll(ticket).unwrap_err();
+        assert!(mb.poll(&ticket).is_none());
         assert_eq!(mb.stats.corrupt_dropped, 1);
         // Recovery: resubmit and answer cleanly.
         mb.resubmit(&ticket, request());
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![42]));
-        assert_eq!(mb.poll(ticket).unwrap().vals, vec![42]);
+        assert_eq!(mb.poll(&ticket).unwrap().vals, vec![42]);
     }
 
     #[test]
@@ -358,7 +346,7 @@ mod tests {
         );
         let mut mb = Mailbox::new();
         mb.arm_faults(plan.injector("mailbox"));
-        let mut ticket = mb.submit(request());
+        let ticket = mb.submit(request());
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![7]));
         assert_eq!(mb.pending_responses(), 1, "response must be held, not lost");
@@ -367,29 +355,24 @@ mod tests {
             "delayed packet is not pollable"
         );
         let mut rounds = 0;
-        loop {
-            match mb.poll(ticket) {
-                Ok(resp) => {
-                    assert_eq!(resp.vals, vec![7]);
-                    break;
-                }
-                Err(t) => {
-                    ticket = t;
-                    rounds += 1;
-                    assert!(rounds <= 4, "delay must expire within delay_polls_max + 1");
-                    let released = mb.advance_round();
-                    if !released.is_empty() {
-                        assert_eq!(released, vec![req.req_id]);
-                        assert!(mb.has_response(req.req_id));
-                    }
-                }
+        let resp = loop {
+            if let Some(resp) = mb.poll(&ticket) {
+                break resp;
             }
-        }
+            rounds += 1;
+            assert!(rounds <= 4, "delay must expire within delay_polls_max + 1");
+            let released = mb.advance_round();
+            if !released.is_empty() {
+                assert_eq!(released, vec![req.req_id]);
+                assert!(mb.has_response(req.req_id));
+            }
+        };
+        assert_eq!(resp.vals, vec![7]);
         assert!(rounds >= 1, "a delayed response cannot arrive instantly");
     }
 
     #[test]
-    fn duplicates_are_quarantined_and_purged() {
+    fn a_duplicated_response_is_counted_once_and_delivered_once() {
         let plan = FaultPlan::new(
             5,
             FaultConfig {
@@ -402,9 +385,10 @@ mod tests {
         let ticket = mb.submit(request());
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![9]));
-        assert_eq!(mb.stale_duplicates(), 1);
-        assert_eq!(mb.poll(ticket).unwrap().vals, vec![9]);
-        // Collecting the real copy purges the quarantined duplicate.
-        assert_eq!(mb.stale_duplicates(), 0);
+        assert_eq!(mb.stats.duplicated_responses, 1);
+        assert_eq!(mb.poll(&ticket).unwrap().vals, vec![9]);
+        // The duplicate never reaches the ticket a second time.
+        assert!(mb.poll(&ticket).is_none());
+        assert_eq!(mb.pending_responses(), 0);
     }
 }

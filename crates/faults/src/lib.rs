@@ -25,7 +25,8 @@ pub enum FaultKind {
     MailboxDropRequest,
     /// A response is discarded instead of being queued for the caller.
     MailboxDropResponse,
-    /// A response is delivered twice (stale duplicate kept in the mailbox).
+    /// A response is duplicated in flight (counted; the copy never reaches
+    /// a ticket, since a poll consumes the one deliverable response).
     MailboxDuplicateResponse,
     /// A response is held back for a number of polls before delivery.
     MailboxDelayResponse,

@@ -1361,9 +1361,9 @@ impl Driver<'_> {
     }
 
     /// The quiescent whole-machine diff: cross-structure audit (bitmap,
-    /// ownership and pool), ownership against the model, per-slot views, TLB
-    /// coherence on every hart, EMCall ticket leaks, and the hart-context
-    /// mirror.
+    /// ownership and pool), ownership against the model, per-slot views, no
+    /// call left in flight, TLB coherence on every hart, and the
+    /// hart-context mirror.
     fn checkpoint(&mut self, at: usize) {
         if self.divergence.is_some() {
             return;
@@ -1440,18 +1440,16 @@ impl Driver<'_> {
                 }
             }
         }
+        // Each call holds its mailbox ticket until it finishes, so a call
+        // still in flight at a quiescent point is a leaked ticket.
+        let in_flight = self.m.pipeline_stats().in_flight;
+        if in_flight != 0 {
+            self.diverge(at, None, format!("{in_flight} call(s) still in flight"));
+            return;
+        }
         for hart in 0..self.campaign.harts {
             self.check_tlb(at, None, hart);
             if self.divergence.is_some() {
-                return;
-            }
-            let tracked = self.m.emcall.tracked_requests(hart as u32);
-            if !tracked.is_empty() {
-                self.diverge(
-                    at,
-                    None,
-                    format!("hart {hart} leaked {} EMCall ticket(s)", tracked.len()),
-                );
                 return;
             }
             // Hart-context mirror: EMCall's notion of "inside which enclave"

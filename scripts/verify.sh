@@ -38,7 +38,7 @@ cargo test --release --offline --test fastpath -q
 echo "==> hostile-input sweep in release (overflowed lengths wrap here where debug panics)"
 cargo test --release --offline -p hypertee-chaos --test hostile_input -q
 
-echo "==> figure regenerators (release, every figure/table binary's stdout byte-compared with figures/)"
+echo "==> figure regenerators and heavy-fault retry run (release, every figure/table binary's and examples/fault_harness's stdout byte-compared with figures/)"
 mkdir -p target/figures
 cargo run --release --offline -p hypertee-bench --bin fig6_slo -- --smoke --allocs 32 \
     > target/figures/fig6_slo.txt
@@ -46,6 +46,7 @@ for fig in fig7_ems_configs table4_primitives fig8a_alloc fig8b_memstream fig9_w
     fig10_bitmap fig11_tlbflush fig12_comm table5_area table6_defense ablations; do
     cargo run --release --offline -p hypertee-bench --bin "$fig" > "target/figures/$fig.txt"
 done
+cargo run --release --offline --example fault_harness > target/figures/fault_harness.txt
 for fig in figures/*.txt; do
     cmp "target/figures/$(basename "$fig")" "$fig"
 done

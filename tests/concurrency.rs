@@ -248,7 +248,9 @@ fn quad_core_ems_spreads_servicing_across_cores() {
 /// Satellite (c): a seeded drop/duplicate/delay campaign over four
 /// concurrently in-flight requests per round. Every round ends with the
 /// cross-structure consistency audit clean, every failure is a clean typed
-/// error, and the recovery machinery demonstrably fired.
+/// error, every success carries its own hart's response (each hart asks
+/// for a distinct size, so a cross-delivered response maps the wrong page
+/// count), and the recovery machinery demonstrably fired.
 #[test]
 fn concurrent_fault_campaign_preserves_consistency() {
     let config = FaultConfig {
@@ -265,11 +267,12 @@ fn concurrent_fault_campaign_preserves_consistency() {
     let eids = entered_tenants(&mut m, 4, &manifest);
     m.arm_faults(&plan);
 
+    let bytes = |h: usize| (h as u64 + 1) * 16 * 1024;
     let mut ok = 0u32;
     for round in 0..24u32 {
         let calls: Vec<_> = (0..4)
             .map(|h| {
-                m.submit(h, Primitive::Ealloc, vec![eids[h], 16 * 1024], vec![])
+                m.submit(h, Primitive::Ealloc, vec![eids[h], bytes(h)], vec![])
                     .unwrap()
             })
             .collect();
@@ -283,7 +286,15 @@ fn concurrent_fault_campaign_preserves_consistency() {
             for done in m.drain_completions() {
                 pending.retain(|c| *c != done.call);
                 match done.result {
-                    Ok(_) => ok += 1,
+                    Ok(resp) => {
+                        assert_eq!(
+                            resp.pages_mapped(),
+                            Some(bytes(done.hart_id) / 4096),
+                            "round {round}: hart {} got a foreign response",
+                            done.hart_id
+                        );
+                        ok += 1;
+                    }
                     Err(e) => assert!(
                         !matches!(e, MachineError::Gate(_) | MachineError::Boot(_)),
                         "round {round}: unclean failure {e}"

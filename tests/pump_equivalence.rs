@@ -18,7 +18,7 @@ const HARTS: usize = 4;
 /// Which scheduler drives `Machine::pump` for a differential arm.
 #[derive(Clone, Copy, PartialEq)]
 enum Flavour {
-    /// Ready queues + timer wheel (the default fast path).
+    /// A per-round work set (the default fast path).
     Event,
     /// The retained O(n) scan oracle.
     Scan,
