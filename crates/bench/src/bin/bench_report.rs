@@ -29,7 +29,7 @@ use hypertee::exec::{InterpMode, RunOutcome};
 use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
 use hypertee::shard::par_run;
-use hypertee_bench::microbench::pair;
+use hypertee_bench::microbench::{pair, warm_up};
 use hypertee_bench::report::{check_report, validate, HostFacts, PerfBench, PerfReport};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::chacha::ChaChaRng;
@@ -67,12 +67,16 @@ fn iters(cfg: &Config, full: u32, smoke: u32) -> u32 {
 
 fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     // Keccak-f[1600]: the unrolled permutation vs the scalar loop nest.
-    // Smoke iterations stay high enough that one batch is ~1 ms: shorter
-    // batches never dodge a preemption window, so the min-batch estimator
-    // starves.
-    let n = iters(cfg, 8_000, 3_000);
+    // It is the run's first row and a thin one (~1.3x), so both arms run
+    // for `WARM_UP` first, and smoke batches are as long as full ones
+    // (~3 ms): a cold host and shorter batches swung its ratio below 1.
+    let n = 8_000;
     let mut st = [0x5a5a_5a5a_u64.wrapping_mul(7); 25];
     let mut st_ref = [0x5a5a_5a5a_u64.wrapping_mul(7); 25];
+    warm_up(|| {
+        keccakf(black_box(&mut st));
+        keccakf_ref(black_box(&mut st_ref));
+    });
     rows.push(pair(
         "keccak_f1600",
         n,
@@ -191,9 +195,10 @@ fn curve_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
             black_box(black_box(&base_point).mul_ref(black_box(&k)));
         },
     ));
+    // A thin row (~1.4x): smoke batches as long as full ones (~2 ms).
     rows.push(pair(
         "ed_var_mul",
-        n,
+        40,
         0,
         1,
         || {
@@ -204,6 +209,10 @@ fn curve_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
         },
     ));
 
+    // One key verified over and over, as a client verifies its pinned EK
+    // and a platform's AK: from the key's second verify on, `verify` walks
+    // the key's memoized radix-16 table, so this row times the warm,
+    // prepared path.
     let n = iters(cfg, 20, 4);
     rows.push(pair(
         "schnorr_verify",
@@ -215,6 +224,34 @@ fn curve_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
         },
         || {
             assert!(kp.public.verify_ref(black_box(msg), black_box(&sig)));
+        },
+    ));
+
+    // Keys verified round-robin over a ring of more keys than the
+    // per-thread memo holds (4), so every verify misses it: the plain
+    // variable-base path plus the memo lookup.
+    let ring: Vec<_> = (0..8)
+        .map(|_| {
+            let kp = Keypair::from_key_material(&rng.gen_bytes32());
+            let sig = kp.sign(msg);
+            (kp.public, sig)
+        })
+        .collect();
+    let (mut next, mut next_ref) = (0, 0);
+    rows.push(pair(
+        "schnorr_verify_cold",
+        n,
+        0,
+        1,
+        || {
+            let (key, sig) = &ring[next % ring.len()];
+            next += 1;
+            assert!(key.verify(black_box(msg), black_box(sig)));
+        },
+        || {
+            let (key, sig) = &ring[next_ref % ring.len()];
+            next_ref += 1;
+            assert!(key.verify_ref(black_box(msg), black_box(sig)));
         },
     ));
 }
@@ -263,11 +300,12 @@ fn mktme_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-fn ptw_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn ptw_bench(rows: &mut Vec<PerfBench>) {
     // Translate 8 pages with the TLB flushed per pass: warm walk cache vs
-    // fully cold walks (the pre-PR behaviour, where every walk read all
-    // three levels).
-    let n = iters(cfg, 2_000, 50);
+    // fully cold walks (the pre-walk-cache behaviour, where every walk read
+    // all three levels). A thin row (~1.3x), so smoke batches are as long
+    // as full ones (~2 ms).
+    let n = 2_000;
     let pages = 8u64;
     let base_va = VirtAddr(0x40_0000);
     // One identical (memory system, MMU) pair per arm so the batches can
@@ -396,14 +434,15 @@ fn memstream_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-fn wolfssl_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn wolfssl_pass(rows: &mut Vec<PerfBench>) {
     // Full TLS-style session: handshake + 4 encrypted 1 KiB records. The
     // AES-CTR record path rides the optimized kernels; the reference arm
     // runs the same session on the spec CTR baseline (bit-identical
-    // transcript, asserted below).
+    // transcript, asserted below). A thin row (~1.3x), so smoke batches
+    // are as long as full ones (~8 ms).
     let records = 4usize;
     let record_len = 1024usize;
-    let n = iters(cfg, 10, 3);
+    let n = 10;
     assert_eq!(
         wolfssl::run_session(0x5e55_10eb, records, record_len),
         wolfssl::run_session_ref(0x5e55_10eb, records, record_len),
@@ -775,9 +814,9 @@ fn run(cfg: &Config) -> Result<(), String> {
     crypto_benches(cfg, &mut rows);
     curve_benches(cfg, &mut rows);
     mktme_bench(cfg, &mut rows);
-    ptw_bench(cfg, &mut rows);
+    ptw_bench(&mut rows);
     memstream_pass(cfg, &mut rows);
-    wolfssl_pass(cfg, &mut rows);
+    wolfssl_pass(&mut rows);
     pump_benches(cfg, &mut rows);
     interp_benches(cfg, &mut rows);
     threads_simclock_benches(cfg, &mut rows);

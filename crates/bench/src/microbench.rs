@@ -10,7 +10,7 @@
 //! the ratio; interleaving gives both arms the same exposure, so
 //! thin-margin rows survive the `speedup >= 1.0` report gate.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::report::PerfBench;
 
@@ -22,6 +22,20 @@ use crate::report::PerfBench;
 /// milliseconds, keeping the odds high that at least one batch runs
 /// uninterrupted.
 const BATCHES: usize = 9;
+
+/// How long [`warm_up`] runs.
+const WARM_UP: Duration = Duration::from_millis(300);
+
+/// Runs `f` back to back for `WARM_UP` of wall-clock time, untimed. Called
+/// before a run's first row, so that row does not pay for the host
+/// settling from idle (frequency ramp-up, cold caches), which once swung
+/// the first row's absolute ns/op 2x between runs.
+pub fn warm_up(mut f: impl FnMut()) {
+    let start = Instant::now();
+    while start.elapsed() < WARM_UP {
+        f();
+    }
+}
 
 /// Times `opt` against its baseline `base` and returns the report row.
 ///

@@ -1114,7 +1114,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         .collect();
 
     let stats = d.m.pipeline_stats();
-    let crash_restarts = d.m.ems.stats.crash_restarts;
+    let crash_restarts = d.m.crash_restarts();
     fold(
         &mut d.hash,
         &[

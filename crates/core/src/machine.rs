@@ -276,6 +276,13 @@ impl Machine {
         self.ems.crash_restart()
     }
 
+    /// EMS crash-restarts survived so far: the platform epoch. Anything
+    /// bound to the EMS's volatile state, such as a facade's sessions, is
+    /// stale once this moves.
+    pub fn crash_restarts(&self) -> u64 {
+        self.ems.stats.crash_restarts
+    }
+
     /// Arms every fault site in the SoC — mailbox, DMA whitelist, and the
     /// EMS runtime — from one replayable seed-driven plan.
     pub fn arm_faults(&mut self, plan: &FaultPlan) {

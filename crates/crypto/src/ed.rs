@@ -4,6 +4,21 @@
 //! T = XY/Z (Hisil–Wong–Carter–Dawson). This is the group used for local
 //! attestation ECDH and Schnorr attestation signatures (§VI).
 //!
+//! Scalar multiplication takes one of two shapes:
+//!
+//! * [`Prepared`] is the one radix-16 table type. For a point P it holds
+//!   j·16^i·P for 64 rows × 8 entries in the affine addition form
+//!   (Y+X, Y−X, Z = 1, 2d·T), 64 KiB, and [`Prepared::mul`] is the one
+//!   table walk: one addition per signed radix-16 digit, 64 in all, and
+//!   no doublings.
+//!   [`Point::mul_base`] walks B's table, built once per process;
+//!   `sig` keeps the tables of verifying keys it sees more than once.
+//! * [`Point::mul`] is the variable-base path for a point used once: a
+//!   1·P … 8·P window, then four doublings and at most one addition per
+//!   digit. Building a table costs a few such multiplications, so an
+//!   ECDH peer's ephemeral point, and a verifying key's first use, take
+//!   this path.
+//!
 //! Encoding note: points serialize as 64 bytes (affine x ‖ y) rather than the
 //! 32-byte compressed Ed25519 wire format; decompression would require a
 //! field square root that nothing in the simulated protocol needs, and the
@@ -56,8 +71,8 @@ pub struct Point {
 }
 
 /// A point prepared as the right-hand operand of an addition:
-/// (Y + X, Y − X, Z, 2d·T). With Z = 1 it is the affine "Niels" form the
-/// fixed-base table stores.
+/// (Y + X, Y − X, Z, 2d·T). With Z = 1 it is the affine "Niels" form a
+/// [`Prepared`] table stores.
 #[derive(Debug, Clone, Copy)]
 struct Cached {
     y_plus_x: Fe,
@@ -82,26 +97,19 @@ impl Cached {
 /// entries per window table: 1·P … 8·P.
 const DIGIT_MAX: usize = 8;
 
-/// Returns the fixed-base table, building it on first use: 64 rows, one
-/// per radix-16 digit of a scalar, row `i` holding j·16^i·B for
-/// j = 1…8 — 512 affine points of 128 bytes, 64 KiB. Rows are normalised
-/// one batch at a time, so the build needs no second table-sized buffer.
-fn base_table() -> &'static [[Cached; DIGIT_MAX]] {
-    static TABLE: std::sync::OnceLock<Vec<[Cached; DIGIT_MAX]>> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = Vec::with_capacity(64);
-        let mut row_base = Point::base();
-        for _ in 0..64 {
-            let mut multiples = [row_base; DIGIT_MAX];
-            for j in 1..DIGIT_MAX {
-                multiples[j] = multiples[j - 1].add(&row_base);
-            }
-            Point::batch_normalize(&mut multiples);
-            table.push(multiples.map(Point::to_cached));
-            row_base = row_base.double_n(4);
-        }
-        table
-    })
+/// Signed radix-16 digits per scalar, and so rows per [`Prepared`] table.
+const DIGITS: usize = 64;
+
+/// The window 1·P … 8·P, in projective form.
+fn window(p: &Point) -> [Cached; DIGIT_MAX] {
+    let p1 = p.to_cached();
+    let mut table = [p1; DIGIT_MAX];
+    let mut multiple = *p;
+    for slot in table.iter_mut().skip(1) {
+        multiple = multiple.add_cached(&p1);
+        *slot = multiple.to_cached();
+    }
+    table
 }
 
 /// Selects `digit`·P from a table of 1·P … 8·P (`None` for digit 0).
@@ -111,6 +119,74 @@ fn select(table: &[Cached; DIGIT_MAX], digit: i8) -> Option<Cached> {
         d if d > 0 => Some(table[d as usize - 1]),
         d => Some(table[d.unsigned_abs() as usize - 1].neg()),
     }
+}
+
+/// A point's radix-16 table: row `i` holds j·16^i·P for j = 1…8, so k·P
+/// is one addition per signed radix-16 digit of k and no doublings.
+/// 512 affine entries of 128 bytes, 64 KiB.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    rows: Box<[[Cached; DIGIT_MAX]]>,
+}
+
+impl Prepared {
+    /// Builds the table of `p`: each row's window in projective form, then
+    /// all 512 entries normalised with one inversion (Montgomery's trick).
+    /// Scaling a cached entry's Y ± X and 2d·T by 1/Z is its affine form,
+    /// so the only extra buffer is the 16 KiB of prefix products.
+    pub fn new(p: &Point) -> Prepared {
+        let mut rows = Vec::with_capacity(DIGITS);
+        let mut row_base = *p;
+        for i in 0..DIGITS {
+            rows.push(window(&row_base));
+            if i + 1 < DIGITS {
+                row_base = row_base.double_n(4);
+            }
+        }
+        // prefix[i] = z₀·…·z_{i−1}; walk back with the running inverse.
+        let mut prefix = Vec::with_capacity(DIGITS * DIGIT_MAX);
+        let mut acc = Fe::ONE;
+        for q in rows.iter().flatten() {
+            prefix.push(acc);
+            acc = acc.mul(&q.z);
+        }
+        let mut inv = acc.invert();
+        for (q, pre) in rows
+            .iter_mut()
+            .flatten()
+            .rev()
+            .zip(prefix.into_iter().rev())
+        {
+            let zinv = inv.mul(&pre);
+            inv = inv.mul(&q.z);
+            *q = Cached {
+                y_plus_x: q.y_plus_x.mul(&zinv),
+                y_minus_x: q.y_minus_x.mul(&zinv),
+                z: Fe::ONE,
+                t2d: q.t2d.mul(&zinv),
+            };
+        }
+        Prepared {
+            rows: rows.into_boxed_slice(),
+        }
+    }
+
+    /// k·P: one table addition per signed radix-16 digit of k.
+    pub fn mul(&self, k: &Scalar) -> Point {
+        let mut acc = Point::identity();
+        for (row, &digit) in self.rows.iter().zip(k.signed_radix16().iter()) {
+            if let Some(q) = select(row, digit) {
+                acc = acc.add_cached(&q);
+            }
+        }
+        acc
+    }
+}
+
+/// B's table, built on first use.
+fn base_table() -> &'static Prepared {
+    static TABLE: std::sync::OnceLock<Prepared> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| Prepared::new(&Point::base()))
 }
 
 impl Point {
@@ -174,30 +250,6 @@ impl Point {
             y,
             z: Fe::ONE,
             t: x.mul(&y),
-        }
-    }
-
-    /// Normalises a batch of points in place with one inversion
-    /// (Montgomery's trick).
-    fn batch_normalize(points: &mut [Point; DIGIT_MAX]) {
-        // prefix[i] = z₀·…·z_{i−1}; walk back with the running inverse.
-        let mut prefix = [Fe::ONE; DIGIT_MAX];
-        let mut acc = Fe::ONE;
-        for (pre, p) in prefix.iter_mut().zip(points.iter()) {
-            *pre = acc;
-            acc = acc.mul(&p.z);
-        }
-        let mut inv = acc.invert();
-        for (p, pre) in points.iter_mut().zip(prefix).rev() {
-            let zinv = inv.mul(&pre);
-            inv = inv.mul(&p.z);
-            let (x, y) = (p.x.mul(&zinv), p.y.mul(&zinv));
-            *p = Point {
-                x,
-                y,
-                z: Fe::ONE,
-                t: x.mul(&y),
-            };
         }
     }
 
@@ -268,33 +320,19 @@ impl Point {
         p
     }
 
-    /// Fixed-base multiplication k·B: one table addition per signed
-    /// radix-16 digit of k, no doublings.
+    /// Fixed-base multiplication k·B: a walk of B's [`Prepared`] table.
     pub fn mul_base(k: &Scalar) -> Point {
-        let table = base_table();
-        let mut acc = Point::identity();
-        for (row, &digit) in table.iter().zip(k.signed_radix16().iter()) {
-            if let Some(q) = select(row, digit) {
-                acc = acc.add_cached(&q);
-            }
-        }
-        acc
+        base_table().mul(k)
     }
 
     /// Variable-base multiplication k·P with a 4-bit signed window: a table
     /// of 1·P … 8·P, then four doublings and at most one addition per digit.
     pub fn mul(&self, k: &Scalar) -> Point {
-        let p1 = self.to_cached();
-        let mut table = [p1; DIGIT_MAX];
-        let mut multiple = *self;
-        for slot in table.iter_mut().skip(1) {
-            multiple = multiple.add_cached(&p1);
-            *slot = multiple.to_cached();
-        }
+        let table = window(self);
         let digits = k.signed_radix16();
         let mut acc = Point::identity();
         for (i, &digit) in digits.iter().enumerate().rev() {
-            if i != 63 {
+            if i != DIGITS - 1 {
                 acc = acc.double_n(4);
             }
             if let Some(q) = select(&table, digit) {
@@ -306,7 +344,8 @@ impl Point {
 
     /// The seed scalar multiplication (bit-serial double-and-add on the
     /// seed field multiply), kept as the differential oracle and benchmark
-    /// baseline for [`Point::mul`] and [`Point::mul_base`].
+    /// baseline for [`Point::mul`], [`Point::mul_base`] and
+    /// [`Prepared::mul`].
     pub fn mul_ref(&self, k: &Scalar) -> Point {
         let mut acc = Point::identity();
         let top = match k.highest_bit() {

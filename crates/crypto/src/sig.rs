@@ -6,12 +6,28 @@
 //! nonce (hash of a per-key seed and the message), giving EdDSA-style
 //! robustness against nonce reuse without needing an entropy source at
 //! signing time.
+//!
+//! Verification checks s·B == R + e·A. s·B walks the base point's
+//! [`Prepared`] table. e·A goes through a small per-thread memo of recent
+//! verifying keys, because the keys a verifier sees are few and
+//! long-lived: a client pins one EK, and one platform's AK signs every
+//! quote it issues. The memo is keyed by the key's exact 64-byte
+//! encoding, which the challenge hashes anyway. It holds four keys and
+//! forgets the least recently used one. A key's first verify only
+//! records the key and takes the variable-base [`Point::mul`]. Its second
+//! verify builds the key's table, and every later one walks it. A table
+//! costs a few variable-base multiplications to build, so a key verified
+//! once, such as a freshly booted platform's at its start-up probe, pays
+//! nothing for it. [`PublicKey::from_bytes`] refuses off-curve and
+//! non-canonical encodings, so those never reach the memo. ECDH (`ecdh`)
+//! stays variable-base: its peer point is ephemeral and is used once.
 
 use crate::chacha::ChaChaRng;
-use crate::ed::Point;
+use crate::ed::{Point, Prepared};
 use crate::scalar::Scalar;
 use crate::sha256::Sha256;
 use crate::CryptoError;
+use std::cell::RefCell;
 
 /// A public verification key (a curve point).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +103,11 @@ impl Arith {
         }
     }
 
-    fn mul(self, p: &Point, k: &Scalar) -> Point {
+    /// e·A for the verifying key A encoded as `a_bytes`.
+    fn mul_key(self, a: &Point, a_bytes: &[u8; 64], e: &Scalar) -> Point {
         match self {
-            Arith::Fast => p.mul(k),
-            Arith::Ref => p.mul_ref(k),
+            Arith::Fast => memo_mul(a, a_bytes, e),
+            Arith::Ref => a.mul_ref(e),
         }
     }
 
@@ -116,11 +133,41 @@ impl Arith {
     }
 }
 
-fn challenge(arith: Arith, r: &Point, a: &Point, msg: &[u8]) -> Scalar {
+/// Verifying keys the memo holds: a client's EK and a platform's AK,
+/// with room for a second platform's pair.
+const MEMO_KEYS: usize = 4;
+
+thread_local! {
+    /// This thread's recent verifying keys, least recently used first:
+    /// each key's encoding, and its table from its second verify on.
+    static MEMO: RefCell<Vec<([u8; 64], Option<Prepared>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// e·A through the memo: the variable-base multiply on a key's first
+/// verify, a table walk from its second on.
+fn memo_mul(a: &Point, a_bytes: &[u8; 64], e: &Scalar) -> Point {
+    MEMO.with_borrow_mut(|memo| {
+        let Some(i) = memo.iter().position(|(key, _)| key == a_bytes) else {
+            if memo.len() == MEMO_KEYS {
+                memo.remove(0);
+            }
+            memo.push((*a_bytes, None));
+            return a.mul(e);
+        };
+        let (key, table) = memo.remove(i);
+        let table = table.unwrap_or_else(|| Prepared::new(a));
+        let product = table.mul(e);
+        memo.push((key, Some(table)));
+        product
+    })
+}
+
+/// The challenge e = H(enc(R) ‖ enc(A) ‖ msg), from the two encodings.
+fn challenge(arith: Arith, r: &[u8; 64], a: &[u8; 64], msg: &[u8]) -> Scalar {
     let mut h = Sha256::new();
     h.update(b"hypertee-schnorr-v1");
-    h.update(&arith.encode(r));
-    h.update(&arith.encode(a));
+    h.update(r);
+    h.update(a);
     h.update(msg);
     let d1 = h.finalize();
     // Widen to 64 bytes with a second domain-separated digest so the scalar
@@ -209,7 +256,12 @@ impl Keypair {
         // Normalised once: this challenge, the wire bytes and every
         // verifier's challenge all encode R.
         let big_r = arith.mul_base(&r).normalize();
-        let e = challenge(arith, &big_r, &self.public.0, msg);
+        let e = challenge(
+            arith,
+            &arith.encode(&big_r),
+            &arith.encode(&self.public.0),
+            msg,
+        );
         let s = r.add(&arith.scalar_mul(&e, &self.secret));
         Signature { r: big_r, s }
     }
@@ -228,10 +280,11 @@ impl PublicKey {
     }
 
     fn verify_with(&self, arith: Arith, msg: &[u8], sig: &Signature) -> bool {
-        let e = challenge(arith, &sig.r, &self.0, msg);
+        let a_bytes = arith.encode(&self.0);
+        let e = challenge(arith, &arith.encode(&sig.r), &a_bytes, msg);
         // s·B == R + e·A.
         let lhs = arith.mul_base(&sig.s);
-        let rhs = sig.r.add(&arith.mul(&self.0, &e));
+        let rhs = sig.r.add(&arith.mul_key(&self.0, &a_bytes, &e));
         lhs == rhs
     }
 
@@ -254,6 +307,8 @@ impl PublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fe::P;
+    use crate::u256::U256;
 
     #[test]
     fn sign_verify_roundtrip() {
@@ -304,6 +359,57 @@ mod tests {
         let mut sig = kp.sign(b"msg");
         sig.s = sig.s.add(&Scalar::ONE);
         assert!(!kp.public.verify(b"msg", &sig));
+    }
+
+    /// This thread's memo, least recently used first: (key, has a table).
+    fn memo() -> Vec<([u8; 64], bool)> {
+        MEMO.with_borrow(|m| m.iter().map(|(key, t)| (*key, t.is_some())).collect())
+    }
+
+    #[test]
+    fn memo_builds_on_the_second_verify_and_forgets_the_least_recent() {
+        MEMO.with_borrow_mut(Vec::clear);
+        let keys: Vec<(PublicKey, Signature)> = (0..MEMO_KEYS as u8 + 2)
+            .map(|i| {
+                let kp = Keypair::from_key_material(&[i; 32]);
+                (kp.public, kp.sign(b"memo"))
+            })
+            .collect();
+        let verify = |i: usize| assert!(keys[i].0.verify(b"memo", &keys[i].1));
+        let enc = |i: usize| keys[i].0.to_bytes();
+        verify(0);
+        assert_eq!(memo(), [(enc(0), false)], "a first verify builds no table");
+        verify(0);
+        assert_eq!(memo(), [(enc(0), true)], "the second one does");
+        for i in 1..MEMO_KEYS {
+            verify(i);
+        }
+        verify(0); // Key 0 is now the most recently used.
+        verify(MEMO_KEYS);
+        let kept: Vec<_> = (2..MEMO_KEYS).map(|i| (enc(i), false)).collect();
+        assert_eq!(memo()[..kept.len()], kept[..], "key 1 was the least recent");
+        assert_eq!(
+            memo()[kept.len()..],
+            [(enc(0), true), (enc(MEMO_KEYS), false)]
+        );
+        // A failed verify still counts as a use; it never changes a verdict.
+        assert!(!keys[MEMO_KEYS + 1].0.verify(b"memo", &keys[0].1));
+        assert_eq!(memo().len(), MEMO_KEYS);
+        assert!(!memo().iter().any(|(key, _)| *key == enc(2)));
+        // Another spelling of a remembered key, off the curve or with
+        // x + p, is refused before it could be verified or remembered.
+        let mut off_curve = enc(0);
+        off_curve[0] ^= 1;
+        let mut x_plus_p = enc(0);
+        let (x, carry) = U256::from_le_bytes(&x_plus_p[..32].try_into().unwrap()).adc(&P);
+        assert!(!carry);
+        x_plus_p[..32].copy_from_slice(&x.to_le_bytes());
+        for alias in [off_curve, x_plus_p] {
+            assert_eq!(
+                PublicKey::from_bytes(&alias),
+                Err(CryptoError::InvalidPoint)
+            );
+        }
     }
 
     #[test]

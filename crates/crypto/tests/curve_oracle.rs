@@ -1,15 +1,20 @@
 //! Differential wall for the Curve25519 fast paths: every fast routine is
 //! compared byte for byte against the seed algorithm kept beside it as a
 //! `*_ref` oracle, on seeded random inputs and on fixed edge inputs
-//! (0, 1, p − 1, 2^255 − 1, L − 1, L, 2^512 − 1, all-0xf nibbles, and the
-//! window-boundary scalars 1, 2, 15, 16, 17).
+//! (0, 1, p − 1, 2^255 − 1, L − 1, L, 2^512 − 1, all-0xf nibbles, the
+//! window-boundary scalars 1, 2, 15, 16, 17, and scalars whose signed
+//! radix-16 digits sit at the −8 end of the table).
+//!
+//! `PublicKey::verify` keeps a per-thread memo of recent keys' tables, so
+//! its arms verify each key several times: once cold, once while the
+//! table is built, and then warm, against `verify_ref` every time.
 //!
 //! The limb arithmetic wraps silently in release builds where debug
 //! builds panic on overflow, so this suite is meant to pass in both
 //! (`cargo test -p hypertee-crypto` and `cargo test --release ...`).
 
 use hypertee_crypto::chacha::ChaChaRng;
-use hypertee_crypto::ed::Point;
+use hypertee_crypto::ed::{Point, Prepared};
 use hypertee_crypto::fe::{Fe, P};
 use hypertee_crypto::scalar::{Scalar, L};
 use hypertee_crypto::sig::{Keypair, Signature};
@@ -62,7 +67,24 @@ fn edge_scalars() -> Vec<Scalar> {
     let mut two_252 = [0u8; 32];
     two_252[31] = 0x10;
     out.push(Scalar::from_le_bytes(&two_252));
+    out.extend(eight_digit_scalars());
     out
+}
+
+/// Scalars below 2^252 whose signed radix-16 digits 0…62 are all −8
+/// (nibbles 8, 7, 7, …: each 8 + carry becomes −8 and carries again),
+/// and alternate −8, 7 (nibbles 8, 6, 8, 6, …), with the last carry in
+/// digit 63: every table row is read at its largest negated entry.
+fn eight_digit_scalars() -> [Scalar; 2] {
+    let mut minus_eights = [0x77u8; 32];
+    minus_eights[0] = 0x78;
+    minus_eights[31] = 0x07;
+    let mut alternating = [0x68u8; 32];
+    alternating[31] = 0x08;
+    [
+        Scalar::from_le_bytes(&minus_eights),
+        Scalar::from_le_bytes(&alternating),
+    ]
 }
 
 /// Wide (64-byte) reduction inputs: 0, 1, L − 1, L, L + 1, 2L, 2^256,
@@ -156,7 +178,7 @@ fn base_multiply_matches_double_and_add() {
 }
 
 #[test]
-fn variable_multiply_matches_double_and_add() {
+fn variable_and_prepared_multiply_match_double_and_add() {
     let mut rng = ChaChaRng::from_u64(0x7A_0004);
     // Bases with Z ≠ 1 (straight out of a multiply), Z = 1 (decoded), the
     // base point and the identity.
@@ -169,12 +191,11 @@ fn variable_multiply_matches_double_and_add() {
     let mut scalars = edge_scalars();
     scalars.extend((0..6).map(|_| random_scalar(&mut rng)));
     for p in &bases {
+        let table = Prepared::new(p);
         for k in &scalars {
-            assert_eq!(
-                p.mul(k).encode(),
-                p.mul_ref(k).encode_ref(),
-                "{p:?} * {k:?}"
-            );
+            let oracle = p.mul_ref(k).encode_ref();
+            assert_eq!(p.mul(k).encode(), oracle, "{p:?} * {k:?}");
+            assert_eq!(table.mul(k).encode(), oracle, "table of {p:?} * {k:?}");
         }
     }
 }
@@ -218,5 +239,99 @@ fn sign_and_verify_match_seed_path() {
         };
         assert!(!kp.public.verify(msg.as_bytes(), &bad));
         assert!(!kp.public.verify_ref(msg.as_bytes(), &bad));
+    }
+}
+
+#[test]
+fn warm_verify_matches_seed_verify_and_never_accepts_a_forgery() {
+    let mut rng = ChaChaRng::from_u64(0x3E_0008);
+    let keys: Vec<Keypair> = (0..3)
+        .map(|_| Keypair::from_key_material(&rng.gen_bytes32()))
+        .collect();
+    for (i, kp) in keys.iter().enumerate() {
+        let other_key = keys[(i + 1) % keys.len()].public;
+        // Three valid verifies take the key cold, through its table build
+        // and warm; every forgery then meets the warm table.
+        for round in 0..4u32 {
+            let msg = format!("warm message #{i}.{round}");
+            let sig = kp.sign(msg.as_bytes());
+            let other = kp.sign(b"another message");
+            assert!(
+                kp.public.verify(msg.as_bytes(), &sig),
+                "key {i} round {round}"
+            );
+            assert!(kp.public.verify_ref(msg.as_bytes(), &sig));
+            if round == 0 {
+                continue;
+            }
+            let other_msg = format!("{msg}!");
+            let forgeries = [
+                (
+                    kp.public,
+                    msg.as_bytes(),
+                    Signature {
+                        r: sig.r,
+                        s: sig.s.add(&Scalar::ONE),
+                    },
+                ),
+                (
+                    kp.public,
+                    msg.as_bytes(),
+                    Signature {
+                        r: other.r,
+                        s: sig.s,
+                    },
+                ),
+                (kp.public, other_msg.as_bytes(), sig),
+                (other_key, msg.as_bytes(), sig),
+            ];
+            for (j, (key, m, bad)) in forgeries.iter().enumerate() {
+                assert!(!key.verify(m, bad), "key {i} round {round} forgery {j}");
+                assert!(!key.verify_ref(m, bad), "key {i} round {round} forgery {j}");
+            }
+        }
+    }
+}
+
+#[test]
+fn cycling_more_keys_than_the_memo_holds_stays_correct() {
+    let mut rng = ChaChaRng::from_u64(0xC7_0009);
+    let ring: Vec<(Keypair, Signature)> = (0..7)
+        .map(|i| {
+            let kp = Keypair::from_key_material(&rng.gen_bytes32());
+            let sig = kp.sign(format!("ring #{i}").as_bytes());
+            (kp, sig)
+        })
+        .collect();
+    let check = |i: usize| {
+        let (kp, sig) = &ring[i];
+        let msg = format!("ring #{i}");
+        assert!(kp.public.verify(msg.as_bytes(), sig), "ring key {i}");
+        let (wrong, _) = &ring[(i + 3) % ring.len()];
+        assert!(
+            !wrong.public.verify(msg.as_bytes(), sig),
+            "ring key {i} under a wrong key"
+        );
+        assert!(
+            !kp.public.verify(b"not the message", sig),
+            "ring key {i} on another message"
+        );
+    };
+    // Round robin: every key is evicted before it comes round again.
+    for i in (0..ring.len()).cycle().take(3 * ring.len()) {
+        check(i);
+    }
+    // One hot key between the others: its table must survive their churn,
+    // and the others come and go beside it.
+    for i in 1..4 * ring.len() {
+        check(0);
+        check(i % ring.len());
+    }
+    // Two keys back and forth, then the ring again over their tables.
+    for i in 0..8 {
+        check(i % 2 + 5);
+    }
+    for i in (0..ring.len()).rev() {
+        check(i);
     }
 }

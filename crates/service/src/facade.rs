@@ -426,7 +426,7 @@ impl ServiceFacade {
         let mut challenge = Vec::with_capacity(40);
         challenge.extend_from_slice(b"hypertee-service probe v1");
         challenge.extend_from_slice(&now.to_le_bytes());
-        challenge.extend_from_slice(&m.ems.stats.crash_restarts.to_le_bytes());
+        challenge.extend_from_slice(&m.crash_restarts().to_le_bytes());
         let quote = match m.ems.eattest(eid, &challenge) {
             Ok(q) => q,
             Err(_) => return Err(self.fail_probe("self-attestation quote unavailable")),
@@ -444,7 +444,7 @@ impl ServiceFacade {
             return Err(self.fail_probe("self-attestation not bound to probe"));
         }
         self.service_measurement = Some(quote.enclave_measurement);
-        self.epoch = m.ems.stats.crash_restarts;
+        self.epoch = m.crash_restarts();
         self.state = ServiceState::Ready;
         self.stats.probes_ok += 1;
         Ok(())
@@ -638,7 +638,7 @@ impl ServiceFacade {
     /// [`ServiceError::ProbeFailed`] when the re-probe fails (the facade
     /// stays latched shut).
     pub fn supervise(&mut self, m: &mut Machine, now: u64) -> ServiceResult<bool> {
-        let current = m.ems.stats.crash_restarts;
+        let current = m.crash_restarts();
         if current == self.epoch && self.state == ServiceState::Ready {
             return Ok(false);
         }

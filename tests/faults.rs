@@ -544,7 +544,7 @@ fn crash_restart_recovers_the_in_flight_batch() {
     m.pump();
     let dropped = m.crash_restart_ems();
     assert!(dropped > 0, "crash hit an empty ring; nothing was tested");
-    assert_eq!(m.ems.stats.crash_restarts, 1);
+    assert_eq!(m.crash_restarts(), 1);
 
     for _ in 0..20_000 {
         if m.pipeline_stats().in_flight == 0 {
