@@ -33,7 +33,7 @@ pub struct AblationRow {
 
 /// Pool ablation: allocation-channel recovery accuracy with the pool (real
 /// HyperTEE) vs. without (per-request OS visibility).
-pub fn pool_ablation() -> AblationRow {
+pub(crate) fn pool_ablation() -> AblationRow {
     let secret = attacks::test_secret(32, 0xab1);
     let mut with_pool = Machine::boot_default();
     let on = attacks::allocation_channel(&mut with_pool, &secret);
@@ -50,7 +50,7 @@ pub fn pool_ablation() -> AblationRow {
 /// Threshold-randomization ablation: distinct growth thresholds observed
 /// over a run (more = harder to reverse-engineer). The "off" arm models the
 /// fixed-threshold policy by construction: one threshold forever.
-pub fn threshold_ablation() -> AblationRow {
+pub(crate) fn threshold_ablation() -> AblationRow {
     use hypertee_crypto::chacha::ChaChaRng;
     use hypertee_ems::mempool::MemPool;
     use hypertee_mem::addr::PhysAddr;
@@ -75,7 +75,7 @@ pub fn threshold_ablation() -> AblationRow {
 
 /// EWB-count ablation: variance of the number of returned pages across
 /// identical requests (zero variance = perfectly correlatable).
-pub fn swap_jitter_ablation() -> AblationRow {
+pub(crate) fn swap_jitter_ablation() -> AblationRow {
     let mut m = Machine::boot_default();
     let _e = m
         .create_enclave(
@@ -100,7 +100,7 @@ pub fn swap_jitter_ablation() -> AblationRow {
 
 /// Polling-obfuscation ablation: distinct per-request poll costs observed
 /// (1 distinct value = latency fully exposed).
-pub fn polling_ablation() -> AblationRow {
+pub(crate) fn polling_ablation() -> AblationRow {
     let mut m = Machine::boot_default();
     let e = m
         .create_enclave(
@@ -133,7 +133,7 @@ pub fn polling_ablation() -> AblationRow {
 /// `run_pages` pages each; every enclave needs `enclave_pages`. Range
 /// registers hold at most `registers` regions *total across all enclaves*;
 /// an enclave needs one register per contiguous run it occupies.
-pub fn isolation_ablation() -> AblationRow {
+pub(crate) fn isolation_ablation() -> AblationRow {
     let chunks = 64u64;
     let run_pages = 8u64;
     let enclave_pages = 16u64; // spans 2 fragments
@@ -151,7 +151,7 @@ pub fn isolation_ablation() -> AblationRow {
 
 /// Crypto-engine ablation (the paper's own Table IV, distilled): average
 /// primitive share with vs without the engine.
-pub fn engine_ablation() -> AblationRow {
+pub(crate) fn engine_ablation() -> AblationRow {
     let workloads = crate::enclave_workloads();
     let avg = |engine: bool| {
         workloads

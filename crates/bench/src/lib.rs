@@ -67,7 +67,7 @@ pub struct SloCurve {
 
 /// Fig. 6: the paper's CS × EMS matrix (CS ∈ {4, 16, 32, 64}; EMS ∈
 /// {1 in-order, 2 in-order, 2 OoO, 4 OoO}), each configuration replaying
-/// `allocs` × EALLOC(2 MiB) through [`fig6_point`]. The iterator is lazy
+/// `allocs` × EALLOC(2 MiB) through `fig6_point`. The iterator is lazy
 /// and yields CS-major, so callers can print each curve as it lands or
 /// `take` the leading rows.
 pub fn fig6(allocs: u32) -> impl Iterator<Item = SloCurve> {
@@ -98,7 +98,7 @@ pub struct Fig7Row {
 
 /// All enclave workloads of Fig. 7 / Table IV (the RV8 suite, then
 /// wolfSSL), each with the live price of one of its EALLOC calls.
-pub fn enclave_workloads() -> Vec<(WorkloadProfile, f64)> {
+pub(crate) fn enclave_workloads() -> Vec<(WorkloadProfile, f64)> {
     let mut v = rv8::suite();
     v.push(wolfssl::profile());
     let prices = live_ealloc_cycles(v.iter().map(|p| p.ealloc_bytes as u64));
@@ -208,7 +208,7 @@ pub fn fig8a() -> Vec<Fig8aRow> {
 /// (bytes, probed smallest first), read off the live machine's clock around
 /// [`Machine::ealloc`] in one enclave built from the default manifest
 /// (32 MiB heap). Panics if the machine rejects a probe.
-pub fn live_ealloc_cycles(sizes: impl IntoIterator<Item = u64>) -> BTreeMap<u64, f64> {
+pub(crate) fn live_ealloc_cycles(sizes: impl IntoIterator<Item = u64>) -> BTreeMap<u64, f64> {
     let sizes: BTreeSet<u64> = sizes.into_iter().collect();
     let mut m = Machine::boot_default();
     let manifest = hypertee::manifest::EnclaveManifest::default();
@@ -416,7 +416,7 @@ pub fn empirical_attacks() -> Vec<AttackReport> {
 ///
 /// Panics when the machine rejects the workload (enclave creation or an
 /// EALLOC/EFREE failing), which indicates a machine bug, not a measurement.
-pub fn fig6_point(cs_cores: u32, ems: EmsCluster, allocs: u32, bytes: u64) -> SloCurve {
+pub(crate) fn fig6_point(cs_cores: u32, ems: EmsCluster, allocs: u32, bytes: u64) -> SloCurve {
     use hypertee::machine::EnclaveHandle;
     use hypertee::pipeline::PendingCall;
     use hypertee_ems::control::layout;

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline with no registry deps, so both the JSON
 //! emitter and the validator are hand-rolled here. The schema is stable:
-//! bumping [`SCHEMA_VERSION`] is a breaking change and must be called out
+//! bumping `SCHEMA_VERSION` is a breaking change and must be called out
 //! in EXPERIMENTS.md.
 //!
 //! ```text
@@ -30,10 +30,10 @@
 use std::process::ExitCode;
 
 /// Version of the emitted JSON schema.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Suite identifier baked into every report.
-pub const SUITE: &str = "hypertee-perf";
+pub(crate) const SUITE: &str = "hypertee-perf";
 
 /// One benchmark row of the report.
 #[derive(Debug, Clone)]
@@ -41,11 +41,11 @@ pub struct PerfBench {
     /// Stable benchmark identifier.
     pub name: String,
     /// Optimized-path best-batch time per operation.
-    pub ns_per_op: f64,
+    pub(crate) ns_per_op: f64,
     /// Optimized-path throughput, when a byte count is meaningful.
-    pub gb_per_sec: Option<f64>,
+    pub(crate) gb_per_sec: Option<f64>,
     /// Reference-path (`*_ref`) time per operation, when one exists.
-    pub baseline_ns_per_op: Option<f64>,
+    pub(crate) baseline_ns_per_op: Option<f64>,
     /// `baseline_ns_per_op / ns_per_op`.
     pub speedup: Option<f64>,
 }
@@ -78,10 +78,10 @@ impl PerfBench {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostFacts {
     /// `std::thread::available_parallelism`.
-    pub available_parallelism: u64,
+    pub(crate) available_parallelism: u64,
     /// [`hypertee_crypto::dispatched_kernels`]: each runtime-dispatched
     /// kernel's CPU feature and whether this host has it.
-    pub kernels: [(&'static str, bool); 3],
+    pub(crate) kernels: [(&'static str, bool); 3],
 }
 
 impl HostFacts {

@@ -64,7 +64,7 @@ pub struct ChaosConfig {
     /// The offered load.
     pub traffic: TrafficConfig,
     /// Live fault campaign armed on the machine (`None` = clean run).
-    pub faults: Option<FaultConfig>,
+    pub(crate) faults: Option<FaultConfig>,
     /// Per-request lifetime budget ([`DegradePolicy::deadline`]).
     pub deadline_cycles: Option<u64>,
     /// Backlog shed limit ([`DegradePolicy::shed_backlog_limit`]).
@@ -74,19 +74,19 @@ pub struct ChaosConfig {
     /// Live CVM migrations executed mid-campaign.
     pub migrations: u32,
     /// Consistency-audit cadence in ticks (`0` = only at the end).
-    pub audit_every_ticks: u64,
+    pub(crate) audit_every_ticks: u64,
     /// Background EWB cadence in ticks (`0` = none).
-    pub ewb_every_ticks: u64,
+    pub(crate) ewb_every_ticks: u64,
     /// Lockstep reference-model rounds appended to the campaign.
     pub lockstep_rounds: u32,
     /// Commands per lockstep round.
     pub lockstep_commands: usize,
     /// Hard tick ceiling (a stuck campaign reports `stalled` instead of
     /// spinning forever).
-    pub max_ticks: u64,
+    pub(crate) max_ticks: u64,
     /// Attestation storm riding on top of the session traffic (`None` =
     /// no service facade in the campaign).
-    pub storm: Option<StormConfig>,
+    pub(crate) storm: Option<StormConfig>,
     /// Drive every scheduling round through the retained O(n) scan
     /// scheduler (`Machine::pump_ref`) instead of the event-driven core.
     /// The trace is bit-identical either way — this is the campaign-scale
@@ -119,7 +119,7 @@ impl ChaosConfig {
 
     /// [`ChaosConfig::chaos_faults`] with the service-transport sites armed
     /// at [`FaultConfig::service_storm`] rates on top.
-    pub fn serving_faults() -> FaultConfig {
+    pub(crate) fn serving_faults() -> FaultConfig {
         let service = FaultConfig::service_storm();
         FaultConfig {
             rpc_drop_pm: service.rpc_drop_pm,
@@ -206,9 +206,9 @@ pub struct ChaosOutcome {
     /// Campaign seed (replays the run).
     pub seed: u64,
     /// Mode label from the config.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Driver ticks the campaign ran for.
-    pub ticks: u64,
+    pub(crate) ticks: u64,
     /// Pipeline submissions accepted.
     pub requests: u64,
     /// Pipeline completions collected.
@@ -219,7 +219,7 @@ pub struct ChaosOutcome {
     /// fault plan hit but the pipeline recovered.
     pub recovered: u64,
     /// Clean primitive rejections (non-`Ok` status).
-    pub rejections: u64,
+    pub(crate) rejections: u64,
     /// Calls that exhausted the retry budget.
     pub timeouts: u64,
     /// Submissions shed at the gate by backpressure.
@@ -237,24 +237,24 @@ pub struct ChaosOutcome {
     /// ECREATEs acknowledged `Ok`.
     pub enclaves_created: u64,
     /// EDESTROYs acknowledged `Ok`.
-    pub enclaves_destroyed: u64,
+    pub(crate) enclaves_destroyed: u64,
     /// Enclaves (or suspected orphans) the driver had to abandon.
-    pub leaked_enclaves: u64,
+    pub(crate) leaked_enclaves: u64,
     /// Leaked enclaves the post-drain reaper recovered with resumable
     /// EDESTROY retries. Leaks with a known enclave id must all come back;
     /// only deliberate taints (id never learned) stay unreclaimed.
-    pub reclaimed_enclaves: u64,
+    pub(crate) reclaimed_enclaves: u64,
     /// Faults the armed plan actually injected.
     pub faults_injected: u64,
     /// EMS crash-restarts (scripted + organic).
     pub crash_restarts: u64,
     /// Rx-staged requests dropped by scripted crashes (each recovered by
     /// the pipeline's loss-detection resubmit).
-    pub crash_dropped_requests: u64,
+    pub(crate) crash_dropped_requests: u64,
     /// Backlog high-water mark observed at pump time.
     pub queue_depth_hwm: usize,
     /// In-flight high-water mark.
-    pub in_flight_hwm: usize,
+    pub(crate) in_flight_hwm: usize,
     /// Consistency audits executed.
     pub audits: u64,
     /// Whether every audit passed.
@@ -262,7 +262,7 @@ pub struct ChaosOutcome {
     /// First audit violation, if any.
     pub first_audit_error: Option<String>,
     /// Lockstep rounds executed against the reference model.
-    pub lockstep_rounds: u32,
+    pub(crate) lockstep_rounds: u32,
     /// Whether every lockstep round matched the reference model.
     pub lockstep_ok: bool,
     /// First lockstep divergence, if any.
@@ -273,10 +273,10 @@ pub struct ChaosOutcome {
     pub migrations_failed: u32,
     /// Migration blackout windows in CS cycles (source-clock advance from
     /// `migrate_out` to the destination's verified `migrate_in`).
-    pub blackouts: Vec<u64>,
+    pub(crate) blackouts: Vec<u64>,
     /// SLO CDF under faults: `(multiple of the clean mailbox round trip,
     /// fraction of Ok completions at or under it)`.
-    pub slo_cdf: Vec<(u32, f64)>,
+    pub(crate) slo_cdf: Vec<(u32, f64)>,
     /// What the attestation storm measured (when the config armed one).
     pub storm: Option<StormOutcome>,
     /// Final machine clock in cycles.

@@ -1,6 +1,6 @@
 //! Fleet chaos engine: seeded fault campaigns under live open-loop traffic.
 //!
-//! This crate drives the real [`hypertee::Machine`] — the full
+//! This crate drives the real [`hypertee::machine::Machine`] — the full
 //! submit/pump/collect pipeline, EMCall gate, iHub mailbox, and multi-core
 //! EMS — with an *open-loop* arrival process of enclave sessions while a
 //! seeded [`hypertee_faults::FaultPlan`] injects mailbox, ring, DMA, and
@@ -27,17 +27,14 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod migration;
+pub(crate) mod migration;
 pub mod report;
 pub mod runner;
 pub mod sharded;
 pub mod storm;
-pub mod traffic;
+pub(crate) mod traffic;
 
 pub use campaign::{run, ChaosConfig, ChaosOutcome};
 pub use report::{
     render_report, render_serving_report, render_sharded_report, validate, validate_serving,
 };
-pub use sharded::{run_sharded, ShardedChaosConfig, ShardedChaosOutcome};
-pub use storm::{StormConfig, StormDriver, StormOutcome};
-pub use traffic::{schedule, Arrival, TenantProfile, TrafficConfig};

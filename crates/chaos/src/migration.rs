@@ -68,26 +68,26 @@ impl DestNode {
 /// A CVM exported from the source and awaiting install: the wire bundle,
 /// the destination's channel secret, and the state bytes that must be
 /// intact after the move.
-pub struct PendingMigration {
+pub(crate) struct PendingMigration {
     bundle: MigrationBundle,
     offer_priv: MigrationOfferPriv,
     expect: Vec<u8>,
 }
 
 /// Runs the campaign's migrations and accumulates their measurements.
-pub struct MigrationEngine {
+pub(crate) struct MigrationEngine {
     dest: DestNode,
     /// Blackout windows (source-clock cycles) of completed migrations.
-    pub blackouts: Vec<u64>,
+    pub(crate) blackouts: Vec<u64>,
     /// Migrations whose state arrived verified and intact.
-    pub completed: u32,
+    pub(crate) completed: u32,
     /// Migrations that failed at any step.
-    pub failed: u32,
+    pub(crate) failed: u32,
 }
 
 impl MigrationEngine {
     /// Boots the destination node from `seed`.
-    pub fn new(seed: u64) -> MigrationEngine {
+    pub(crate) fn new(seed: u64) -> MigrationEngine {
         MigrationEngine {
             dest: DestNode::boot(seed),
             blackouts: Vec::new(),
@@ -100,7 +100,7 @@ impl MigrationEngine {
     /// write recognizable state, attest the destination, and export the
     /// bundle. Returns `None` (and counts a failure) if any step refuses —
     /// e.g. pool pressure from the enclave fleet.
-    pub fn start(&mut self, m: &mut Machine, tag: u64) -> Option<PendingMigration> {
+    pub(crate) fn start(&mut self, m: &mut Machine, tag: u64) -> Option<PendingMigration> {
         let plain: Vec<u8> = (0..1024u64)
             .map(|i| (i.wrapping_mul(13) ^ tag.wrapping_mul(101) ^ 0x3c) as u8)
             .collect();
@@ -154,7 +154,7 @@ impl MigrationEngine {
 
     /// Destination-side half: install the bundle, read the state back, and
     /// record the blackout window measured by the campaign.
-    pub fn finish(&mut self, p: PendingMigration, blackout: u64) {
+    pub(crate) fn finish(&mut self, p: PendingMigration, blackout: u64) {
         let installed = self
             .dest
             .with(|ems, ctx| ems.migrate_in(ctx, &p.bundle, &p.offer_priv));

@@ -13,7 +13,7 @@
 //! The emitter is hand-rolled (the workspace takes no external
 //! dependencies) in the exact style of `hypertee_bench::report`, and the
 //! validator reuses that crate's JSON parser. Renaming or removing a key,
-//! or bumping [`SCHEMA_VERSION`], is a breaking change and must be called
+//! or bumping `SCHEMA_VERSION`, is a breaking change and must be called
 //! out in the PR description.
 
 use hypertee_bench::report::{
@@ -26,13 +26,13 @@ use crate::sharded::ShardedChaosOutcome;
 use crate::storm::StormOutcome;
 
 /// Version of the emitted JSON schema (both reports).
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Suite identifier baked into every `BENCH_chaos.json`.
-pub const SUITE: &str = "hypertee-chaos";
+pub(crate) const SUITE: &str = "hypertee-chaos";
 
 /// Suite identifier baked into every `BENCH_serving.json`.
-pub const SERVING_SUITE: &str = "hypertee-serving";
+pub(crate) const SERVING_SUITE: &str = "hypertee-serving";
 
 /// How a row is emitted and checked.
 #[derive(Debug, Clone, Copy)]

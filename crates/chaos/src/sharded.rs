@@ -39,29 +39,6 @@ pub struct ShardedChaosConfig {
     pub threads: usize,
 }
 
-/// Canonical shard count for the committed fleet/smoke presets.
-pub const DEFAULT_SHARDS: usize = 4;
-
-impl ShardedChaosConfig {
-    /// The full fleet campaign split across [`DEFAULT_SHARDS`] shards.
-    pub fn fleet(seed: u64, threads: usize) -> ShardedChaosConfig {
-        ShardedChaosConfig {
-            base: ChaosConfig::fleet(seed),
-            shards: DEFAULT_SHARDS,
-            threads,
-        }
-    }
-
-    /// The CI smoke campaign split across [`DEFAULT_SHARDS`] shards.
-    pub fn smoke(seed: u64, threads: usize) -> ShardedChaosConfig {
-        ShardedChaosConfig {
-            base: ChaosConfig::smoke(seed),
-            shards: DEFAULT_SHARDS,
-            threads,
-        }
-    }
-}
-
 /// `shard`'s share of `total` (remainder to the low shards).
 fn split_count(total: usize, shards: usize, shard: usize) -> usize {
     total / shards + usize::from(shard < total % shards)
@@ -116,10 +93,10 @@ pub struct ShardedChaosOutcome {
     /// Per-shard outcomes, indexed by shard id.
     pub per_shard: Vec<ChaosOutcome>,
     /// Shard count the campaign ran with.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Worker threads the campaign ran with (execution detail: never part
     /// of the merged trace or the report).
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 /// Runs a sharded campaign: every shard's sub-campaign on the worker pool,
@@ -236,13 +213,13 @@ impl ShardedChaosOutcome {
     /// shards *sequentially* on one timeline. The ratio against the merged
     /// (max) clock is the deterministic simulated-time speedup of the
     /// parallel composition — independent of the host's core count.
-    pub fn sequential_clock_cycles(&self) -> u64 {
+    pub(crate) fn sequential_clock_cycles(&self) -> u64 {
         self.per_shard.iter().map(|s| s.clock_cycles).sum()
     }
 
     /// Deterministic simulated-time speedup of the parallel composition:
     /// `sum(shard clocks) / max(shard clocks)`. 1.0 for a single shard.
-    pub fn simulated_speedup(&self) -> f64 {
+    pub(crate) fn simulated_speedup(&self) -> f64 {
         let max = self.merged.clock_cycles.max(1);
         self.sequential_clock_cycles() as f64 / max as f64
     }

@@ -32,28 +32,28 @@ const FRESHNESS_WINDOW_TICKS: u64 = 12;
 
 /// Storm shape, all deterministic in the campaign seed.
 #[derive(Debug, Clone)]
-pub struct StormConfig {
+pub(crate) struct StormConfig {
     /// Concurrent storm clients.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Completed handshake cycles each client must finish.
-    pub handshakes_per_client: u32,
+    pub(crate) handshakes_per_client: u32,
     /// Authenticated calls per completed handshake.
-    pub calls_per_handshake: u32,
+    pub(crate) calls_per_handshake: u32,
     /// Tick gap between consecutive client activations at storm start.
-    pub spawn_every_ticks: u64,
+    pub(crate) spawn_every_ticks: u64,
     /// Idle ticks between a client's handshake cycles (paces the storm
     /// across the campaign so it overlaps crashes and migrations).
-    pub idle_between_ticks: u64,
+    pub(crate) idle_between_ticks: u64,
     /// Unauthenticated probe calls fired before the facade's startup
     /// probes pass — every one must be refused.
-    pub pre_ready_attempts: u32,
+    pub(crate) pre_ready_attempts: u32,
     /// Facade token TTL (small enough that long-lived clients re-attest).
-    pub token_ttl_ticks: u64,
+    pub(crate) token_ttl_ticks: u64,
 }
 
 impl StormConfig {
     /// The acceptance storm: thousands of handshakes across the campaign.
-    pub fn fleet() -> StormConfig {
+    pub(crate) fn fleet() -> StormConfig {
         StormConfig {
             clients: 64,
             handshakes_per_client: 24,
@@ -66,7 +66,7 @@ impl StormConfig {
     }
 
     /// A seconds-scale storm for CI smoke.
-    pub fn smoke() -> StormConfig {
+    pub(crate) fn smoke() -> StormConfig {
         StormConfig {
             clients: 8,
             handshakes_per_client: 4,
@@ -90,9 +90,9 @@ pub struct StormOutcome {
     /// Handshake cycles that ended with a verified session key.
     pub handshakes_completed: u64,
     /// Handshake cycles restarted after a rejection or lost frame.
-    pub handshake_retries: u64,
+    pub(crate) handshake_retries: u64,
     /// Authenticated calls sent.
-    pub calls_attempted: u64,
+    pub(crate) calls_attempted: u64,
     /// Authenticated calls served with a verifying reply MAC.
     pub calls_ok: u64,
     /// Fresh handshakes forced by session revocation (epoch bump, TTL).
@@ -100,23 +100,23 @@ pub struct StormOutcome {
     /// Unauthenticated requests fired before the facade was ready.
     pub pre_ready_attempts: u64,
     /// Pre-readiness requests that were *served* (must be 0).
-    pub pre_ready_accepted: u64,
+    pub(crate) pre_ready_accepted: u64,
     /// Stale-quote substitutions delivered to clients.
-    pub stale_quote_attempts: u64,
+    pub(crate) stale_quote_attempts: u64,
     /// Substituted quotes a client accepted (must be 0).
-    pub stale_quote_accepted: u64,
+    pub(crate) stale_quote_accepted: u64,
     /// Replayed frames (captured msg1 / captured call) re-delivered.
-    pub replay_attempts: u64,
+    pub(crate) replay_attempts: u64,
     /// Replays the facade served (must be 0).
-    pub replay_accepted: u64,
+    pub(crate) replay_accepted: u64,
     /// Same-frame duplicate deliveries after a served call.
-    pub duplicate_attempts: u64,
+    pub(crate) duplicate_attempts: u64,
     /// Duplicates the facade served twice (must be 0).
-    pub duplicate_accepted: u64,
+    pub(crate) duplicate_accepted: u64,
     /// Bit-flipped session tokens presented.
-    pub forged_token_attempts: u64,
+    pub(crate) forged_token_attempts: u64,
     /// Forged tokens the facade honoured (must be 0).
-    pub forged_token_accepted: u64,
+    pub(crate) forged_token_accepted: u64,
     /// Breaker trips across all clients.
     pub breaker_to_open: u64,
     /// Breaker cooldown expiries into half-open.
@@ -124,19 +124,19 @@ pub struct StormOutcome {
     /// Breaker recoveries into closed.
     pub breaker_to_closed: u64,
     /// Requests shed locally by open breakers.
-    pub breaker_shed: u64,
+    pub(crate) breaker_shed: u64,
     /// Facade re-probes forced by crash-restarts.
-    pub reprobes: u64,
+    pub(crate) reprobes: u64,
     /// Sessions revoked by epoch bumps.
-    pub sessions_revoked: u64,
+    pub(crate) sessions_revoked: u64,
     /// Facade-side not-ready rejections.
-    pub not_ready_rejects: u64,
+    pub(crate) not_ready_rejects: u64,
     /// Facade-side stale-challenge rejections.
-    pub stale_challenge_rejects: u64,
+    pub(crate) stale_challenge_rejects: u64,
     /// Facade-side revoked-epoch rejections.
-    pub epoch_rejects: u64,
+    pub(crate) epoch_rejects: u64,
     /// Facade-side expired-token rejections.
-    pub expired_token_rejects: u64,
+    pub(crate) expired_token_rejects: u64,
     /// Service-transport faults the injector actually fired.
     pub service_faults_injected: u64,
     /// Median completed-handshake latency in ticks (challenge to key).
@@ -145,7 +145,7 @@ pub struct StormOutcome {
     pub handshake_p99_ticks: u64,
     /// Handshake SLO CDF: `(tick bound, fraction of completed handshakes
     /// at or under it)`.
-    pub slo_cdf: Vec<(u32, f64)>,
+    pub(crate) slo_cdf: Vec<(u32, f64)>,
 }
 
 impl StormOutcome {
@@ -194,7 +194,7 @@ struct Client {
 }
 
 /// The storm driver. Owns the facade; the campaign steps it once per tick.
-pub struct StormDriver {
+pub(crate) struct StormDriver {
     cfg: StormConfig,
     facade: ServiceFacade,
     injector: FaultInjector,
@@ -216,7 +216,7 @@ pub struct StormDriver {
 impl StormDriver {
     /// A storm over a fresh (unprobed) facade. Call [`StormDriver::boot`]
     /// before the first tick.
-    pub fn new(cfg: StormConfig, seed: u64, injector: FaultInjector) -> StormDriver {
+    pub(crate) fn new(cfg: StormConfig, seed: u64, injector: FaultInjector) -> StormDriver {
         let facade_config = ServiceConfig {
             freshness_window_ticks: FRESHNESS_WINDOW_TICKS,
             token_ttl_ticks: cfg.token_ttl_ticks,
@@ -264,7 +264,7 @@ impl StormDriver {
     /// Fail-closed startup: hammers the unprobed facade (every request
     /// must be refused), then runs the startup probes and pins the
     /// verifier inputs the clients will use.
-    pub fn boot(&mut self, m: &mut Machine) {
+    pub(crate) fn boot(&mut self, m: &mut Machine) {
         let dead_token = SessionToken {
             id: 0,
             tenant: 0,
@@ -296,7 +296,7 @@ impl StormDriver {
 
     /// Supervised recovery after an EMS crash-restart: the facade revokes
     /// every session and re-probes before serving again.
-    pub fn on_crash(&mut self, m: &mut Machine, tick: u64) {
+    pub(crate) fn on_crash(&mut self, m: &mut Machine, tick: u64) {
         self.facade
             .supervise(m, tick)
             .expect("facade re-probes after crash-restart");
@@ -304,7 +304,7 @@ impl StormDriver {
 
     /// Whether every client has met its target (and the campaign told the
     /// storm to wind down).
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.booted && self.clients.iter().all(|c| c.phase == Phase::Done)
     }
 
@@ -312,7 +312,7 @@ impl StormDriver {
     /// ascending index order. `winding_down` is the campaign's signal that
     /// the background traffic has drained — clients at target stop instead
     /// of idling for more.
-    pub fn step(&mut self, m: &mut Machine, tick: u64, winding_down: bool) {
+    pub(crate) fn step(&mut self, m: &mut Machine, tick: u64, winding_down: bool) {
         self.winding_down |= winding_down;
         for i in 0..self.clients.len() {
             if self.clients[i].wait_until > tick || self.clients[i].phase == Phase::Done {
@@ -580,7 +580,7 @@ impl StormDriver {
     }
 
     /// Consumes the storm and returns what it measured.
-    pub fn finish(mut self) -> StormOutcome {
+    pub(crate) fn finish(mut self) -> StormOutcome {
         for c in &self.clients {
             let t = c.breaker.transitions();
             self.out.breaker_to_open += t.to_open;

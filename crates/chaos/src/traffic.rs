@@ -14,28 +14,26 @@ use hypertee_crypto::chacha::ChaChaRng;
 
 /// One class of tenant in the mix: the enclave shape its sessions deploy.
 #[derive(Debug, Clone, Copy)]
-pub struct TenantProfile {
-    /// Stable tenant-class name (lands in logs and the report).
-    pub name: &'static str,
+pub(crate) struct TenantProfile {
     /// Relative draw weight within the mix.
-    pub weight: u32,
+    pub(crate) weight: u32,
     /// Enclave heap ceiling in bytes.
-    pub heap_bytes: u64,
+    pub(crate) heap_bytes: u64,
     /// Enclave stack in bytes.
-    pub stack_bytes: u64,
+    pub(crate) stack_bytes: u64,
     /// HostApp shared-window size in bytes.
-    pub window_bytes: u64,
+    pub(crate) window_bytes: u64,
     /// Image payload length in bytes.
-    pub image_len: u64,
+    pub(crate) image_len: u64,
     /// EALLOC/EFREE rounds the session performs while entered.
-    pub entered_ops: u32,
+    pub(crate) entered_ops: u32,
 }
 
 /// The tenant mix: small/medium/large enclave shapes roughly mirroring a
 /// multi-tenant serving fleet (weights need not be normalized).
-pub const TENANTS: [TenantProfile; 3] = [
+pub(crate) const TENANTS: [TenantProfile; 3] = [
+    // micro
     TenantProfile {
-        name: "micro",
         weight: 5,
         heap_bytes: 1 << 20,
         stack_bytes: 16 * 1024,
@@ -43,8 +41,8 @@ pub const TENANTS: [TenantProfile; 3] = [
         image_len: 1800,
         entered_ops: 1,
     },
+    // web
     TenantProfile {
-        name: "web",
         weight: 3,
         heap_bytes: 4 << 20,
         stack_bytes: 32 * 1024,
@@ -52,8 +50,8 @@ pub const TENANTS: [TenantProfile; 3] = [
         image_len: 5200,
         entered_ops: 2,
     },
+    // batch
     TenantProfile {
-        name: "batch",
         weight: 1,
         heap_bytes: 16 << 20,
         stack_bytes: 32 * 1024,
@@ -69,11 +67,11 @@ pub struct TrafficConfig {
     /// Total sessions to schedule.
     pub sessions: usize,
     /// Mean exponential interarrival gap, in pump ticks.
-    pub mean_interarrival_ticks: f64,
+    pub(crate) mean_interarrival_ticks: f64,
     /// Per-mille chance an arrival turns into a burst.
-    pub burst_pm: u32,
+    pub(crate) burst_pm: u32,
     /// Upper bound (inclusive) on extra same-tick sessions in a burst.
-    pub burst_size_max: u64,
+    pub(crate) burst_size_max: u64,
     /// Admission cap: sessions concurrently live in the fleet. Arrivals
     /// beyond it queue outside the machine (their queue wait still counts
     /// against any deadline-to-first-byte SLO, but nothing enters the
@@ -84,7 +82,7 @@ pub struct TrafficConfig {
 impl TrafficConfig {
     /// The full fleet campaign: enough sessions that the driven request
     /// count clears 10,000 across well over 1,000 enclaves.
-    pub fn fleet(sessions: usize) -> TrafficConfig {
+    pub(crate) fn fleet(sessions: usize) -> TrafficConfig {
         TrafficConfig {
             sessions,
             mean_interarrival_ticks: 14.0,
@@ -95,7 +93,7 @@ impl TrafficConfig {
     }
 
     /// A seconds-scale smoke slice of the fleet shape for CI.
-    pub fn smoke(sessions: usize) -> TrafficConfig {
+    pub(crate) fn smoke(sessions: usize) -> TrafficConfig {
         TrafficConfig {
             sessions,
             mean_interarrival_ticks: 8.0,
@@ -108,13 +106,13 @@ impl TrafficConfig {
 
 /// One scheduled session arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arrival {
+pub(crate) struct Arrival {
     /// Pump tick the session arrives at.
-    pub tick: u64,
+    pub(crate) tick: u64,
     /// Index into [`TENANTS`].
-    pub tenant: usize,
+    pub(crate) tenant: usize,
     /// Session index (dense, `0..sessions`).
-    pub session: usize,
+    pub(crate) session: usize,
 }
 
 /// A uniform draw in `[0, 1)` from the top 53 bits of one `u64`.
@@ -138,7 +136,7 @@ fn draw_tenant(rng: &mut ChaChaRng) -> usize {
 
 /// Builds the full arrival schedule for `cfg` from `seed`. Deterministic:
 /// the same `(seed, cfg)` always yields the same schedule.
-pub fn schedule(seed: u64, cfg: &TrafficConfig) -> Vec<Arrival> {
+pub(crate) fn schedule(seed: u64, cfg: &TrafficConfig) -> Vec<Arrival> {
     let mut rng = ChaChaRng::from_u64(seed ^ 0x7472_6166_6669_6330);
     let mut arrivals = Vec::with_capacity(cfg.sessions);
     let mut tick = 0u64;

@@ -95,7 +95,7 @@ pub fn allocation_channel_insecure(machine: &mut Machine, secret: &[bool]) -> At
 /// to read/clear accessed bits. In HyperTEE the enclave page table lives in
 /// enclave memory: every probe ends in a bitmap violation, and zero PTE
 /// bytes are recovered.
-pub fn page_table_channel(machine: &mut Machine) -> AttackReport {
+pub(crate) fn page_table_channel(machine: &mut Machine) -> AttackReport {
     let victim = machine
         .create_enclave(0, &small_manifest(), b"page-table victim with secrets")
         .expect("victim creation");
@@ -209,7 +209,7 @@ pub fn page_table_channel_insecure(machine: &mut Machine, secret: &[bool]) -> At
 /// observe secret-correlated swap-ins. HyperTEE returns a *randomized
 /// number of unused pool pages*, never live victim pages, so the victim's
 /// working set is untouched and continues running fault-free.
-pub fn swap_channel(machine: &mut Machine) -> AttackReport {
+pub(crate) fn swap_channel(machine: &mut Machine) -> AttackReport {
     let victim = machine
         .create_enclave(0, &small_manifest(), b"swap victim")
         .expect("victim creation");
@@ -261,7 +261,7 @@ pub fn swap_channel(machine: &mut Machine) -> AttackReport {
 ///
 /// A malicious enclave guesses ShmIDs and tries to attach without being on
 /// the legal connection list.
-pub fn shm_bruteforce(machine: &mut Machine) -> AttackReport {
+pub(crate) fn shm_bruteforce(machine: &mut Machine) -> AttackReport {
     let sender = machine
         .create_enclave(0, &small_manifest(), b"shm sender")
         .expect("sender");
@@ -298,7 +298,7 @@ pub fn shm_bruteforce(machine: &mut Machine) -> AttackReport {
 ///
 /// A device outside any whitelist window attempts to read enclave memory
 /// directly, bypassing the CS MMU.
-pub fn dma_attack(machine: &mut Machine) -> AttackReport {
+pub(crate) fn dma_attack(machine: &mut Machine) -> AttackReport {
     let victim = machine
         .create_enclave(0, &small_manifest(), b"dma victim")
         .expect("victim");
@@ -339,7 +339,7 @@ pub fn dma_attack(machine: &mut Machine) -> AttackReport {
 /// **Attack: cold-boot / physical read** (§II-B threat model).
 ///
 /// Dump raw DRAM and search for enclave plaintext.
-pub fn cold_boot(machine: &mut Machine) -> AttackReport {
+pub(crate) fn cold_boot(machine: &mut Machine) -> AttackReport {
     let victim = machine
         .create_enclave(0, &small_manifest(), b"cold boot victim")
         .expect("victim");
@@ -375,7 +375,7 @@ pub fn cold_boot(machine: &mut Machine) -> AttackReport {
 /// surface: "updates to these data occur only when CS applications
 /// proactively invoke primitive requests… and do not reveal sensitive
 /// information about EMS tasks."
-pub fn attacker_view_digest(machine: &mut Machine) -> [u8; 32] {
+pub(crate) fn attacker_view_digest(machine: &mut Machine) -> [u8; 32] {
     let mut h = hypertee_repro_digest_hasher();
     h.update(&machine.os.allocated.to_le_bytes());
     h.update(&machine.os.available().to_le_bytes());
@@ -414,7 +414,7 @@ fn hypertee_repro_digest_hasher() -> hypertee_crypto::sha256::Sha256 {
 /// totals; the attacker's complete observable view must end identical.
 /// (Totals themselves are coarsely visible through batched pool growth —
 /// the bounded disclosure the paper accepts.)
-pub fn management_noninterference() -> AttackReport {
+pub(crate) fn management_noninterference() -> AttackReport {
     let run = |pattern: &[usize]| -> [u8; 32] {
         let mut m = Machine::boot_default();
         let victim = m

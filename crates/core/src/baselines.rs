@@ -31,7 +31,7 @@ impl core::fmt::Display for Defense {
 
 /// Who performs a management task in a given TEE design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskHost {
+pub(crate) enum TaskHost {
     /// Untrusted OS or hypervisor on the computing cores.
     UntrustedSystem,
     /// A trusted module/monitor that is logically isolated but physically
@@ -49,23 +49,23 @@ pub struct TeePolicy {
     /// Design name as in Table VI.
     pub name: &'static str,
     /// Who allocates enclave memory.
-    pub allocation: TaskHost,
+    pub(crate) allocation: TaskHost,
     /// Who manages enclave page tables.
-    pub page_tables: TaskHost,
+    pub(crate) page_tables: TaskHost,
     /// Who selects pages for swapping.
-    pub swapping: TaskHost,
+    pub(crate) swapping: TaskHost,
     /// Whether shared-memory communication management (key assignment,
     /// page sharing, access control incl. I/O) is fully covered.
-    pub comm_managed: bool,
+    pub(crate) comm_managed: bool,
     /// Whether allocation conceals per-request events (HyperTEE's pool).
-    pub allocation_concealed: bool,
+    pub(crate) allocation_concealed: bool,
     /// Whether swap selection is randomized/decoupled from live pages.
-    pub swap_randomized: bool,
+    pub(crate) swap_randomized: bool,
 }
 
 impl TeePolicy {
     /// Defence against allocation-based controlled channels.
-    pub fn defends_allocation(&self) -> Defense {
+    pub(crate) fn defends_allocation(&self) -> Defense {
         match self.allocation {
             TaskHost::UntrustedSystem => Defense::No,
             TaskHost::TrustedModuleSharedCore => {
@@ -85,7 +85,7 @@ impl TeePolicy {
     }
 
     /// Defence against page-table-management controlled channels.
-    pub fn defends_page_tables(&self) -> Defense {
+    pub(crate) fn defends_page_tables(&self) -> Defense {
         match self.page_tables {
             TaskHost::UntrustedSystem => Defense::No,
             TaskHost::TrustedModuleSharedCore
@@ -95,7 +95,7 @@ impl TeePolicy {
     }
 
     /// Defence against swapping-based controlled channels.
-    pub fn defends_swapping(&self) -> Defense {
+    pub(crate) fn defends_swapping(&self) -> Defense {
         match self.swapping {
             TaskHost::UntrustedSystem => Defense::No,
             TaskHost::TrustedModuleSharedCore => Defense::No, // observable swap events
@@ -111,7 +111,7 @@ impl TeePolicy {
     }
 
     /// Defence for communication management (§V's three challenges).
-    pub fn defends_communication(&self) -> Defense {
+    pub(crate) fn defends_communication(&self) -> Defense {
         if self.comm_managed {
             Defense::Yes
         } else {
@@ -120,7 +120,7 @@ impl TeePolicy {
     }
 
     /// Defence against microarchitectural side channels on management tasks.
-    pub fn defends_uarch(&self) -> Defense {
+    pub(crate) fn defends_uarch(&self) -> Defense {
         // Management tasks physically co-resident with attacker code are
         // exposed; memory-encrypted designs (SEV-class) partially mitigate;
         // only physical separation closes the channel.

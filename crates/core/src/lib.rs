@@ -41,5 +41,4 @@ pub mod pipeline;
 pub mod sdk;
 pub mod shard;
 
-pub use machine::Machine;
 pub use manifest::EnclaveManifest;

@@ -20,16 +20,12 @@ use std::collections::BTreeMap;
 /// SDK-side record of a created enclave.
 #[derive(Debug, Clone, Copy)]
 pub struct EnclaveInfo {
-    /// EMS-assigned enclave id.
-    pub eid: u64,
     /// Physical base of the HostApp shared window.
     pub host_window_pa: PhysAddr,
     /// Window size in bytes.
     pub host_window_bytes: u64,
-    /// Loaded image size in bytes.
-    pub image_bytes: u64,
     /// Statically allocated stack size in bytes (ABI setup for programs).
-    pub stack_bytes: u64,
+    pub(crate) stack_bytes: u64,
 }
 
 /// A handle to a created enclave.
@@ -139,7 +135,7 @@ pub struct Machine {
     /// The secure-boot report.
     pub boot_report: BootReport,
     /// SoC configuration.
-    pub config: SocConfig,
+    pub(crate) config: SocConfig,
     /// Load-shedding and deadline policy (disabled by default).
     pub degrade: DegradePolicy,
     /// Simulated-time clock: the max-merge over the per-hart clocks, so
@@ -186,7 +182,7 @@ pub mod firmware {
     /// The EMCall firmware hash-anchored in the EEPROM.
     pub const EMCALL: &[u8] = b"HyperTEE EMCall machine-mode firmware v1";
     /// The flash-encryption key for this device family.
-    pub const FLASH_KEY: [u8; 16] = *b"hypertee-flash-k";
+    pub(crate) const FLASH_KEY: [u8; 16] = *b"hypertee-flash-k";
 }
 
 impl Machine {
@@ -225,8 +221,8 @@ impl Machine {
         let cs_cores = config.cs_cores as usize;
         let ems_cores = config.ems.cores;
         let mut harts = Vec::new();
-        for i in 0..config.cs_cores {
-            let mut h = HartState::new(i, tlb_entries);
+        for _ in 0..config.cs_cores {
+            let mut h = HartState::new(tlb_entries);
             h.mmu.switch_table(Some(host_table), false);
             harts.push(h);
         }
@@ -258,7 +254,7 @@ impl Machine {
 
     /// Selects the scheduler [`Machine::pump`] routes through: the
     /// event-driven core (default) or the retained O(n) scan oracle
-    /// ([`Machine::pump_ref`]). The two are bit-identical in every
+    /// (`Machine::pump_ref`). The two are bit-identical in every
     /// observable effect — this switch exists so whole campaigns (including
     /// every `invoke`-internal round) can run on the oracle for
     /// differential replay gates.

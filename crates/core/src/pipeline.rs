@@ -78,7 +78,7 @@ pub struct PendingCall {
     /// Machine-unique call identifier.
     pub id: u64,
     /// The CS hart the call was submitted from.
-    pub hart_id: usize,
+    pub(crate) hart_id: usize,
 }
 
 /// A finished pipeline call, ready for collection.
@@ -92,7 +92,7 @@ pub struct Completion {
     pub primitive: Primitive,
     /// The enclave the call targets: its first argument (0 when it has
     /// none). Landing an EENTER/ERESUME stamps it on the hart.
-    pub eid: u64,
+    pub(crate) eid: u64,
     /// The outcome, exactly as `invoke` would have returned it.
     pub result: MachineResult<Response>,
     /// Modelled response latency on the submitting hart's clock, from
@@ -110,7 +110,7 @@ pub struct PipelineStats {
     /// Calls accepted by [`Machine::submit`].
     pub submitted: u64,
     /// Calls finished (collectable or collected).
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Calls currently in flight.
     pub in_flight: usize,
     /// High-water mark of simultaneously in-flight calls.
@@ -445,7 +445,7 @@ impl Machine {
     /// Returns the number of calls completed this round.
     ///
     /// Bit-identical in every observable effect to the retained O(n) scan
-    /// [`Machine::pump_ref`]; the two may even be interleaved on one
+    /// `Machine::pump_ref`; the two may even be interleaved on one
     /// machine.
     pub fn pump(&mut self) -> usize {
         if self.scan_scheduler {
@@ -481,7 +481,7 @@ impl Machine {
     /// work set. Since `try_advance` has no effect on non-actionable calls,
     /// both pumps produce bit-identical traces; this one just pays O(n) per
     /// round doing it.
-    pub fn pump_ref(&mut self) -> usize {
+    pub(crate) fn pump_ref(&mut self) -> usize {
         let _work = self.begin_round();
         let ids: Vec<u64> = self.pipeline.in_flight.keys().copied().collect();
         let mut delivered = 0;

@@ -121,10 +121,8 @@ impl Machine {
         self.enclaves.insert(
             eid,
             EnclaveInfo {
-                eid,
                 host_window_pa: window_base.base(),
                 host_window_bytes: manifest.host_shared_bytes,
-                image_bytes: image.len() as u64,
                 stack_bytes: manifest.stack_bytes,
             },
         );
@@ -481,11 +479,6 @@ impl Machine {
                 pa: info.host_window_pa.0.wrapping_add(offset),
             }))
     }
-
-    /// The enclave-side VA of the host shared window.
-    pub fn host_window_va(&self) -> VirtAddr {
-        layout::HOST_SHARED_BASE
-    }
 }
 
 #[cfg(test)]
@@ -568,7 +561,7 @@ mod tests {
         m.host_window_write(e, 0, b"user ciphertext in").unwrap();
         m.enter(0, e).unwrap();
         // …the enclave reads it through its mapping…
-        let win = m.host_window_va();
+        let win = layout::HOST_SHARED_BASE;
         let mut buf = [0u8; 18];
         m.enclave_load(0, win, &mut buf).unwrap();
         assert_eq!(&buf, b"user ciphertext in");

@@ -121,19 +121,9 @@ impl Asm {
         self.emit(i_type(imm, rs1, 0b000, rd, 0x13));
     }
 
-    /// `andi rd, rs1, imm`
-    pub fn andi(&mut self, rd: u8, rs1: u8, imm: i64) {
-        self.emit(i_type(imm, rs1, 0b111, rd, 0x13));
-    }
-
     /// `ori rd, rs1, imm`
-    pub fn ori(&mut self, rd: u8, rs1: u8, imm: i64) {
+    pub(crate) fn ori(&mut self, rd: u8, rs1: u8, imm: i64) {
         self.emit(i_type(imm, rs1, 0b110, rd, 0x13));
-    }
-
-    /// `xori rd, rs1, imm`
-    pub fn xori(&mut self, rd: u8, rs1: u8, imm: i64) {
-        self.emit(i_type(imm, rs1, 0b100, rd, 0x13));
     }
 
     /// `slli rd, rs1, shamt`
@@ -146,30 +136,6 @@ impl Asm {
         self.emit(i_type(shamt as i64, rs1, 0b101, rd, 0x13));
     }
 
-    /// `srai rd, rs1, shamt`
-    pub fn srai(&mut self, rd: u8, rs1: u8, shamt: u8) {
-        self.emit(i_type(
-            (shamt as i64) | (0b010000 << 6),
-            rs1,
-            0b101,
-            rd,
-            0x13,
-        ));
-    }
-
-    /// `lui rd, imm` (`imm` is the full sign-extended 32-bit value whose low
-    /// 12 bits are zero).
-    pub fn lui(&mut self, rd: u8, imm: i64) {
-        assert_eq!(imm & 0xfff, 0, "lui immediate must be page-ish aligned");
-        self.emit(((imm as u32) & 0xffff_f000) | (rd as u32) << 7 | 0x37);
-    }
-
-    /// `auipc rd, imm`
-    pub fn auipc(&mut self, rd: u8, imm: i64) {
-        assert_eq!(imm & 0xfff, 0);
-        self.emit(((imm as u32) & 0xffff_f000) | (rd as u32) << 7 | 0x17);
-    }
-
     /// `add rd, rs1, rs2`
     pub fn add(&mut self, rd: u8, rs1: u8, rs2: u8) {
         self.emit(r_type(0, rs2, rs1, 0b000, rd, 0x33));
@@ -178,16 +144,6 @@ impl Asm {
     /// `sub rd, rs1, rs2`
     pub fn sub(&mut self, rd: u8, rs1: u8, rs2: u8) {
         self.emit(r_type(0b0100000, rs2, rs1, 0b000, rd, 0x33));
-    }
-
-    /// `and rd, rs1, rs2`
-    pub fn and(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.emit(r_type(0, rs2, rs1, 0b111, rd, 0x33));
-    }
-
-    /// `or rd, rs1, rs2`
-    pub fn or(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.emit(r_type(0, rs2, rs1, 0b110, rd, 0x33));
     }
 
     /// `xor rd, rs1, rs2`
@@ -210,21 +166,11 @@ impl Asm {
         self.emit(r_type(1, rs2, rs1, 0b101, rd, 0x33));
     }
 
-    /// `remu rd, rs1, rs2`
-    pub fn remu(&mut self, rd: u8, rs1: u8, rs2: u8) {
-        self.emit(r_type(1, rs2, rs1, 0b111, rd, 0x33));
-    }
-
     // ---- Memory ---------------------------------------------------------
 
     /// `ld rd, offset(rs1)`
     pub fn ld(&mut self, rd: u8, offset: i64, rs1: u8) {
         self.emit(i_type(offset, rs1, 0b011, rd, 0x03));
-    }
-
-    /// `lw rd, offset(rs1)`
-    pub fn lw(&mut self, rd: u8, offset: i64, rs1: u8) {
-        self.emit(i_type(offset, rs1, 0b010, rd, 0x03));
     }
 
     /// `lbu rd, offset(rs1)`
@@ -240,11 +186,6 @@ impl Asm {
     /// `sw rs2, offset(rs1)`
     pub fn sw(&mut self, rs2: u8, offset: i64, rs1: u8) {
         self.emit(s_type(offset, rs2, rs1, 0b010, 0x23));
-    }
-
-    /// `sb rs2, offset(rs1)`
-    pub fn sb(&mut self, rs2: u8, offset: i64, rs1: u8) {
-        self.emit(s_type(offset, rs2, rs1, 0b000, 0x23));
     }
 
     // ---- Control flow --------------------------------------------------
@@ -268,21 +209,6 @@ impl Asm {
         self.branch(0b001, rs1, rs2, target);
     }
 
-    /// `blt rs1, rs2, target` (signed)
-    pub fn blt(&mut self, rs1: u8, rs2: u8, target: Label) {
-        self.branch(0b100, rs1, rs2, target);
-    }
-
-    /// `bge rs1, rs2, target` (signed)
-    pub fn bge(&mut self, rs1: u8, rs2: u8, target: Label) {
-        self.branch(0b101, rs1, rs2, target);
-    }
-
-    /// `bltu rs1, rs2, target`
-    pub fn bltu(&mut self, rs1: u8, rs2: u8, target: Label) {
-        self.branch(0b110, rs1, rs2, target);
-    }
-
     /// `jal rd, target`
     pub fn jal(&mut self, rd: u8, target: Label) {
         self.pending.push(Pending::Jal {
@@ -300,11 +226,6 @@ impl Asm {
     /// `ecall`
     pub fn ecall(&mut self) {
         self.emit(0x0000_0073);
-    }
-
-    /// `ebreak`
-    pub fn ebreak(&mut self) {
-        self.emit(0x0010_0073);
     }
 
     /// Loads an arbitrary 64-bit constant into `rd` (expands to a
@@ -424,7 +345,12 @@ mod tests {
         f(&mut a);
         let image = a.assemble();
         let word = u32::from_le_bytes(image[0..4].try_into().unwrap());
-        decode(word).unwrap_or_else(|e| panic!("emitted word {word:#010x} illegal: {e:?}"))
+        dec(word)
+    }
+
+    /// Decodes a hand-built word, for encodings no emitter produces.
+    fn dec(word: u32) -> Instr {
+        decode(word).unwrap_or_else(|e| panic!("word {word:#010x} illegal: {e:?}"))
     }
 
     /// The exhaustive round-trip property: every emitter, over boundary and
@@ -453,30 +379,12 @@ mod tests {
                         ),
                         (
                             Instr::OpImm {
-                                kind: AluKind::And,
-                                rd,
-                                rs1,
-                                imm,
-                            },
-                            Box::new(move |a: &mut Asm| a.andi(rd, rs1, imm)),
-                        ),
-                        (
-                            Instr::OpImm {
                                 kind: AluKind::Or,
                                 rd,
                                 rs1,
                                 imm,
                             },
                             Box::new(move |a: &mut Asm| a.ori(rd, rs1, imm)),
-                        ),
-                        (
-                            Instr::OpImm {
-                                kind: AluKind::Xor,
-                                rd,
-                                rs1,
-                                imm,
-                            },
-                            Box::new(move |a: &mut Asm| a.xori(rd, rs1, imm)),
                         ),
                         (
                             Instr::Load {
@@ -486,15 +394,6 @@ mod tests {
                                 offset: imm,
                             },
                             Box::new(move |a: &mut Asm| a.ld(rd, imm, rs1)),
-                        ),
-                        (
-                            Instr::Load {
-                                kind: LoadKind::Lw,
-                                rd,
-                                rs1,
-                                offset: imm,
-                            },
-                            Box::new(move |a: &mut Asm| a.lw(rd, imm, rs1)),
                         ),
                         (
                             Instr::Load {
@@ -517,6 +416,24 @@ mod tests {
                     for (expect, emit) in cases {
                         assert_eq!(emit1(emit), expect);
                     }
+                    // Encodings without an emitter, built from the same
+                    // field helpers.
+                    let words = [
+                        (AluKind::And, i_type(imm, rs1, 0b111, rd, 0x13)),
+                        (AluKind::Xor, i_type(imm, rs1, 0b100, rd, 0x13)),
+                    ];
+                    for (kind, word) in words {
+                        assert_eq!(dec(word), Instr::OpImm { kind, rd, rs1, imm });
+                    }
+                    assert_eq!(
+                        dec(i_type(imm, rs1, 0b010, rd, 0x03)),
+                        Instr::Load {
+                            kind: LoadKind::Lw,
+                            rd,
+                            rs1,
+                            offset: imm
+                        }
+                    );
                     // Stores: rs2 plays the data role.
                     let rs2 = rd;
                     assert_eq!(
@@ -538,7 +455,7 @@ mod tests {
                         }
                     );
                     assert_eq!(
-                        emit1(move |a| a.sb(rs2, imm, rs1)),
+                        dec(s_type(imm, rs2, rs1, 0b000, 0x23)),
                         Instr::Store {
                             kind: StoreKind::Sb,
                             rs2,
@@ -567,8 +484,9 @@ mod tests {
                             imm: shamt as i64
                         }
                     );
+                    let srai = (shamt as i64) | (0b010000 << 6);
                     assert_eq!(
-                        emit1(move |a| a.srai(rd, rs1, shamt)),
+                        dec(i_type(srai, rs1, 0b101, rd, 0x13)),
                         Instr::OpImm {
                             kind: AluKind::Sra,
                             rd,
@@ -589,11 +507,6 @@ mod tests {
                             Box::new(move |a: &mut Asm| a.sub(rd, rs1, rs2)),
                         ),
                         (
-                            AluKind::And,
-                            Box::new(move |a: &mut Asm| a.and(rd, rs1, rs2)),
-                        ),
-                        (AluKind::Or, Box::new(move |a: &mut Asm| a.or(rd, rs1, rs2))),
-                        (
                             AluKind::Xor,
                             Box::new(move |a: &mut Asm| a.xor(rd, rs1, rs2)),
                         ),
@@ -609,24 +522,29 @@ mod tests {
                             AluKind::Divu,
                             Box::new(move |a: &mut Asm| a.divu(rd, rs1, rs2)),
                         ),
-                        (
-                            AluKind::Remu,
-                            Box::new(move |a: &mut Asm| a.remu(rd, rs1, rs2)),
-                        ),
                     ];
                     for (kind, emit) in rr {
                         assert_eq!(emit1(emit), Instr::Op { kind, rd, rs1, rs2 });
+                    }
+                    let words = [
+                        (AluKind::And, r_type(0, rs2, rs1, 0b111, rd, 0x33)),
+                        (AluKind::Or, r_type(0, rs2, rs1, 0b110, rd, 0x33)),
+                        (AluKind::Remu, r_type(1, rs2, rs1, 0b111, rd, 0x33)),
+                    ];
+                    for (kind, word) in words {
+                        assert_eq!(dec(word), Instr::Op { kind, rd, rs1, rs2 });
                     }
                 }
             }
             // U-type: boundary upper immediates (low 12 bits zero).
             for imm in [0i64, 0x1000, 0x7fff_f000, -4096, i32::MIN as i64] {
-                assert_eq!(emit1(move |a| a.lui(rd, imm)), Instr::Lui { rd, imm });
-                assert_eq!(emit1(move |a| a.auipc(rd, imm)), Instr::Auipc { rd, imm });
+                let upper = (imm as u32) & 0xffff_f000 | (rd as u32) << 7;
+                assert_eq!(dec(upper | 0x37), Instr::Lui { rd, imm });
+                assert_eq!(dec(upper | 0x17), Instr::Auipc { rd, imm });
             }
         }
         assert_eq!(emit1(|a| a.ecall()), Instr::Ecall);
-        assert_eq!(emit1(|a| a.ebreak()), Instr::Ebreak);
+        assert_eq!(dec(0x0010_0073), Instr::Ebreak);
     }
 
     #[test]

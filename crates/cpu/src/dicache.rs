@@ -7,12 +7,12 @@
 //! over the decoded slots without touching memory at all
 //! ([`crate::hart::Cpu::run_block`]).
 //!
-//! Coherence discipline mirrors the PTW [`hypertee_mem::walkcache::WalkCache`]:
+//! Coherence discipline mirrors the PTW's walk cache in `hypertee_mem`:
 //!
 //! * **Epoch sync** — [`hypertee_mem::system::CoreMmu::flush_epoch`] advances
 //!   on every translation flush (world switch, EALLOC/EFREE, shm
 //!   attach/detach) and on mapping teardown (EDESTROY). The dispatch loop
-//!   calls [`DecodeCache::sync_epoch`] before running, dropping every line
+//!   calls `DecodeCache::sync_epoch` before running, dropping every line
 //!   on mismatch — the cache inherits the TLB/walk-cache flush sites
 //!   without new plumbing.
 //! * **Store-side invalidation** — every store through the interpreter (and
@@ -32,10 +32,10 @@ use std::collections::HashMap;
 
 /// Bytes per cached line — the MKTME integrity line size, so one cache fill
 /// is exactly one engine line round trip.
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 
 /// Instruction slots per line.
-pub const LINE_SLOTS: usize = (LINE_BYTES / 4) as usize;
+pub(crate) const LINE_SLOTS: usize = (LINE_BYTES / 4) as usize;
 
 /// Default capacity in lines (256 KiB of decoded code — far beyond any
 /// enclave program in the suite, so steady state never evicts).
@@ -51,23 +51,23 @@ pub struct DicacheStats {
     /// Lines dropped by store-side invalidation.
     pub invalidations: u64,
     /// Whole-cache flushes (epoch bumps + capacity resets).
-    pub flushes: u64,
+    pub(crate) flushes: u64,
 }
 
 /// One decoded 64-byte line: per-slot decode results (the raw word is kept
 /// for illegal encodings so the trap can report it) and per-slot timing
 /// cost, precomputed so block dispatch charges with one add per slot.
 #[derive(Debug, Clone, Copy)]
-pub struct DecodedLine {
+pub(crate) struct DecodedLine {
     /// Decoded instructions, or the raw undecodable word.
-    pub slots: [Result<Instr, u32>; LINE_SLOTS],
+    pub(crate) slots: [Result<Instr, u32>; LINE_SLOTS],
     /// [`instr_cost`] per slot (0 for illegal slots).
-    pub cost: [u8; LINE_SLOTS],
+    pub(crate) cost: [u8; LINE_SLOTS],
 }
 
 impl DecodedLine {
     /// Decodes all slots of a raw 64-byte line.
-    pub fn decode_line(bytes: &[u8; LINE_BYTES as usize]) -> DecodedLine {
+    pub(crate) fn decode_line(bytes: &[u8; LINE_BYTES as usize]) -> DecodedLine {
         let mut slots = [Err(0u32); LINE_SLOTS];
         let mut cost = [0u8; LINE_SLOTS];
         for (i, chunk) in bytes.chunks_exact(4).enumerate() {
@@ -110,7 +110,7 @@ impl DecodeCache {
 
     /// Adopts the MMU's flush epoch, dropping every line if it moved since
     /// the last sync (the EALLOC/EFREE/EDESTROY/world-switch discipline).
-    pub fn sync_epoch(&mut self, mmu_epoch: u64) {
+    pub(crate) fn sync_epoch(&mut self, mmu_epoch: u64) {
         if self.epoch != mmu_epoch {
             self.flush_all();
             self.epoch = mmu_epoch;
@@ -120,7 +120,7 @@ impl DecodeCache {
     /// Looks up the decoded line at 64-byte-aligned `line_pa`, counting the
     /// hit or miss. Returns a copy: lines are small and dispatch must keep
     /// executing its snapshot while stores invalidate the cache underneath.
-    pub fn get(&mut self, line_pa: u64) -> Option<DecodedLine> {
+    pub(crate) fn get(&mut self, line_pa: u64) -> Option<DecodedLine> {
         debug_assert_eq!(line_pa % LINE_BYTES, 0);
         match self.lines.get(&line_pa) {
             Some(line) => {
@@ -138,7 +138,7 @@ impl DecodeCache {
     /// returning the decoded form. When the cache is full it resets
     /// wholesale (coarse but epoch-cheap; capacity is sized to never evict
     /// in practice).
-    pub fn fill(&mut self, line_pa: u64, bytes: &[u8; LINE_BYTES as usize]) -> DecodedLine {
+    pub(crate) fn fill(&mut self, line_pa: u64, bytes: &[u8; LINE_BYTES as usize]) -> DecodedLine {
         debug_assert_eq!(line_pa % LINE_BYTES, 0);
         let line = DecodedLine::decode_line(bytes);
         if self.lines.len() >= self.capacity && !self.lines.contains_key(&line_pa) {
@@ -169,19 +169,9 @@ impl DecodeCache {
     }
 
     /// Drops every cached line.
-    pub fn flush_all(&mut self) {
+    pub(crate) fn flush_all(&mut self) {
         self.lines.clear();
         self.stats.flushes += 1;
-    }
-
-    /// Number of cached lines (tests/observability).
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether the cache holds no lines.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
     }
 }
 
@@ -243,9 +233,9 @@ mod tests {
         let mut c = DecodeCache::new(8);
         c.fill(0x1000, &line_with(&[0x0050_0093]));
         c.sync_epoch(0); // matches the initial epoch: nothing happens
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.lines.len(), 1);
         c.sync_epoch(3);
-        assert!(c.is_empty());
+        assert!(c.lines.is_empty());
         assert_eq!(c.stats.flushes, 1);
         c.sync_epoch(3); // idempotent
         assert_eq!(c.stats.flushes, 1);
@@ -257,7 +247,7 @@ mod tests {
         c.fill(0x0, &line_with(&[0x0050_0093]));
         c.fill(0x40, &line_with(&[0x0050_0093]));
         c.fill(0x80, &line_with(&[0x0050_0093]));
-        assert_eq!(c.len(), 1, "reset then refilled with the new line");
+        assert_eq!(c.lines.len(), 1, "reset then refilled with the new line");
         assert_eq!(c.stats.flushes, 1);
         assert!(c.get(0x80).is_some());
     }

@@ -8,7 +8,7 @@
 //! (including the cycle charges), and — periodically and at the end — the
 //! raw bytes of both physical memories.
 //!
-//! [`gen_program`] emits seeded RV64IM word streams biased toward the
+//! `gen_program` emits seeded RV64IM word streams biased toward the
 //! paths that can diverge: self-modifying stores into the code page,
 //! M-extension edge cases (division by zero, `i64::MIN / -1` overflow,
 //! MULH-shaped encodings the ISA rejects), illegal raw words, bounded
@@ -26,9 +26,9 @@ use hypertee_mem::system::{CoreMmu, MemorySystem};
 use hypertee_sim::rng::SplitMix64;
 
 /// Virtual base of the (writable — the fuzzer self-modifies) code page.
-pub const CODE: u64 = 0x1_0000;
+pub(crate) const CODE: u64 = 0x1_0000;
 /// Virtual base of the data page.
-pub const DATA: u64 = 0x2_0000;
+pub(crate) const DATA: u64 = 0x2_0000;
 
 /// A draw in `[0, n)` by plain modulo reduction. Deliberately not
 /// [`SplitMix64::gen_range`]: the generated programs (and every recorded
@@ -102,7 +102,7 @@ fn pick_rd(rng: &mut SplitMix64) -> u8 {
 
 /// Generates a seeded RV64IM word stream of length `len`, biased toward
 /// interpreter-divergence hazards (see module docs).
-pub fn gen_program(rng: &mut SplitMix64, len: usize) -> Vec<u32> {
+pub(crate) fn gen_program(rng: &mut SplitMix64, len: usize) -> Vec<u32> {
     const ALU_RR: &[(u32, u32)] = &[
         (0b0000000, 0b000), // add
         (0b0100000, 0b000), // sub

@@ -71,11 +71,11 @@ pub struct CpuStats {
     /// Instructions retired.
     pub retired: u64,
     /// Memory (data) accesses performed.
-    pub mem_ops: u64,
+    pub(crate) mem_ops: u64,
     /// Traps taken.
-    pub traps: u64,
+    pub(crate) traps: u64,
     /// Timing-model cycles charged for retired instructions
-    /// ([`instr_cost`] per instruction; bit-identical between `step_ref`
+    /// (`instr_cost` per instruction; bit-identical between `step_ref`
     /// and block dispatch by the differential contract).
     pub cycles: u64,
 }
@@ -86,7 +86,7 @@ pub struct CpuStats {
 /// reproduction is that both interpreter paths charge identically, which
 /// holds by construction because block dispatch precomputes this per slot
 /// at decode time.
-pub fn instr_cost(instr: &Instr) -> u64 {
+pub(crate) fn instr_cost(instr: &Instr) -> u64 {
     match instr {
         Instr::Load { .. } | Instr::Store { .. } => 3,
         Instr::Op { kind, .. } | Instr::Op32 { kind, .. } => match kind {
@@ -750,12 +750,15 @@ mod tests {
         a.li(6, 0x1122_3344_5566_7788);
         a.sd(6, 0, 5);
         a.ld(7, 0, 5);
-        a.lw(8, 0, 5); // sign-extended 0x55667788
         a.lbu(9, 7, 5); // top byte 0x11
-        a.sb(6, 16, 5);
-        a.lbu(28, 16, 5); // low byte 0x88
-        a.ecall();
-        let cpu = run(&a.assemble(), 100);
+        let lw = (5u32 << 15) | (0b010 << 12) | (8 << 7) | 0x03; // lw x8, 0(x5): sign-extended 0x55667788
+        let sb = (6u32 << 20) | (5 << 15) | (16 << 7) | 0x23; // sb x6, 16(x5)
+        let lbu = (16u32 << 20) | (5 << 15) | (0b100 << 12) | (28 << 7) | 0x03; // lbu x28, 16(x5): low byte 0x88
+        let mut image = a.assemble();
+        for w in [lw, sb, lbu, 0x0000_0073] {
+            image.extend_from_slice(&w.to_le_bytes());
+        }
+        let cpu = run(&image, 100);
         assert_eq!(cpu.regs[7], 0x1122_3344_5566_7788);
         assert_eq!(cpu.regs[8], 0x5566_7788);
         assert_eq!(cpu.regs[9], 0x11);
@@ -768,10 +771,13 @@ mod tests {
         a.addi(10, 0, 100);
         a.addi(11, 0, 7);
         a.divu(12, 10, 11);
-        a.remu(13, 10, 11);
         a.divu(14, 10, 0); // div by zero → all ones
-        a.ecall();
-        let cpu = run(&a.assemble(), 10);
+        let remu = (1u32 << 25) | (11 << 20) | (10 << 15) | (0b111 << 12) | (13 << 7) | 0x33; // remu x13, x10, x11
+        let mut image = a.assemble();
+        for w in [remu, 0x0000_0073] {
+            image.extend_from_slice(&w.to_le_bytes());
+        }
+        let cpu = run(&image, 10);
         assert_eq!(cpu.regs[12], 14);
         assert_eq!(cpu.regs[13], 2);
         assert_eq!(cpu.regs[14], u64::MAX);
@@ -782,15 +788,16 @@ mod tests {
         let mut a = Asm::new();
         a.li(5, DATA);
         a.li(6, 0xffff_8001);
-        a.sw(6, 0, 5); // store word 0xffff8001
-        a.lw(7, 0, 5); // sign-extended: 0xffffffffffff8001
-                       // lhu of the low half: 0x8001; lh would sign-extend.
+        // Store word 0xffff8001; lw sign-extends it to 0xffffffffffff8001.
+        a.sw(6, 0, 5);
+        let lw = (5u32 << 15) | (0b010 << 12) | (7 << 7) | 0x03;
+        // lhu of the low half: 0x8001; lh would sign-extend.
         let lhu = (5u32 << 15) | (0b101 << 12) | (8 << 7) | 0x03;
         let lh = (5u32 << 15) | (0b001 << 12) | (9 << 7) | 0x03;
         let sh = (6u32 << 20) | (5 << 15) | (0b001 << 12) | (8 << 7) | 0x23; // sh x6, 8(x5)
         let lwu = (5u32 << 15) | (0b110 << 12) | (28 << 7) | 0x03;
         let mut image = a.assemble();
-        for w in [lhu, lh, sh, lwu, 0x0000_0073] {
+        for w in [lw, lhu, lh, sh, lwu, 0x0000_0073] {
             image.extend_from_slice(&w.to_le_bytes());
         }
         let cpu = run(&image, 100);
@@ -805,24 +812,74 @@ mod tests {
         let mut a = Asm::new();
         a.li(5, 0x8000_0000_0000_0000);
         a.srli(6, 5, 1); // logical: 0x4000...
-        a.srai(7, 5, 1); // arithmetic: 0xC000...
         a.addi(28, 0, -1);
         a.sltu(29, 0, 28); // 0 < u64::MAX unsigned → 1
         a.addi(17, 0, 93);
-        a.ecall();
-        let cpu = run(&a.assemble(), 100);
+        let srai = (0x401u32 << 20) | (5 << 15) | (0b101 << 12) | (7 << 7) | 0x13; // srai x7, x5, 1: 0xC000...
+        let mut image = a.assemble();
+        for w in [srai, 0x0000_0073] {
+            image.extend_from_slice(&w.to_le_bytes());
+        }
+        let cpu = run(&image, 100);
         assert_eq!(cpu.regs[6], 0x4000_0000_0000_0000);
         assert_eq!(cpu.regs[7], 0xc000_0000_0000_0000);
         assert_eq!(cpu.regs[29], 1);
     }
 
     #[test]
+    fn conditional_branches_compare_signed_and_unsigned() {
+        // Each branch skips one `addi x7, x0, 1` when taken, so x7 reads 0
+        // exactly when the branch was taken.
+        let m1 = u64::MAX; // -1 signed
+        let min = 1u64 << 63; // i64::MIN signed
+        let cases = [
+            (5u64, 5u64),
+            (m1, 1),
+            (1, m1),
+            (min, 0),
+            (0, min),
+            (m1, min),
+        ];
+        for (a, b) in cases {
+            let (sa, sb) = (a as i64, b as i64);
+            let kinds: [(u32, bool); 6] = [
+                (0b000, a == b),   // beq
+                (0b001, a != b),   // bne
+                (0b100, sa < sb),  // blt
+                (0b101, sa >= sb), // bge
+                (0b110, a < b),    // bltu
+                (0b111, a >= b),   // bgeu
+            ];
+            for (funct3, taken) in kinds {
+                let mut asm = Asm::new();
+                asm.li(5, a);
+                asm.li(6, b);
+                // b<funct3> x5, x6, +8
+                let branch = (6u32 << 20) | (5 << 15) | (funct3 << 12) | (8 << 7) | 0x63;
+                let marker = (1u32 << 20) | (7 << 7) | 0x13; // addi x7, x0, 1
+                let mut image = asm.assemble();
+                for w in [branch, marker, 0x0000_0073] {
+                    image.extend_from_slice(&w.to_le_bytes());
+                }
+                let cpu = run(&image, 100);
+                assert_eq!(
+                    cpu.regs[7] == 0,
+                    taken,
+                    "funct3 {funct3:03b} on ({a:#x}, {b:#x})"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn auipc_is_pc_relative() {
+        let auipc = 0x1000u32 | (5 << 7) | 0x17; // auipc x5, 0x1000
+        let mut image = auipc.to_le_bytes().to_vec();
         let mut a = Asm::new();
-        a.auipc(5, 0x1000);
         a.addi(17, 0, 93);
         a.ecall();
-        let cpu = run(&a.assemble(), 10);
+        image.extend(a.assemble());
+        let cpu = run(&image, 10);
         assert_eq!(cpu.regs[5], CODE + 0x1000);
     }
 
@@ -1054,7 +1111,7 @@ mod tests {
         let (mut sys, mut mmu, mut cpu) = machine(&image);
         let mut cache = DecodeCache::new(64);
         cpu.step(&mut mmu, &mut sys, &mut cache).unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats.misses, 1, "the first step fills one line");
         let flushes_before = cache.stats.flushes;
         mmu.note_mapping_teardown();
         cpu.step(&mut mmu, &mut sys, &mut cache).unwrap();

@@ -24,7 +24,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 ///
 /// `key` is 32 bytes, `nonce` is 12 bytes, `counter` is the 32-bit block
 /// counter — the RFC 7539 layout.
-pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+pub(crate) fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
     let mut state = [0u32; 16];
     state[0] = 0x61707865;
     state[1] = 0x3320646e;
@@ -178,7 +178,6 @@ impl ChaChaRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::to_hex;
 
     #[test]
     fn rfc7539_block_test_vector() {
@@ -189,8 +188,20 @@ mod tests {
         }
         let nonce: [u8; 12] = [0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0];
         let block = chacha20_block(&key, 1, &nonce);
-        assert_eq!(to_hex(&block[..16]), "10f1e7e4d13b5915500fdd1fa32071c4");
-        assert_eq!(to_hex(&block[48..64]), "b5129cd1de164eb9cbd083e8a2503c4e");
+        assert_eq!(
+            block[..16],
+            [
+                0x10, 0xf1, 0xe7, 0xe4, 0xd1, 0x3b, 0x59, 0x15, 0x50, 0x0f, 0xdd, 0x1f, 0xa3, 0x20,
+                0x71, 0xc4
+            ]
+        );
+        assert_eq!(
+            block[48..64],
+            [
+                0xb5, 0x12, 0x9c, 0xd1, 0xde, 0x16, 0x4e, 0xb9, 0xcb, 0xd0, 0x83, 0xe8, 0xa2, 0x50,
+                0x3c, 0x4e
+            ]
+        );
     }
 
     #[test]

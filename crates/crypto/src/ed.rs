@@ -30,7 +30,7 @@ use crate::u256::U256;
 use crate::CryptoError;
 
 /// The curve constant d.
-pub const D: Fe = Fe(U256([
+pub(crate) const D: Fe = Fe(U256([
     0x75eb_4dca_1359_78a3,
     0x0070_0a4d_4141_d8ab,
     0x8cc7_4079_7779_e898,
@@ -234,7 +234,7 @@ impl Point {
     }
 
     /// Returns the affine (x, y) coordinates; free when Z = 1.
-    pub fn to_affine(&self) -> (Fe, Fe) {
+    pub(crate) fn to_affine(self) -> (Fe, Fe) {
         if self.z == Fe::ONE {
             return (self.x, self.y);
         }
@@ -405,7 +405,7 @@ impl Point {
     }
 
     /// Returns `true` for the identity point.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.equals(&Point::identity())
     }
 

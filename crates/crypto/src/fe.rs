@@ -177,17 +177,17 @@ impl Fe {
     }
 
     /// Field addition.
-    pub fn add(&self, other: &Fe) -> Fe {
+    pub(crate) fn add(&self, other: &Fe) -> Fe {
         Fe(crate::u256::add_mod(&self.0, &other.0, &P))
     }
 
     /// Field subtraction.
-    pub fn sub(&self, other: &Fe) -> Fe {
+    pub(crate) fn sub(&self, other: &Fe) -> Fe {
         Fe(crate::u256::sub_mod(&self.0, &other.0, &P))
     }
 
     /// Field negation.
-    pub fn neg(&self) -> Fe {
+    pub(crate) fn neg(&self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
@@ -214,11 +214,6 @@ impl Fe {
     /// differential oracle and benchmark baseline for [`Fe::mul`].
     pub fn mul_ref(&self, other: &Fe) -> Fe {
         Fe(reduce_p(self.0.widening_mul(&other.0)))
-    }
-
-    /// Raises to the power `exp` (square-and-multiply).
-    pub fn pow(&self, exp: &U256) -> Fe {
-        pow_with(self, exp, Fe::mul)
     }
 
     /// Multiplicative inverse via Fermat, `self^(p−2)`, along the fixed
@@ -289,14 +284,6 @@ mod tests {
         let a = Fe::from_u64(5);
         let b = Fe::from_u64(9);
         assert_eq!(a.sub(&b), a.add(&b.neg()));
-    }
-
-    #[test]
-    fn two_to_255_is_19_plus_zero() {
-        // 2^255 mod p = 19.
-        let two = Fe::from_u64(2);
-        let v = two.pow(&U256::from_u64(255));
-        assert_eq!(v, Fe::from_u64(19));
     }
 
     #[test]

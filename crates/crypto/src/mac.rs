@@ -15,7 +15,7 @@ use crate::sha3::{keccakf_single_block, Sha3_256, Sha3_256Ref, RATE};
 pub struct MacTag(pub u32);
 
 /// Width of the tag in bits, matching the paper.
-pub const TAG_BITS: u32 = 28;
+pub(crate) const TAG_BITS: u32 = 28;
 
 const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
 
@@ -24,10 +24,10 @@ const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
 /// # Example
 ///
 /// ```
-/// use hypertee_crypto::mac::{mac28, verify28};
+/// use hypertee_crypto::mac::mac28;
 /// let tag = mac28(&[1u8; 32], 0x8000_0000, b"line data");
-/// assert!(verify28(&[1u8; 32], 0x8000_0000, b"line data", tag));
-/// assert!(!verify28(&[1u8; 32], 0x8000_0000, b"line dat!", tag));
+/// assert_eq!(mac28(&[1u8; 32], 0x8000_0000, b"line data"), tag);
+/// assert_ne!(mac28(&[1u8; 32], 0x8000_0000, b"line dat!"), tag);
 /// ```
 pub fn mac28(key: &[u8; 32], address: u64, data: &[u8]) -> MacTag {
     // Fast path for the hot case: the whole `key ‖ addr ‖ len ‖ data`
@@ -84,12 +84,6 @@ pub fn mac28(key: &[u8; 32], address: u64, data: &[u8]) -> MacTag {
     MacTag(word & TAG_MASK)
 }
 
-/// Verifies a tag previously produced by [`mac28`]. Returns `true` when the
-/// line is intact.
-pub fn verify28(key: &[u8; 32], address: u64, data: &[u8], tag: MacTag) -> bool {
-    mac28(key, address, data) == tag
-}
-
 /// Number of consecutive memory lines a [`mac28_lines`] batch covers.
 pub const MAC_BATCH_LINES: usize = 8;
 
@@ -136,7 +130,7 @@ pub fn mac28_lines(key: &[u8; 32], first_addr: u64, data: &[u8; 512]) -> [MacTag
 }
 
 /// The pre-optimization tag path, reproduced verbatim over the reference
-/// hasher ([`Sha3_256Ref`]: byte-at-a-time absorption, loop-based
+/// hasher (`Sha3_256Ref`: byte-at-a-time absorption, loop-based
 /// permutation): the differential oracle and the honest "before"
 /// measurement for [`mac28`]. Always equal to [`mac28`].
 pub fn mac28_ref(key: &[u8; 32], address: u64, data: &[u8]) -> MacTag {
@@ -184,8 +178,8 @@ mod tests {
         let tag = mac28(&key, 0x4000, &data);
         let mut tampered = data.clone();
         tampered[17] ^= 0x01;
-        assert!(verify28(&key, 0x4000, &data, tag));
-        assert!(!verify28(&key, 0x4000, &tampered, tag));
+        assert_eq!(mac28(&key, 0x4000, &data), tag);
+        assert_ne!(mac28(&key, 0x4000, &tampered), tag);
     }
 
     #[test]
@@ -236,6 +230,6 @@ mod tests {
         // modelling relocation attacks.
         let key = [11u8; 32];
         let tag = mac28(&key, 0x1000, b"secret line");
-        assert!(!verify28(&key, 0x3000, b"secret line", tag));
+        assert_ne!(mac28(&key, 0x3000, b"secret line"), tag);
     }
 }

@@ -25,7 +25,7 @@ pub struct MerkleProof {
     pub index: usize,
     /// Sibling hashes from leaf level upward, with the side flag
     /// (`true` = sibling is on the right).
-    pub siblings: Vec<([u8; 32], bool)>,
+    pub(crate) siblings: Vec<([u8; 32], bool)>,
 }
 
 fn hash_leaf(data: &[u8]) -> [u8; 32] {
@@ -74,7 +74,7 @@ impl MerkleTree {
     }
 
     /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         self.levels[0].len()
     }
 
@@ -107,25 +107,6 @@ impl MerkleTree {
             };
         }
         &acc == root
-    }
-
-    /// Updates one leaf and recomputes the path to the root (incremental
-    /// re-hash for dirty-page tracking during snapshots).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn update(&mut self, index: usize, data: &[u8]) {
-        assert!(index < self.leaf_count(), "leaf index out of range");
-        self.levels[0][index] = hash_leaf(data);
-        let mut idx = index;
-        for l in 1..self.levels.len() {
-            idx /= 2;
-            let below = &self.levels[l - 1];
-            let left = below[2 * idx];
-            let right = *below.get(2 * idx + 1).unwrap_or(&left);
-            self.levels[l][idx] = hash_node(&left, &right);
-        }
     }
 }
 
@@ -172,17 +153,6 @@ mod tests {
             modified[i][0] ^= 1;
             assert_ne!(MerkleTree::build(&modified).root(), base, "leaf {i}");
         }
-    }
-
-    #[test]
-    fn incremental_update_matches_rebuild() {
-        let mut leaves = pages(7);
-        let mut tree = MerkleTree::build(&leaves);
-        leaves[2] = vec![0xee; 64];
-        tree.update(2, &leaves[2]);
-        assert_eq!(tree.root(), MerkleTree::build(&leaves).root());
-        // Proofs still verify after the update.
-        assert!(MerkleTree::verify(&tree.root(), &leaves[2], &tree.prove(2)));
     }
 
     #[test]

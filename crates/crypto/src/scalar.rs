@@ -112,12 +112,12 @@ impl Scalar {
     }
 
     /// Serializes to 32 little-endian bytes.
-    pub fn to_le_bytes(self) -> [u8; 32] {
+    pub(crate) fn to_le_bytes(self) -> [u8; 32] {
         self.0.to_le_bytes()
     }
 
     /// Returns `true` when the scalar is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0.is_zero()
     }
 
@@ -155,7 +155,7 @@ impl Scalar {
     }
 
     /// Returns the bit at `index` of the canonical representation.
-    pub fn bit(&self, index: usize) -> bool {
+    pub(crate) fn bit(&self, index: usize) -> bool {
         self.0.bit(index)
     }
 
@@ -177,7 +177,7 @@ impl Scalar {
     }
 
     /// Index of the highest set bit, or `None` for zero.
-    pub fn highest_bit(&self) -> Option<usize> {
+    pub(crate) fn highest_bit(&self) -> Option<usize> {
         self.0.highest_bit()
     }
 }

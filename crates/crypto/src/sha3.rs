@@ -421,7 +421,7 @@ pub fn sha3_256(data: &[u8]) -> [u8; 32] {
 /// reflect what the code actually did before this optimization pass, not a
 /// partially improved hybrid).
 #[derive(Clone, Debug)]
-pub struct Sha3_256Ref {
+pub(crate) struct Sha3_256Ref {
     state: [u64; 25],
     buffer: [u8; RATE],
     buffer_len: usize,
@@ -435,7 +435,7 @@ impl Default for Sha3_256Ref {
 
 impl Sha3_256Ref {
     /// Creates a fresh reference hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha3_256Ref {
             state: [0; 25],
             buffer: [0; RATE],
@@ -453,7 +453,7 @@ impl Sha3_256Ref {
     }
 
     /// Absorbs more input, one byte at a time (the seed behaviour).
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         for &b in data {
             self.buffer[self.buffer_len] = b;
             self.buffer_len += 1;
@@ -464,7 +464,7 @@ impl Sha3_256Ref {
     }
 
     /// Finishes the hash and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
         for b in self.buffer[self.buffer_len..].iter_mut() {
             *b = 0;
         }
@@ -479,7 +479,7 @@ impl Sha3_256Ref {
     }
 }
 
-/// One-shot SHA3-256 over the pre-optimization path ([`Sha3_256Ref`]):
+/// One-shot SHA3-256 over the pre-optimization path (`Sha3_256Ref`):
 /// the differential/benchmark baseline for [`sha3_256`].
 pub fn sha3_256_ref(data: &[u8]) -> [u8; 32] {
     let mut h = Sha3_256Ref::new();
@@ -490,23 +490,6 @@ pub fn sha3_256_ref(data: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::to_hex;
-
-    #[test]
-    fn empty_string() {
-        assert_eq!(
-            to_hex(&sha3_256(b"")),
-            "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
-        );
-    }
-
-    #[test]
-    fn abc() {
-        assert_eq!(
-            to_hex(&sha3_256(b"abc")),
-            "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
-        );
-    }
 
     #[test]
     fn incremental_matches_oneshot() {

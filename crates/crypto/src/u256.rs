@@ -7,7 +7,7 @@
 //! multiply, the scalar reductions mod L and the point arithmetic have
 //! dedicated fixed-width code in [`crate::fe`], [`crate::scalar`] and
 //! [`crate::ed`]. What remains here backs field and scalar addition,
-//! parsing, and the seed `*_ref` oracles ([`U512::reduce_mod`]'s binary
+//! parsing, and the seed `*_ref` oracles (`U512::reduce_mod`'s binary
 //! long division among them).
 
 /// A 256-bit unsigned integer, little-endian limbs.
@@ -16,11 +16,11 @@ pub struct U256(pub [u64; 4]);
 
 /// A 512-bit unsigned integer, little-endian limbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct U512(pub [u64; 8]);
+pub(crate) struct U512(pub(crate) [u64; 8]);
 
 impl U256 {
     /// The value zero.
-    pub const ZERO: U256 = U256([0; 4]);
+    pub(crate) const ZERO: U256 = U256([0; 4]);
     /// The value one.
     pub const ONE: U256 = U256([1, 0, 0, 0]);
 
@@ -48,12 +48,12 @@ impl U256 {
     }
 
     /// Returns `true` when the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0.iter().all(|&l| l == 0)
     }
 
     /// Compares two values.
-    pub fn cmp_u256(&self, other: &U256) -> core::cmp::Ordering {
+    pub(crate) fn cmp_u256(&self, other: &U256) -> core::cmp::Ordering {
         for i in (0..4).rev() {
             match self.0[i].cmp(&other.0[i]) {
                 core::cmp::Ordering::Equal => continue,
@@ -91,7 +91,7 @@ impl U256 {
 
     /// Full 256×256 → 512-bit multiplication (schoolbook).
     #[inline]
-    pub fn widening_mul(&self, other: &U256) -> U512 {
+    pub(crate) fn widening_mul(&self, other: &U256) -> U512 {
         let mut out = [0u64; 8];
         for i in 0..4 {
             let mut carry = 0u128;
@@ -107,12 +107,12 @@ impl U256 {
     }
 
     /// Returns the bit at `index` (0 = least significant).
-    pub fn bit(&self, index: usize) -> bool {
+    pub(crate) fn bit(&self, index: usize) -> bool {
         (self.0[index / 64] >> (index % 64)) & 1 == 1
     }
 
     /// Index of the highest set bit, or `None` for zero.
-    pub fn highest_bit(&self) -> Option<usize> {
+    pub(crate) fn highest_bit(&self) -> Option<usize> {
         for i in (0..4).rev() {
             if self.0[i] != 0 {
                 return Some(64 * i + 63 - self.0[i].leading_zeros() as usize);
@@ -124,14 +124,14 @@ impl U256 {
 
 impl U512 {
     /// Constructs from a [`U256`] in the low half.
-    pub fn from_u256(v: &U256) -> Self {
+    pub(crate) fn from_u256(v: &U256) -> Self {
         let mut limbs = [0u64; 8];
         limbs[..4].copy_from_slice(&v.0);
         U512(limbs)
     }
 
     /// Parses 64 little-endian bytes.
-    pub fn from_le_bytes(bytes: &[u8; 64]) -> Self {
+    pub(crate) fn from_le_bytes(bytes: &[u8; 64]) -> Self {
         let mut limbs = [0u64; 8];
         for i in 0..8 {
             limbs[i] = u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
@@ -140,12 +140,12 @@ impl U512 {
     }
 
     /// Returns `true` when the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0.iter().all(|&l| l == 0)
     }
 
     /// Index of the highest set bit, or `None` for zero.
-    pub fn highest_bit(&self) -> Option<usize> {
+    pub(crate) fn highest_bit(&self) -> Option<usize> {
         for i in (0..8).rev() {
             if self.0[i] != 0 {
                 return Some(64 * i + 63 - self.0[i].leading_zeros() as usize);
@@ -155,7 +155,7 @@ impl U512 {
     }
 
     /// Shifts left by `n` bits (n < 512). Bits shifted past the top are lost.
-    pub fn shl(&self, n: usize) -> U512 {
+    pub(crate) fn shl(&self, n: usize) -> U512 {
         let mut out = [0u64; 8];
         let limb_shift = n / 64;
         let bit_shift = n % 64;
@@ -170,7 +170,7 @@ impl U512 {
     }
 
     /// Compares two values.
-    pub fn cmp_u512(&self, other: &U512) -> core::cmp::Ordering {
+    pub(crate) fn cmp_u512(&self, other: &U512) -> core::cmp::Ordering {
         for i in (0..8).rev() {
             match self.0[i].cmp(&other.0[i]) {
                 core::cmp::Ordering::Equal => continue,
@@ -181,7 +181,7 @@ impl U512 {
     }
 
     /// Subtraction; caller guarantees `self >= other`.
-    pub fn checked_sub(&self, other: &U512) -> U512 {
+    pub(crate) fn checked_sub(&self, other: &U512) -> U512 {
         let mut out = [0u64; 8];
         let mut borrow = 0u64;
         for (o, (&a, &b)) in out.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
@@ -201,7 +201,7 @@ impl U512 {
     /// # Panics
     ///
     /// Panics if `modulus` is zero.
-    pub fn reduce_mod(&self, modulus: &U256) -> U256 {
+    pub(crate) fn reduce_mod(&self, modulus: &U256) -> U256 {
         assert!(!modulus.is_zero(), "modulus must be nonzero");
         let mut rem = *self;
         let m512 = U512::from_u256(modulus);
@@ -230,7 +230,7 @@ impl U512 {
 }
 
 /// Modular addition of 256-bit values: `(a + b) mod m`, assuming `a, b < m`.
-pub fn add_mod(a: &U256, b: &U256, m: &U256) -> U256 {
+pub(crate) fn add_mod(a: &U256, b: &U256, m: &U256) -> U256 {
     let (sum, carry) = a.adc(b);
     if carry || sum.cmp_u256(m) != core::cmp::Ordering::Less {
         let (reduced, _) = sum.sbb(m);
@@ -241,7 +241,7 @@ pub fn add_mod(a: &U256, b: &U256, m: &U256) -> U256 {
 }
 
 /// Modular subtraction: `(a - b) mod m`, assuming `a, b < m`.
-pub fn sub_mod(a: &U256, b: &U256, m: &U256) -> U256 {
+pub(crate) fn sub_mod(a: &U256, b: &U256, m: &U256) -> U256 {
     let (diff, borrow) = a.sbb(b);
     if borrow {
         let (wrapped, _) = diff.adc(m);
@@ -252,7 +252,7 @@ pub fn sub_mod(a: &U256, b: &U256, m: &U256) -> U256 {
 }
 
 /// Modular multiplication: `(a * b) mod m`.
-pub fn mul_mod(a: &U256, b: &U256, m: &U256) -> U256 {
+pub(crate) fn mul_mod(a: &U256, b: &U256, m: &U256) -> U256 {
     a.widening_mul(b).reduce_mod(m)
 }
 

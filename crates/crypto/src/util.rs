@@ -1,44 +1,4 @@
-//! Small helpers shared across the crate: hex encoding and constant-time
-//! comparison.
-
-/// Encodes bytes as a lowercase hex string.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(hypertee_crypto::util::to_hex(&[0xde, 0xad]), "dead");
-/// ```
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble < 16"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble < 16"));
-    }
-    s
-}
-
-/// Decodes a hex string into bytes. Returns `None` on odd length or invalid
-/// digits.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(hypertee_crypto::util::from_hex("dead"), Some(vec![0xde, 0xad]));
-/// assert_eq!(hypertee_crypto::util::from_hex("xyz"), None);
-/// ```
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let chars: Vec<char> = s.chars().collect();
-    for pair in chars.chunks(2) {
-        let hi = pair[0].to_digit(16)?;
-        let lo = pair[1].to_digit(16)?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Some(out)
-}
+//! Small helpers shared across the crate: constant-time comparison.
 
 /// Compares two byte slices without early exit, so that comparison time does
 /// not depend on where they first differ. Returns `true` when equal.
@@ -59,18 +19,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hex_roundtrip() {
-        let data = vec![0u8, 1, 2, 0xff, 0x80, 0x7f];
-        assert_eq!(from_hex(&to_hex(&data)), Some(data));
-    }
-
-    #[test]
-    fn hex_rejects_bad_input() {
-        assert_eq!(from_hex("abc"), None);
-        assert_eq!(from_hex("zz"), None);
-    }
 
     #[test]
     fn ct_eq_basic() {

@@ -33,8 +33,6 @@ use hypertee_mem::system::CoreMmu;
 /// Architectural state of one CS hart that EMCall manages.
 #[derive(Debug)]
 pub struct HartState {
-    /// Hart index.
-    pub hart_id: u32,
     /// Current privilege level of the software running on this hart.
     pub privilege: Privilege,
     /// The enclave currently executing here, if any (feeds the IS_ENCLAVE
@@ -57,9 +55,8 @@ pub struct HartState {
 
 impl HartState {
     /// Creates a hart running host user code with a TLB of `tlb_entries`.
-    pub fn new(hart_id: u32, tlb_entries: usize) -> HartState {
+    pub fn new(tlb_entries: usize) -> HartState {
         HartState {
-            hart_id,
             privilege: Privilege::User,
             current_enclave: None,
             mmu: CoreMmu::new(tlb_entries),
@@ -134,9 +131,9 @@ pub enum ExceptionRoute {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExceptionRecord {
     /// The exception.
-    pub cause: Exception,
+    pub(crate) cause: Exception,
     /// PC at the time.
-    pub pc: u64,
+    pub(crate) pc: u64,
     /// Chosen route.
     pub route: ExceptionRoute,
 }
@@ -380,7 +377,7 @@ mod tests {
     use hypertee_fabric::message::Status;
 
     fn hart(priv_: Privilege, enclave: Option<u64>) -> HartState {
-        let mut h = HartState::new(0, 32);
+        let mut h = HartState::new(32);
         h.privilege = priv_;
         h.current_enclave = enclave.map(EnclaveId);
         h
@@ -445,7 +442,7 @@ mod tests {
         let (mut hub, cap) = IHub::new();
         let mut harts = Vec::new();
         for i in 0..4u32 {
-            let mut h = HartState::new(i, 32);
+            let mut h = HartState::new(32);
             h.privilege = Privilege::User;
             h.current_enclave = Some(EnclaveId(u64::from(i) + 1));
             harts.push(h);
@@ -472,7 +469,7 @@ mod tests {
         // Each hart's ticket collects exactly its own response.
         for (h, ticket) in harts.iter().zip(&tickets) {
             let resp = emcall.poll(&mut hub, ticket).unwrap();
-            assert_eq!(resp.vals[0], u64::from(h.hart_id) + 1);
+            assert_eq!(resp.vals[0], h.current_enclave.unwrap().0);
         }
     }
 

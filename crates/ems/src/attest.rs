@@ -35,10 +35,10 @@ pub struct Quote {
     pub ak_pub: PublicKey,
     /// EK signature over (ak_pub ‖ ak_salt ‖ platform_measurement):
     /// the platform certificate chaining the AK to the EK.
-    pub platform_sig: Signature,
+    pub(crate) platform_sig: Signature,
     /// AK signature over (enclave_measurement ‖ report_data ‖
     /// platform_measurement): the enclave certificate.
-    pub enclave_sig: Signature,
+    pub(crate) enclave_sig: Signature,
 }
 
 impl Quote {
@@ -119,9 +119,9 @@ impl Quote {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalReport {
     /// The verifier enclave's measurement.
-    pub verifier_measurement: [u8; 32],
+    pub(crate) verifier_measurement: [u8; 32],
     /// MAC under the challenger-bound report key.
-    pub mac: [u8; 32],
+    pub(crate) mac: [u8; 32],
 }
 
 /// Message 1 of the SIGMA remote-attestation flow: the remote user's
@@ -129,7 +129,7 @@ pub struct LocalReport {
 #[derive(Debug, Clone)]
 pub struct SigmaMsg1 {
     /// Remote user's ephemeral ECDH public key.
-    pub user_pub: EcdhPublic,
+    pub(crate) user_pub: EcdhPublic,
     /// Freshness nonce.
     pub nonce: [u8; 32],
 }
@@ -260,7 +260,7 @@ impl Ems {
 
     /// A platform-only quote (zero enclave measurement) over arbitrary
     /// report data — used by CVM migration to attest the destination node.
-    pub fn platform_quote(&self, report_data: [u8; 32]) -> Quote {
+    pub(crate) fn platform_quote(&self, report_data: [u8; 32]) -> Quote {
         self.quote_for([0u8; 32], report_data)
     }
 

@@ -17,14 +17,14 @@ use hypertee_crypto::util::ct_eq;
 #[derive(Debug, Clone)]
 pub struct FlashImage {
     /// Encrypted bytes in EMS private flash.
-    pub ciphertext: Vec<u8>,
+    pub(crate) ciphertext: Vec<u8>,
 }
 
 /// The on-chip EEPROM holding pre-calculated hashes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Eeprom {
     /// Expected hash of the decrypted EMS runtime.
-    pub runtime_hash: [u8; 32],
+    pub(crate) runtime_hash: [u8; 32],
     /// Expected hash of the CS firmware (EMCall).
     pub emcall_hash: [u8; 32],
 }
@@ -67,7 +67,7 @@ impl std::error::Error for BootError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BootReport {
     /// Decrypted EMS runtime image (would be jumped into on real hardware).
-    pub runtime_image: Vec<u8>,
+    pub(crate) runtime_image: Vec<u8>,
     /// Platform measurement = H(runtime_hash ‖ emcall_hash), used in remote
     /// attestation certificates.
     pub platform_measurement: [u8; 32],

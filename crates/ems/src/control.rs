@@ -62,7 +62,7 @@ impl Default for EnclaveConfig {
 /// Incremental measurement state (SHA-256 chain over ECREATE config and
 /// every EADD chunk, finalised by EMEAS).
 #[derive(Debug, Clone)]
-pub enum Measurement {
+pub(crate) enum Measurement {
     /// Still accumulating.
     InProgress(Sha256),
     /// Finalised digest.
@@ -71,7 +71,7 @@ pub enum Measurement {
 
 impl Measurement {
     /// Finalised digest, if available.
-    pub fn digest(&self) -> Option<[u8; 32]> {
+    pub(crate) fn digest(&self) -> Option<[u8; 32]> {
         match self {
             Measurement::Final(d) => Some(*d),
             Measurement::InProgress(_) => None,
@@ -83,34 +83,34 @@ impl Measurement {
 #[derive(Debug)]
 pub struct EnclaveControl {
     /// Unique enclave identifier.
-    pub id: EnclaveId,
+    pub(crate) id: EnclaveId,
     /// Life-cycle state.
-    pub state: EnclaveState,
+    pub(crate) state: EnclaveState,
     /// The dedicated enclave page table (§IV-A).
-    pub page_table: PageTable,
+    pub(crate) page_table: PageTable,
     /// Frames holding the page table itself (enclave memory, EMS-owned).
-    pub pt_frames: Vec<Ppn>,
+    pub(crate) pt_frames: Vec<Ppn>,
     /// Memory-encryption KeyID (`None` while suspended).
-    pub key: Option<KeyId>,
+    pub(crate) key: Option<KeyId>,
     /// The KeyID held before suspension (identifies which PTEs to rewrite
     /// on resume; shared-memory PTEs keep their own KeyIDs).
-    pub prev_key: Option<KeyId>,
+    pub(crate) prev_key: Option<KeyId>,
     /// Key-derivation nonce (lets EMS re-program the key after suspension).
-    pub key_nonce: [u8; 32],
+    pub(crate) key_nonce: [u8; 32],
     /// Measurement state.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// Resource configuration.
-    pub config: EnclaveConfig,
+    pub(crate) config: EnclaveConfig,
     /// Entry point recorded at first EADD.
-    pub entry: VirtAddr,
+    pub(crate) entry: VirtAddr,
     /// Next free heap VA (bump allocation for EALLOC).
-    pub heap_cursor: VirtAddr,
+    pub(crate) heap_cursor: VirtAddr,
     /// Next free shm-attach VA.
-    pub shm_cursor: VirtAddr,
+    pub(crate) shm_cursor: VirtAddr,
     /// Private data pages (code + stack + heap), for destroy-time reclaim.
-    pub data_frames: Vec<Ppn>,
+    pub(crate) data_frames: Vec<Ppn>,
     /// Context-switch count (timing input: each costs a TLB flush).
-    pub switches: u64,
+    pub(crate) switches: u64,
 }
 
 impl EnclaveControl {

@@ -45,21 +45,19 @@ pub enum CvmState {
 
 /// EMS-private control structure for one CVM.
 #[derive(Debug)]
-pub struct CvmControl {
-    /// Identifier.
-    pub id: CvmId,
+pub(crate) struct CvmControl {
     /// State.
-    pub state: CvmState,
+    pub(crate) state: CvmState,
     /// Guest memory frames (released while `Saved`).
-    pub frames: Vec<Ppn>,
+    pub(crate) frames: Vec<Ppn>,
     /// Guest memory size in pages (stable across save/restore).
-    pub pages: u64,
+    pub(crate) pages: u64,
     /// MKTME KeyID while active.
-    pub key: Option<KeyId>,
+    pub(crate) key: Option<KeyId>,
     /// Key-derivation nonce.
-    pub key_nonce: [u8; 32],
+    pub(crate) key_nonce: [u8; 32],
     /// Measurement of the deployed image.
-    pub measurement: [u8; 32],
+    pub(crate) measurement: [u8; 32],
     /// Snapshot root hash + sequence (EMS-private, §IX).
     snapshot_root: Option<([u8; 32], u64)>,
     /// Snapshot encryption key (EMS-private; transported over the attested
@@ -72,13 +70,13 @@ pub struct CvmControl {
 #[derive(Debug, Clone)]
 pub struct CvmSnapshot {
     /// The CVM this snapshot belongs to.
-    pub cvm: CvmId,
+    pub(crate) cvm: CvmId,
     /// Monotonic sequence number (blocks rollback to older snapshots).
     pub sequence: u64,
     /// Encrypted pages.
     pub pages: Vec<Vec<u8>>,
     /// Merkle inclusion proof per page.
-    pub proofs: Vec<MerkleProof>,
+    pub(crate) proofs: Vec<MerkleProof>,
 }
 
 /// Message 1 of CVM migration: the destination node's offer — its ephemeral
@@ -86,9 +84,9 @@ pub struct CvmSnapshot {
 #[derive(Debug, Clone)]
 pub struct MigrationOffer {
     /// Destination ephemeral ECDH public key.
-    pub channel_pub: EcdhPublic,
+    pub(crate) channel_pub: EcdhPublic,
     /// Destination platform quote with `report_data` = H(channel_pub).
-    pub quote: crate::attest::Quote,
+    pub(crate) quote: crate::attest::Quote,
 }
 
 /// The destination's private half of an offer.
@@ -109,11 +107,11 @@ pub struct MigrationBundle {
     /// The snapshot (ciphertext pages + proofs).
     pub snapshot: CvmSnapshot,
     /// Source ephemeral ECDH public key.
-    pub source_pub: EcdhPublic,
+    pub(crate) source_pub: EcdhPublic,
     /// Channel-encrypted secret block.
     pub wrapped_secrets: Vec<u8>,
     /// HMAC over the whole bundle under the channel key.
-    pub mac: [u8; 32],
+    pub(crate) mac: [u8; 32],
 }
 
 /// Per-CVM secrets carried in a migration (serialized form).
@@ -229,7 +227,6 @@ impl Ems {
         self.cvms.insert(
             id.0,
             CvmControl {
-                id,
                 state: CvmState::Active,
                 frames,
                 pages: guest_pages,
@@ -580,7 +577,6 @@ impl Ems {
         self.cvms.insert(
             id.0,
             CvmControl {
-                id,
                 state: CvmState::Saved,
                 frames: Vec::new(),
                 pages,

@@ -61,7 +61,7 @@ impl core::fmt::Display for EmsError {
 impl std::error::Error for EmsError {}
 
 /// Shorthand result type for EMS operations.
-pub type EmsResult<T> = Result<T, EmsError>;
+pub(crate) type EmsResult<T> = Result<T, EmsError>;
 
 #[cfg(test)]
 mod tests {

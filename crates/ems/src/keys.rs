@@ -15,9 +15,9 @@ use hypertee_crypto::sig::Keypair;
 #[derive(Clone)]
 pub struct EFuse {
     /// Endorsement-key material (the CA-issued identity root).
-    pub ek_material: [u8; 32],
+    pub(crate) ek_material: [u8; 32],
     /// Sealed Key: the randomly generated symmetric root.
-    pub sk: [u8; 32],
+    pub(crate) sk: [u8; 32],
 }
 
 impl core::fmt::Debug for EFuse {
@@ -37,14 +37,14 @@ impl EFuse {
 }
 
 /// The key vault living in EMS private memory.
-pub struct KeyVault {
+pub(crate) struct KeyVault {
     efuse: EFuse,
     /// Endorsement keypair (platform identity).
-    pub ek: Keypair,
+    pub(crate) ek: Keypair,
     /// Attestation keypair, derived from SK and a random salt (§VI).
-    pub ak: Keypair,
+    pub(crate) ak: Keypair,
     /// The AK derivation salt (public, part of the platform certificate).
-    pub ak_salt: [u8; 32],
+    pub(crate) ak_salt: [u8; 32],
 }
 
 impl core::fmt::Debug for KeyVault {
@@ -55,7 +55,7 @@ impl core::fmt::Debug for KeyVault {
 
 impl KeyVault {
     /// Opens the vault from the eFuse at EMS boot.
-    pub fn open(efuse: EFuse, rng: &mut ChaChaRng) -> KeyVault {
+    pub(crate) fn open(efuse: EFuse, rng: &mut ChaChaRng) -> KeyVault {
         let ek = Keypair::from_key_material(&efuse.ek_material);
         let ak_salt = rng.gen_bytes32();
         let ak_material = kdf(&efuse.sk, b"attestation-key", &ak_salt);
@@ -75,7 +75,11 @@ impl KeyVault {
 
     /// Derives an enclave's private memory-encryption key (AES-128) and the
     /// matching integrity MAC key.
-    pub fn enclave_memory_keys(&self, enclave_id: u64, nonce: &[u8; 32]) -> ([u8; 16], [u8; 32]) {
+    pub(crate) fn enclave_memory_keys(
+        &self,
+        enclave_id: u64,
+        nonce: &[u8; 32],
+    ) -> ([u8; 16], [u8; 32]) {
         let mut ctx = Vec::with_capacity(40);
         ctx.extend_from_slice(&enclave_id.to_le_bytes());
         ctx.extend_from_slice(nonce);
@@ -87,7 +91,7 @@ impl KeyVault {
     /// Derives a shared-memory key from the initial sender's enclave ID and
     /// the ShmID assigned by EMS (§V-A: "derive keys using the initial
     /// sender EnclaveID and the shared memory identification").
-    pub fn shm_keys(&self, sender_id: u64, shm_id: u64) -> ([u8; 16], [u8; 32]) {
+    pub(crate) fn shm_keys(&self, sender_id: u64, shm_id: u64) -> ([u8; 16], [u8; 32]) {
         let mut ctx = [0u8; 16];
         ctx[..8].copy_from_slice(&sender_id.to_le_bytes());
         ctx[8..].copy_from_slice(&shm_id.to_le_bytes());
@@ -98,20 +102,14 @@ impl KeyVault {
 
     /// Derives the sealing key for an enclave measurement (§VI, "Data
     /// sealing": "based on the enclave measurement and the device-unique SK").
-    pub fn sealing_key(&self, measurement: &[u8; 32]) -> [u8; 32] {
+    pub(crate) fn sealing_key(&self, measurement: &[u8; 32]) -> [u8; 32] {
         kdf(&self.efuse.sk, b"sealing", measurement)
     }
 
     /// Derives the local-attestation report key from the *challenger's*
     /// measurement and SK (§VI, "Local attestation").
-    pub fn report_key(&self, challenger_measurement: &[u8; 32]) -> [u8; 32] {
+    pub(crate) fn report_key(&self, challenger_measurement: &[u8; 32]) -> [u8; 32] {
         kdf(&self.efuse.sk, b"report", challenger_measurement)
-    }
-
-    /// Erases a key buffer with random values (§VI) — the vault's helper for
-    /// transient key material handed to other modules.
-    pub fn erase(key: &mut [u8], rng: &mut ChaChaRng) {
-        rng.fill_bytes(key);
     }
 }
 
@@ -170,13 +168,5 @@ mod tests {
     fn report_key_binds_challenger() {
         let v = vault();
         assert_ne!(v.report_key(&[1; 32]), v.report_key(&[2; 32]));
-    }
-
-    #[test]
-    fn erase_overwrites() {
-        let mut rng = ChaChaRng::from_u64(5);
-        let mut key = [0xaau8; 32];
-        KeyVault::erase(&mut key, &mut rng);
-        assert_ne!(key, [0xaau8; 32]);
     }
 }

@@ -13,16 +13,16 @@
 //! * [`control`] — enclave control structures and life-cycle states.
 //! * [`mempool`] — the enclave memory pool with randomized-threshold growth
 //!   that hides allocation events from the CS OS (§IV-A).
-//! * [`lifecycle`] — ECREATE / EADD / EENTER / ERESUME / EEXIT / EDESTROY.
-//! * [`memmgmt`] — EALLOC / EFREE / EWB with randomized swap selection.
-//! * [`shm`] — shared-memory management: ShmIDs, legal connection lists,
+//! * `lifecycle` — ECREATE / EADD / EENTER / ERESUME / EEXIT / EDESTROY.
+//! * `memmgmt` — EALLOC / EFREE / EWB with randomized swap selection.
+//! * `shm` — shared-memory management: ShmIDs, legal connection lists,
 //!   permission and active-connection checks, device grants (§V).
 //! * [`attest`] — measurement, remote attestation (SIGMA), local
 //!   attestation (ECDH + report key), and data sealing (§VI).
 //! * [`runtime`] — the [`runtime::Ems`] dispatcher: fetches primitive
 //!   requests from the iHub mailbox, sanity-checks arguments, executes, and
 //!   responds.
-//! * [`txn`] — primitive-scoped transactions: a step counter (the abort
+//! * `txn` — primitive-scoped transactions: a step counter (the abort
 //!   injection point) plus an undo log, so mid-primitive faults roll back
 //!   instead of leaving the pool/ownership/bitmap/page-table disagreeing.
 //!
@@ -39,10 +39,10 @@ pub mod control;
 pub mod cvm;
 pub mod error;
 pub mod keys;
-pub mod lifecycle;
-pub mod memmgmt;
+pub(crate) mod lifecycle;
+pub(crate) mod memmgmt;
 pub mod mempool;
 pub mod runtime;
 pub mod scheduler;
-pub mod shm;
-pub mod txn;
+pub(crate) mod shm;
+pub(crate) mod txn;

@@ -9,17 +9,15 @@ use hypertee_mem::addr::{KeyId, PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::ownership::{EnclaveId, PageOwner};
 use hypertee_mem::pagetable::{PageTable, Perms};
 
-fn perms_from_bits(bits: u8) -> Perms {
+/// Decodes the perm-bits argument of EADD and the SHM primitives
+/// (bit 0 = R, bit 1 = W, bit 2 = X; always user-accessible).
+pub(crate) fn perms_from_bits(bits: u8) -> Perms {
     Perms {
         r: bits & 1 != 0,
         w: bits & 2 != 0,
         x: bits & 4 != 0,
         u: true,
     }
-}
-
-fn perm_bits(p: Perms) -> u8 {
-    (p.r as u8) | ((p.w as u8) << 1) | ((p.x as u8) << 2)
 }
 
 impl Ems {
@@ -532,15 +530,5 @@ impl Ems {
                 list.pop();
             }
         }
-    }
-
-    /// The perm-bits encoding used across primitives (exposed for the SDK).
-    pub fn encode_perms(p: Perms) -> u8 {
-        perm_bits(p)
-    }
-
-    /// Inverse of [`Ems::encode_perms`].
-    pub fn decode_perms(bits: u8) -> Perms {
-        perms_from_bits(bits)
     }
 }

@@ -23,7 +23,7 @@ pub struct PoolStats {
     /// Growth events visible to the CS OS.
     pub growth_events: u64,
     /// Frames requested from the CS OS in total.
-    pub frames_from_os: u64,
+    pub(crate) frames_from_os: u64,
     /// Pages handed to enclaves (invisible to CS OS).
     pub pages_served: u64,
     /// Pages returned by enclaves.
@@ -56,7 +56,7 @@ impl MemPool {
     }
 
     /// Frames currently free in the pool.
-    pub fn free_frames(&self) -> u64 {
+    pub(crate) fn free_frames(&self) -> u64 {
         self.free.len() as u64
     }
 
@@ -95,7 +95,7 @@ impl MemPool {
     /// # Errors
     ///
     /// [`EmsError::Exhausted`] when the OS cannot supply enough frames.
-    pub fn ensure(
+    pub(crate) fn ensure(
         &mut self,
         n: u64,
         os: &mut FrameAllocator,
@@ -145,7 +145,7 @@ impl MemPool {
     /// # Errors
     ///
     /// Propagates memory faults from zeroing.
-    pub fn give_back(&mut self, frame: Ppn, sys: &mut MemorySystem) -> EmsResult<()> {
+    pub(crate) fn give_back(&mut self, frame: Ppn, sys: &mut MemorySystem) -> EmsResult<()> {
         sys.phys.zero_frame(frame)?;
         self.free.push(frame);
         self.used = self.used.saturating_sub(1);
@@ -153,35 +153,9 @@ impl MemPool {
         Ok(())
     }
 
-    /// Removes `n` random free frames from the pool for swap-out (EWB's
-    /// randomized selection, §IV-A): zeroes them, clears their bitmap bits,
-    /// and returns them for the CS OS to reclaim.
-    ///
-    /// # Errors
-    ///
-    /// [`EmsError::Exhausted`] when fewer than `n` free frames exist even
-    /// after attempting growth.
-    pub fn evict_random(
-        &mut self,
-        n: u64,
-        os: &mut FrameAllocator,
-        sys: &mut MemorySystem,
-    ) -> EmsResult<Vec<Ppn>> {
-        self.ensure(n, os, sys)?;
-        self.rng.shuffle(&mut self.free);
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let frame = self.free.pop().ok_or(EmsError::Exhausted)?;
-            sys.phys.zero_frame(frame)?;
-            sys.bitmap.set(frame, false, &mut sys.phys)?;
-            out.push(frame);
-        }
-        Ok(out)
-    }
-
     /// Random swap-count jitter for EWB (§IV-A ③: "randomly selects the
     /// number and specific pages involved").
-    pub fn swap_jitter(&mut self, requested: u64) -> u64 {
+    pub(crate) fn swap_jitter(&mut self, requested: u64) -> u64 {
         requested + self.rng.gen_range(requested.max(1))
     }
 
@@ -190,27 +164,9 @@ impl MemPool {
         &self.free
     }
 
-    /// Pulls a *specific* frame back out of the free list (undo of a
-    /// rolled-back `give_back`).
-    ///
-    /// # Errors
-    ///
-    /// [`EmsError::NotFound`] if the frame is not currently pooled.
-    pub(crate) fn retake(&mut self, frame: Ppn) -> EmsResult<()> {
-        let idx = self
-            .free
-            .iter()
-            .position(|f| *f == frame)
-            .ok_or(EmsError::NotFound)?;
-        self.free.swap_remove(idx);
-        self.used += 1;
-        self.stats.pages_returned = self.stats.pages_returned.saturating_sub(1);
-        Ok(())
-    }
-
-    /// Evicts one random free frame for swap-out: zeroes it and clears its
-    /// bitmap bit. The per-frame sibling of [`MemPool::evict_random`], so a
-    /// transactional EWB can abort between frames.
+    /// Evicts one random free frame for swap-out (EWB's randomized
+    /// selection, §IV-A): zeroes it and clears its bitmap bit. One frame per
+    /// call, so a transactional EWB can abort between frames.
     ///
     /// # Errors
     ///
@@ -302,30 +258,6 @@ mod tests {
         let mut buf = [0xffu8; 64];
         sys.phys.read(frame.base(), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64], "returned pages must be zeroed");
-    }
-
-    #[test]
-    fn evict_random_clears_bitmap() {
-        let (mut sys, mut os, mut pool) = setup();
-        pool.ensure(16, &mut os, &mut sys).unwrap();
-        let evicted = pool.evict_random(4, &mut os, &mut sys).unwrap();
-        assert_eq!(evicted.len(), 4);
-        for f in &evicted {
-            assert!(!sys.bitmap.is_enclave(*f, &mut sys.phys).unwrap());
-        }
-    }
-
-    #[test]
-    fn evict_random_varies_selection() {
-        // Two pools with different RNG seeds evict different frame sets.
-        let (mut sys, mut os, mut pool_a) = setup();
-        pool_a.ensure(32, &mut os, &mut sys).unwrap();
-        let a = pool_a.evict_random(8, &mut os, &mut sys).unwrap();
-        let (mut sys2, mut os2, _) = setup();
-        let mut pool_b = MemPool::new(32, ChaChaRng::from_u64(99));
-        pool_b.ensure(32, &mut os2, &mut sys2).unwrap();
-        let b = pool_b.evict_random(8, &mut os2, &mut sys2).unwrap();
-        assert_ne!(a, b, "random selection must differ across seeds");
     }
 
     #[test]

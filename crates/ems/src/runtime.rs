@@ -75,7 +75,7 @@ pub struct EnclaveView {
     /// Private data frames currently owned (image + stack + live heap).
     pub data_frames: usize,
     /// Page-table frames currently owned.
-    pub pt_frames: usize,
+    pub(crate) pt_frames: usize,
     /// Context-switch count.
     pub switches: u64,
     /// Whether the enclave is poisoned (only EDESTROY accepted).
@@ -87,7 +87,7 @@ pub struct EnclaveView {
 pub(crate) struct StagedFrames {
     avail: Vec<Ppn>,
     /// Frames actually consumed by the mapping operation.
-    pub taken: Vec<Ppn>,
+    pub(crate) taken: Vec<Ppn>,
 }
 
 impl StagedFrames {
@@ -141,7 +141,7 @@ pub struct Ems {
     free_keyids: Vec<u16>,
     keyid_limit: u16,
     /// Platform measurement from secure boot (part of every quote).
-    pub platform_measurement: [u8; 32],
+    pub(crate) platform_measurement: [u8; 32],
     /// Counters.
     pub stats: EmsStats,
     /// EMS-site fault injector (disarmed in production).
@@ -241,7 +241,7 @@ impl Ems {
     }
 
     /// Whether an enclave is poisoned.
-    pub fn is_poisoned(&self, eid: u64) -> bool {
+    pub(crate) fn is_poisoned(&self, eid: u64) -> bool {
         self.poisoned.contains(&eid)
     }
 

@@ -10,6 +10,7 @@
 
 use crate::control::EnclaveState;
 use crate::error::{EmsError, EmsResult};
+use crate::lifecycle::perms_from_bits;
 use crate::runtime::{Ems, EmsContext, StagedFrames};
 use hypertee_fabric::dma::{DeviceId, DmaPerm, DmaWindow};
 use hypertee_mem::addr::{KeyId, Ppn, VirtAddr, PAGE_SIZE};
@@ -22,25 +23,23 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct ShmControl {
     /// EMS-assigned identifier.
-    pub id: ShmId,
+    pub(crate) id: ShmId,
     /// The initial sender (creator); the only identity allowed to destroy
     /// the region or change permissions.
-    pub creator: EnclaveId,
+    pub(crate) creator: EnclaveId,
     /// Physical frames of the region.
     pub frames: Vec<Ppn>,
-    /// Region size in bytes as requested.
-    pub bytes: u64,
     /// The dedicated encryption KeyID (KeyID 0 for device-shared plaintext
     /// regions protected by bitmap + whitelist instead).
-    pub key: KeyId,
+    pub(crate) key: KeyId,
     /// Maximum permission any receiver may be granted.
-    pub max_perm: Perms,
+    pub(crate) max_perm: Perms,
     /// The legal connection list: enclaveID → granted permission.
-    pub legal: BTreeMap<u64, Perms>,
+    pub(crate) legal: BTreeMap<u64, Perms>,
     /// Currently attached enclaves and their mapping base VA.
-    pub attached: BTreeMap<u64, VirtAddr>,
+    pub(crate) attached: BTreeMap<u64, VirtAddr>,
     /// Active connection count (gates ESHMDES).
-    pub active_connections: u64,
+    pub(crate) active_connections: u64,
 }
 
 impl Ems {
@@ -91,7 +90,7 @@ impl Ems {
                 .write(&mut sys.phys, frame.base(), key, &[0u8; PAGE_SIZE as usize])?;
             frames.push(frame);
         }
-        let max_perm = Ems::decode_perms(max_perm_bits & 0b011);
+        let max_perm = perms_from_bits(max_perm_bits & 0b011);
         let mut legal = BTreeMap::new();
         legal.insert(creator, max_perm);
         self.shms.insert(
@@ -100,7 +99,6 @@ impl Ems {
                 id: shmid,
                 creator: EnclaveId(creator),
                 frames,
-                bytes,
                 key,
                 max_perm,
                 legal,
@@ -135,7 +133,7 @@ impl Ems {
         if shm.creator != EnclaveId(sender) {
             return Err(EmsError::AccessDenied);
         }
-        let perm = Ems::decode_perms(perm_bits & 0b011);
+        let perm = perms_from_bits(perm_bits & 0b011);
         if (perm.w && !shm.max_perm.w) || (perm.r && !shm.max_perm.r) {
             return Err(EmsError::AccessDenied);
         }

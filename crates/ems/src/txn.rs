@@ -21,8 +21,13 @@ use hypertee_mem::ownership::PageOwner;
 use hypertee_mem::pagetable::{PageTable, Perms};
 
 /// One inverse operation in a transaction's undo log.
+///
+/// A pool `give_back` has no inverse here: every one runs either after
+/// the abortable phase (EFREE's commit loop) or inside a resumable
+/// teardown that never rolls back (EDESTROY's `reclaim_frames`, CVM
+/// save/destroy, SHM destroy).
 #[derive(Debug, Clone, Copy)]
-pub enum UndoOp {
+pub(crate) enum UndoOp {
     /// Undo of a pool `take`: give the frame back (zeroed) to the pool.
     ReturnToPool(Ppn),
     /// Undo of an ownership `claim`: release the frame from this owner.
@@ -34,8 +39,6 @@ pub enum UndoOp {
     /// Undo of a leaf `unmap`: re-install the old leaf (intermediate
     /// levels still exist, so `map_raw` suffices).
     RemapLeaf(PageTable, VirtAddr, Ppn, Perms, KeyId),
-    /// Undo of a pool `give_back`: pull the specific frame out again.
-    RetakeFromPool(Ppn),
     /// Undo of an EWB `evict_one`: re-mark the frame enclave and re-pool it.
     UnevictFrame(Ppn),
     /// Undo of a KeyID allocation: revoke the (possibly unprogrammed) slot
@@ -45,7 +48,7 @@ pub enum UndoOp {
 
 /// A primitive-scoped transaction: step counter plus undo log.
 #[derive(Debug, Default)]
-pub struct Txn {
+pub(crate) struct Txn {
     steps: u32,
     abort_at: Option<u32>,
     undo: Vec<UndoOp>,
@@ -55,7 +58,7 @@ impl Txn {
     /// Opens a transaction. `abort_at` is the injected abort point: the
     /// `abort_at`-th call to [`Txn::step`] fails with [`EmsError::Aborted`]
     /// (`None` disables injection — the production configuration).
-    pub fn begin(abort_at: Option<u32>) -> Txn {
+    pub(crate) fn begin(abort_at: Option<u32>) -> Txn {
         Txn {
             steps: 0,
             abort_at,
@@ -69,7 +72,7 @@ impl Txn {
     /// # Errors
     ///
     /// [`EmsError::Aborted`] at the injected abort step.
-    pub fn step(&mut self) -> EmsResult<()> {
+    pub(crate) fn step(&mut self) -> EmsResult<()> {
         self.steps += 1;
         if self.abort_at == Some(self.steps) {
             return Err(EmsError::Aborted);
@@ -79,18 +82,8 @@ impl Txn {
 
     /// Appends an inverse operation to the undo log. Call *after* the
     /// forward mutation succeeds.
-    pub fn record(&mut self, op: UndoOp) {
+    pub(crate) fn record(&mut self, op: UndoOp) {
         self.undo.push(op);
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u32 {
-        self.steps
-    }
-
-    /// Number of recorded undo operations.
-    pub fn undo_len(&self) -> usize {
-        self.undo.len()
     }
 }
 
@@ -123,7 +116,6 @@ impl Ems {
                 UndoOp::RemapLeaf(t, va, ppn, perms, key) => t
                     .map_raw(va, ppn, perms, key, &mut ctx.sys.phys)
                     .map_err(EmsError::from),
-                UndoOp::RetakeFromPool(f) => self.pool.retake(f),
                 UndoOp::UnevictFrame(f) => self.pool.unevict(f, ctx.sys),
                 UndoOp::ReleaseKey(k) => {
                     ctx.hub.ems_revoke_key(&self.cap, &mut ctx.sys.engine, k);
@@ -163,14 +155,5 @@ mod tests {
         for _ in 0..10_000 {
             assert!(txn.step().is_ok());
         }
-        assert_eq!(txn.steps(), 10_000);
-    }
-
-    #[test]
-    fn undo_log_accumulates() {
-        let mut txn = Txn::begin(None);
-        txn.record(UndoOp::ReturnToPool(Ppn(4)));
-        txn.record(UndoOp::ReleaseKey(KeyId(9)));
-        assert_eq!(txn.undo_len(), 2);
     }
 }

@@ -48,48 +48,48 @@ impl DmaWindow {
 
 /// The whitelist register file.
 #[derive(Debug, Default)]
-pub struct DmaWhitelist {
+pub(crate) struct DmaWhitelist {
     windows: Vec<(DeviceId, DmaWindow)>,
     /// Accesses discarded because no window covered them.
-    pub discarded: u64,
+    pub(crate) discarded: u64,
     /// Legitimate accesses spuriously denied by an injected register flap.
-    pub flapped: u64,
+    pub(crate) flapped: u64,
     injector: FaultInjector,
 }
 
 impl DmaWhitelist {
     /// Creates an empty whitelist: by default every DMA access is discarded.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DmaWhitelist::default()
     }
 
     /// Installs a window for a device. Called through the iHub EMS port
     /// only — CS software has no path to this register file.
-    pub fn grant(&mut self, dev: DeviceId, window: DmaWindow) {
+    pub(crate) fn grant(&mut self, dev: DeviceId, window: DmaWindow) {
         self.windows.push((dev, window));
     }
 
     /// Removes all windows of a device (driver-enclave teardown).
-    pub fn revoke_all(&mut self, dev: DeviceId) {
+    pub(crate) fn revoke_all(&mut self, dev: DeviceId) {
         self.windows.retain(|(d, _)| *d != dev);
     }
 
     /// Installs an armed fault injector: the whitelist can spuriously deny
     /// a legitimate access (a register "flap"), which devices handle by
     /// retrying the transfer.
-    pub fn arm_faults(&mut self, injector: FaultInjector) {
+    pub(crate) fn arm_faults(&mut self, injector: FaultInjector) {
         self.injector = injector;
     }
 
     /// Faults injected at this site so far.
-    pub fn fault_stats(&self) -> &FaultStats {
+    pub(crate) fn fault_stats(&self) -> &FaultStats {
         self.injector.stats()
     }
 
     /// Checks one DMA access; counts and reports discards. An injected
     /// whitelist flap denies (and counts) an access the windows would have
     /// allowed — fail-closed, never fail-open.
-    pub fn check(&mut self, dev: DeviceId, addr: PhysAddr, len: u64, write: bool) -> bool {
+    pub(crate) fn check(&mut self, dev: DeviceId, addr: PhysAddr, len: u64, write: bool) -> bool {
         let mut ok = self
             .windows
             .iter()
@@ -102,16 +102,6 @@ impl DmaWhitelist {
             self.discarded += 1;
         }
         ok
-    }
-
-    /// Number of installed windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether no windows are installed.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 }
 
@@ -188,7 +178,7 @@ mod tests {
         );
         wl.revoke_all(DeviceId(1));
         assert!(!wl.check(DeviceId(1), PhysAddr(0), 64, false));
-        assert!(wl.is_empty());
+        assert!(wl.windows.is_empty());
     }
 
     #[test]

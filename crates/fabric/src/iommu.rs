@@ -35,13 +35,13 @@ pub struct IommuEntry {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IommuStats {
     /// IOTLB hits.
-    pub iotlb_hits: u64,
+    pub(crate) iotlb_hits: u64,
     /// IOTLB misses (table walks).
-    pub iotlb_misses: u64,
+    pub(crate) iotlb_misses: u64,
     /// Translation faults (unmapped IOVA or permission).
-    pub faults: u64,
+    pub(crate) faults: u64,
     /// IOTLB invalidations issued by EMS.
-    pub invalidations: u64,
+    pub(crate) invalidations: u64,
 }
 
 /// The IOMMU: per-device translation tables plus a shared IOTLB.
@@ -56,7 +56,7 @@ pub struct Iommu {
 
 impl Iommu {
     /// Creates an IOMMU with an IOTLB of `iotlb_capacity` entries.
-    pub fn new(iotlb_capacity: usize) -> Iommu {
+    pub(crate) fn new(iotlb_capacity: usize) -> Iommu {
         Iommu {
             iotlb_capacity: iotlb_capacity.max(1),
             ..Iommu::default()
@@ -91,7 +91,7 @@ impl Iommu {
     ///
     /// Accesses may not cross an I/O page boundary (devices issue
     /// page-granular bursts; larger transfers are split by the DMA engine).
-    pub fn translate(
+    pub(crate) fn translate(
         &mut self,
         dev: DeviceId,
         iova_addr: u64,

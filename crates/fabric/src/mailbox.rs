@@ -54,11 +54,11 @@ pub struct MailboxStats {
     /// Responses duplicated on the fabric (injected). The copy never
     /// reaches a ticket: a response is delivered at most once, by the poll
     /// that consumes it.
-    pub duplicated_responses: u64,
+    pub(crate) duplicated_responses: u64,
     /// Responses held back for a number of polls (injected).
-    pub delayed_responses: u64,
+    pub(crate) delayed_responses: u64,
     /// Responses discarded at poll time because their checksum failed.
-    pub corrupt_dropped: u64,
+    pub(crate) corrupt_dropped: u64,
 }
 
 /// The request/response mailbox.
@@ -76,17 +76,17 @@ pub struct Mailbox {
 
 impl Mailbox {
     /// Creates an empty mailbox with fault injection disarmed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Mailbox::default()
     }
 
     /// Installs an armed fault injector (replay a campaign from its seed).
-    pub fn arm_faults(&mut self, injector: FaultInjector) {
+    pub(crate) fn arm_faults(&mut self, injector: FaultInjector) {
         self.injector = injector;
     }
 
     /// Faults injected at this site so far.
-    pub fn fault_stats(&self) -> &FaultStats {
+    pub(crate) fn fault_stats(&self) -> &FaultStats {
         self.injector.stats()
     }
 
@@ -218,11 +218,6 @@ impl Mailbox {
     pub fn pending_requests(&self) -> usize {
         self.requests.len()
     }
-
-    /// Number of responses waiting for collection (delivered or delayed).
-    pub fn pending_responses(&self) -> usize {
-        self.responses.len() + self.delayed.len()
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +344,11 @@ mod tests {
         let ticket = mb.submit(request());
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![7]));
-        assert_eq!(mb.pending_responses(), 1, "response must be held, not lost");
+        assert_eq!(
+            mb.responses.len() + mb.delayed.len(),
+            1,
+            "response must be held, not lost"
+        );
         assert!(
             !mb.has_response(req.req_id),
             "delayed packet is not pollable"
@@ -389,6 +388,6 @@ mod tests {
         assert_eq!(mb.poll(&ticket).unwrap().vals, vec![9]);
         // The duplicate never reaches the ticket a second time.
         assert!(mb.poll(&ticket).is_none());
-        assert_eq!(mb.pending_responses(), 0);
+        assert_eq!(mb.responses.len() + mb.delayed.len(), 0);
     }
 }

@@ -189,7 +189,7 @@ pub struct Response {
     /// A packet corrupted on the fabric fails [`Response::intact`] and is
     /// discarded by the mailbox like a lost response (the retry path
     /// recovers it).
-    pub crc: u64,
+    pub(crate) crc: u64,
 }
 
 impl Response {
@@ -242,7 +242,7 @@ impl Response {
     }
 
     /// Recomputes and installs the checksum; returns the sealed packet.
-    pub fn seal(mut self) -> Response {
+    pub(crate) fn seal(mut self) -> Response {
         self.crc = self.checksum();
         self
     }

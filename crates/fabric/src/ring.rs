@@ -37,7 +37,7 @@ impl<T> Ring<T> {
     }
 
     /// Capacity in slots.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
@@ -89,11 +89,6 @@ impl<T> Ring<T> {
     /// items are queued.
     pub fn stall(&mut self, pops: u32) {
         self.stalled = self.stalled.saturating_add(pops);
-    }
-
-    /// Whether the ring is currently refusing pops.
-    pub fn is_stalled(&self) -> bool {
-        self.stalled > 0
     }
 }
 
@@ -152,10 +147,10 @@ mod tests {
         r.push(1).unwrap();
         r.push(2).unwrap();
         r.stall(2);
-        assert!(r.is_stalled());
+        assert!(r.stalled > 0);
         assert_eq!(r.pop(), None);
         assert_eq!(r.pop(), None);
-        assert!(!r.is_stalled());
+        assert_eq!(r.stalled, 0);
         // Nothing was lost.
         assert_eq!(r.pop(), Some(1));
         assert_eq!(r.pop(), Some(2));

@@ -63,7 +63,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All fault kinds, in stable order (indexes [`FaultStats`] counters).
-    pub const ALL: [FaultKind; 17] = [
+    pub(crate) const ALL: [FaultKind; 17] = [
         FaultKind::MailboxDropRequest,
         FaultKind::MailboxDropResponse,
         FaultKind::MailboxDuplicateResponse,
@@ -84,34 +84,11 @@ impl FaultKind {
     ];
 
     /// Stable index of this kind into [`FaultStats`] counters.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         FaultKind::ALL
             .iter()
             .position(|k| *k == self)
             .expect("kind in ALL")
-    }
-
-    /// Human-readable name for logs and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::MailboxDropRequest => "mailbox-drop-request",
-            FaultKind::MailboxDropResponse => "mailbox-drop-response",
-            FaultKind::MailboxDuplicateResponse => "mailbox-duplicate-response",
-            FaultKind::MailboxDelayResponse => "mailbox-delay-response",
-            FaultKind::MailboxCorruptResponse => "mailbox-corrupt-response",
-            FaultKind::RingStall => "ring-stall",
-            FaultKind::DmaFlap => "dma-flap",
-            FaultKind::PrimitiveAbort => "primitive-abort",
-            FaultKind::TransientExhausted => "transient-exhausted",
-            FaultKind::EmsStall => "ems-stall",
-            FaultKind::EmsCrash => "ems-crash",
-            FaultKind::RpcDropFrame => "rpc-drop-frame",
-            FaultKind::RpcDuplicateFrame => "rpc-duplicate-frame",
-            FaultKind::RpcDelayFrame => "rpc-delay-frame",
-            FaultKind::RpcReplayFrame => "rpc-replay-frame",
-            FaultKind::StaleQuoteReplay => "stale-quote-replay",
-            FaultKind::TokenForge => "token-forge",
-        }
     }
 }
 
@@ -184,27 +161,6 @@ impl FaultConfig {
             rpc_replay_pm: 0,
             stale_quote_pm: 0,
             token_forge_pm: 0,
-        }
-    }
-
-    /// A light campaign: each site fires on ~2–5% of opportunities. Low
-    /// enough that bounded retry recovers essentially every request.
-    pub fn light() -> FaultConfig {
-        FaultConfig {
-            drop_request_pm: 30,
-            drop_response_pm: 30,
-            duplicate_response_pm: 30,
-            delay_response_pm: 50,
-            corrupt_response_pm: 30,
-            ring_stall_pm: 40,
-            dma_flap_pm: 40,
-            abort_pm: 50,
-            abort_step_max: 8,
-            exhausted_pm: 30,
-            ems_stall_pm: 40,
-            crash_pm: 10,
-            delay_polls_max: 8,
-            ..FaultConfig::disabled()
         }
     }
 
@@ -350,16 +306,6 @@ impl FaultPlan {
         FaultPlan { seed, config }
     }
 
-    /// The campaign seed (print it when a run fails — it replays the run).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The campaign configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// Derives the armed injector for one site. `site` is a stable label
     /// such as `"mailbox"`, `"ems"`, or `"dma"`.
     pub fn injector(&self, site: &str) -> FaultInjector {
@@ -490,7 +436,7 @@ mod tests {
     fn abort_step_within_bounds() {
         let plan = FaultPlan::new(3, FaultConfig::heavy());
         let mut inj = plan.injector("ems");
-        let max = plan.config().abort_step_max;
+        let max = plan.config.abort_step_max;
         let mut hits = 0;
         for _ in 0..2000 {
             if let Some(k) = inj.abort_step() {

@@ -1,22 +1,17 @@
-//! Address types and the front-side bus layout.
+//! Address types.
 //!
 //! §IV-C: "the width of CS core front-side memory bus is 56 bits, among which
 //! the lowest 40 bits are used for the physical address, and the highest 16
-//! bits are used for the KeyID."
+//! bits are used for the KeyID." The simulator carries the address and the
+//! KeyID as separate values and never packs them into a bus word.
 
 /// Page size in bytes (RISC-V Sv39 base pages).
 pub const PAGE_SIZE: u64 = 4096;
 
 /// Bits in a page offset.
-pub const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 
-/// Width of the physical-address portion of the bus.
-pub const PA_BITS: u32 = 40;
-
-/// Width of the KeyID portion of the bus.
-pub const KEYID_BITS: u32 = 16;
-
-/// A physical byte address (must fit in [`PA_BITS`]).
+/// A physical byte address (its width is not checked against the 40-bit bus field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
@@ -54,31 +49,14 @@ impl PhysAddr {
     }
 
     /// Offset within the page.
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.0 & (PAGE_SIZE - 1)
-    }
-
-    /// Packs this address and a KeyID into the 56-bit bus representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address exceeds 40 bits.
-    pub fn to_bus(&self, key: KeyId) -> u64 {
-        assert!(self.0 < (1 << PA_BITS), "physical address exceeds 40 bits");
-        ((key.0 as u64) << PA_BITS) | self.0
-    }
-
-    /// Unpacks a 56-bit bus word into address + KeyID.
-    pub fn from_bus(bus: u64) -> (PhysAddr, KeyId) {
-        let pa = bus & ((1 << PA_BITS) - 1);
-        let key = (bus >> PA_BITS) as u16;
-        (PhysAddr(pa), KeyId(key))
     }
 }
 
 impl VirtAddr {
     /// The virtual page containing this address.
-    pub fn vpn(&self) -> Vpn {
+    pub(crate) fn vpn(&self) -> Vpn {
         Vpn(self.0 >> PAGE_SHIFT)
     }
 
@@ -88,7 +66,7 @@ impl VirtAddr {
     }
 
     /// Sv39 page-table indices (level 2, 1, 0), 9 bits each.
-    pub fn sv39_indices(&self) -> [usize; 3] {
+    pub(crate) fn sv39_indices(&self) -> [usize; 3] {
         let vpn = self.0 >> PAGE_SHIFT;
         [
             ((vpn >> 18) & 0x1ff) as usize,
@@ -107,7 +85,7 @@ impl Ppn {
 
 impl Vpn {
     /// Base virtual address of this page.
-    pub fn base(&self) -> VirtAddr {
+    pub(crate) fn base(&self) -> VirtAddr {
         VirtAddr(self.0 << PAGE_SHIFT)
     }
 }
@@ -115,28 +93,6 @@ impl Vpn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bus_roundtrip() {
-        let pa = PhysAddr(0x12_3456_7000);
-        let key = KeyId(0xbeef);
-        let bus = pa.to_bus(key);
-        assert_eq!(PhysAddr::from_bus(bus), (pa, key));
-    }
-
-    #[test]
-    fn bus_layout_is_40_16() {
-        let pa = PhysAddr(0xff_ffff_ffff); // max 40-bit value
-        let bus = pa.to_bus(KeyId(1));
-        assert_eq!(bus >> PA_BITS, 1);
-        assert_eq!(bus & ((1 << PA_BITS) - 1), 0xff_ffff_ffff);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 40 bits")]
-    fn oversized_pa_panics() {
-        PhysAddr(1 << PA_BITS).to_bus(KeyId::HOST);
-    }
 
     #[test]
     fn sv39_indices_decompose() {

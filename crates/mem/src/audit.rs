@@ -106,15 +106,15 @@ impl std::error::Error for AuditError {}
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConsistencyAudit {
     /// Frames scanned in the bitmap sweep.
-    pub frames_scanned: u64,
+    pub(crate) frames_scanned: u64,
     /// Frames currently bitmap-marked as enclave memory.
-    pub enclave_marked: u64,
+    pub(crate) enclave_marked: u64,
     /// Entries in the ownership table.
-    pub owned: u64,
+    pub(crate) owned: u64,
     /// Frames on the pool free list.
-    pub pool_free: u64,
+    pub(crate) pool_free: u64,
     /// Leaf PTEs walked across all audited enclave tables.
-    pub leaves_checked: u64,
+    pub(crate) leaves_checked: u64,
 }
 
 impl ConsistencyAudit {

@@ -16,9 +16,9 @@ use crate::MemFault;
 #[derive(Debug, Clone, Copy)]
 pub struct EnclaveBitmap {
     /// Physical base address of the bitmap region (the BM_BASE register).
-    pub bm_base: PhysAddr,
+    pub(crate) bm_base: PhysAddr,
     /// Number of page frames the bitmap covers.
-    pub covered_frames: u64,
+    pub(crate) covered_frames: u64,
 }
 
 impl EnclaveBitmap {
@@ -28,7 +28,7 @@ impl EnclaveBitmap {
     /// # Errors
     ///
     /// Propagates bus errors when the region does not fit in memory.
-    pub fn install(
+    pub(crate) fn install(
         bm_base: PhysAddr,
         covered_frames: u64,
         mem: &mut PhysMemory,
@@ -52,14 +52,14 @@ impl EnclaveBitmap {
 
     /// Whether `ppn` backs the bitmap region itself (these frames are
     /// enclave-marked by `install`'s self-protection, not by the pool).
-    pub fn is_self_frame(&self, ppn: Ppn) -> bool {
+    pub(crate) fn is_self_frame(&self, ppn: Ppn) -> bool {
         let base = self.bm_base.ppn().0;
         let frames = self.region_bytes() / PAGE_SIZE;
         ppn.0 >= base && ppn.0 < base + frames
     }
 
     /// Size of the bitmap region in bytes, rounded up to whole pages.
-    pub fn region_bytes(&self) -> u64 {
+    pub(crate) fn region_bytes(&self) -> u64 {
         let bits = self.covered_frames;
         let bytes = bits.div_ceil(8);
         bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE
@@ -105,21 +105,6 @@ impl EnclaveBitmap {
         mem.read(addr, &mut byte)?;
         Ok(byte[0] & (1 << bit) != 0)
     }
-
-    /// Number of frames currently marked as enclave memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bus errors.
-    pub fn count_enclave(&self, mem: &mut PhysMemory) -> Result<u64, MemFault> {
-        let mut count = 0u64;
-        for ppn in 0..self.covered_frames {
-            if self.is_enclave(Ppn(ppn), mem)? {
-                count += 1;
-            }
-        }
-        Ok(count)
-    }
 }
 
 #[cfg(test)]
@@ -164,16 +149,6 @@ mod tests {
         let (mut mem, bm) = setup();
         assert!(bm.is_enclave(Ppn(4096), &mut mem).is_err());
         assert!(bm.set(Ppn(9999), true, &mut mem).is_err());
-    }
-
-    #[test]
-    fn count_tracks_sets() {
-        let (mut mem, bm) = setup();
-        let base = bm.count_enclave(&mut mem).unwrap();
-        for p in 200..210 {
-            bm.set(Ppn(p), true, &mut mem).unwrap();
-        }
-        assert_eq!(bm.count_enclave(&mut mem).unwrap(), base + 10);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! * [`addr`] — physical/virtual address newtypes, the 56-bit front-side bus
 //!   layout (low 40 bits physical address, high 16 bits KeyID).
 //! * [`phys`] — sparse physical memory with a frame allocator.
-//! * [`bitmap`] — the enclave-memory bitmap (one bit per physical page) used
+//! * `bitmap` — the enclave-memory bitmap (one bit per physical page) used
 //!   for hardware isolation checks (§IV-B, Fig. 5).
 //! * [`ownership`] — the page ownership table EMS keeps in private memory,
 //!   extended with shared-memory ownership (§IV-B, §V-B).
 //! * [`pagetable`] — Sv39 three-level page tables, stored **inside** the
 //!   simulated physical memory exactly like the real MMU sees them.
 //! * [`tlb`] — a TLB with the "checked" bit of Fig. 5 and selective flush.
-//! * [`ptw`] — the page-table walker with integrated bitmap checking.
+//! * `ptw` — the page-table walker with integrated bitmap checking.
 //! * [`snapshot`] — the TLB-coherence predicate used by the lockstep
 //!   reference model.
 //! * [`mktme`] — the multi-key memory encryption engine with per-KeyID
@@ -31,16 +31,16 @@
 
 pub mod addr;
 pub mod audit;
-pub mod bitmap;
+pub(crate) mod bitmap;
 pub mod mktme;
 pub mod ownership;
 pub mod pagetable;
 pub mod phys;
-pub mod ptw;
+pub(crate) mod ptw;
 pub mod snapshot;
 pub mod system;
 pub mod tlb;
-pub mod walkcache;
+pub(crate) mod walkcache;
 
 /// Faults the memory system can raise, mirroring the hardware exceptions in
 /// the paper (§IV-B access exception, §IV-C integrity violation).

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Memory-line granularity of encryption and MAC (bytes).
-pub const LINE_SIZE: u64 = 64;
+pub(crate) const LINE_SIZE: u64 = 64;
 
 /// Lines per 4 KiB frame.
 const FRAME_LINES: u64 = PAGE_SIZE / LINE_SIZE;
@@ -72,7 +72,7 @@ pub struct MktmeStats {
     pub full_line_writes: u64,
     /// 16-byte keystream blocks processed through the multi-line span fast
     /// path (one physical-memory round trip for the whole request).
-    pub keystream_blocks_batched: u64,
+    pub(crate) keystream_blocks_batched: u64,
 }
 
 /// Lines of MAC tags per [`MacTable`] page (each page covers 32 KiB of
@@ -91,7 +91,7 @@ const MAC_ZERO: u32 = u32::MAX - 1;
 /// per-line `HashMap<u64, MacTag>`: one hash probe per 512-line page plus
 /// an array index, instead of one probe per line.
 #[derive(Debug, Default)]
-pub struct MacTable {
+pub(crate) struct MacTable {
     pages: HashMap<u64, Box<[u32]>>,
     /// MAC key each lazily zeroed frame was zeroed under, by PPN.
     zeroed: HashMap<u64, [u8; 32]>,
@@ -100,7 +100,7 @@ pub struct MacTable {
 impl MacTable {
     /// Looks up the tag recorded for a line number (`pa / LINE_SIZE`). A
     /// line of a lazily zeroed frame gets its zero-line tag computed here.
-    pub fn get(&self, line: u64) -> Option<MacTag> {
+    pub(crate) fn get(&self, line: u64) -> Option<MacTag> {
         let tag = *self
             .pages
             .get(&(line / MAC_PAGE_LINES))?
@@ -122,7 +122,7 @@ impl MacTable {
     }
 
     /// Records the tag for a line number.
-    pub fn insert(&mut self, line: u64, tag: MacTag) {
+    pub(crate) fn insert(&mut self, line: u64, tag: MacTag) {
         self.page_mut(line)[(line % MAC_PAGE_LINES) as usize] = tag.0;
     }
 
@@ -134,20 +134,6 @@ impl MacTable {
         let at = (first % MAC_PAGE_LINES) as usize;
         self.page_mut(first)[at..at + FRAME_LINES as usize].fill(MAC_ZERO);
         self.zeroed.insert(ppn.0, *mac_key);
-    }
-
-    /// Number of lines with a recorded tag, zero lines included
-    /// (observability/audits).
-    pub fn len(&self) -> usize {
-        self.pages
-            .values()
-            .map(|p| p.iter().filter(|&&t| t != MAC_EMPTY).count())
-            .sum()
-    }
-
-    /// Whether no line has a recorded tag.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -837,7 +823,14 @@ mod tests {
             .unwrap();
         assert_eq!(lazy.stats, eager.stats);
         assert_eq!(lazy_mem.access_count, eager_mem.access_count);
-        assert_eq!(lazy.macs.len(), 64);
+        assert!((0..64).all(|i| lazy.macs.get(pa.0 / LINE_SIZE + i).is_some()));
+        let tagged: usize = lazy
+            .macs
+            .pages
+            .values()
+            .map(|p| p.iter().filter(|&&t| t != MAC_EMPTY).count())
+            .sum();
+        assert_eq!(tagged, 64, "only the frame's lines carry tags");
         assert_eq!(lazy_mem.materialized_frames().count(), 0);
         let mut buf = [0xffu8; 4096];
         lazy.read(&mut lazy_mem, pa, KeyId(1), &mut buf).unwrap();

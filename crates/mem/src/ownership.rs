@@ -117,18 +117,8 @@ impl OwnershipTable {
     }
 
     /// Looks up the owner of a page.
-    pub fn owner(&self, ppn: Ppn) -> Option<PageOwner> {
+    pub(crate) fn owner(&self, ppn: Ppn) -> Option<PageOwner> {
         self.entries.get(&ppn.0).copied()
-    }
-
-    /// Verifies that a page may be mapped into `enclave`: it must be that
-    /// enclave's private page or a shared page.
-    pub fn may_map(&self, ppn: Ppn, enclave: EnclaveId) -> bool {
-        match self.entries.get(&ppn.0) {
-            Some(PageOwner::Enclave(e)) => *e == enclave,
-            Some(PageOwner::Shared(_)) => true,
-            Some(PageOwner::EmsPrivate) | None => false,
-        }
     }
 
     /// All pages owned by a given enclave (used by EDESTROY reclamation).
@@ -140,28 +130,9 @@ impl OwnershipTable {
             .collect()
     }
 
-    /// All pages of a shared region.
-    pub fn pages_of_shm(&self, shm: ShmId) -> Vec<Ppn> {
-        self.entries
-            .iter()
-            .filter(|(_, o)| matches!(o, PageOwner::Shared(s) if *s == shm))
-            .map(|(&p, _)| Ppn(p))
-            .collect()
-    }
-
     /// Iterates all `(frame, owner)` entries (feeds the consistency audit).
     pub fn iter(&self) -> impl Iterator<Item = (Ppn, PageOwner)> + '_ {
         self.entries.iter().map(|(&p, &o)| (Ppn(p), o))
-    }
-
-    /// Number of owned pages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -192,25 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_enclave_mapping_denied() {
-        // The §IV-B check: a page owned by enclave 1 cannot be mapped by
-        // enclave 2, but a shared page can be mapped by anyone (subject to
-        // the connection list enforced at a higher layer).
-        let mut table = OwnershipTable::new();
-        table
-            .claim(Ppn(1), PageOwner::Enclave(EnclaveId(1)))
-            .unwrap();
-        table.claim(Ppn(2), PageOwner::Shared(ShmId(9))).unwrap();
-        assert!(table.may_map(Ppn(1), EnclaveId(1)));
-        assert!(!table.may_map(Ppn(1), EnclaveId(2)));
-        assert!(table.may_map(Ppn(2), EnclaveId(2)));
-        assert!(
-            !table.may_map(Ppn(3), EnclaveId(1)),
-            "unowned pages unmappable"
-        );
-    }
-
-    #[test]
     fn wrong_owner_release_rejected() {
         let mut table = OwnershipTable::new();
         table
@@ -238,14 +190,6 @@ mod tests {
             table.claim(Ppn(p), PageOwner::Shared(ShmId(2))).unwrap();
         }
         assert_eq!(table.pages_of(EnclaveId(1)).len(), 5);
-        assert_eq!(table.pages_of_shm(ShmId(2)).len(), 3);
-        assert_eq!(table.len(), 8);
-    }
-
-    #[test]
-    fn ems_private_pages_never_mappable() {
-        let mut table = OwnershipTable::new();
-        table.claim(Ppn(4), PageOwner::EmsPrivate).unwrap();
-        assert!(!table.may_map(Ppn(4), EnclaveId(1)));
+        assert_eq!(table.entries.len(), 8);
     }
 }

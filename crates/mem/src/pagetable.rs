@@ -36,13 +36,6 @@ pub struct Perms {
 }
 
 impl Perms {
-    /// Read-only user mapping.
-    pub const RO: Perms = Perms {
-        r: true,
-        w: false,
-        x: false,
-        u: true,
-    };
     /// Read-write user mapping.
     pub const RW: Perms = Perms {
         r: true,
@@ -66,24 +59,21 @@ impl Perms {
     };
 
     /// Whether these permissions allow the given access kind.
-    pub fn allows(&self, kind: AccessKind) -> bool {
+    pub(crate) fn allows(&self, kind: AccessKind) -> bool {
         match kind {
             AccessKind::Read => self.r,
             AccessKind::Write => self.w,
-            AccessKind::Execute => self.x,
         }
     }
 }
 
 /// The kind of memory access being performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
+pub(crate) enum AccessKind {
     /// Data load.
     Read,
     /// Data store.
     Write,
-    /// Instruction fetch.
-    Execute,
 }
 
 /// A decoded page-table entry.
@@ -97,10 +87,10 @@ impl Pte {
     const X: u64 = 1 << 3;
     const U: u64 = 1 << 4;
     const A: u64 = 1 << 6;
-    const D: u64 = 1 << 7;
+    pub(crate) const D: u64 = 1 << 7;
 
     /// Builds a leaf PTE.
-    pub fn leaf(ppn: Ppn, perms: Perms, key: KeyId) -> Pte {
+    pub(crate) fn leaf(ppn: Ppn, perms: Perms, key: KeyId) -> Pte {
         let mut v = Pte::V;
         if perms.r {
             v |= Pte::R;
@@ -120,17 +110,17 @@ impl Pte {
     }
 
     /// Builds a non-leaf (pointer) PTE.
-    pub fn branch(ppn: Ppn) -> Pte {
+    pub(crate) fn branch(ppn: Ppn) -> Pte {
         Pte(Pte::V | ((ppn.0 & ((1 << 28) - 1)) << 10))
     }
 
     /// Valid bit.
-    pub fn valid(&self) -> bool {
+    pub(crate) fn valid(&self) -> bool {
         self.0 & Pte::V != 0
     }
 
     /// Whether this is a leaf (any of R/W/X set).
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         self.0 & (Pte::R | Pte::W | Pte::X) != 0
     }
 
@@ -159,13 +149,8 @@ impl Pte {
         self.0 & Pte::A != 0
     }
 
-    /// Dirty bit.
-    pub fn dirty(&self) -> bool {
-        self.0 & Pte::D != 0
-    }
-
     /// Returns a copy with A (and optionally D) set.
-    pub fn touch(&self, write: bool) -> Pte {
+    pub(crate) fn touch(&self, write: bool) -> Pte {
         let mut v = self.0 | Pte::A;
         if write {
             v |= Pte::D;
@@ -199,11 +184,11 @@ pub struct Translation {
     /// Target physical page.
     pub ppn: Ppn,
     /// Leaf permissions.
-    pub perms: Perms,
+    pub(crate) perms: Perms,
     /// KeyID from the leaf PTE.
-    pub key: KeyId,
+    pub(crate) key: KeyId,
     /// Number of memory accesses the walk performed (for timing).
-    pub levels_touched: u32,
+    pub(crate) levels_touched: u32,
 }
 
 impl PageTable {
@@ -394,7 +379,7 @@ impl PageTable {
     /// # Errors
     ///
     /// [`MemFault::PageFault`] when no valid leaf exists.
-    pub fn walk_cached(
+    pub(crate) fn walk_cached(
         &self,
         va: VirtAddr,
         set_dirty: bool,
@@ -485,6 +470,12 @@ mod tests {
     use super::*;
     use crate::phys::FrameAllocator;
 
+    /// Read-only user mapping.
+    const RO: Perms = Perms {
+        w: false,
+        ..Perms::RW
+    };
+
     fn setup() -> (PhysMemory, FrameAllocator, PageTable) {
         let mut mem = PhysMemory::new(32 << 20);
         let mut alloc = FrameAllocator::new(Ppn(16), Ppn(8000));
@@ -517,10 +508,10 @@ mod tests {
     fn double_map_rejected() {
         let (mut mem, mut alloc, pt) = setup();
         let va = VirtAddr(0x1000);
-        pt.map(va, Ppn(1), Perms::RO, KeyId::HOST, &mut alloc, &mut mem)
+        pt.map(va, Ppn(1), RO, KeyId::HOST, &mut alloc, &mut mem)
             .unwrap();
         assert!(pt
-            .map(va, Ppn(2), Perms::RO, KeyId::HOST, &mut alloc, &mut mem)
+            .map(va, Ppn(2), RO, KeyId::HOST, &mut alloc, &mut mem)
             .is_err());
     }
 
@@ -544,12 +535,12 @@ mod tests {
         assert!(!pt.inspect(va, &mut mem).unwrap().accessed());
         pt.walk(va, false, &mut mem).unwrap();
         let pte = pt.inspect(va, &mut mem).unwrap();
-        assert!(pte.accessed() && !pte.dirty());
+        assert!(pte.accessed() && pte.0 & Pte::D == 0);
         pt.walk(va, true, &mut mem).unwrap();
-        assert!(pt.inspect(va, &mut mem).unwrap().dirty());
+        assert!(pt.inspect(va, &mut mem).unwrap().0 & Pte::D != 0);
         pt.clear_ad(va, &mut mem).unwrap();
         let pte = pt.inspect(va, &mut mem).unwrap();
-        assert!(!pte.accessed() && !pte.dirty());
+        assert!(!pte.accessed() && pte.0 & Pte::D == 0);
     }
 
     #[test]
@@ -559,7 +550,7 @@ mod tests {
         pt.map(
             VirtAddr(0x1000),
             Ppn(1),
-            Perms::RO,
+            RO,
             KeyId::HOST,
             &mut alloc,
             &mut mem,
@@ -569,7 +560,7 @@ mod tests {
         pt.map(
             VirtAddr(0x2000),
             Ppn(2),
-            Perms::RO,
+            RO,
             KeyId::HOST,
             &mut alloc,
             &mut mem,
@@ -587,7 +578,7 @@ mod tests {
         let va = VirtAddr(0x9000);
         pt.map(va, Ppn(4), Perms::RW, KeyId(1), &mut alloc, &mut mem)
             .unwrap();
-        pt.protect(va, Perms::RO, &mut mem).unwrap();
+        pt.protect(va, RO, &mut mem).unwrap();
         let tr = pt.walk(va, false, &mut mem).unwrap();
         assert!(tr.perms.r && !tr.perms.w);
         assert_eq!(tr.key, KeyId(1), "protect must preserve the KeyID");
@@ -600,7 +591,7 @@ mod tests {
             pt.map(
                 VirtAddr(0x100_0000 + i * PAGE_SIZE),
                 Ppn(100 + i),
-                Perms::RO,
+                RO,
                 KeyId::HOST,
                 &mut alloc,
                 &mut mem,

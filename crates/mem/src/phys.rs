@@ -293,7 +293,7 @@ impl PhysMemory {
     /// # Errors
     ///
     /// [`MemFault::BusError`] when out of range.
-    pub fn read_u64(&mut self, pa: PhysAddr) -> Result<u64, MemFault> {
+    pub(crate) fn read_u64(&mut self, pa: PhysAddr) -> Result<u64, MemFault> {
         let mut b = [0u8; 8];
         self.read(pa, &mut b)?;
         Ok(u64::from_le_bytes(b))

@@ -21,15 +21,15 @@ use crate::MemFault;
 /// them (the Fig. 10 bitmap-check cost is priced per profiled walk by
 /// `sim::perf::bitmap_cycles`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PtwStats {
+pub(crate) struct PtwStats {
     /// Completed walks.
-    pub walks: u64,
+    pub(crate) walks: u64,
     /// Bitmap retrievals performed.
-    pub bitmap_checks: u64,
+    pub(crate) bitmap_checks: u64,
     /// Bitmap violations raised.
-    pub bitmap_faults: u64,
+    pub(crate) bitmap_faults: u64,
     /// Page faults raised.
-    pub page_faults: u64,
+    pub(crate) page_faults: u64,
 }
 
 /// Walks `pt` for `va` and applies the Fig. 5 bitmap check when
@@ -49,7 +49,7 @@ pub struct PtwStats {
 // mode bit, bitmap, memory, counters, walk cache); bundling them into a
 // struct would just move the argument list.
 #[allow(clippy::too_many_arguments)]
-pub fn translate(
+pub(crate) fn translate(
     pt: &PageTable,
     va: VirtAddr,
     kind: AccessKind,
@@ -88,7 +88,7 @@ pub fn translate(
 mod tests {
     use super::*;
     use crate::addr::{KeyId, PhysAddr, Ppn};
-    use crate::pagetable::Perms;
+    use crate::pagetable::{Perms, Pte};
     use crate::phys::FrameAllocator;
 
     fn setup() -> (PhysMemory, FrameAllocator, PageTable, EnclaveBitmap) {
@@ -215,6 +215,9 @@ mod tests {
             &mut cache,
         )
         .unwrap();
-        assert!(pt.inspect(va, &mut mem).unwrap().dirty());
+        assert!(
+            pt.inspect(va, &mut mem).unwrap().0 & Pte::D != 0,
+            "D bit set"
+        );
     }
 }

@@ -39,7 +39,7 @@ pub enum StaleReason {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaleTlbEntry {
     /// The stale cached translation.
-    pub entry: TlbEntry,
+    pub(crate) entry: TlbEntry,
     /// The virtual address the entry translates.
     pub va: VirtAddr,
     /// How it disagrees with the table.
@@ -48,7 +48,7 @@ pub struct StaleTlbEntry {
 
 /// The TLB-coherence predicate: every resident entry must agree with a
 /// side-effect-free walk of `table`. Returns all disagreements (empty means
-/// coherent). Uses [`Tlb::entries`] so hit/miss statistics are untouched.
+/// coherent). Uses `Tlb::entries` so hit/miss statistics are untouched.
 ///
 /// # Errors
 ///

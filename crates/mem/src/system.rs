@@ -25,7 +25,7 @@ pub struct MemorySystem {
     /// The enclave-memory bitmap.
     pub bitmap: EnclaveBitmap,
     /// Walker counters.
-    pub ptw_stats: PtwStats,
+    pub(crate) ptw_stats: PtwStats,
 }
 
 impl MemorySystem {
@@ -51,7 +51,7 @@ impl MemorySystem {
 }
 
 /// Entries in each core's page-walk cache (small, like silicon walkers).
-pub const WALK_CACHE_ENTRIES: usize = 8;
+pub(crate) const WALK_CACHE_ENTRIES: usize = 8;
 
 /// Per-core MMU state.
 #[derive(Debug)]
@@ -232,7 +232,7 @@ impl CoreMmu {
     }
 
     /// Translates `va` for an instruction fetch and returns the physical
-    /// address, without touching data. Fetches check [`AccessKind::Read`],
+    /// address, without touching data. Fetches check `AccessKind::Read`,
     /// exactly like the 4-byte fetch load in the seed interpreter, so the
     /// fault surface (page fault, bitmap violation, permission denial, and
     /// the reported faulting VA) is identical.
@@ -289,6 +289,12 @@ mod tests {
     use crate::addr::{KeyId, Ppn};
     use crate::pagetable::Perms;
     use crate::phys::FrameAllocator;
+
+    /// Read-only user mapping.
+    const RO: Perms = Perms {
+        w: false,
+        ..Perms::RW
+    };
 
     fn setup() -> (MemorySystem, FrameAllocator, CoreMmu, PageTable) {
         let mut sys = MemorySystem::new(64 << 20, PhysAddr(0x4000));
@@ -349,7 +355,7 @@ mod tests {
         pt.map(
             VirtAddr(0x50_000),
             frame,
-            Perms::RO,
+            RO,
             KeyId::HOST,
             &mut alloc,
             &mut sys.phys,

@@ -35,7 +35,7 @@ pub struct TlbStats {
     /// Full flushes.
     pub flushes: u64,
     /// Single-entry invalidations.
-    pub single_invalidations: u64,
+    pub(crate) single_invalidations: u64,
 }
 
 /// A finite-capacity TLB with FIFO replacement.
@@ -53,7 +53,7 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics on zero capacity.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
         Tlb {
             entries: VecDeque::with_capacity(capacity),
@@ -92,15 +92,6 @@ impl Tlb {
         self.stats.flushes += 1;
     }
 
-    /// Invalidates the entry for one virtual page (bitmap change).
-    pub fn flush_vpn(&mut self, vpn: Vpn) {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.vpn != vpn);
-        if self.entries.len() != before {
-            self.stats.single_invalidations += 1;
-        }
-    }
-
     /// Invalidates every entry translating to a physical page (bitmap-bit
     /// change is keyed by frame, not VA).
     pub fn flush_ppn(&mut self, ppn: Ppn) {
@@ -124,7 +115,7 @@ impl Tlb {
     /// Iterates over the resident entries without disturbing hit/miss stats
     /// (observability for external coherence checkers; [`Tlb::lookup`]
     /// counts every probe as a hit or miss).
-    pub fn entries(&self) -> impl Iterator<Item = &TlbEntry> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &TlbEntry> {
         self.entries.iter()
     }
 }
@@ -196,17 +187,6 @@ mod tests {
         assert!(tlb.lookup(Vpn(1)).is_none());
         assert!(tlb.lookup(Vpn(2)).is_none());
         assert!(tlb.lookup(Vpn(3)).is_some());
-    }
-
-    #[test]
-    fn flush_vpn_only_target() {
-        let mut tlb = Tlb::new(4);
-        tlb.insert(entry(1, 1));
-        tlb.insert(entry(2, 2));
-        tlb.flush_vpn(Vpn(1));
-        assert!(tlb.lookup(Vpn(1)).is_none());
-        assert!(tlb.lookup(Vpn(2)).is_some());
-        assert_eq!(tlb.stats.single_invalidations, 1);
     }
 
     #[test]

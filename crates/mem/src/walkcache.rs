@@ -61,7 +61,7 @@ impl WalkCache {
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "walk cache needs at least one entry");
         WalkCache {
             entries: Vec::with_capacity(capacity),
@@ -74,7 +74,7 @@ impl WalkCache {
 
     /// Looks up the leaf-table frame for `(root, vpn >> 9)`, counting the
     /// hit or miss.
-    pub fn lookup(&mut self, root: Ppn, region: u64) -> Option<Ppn> {
+    pub(crate) fn lookup(&mut self, root: Ppn, region: u64) -> Option<Ppn> {
         if self.bypass {
             self.stats.misses += 1;
             return None;
@@ -97,7 +97,7 @@ impl WalkCache {
 
     /// Records the leaf-table frame discovered by a full walk, evicting
     /// FIFO when full.
-    pub fn insert(&mut self, root: Ppn, region: u64, leaf_table: Ppn) {
+    pub(crate) fn insert(&mut self, root: Ppn, region: u64, leaf_table: Ppn) {
         if self.bypass {
             return;
         }
@@ -123,15 +123,10 @@ impl WalkCache {
     }
 
     /// Drops every cached pointer (context switch / enclave teardown).
-    pub fn flush_all(&mut self) {
+    pub(crate) fn flush_all(&mut self) {
         self.entries.clear();
         self.next_victim = 0;
         self.stats.flushes += 1;
-    }
-
-    /// Number of live entries (tests/observability).
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether the cache holds no entries.
@@ -178,7 +173,7 @@ mod tests {
         let mut wc = WalkCache::new(2);
         wc.insert(Ppn(1), 0, Ppn(10));
         wc.insert(Ppn(1), 0, Ppn(20));
-        assert_eq!(wc.len(), 1);
+        assert_eq!(wc.entries.len(), 1);
         assert_eq!(wc.lookup(Ppn(1), 0), Some(Ppn(20)));
     }
 

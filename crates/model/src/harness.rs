@@ -1,6 +1,6 @@
 //! The lockstep driver: replays a [`Command`] trace against a freshly
 //! booted [`Machine`] through the asynchronous `submit`/`pump`/
-//! `take_completion` pipeline while updating the [`RefModel`] in parallel,
+//! `take_completion` pipeline while updating the `RefModel` in parallel,
 //! diffing every completion (status, response values, per-enclave view) and
 //! periodically the whole memory plane (the consistency audit, ownership,
 //! page-table/TLB coherence, ticket leaks) against the model.
@@ -110,9 +110,9 @@ impl Campaign {
 pub struct Divergence {
     /// Index into the command trace (for checkpoint divergences, the number
     /// of commands started when the checkpoint ran).
-    pub cmd_index: usize,
+    pub(crate) cmd_index: usize,
     /// The command being executed, if the divergence is tied to one.
-    pub command: Option<Command>,
+    pub(crate) command: Option<Command>,
     /// Human-readable description of the disagreement.
     pub detail: String,
 }
@@ -135,9 +135,6 @@ impl core::fmt::Display for Divergence {
 pub struct CampaignOutcome {
     /// Commands fully executed (including local no-ops).
     pub executed: usize,
-    /// Commands resolved locally without a primitive round trip (e.g.
-    /// SDK-mirrored `WrongMode` rejections).
-    pub local_noops: usize,
     /// Pipeline completions collected.
     pub completions: usize,
     /// Completions whose response was `Ok`.
@@ -262,7 +259,6 @@ struct Driver<'a> {
     /// under [`Mutation::SkipFreeTlbFlush`]).
     tlb_before_free: Vec<Option<Tlb>>,
     executed: usize,
-    local_noops: usize,
     completions: usize,
     ok_responses: usize,
     rejections: usize,
@@ -309,7 +305,6 @@ pub fn run_campaign(campaign: &Campaign, commands: &[Command]) -> CampaignOutcom
         mutation_done: false,
         tlb_before_free: (0..campaign.harts).map(|_| None).collect(),
         executed: 0,
-        local_noops: 0,
         completions: 0,
         ok_responses: 0,
         rejections: 0,
@@ -321,7 +316,6 @@ pub fn run_campaign(campaign: &Campaign, commands: &[Command]) -> CampaignOutcom
     let faults_injected = d.m.fault_stats().total();
     CampaignOutcome {
         executed: d.executed,
-        local_noops: d.local_noops,
         completions: d.completions,
         ok_responses: d.ok_responses,
         rejections: d.rejections,
@@ -374,7 +368,6 @@ impl Driver<'_> {
                         self.active[hart] = Some(active);
                     }
                     None => {
-                        self.local_noops += 1;
                         self.executed += 1;
                     }
                 }

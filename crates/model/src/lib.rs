@@ -8,7 +8,7 @@
 //!
 //! * [`ops`] — the abstract command language ([`ops::LifecycleOp`]) and the
 //!   seeded multi-hart command generator ([`ops::generate`]).
-//! * [`model`] — the reference model ([`model::RefModel`]): abstract
+//! * `model` — the reference model (`model::RefModel`): abstract
 //!   lifecycle states, an SHA-256 measurement mirror, heap-cursor and
 //!   frame-count bookkeeping per enclave slot.
 //! * [`harness`] — the lockstep driver ([`harness::run_campaign`]): commands
@@ -31,11 +31,10 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod model;
+pub(crate) mod model;
 pub mod ops;
 pub mod shrink;
 
 pub use harness::{run_campaign, Campaign, CampaignOutcome, Divergence, Mutation};
-pub use model::RefModel;
 pub use ops::{generate, Command, LifecycleOp};
 pub use shrink::shrink;

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// [`hypertee_ems::control::EnclaveState`] minus `Suspended`, which only
 /// arises under an artificial KeyID limit the harness never sets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotState {
+pub(crate) enum SlotState {
     /// Created; pages may still be added.
     Building,
     /// Measurement finalised; ready to enter.
@@ -29,63 +29,63 @@ pub enum SlotState {
 
 /// Reference state of one enclave slot.
 #[derive(Debug, Clone)]
-pub struct SlotModel {
+pub(crate) struct SlotModel {
     /// EMS-assigned enclave id (fed in from the real ECREATE response).
-    pub eid: u64,
+    pub(crate) eid: u64,
     /// Abstract lifecycle state.
-    pub state: SlotState,
+    pub(crate) state: SlotState,
     /// The hart currently inside the enclave, when `Running`.
-    pub entered_on: Option<usize>,
+    pub(crate) entered_on: Option<usize>,
     /// Set when a `Timeout` left the real state unknowable: per-slot strict
     /// checks are suspended until the slot is destroyed.
-    pub tainted: bool,
+    pub(crate) tainted: bool,
     /// Statically allocated stack pages (from ECREATE).
-    pub stack_pages: u64,
+    pub(crate) stack_pages: u64,
     /// Image pages added so far (EADD).
-    pub image_pages: u64,
+    pub(crate) image_pages: u64,
     /// Live heap pages (EALLOC minus EFREE).
-    pub heap_pages: u64,
+    pub(crate) heap_pages: u64,
     /// Next heap VA to be mapped; never retreats (EFREE keeps the cursor).
-    pub heap_cursor: u64,
+    pub(crate) heap_cursor: u64,
     /// Manifest heap limit in bytes.
-    pub heap_max: u64,
+    pub(crate) heap_max: u64,
     /// Live heap allocations as `(va, pages)`, freed LIFO by the harness.
-    pub allocs: Vec<(u64, u64)>,
+    pub(crate) allocs: Vec<(u64, u64)>,
     /// Context switches (EENTER/ERESUME/EEXIT each count one).
-    pub switches: u64,
+    pub(crate) switches: u64,
     /// Finalised measurement, `None` while building.
-    pub digest: Option<[u8; 32]>,
+    pub(crate) digest: Option<[u8; 32]>,
     hasher: Sha256,
 }
 
 impl SlotModel {
     /// Data pages the real enclave must own: stack + image + live heap.
-    pub fn data_pages(&self) -> u64 {
+    pub(crate) fn data_pages(&self) -> u64 {
         self.stack_pages + self.image_pages + self.heap_pages
     }
 }
 
 /// The whole-machine reference model.
 #[derive(Debug, Clone, Default)]
-pub struct RefModel {
+pub(crate) struct RefModel {
     /// Live (or tainted) slots.
-    pub slots: BTreeMap<usize, SlotModel>,
+    pub(crate) slots: BTreeMap<usize, SlotModel>,
     /// Every enclave id ever returned by ECREATE — a repeat is a bug.
-    pub eids_seen: BTreeSet<u64>,
+    pub(crate) eids_seen: BTreeSet<u64>,
     /// ECREATEs whose response timed out: the real machine may hold that
     /// many enclaves whose ids the model never learned.
-    pub orphan_creates: usize,
+    pub(crate) orphan_creates: usize,
 }
 
 impl RefModel {
     /// An empty model.
-    pub fn new() -> RefModel {
+    pub(crate) fn new() -> RefModel {
         RefModel::default()
     }
 
     /// Commits a successful ECREATE: seeds the measurement mirror exactly
     /// as [`hypertee_ems::control::EnclaveControl::new`] does.
-    pub fn create(
+    pub(crate) fn create(
         &mut self,
         slot: usize,
         eid: u64,
@@ -126,7 +126,13 @@ impl RefModel {
     /// # Panics
     ///
     /// Panics if the slot is unknown (harness bug, not a divergence).
-    pub fn extend_image(&mut self, slot: usize, base_va: u64, data: &[u8], perm_bits: u8) -> u64 {
+    pub(crate) fn extend_image(
+        &mut self,
+        slot: usize,
+        base_va: u64,
+        data: &[u8],
+        perm_bits: u8,
+    ) -> u64 {
         let s = self.slots.get_mut(&slot).expect("extend_image: live slot");
         let pages = (data.len() as u64).div_ceil(PAGE_SIZE);
         for i in 0..pages {
@@ -151,7 +157,7 @@ impl RefModel {
     /// # Panics
     ///
     /// Panics if the slot is unknown.
-    pub fn measure(&mut self, slot: usize) -> [u8; 32] {
+    pub(crate) fn measure(&mut self, slot: usize) -> [u8; 32] {
         let s = self.slots.get_mut(&slot).expect("measure: live slot");
         let digest = s.hasher.clone().finalize();
         s.digest = Some(digest);
@@ -164,7 +170,7 @@ impl RefModel {
     /// # Panics
     ///
     /// Panics if the slot is unknown.
-    pub fn enter(&mut self, slot: usize, hart: usize) {
+    pub(crate) fn enter(&mut self, slot: usize, hart: usize) {
         let s = self.slots.get_mut(&slot).expect("enter: live slot");
         s.state = SlotState::Running;
         s.entered_on = Some(hart);
@@ -176,7 +182,7 @@ impl RefModel {
     /// # Panics
     ///
     /// Panics if the slot is unknown.
-    pub fn exit(&mut self, slot: usize) {
+    pub(crate) fn exit(&mut self, slot: usize) {
         let s = self.slots.get_mut(&slot).expect("exit: live slot");
         s.state = SlotState::Stopped;
         s.entered_on = None;
@@ -188,7 +194,7 @@ impl RefModel {
     /// # Panics
     ///
     /// Panics if the slot is unknown.
-    pub fn alloc(&mut self, slot: usize, pages: u64) {
+    pub(crate) fn alloc(&mut self, slot: usize, pages: u64) {
         let s = self.slots.get_mut(&slot).expect("alloc: live slot");
         s.allocs.push((s.heap_cursor, pages));
         s.heap_cursor += pages * PAGE_SIZE;
@@ -200,26 +206,26 @@ impl RefModel {
     /// # Panics
     ///
     /// Panics if the slot is unknown.
-    pub fn free(&mut self, slot: usize, pages: u64) {
+    pub(crate) fn free(&mut self, slot: usize, pages: u64) {
         let s = self.slots.get_mut(&slot).expect("free: live slot");
         s.heap_pages -= pages;
     }
 
     /// Commits a successful EDESTROY (also covers tainted slots).
-    pub fn destroy(&mut self, slot: usize) {
+    pub(crate) fn destroy(&mut self, slot: usize) {
         self.slots.remove(&slot);
     }
 
     /// Marks a slot tainted after a timed-out primitive (real state
     /// unknowable until the slot is destroyed).
-    pub fn taint(&mut self, slot: usize) {
+    pub(crate) fn taint(&mut self, slot: usize) {
         if let Some(s) = self.slots.get_mut(&slot) {
             s.tainted = true;
         }
     }
 
     /// Enclave ids of every slot the model knows about.
-    pub fn known_eids(&self) -> BTreeSet<u64> {
+    pub(crate) fn known_eids(&self) -> BTreeSet<u64> {
         self.slots.values().map(|s| s.eid).collect()
     }
 }

@@ -11,7 +11,7 @@ use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_mem::addr::PAGE_SIZE;
 
 /// Number of concurrently tracked enclave slots.
-pub const MAX_SLOTS: usize = 6;
+pub(crate) const MAX_SLOTS: usize = 6;
 
 /// One abstract lifecycle operation against an enclave slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,7 @@ pub enum LifecycleOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Command {
     /// Issuing hart (taken modulo the machine's hart count by the harness).
-    pub hart: usize,
+    pub(crate) hart: usize,
     /// The operation.
     pub op: LifecycleOp,
 }
@@ -124,7 +124,7 @@ impl core::fmt::Display for Command {
 /// Deterministic image byte for position `i` of the command at `cmd_idx`
 /// (shared between the harness's EADD staging and the model's measurement
 /// mirror).
-pub fn image_byte(cmd_idx: usize, i: usize) -> u8 {
+pub(crate) fn image_byte(cmd_idx: usize, i: usize) -> u8 {
     ((cmd_idx as u64).wrapping_mul(131).wrapping_add(i as u64) % 251) as u8
 }
 

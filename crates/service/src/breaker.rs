@@ -63,11 +63,6 @@ impl Default for CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
     /// Transition counters so far.
     pub fn transitions(&self) -> BreakerTransitions {
         self.transitions
@@ -168,9 +163,9 @@ mod tests {
             b.allow(t);
             b.on_failure(t);
         }
-        assert_eq!(b.state(), BreakerState::Closed, "one failure short");
+        assert_eq!(b.state, BreakerState::Closed, "one failure short");
         let mut b = tripped();
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         assert!(!b.allow(5), "open breaker sheds before cooldown");
         assert_eq!(b.transitions().to_open, 1);
         assert_eq!(b.transitions().shed, 1);
@@ -185,17 +180,17 @@ mod tests {
         // Cooldown elapses: the first allow becomes a probe.
         let t = opened + OPEN_COOLDOWN_TICKS;
         assert!(b.allow(t));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         for _ in 1..HALF_OPEN_PROBES {
             assert!(b.allow(t), "further probes fit the budget");
         }
         assert!(!b.allow(t), "a probe past the budget is shed");
         for _ in 1..HALF_OPEN_PROBES {
             b.on_success();
-            assert_eq!(b.state(), BreakerState::HalfOpen, "too few probes");
+            assert_eq!(b.state, BreakerState::HalfOpen, "too few probes");
         }
         b.on_success();
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
         assert_eq!(b.transitions().to_closed, 1);
     }
 
@@ -205,7 +200,7 @@ mod tests {
         let probe = u64::from(FAILURE_THRESHOLD - 1) + OPEN_COOLDOWN_TICKS;
         assert!(b.allow(probe));
         b.on_failure(probe);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         assert_eq!(b.transitions().to_open, 2);
         // And the cooldown restarts from the re-trip instant.
         assert!(!b.allow(probe + OPEN_COOLDOWN_TICKS - 1));

@@ -58,23 +58,23 @@ pub struct ClientStats {
     /// Handshakes re-run because a session was revoked or expired.
     pub reattestations: u64,
     /// Calls served and verified.
-    pub calls_ok: u64,
+    pub(crate) calls_ok: u64,
     /// Calls that ended in rejection.
-    pub failures: u64,
+    pub(crate) failures: u64,
     /// Calls shed by the breaker.
-    pub shed: u64,
+    pub(crate) shed: u64,
 }
 
 /// The synchronous reference client.
 #[derive(Debug)]
 pub struct ServiceClient {
     /// Tenant identity presented at challenge time.
-    pub tenant: u64,
+    pub(crate) tenant: u64,
     trusted_ek: PublicKey,
     expected_measurement: [u8; 32],
     rng: ChaChaRng,
     /// The client's breaker (public so harnesses can inspect transitions).
-    pub breaker: CircuitBreaker,
+    pub(crate) breaker: CircuitBreaker,
     token: Option<SessionToken>,
     key: Option<[u8; 32]>,
     seq: u64,
@@ -102,11 +102,6 @@ impl ServiceClient {
             seq: 0,
             stats: ClientStats::default(),
         }
-    }
-
-    /// Whether the client currently holds a session.
-    pub fn attested(&self) -> bool {
-        self.token.is_some()
     }
 
     /// Runs the full challenge-response handshake and stores the session.

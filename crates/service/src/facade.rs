@@ -36,7 +36,7 @@ use hypertee_ems::boot::BootStage;
 /// The canonical service-enclave image measured at probe time. Clients pin
 /// the resulting enclave measurement (exposed by
 /// [`ServiceFacade::service_measurement`]) for their SIGMA verification.
-pub const SERVICE_IMAGE: &[u8] = b"hypertee-service enclave v1: seal/unseal/quote worker";
+pub(crate) const SERVICE_IMAGE: &[u8] = b"hypertee-service enclave v1: seal/unseal/quote worker";
 
 /// Bound on outstanding challenges; issuing past it evicts the oldest.
 const MAX_PENDING_CHALLENGES: usize = 1024;
@@ -150,7 +150,7 @@ impl core::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Shorthand result.
-pub type ServiceResult<T> = Result<T, ServiceError>;
+pub(crate) type ServiceResult<T> = Result<T, ServiceError>;
 
 /// An authenticated operation a session may request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,7 +167,7 @@ pub enum ServiceOp {
 
 impl ServiceOp {
     /// Canonical wire encoding the request MAC covers.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let (tag, body): (u8, &[u8]) = match self {
             ServiceOp::Ping(d) => (1, d),
             ServiceOp::Seal(d) => (2, d),
@@ -269,13 +269,13 @@ struct Session {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FacadeStats {
     /// Probes that passed.
-    pub probes_ok: u64,
+    pub(crate) probes_ok: u64,
     /// Probes that failed (facade latched).
-    pub probes_failed: u64,
+    pub(crate) probes_failed: u64,
     /// RPCs refused because the facade was not ready.
     pub not_ready_rejects: u64,
     /// Challenges issued.
-    pub challenges_issued: u64,
+    pub(crate) challenges_issued: u64,
     /// Handshakes completed (tokens minted).
     pub handshakes_ok: u64,
     /// Handshakes the EMS rejected.
@@ -368,11 +368,6 @@ impl ServiceFacade {
     /// Current lifecycle state.
     pub fn state(&self) -> ServiceState {
         self.state
-    }
-
-    /// The platform epoch tokens are currently pinned to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The service enclave's measurement, once probed. Clients pin this for

@@ -6,16 +6,16 @@
 //! *proved* itself first. This crate reproduces that contract on top of the
 //! HyperTEE machine:
 //!
-//! * [`facade`] — [`facade::ServiceFacade`]: startup probes that refuse all
+//! * `facade` — [`facade::ServiceFacade`]: startup probes that refuse all
 //!   traffic until the boot measurement chain and an EMS self-attestation
 //!   verify (readiness is distinct from liveness), nonce-bound
 //!   challenge-response attestation with freshness windows and replay
 //!   rejection, per-tenant session tokens with expiry, and forced
 //!   re-attestation after an EMS crash-restart (epoch revocation).
-//! * [`breaker`] — [`breaker::CircuitBreaker`]: the explicit
+//! * `breaker` — [`breaker::CircuitBreaker`]: the explicit
 //!   Closed → Open → HalfOpen client-side state machine, so a faulted
 //!   facade sheds load instead of queueing it.
-//! * [`client`] — [`client::ServiceClient`]: a reference client that drives
+//! * `client` — [`client::ServiceClient`]: a reference client that drives
 //!   the full protocol (challenge → SIGMA handshake → authenticated calls)
 //!   with one re-attestation retry and the breaker wired in, and
 //!   [`client::backoff_delay`], the storm clients' retry schedule.
@@ -28,9 +28,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
-pub mod client;
-pub mod facade;
+pub(crate) mod breaker;
+pub(crate) mod client;
+pub(crate) mod facade;
 
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use client::{backoff_delay, ClientOutcome, ServiceClient};

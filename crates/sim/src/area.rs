@@ -10,7 +10,7 @@
 use crate::config::{CoreConfig, EmsCluster, PipelineKind};
 
 /// Area of the crypto engine in mm² (paper §VII-E).
-pub const CRYPTO_ENGINE_MM2: f64 = 0.20;
+pub(crate) const CRYPTO_ENGINE_MM2: f64 = 0.20;
 
 /// CS subsystem area in mm² for a given core count, per Table V.
 ///
@@ -19,7 +19,7 @@ pub const CRYPTO_ENGINE_MM2: f64 = 0.20;
 /// # Panics
 ///
 /// Panics for core counts outside 1..=64.
-pub fn cs_area_mm2(cores: u32) -> f64 {
+pub(crate) fn cs_area_mm2(cores: u32) -> f64 {
     assert!(
         (1..=64).contains(&cores),
         "CS core count out of modelled range"
@@ -41,7 +41,7 @@ pub fn cs_area_mm2(cores: u32) -> f64 {
 }
 
 /// Area of one EMS core in mm², by configuration class.
-pub fn ems_core_area_mm2(core: &CoreConfig) -> f64 {
+pub(crate) fn ems_core_area_mm2(core: &CoreConfig) -> f64 {
     match (core.pipeline, core.fetch_width) {
         (PipelineKind::InOrder, _) => 0.13,
         (PipelineKind::OutOfOrder, f) if f >= 8 => 1.10,
@@ -51,7 +51,7 @@ pub fn ems_core_area_mm2(core: &CoreConfig) -> f64 {
 
 /// Total HyperTEE IP (EMS) area in mm²: cores + crypto engine + uncore
 /// (mailbox, iHub glue; grows with the intra-cluster interconnect).
-pub fn ems_area_mm2(cluster: &EmsCluster) -> f64 {
+pub(crate) fn ems_area_mm2(cluster: &EmsCluster) -> f64 {
     let cores = cluster.cores as f64 * ems_core_area_mm2(&cluster.core);
     let uncore = if cluster.cores <= 1 {
         0.01
@@ -83,7 +83,7 @@ impl AreaRow {
 }
 
 /// The recommended EMS cluster for a CS core count (§VII-B conclusions).
-pub fn recommended_cluster(cs_cores: u32) -> EmsCluster {
+pub(crate) fn recommended_cluster(cs_cores: u32) -> EmsCluster {
     if cs_cores <= 8 {
         EmsCluster::single_inorder()
     } else if cs_cores <= 16 {

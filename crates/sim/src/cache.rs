@@ -10,26 +10,26 @@
 use crate::config::CoreConfig;
 
 /// Cache line size in bytes (matching the MKTME line granularity).
-pub const LINE_BYTES: u64 = 64;
+const LINE_BYTES: u64 = 64;
 
 /// Hit/miss counters for one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
+struct CacheStats {
     /// Accesses that hit.
-    pub hits: u64,
+    hits: u64,
     /// Accesses that missed.
-    pub misses: u64,
+    misses: u64,
 }
 
 /// One set-associative cache level with LRU replacement.
 #[derive(Debug)]
-pub struct Cache {
+struct Cache {
     sets: Vec<Vec<u64>>, // tags, most-recent last
     ways: usize,
     set_shift: u32,
     set_mask: u64,
     /// Counters.
-    pub stats: CacheStats,
+    stats: CacheStats,
 }
 
 impl Cache {
@@ -38,7 +38,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics unless `size_bytes / (ways × 64)` is a nonzero power of two.
-    pub fn new(size_bytes: u64, ways: usize) -> Cache {
+    fn new(size_bytes: u64, ways: usize) -> Cache {
         let sets = size_bytes / (ways as u64 * LINE_BYTES);
         assert!(
             sets.is_power_of_two() && sets > 0,
@@ -55,7 +55,7 @@ impl Cache {
 
     /// Accesses one address; returns `true` on hit. Misses fill with LRU
     /// eviction.
-    pub fn access(&mut self, addr: u64) -> bool {
+    fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.set_shift;
         let set_idx = (line & self.set_mask) as usize;
         let tag = line >> self.set_mask.count_ones();
@@ -77,7 +77,7 @@ impl Cache {
     }
 
     /// Flushes all contents (context-switch modelling).
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         for set in &mut self.sets {
             set.clear();
         }
@@ -86,17 +86,17 @@ impl Cache {
 
 /// An L1-D → L2 hierarchy built from a core configuration.
 #[derive(Debug)]
-pub struct Hierarchy {
+struct Hierarchy {
     /// Level-1 data cache.
-    pub l1d: Cache,
+    l1d: Cache,
     /// Unified level-2 cache.
-    pub l2: Cache,
+    l2: Cache,
 }
 
 impl Hierarchy {
     /// Builds the hierarchy from Table III parameters (L1-D 8-way,
     /// L2 16-way, typical BOOM organisation).
-    pub fn from_config(config: &CoreConfig) -> Hierarchy {
+    fn from_config(config: &CoreConfig) -> Hierarchy {
         Hierarchy {
             l1d: Cache::new(config.l1_kib.1 as u64 * 1024, 8),
             l2: Cache::new(config.l2_kib as u64 * 1024, 16),
@@ -104,7 +104,7 @@ impl Hierarchy {
     }
 
     /// One data access through the hierarchy; returns which level hit.
-    pub fn access(&mut self, addr: u64) -> HitLevel {
+    fn access(&mut self, addr: u64) -> HitLevel {
         if self.l1d.access(addr) {
             HitLevel::L1
         } else if self.l2.access(addr) {
@@ -115,7 +115,7 @@ impl Hierarchy {
     }
 
     /// Fraction of accesses that went to DRAM.
-    pub fn dram_rate(&self) -> f64 {
+    fn dram_rate(&self) -> f64 {
         let total = self.l1d.stats.hits + self.l1d.stats.misses;
         if total == 0 {
             0.0
@@ -127,7 +127,7 @@ impl Hierarchy {
 
 /// Which level served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitLevel {
+enum HitLevel {
     /// Level-1 hit.
     L1,
     /// Level-2 hit.

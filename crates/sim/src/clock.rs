@@ -14,7 +14,7 @@ impl Cycles {
     pub const ZERO: Cycles = Cycles(0);
 
     /// Saturating addition.
-    pub fn saturating_add(self, other: Cycles) -> Cycles {
+    pub(crate) fn saturating_add(self, other: Cycles) -> Cycles {
         Cycles(self.0.saturating_add(other.0))
     }
 }

@@ -11,7 +11,7 @@ pub enum PipelineKind {
 
 /// Branch-predictor class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchPredictor {
+pub(crate) enum BranchPredictor {
     /// GShare predictor (weak EMS core).
     GShare,
     /// TAGE predictor (CS and stronger EMS cores).
@@ -22,36 +22,38 @@ pub enum BranchPredictor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// Human-readable name ("CS", "EMS-weak", ...).
-    pub name: String,
+    pub(crate) name: String,
     /// Pipeline organisation.
     pub pipeline: PipelineKind,
     /// Fetch width (instructions per cycle).
-    pub fetch_width: u32,
+    pub(crate) fetch_width: u32,
     /// Decode width.
-    pub decode_width: u32,
+    pub(crate) decode_width: u32,
     /// Memory / integer / floating-point issue ports.
-    pub ports: (u32, u32, u32),
+    pub(crate) ports: (u32, u32, u32),
     /// BTB entries.
-    pub btb_entries: u32,
+    pub(crate) btb_entries: u32,
     /// Branch history table entries.
-    pub bht_entries: u32,
+    pub(crate) bht_entries: u32,
     /// Branch predictor class.
-    pub predictor: BranchPredictor,
+    pub(crate) predictor: BranchPredictor,
     /// Physical registers (int, fp); `None` for in-order cores.
-    pub phys_regs: Option<(u32, u32)>,
+    pub(crate) phys_regs: Option<(u32, u32)>,
     /// ROB / store-queue / load-queue entries; `None` for in-order cores.
-    pub rob_stq_ldq: Option<(u32, u32, u32)>,
+    pub(crate) rob_stq_ldq: Option<(u32, u32, u32)>,
     /// I-TLB / D-TLB / L2-TLB entries.
-    pub tlb_entries: (u32, u32, u32),
+    pub(crate) tlb_entries: (u32, u32, u32),
     /// L1 I/D cache sizes in KiB.
-    pub l1_kib: (u32, u32),
+    pub(crate) l1_kib: (u32, u32),
     /// L2 cache size in KiB.
-    pub l2_kib: u32,
+    pub(crate) l2_kib: u32,
 }
 
 impl CoreConfig {
-    /// The CS (computing subsystem) core: 8-wide BOOM-class OoO.
-    pub fn cs() -> CoreConfig {
+    /// The CS (computing subsystem) core: 8-wide BOOM-class OoO. Only the
+    /// Fig. 8(b) cache premise test builds a CS hierarchy from it.
+    #[cfg(test)]
+    pub(crate) fn cs() -> CoreConfig {
         CoreConfig {
             name: "CS".into(),
             pipeline: PipelineKind::OutOfOrder,
@@ -133,7 +135,7 @@ impl CoreConfig {
     /// 1.05× medium:strong ratios below are chosen to reproduce exactly that
     /// spread (management-task code is branchy integer work that barely
     /// benefits from the strong core's extra width).
-    pub fn management_ipc(&self) -> f64 {
+    pub(crate) fn management_ipc(&self) -> f64 {
         match (self.pipeline, self.fetch_width) {
             (PipelineKind::InOrder, _) => 0.60,
             (PipelineKind::OutOfOrder, f) if f >= 8 => 1.80,

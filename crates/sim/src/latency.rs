@@ -8,38 +8,38 @@
 
 // ---- Clock domains (§VII-E) ------------------------------------------------
 /// CS core frequency in GHz (paper: 2.5).
-pub const CS_GHZ: f64 = 2.5;
+pub(crate) const CS_GHZ: f64 = 2.5;
 /// EMS core frequency in GHz (paper: 0.75).
-pub const EMS_GHZ: f64 = 0.75;
+pub(crate) const EMS_GHZ: f64 = 0.75;
 
 // ---- Memory hierarchy -------------------------------------------------------
 /// Effective cost of a last-level-cache miss (DRAM access) as seen by a
 /// dependent load. Anchor: typical FPGA-prototype DRAM latency.
-pub const DRAM_ACCESS: f64 = 120.0;
+pub(crate) const DRAM_ACCESS: f64 = 120.0;
 /// Extra latency the multi-key AES engine adds on a DRAM access. The
 /// counter stream is computed in parallel with the fetch, so only the
 /// final XOR plus pipeline fill shows. Anchor: Fig. 8(b), 3.1% average
 /// MemStream overhead together with [`INTEGRITY_EXTRA`].
-pub const MKTME_EXTRA: f64 = 2.0;
+pub(crate) const MKTME_EXTRA: f64 = 2.0;
 /// Extra latency of the 28-bit SHA-3 MAC check on a DRAM access
 /// (verified off the critical path, optimistically forwarded).
-pub const INTEGRITY_EXTRA: f64 = 1.7;
+pub(crate) const INTEGRITY_EXTRA: f64 = 1.7;
 /// Extra cost of the bitmap check after a walk: one bitmap line fetch,
 /// overlapped with the original permission check. Anchor: Fig. 10,
 /// 1.9% average / 4.6% xalancbmk (TLB miss rate 0.8%).
-pub const BITMAP_CHECK_EXTRA: f64 = 20.0;
+pub(crate) const BITMAP_CHECK_EXTRA: f64 = 20.0;
 /// Fixed cost of one TLB flush operation.
-pub const TLB_FLUSH_OP: f64 = 200.0;
+pub(crate) const TLB_FLUSH_OP: f64 = 200.0;
 /// Per-page refill cost after a flush (one walk per touched page).
-pub const POST_FLUSH_WALK: f64 = 40.0;
+pub(crate) const POST_FLUSH_WALK: f64 = 40.0;
 
 // ---- EMCall / mailbox transmission ------------------------------------------
 /// EMCall trap + privilege check + request packet assembly.
-pub const EMCALL_PACK: f64 = 900.0;
+pub(crate) const EMCALL_PACK: f64 = 900.0;
 /// One fabric hop CS→iHub mailbox (and the symmetric response hop).
-pub const FABRIC_HOP: f64 = 300.0;
+pub(crate) const FABRIC_HOP: f64 = 300.0;
 /// Mailbox interrupt delivery and EMS-side fetch into its Rx queue.
-pub const EMS_NOTIFY: f64 = 2600.0;
+pub(crate) const EMS_NOTIFY: f64 = 2600.0;
 /// EMS runtime dispatch of one primitive (EMS cycles, converted).
 pub const EMS_DISPATCH_EMS_CYCLES: f64 = 1200.0;
 /// EMCall response polling including the timing-obfuscation delay the
@@ -53,7 +53,7 @@ pub const RETRY_BACKOFF: f64 = 4_000.0;
 // ---- Enclave memory management ----------------------------------------------
 /// Host `malloc` fixed cost (syscall + allocator metadata). Anchor:
 /// Fig. 8(a), 49.7% overhead at 128 KiB.
-pub const HOST_MALLOC_BASE: f64 = 6459.0;
+pub(crate) const HOST_MALLOC_BASE: f64 = 6459.0;
 /// Host per-page cost (page fault + zeroing) for `malloc` first touch.
 pub const HOST_PAGE_COST: f64 = 600.0;
 /// EMS-side EALLOC handler base cost (EMS cycles, converted).
@@ -64,21 +64,21 @@ pub const EALLOC_BASE_EMS_CYCLES: f64 = 2782.0;
 pub const EALLOC_PAGE_EXTRA: f64 = 14.6;
 /// EADD per-byte cost: copy into enclave memory plus page-table and
 /// bitmap setup on the EMS core. Anchor: Table IV "others" share.
-pub const EADD_COPY_PER_BYTE: f64 = 30.0;
+pub(crate) const EADD_COPY_PER_BYTE: f64 = 30.0;
 /// Fixed management cost of a whole enclave lifecycle (ECREATE +
 /// EENTER/EEXIT pair + EDESTROY), excluding per-byte work.
 pub const LIFECYCLE_FIXED: f64 = 2_000_000.0;
 
 // ---- Crypto engine (Table III) ------------------------------------------------
 /// Engine SHA-256 throughput in bytes per CS cycle (16.1 Gbps @ 2.5 GHz).
-pub const ENGINE_SHA_BYTES_PER_CYCLE: f64 = 16.1e9 / 8.0 / 2.5e9;
+pub(crate) const ENGINE_SHA_BYTES_PER_CYCLE: f64 = 16.1e9 / 8.0 / 2.5e9;
 /// Engine signature cost (RSA sign: 123 ops/s → cycles per op).
-pub const ENGINE_SIGN_CYCLES: f64 = 2.5e9 / 123.0;
+pub(crate) const ENGINE_SIGN_CYCLES: f64 = 2.5e9 / 123.0;
 /// Software SHA-256 on the EMS core, cycles per byte (EMS cycles).
 /// Anchor: Table IV, EMEAS share 7.8% → 0.10% with the engine (~78×).
-pub const SW_SHA_CPB_EMS: f64 = 29.0;
+pub(crate) const SW_SHA_CPB_EMS: f64 = 29.0;
 /// Software signature on the EMS core (cycles, EMS domain).
-pub const SW_SIGN_EMS_CYCLES: f64 = 2.5e9 / 123.0 / (2.5 / 0.75) * 1.35;
+pub(crate) const SW_SIGN_EMS_CYCLES: f64 = 2.5e9 / 123.0 / (2.5 / 0.75) * 1.35;
 /// Software AES on a CS core, cycles per byte — the conventional
 /// design's data-path encryption in Fig. 12.
 pub const SW_AES_CPB_CS: f64 = 20.0;

@@ -23,7 +23,8 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod cache;
+#[cfg(test)]
+mod cache;
 pub mod clock;
 pub mod config;
 pub mod latency;

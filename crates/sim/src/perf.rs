@@ -40,17 +40,17 @@ pub struct WorkloadProfile {
 
 impl WorkloadProfile {
     /// DRAM accesses over the whole run.
-    pub fn dram_accesses(&self) -> f64 {
+    pub(crate) fn dram_accesses(&self) -> f64 {
         self.instructions * self.mem_refs_per_kinst / 1000.0 * self.llc_miss_rate
     }
 
     /// Page-table walks over the whole run.
-    pub fn ptw_walks(&self) -> f64 {
+    pub(crate) fn ptw_walks(&self) -> f64 {
         self.instructions * self.mem_refs_per_kinst / 1000.0 * self.tlb_miss_rate
     }
 
     /// Runtime in seconds at the CS clock.
-    pub fn runtime_secs(&self) -> f64 {
+    pub(crate) fn runtime_secs(&self) -> f64 {
         self.host_cycles / (CS_GHZ * 1e9)
     }
 }
@@ -61,7 +61,7 @@ pub struct PrimitiveBreakdown {
     /// EMEAS (measurement) cycles.
     pub emeas: f64,
     /// All other primitives (ECREATE, EADD, EENTER/EEXIT, EALLOC, EATTEST).
-    pub others: f64,
+    pub(crate) others: f64,
 }
 
 impl PrimitiveBreakdown {
@@ -101,7 +101,7 @@ pub fn encryption_cycles(profile: &WorkloadProfile) -> f64 {
 
 /// Bitmap-check overhead cycles for a *non-enclave* run (Fig. 10): one extra
 /// bitmap fetch per page-table walk.
-pub fn bitmap_cycles(profile: &WorkloadProfile) -> f64 {
+pub(crate) fn bitmap_cycles(profile: &WorkloadProfile) -> f64 {
     profile.ptw_walks() * BITMAP_CHECK_EXTRA
 }
 
@@ -120,9 +120,9 @@ pub fn tlb_flush_cycles(profile: &WorkloadProfile, switch_hz: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnclaveRun {
     /// Host-Native baseline cycles.
-    pub baseline: f64,
+    pub(crate) baseline: f64,
     /// Enclave-mode cycles.
-    pub enclave: f64,
+    pub(crate) enclave: f64,
 }
 
 impl EnclaveRun {
@@ -139,7 +139,7 @@ impl EnclaveRun {
 /// acceleration" (no demand-paging faults during the run). Calibrated so
 /// the medium-core Fig. 7 average lands on the paper's 2.0% with the
 /// encryption and TLB-flush contributions included.
-pub const STATIC_ALLOC_CREDIT: f64 = 0.39;
+pub(crate) const STATIC_ALLOC_CREDIT: f64 = 0.39;
 
 /// Prices a full enclave run; `ealloc_cycles` is as for
 /// [`primitive_cycles`].

@@ -74,12 +74,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// The per-shard stream generator for shard `shard_id` of a campaign.
-    #[must_use]
-    pub fn for_shard(campaign_seed: u64, shard_id: u64) -> SplitMix64 {
-        SplitMix64::new(derive_stream(campaign_seed, shard_id))
-    }
-
     /// The next 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
@@ -94,11 +88,6 @@ impl SplitMix64 {
         // Multiply-shift range reduction: deterministic and unbiased enough
         // for scheduling (not sampling-critical).
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
-    }
-
-    /// A uniform draw in `[0, 1)`.
-    pub fn next_unit(&mut self) -> f64 {
-        unit(self.next_u64())
     }
 }
 
@@ -119,16 +108,16 @@ mod tests {
     #[test]
     fn streams_are_deterministic_and_decorrelated() {
         let a1: Vec<u64> = {
-            let mut g = SplitMix64::for_shard(42, 0);
+            let mut g = SplitMix64::new(derive_stream(42, 0));
             (0..16).map(|_| g.next_u64()).collect()
         };
         let a2: Vec<u64> = {
-            let mut g = SplitMix64::for_shard(42, 0);
+            let mut g = SplitMix64::new(derive_stream(42, 0));
             (0..16).map(|_| g.next_u64()).collect()
         };
         assert_eq!(a1, a2, "same (seed, shard) must replay");
         let b: Vec<u64> = {
-            let mut g = SplitMix64::for_shard(42, 1);
+            let mut g = SplitMix64::new(derive_stream(42, 1));
             (0..16).map(|_| g.next_u64()).collect()
         };
         assert!(
@@ -136,7 +125,7 @@ mod tests {
             "adjacent shards must not share draws"
         );
         let c: Vec<u64> = {
-            let mut g = SplitMix64::for_shard(43, 0);
+            let mut g = SplitMix64::new(derive_stream(43, 0));
             (0..16).map(|_| g.next_u64()).collect()
         };
         assert_ne!(a1, c, "different campaign seeds must differ");
@@ -157,8 +146,7 @@ mod tests {
     fn unit_and_range_are_bounded() {
         let mut g = SplitMix64::new(9);
         for _ in 0..1000 {
-            let u = g.next_unit();
-            assert!((0.0..1.0).contains(&u));
+            assert!((0.0..1.0).contains(&unit(g.next_u64())));
             assert!(g.gen_range(10) < 10);
         }
         assert_eq!(g.gen_range(0), 0);

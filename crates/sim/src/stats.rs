@@ -19,24 +19,6 @@ impl Samples {
         self.sorted = false;
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Arithmetic mean; 0.0 for an empty set.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.values
@@ -66,11 +48,6 @@ impl Samples {
         let n = self.values.iter().filter(|&&v| v <= threshold).count();
         n as f64 / self.values.len() as f64
     }
-
-    /// Maximum sample; 0.0 for an empty set.
-    pub fn max(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -78,12 +55,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_percentiles() {
+    fn percentiles() {
         let mut s = Samples::new();
         for v in 1..=100 {
             s.push(v as f64);
         }
-        assert!((s.mean() - 50.5).abs() < 1e-9);
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.percentile(1.0), 100.0);
         let p99 = s.percentile(0.99);

@@ -17,12 +17,12 @@ use hypertee_sim::latency::{COPY_CPB_CS, SW_AES_CPB_CS};
 // Gemmini configuration (Table III): 16×16 PEs, 256 KiB global buffer,
 // 64 KiB accumulator, output/weight-stationary dataflow.
 /// Gemmini processing elements (16×16).
-pub const GEMMINI_PES: u64 = 256;
+pub(crate) const GEMMINI_PES: u64 = 256;
 /// Gemmini's sustained utilisation across layers.
-pub const GEMMINI_UTILIZATION: f64 = 0.70;
+pub(crate) const GEMMINI_UTILIZATION: f64 = 0.70;
 
 /// Gemmini compute cycles for `macs` multiply-accumulates.
-pub fn compute_cycles(macs: f64) -> f64 {
+pub(crate) fn compute_cycles(macs: f64) -> f64 {
     macs / (GEMMINI_PES as f64 * GEMMINI_UTILIZATION)
 }
 
@@ -32,11 +32,11 @@ pub struct DnnModel {
     /// Model name as in Fig. 12.
     pub name: &'static str,
     /// Multiply-accumulates per inference.
-    pub macs: f64,
+    pub(crate) macs: f64,
     /// Bytes crossing the enclave↔accelerator boundary per inference
     /// (activations + streamed commands), calibrated to the paper's
     /// measured crypto shares.
-    pub boundary_bytes: f64,
+    pub(crate) boundary_bytes: f64,
 }
 
 /// The Fig. 12 model set: ResNet50, MobileNet, and the four MLPs of
@@ -80,16 +80,16 @@ pub fn models() -> Vec<DnnModel> {
 #[derive(Debug, Clone, Copy)]
 pub struct InferenceTime {
     /// Accelerator compute cycles.
-    pub compute: f64,
+    pub(crate) compute: f64,
     /// Boundary data movement (copy) cycles.
-    pub transfer: f64,
+    pub(crate) transfer: f64,
     /// Software encryption + decryption cycles (zero under HyperTEE).
-    pub crypto: f64,
+    pub(crate) crypto: f64,
 }
 
 impl InferenceTime {
     /// Total cycles.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.compute + self.transfer + self.crypto
     }
 
@@ -111,7 +111,7 @@ pub fn conventional(model: &DnnModel) -> InferenceTime {
 
 /// HyperTEE: boundary traffic through protected shared enclave memory —
 /// plaintext-speed, no software crypto (§V).
-pub fn hypertee(model: &DnnModel) -> InferenceTime {
+pub(crate) fn hypertee(model: &DnnModel) -> InferenceTime {
     InferenceTime {
         compute: compute_cycles(model.macs),
         transfer: model.boundary_bytes * COPY_CPB_CS,

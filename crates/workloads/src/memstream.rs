@@ -7,7 +7,7 @@ use hypertee_sim::latency::stream_access;
 
 /// LLC size assumed by the sweep (CS core, Table III: 1 MiB L2; the paper
 /// requires working sets ≥ 4× the last-level cache).
-pub const LLC_BYTES: u64 = 1 << 20;
+pub(crate) const LLC_BYTES: u64 = 1 << 20;
 
 /// Analytic model: average latency (CS cycles) of one MemStream access for
 /// a given working-set size, with or without encryption+integrity.
@@ -23,14 +23,6 @@ pub fn access_latency(working_set: u64, encrypted: bool) -> f64 {
     };
     let miss_cost = stream_access(encrypted);
     miss_fraction * miss_cost + (1.0 - miss_fraction) * llc_hit_latency
-}
-
-/// Fig. 8(b) row: relative latency overhead of `Enclave-M_encrypt` over
-/// `Host-Native` at one working-set size.
-pub fn overhead(working_set: u64) -> f64 {
-    let native = access_latency(working_set, false);
-    let enc = access_latency(working_set, true);
-    (enc - native) / native
 }
 
 /// The paper's sweep sizes: 4–64 MiB (≥ 4× LLC as MemStream recommends).
@@ -69,21 +61,6 @@ pub fn chase(chain: &[u32], steps: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig8b_average_overhead() {
-        let sizes = sweep_sizes();
-        let avg = sizes.iter().map(|&s| overhead(s)).sum::<f64>() / sizes.len() as f64;
-        assert!(
-            (avg - 0.031).abs() < 0.005,
-            "average {avg:.4} vs paper 3.1%"
-        );
-    }
-
-    #[test]
-    fn overhead_grows_with_miss_rate() {
-        assert!(overhead(64 << 20) > overhead(4 << 20));
-    }
 
     #[test]
     fn chain_is_a_single_cycle() {

@@ -16,14 +16,14 @@ use hypertee_sim::latency::{COPY_CPB_CS, SW_AES_CPB_CS};
 #[derive(Debug, Clone, Copy)]
 pub struct TransferTime {
     /// Software encryption + decryption cycles.
-    pub crypto: f64,
+    pub(crate) crypto: f64,
     /// Copy/descriptor/DMA-setup cycles.
-    pub plumbing: f64,
+    pub(crate) plumbing: f64,
 }
 
 impl TransferTime {
     /// Total cycles.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.crypto + self.plumbing
     }
 
@@ -38,12 +38,12 @@ impl TransferTime {
 }
 
 /// Fixed per-packet plumbing cost (descriptor setup, doorbell) in cycles.
-pub const PER_PACKET_CYCLES: f64 = 300.0;
+pub(crate) const PER_PACKET_CYCLES: f64 = 300.0;
 
 /// Per-byte driver processing (checksums, descriptor rings) in CS cycles —
 /// calibrated with the copy cost so software crypto is 98.0% of the
 /// conventional path and the HyperTEE speedup lands at ~50× (§VII-D ②).
-pub const DRIVER_PROC_CPB: f64 = 0.55;
+pub(crate) const DRIVER_PROC_CPB: f64 = 0.55;
 
 /// Conventional path: encrypt at the user enclave, decrypt at the driver
 /// enclave, plus two copies through non-enclave memory.
@@ -57,7 +57,7 @@ pub fn conventional(bytes: u64, packets: u64) -> TransferTime {
 
 /// HyperTEE path: one plaintext copy through shared enclave memory; the
 /// NIC DMA reads the device-shared region directly.
-pub fn hypertee(bytes: u64, packets: u64) -> TransferTime {
+pub(crate) fn hypertee(bytes: u64, packets: u64) -> TransferTime {
     TransferTime {
         crypto: 0.0,
         plumbing: bytes as f64 * (2.0 * COPY_CPB_CS + DRIVER_PROC_CPB)

@@ -1,21 +1,12 @@
 //! Reusable RV64 programs, assembled in Rust, for running *real* workloads
 //! inside enclaves on the functional core (`hypertee-cpu`). These are the
 //! executable counterparts of the profile-based workloads: a stride walker
-//! with the memory behaviour Fig. 11 studies, a sieve of Eratosthenes
-//! (the RV8 `primes` benchmark), and small arithmetic kernels.
+//! with the memory behaviour Fig. 11 studies, a pointer chase, an in-place
+//! record XOR, and a small arithmetic kernel.
 //!
 //! Syscall ABI: `a7` = 93 exit(`a0`), `a7` = 1 ealloc(`a0` bytes) → `a0` va.
 
 use hypertee_cpu::asm::Asm;
-
-/// A program that immediately exits with `code` (smoke tests).
-pub fn exit_with(code: i64) -> Vec<u8> {
-    let mut a = Asm::new();
-    a.addi(10, 0, code.clamp(0, 2047));
-    a.addi(17, 0, 93);
-    a.ecall();
-    a.assemble()
-}
 
 /// Iterative Fibonacci: exits with `fib(n)`.
 ///
@@ -75,70 +66,6 @@ pub fn stride_walk(pages: u16, iterations: u16) -> Vec<u8> {
     a.jal(0, outer);
     a.bind(outer_done);
     a.addi(10, 0, 0);
-    a.addi(17, 0, 93);
-    a.ecall();
-    a.assemble()
-}
-
-/// Sieve of Eratosthenes over `[0, n)` — the RV8 `primes` benchmark as an
-/// enclave program. Exits with the count of primes below `n`.
-pub fn sieve(n: u16) -> Vec<u8> {
-    let n = n as u64;
-    let mut a = Asm::new();
-    // base = ealloc(n) — one byte flag per candidate, EMS-zeroed.
-    a.addi(17, 0, 1);
-    a.li(10, n.max(1));
-    a.ecall();
-    a.addi(5, 10, 0); // x5 = base
-    a.li(6, n); // x6 = n
-    a.addi(31, 0, 1); // x31 = 1
-                      // Mark 2..n candidate (flag = 1).
-    a.addi(7, 0, 2);
-    let mark = a.label();
-    let mark_done = a.label();
-    a.bind(mark);
-    a.bge(7, 6, mark_done);
-    a.add(28, 5, 7);
-    a.sb(31, 0, 28);
-    a.addi(7, 7, 1);
-    a.jal(0, mark);
-    a.bind(mark_done);
-    // Sieve: for i = 2; i*i < n; i++ { if flag[i] { for j = i*i; j < n; j += i: flag[j] = 0 } }
-    a.addi(7, 0, 2); // i
-    let sieve_top = a.label();
-    let sieve_done = a.label();
-    let next_i = a.label();
-    a.bind(sieve_top);
-    a.mul(28, 7, 7); // i*i
-    a.bge(28, 6, sieve_done);
-    a.add(29, 5, 7);
-    a.lbu(29, 0, 29);
-    a.beq(29, 0, next_i);
-    // inner: j in x28 already = i*i
-    let inner = a.label();
-    a.bind(inner);
-    a.bge(28, 6, next_i);
-    a.add(29, 5, 28);
-    a.sb(0, 0, 29);
-    a.add(28, 28, 7);
-    a.jal(0, inner);
-    a.bind(next_i);
-    a.addi(7, 7, 1);
-    a.jal(0, sieve_top);
-    a.bind(sieve_done);
-    // Count flags.
-    a.addi(7, 0, 2);
-    a.addi(10, 0, 0);
-    let count = a.label();
-    let count_done = a.label();
-    a.bind(count);
-    a.bge(7, 6, count_done);
-    a.add(28, 5, 7);
-    a.lbu(29, 0, 28);
-    a.add(10, 10, 29);
-    a.addi(7, 7, 1);
-    a.jal(0, count);
-    a.bind(count_done);
     a.addi(17, 0, 93);
     a.ecall();
     a.assemble()
@@ -300,23 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn exit_code_propagates() {
-        assert_eq!(run(&exit_with(77), 100), 77);
-    }
-
-    #[test]
     fn fib_matches_reference() {
         assert_eq!(run(&fib(10), 10_000), 55);
         assert_eq!(run(&fib(30), 10_000), 832_040);
-    }
-
-    #[test]
-    fn sieve_matches_rust_kernel() {
-        // Cross-validate the assembled program against the Rust kernel.
-        for n in [10u16, 100, 500] {
-            let expected = crate::rv8::kernels::primes(n as usize);
-            assert_eq!(run(&sieve(n), 3_000_000), expected, "n = {n}");
-        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct SessionResult {
     /// Whether the peer certificate verified.
     pub cert_ok: bool,
     /// Number of application-data records exchanged.
-    pub records: usize,
+    pub(crate) records: usize,
     /// Digest over all decrypted application data (correctness check).
     pub transcript: [u8; 32],
 }

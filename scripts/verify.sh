@@ -25,6 +25,15 @@ fi
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
 
+echo "==> benchmark/ compiles against the crates (an item it names must stay pub)"
+# Cargo rewrites benchmark/Cargo.lock on every build (it lags the crates'
+# path dependencies), so the committed lock is put back, pass or fail.
+cp benchmark/Cargo.lock target/benchmark-Cargo.lock
+bench_status=0
+cargo check --offline --release --all-targets --manifest-path benchmark/Cargo.toml || bench_status=$?
+cp target/benchmark-Cargo.lock benchmark/Cargo.lock
+[ "$bench_status" -eq 0 ]
+
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
