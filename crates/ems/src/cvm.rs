@@ -214,14 +214,16 @@ impl Ems {
                 .claim(frame, PageOwner::EmsPrivate)
                 .map_err(|_| EmsError::AccessDenied)?;
             // Populate: image bytes for the head, zeros beyond.
-            let mut page = vec![0u8; PAGE_SIZE as usize];
             let off = (i * PAGE_SIZE) as usize;
+            let sys = &mut *ctx.sys;
             if off < image.len() {
+                let mut page = vec![0u8; PAGE_SIZE as usize];
                 let take = (image.len() - off).min(PAGE_SIZE as usize);
                 page[..take].copy_from_slice(&image[off..off + take]);
+                sys.engine.write(&mut sys.phys, frame.base(), key, &page)?;
+            } else {
+                sys.engine.zero_page(&mut sys.phys, frame, key)?;
             }
-            let sys = &mut *ctx.sys;
-            sys.engine.write(&mut sys.phys, frame.base(), key, &page)?;
             frames.push(frame);
         }
         self.cvms.insert(

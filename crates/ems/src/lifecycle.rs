@@ -111,10 +111,7 @@ impl Ems {
                 txn.record(UndoOp::ReleaseOwnership(frame, PageOwner::Enclave(eid)));
                 // Establish integrity MACs by writing zeros through the key.
                 let sys = &mut *ctx.sys;
-                if let Err(f) =
-                    sys.engine
-                        .write(&mut sys.phys, frame.base(), key, &[0u8; PAGE_SIZE as usize])
-                {
+                if let Err(f) = sys.engine.zero_page(&mut sys.phys, frame, key) {
                     break 'build Err(f.into());
                 }
                 if let Err(f) = table.map(

@@ -11,9 +11,9 @@ use crate::runtime::{range_end, Ems, EmsContext, StagedFrames};
 use crate::txn::{Txn, UndoOp};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_mem::addr::{KeyId, Ppn, VirtAddr, PAGE_SIZE};
+use hypertee_mem::framehash::FrameSet;
 use hypertee_mem::ownership::{EnclaveId, PageOwner};
 use hypertee_mem::pagetable::{PageTable, Perms};
-use std::collections::HashSet;
 
 impl Ems {
     /// The enclave's heap cursor (next unmapped VA) and heap limit in
@@ -127,8 +127,7 @@ impl Ems {
         // Zero through the enclave key so integrity MACs exist (§IV-A:
         // "Before being mapped, corresponding pages will be zeroed").
         let sys = &mut *ctx.sys;
-        sys.engine
-            .write(&mut sys.phys, frame.base(), key, &[0u8; PAGE_SIZE as usize])?;
+        sys.engine.zero_page(&mut sys.phys, frame, key)?;
         table.map(va, frame, Perms::RW, key, staged, &mut ctx.sys.phys)?;
         txn.record(UndoOp::UnmapLeaf(table, va));
         Ok(frame)
@@ -211,7 +210,7 @@ impl Ems {
             self.pool.give_back(*frame, ctx.sys)?;
         }
         // Order-preserving: EDESTROY walks `data_frames` from the back.
-        let detached: HashSet<Ppn> = detached.into_iter().collect();
+        let detached: FrameSet<Ppn> = detached.into_iter().collect();
         let enclave = self.enclave_mut(eid)?;
         enclave.data_frames.retain(|f| !detached.contains(f));
         Ok(())

@@ -20,7 +20,7 @@ use crate::ownership::{EnclaveId, OwnershipTable, PageOwner};
 use crate::pagetable::PageTable;
 use crate::system::MemorySystem;
 use crate::MemFault;
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// A violated invariant, pinpointing the first offending frame or PTE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,15 +134,32 @@ impl ConsistencyAudit {
         tables: &[(EnclaveId, PageTable)],
     ) -> Result<ConsistencyAudit, AuditError> {
         let mut audit = ConsistencyAudit::default();
+        let covered = sys.bitmap.covered_frames;
 
-        let owned: BTreeSet<u64> = ownership.iter().map(|(p, _)| p.0).collect();
-        let free: BTreeSet<u64> = pool_free.iter().map(|p| p.0).collect();
-        audit.owned = owned.len() as u64;
-        audit.pool_free = free.len() as u64;
+        // Owned and pool-free frames as bitsets, 64 frames a word, over the
+        // bitmap's reach and the ownership table's; a free frame past both
+        // goes on a sorted list (no owned frame lies there).
+        let mut owned = ownership.owned_bits();
+        let words = owned.len().max(covered.div_ceil(64) as usize);
+        owned.resize(words, 0);
+        let mut free = vec![0u64; words];
+        let mut free_past = Vec::new();
+        for &Ppn(p) in pool_free {
+            match usize::try_from(p / 64).ok().and_then(|w| free.get_mut(w)) {
+                Some(word) => *word |= 1 << (p % 64),
+                None => free_past.push(p),
+            }
+        }
+        free_past.sort_unstable();
+        free_past.dedup();
+        audit.owned = ownership.len();
+        audit.pool_free =
+            free.iter().map(|w| u64::from(w.count_ones())).sum::<u64>() + free_past.len() as u64;
 
         // ② Disjointness first (cheap, and ① below assumes it).
-        if let Some(&both) = owned.intersection(&free).next() {
-            return Err(AuditError::FreeButOwned { ppn: Ppn(both) });
+        let both: Vec<u64> = owned.iter().zip(&free).map(|(o, f)| o & f).collect();
+        if let Some(ppn) = first_set(&both, 0) {
+            return Err(AuditError::FreeButOwned { ppn: Ppn(ppn) });
         }
 
         // ③ Every pool take pairs with an ownership claim.
@@ -153,12 +170,131 @@ impl ConsistencyAudit {
             });
         }
 
-        // ① Bitmap sweep: marked ⇔ (owned ∪ pool-free).
-        audit.frames_scanned = sys.bitmap.covered_frames;
-        for ppn in 0..sys.bitmap.covered_frames {
-            // The bitmap's own backing frames are enclave-marked by its
-            // install-time self-protection; no table tracks them.
-            if sys.bitmap.is_self_frame(Ppn(ppn)) {
+        // ① Bitmap sweep, a word at a time: marked ⇔ (owned ∪ pool-free).
+        // The bitmap's own backing frames are enclave-marked by its
+        // install-time self-protection; no table tracks them. The raw
+        // access counter advances as a probe per swept frame would.
+        audit.frames_scanned = covered;
+        let tracked: Vec<u64> = owned.iter().zip(&free).map(|(o, f)| o | f).collect();
+        let accesses = sys.phys.access_count;
+        let marked = sys.bitmap.words(&mut sys.phys)?;
+        let selfs = sys.bitmap.self_frames();
+        let probed = |end: u64| end - (selfs.start.min(end)..selfs.end.min(end)).count() as u64;
+        for (i, &m) in marked.iter().enumerate() {
+            let swept = word_bits(i, 0..covered) & !word_bits(i, selfs.clone());
+            let (m, t) = (m & swept, tracked[i] & swept);
+            audit.enclave_marked += u64::from(m.count_ones());
+            if m != t {
+                let bit = (m ^ t).trailing_zeros();
+                let ppn = Ppn(i as u64 * 64 + u64::from(bit));
+                sys.phys.access_count = accesses + probed(ppn.0 + 1);
+                return Err(if m >> bit & 1 == 1 {
+                    AuditError::UntrackedEnclaveFrame { ppn }
+                } else {
+                    AuditError::MissingBitmapBit { ppn }
+                });
+            }
+        }
+        sys.phys.access_count = accesses + probed(covered);
+        // A tracked frame past the bitmap's reach has no bit at all; the
+        // sweep above never visits it.
+        if let Some(ppn) = first_set(&tracked, covered).or(free_past.first().copied()) {
+            return Err(AuditError::MissingBitmapBit { ppn: Ppn(ppn) });
+        }
+
+        check_leaves(sys, ownership, tables, &mut audit)?;
+        Ok(audit)
+    }
+}
+
+/// ④ Leaf PTEs reach only frames their enclave may reach.
+fn check_leaves(
+    sys: &mut MemorySystem,
+    ownership: &OwnershipTable,
+    tables: &[(EnclaveId, PageTable)],
+    audit: &mut ConsistencyAudit,
+) -> Result<(), AuditError> {
+    for (eid, table) in tables {
+        for (va, pte) in table.mappings(&mut sys.phys)? {
+            audit.leaves_checked += 1;
+            let frame = pte.ppn();
+            if pte.key() == KeyId::HOST {
+                // Host window / plaintext shared view: must NOT alias
+                // enclave-marked memory.
+                if sys.bitmap.is_enclave(frame, &mut sys.phys)? {
+                    return Err(AuditError::HostWindowEnclaveFrame { eid: *eid, va });
+                }
+            } else {
+                match ownership.owner(frame) {
+                    Some(PageOwner::Enclave(e)) if e == *eid => {}
+                    Some(PageOwner::Shared(_)) => {}
+                    _ => return Err(AuditError::DanglingPte { eid: *eid, va }),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The bits of bitset word `word` that stand for frames in `frames`.
+fn word_bits(word: usize, frames: Range<u64>) -> u64 {
+    let base = word as u64 * 64;
+    let lo = frames.start.clamp(base, base + 64) - base;
+    let hi = frames.end.clamp(base, base + 64) - base;
+    if lo >= hi {
+        0
+    } else {
+        u64::MAX >> (64 - (hi - lo)) << lo
+    }
+}
+
+/// The lowest frame at or past `from` whose bit is set.
+fn first_set(bits: &[u64], from: u64) -> Option<u64> {
+    let start = usize::try_from(from / 64).ok()?;
+    bits.get(start..)?.iter().enumerate().find_map(|(k, &w)| {
+        let w = if k == 0 {
+            w & u64::MAX << (from % 64)
+        } else {
+            w
+        };
+        (w != 0).then(|| (start + k) as u64 * 64 + u64::from(w.trailing_zeros()))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addr::PhysAddr;
+    use crate::ownership::{OwnershipTable, ShmId};
+    use std::collections::BTreeSet;
+
+    /// The per-frame sweep the word-wise one replaced, kept as its
+    /// reference: one bitmap read and two set probes per frame. Past the
+    /// bitmap's reach it reports the lowest tracked frame.
+    fn run_ref(
+        sys: &mut MemorySystem,
+        ownership: &OwnershipTable,
+        pool_free: &[Ppn],
+        pool_used: u64,
+    ) -> Result<ConsistencyAudit, AuditError> {
+        let mut audit = ConsistencyAudit::default();
+        let owned: BTreeSet<u64> = ownership.iter().map(|(p, _)| p.0).collect();
+        let free: BTreeSet<u64> = pool_free.iter().map(|p| p.0).collect();
+        audit.owned = owned.len() as u64;
+        audit.pool_free = free.len() as u64;
+        if let Some(&both) = owned.intersection(&free).next() {
+            return Err(AuditError::FreeButOwned { ppn: Ppn(both) });
+        }
+        if pool_used != audit.owned {
+            return Err(AuditError::PoolAccountingMismatch {
+                used: pool_used,
+                owned: audit.owned,
+            });
+        }
+        let covered = sys.bitmap.covered_frames;
+        audit.frames_scanned = covered;
+        for ppn in 0..covered {
+            if sys.bitmap.self_frames().contains(&ppn) {
                 continue;
             }
             let marked = sys.bitmap.is_enclave(Ppn(ppn), &mut sys.phys)?;
@@ -172,46 +308,184 @@ impl ConsistencyAudit {
                 return Err(AuditError::MissingBitmapBit { ppn: Ppn(ppn) });
             }
         }
-        // A tracked frame past the bitmap's reach has no bit at all; the
-        // sweep above never visits it.
-        let beyond = [owned.last(), free.last()]
+        let past = [owned.range(covered..).next(), free.range(covered..).next()]
             .into_iter()
             .flatten()
-            .filter(|&&ppn| ppn >= sys.bitmap.covered_frames)
             .min();
-        if let Some(&ppn) = beyond {
+        if let Some(&ppn) = past {
             return Err(AuditError::MissingBitmapBit { ppn: Ppn(ppn) });
         }
+        check_leaves(sys, ownership, &[], &mut audit)?;
+        Ok(audit)
+    }
 
-        // ④ Leaf PTEs reach only frames their enclave may reach.
-        for (eid, table) in tables {
-            for (va, pte) in table.mappings(&mut sys.phys)? {
-                audit.leaves_checked += 1;
-                let frame = pte.ppn();
-                if pte.key() == KeyId::HOST {
-                    // Host window / plaintext shared view: must NOT alias
-                    // enclave-marked memory.
-                    if sys.bitmap.is_enclave(frame, &mut sys.phys)? {
-                        return Err(AuditError::HostWindowEnclaveFrame { eid: *eid, va });
+    /// A deterministic xorshift for the seeded states.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    /// One fault the seeded wall can plant.
+    #[derive(Debug, Clone, Copy)]
+    enum Plant {
+        /// A marked frame that no table tracks.
+        Untracked,
+        /// A tracked frame whose bitmap bit is missing.
+        MissingBit,
+        /// A frame both owned and pool-free.
+        OwnedAndFree,
+        /// Pool `used` off by one.
+        Accounting,
+        /// The bitmap's own frames tracked, or one of their bits cleared.
+        SelfFrames,
+        /// Tracked frames past the bitmap's reach.
+        PastReach,
+    }
+
+    /// A seeded state: frames owned (by all three owner kinds) and
+    /// pool-free with their bitmap bits set, a duplicate on the free list,
+    /// then the `plants`.
+    fn seeded_state(seed: u64, plants: &[Plant]) -> (MemorySystem, OwnershipTable, Vec<Ppn>, u64) {
+        let mut rng = Rng(seed | 1);
+        let frames = 200 + rng.below(400);
+        let mut sys = MemorySystem::new(frames * 4096, PhysAddr(0x4000));
+        let mut own = OwnershipTable::new();
+        let mut free = Vec::new();
+        let selfs = sys.bitmap.self_frames();
+        for p in (0..frames).filter(|p| !selfs.contains(p)) {
+            let owner = match rng.below(12) {
+                0 => PageOwner::EmsPrivate,
+                1 | 2 => PageOwner::Shared(ShmId(1 + rng.below(4))),
+                3..=5 => PageOwner::Enclave(EnclaveId(1 + rng.below(8))),
+                6 | 7 => {
+                    free.push(Ppn(p));
+                    sys.bitmap.set(Ppn(p), true, &mut sys.phys).unwrap();
+                    continue;
+                }
+                _ => continue,
+            };
+            own.claim(Ppn(p), owner).unwrap();
+            sys.bitmap.set(Ppn(p), true, &mut sys.phys).unwrap();
+        }
+        if let Some(&dup) = free.first() {
+            free.push(dup);
+        }
+        let mut off_by = 0;
+        let pick = |rng: &mut Rng| Ppn(rng.below(frames));
+        for plant in plants {
+            match plant {
+                Plant::Untracked | Plant::MissingBit => {
+                    let ppn = pick(&mut rng);
+                    let mark = matches!(plant, Plant::Untracked);
+                    sys.bitmap.set(ppn, mark, &mut sys.phys).unwrap();
+                }
+                Plant::OwnedAndFree => {
+                    if let Some((ppn, _)) = own.iter().nth(rng.below(frames / 4) as usize) {
+                        free.push(ppn);
                     }
-                } else {
-                    match ownership.owner(frame) {
-                        Some(PageOwner::Enclave(e)) if e == *eid => {}
-                        Some(PageOwner::Shared(_)) => {}
-                        _ => return Err(AuditError::DanglingPte { eid: *eid, va }),
+                }
+                Plant::Accounting => off_by = 1,
+                Plant::SelfFrames => {
+                    let ppn = Ppn(selfs.start);
+                    match rng.below(3) {
+                        0 => own.claim(ppn, PageOwner::EmsPrivate).unwrap(),
+                        1 => free.push(ppn),
+                        _ => sys.bitmap.set(ppn, false, &mut sys.phys).unwrap(),
+                    }
+                }
+                Plant::PastReach => {
+                    for _ in 0..1 + rng.below(3) {
+                        let ppn = Ppn(frames + rng.below(300));
+                        if rng.below(2) == 0 {
+                            let _ = own.claim(ppn, PageOwner::Enclave(EnclaveId(3)));
+                        } else {
+                            free.push(ppn);
+                        }
                     }
                 }
             }
         }
-        Ok(audit)
+        let used = own.len() + off_by;
+        (sys, own, free, used)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::addr::PhysAddr;
-    use crate::ownership::OwnershipTable;
+    /// The word-wise sweep and the per-frame reference return the same
+    /// verdict (variant and frame), the same counts, and advance the raw
+    /// access counter alike, on seeded states with every kind of planted
+    /// fault, alone and combined.
+    #[test]
+    fn word_sweep_matches_per_frame_sweep() {
+        const KINDS: [Plant; 6] = [
+            Plant::Untracked,
+            Plant::MissingBit,
+            Plant::OwnedAndFree,
+            Plant::Accounting,
+            Plant::SelfFrames,
+            Plant::PastReach,
+        ];
+        let mut verdicts = BTreeSet::new();
+        for seed in 0..240u64 {
+            let plants: Vec<Plant> = match seed % 8 {
+                0 => Vec::new(),
+                k @ 1..=6 => vec![KINDS[k as usize - 1]],
+                _ => (0..2 + seed % 3)
+                    .map(|i| KINDS[((seed / 8 + i * 5) % 6) as usize])
+                    .collect(),
+            };
+            let (mut sys, own, free, used) = seeded_state(seed, &plants);
+            let before = sys.phys.access_count;
+            let words = ConsistencyAudit::run(&mut sys, &own, &free, used, &[]);
+            let word_accesses = sys.phys.access_count - before;
+            let before = sys.phys.access_count;
+            let frames = run_ref(&mut sys, &own, &free, used);
+            let frame_accesses = sys.phys.access_count - before;
+            assert_eq!(words, frames, "seed {seed}, plants {plants:?}");
+            assert_eq!(word_accesses, frame_accesses, "seed {seed}");
+            verdicts.insert(match words {
+                Ok(_) => "ok",
+                Err(AuditError::UntrackedEnclaveFrame { .. }) => "untracked",
+                Err(AuditError::MissingBitmapBit { ppn }) if ppn.0 >= sys.bitmap.covered_frames => {
+                    "past reach"
+                }
+                Err(AuditError::MissingBitmapBit { .. }) => "missing bit",
+                Err(AuditError::FreeButOwned { .. }) => "owned and free",
+                Err(AuditError::PoolAccountingMismatch { .. }) => "accounting",
+                Err(e) => panic!("unexpected {e:?}"),
+            });
+        }
+        assert_eq!(verdicts.len(), 6, "verdicts seen: {verdicts:?}");
+    }
+
+    /// Past the bitmap's reach the audit names the lowest tracked frame,
+    /// whichever set holds it.
+    #[test]
+    fn lowest_frame_past_the_reach_is_reported() {
+        let (mut sys, mut own) = setup();
+        let reach = sys.bitmap.covered_frames;
+        own.claim(Ppn(reach + 9), PageOwner::EmsPrivate).unwrap();
+        own.claim(Ppn(reach + 5), PageOwner::EmsPrivate).unwrap();
+        let err = ConsistencyAudit::run(&mut sys, &own, &[], 2, &[]).unwrap_err();
+        assert_eq!(
+            err,
+            AuditError::MissingBitmapBit {
+                ppn: Ppn(reach + 5)
+            }
+        );
+        let free = [Ppn(reach + 7), Ppn(reach + 3), Ppn(reach + 100_000)];
+        let err = ConsistencyAudit::run(&mut sys, &own, &free, 2, &[]).unwrap_err();
+        assert_eq!(
+            err,
+            AuditError::MissingBitmapBit {
+                ppn: Ppn(reach + 3)
+            }
+        );
+    }
 
     fn setup() -> (MemorySystem, OwnershipTable) {
         (

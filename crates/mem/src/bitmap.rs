@@ -11,6 +11,7 @@
 use crate::addr::{PhysAddr, Ppn, PAGE_SIZE};
 use crate::phys::PhysMemory;
 use crate::MemFault;
+use std::ops::Range;
 
 /// The enclave bitmap and its in-memory region.
 #[derive(Debug, Clone, Copy)]
@@ -50,12 +51,31 @@ impl EnclaveBitmap {
         Ok(bm)
     }
 
-    /// Whether `ppn` backs the bitmap region itself (these frames are
+    /// The frames backing the bitmap region itself (these are
     /// enclave-marked by `install`'s self-protection, not by the pool).
-    pub(crate) fn is_self_frame(&self, ppn: Ppn) -> bool {
+    pub(crate) fn self_frames(&self) -> Range<u64> {
         let base = self.bm_base.ppn().0;
-        let frames = self.region_bytes() / PAGE_SIZE;
-        ppn.0 >= base && ppn.0 < base + frames
+        base..base + self.region_bytes() / PAGE_SIZE
+    }
+
+    /// The whole bitmap as 64-frame words, read from its region in one
+    /// raw access: bit `p % 64` of word `p / 64` is frame `p`'s. Bits past
+    /// the covered frames read as clear.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bus errors reading the region.
+    pub(crate) fn words(&self, mem: &mut PhysMemory) -> Result<Vec<u64>, MemFault> {
+        let mut bytes = vec![0u8; self.covered_frames.div_ceil(64) as usize * 8];
+        mem.read(self.bm_base, &mut bytes)?;
+        let mut words: Vec<u64> = bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+            .collect();
+        if let Some(last) = words.last_mut() {
+            *last &= u64::MAX >> (self.covered_frames.wrapping_neg() % 64);
+        }
+        Ok(words)
     }
 
     /// Size of the bitmap region in bytes, rounded up to whole pages.
@@ -142,6 +162,25 @@ mod tests {
         assert!(!bm.is_enclave(Ppn(7), &mut mem).unwrap());
         assert!(!bm.is_enclave(Ppn(9), &mut mem).unwrap());
         assert!(bm.is_enclave(Ppn(8), &mut mem).unwrap());
+    }
+
+    #[test]
+    fn words_match_per_frame_bits() {
+        let mut mem = PhysMemory::new(16 << 20);
+        let bm = EnclaveBitmap::install(PhysAddr(0x10_000), 200, &mut mem).unwrap();
+        for p in [0, 63, 64, 130, 199] {
+            bm.set(Ppn(p), true, &mut mem).unwrap();
+        }
+        // Stray bits past the covered frames are not reported.
+        mem.write(PhysAddr(0x10_000 + 25), &[0xff]).unwrap();
+        let words = bm.words(&mut mem).unwrap();
+        assert_eq!(words.len(), 4);
+        for p in 0..256u64 {
+            let bit = words[(p / 64) as usize] >> (p % 64) & 1 == 1;
+            let expect = p < 200 && bm.is_enclave(Ppn(p), &mut mem).unwrap();
+            assert_eq!(bit, expect, "frame {p}");
+        }
+        assert_eq!(bm.self_frames(), 16..17);
     }
 
     #[test]

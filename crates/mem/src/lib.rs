@@ -6,6 +6,7 @@
 //! * [`addr`] — physical/virtual address newtypes, the 56-bit front-side bus
 //!   layout (low 40 bits physical address, high 16 bits KeyID).
 //! * [`phys`] — sparse physical memory with a frame allocator.
+//! * [`framehash`] — the deterministic hasher of the per-frame maps.
 //! * `bitmap` — the enclave-memory bitmap (one bit per physical page) used
 //!   for hardware isolation checks (§IV-B, Fig. 5).
 //! * [`ownership`] — the page ownership table EMS keeps in private memory,
@@ -32,6 +33,7 @@
 pub mod addr;
 pub mod audit;
 pub(crate) mod bitmap;
+pub mod framehash;
 pub mod mktme;
 pub mod ownership;
 pub mod pagetable;

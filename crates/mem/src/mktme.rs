@@ -13,6 +13,7 @@
 //! (§VIII-C, "PTW cannot decrypt enclave data correctly") relies on.
 
 use crate::addr::{KeyId, PhysAddr, Ppn, PAGE_SIZE};
+use crate::framehash::FrameMap;
 use crate::phys::PhysMemory;
 use crate::MemFault;
 use hypertee_crypto::aes::{ctr_iv, Aes128};
@@ -87,14 +88,13 @@ const MAC_EMPTY: u32 = u32::MAX;
 /// key", computed on demand.
 const MAC_ZERO: u32 = u32::MAX - 1;
 
-/// Paged flat MAC store indexed by line number — replaces the previous
-/// per-line `HashMap<u64, MacTag>`: one hash probe per 512-line page plus
-/// an array index, instead of one probe per line.
+/// Paged flat MAC store indexed by line number: one hash probe per
+/// 512-line page plus an array index, instead of one probe per line.
 #[derive(Debug, Default)]
 pub(crate) struct MacTable {
-    pages: HashMap<u64, Box<[u32]>>,
+    pages: FrameMap<Box<[u32]>>,
     /// MAC key each lazily zeroed frame was zeroed under, by PPN.
-    zeroed: HashMap<u64, [u8; 32]>,
+    zeroed: FrameMap<[u8; 32]>,
 }
 
 impl MacTable {
@@ -145,13 +145,6 @@ fn span_lines(pa: PhysAddr, len: usize) -> u64 {
     pa.0.checked_add(len as u64)
         .and_then(|end| end.checked_next_multiple_of(LINE_SIZE))
         .map_or(0, |span_end| ((span_end - span_base) / LINE_SIZE).max(1))
-}
-
-/// Whether every byte of `data` is zero. The OR-fold per line vectorizes;
-/// a byte-wise early-exit scan of a 4 KiB page does not.
-fn is_zero(data: &[u8]) -> bool {
-    data.chunks(64)
-        .all(|chunk| chunk.iter().fold(0u8, |acc, &b| acc | b) == 0)
 }
 
 /// The multi-key engine.
@@ -277,11 +270,9 @@ impl MktmeEngine {
     /// * a write covering a whole aligned line skips the
     ///   read-decrypt-splice RMW entirely;
     /// * a request spanning several contiguous lines makes one physical
-    ///   round trip for the whole span and streams the keystream across it;
-    /// * an aligned page of zeros (EALLOC's §IV-A zeroing) is recorded, not
-    ///   computed: the frame becomes "zeros under this key" in
-    ///   [`PhysMemory`] and its 64 line tags become on-demand zero-line
-    ///   tags, charged exactly as the span path would charge the page.
+    ///   round trip for the whole span and streams the keystream across it.
+    ///
+    /// Zeroing a whole frame is [`MktmeEngine::zero_page`].
     ///
     /// # Errors
     ///
@@ -302,22 +293,6 @@ impl MktmeEngine {
             .get(&key.0)
             .ok_or(MemFault::BusError { pa: pa.0 })?;
         self.stats.bytes_encrypted += data.len() as u64;
-        if pa.0.is_multiple_of(PAGE_SIZE)
-            && data.len() as u64 == PAGE_SIZE
-            && pa.ppn().0 < mem.total_frames()
-            && is_zero(data)
-        {
-            mem.zero_under_key(pa.ppn(), Arc::clone(slot));
-            if self.integrity {
-                self.macs.insert_zero_frame(pa.ppn(), &slot.mac_key);
-            }
-            // The span path's charges: one read and one write per line,
-            // every line full, the whole page through the keystream.
-            mem.access_count += 2 * FRAME_LINES;
-            self.stats.full_line_writes += FRAME_LINES;
-            self.stats.keystream_blocks_batched += PAGE_SIZE / 16;
-            return Ok(());
-        }
         let span_base = pa.0 & !(LINE_SIZE - 1);
         let nlines = span_lines(pa, data.len());
         if nlines > 1 {
@@ -396,6 +371,50 @@ impl MktmeEngine {
             written += take;
             addr += take as u64;
         }
+        Ok(())
+    }
+
+    /// Zeroes frame `ppn` through `key`: what [`MktmeEngine::write`] of a
+    /// page of zeros at the frame's base stores, at the same charges and
+    /// with the same faults (EMS zeroes every page before mapping it,
+    /// §IV-A).
+    ///
+    /// The zeros are recorded, not computed. Under an encrypted KeyID the
+    /// frame becomes "zeros under this key" in [`PhysMemory`] and its 64
+    /// line tags become on-demand zero-line tags; under KeyID 0 it is a
+    /// plain [`PhysMemory::zero_frame`].
+    ///
+    /// # Errors
+    ///
+    /// As [`MktmeEngine::write`].
+    pub fn zero_page(
+        &mut self,
+        mem: &mut PhysMemory,
+        ppn: Ppn,
+        key: KeyId,
+    ) -> Result<(), MemFault> {
+        if !key.is_encrypted() {
+            return mem.zero_frame(ppn);
+        }
+        let pa = ppn.base();
+        let slot = self
+            .keys
+            .get(&key.0)
+            .ok_or(MemFault::BusError { pa: pa.0 })?;
+        self.stats.bytes_encrypted += PAGE_SIZE;
+        if ppn.0 >= mem.total_frames() {
+            // Where `write` faults: at the page's first line.
+            return Err(MemFault::BusError { pa: pa.0 });
+        }
+        mem.zero_under_key(ppn, Arc::clone(slot));
+        if self.integrity {
+            self.macs.insert_zero_frame(ppn, &slot.mac_key);
+        }
+        // The span path's charges: one read and one write per line, every
+        // line full, the whole page through the keystream.
+        mem.access_count += 2 * FRAME_LINES;
+        self.stats.full_line_writes += FRAME_LINES;
+        self.stats.keystream_blocks_batched += PAGE_SIZE / 16;
         Ok(())
     }
 
@@ -809,21 +828,46 @@ mod tests {
         assert_eq!(mem.materialized_frames().count(), 0);
     }
 
-    /// A zero page is recorded, not computed, yet charges exactly what the
-    /// span path charges for any other whole page, and reads back as zeros.
+    /// `zero_page` records its zeros instead of computing them, yet stores
+    /// the bytes and MAC tags, and charges the counters, that `write` of a
+    /// page of zeros does, and the seed oracle `write_ref` too; the frame
+    /// then reads back as zeros.
     #[test]
     fn zero_page_is_lazy_and_charged_like_any_page() {
         let (mut lazy_mem, mut lazy) = setup();
-        let (mut eager_mem, mut eager) = setup();
+        let (mut span_mem, mut span) = setup();
+        let (mut oracle_mem, mut oracle) = setup();
         let pa = PhysAddr(0x70_000);
-        lazy.write(&mut lazy_mem, pa, KeyId(1), &[0u8; 4096])
+        lazy.zero_page(&mut lazy_mem, pa.ppn(), KeyId(1)).unwrap();
+        span.write(&mut span_mem, pa, KeyId(1), &[0u8; 4096])
             .unwrap();
-        eager
-            .write(&mut eager_mem, pa, KeyId(1), &[0x01; 4096])
+        oracle
+            .write_ref(&mut oracle_mem, pa, KeyId(1), &[0u8; 4096])
             .unwrap();
-        assert_eq!(lazy.stats, eager.stats);
-        assert_eq!(lazy_mem.access_count, eager_mem.access_count);
-        assert!((0..64).all(|i| lazy.macs.get(pa.0 / LINE_SIZE + i).is_some()));
+        assert_eq!(lazy.stats, span.stats);
+        let modelled = |s: MktmeStats| (s.bytes_encrypted, s.mac_checks, s.mac_failures);
+        assert_eq!(modelled(lazy.stats), modelled(oracle.stats));
+        assert_eq!(lazy_mem.access_count, span_mem.access_count);
+        assert_eq!(lazy_mem.access_count, oracle_mem.access_count);
+        let raw = |mem: &mut PhysMemory| {
+            let mut raw = vec![0u8; 4096];
+            mem.read(pa, &mut raw).unwrap();
+            raw
+        };
+        let lazy_raw = raw(&mut lazy_mem);
+        assert!(lazy_raw == raw(&mut span_mem), "bytes differ from write");
+        assert!(
+            lazy_raw == raw(&mut oracle_mem),
+            "bytes differ from write_ref"
+        );
+        let tags = |e: &MktmeEngine| {
+            (0..64)
+                .map(|i| e.macs.get(pa.0 / LINE_SIZE + i))
+                .collect::<Vec<_>>()
+        };
+        assert!(tags(&lazy).iter().all(Option::is_some));
+        assert_eq!(tags(&lazy), tags(&span));
+        assert_eq!(tags(&lazy), tags(&oracle));
         let tagged: usize = lazy
             .macs
             .pages
@@ -846,6 +890,35 @@ mod tests {
         lazy.read(&mut lazy_mem, pa, KeyId(1), &mut buf).unwrap();
         assert_eq!(&buf[100..104], &[9; 4]);
         assert!(buf[..100].iter().chain(&buf[104..]).all(|&b| b == 0));
+    }
+
+    /// Out of installed memory and under an unprogrammed KeyID,
+    /// `zero_page` fails where `write` of a zero page does, after the same
+    /// charges; under KeyID 0 it is a plain zeroed frame.
+    #[test]
+    fn zero_page_faults_like_write() {
+        let (mut mem, mut engine) = setup();
+        let (mut w_mem, mut w) = setup();
+        let last = mem.total_frames();
+        for (ppn, key) in [
+            (Ppn(last), KeyId(1)),
+            (Ppn(3), KeyId(9)),
+            (Ppn(last), KeyId::HOST),
+        ] {
+            let zeroed = engine.zero_page(&mut mem, ppn, key);
+            assert!(zeroed.is_err());
+            assert_eq!(zeroed, w.write(&mut w_mem, ppn.base(), key, &[0u8; 4096]));
+        }
+        assert_eq!(engine.stats, w.stats);
+        w_mem.write(PhysAddr(0x9000), &[7; 64]).unwrap();
+        mem.write(PhysAddr(0x9000), &[7; 64]).unwrap();
+        engine.zero_page(&mut mem, Ppn(9), KeyId::HOST).unwrap();
+        w.write(&mut w_mem, PhysAddr(0x9000), KeyId::HOST, &[0u8; 4096])
+            .unwrap();
+        assert_eq!(mem.access_count, w_mem.access_count);
+        let mut raw = [0xffu8; 4096];
+        mem.read(PhysAddr(0x9000), &mut raw).unwrap();
+        assert_eq!(raw, [0u8; 4096]);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! This table lives in EMS private memory, invisible to the CS — in the
 //! reproduction it is simply a structure the CS-side API has no handle to.
-
-use std::collections::BTreeMap;
+//!
+//! Like SGX's EPCM, the table is an array indexed by frame: one word per
+//! PPN, so a claim, a release or a lookup is one index, and a walk visits
+//! the frames in PPN order.
 
 use crate::addr::Ppn;
 
@@ -70,10 +72,49 @@ impl core::fmt::Display for OwnershipError {
 
 impl std::error::Error for OwnershipError {}
 
+/// Owner tag in the low bits of a table word; the id sits above it.
+const TAG_BITS: u32 = 2;
+const TAG_EMS: u64 = 1;
+const TAG_ENCLAVE: u64 = 2;
+const TAG_SHARED: u64 = 3;
+
+impl PageOwner {
+    /// The owner as a nonzero table word.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id of 2^62 or more, which has no room beside the tag
+    /// (EMS issues ids counting up from 1).
+    fn word(self) -> u64 {
+        let (id, tag) = match self {
+            PageOwner::EmsPrivate => (0, TAG_EMS),
+            PageOwner::Enclave(EnclaveId(id)) => (id, TAG_ENCLAVE),
+            PageOwner::Shared(ShmId(id)) => (id, TAG_SHARED),
+        };
+        assert!(id >> (64 - TAG_BITS) == 0, "owner id {id:#x} too large");
+        id << TAG_BITS | tag
+    }
+
+    /// The owner a table word records; `None` for 0, an unowned frame.
+    fn from_word(word: u64) -> Option<PageOwner> {
+        let id = word >> TAG_BITS;
+        match word & ((1 << TAG_BITS) - 1) {
+            TAG_EMS => Some(PageOwner::EmsPrivate),
+            TAG_ENCLAVE => Some(PageOwner::Enclave(EnclaveId(id))),
+            TAG_SHARED => Some(PageOwner::Shared(ShmId(id))),
+            _ => None,
+        }
+    }
+}
+
 /// The ownership table.
 #[derive(Debug, Default)]
 pub struct OwnershipTable {
-    entries: BTreeMap<u64, PageOwner>,
+    /// Owner word by PPN, 0 for unowned. It grows to the highest frame
+    /// ever claimed, so it is no larger than the frames EMS handed out.
+    words: Vec<u64>,
+    /// Nonzero words.
+    owned: u64,
 }
 
 impl OwnershipTable {
@@ -89,13 +130,19 @@ impl OwnershipTable {
     /// [`OwnershipError::AlreadyOwned`] if the page has an owner — the check
     /// that stops one enclave's page from being mapped into another (§IV-B).
     pub fn claim(&mut self, ppn: Ppn, owner: PageOwner) -> Result<(), OwnershipError> {
-        if let Some(&existing) = self.entries.get(&ppn.0) {
+        if let Some(existing) = self.owner(ppn) {
             return Err(OwnershipError::AlreadyOwned {
                 ppn,
                 owner: existing,
             });
         }
-        self.entries.insert(ppn.0, owner);
+        let word = owner.word();
+        let at = ppn.0 as usize;
+        if at >= self.words.len() {
+            self.words.resize(at + 1, 0);
+        }
+        self.words[at] = word;
+        self.owned += 1;
         Ok(())
     }
 
@@ -106,11 +153,12 @@ impl OwnershipTable {
     /// [`OwnershipError::NotOwned`] / [`OwnershipError::WrongOwner`] when the
     /// record does not match.
     pub fn release(&mut self, ppn: Ppn, owner: PageOwner) -> Result<(), OwnershipError> {
-        match self.entries.get(&ppn.0) {
+        match self.owner(ppn) {
             None => Err(OwnershipError::NotOwned { ppn }),
-            Some(&o) if o != owner => Err(OwnershipError::WrongOwner { ppn }),
+            Some(o) if o != owner => Err(OwnershipError::WrongOwner { ppn }),
             Some(_) => {
-                self.entries.remove(&ppn.0);
+                self.words[ppn.0 as usize] = 0;
+                self.owned -= 1;
                 Ok(())
             }
         }
@@ -118,21 +166,44 @@ impl OwnershipTable {
 
     /// Looks up the owner of a page.
     pub(crate) fn owner(&self, ppn: Ppn) -> Option<PageOwner> {
-        self.entries.get(&ppn.0).copied()
+        PageOwner::from_word(*self.words.get(ppn.0 as usize)?)
     }
 
-    /// All pages owned by a given enclave (used by EDESTROY reclamation).
+    /// Number of owned pages.
+    pub(crate) fn len(&self) -> u64 {
+        self.owned
+    }
+
+    /// All pages owned by a given enclave, in PPN order (the model
+    /// harness's per-enclave frame count).
     pub fn pages_of(&self, enclave: EnclaveId) -> Vec<Ppn> {
-        self.entries
-            .iter()
-            .filter(|(_, o)| matches!(o, PageOwner::Enclave(e) if *e == enclave))
-            .map(|(&p, _)| Ppn(p))
+        self.iter()
+            .filter(|&(_, o)| o == PageOwner::Enclave(enclave))
+            .map(|(p, _)| p)
             .collect()
     }
 
-    /// Iterates all `(frame, owner)` entries (feeds the consistency audit).
+    /// Iterates all `(frame, owner)` entries in PPN order.
     pub fn iter(&self) -> impl Iterator<Item = (Ppn, PageOwner)> + '_ {
-        self.entries.iter().map(|(&p, &o)| (Ppn(p), o))
+        self.words
+            .iter()
+            .enumerate()
+            .filter_map(|(p, &w)| Some((Ppn(p as u64), PageOwner::from_word(w)?)))
+    }
+
+    /// Owned frames as a bitset, 64 frames a word: bit `p % 64` of word
+    /// `p / 64` is set when frame `p` is owned. It reaches the highest
+    /// frame ever claimed.
+    pub(crate) fn owned_bits(&self) -> Vec<u64> {
+        self.words
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |bits, (i, &w)| bits | u64::from(w != 0) << i)
+            })
+            .collect()
     }
 }
 
@@ -178,6 +249,96 @@ mod tests {
         ));
     }
 
+    /// The dense table against a `BTreeMap` model: seeded claims and
+    /// releases of all three owner kinds over frames into the hundreds of
+    /// thousands, with double claims, wrong-owner and never-owned
+    /// releases. Every result, lookup and walk matches, and so does one
+    /// enclave's page list per step, each enclave in turn.
+    #[test]
+    fn dense_table_matches_a_btreemap_model() {
+        use std::collections::BTreeMap;
+        let mut x = 0x6a09_e667_f3bc_c909u64;
+        let mut below = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let frames: Vec<Ppn> = (0..48).map(|_| Ppn(below(250_000))).collect();
+        let mut table = OwnershipTable::new();
+        let mut model: BTreeMap<u64, PageOwner> = BTreeMap::new();
+        let mut outcomes = std::collections::BTreeSet::new();
+        let kind = |r: &Result<(), OwnershipError>| match r {
+            Ok(()) => "ok",
+            Err(OwnershipError::AlreadyOwned { .. }) => "already owned",
+            Err(OwnershipError::NotOwned { .. }) => "not owned",
+            Err(OwnershipError::WrongOwner { .. }) => "wrong owner",
+        };
+        for step in 0..300u64 {
+            let ppn = frames[below(frames.len() as u64) as usize];
+            let owner = match below(3) {
+                0 => PageOwner::EmsPrivate,
+                1 => PageOwner::Enclave(EnclaveId(below(4))),
+                _ => PageOwner::Shared(ShmId(below(3) << 40)),
+            };
+            if below(2) == 0 {
+                let expect = match model.get(&ppn.0) {
+                    Some(&o) => Err(OwnershipError::AlreadyOwned { ppn, owner: o }),
+                    None => {
+                        model.insert(ppn.0, owner);
+                        Ok(())
+                    }
+                };
+                assert_eq!(table.claim(ppn, owner), expect, "claim at step {step}");
+                outcomes.insert(("claim", kind(&expect)));
+            } else {
+                let expect = match model.get(&ppn.0) {
+                    None => Err(OwnershipError::NotOwned { ppn }),
+                    Some(&o) if o != owner => Err(OwnershipError::WrongOwner { ppn }),
+                    Some(_) => {
+                        model.remove(&ppn.0);
+                        Ok(())
+                    }
+                };
+                assert_eq!(table.release(ppn, owner), expect, "release at step {step}");
+                outcomes.insert(("release", kind(&expect)));
+            }
+            assert_eq!(table.owner(ppn), model.get(&ppn.0).copied());
+            assert_eq!(table.len(), model.len() as u64);
+            let walked: Vec<(Ppn, PageOwner)> = table.iter().collect();
+            let modelled: Vec<(Ppn, PageOwner)> =
+                model.iter().map(|(&p, &o)| (Ppn(p), o)).collect();
+            assert_eq!(walked, modelled, "walk at step {step}");
+            let e = EnclaveId(step % 4);
+            let listed: Vec<Ppn> = model
+                .iter()
+                .filter(|&(_, &o)| o == PageOwner::Enclave(e))
+                .map(|(&p, _)| Ppn(p))
+                .collect();
+            assert_eq!(table.pages_of(e), listed, "pages of {e:?} at step {step}");
+        }
+        assert_eq!(outcomes.len(), 5, "outcomes: {outcomes:?}");
+        assert!(frames.iter().any(|p| p.0 > 100_000));
+        assert!(!model.is_empty(), "the walk ends with frames owned");
+    }
+
+    #[test]
+    fn owned_bits_mark_exactly_the_owned_frames() {
+        let mut table = OwnershipTable::new();
+        for p in [0, 5, 63, 64, 200] {
+            table.claim(Ppn(p), PageOwner::EmsPrivate).unwrap();
+        }
+        table.release(Ppn(5), PageOwner::EmsPrivate).unwrap();
+        assert_eq!(table.owned_bits(), [1 | 1 << 63, 1, 0, 1 << 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn an_id_without_room_for_the_tag_is_refused() {
+        let mut table = OwnershipTable::new();
+        let _ = table.claim(Ppn(1), PageOwner::Shared(ShmId(1 << 62)));
+    }
+
     #[test]
     fn enumeration_by_owner() {
         let mut table = OwnershipTable::new();
@@ -190,6 +351,6 @@ mod tests {
             table.claim(Ppn(p), PageOwner::Shared(ShmId(2))).unwrap();
         }
         assert_eq!(table.pages_of(EnclaveId(1)).len(), 5);
-        assert_eq!(table.entries.len(), 8);
+        assert_eq!(table.len(), 8);
     }
 }

@@ -15,9 +15,9 @@
 //! mutation of the frame forgets them.
 
 use crate::addr::{PhysAddr, Ppn, PAGE_SIZE};
+use crate::framehash::FrameMap;
 use crate::mktme::{KeySlot, LINE_SIZE};
 use crate::MemFault;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What a present frame holds.
@@ -101,10 +101,12 @@ fn keystream_bytes(slot: &KeySlot, ppn: u64, off: usize, out: &mut [u8]) {
     }
 }
 
-/// Sparse physical memory of a fixed installed size.
+/// Sparse physical memory of a fixed installed size. Present frames sit in
+/// a hash map by PPN: a dense table over every installed frame would cost
+/// 16 bytes a frame whether it is touched or not.
 #[derive(Debug)]
 pub struct PhysMemory {
-    frames: BTreeMap<u64, Frame>,
+    frames: FrameMap<Frame>,
     total_frames: u64,
     /// Number of raw physical accesses performed (timing-model input).
     pub access_count: u64,
@@ -115,7 +117,7 @@ impl PhysMemory {
     /// whole frames).
     pub fn new(bytes: u64) -> Self {
         PhysMemory {
-            frames: BTreeMap::new(),
+            frames: FrameMap::default(),
             total_frames: bytes / PAGE_SIZE,
             access_count: 0,
         }
@@ -163,11 +165,15 @@ impl PhysMemory {
 
     /// Frames whose bytes are allocated, in PPN order. Absent frames and
     /// zero pages still waiting for their first write are not listed.
-    pub fn materialized_frames(&self) -> impl Iterator<Item = Ppn> + '_ {
-        self.frames
+    pub fn materialized_frames(&self) -> impl Iterator<Item = Ppn> {
+        let mut ppns: Vec<Ppn> = self
+            .frames
             .iter()
             .filter(|(_, f)| matches!(f, Frame::Bytes(_)))
             .map(|(&ppn, _)| Ppn(ppn))
+            .collect();
+        ppns.sort_unstable();
+        ppns.into_iter()
     }
 
     /// Reads the aligned line at `line_base`, counting one access as

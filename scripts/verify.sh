@@ -25,12 +25,21 @@ fi
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
 
-echo "==> benchmark/ compiles against the crates (an item it names must stay pub)"
+echo "==> benchmark/ compiles against the crates (an item it names must stay pub), and each workload's fixed rounds pass their checks"
 # Cargo rewrites benchmark/Cargo.lock on every build (it lags the crates'
 # path dependencies), so the committed lock is put back, pass or fail.
 cp benchmark/Cargo.lock target/benchmark-Cargo.lock
 bench_status=0
 cargo check --offline --release --all-targets --manifest-path benchmark/Cargo.toml || bench_status=$?
+# One run of each BENCHMARK.json workload's fixed rounds, untimed: a run
+# exits non-zero when an output check fails (the consistency audit after
+# every round, every completion, the fleet campaign's committed trace hash).
+for workload in chaos_fleet alloc_churn ealloc_2m attest_storm enclave_compute; do
+    [ "$bench_status" -eq 0 ] || break
+    cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 0 --trace 0 > "target/benchmark-$workload.txt" \
+        || bench_status=$?
+done
 cp target/benchmark-Cargo.lock benchmark/Cargo.lock
 [ "$bench_status" -eq 0 ]
 

@@ -10,9 +10,10 @@
 //! tamper fault paths, and check the walk-cache flush discipline at the
 //! EFREE/EDESTROY teardown sites.
 //!
-//! Aligned zero pages take a third path: the engine records them as "zeros
-//! under this key" and materializes them on first touch. A seeded mix pins
-//! that path to both the oracle and the span path it replaces.
+//! Zeroing a frame takes a third path: [`MktmeEngine::zero_page`] records
+//! it as "zeros under this key", materialized on first touch. A seeded mix
+//! pins that path to both the oracle and the span path that `write` of a
+//! page of zeros takes.
 //!
 //! A single-line read reuses a line's MAC verdict while the line, its tag
 //! and its key slot are unchanged. A second seeded mix, with tampering,
@@ -176,10 +177,9 @@ struct Plane {
 /// How a plane stores a write.
 #[derive(Clone, Copy, PartialEq)]
 enum WritePath {
-    /// `write`, zero pages recorded lazily.
+    /// `zero_page` for a zeroed frame, recorded lazily; `write` otherwise.
     Lazy,
-    /// `write`, but an in-range aligned zero page goes in as two halves:
-    /// the span path (and charges) every zero page took before.
+    /// `write` throughout: a zeroed frame takes the span path.
     Span,
     /// `write_ref`, the seed oracle.
     Oracle,
@@ -193,19 +193,16 @@ impl Plane {
         key: KeyId,
         data: &[u8],
     ) -> Result<(), MemFault> {
-        let zero_page = pa.0.is_multiple_of(PAGE_SIZE)
-            && data.len() as u64 == PAGE_SIZE
-            && pa.ppn().0 < self.mem.total_frames()
-            && data.iter().all(|&b| b == 0);
         match path {
             WritePath::Oracle => self.engine.write_ref(&mut self.mem, pa, key, data),
-            WritePath::Span if zero_page => {
-                let (lo, hi) = data.split_at(data.len() / 2);
-                self.engine.write(&mut self.mem, pa, key, lo)?;
-                self.engine
-                    .write(&mut self.mem, PhysAddr(pa.0 + lo.len() as u64), key, hi)
-            }
             _ => self.engine.write(&mut self.mem, pa, key, data),
+        }
+    }
+
+    fn zero_page(&mut self, path: WritePath, ppn: Ppn, key: KeyId) -> Result<(), MemFault> {
+        match path {
+            WritePath::Lazy => self.engine.zero_page(&mut self.mem, ppn, key),
+            _ => self.write(path, ppn.base(), key, &[0u8; PAGE_SIZE as usize]),
         }
     }
 
@@ -223,14 +220,15 @@ impl Plane {
     }
 }
 
-/// Runs a seeded mix of zero pages, partial and full-line writes, reads
+/// Runs a seeded mix of zeroed frames, partial and full-line writes, reads
 /// under the right and the wrong KeyID, raw ciphertext tampering,
 /// `zero_frame`, and key revocation and re-programming on the lazy plane,
 /// the span plane and the oracle plane. Results, read data, raw frame
-/// bytes and raw access counts must agree on all three; every
+/// bytes, every line's verdict through both KeyIDs (so its MAC tag) and
+/// raw access counts must agree on all three; every
 /// [`MktmeStats`](hypertee_repro::mem::mktme::MktmeStats) field must agree
 /// between the lazy and the span plane, and the modelled ones with the
-/// oracle. Returns how many zero pages stayed unmaterialized.
+/// oracle. Returns how many zeroed frames stayed unmaterialized.
 fn zero_page_mix(integrity: bool, seed: u64) -> usize {
     const PATHS: [WritePath; 3] = [WritePath::Lazy, WritePath::Span, WritePath::Oracle];
     const WINDOW: u64 = 16; // frames [16, 32) plus the last installed frame
@@ -262,11 +260,10 @@ fn zero_page_mix(integrity: bool, seed: u64) -> usize {
                     1 => last + 1, // beyond installed memory
                     _ => WINDOW + rng.range(WINDOW),
                 };
-                let pa = Ppn(ppn).base();
                 let results: Vec<_> = PATHS
                     .iter()
                     .zip(&mut planes)
-                    .map(|(&path, p)| p.write(path, pa, key, &[0u8; 4096]).map(|()| Vec::new()))
+                    .map(|(&path, p)| p.zero_page(path, Ppn(ppn), key).map(|()| Vec::new()))
                     .collect();
                 if results[0].is_ok() && !planes[0].mem.materialized_frames().any(|f| f.0 == ppn) {
                     lazy_pages += 1;
@@ -392,14 +389,30 @@ fn zero_page_mix(integrity: bool, seed: u64) -> usize {
                 raw[0] == raw[2],
                 "raw bytes lazy vs oracle diverged at round {round}"
             );
+            // Line by line through both KeyIDs: a line whose MAC tag
+            // differs between planes verifies on one and faults on another.
+            for line in (WINDOW * PAGE_SIZE..2 * WINDOW * PAGE_SIZE).step_by(64) {
+                for key in [KeyId(1), KeyId(2)] {
+                    let verdicts: Vec<_> = PATHS
+                        .iter()
+                        .zip(&mut planes)
+                        .map(|(&path, p)| {
+                            let mut buf = [0u8; 64];
+                            p.read(path, PhysAddr(line), key, &mut buf).map(|()| buf)
+                        })
+                        .collect();
+                    assert_eq!(verdicts[0], verdicts[1], "line {line:#x} at round {round}");
+                    assert_eq!(verdicts[0], verdicts[2], "line {line:#x} at round {round}");
+                }
+            }
         }
     }
     lazy_pages
 }
 
-/// Lazily recorded zero pages are byte-, fault- and counter-identical to
-/// the span path they replace and to the seed oracle, with integrity on
-/// and off.
+/// Frames zeroed by `zero_page` are byte-, fault- and counter-identical
+/// to `write` of a page of zeros (the span path) and to the seed oracle,
+/// with integrity on and off.
 #[test]
 fn zero_pages_match_span_path_and_oracle() {
     for integrity in [true, false] {
