@@ -18,6 +18,7 @@
 
 use crate::error::{EmsError, EmsResult};
 use crate::runtime::{Ems, EmsContext};
+use crate::txn::{Fill, UndoOp};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::ecdh::{EcdhPrivate, EcdhPublic};
 use hypertee_crypto::hmac::{hmac_sha256, kdf, kdf_aes128};
@@ -200,32 +201,32 @@ impl Ems {
         let measurement = sha256(&image);
 
         let id = CvmId(self.fresh_cvm_id());
-        let key = self.alloc_keyid(ctx)?;
-        let nonce = self.rng.gen_bytes32();
-        let (aes, mac) = self.cvm_memory_keys(&nonce);
-        let snap_key = self.cvm_snapshot_key(&nonce);
-        ctx.hub
-            .ems_program_key(&self.cap, &mut ctx.sys.engine, key, &aes, &mac);
+        let (key, nonce, snap_key, frames) = self.transact(ctx, None, |ems, ctx, txn| {
+            let key = ems.alloc_keyid(ctx)?;
+            txn.record(UndoOp::ReleaseKey(key));
+            let nonce = ems.rng.gen_bytes32();
+            let (aes, mac) = ems.cvm_memory_keys(&nonce);
+            let snap_key = ems.cvm_snapshot_key(&nonce);
+            ctx.hub
+                .ems_program_key(&ems.cap, &mut ctx.sys.engine, key, &aes, &mac);
 
-        let mut frames = Vec::with_capacity(guest_pages as usize);
-        for i in 0..guest_pages {
-            let frame = self.pool.take(ctx.os_frames, ctx.sys)?;
-            self.ownership
-                .claim(frame, PageOwner::EmsPrivate)
-                .map_err(|_| EmsError::AccessDenied)?;
-            // Populate: image bytes for the head, zeros beyond.
-            let off = (i * PAGE_SIZE) as usize;
-            let sys = &mut *ctx.sys;
-            if off < image.len() {
-                let mut page = vec![0u8; PAGE_SIZE as usize];
-                let take = (image.len() - off).min(PAGE_SIZE as usize);
-                page[..take].copy_from_slice(&image[off..off + take]);
-                sys.engine.write(&mut sys.phys, frame.base(), key, &page)?;
-            } else {
-                sys.engine.zero_page(&mut sys.phys, frame, key)?;
+            let mut frames = Vec::with_capacity(guest_pages as usize);
+            for i in 0..guest_pages {
+                // Populate: image bytes for the head, zeros beyond.
+                let off = (i * PAGE_SIZE) as usize;
+                let mut page = Vec::new();
+                let fill = if off < image.len() {
+                    page.resize(PAGE_SIZE as usize, 0);
+                    let take = (image.len() - off).min(PAGE_SIZE as usize);
+                    page[..take].copy_from_slice(&image[off..off + take]);
+                    Fill::Page(&page)
+                } else {
+                    Fill::Zero
+                };
+                frames.push(ems.take_page(ctx, txn, PageOwner::EmsPrivate, key, fill, None)?);
             }
-            frames.push(frame);
-        }
+            Ok((key, nonce, snap_key, frames))
+        })?;
         self.cvms.insert(
             id.0,
             CvmControl {
@@ -415,22 +416,21 @@ impl Ems {
             }
         }
         let cipher = Aes128::new(&snap_key);
-        let key = self.alloc_keyid(ctx)?;
-        let (aes, mac) = self.cvm_memory_keys(&nonce);
-        ctx.hub
-            .ems_program_key(&self.cap, &mut ctx.sys.engine, key, &aes, &mac);
-        let mut frames = Vec::with_capacity(snapshot.pages.len());
-        for (i, ct) in snapshot.pages.iter().enumerate() {
-            let mut page = ct.clone();
-            cipher.ctr_apply(&ctr_iv(i as u64, seq), &mut page);
-            let frame = self.pool.take(ctx.os_frames, ctx.sys)?;
-            self.ownership
-                .claim(frame, PageOwner::EmsPrivate)
-                .map_err(|_| EmsError::AccessDenied)?;
-            let sys = &mut *ctx.sys;
-            sys.engine.write(&mut sys.phys, frame.base(), key, &page)?;
-            frames.push(frame);
-        }
+        let (key, frames) = self.transact(ctx, None, |ems, ctx, txn| {
+            let key = ems.alloc_keyid(ctx)?;
+            txn.record(UndoOp::ReleaseKey(key));
+            let (aes, mac) = ems.cvm_memory_keys(&nonce);
+            ctx.hub
+                .ems_program_key(&ems.cap, &mut ctx.sys.engine, key, &aes, &mac);
+            let mut frames = Vec::with_capacity(snapshot.pages.len());
+            for (i, ct) in snapshot.pages.iter().enumerate() {
+                let mut page = ct.clone();
+                cipher.ctr_apply(&ctr_iv(i as u64, seq), &mut page);
+                let fill = Fill::Page(&page);
+                frames.push(ems.take_page(ctx, txn, PageOwner::EmsPrivate, key, fill, None)?);
+            }
+            Ok((key, frames))
+        })?;
         let cvm = self.cvm_mut(snapshot.cvm)?;
         cvm.frames = frames;
         cvm.key = Some(key);

@@ -3,8 +3,8 @@
 
 use crate::control::{layout, EnclaveConfig, EnclaveControl, EnclaveState};
 use crate::error::{EmsError, EmsResult};
-use crate::runtime::{Ems, EmsContext, StagedFrames};
-use crate::txn::{Txn, UndoOp};
+use crate::runtime::{Ems, EmsContext};
+use crate::txn::{Fill, Leaf, Txn, UndoOp};
 use hypertee_mem::addr::{KeyId, PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::ownership::{EnclaveId, PageOwner};
 use hypertee_mem::pagetable::{PageTable, Perms};
@@ -59,140 +59,56 @@ impl Ems {
         }
 
         let eid = self.fresh_eid();
-        let mut txn = Txn::begin(self.injector.abort_step());
-        let key = self.alloc_keyid(ctx)?;
-        // The brand-new table is discarded wholesale on failure, so —
-        // unlike EALLOC/EADD on a live table — *everything* here rolls
-        // back, the KeyID included. (A victim suspended by `alloc_keyid`
-        // stays suspended; ERESUME revives it.)
-        txn.record(UndoOp::ReleaseKey(key));
-        let nonce = self.rng.gen_bytes32();
-        let (aes, mac) = self.vault.enclave_memory_keys(eid.0, &nonce);
-        ctx.hub
-            .ems_program_key(&self.cap, &mut ctx.sys.engine, key, &aes, &mac);
+        self.transact(ctx, None, |ems, ctx, txn| {
+            txn.arm(&mut ems.injector);
+            let key = ems.alloc_keyid(ctx)?;
+            // The brand-new table is discarded wholesale on failure, so —
+            // unlike EALLOC/EADD on a live table — *everything* here rolls
+            // back, the KeyID included. (A victim suspended by `alloc_keyid`
+            // stays suspended; ERESUME revives it.)
+            txn.record(UndoOp::ReleaseKey(key));
+            let nonce = ems.rng.gen_bytes32();
+            let (aes, mac) = ems.vault.enclave_memory_keys(eid.0, &nonce);
+            ctx.hub
+                .ems_program_key(&ems.cap, &mut ctx.sys.engine, key, &aes, &mac);
 
-        // Stage frames for the page-table skeleton plus per-region leaves.
-        let pt_budget = 6 + stack_pages.div_ceil(512) + host_pages.div_ceil(512);
-        let mut staged = match StagedFrames::stage(pt_budget, &mut self.pool, ctx) {
-            Ok(s) => s,
-            Err(e) => {
-                if self.rollback(ctx, txn).is_err() {
-                    return Err(EmsError::BadState);
-                }
-                return Err(e);
-            }
-        };
-
-        let mut data_frames = Vec::new();
-        let built: Result<PageTable, EmsError> = 'build: {
-            let table = match PageTable::try_new(&mut staged, &mut ctx.sys.phys) {
-                Ok(t) => t,
-                Err(f) => break 'build Err(f.into()),
-            };
-            // Statically allocate and map the stack (enclave-encrypted).
-            // No UnmapLeaf undos here: the whole table is discarded on
-            // failure, so leaves need not be unpicked one by one.
-            for i in 0..stack_pages {
-                if let Err(e) = txn.step() {
-                    break 'build Err(e);
-                }
-                let frame = match self.pool.take(ctx.os_frames, ctx.sys) {
-                    Ok(f) => f,
-                    Err(e) => break 'build Err(e),
-                };
-                txn.record(UndoOp::ReturnToPool(frame));
-                if self
-                    .ownership
-                    .claim(frame, PageOwner::Enclave(eid))
-                    .is_err()
-                {
-                    break 'build Err(EmsError::AccessDenied);
-                }
-                txn.record(UndoOp::ReleaseOwnership(frame, PageOwner::Enclave(eid)));
-                // Establish integrity MACs by writing zeros through the key.
-                let sys = &mut *ctx.sys;
-                if let Err(f) = sys.engine.zero_page(&mut sys.phys, frame, key) {
-                    break 'build Err(f.into());
-                }
-                if let Err(f) = table.map(
-                    VirtAddr(layout::STACK_BASE.0 + i * PAGE_SIZE),
-                    frame,
-                    Perms::RW,
-                    key,
-                    &mut staged,
-                    &mut ctx.sys.phys,
-                ) {
-                    break 'build Err(f.into());
-                }
-                data_frames.push(frame);
-            }
-
-            // Map the HostApp shared window (plaintext KeyID 0). The frames
-            // are the OS's, so nothing to undo beyond discarding the table.
-            for i in 0..host_pages {
-                if let Err(e) = txn.step() {
-                    break 'build Err(e);
-                }
-                let ppn = Ppn(host_shared_pa / PAGE_SIZE + i);
-                if let Err(f) = table.map(
-                    VirtAddr(layout::HOST_SHARED_BASE.0 + i * PAGE_SIZE),
-                    ppn,
-                    Perms::RW,
-                    KeyId::HOST,
-                    &mut staged,
-                    &mut ctx.sys.phys,
-                ) {
-                    break 'build Err(f.into());
-                }
-            }
-            Ok(table)
-        };
-
-        let pt_frames = staged.unstage(&mut self.pool, ctx);
-        let fail = match built {
-            Ok(table) => {
-                let mut claimed = Vec::new();
-                let mut claim_err = None;
-                for f in &pt_frames {
-                    match self.ownership.claim(*f, PageOwner::EmsPrivate) {
-                        Ok(()) => claimed.push(*f),
-                        Err(_) => {
-                            claim_err = Some(EmsError::AccessDenied);
-                            break;
-                        }
+            // Stage frames for the page-table skeleton plus per-region leaves.
+            let pt_budget = 6 + stack_pages.div_ceil(512) + host_pages.div_ceil(512);
+            let ((table, data_frames), pt_frames) =
+                ems.with_staged(ctx, txn, pt_budget, None, |ems, ctx, txn, staged| {
+                    let table = PageTable::try_new(staged, &mut ctx.sys.phys)?;
+                    // Statically allocate and map the stack (enclave-encrypted).
+                    let mut data_frames = Vec::with_capacity(stack_pages as usize);
+                    for i in 0..stack_pages {
+                        let leaf = Leaf {
+                            table,
+                            va: VirtAddr(layout::STACK_BASE.0 + i * PAGE_SIZE),
+                            perms: Perms::RW,
+                        };
+                        let owner = PageOwner::Enclave(eid);
+                        let stage = Some((&mut *staged, leaf));
+                        data_frames.push(ems.take_page(ctx, txn, owner, key, Fill::Zero, stage)?);
                     }
-                }
-                match claim_err {
-                    None => {
-                        let mut control =
-                            EnclaveControl::new(eid, table, pt_frames, key, nonce, config);
-                        control.key_nonce = nonce;
-                        control.data_frames = data_frames;
-                        self.enclaves.insert(eid.0, control);
-                        return Ok(eid);
+                    // Map the HostApp shared window (plaintext KeyID 0). The
+                    // frames are the OS's, so nothing to undo beyond
+                    // discarding the table.
+                    for i in 0..host_pages {
+                        txn.step()?;
+                        let leaf = Leaf {
+                            table,
+                            va: VirtAddr(layout::HOST_SHARED_BASE.0 + i * PAGE_SIZE),
+                            perms: Perms::RW,
+                        };
+                        let ppn = Ppn(host_shared_pa / PAGE_SIZE + i);
+                        staged.map(ctx, txn, leaf, ppn, KeyId::HOST)?;
                     }
-                    Some(e) => {
-                        for f in claimed {
-                            let _ = self.ownership.release(f, PageOwner::EmsPrivate);
-                        }
-                        e
-                    }
-                }
-            }
-            Err(e) => e,
-        };
-
-        // Failure: roll back stack frames and the KeyID, then discard the
-        // half-built table's frames — nothing references the abandoned root,
-        // so pooling them (zeroed) is safe, unlike the live-table case.
-        let rolled = self.rollback(ctx, txn);
-        for f in pt_frames {
-            let _ = self.pool.give_back(f, ctx.sys);
-        }
-        if rolled.is_err() {
-            return Err(EmsError::BadState);
-        }
-        Err(fail)
+                    Ok((table, data_frames))
+                })?;
+            let mut control = EnclaveControl::new(eid, table, pt_frames, key, nonce, config);
+            control.data_frames = data_frames;
+            ems.enclaves.insert(eid.0, control);
+            Ok(eid)
+        })
     }
 
     fn pool_bitmap_is_enclave(&mut self, ctx: &mut EmsContext<'_>, ppn: Ppn) -> EmsResult<bool> {
@@ -232,98 +148,37 @@ impl Ems {
         let table = enclave.page_table;
         let pages = len.div_ceil(PAGE_SIZE);
         let perms = perms_from_bits(perm_bits);
-        let mut staged = StagedFrames::stage(2 + pages.div_ceil(512), &mut self.pool, ctx)?;
-        let mut txn = Txn::begin(self.injector.abort_step());
-        let mut added = Vec::new();
-        let mut err: Option<EmsError> = None;
-        for i in 0..pages {
-            let va = VirtAddr(dest_va + i * PAGE_SIZE);
-            let chunk_len = (len - i * PAGE_SIZE).min(PAGE_SIZE) as usize;
-            let src = PhysAddr(src_pa + i * PAGE_SIZE);
-            match self.eadd_one(
-                ctx,
-                &mut staged,
-                &mut txn,
-                eid,
-                va,
-                src,
-                chunk_len,
-                key,
-                table,
-                perms,
-            ) {
-                Ok((frame, page_buf)) => added.push((va, frame, page_buf)),
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Branch frames woven into the live table are kept on both paths
-        // (same dangling-PTE argument as EALLOC); only leaves roll back.
-        let pt_frames = staged.unstage(&mut self.pool, ctx);
-        for f in &pt_frames {
-            if self.ownership.claim(*f, PageOwner::EmsPrivate).is_err() {
-                err.get_or_insert(EmsError::AccessDenied);
-            }
-        }
-        let enclave = self.enclave_mut(eid)?;
-        enclave.pt_frames.extend(pt_frames);
-        match err {
-            None => {
-                // The measurement extends only after every page landed — a
-                // rolled-back EADD must leave the measurement untouched so
-                // the retried request reproduces the same digest.
-                let enclave = self.enclave_mut(eid)?;
-                for (va, frame, data) in added {
-                    enclave.extend_measurement(va, perm_bits, &data);
-                    enclave.data_frames.push(frame);
-                }
-                Ok(())
-            }
-            Some(e) => {
-                if self.rollback(ctx, txn).is_err() {
-                    self.poison(eid);
-                    return Err(EmsError::BadState);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// One EADD page: take → claim → copy-through-key → map, undo-logged.
-    #[allow(clippy::too_many_arguments)]
-    fn eadd_one(
-        &mut self,
-        ctx: &mut EmsContext<'_>,
-        staged: &mut StagedFrames,
-        txn: &mut Txn,
-        eid: u64,
-        va: VirtAddr,
-        src: PhysAddr,
-        chunk_len: usize,
-        key: KeyId,
-        table: PageTable,
-        perms: Perms,
-    ) -> EmsResult<(Ppn, Vec<u8>)> {
-        txn.step()?;
-        let frame = self.pool.take(ctx.os_frames, ctx.sys)?;
-        txn.record(UndoOp::ReturnToPool(frame));
+        let pt_budget = 2 + pages.div_ceil(512);
         let owner = PageOwner::Enclave(EnclaveId(eid));
-        self.ownership
-            .claim(frame, owner)
-            .map_err(|_| EmsError::AccessDenied)?;
-        txn.record(UndoOp::ReleaseOwnership(frame, owner));
-        // EMS reads the image chunk from CS memory (unidirectional access)
-        // and writes it through the enclave's key.
-        let mut page_buf = vec![0u8; PAGE_SIZE as usize];
-        ctx.sys.phys.read(src, &mut page_buf[..chunk_len])?;
-        let sys = &mut *ctx.sys;
-        sys.engine
-            .write(&mut sys.phys, frame.base(), key, &page_buf)?;
-        table.map(va, frame, perms, key, staged, &mut ctx.sys.phys)?;
-        txn.record(UndoOp::UnmapLeaf(table, va));
-        Ok((frame, page_buf))
+        let (added, _) = self.transact(ctx, Some(eid), |ems, ctx, txn| {
+            ems.with_staged(ctx, txn, pt_budget, Some(eid), |ems, ctx, txn, staged| {
+                txn.arm(&mut ems.injector);
+                let mut added = Vec::with_capacity(pages as usize);
+                for i in 0..pages {
+                    let va = VirtAddr(dest_va + i * PAGE_SIZE);
+                    let mut page = vec![0u8; PAGE_SIZE as usize];
+                    let fill = Fill::FromCs {
+                        src: PhysAddr(src_pa + i * PAGE_SIZE),
+                        len: (len - i * PAGE_SIZE).min(PAGE_SIZE) as usize,
+                        page: &mut page,
+                    };
+                    let leaf = Leaf { table, va, perms };
+                    let frame =
+                        ems.take_page(ctx, txn, owner, key, fill, Some((&mut *staged, leaf)))?;
+                    added.push((va, frame, page));
+                }
+                Ok(added)
+            })
+        })?;
+        // The measurement extends only after every page landed — a
+        // rolled-back EADD must leave the measurement untouched so the
+        // retried request reproduces the same digest.
+        let enclave = self.enclave_mut(eid)?;
+        for (va, frame, data) in added {
+            enclave.extend_measurement(va, perm_bits, &data);
+            enclave.data_frames.push(frame);
+        }
+        Ok(())
     }
 
     /// EMEAS: finalises the measurement and moves the enclave to `Measured`.
@@ -450,7 +305,8 @@ impl Ems {
         // A poisoned enclave's structures may already disagree; reclaim what
         // can be reclaimed instead of erroring out of the teardown.
         let tolerant = self.is_poisoned(eid);
-        let mut txn = Txn::begin(self.injector.abort_step());
+        let mut txn = Txn::default();
+        txn.arm(&mut self.injector);
         // Detach from any shared regions (idempotent: a resumed destroy
         // finds the attachments already gone).
         let shm_ids: Vec<u64> = self.shms.keys().copied().collect();

@@ -1,19 +1,20 @@
 //! Enclave memory-management primitives: EALLOC, EFREE, EWB (§IV-A).
 //!
 //! All three walk several structures per page (pool, ownership table,
-//! bitmap, page table), so each threads a [`Txn`]: an injected abort between
-//! any two mutations rolls the completed pages back and leaves the enclave
-//! exactly as before the call — the caller simply retries.
+//! bitmap, page table), so each runs inside the transaction scope of `txn`:
+//! an injected abort between any two mutations rolls the completed pages
+//! back and leaves the enclave exactly as before the call — the caller
+//! simply retries.
 
 use crate::control::{layout, EnclaveState};
 use crate::error::{EmsError, EmsResult};
-use crate::runtime::{range_end, Ems, EmsContext, StagedFrames};
-use crate::txn::{Txn, UndoOp};
+use crate::runtime::{range_end, Ems, EmsContext};
+use crate::txn::{Fill, Leaf, UndoOp};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
-use hypertee_mem::addr::{KeyId, Ppn, VirtAddr, PAGE_SIZE};
+use hypertee_mem::addr::{Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::framehash::FrameSet;
 use hypertee_mem::ownership::{EnclaveId, PageOwner};
-use hypertee_mem::pagetable::{PageTable, Perms};
+use hypertee_mem::pagetable::Perms;
 
 impl Ems {
     /// The enclave's heap cursor (next unmapped VA) and heap limit in
@@ -60,77 +61,28 @@ impl Ems {
         let key = enclave.key.ok_or(EmsError::BadState)?;
         let table = enclave.page_table;
 
-        let mut staged = StagedFrames::stage(2 + pages.div_ceil(512), &mut self.pool, ctx)?;
-        let mut txn = Txn::begin(self.injector.abort_step());
-        let mut frames = Vec::with_capacity(pages as usize);
-        let mut err: Option<EmsError> = None;
-        for i in 0..pages {
-            let va = VirtAddr(base.0 + i * PAGE_SIZE);
-            match self.ealloc_one(ctx, &mut staged, &mut txn, eid, va, key, table) {
-                Ok(frame) => frames.push(frame),
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Page-table branch frames woven into the live table are kept on
-        // BOTH paths — success and abort alike. Reclaiming one would leave
-        // an interior PTE dangling at a pool frame, corrupting whatever that
-        // frame is reused for. Only leaf mappings and data frames roll back.
-        let pt_frames = staged.unstage(&mut self.pool, ctx);
-        for f in &pt_frames {
-            if self.ownership.claim(*f, PageOwner::EmsPrivate).is_err() {
-                err.get_or_insert(EmsError::AccessDenied);
-            }
-        }
-        let enclave = self.enclave_mut(eid)?;
-        enclave.pt_frames.extend(pt_frames);
-        match err {
-            None => {
-                let enclave = self.enclave_mut(eid)?;
-                enclave.data_frames.extend(frames);
-                enclave.heap_cursor = VirtAddr(base.0 + pages * PAGE_SIZE);
-                Ok((base, pages))
-            }
-            Some(e) => {
-                if self.rollback(ctx, txn).is_err() {
-                    self.poison(eid);
-                    return Err(EmsError::BadState);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// One EALLOC page: take → claim → zero-through-key → map, each undo
-    /// logged so the reverse replay runs unmap → release → return-to-pool.
-    #[allow(clippy::too_many_arguments)]
-    fn ealloc_one(
-        &mut self,
-        ctx: &mut EmsContext<'_>,
-        staged: &mut StagedFrames,
-        txn: &mut Txn,
-        eid: u64,
-        va: VirtAddr,
-        key: KeyId,
-        table: PageTable,
-    ) -> EmsResult<Ppn> {
-        txn.step()?;
-        let frame = self.pool.take(ctx.os_frames, ctx.sys)?;
-        txn.record(UndoOp::ReturnToPool(frame));
+        let pt_budget = 2 + pages.div_ceil(512);
         let owner = PageOwner::Enclave(EnclaveId(eid));
-        self.ownership
-            .claim(frame, owner)
-            .map_err(|_| EmsError::AccessDenied)?;
-        txn.record(UndoOp::ReleaseOwnership(frame, owner));
-        // Zero through the enclave key so integrity MACs exist (§IV-A:
-        // "Before being mapped, corresponding pages will be zeroed").
-        let sys = &mut *ctx.sys;
-        sys.engine.zero_page(&mut sys.phys, frame, key)?;
-        table.map(va, frame, Perms::RW, key, staged, &mut ctx.sys.phys)?;
-        txn.record(UndoOp::UnmapLeaf(table, va));
-        Ok(frame)
+        let (frames, _) = self.transact(ctx, Some(eid), |ems, ctx, txn| {
+            ems.with_staged(ctx, txn, pt_budget, Some(eid), |ems, ctx, txn, staged| {
+                txn.arm(&mut ems.injector);
+                let mut frames = Vec::with_capacity(pages as usize);
+                for i in 0..pages {
+                    let leaf = Leaf {
+                        table,
+                        va: VirtAddr(base.0 + i * PAGE_SIZE),
+                        perms: Perms::RW,
+                    };
+                    let stage = Some((&mut *staged, leaf));
+                    frames.push(ems.take_page(ctx, txn, owner, key, Fill::Zero, stage)?);
+                }
+                Ok(frames)
+            })
+        })?;
+        let enclave = self.enclave_mut(eid)?;
+        enclave.data_frames.extend(frames);
+        enclave.heap_cursor = VirtAddr(base.0 + pages * PAGE_SIZE);
+        Ok((base, pages))
     }
 
     /// EFREE: unmaps `bytes` of heap starting at `va`, zeroes the pages, and
@@ -165,45 +117,29 @@ impl Ems {
         }
         let table = enclave.page_table;
         let owner = PageOwner::Enclave(EnclaveId(eid));
-        let mut txn = Txn::begin(self.injector.abort_step());
-
-        // Phase ① (abortable): detach pages; content untouched.
-        let mut detached = Vec::with_capacity(pages as usize);
-        let mut err: Option<EmsError> = None;
-        for i in 0..pages {
-            let page_va = VirtAddr(va + i * PAGE_SIZE);
-            if let Err(e) = txn.step() {
-                err = Some(e);
-                break;
+        let detached = self.transact(ctx, Some(eid), |ems, ctx, txn| {
+            txn.arm(&mut ems.injector);
+            // Phase ① (abortable): detach pages; content untouched.
+            let mut detached = Vec::with_capacity(pages as usize);
+            for i in 0..pages {
+                let page_va = VirtAddr(va + i * PAGE_SIZE);
+                txn.step()?;
+                let pte = table.unmap(page_va, &mut ctx.sys.phys)?;
+                txn.record(UndoOp::RemapLeaf(
+                    table,
+                    page_va,
+                    pte.ppn(),
+                    pte.perms(),
+                    pte.key(),
+                ));
+                ems.ownership
+                    .release(pte.ppn(), owner)
+                    .map_err(|_| EmsError::AccessDenied)?;
+                txn.record(UndoOp::RestoreOwnership(pte.ppn(), owner));
+                detached.push(pte.ppn());
             }
-            let pte = match table.unmap(page_va, &mut ctx.sys.phys) {
-                Ok(p) => p,
-                Err(f) => {
-                    err = Some(f.into());
-                    break;
-                }
-            };
-            txn.record(UndoOp::RemapLeaf(
-                table,
-                page_va,
-                pte.ppn(),
-                pte.perms(),
-                pte.key(),
-            ));
-            if self.ownership.release(pte.ppn(), owner).is_err() {
-                err = Some(EmsError::AccessDenied);
-                break;
-            }
-            txn.record(UndoOp::RestoreOwnership(pte.ppn(), owner));
-            detached.push(pte.ppn());
-        }
-        if let Some(e) = err {
-            if self.rollback(ctx, txn).is_err() {
-                self.poison(eid);
-                return Err(EmsError::BadState);
-            }
-            return Err(e);
-        }
+            Ok(detached)
+        })?;
 
         // Phase ② (commit): zero and pool the detached frames.
         for frame in &detached {
@@ -236,33 +172,19 @@ impl Ems {
             return Err(EmsError::InvalidArgument);
         }
         let count = self.pool.swap_jitter(requested);
-        let mut txn = Txn::begin(self.injector.abort_step());
-        let mut frames = Vec::with_capacity(count as usize);
-        let mut err: Option<EmsError> = None;
-        for _ in 0..count {
-            if let Err(e) = txn.step() {
-                err = Some(e);
-                break;
+        // EWB touches no enclave, so a failed unevict poisons none: it is a
+        // pool-global inconsistency.
+        let frames = self.transact(ctx, None, |ems, ctx, txn| {
+            txn.arm(&mut ems.injector);
+            let mut frames = Vec::with_capacity(count as usize);
+            for _ in 0..count {
+                txn.step()?;
+                let frame = ems.pool.evict_one(ctx.os_frames, ctx.sys)?;
+                txn.record(UndoOp::UnevictFrame(frame));
+                frames.push(frame);
             }
-            match self.pool.evict_one(ctx.os_frames, ctx.sys) {
-                Ok(frame) => {
-                    txn.record(UndoOp::UnevictFrame(frame));
-                    frames.push(frame);
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = err {
-            // EWB touches no enclave, so there is nothing to poison; a
-            // failed unevict is a pool-global inconsistency.
-            if self.rollback(ctx, txn).is_err() {
-                return Err(EmsError::BadState);
-            }
-            return Err(e);
-        }
+            Ok(frames)
+        })?;
         // Fill each page with fresh keystream so the OS cannot tell swapped
         // "pages" from real encrypted enclave memory.
         let mut swap_key = [0u8; 16];

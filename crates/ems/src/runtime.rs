@@ -4,6 +4,8 @@
 //! vault, the ownership table, the enclave memory pool, control structures,
 //! and shared-memory bookkeeping. CS software cannot reach any of it; the
 //! only interface is primitive packets flowing through the iHub mailbox.
+//! The primitives that take frames do so through one transaction (`txn`):
+//! its scope, its per-page step, and its staging of page-table frames.
 
 use crate::control::{EnclaveControl, EnclaveState};
 use crate::error::{EmsError, EmsResult};
@@ -15,9 +17,9 @@ use hypertee_fabric::ihub::{EmsCapability, IHub};
 use hypertee_fabric::message::{Primitive, Request, Response, Status};
 use hypertee_fabric::ring::Ring;
 use hypertee_faults::{FaultInjector, FaultKind, FaultPlan, FaultStats};
-use hypertee_mem::addr::{KeyId, Ppn};
+use hypertee_mem::addr::KeyId;
 use hypertee_mem::ownership::{EnclaveId, OwnershipTable};
-use hypertee_mem::pagetable::{FrameSource, PageTable};
+use hypertee_mem::pagetable::PageTable;
 use hypertee_mem::phys::FrameAllocator;
 use hypertee_mem::system::MemorySystem;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -80,48 +82,6 @@ pub struct EnclaveView {
     pub switches: u64,
     /// Whether the enclave is poisoned (only EDESTROY accepted).
     pub poisoned: bool,
-}
-
-/// A pre-staged batch of frames implementing [`FrameSource`], so page-table
-/// construction can draw frames without re-entering the pool mid-walk.
-pub(crate) struct StagedFrames {
-    avail: Vec<Ppn>,
-    /// Frames actually consumed by the mapping operation.
-    pub(crate) taken: Vec<Ppn>,
-}
-
-impl StagedFrames {
-    pub(crate) fn stage(
-        n: u64,
-        pool: &mut MemPool,
-        ctx: &mut EmsContext<'_>,
-    ) -> EmsResult<StagedFrames> {
-        let mut avail = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            avail.push(pool.take(ctx.os_frames, ctx.sys)?);
-        }
-        Ok(StagedFrames {
-            avail,
-            taken: Vec::new(),
-        })
-    }
-
-    /// Returns unused frames to the pool.
-    pub(crate) fn unstage(mut self, pool: &mut MemPool, ctx: &mut EmsContext<'_>) -> Vec<Ppn> {
-        while let Some(f) = self.avail.pop() {
-            // Staged frames were never written; returning them is cheap.
-            let _ = pool.give_back(f, ctx.sys);
-        }
-        self.taken
-    }
-}
-
-impl FrameSource for StagedFrames {
-    fn alloc_frame(&mut self) -> Option<Ppn> {
-        let f = self.avail.pop()?;
-        self.taken.push(f);
-        Some(f)
-    }
 }
 
 /// The Enclave Management Subsystem runtime.
@@ -610,7 +570,7 @@ fn require_self(req: &Request, eid: u64) -> EmsResult<()> {
 mod tests {
     use super::*;
     use hypertee_fabric::message::{CallerIdentity, Privilege};
-    use hypertee_mem::addr::PhysAddr;
+    use hypertee_mem::addr::{PhysAddr, Ppn};
 
     fn machine() -> (MemorySystem, IHub, FrameAllocator, Ems) {
         let sys = MemorySystem::new(128 << 20, PhysAddr(0x8000));

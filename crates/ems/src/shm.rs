@@ -11,7 +11,8 @@
 use crate::control::EnclaveState;
 use crate::error::{EmsError, EmsResult};
 use crate::lifecycle::perms_from_bits;
-use crate::runtime::{Ems, EmsContext, StagedFrames};
+use crate::runtime::{Ems, EmsContext};
+use crate::txn::{Fill, Leaf, UndoOp};
 use hypertee_fabric::dma::{DeviceId, DmaPerm, DmaWindow};
 use hypertee_mem::addr::{KeyId, Ppn, VirtAddr, PAGE_SIZE};
 use hypertee_mem::ownership::{EnclaveId, PageOwner, ShmId};
@@ -69,26 +70,25 @@ impl Ems {
         let shmid = ShmId(self.fresh_shmid());
         // Key assignment: derived from the initial sender's EnclaveID and
         // the ShmID (§V-A), programmed straight into the engine via iHub.
-        let key = if device_shared {
-            KeyId::HOST
-        } else {
-            let key = self.alloc_keyid(ctx)?;
-            let (aes, mac) = self.vault.shm_keys(creator, shmid.0);
-            ctx.hub
-                .ems_program_key(&self.cap, &mut ctx.sys.engine, key, &aes, &mac);
-            key
-        };
-        let mut frames = Vec::with_capacity(pages as usize);
-        for _ in 0..pages {
-            let frame = self.pool.take(ctx.os_frames, ctx.sys)?;
-            self.ownership
-                .claim(frame, PageOwner::Shared(shmid))
-                .map_err(|_| EmsError::AccessDenied)?;
+        let owner = PageOwner::Shared(shmid);
+        let (key, frames) = self.transact(ctx, None, |ems, ctx, txn| {
+            let key = if device_shared {
+                KeyId::HOST
+            } else {
+                let key = ems.alloc_keyid(ctx)?;
+                txn.record(UndoOp::ReleaseKey(key));
+                let (aes, mac) = ems.vault.shm_keys(creator, shmid.0);
+                ctx.hub
+                    .ems_program_key(&ems.cap, &mut ctx.sys.engine, key, &aes, &mac);
+                key
+            };
             // Initialise through the region key so integrity MACs exist.
-            let sys = &mut *ctx.sys;
-            sys.engine.zero_page(&mut sys.phys, frame, key)?;
-            frames.push(frame);
-        }
+            let mut frames = Vec::with_capacity(pages as usize);
+            for _ in 0..pages {
+                frames.push(ems.take_page(ctx, txn, owner, key, Fill::Zero, None)?);
+            }
+            Ok((key, frames))
+        })?;
         let max_perm = perms_from_bits(max_perm_bits & 0b011);
         let mut legal = BTreeMap::new();
         legal.insert(creator, max_perm);
@@ -184,25 +184,21 @@ impl Ems {
             (shm.frames.clone(), shm.key, perm)
         };
         let pages = frames.len() as u64;
-        let mut staged = StagedFrames::stage(2 + pages.div_ceil(512), &mut self.pool, ctx)?;
-        for (i, frame) in frames.iter().enumerate() {
-            table.map(
-                VirtAddr(base.0 + i as u64 * PAGE_SIZE),
-                *frame,
-                perm,
-                key,
-                &mut staged,
-                &mut ctx.sys.phys,
-            )?;
-        }
-        let pt_frames = staged.unstage(&mut self.pool, ctx);
-        for f in &pt_frames {
-            self.ownership
-                .claim(*f, PageOwner::EmsPrivate)
-                .map_err(|_| EmsError::AccessDenied)?;
-        }
+        let pt_budget = 2 + pages.div_ceil(512);
+        self.transact(ctx, Some(eid), |ems, ctx, txn| {
+            ems.with_staged(ctx, txn, pt_budget, Some(eid), |_, ctx, txn, staged| {
+                for (i, &frame) in frames.iter().enumerate() {
+                    let leaf = Leaf {
+                        table,
+                        va: VirtAddr(base.0 + i as u64 * PAGE_SIZE),
+                        perms: perm,
+                    };
+                    staged.map(ctx, txn, leaf, frame, key)?;
+                }
+                Ok(())
+            })
+        })?;
         let enclave = self.enclave_mut(eid)?;
-        enclave.pt_frames.extend(pt_frames);
         enclave.shm_cursor = VirtAddr(base.0 + pages * PAGE_SIZE);
         let shm = self.shms.get_mut(&shmid).expect("checked above");
         shm.attached.insert(eid, base);

@@ -5,12 +5,14 @@
 use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_ems::attest::SigmaInitiator;
 use hypertee_ems::control::{layout, EnclaveConfig};
+use hypertee_ems::cvm::CvmState;
 use hypertee_ems::error::EmsError;
 use hypertee_ems::keys::EFuse;
 use hypertee_ems::runtime::{Ems, EmsContext};
 use hypertee_fabric::dma::DeviceId;
 use hypertee_fabric::ihub::IHub;
 use hypertee_mem::addr::{PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
+use hypertee_mem::audit::{AuditError, ConsistencyAudit};
 use hypertee_mem::pagetable::Perms;
 use hypertee_mem::phys::FrameAllocator;
 use hypertee_mem::system::{CoreMmu, MemorySystem};
@@ -42,6 +44,27 @@ impl Machine {
             os_frames: &mut self.os,
         };
         f(&mut self.ems, &mut ctx)
+    }
+
+    /// Hands every frame the CS OS has left to somebody else, so the pool
+    /// can no longer grow.
+    fn drain_os(&mut self) {
+        while self.os.alloc().is_some() {}
+    }
+
+    /// What a failed primitive must leave as it found it: pool frames in
+    /// use and free, programmed KeyIDs, and the consistency audit's verdict.
+    fn books(&mut self) -> (u64, usize, usize, Result<ConsistencyAudit, AuditError>) {
+        let audit = ConsistencyAudit::run(
+            &mut self.sys,
+            self.ems.ownership(),
+            self.ems.pool().free_list(),
+            self.ems.pool().used_frames(),
+            &self.ems.audit_tables(),
+        );
+        let pool = self.ems.pool();
+        let keys = self.sys.engine.keys_in_use();
+        (pool.used_frames(), pool.free_list().len(), keys, audit)
     }
 
     /// Builds a small measured enclave with `image` loaded at CODE_BASE and
@@ -738,4 +761,92 @@ fn quote_tampering_matrix() {
     let mut q = quote.clone();
     q.ak_pub = hypertee_crypto::sig::Keypair::from_key_material(&[3; 32]).public;
     assert!(!q.verify(&ek));
+}
+
+/// Key of the CVM images the exhaustion tests deploy.
+const CVM_IMAGE_KEY: [u8; 16] = *b"exhaustion-image";
+
+#[test]
+fn eshmget_under_exhaustion_hands_back_frames_and_key() {
+    let mut m = Machine::new(31);
+    let eid = m.build_enclave(b"region under pressure");
+    m.drain_os();
+    let before = m.books();
+    assert!(before.1 < 2048, "the pool must not cover 8 MiB");
+    let err = m
+        .with(|ems, ctx| ems.eshmget(ctx, eid, 8 << 20, 0b011, false))
+        .unwrap_err();
+    assert_eq!(err, EmsError::Exhausted);
+    assert_eq!(m.books(), before, "a failed ESHMGET kept frames or a KeyID");
+}
+
+#[test]
+fn cvm_create_under_exhaustion_hands_back_frames_and_key() {
+    let mut m = Machine::new(32);
+    m.build_enclave(b"fills the pool a little");
+    m.drain_os();
+    let before = m.books();
+    assert!(before.1 < 512, "the pool must not cover 512 guest pages");
+    let err = m
+        .with(|ems, ctx| ems.cvm_create(ctx, b"guest kernel", &CVM_IMAGE_KEY, 512))
+        .unwrap_err();
+    assert_eq!(err, EmsError::Exhausted);
+    assert_eq!(
+        m.books(),
+        before,
+        "a failed CVMCREATE kept frames or a KeyID"
+    );
+}
+
+#[test]
+fn cvm_restore_under_exhaustion_hands_back_frames_and_key() {
+    let mut m = Machine::new(33);
+    let id = m
+        .with(|ems, ctx| ems.cvm_create(ctx, b"guest kernel", &CVM_IMAGE_KEY, 64))
+        .unwrap();
+    let snapshot = m.with(|ems, ctx| ems.cvm_save(ctx, id)).unwrap();
+    m.drain_os();
+    // A second guest leaves the pool ten frames short of the restore.
+    let free = m.ems.pool().free_list().len() as u64;
+    assert!(free > 64, "the save pooled the guest's frames");
+    let hog = m
+        .with(|ems, ctx| ems.cvm_create(ctx, b"hog", &CVM_IMAGE_KEY, free - 54))
+        .unwrap();
+    let before = m.books();
+    let err = m
+        .with(|ems, ctx| ems.cvm_restore(ctx, &snapshot))
+        .unwrap_err();
+    assert_eq!(err, EmsError::Exhausted);
+    assert_eq!(m.books(), before, "a failed restore kept frames or a KeyID");
+    assert_eq!(m.ems.cvm_state(id).unwrap(), CvmState::Saved);
+    // With the hog gone, the same snapshot restores.
+    m.with(|ems, ctx| ems.cvm_destroy(ctx, hog)).unwrap();
+    m.with(|ems, ctx| ems.cvm_restore(ctx, &snapshot)).unwrap();
+    assert_eq!(m.ems.cvm_state(id).unwrap(), CvmState::Active);
+    m.books().3.expect("audit after the retried restore");
+}
+
+#[test]
+fn ealloc_whose_page_table_staging_fails_hands_back_the_stage() {
+    let mut m = Machine::new(34);
+    let eid = m.build_enclave(b"staging under pressure");
+    m.drain_os();
+    // A device-shared region (no KeyID) leaves the pool two free frames:
+    // one short of what a one-page EALLOC stages for its page table.
+    let free = m.ems.pool().free_list().len() as u64;
+    assert!(free > 2, "pool too small for the setup: {free}");
+    let hog = m
+        .with(|ems, ctx| ems.eshmget(ctx, eid, (free - 2) * PAGE_SIZE, 0b011, true))
+        .unwrap();
+    let before = m.books();
+    assert_eq!(before.1, 2);
+    let err = m
+        .with(|ems, ctx| ems.ealloc(ctx, eid, PAGE_SIZE))
+        .unwrap_err();
+    assert_eq!(err, EmsError::Exhausted);
+    assert_eq!(m.books(), before, "a failed stage kept its frames");
+    // With the region gone, the same EALLOC succeeds.
+    m.with(|ems, ctx| ems.eshmdes(ctx, eid, hog)).unwrap();
+    m.with(|ems, ctx| ems.ealloc(ctx, eid, PAGE_SIZE)).unwrap();
+    m.books().3.expect("audit after the retried EALLOC");
 }

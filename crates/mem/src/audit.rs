@@ -7,7 +7,9 @@
 //! between two mutations could make them disagree — this module checks the
 //! containment chain after every injection:
 //!
-//! 1. bitmap-marked frames = owned frames ∪ pool-free frames (both ways);
+//! 1. bitmap-marked frames = owned frames ∪ pool-free frames (both ways),
+//!    except the bitmap's own backing frames, which stay marked and which
+//!    no table may track;
 //! 2. no frame is simultaneously owned and pool-free;
 //! 3. pool `used` equals the ownership-table population (every pool take is
 //!    paired with a claim);
@@ -32,6 +34,12 @@ pub enum AuditError {
     },
     /// An owned or pool-free frame is missing its bitmap bit.
     MissingBitmapBit {
+        /// The offending frame.
+        ppn: Ppn,
+    },
+    /// One of the bitmap's own backing frames is owned, pool-free, or has
+    /// lost its enclave bit.
+    BitmapSelfFrame {
         /// The offending frame.
         ppn: Ppn,
     },
@@ -79,6 +87,9 @@ impl core::fmt::Display for AuditError {
             }
             AuditError::MissingBitmapBit { ppn } => {
                 write!(f, "frame {ppn:?} tracked but bitmap-unmarked")
+            }
+            AuditError::BitmapSelfFrame { ppn } => {
+                write!(f, "bitmap frame {ppn:?} tracked or unmarked")
             }
             AuditError::FreeButOwned { ppn } => {
                 write!(f, "frame {ppn:?} both owned and pool-free")
@@ -172,13 +183,26 @@ impl ConsistencyAudit {
 
         // ① Bitmap sweep, a word at a time: marked ⇔ (owned ∪ pool-free).
         // The bitmap's own backing frames are enclave-marked by its
-        // install-time self-protection; no table tracks them. The raw
-        // access counter advances as a probe per swept frame would.
+        // install-time self-protection, and no table may track them; that
+        // check costs no probe. The raw access counter advances as a probe
+        // per swept frame would.
         audit.frames_scanned = covered;
         let tracked: Vec<u64> = owned.iter().zip(&free).map(|(o, f)| o | f).collect();
         let accesses = sys.phys.access_count;
         let marked = sys.bitmap.words(&mut sys.phys)?;
         let selfs = sys.bitmap.self_frames();
+        let bit = |words: &[u64], p: u64| {
+            words
+                .get((p / 64) as usize)
+                .is_some_and(|w| w >> (p % 64) & 1 == 1)
+        };
+        if let Some(ppn) = selfs
+            .clone()
+            .find(|&p| !bit(&marked, p) || bit(&tracked, p))
+        {
+            sys.phys.access_count = accesses;
+            return Err(AuditError::BitmapSelfFrame { ppn: Ppn(ppn) });
+        }
         let probed = |end: u64| end - (selfs.start.min(end)..selfs.end.min(end)).count() as u64;
         for (i, &m) in marked.iter().enumerate() {
             let swept = word_bits(i, 0..covered) & !word_bits(i, selfs.clone());
@@ -291,6 +315,15 @@ mod tests {
                 owned: audit.owned,
             });
         }
+        let accesses = sys.phys.access_count;
+        for ppn in sys.bitmap.self_frames() {
+            let marked = sys.bitmap.is_enclave(Ppn(ppn), &mut sys.phys)?;
+            if !marked || owned.contains(&ppn) || free.contains(&ppn) {
+                sys.phys.access_count = accesses;
+                return Err(AuditError::BitmapSelfFrame { ppn: Ppn(ppn) });
+            }
+        }
+        sys.phys.access_count = accesses;
         let covered = sys.bitmap.covered_frames;
         audit.frames_scanned = covered;
         for ppn in 0..covered {
@@ -447,6 +480,12 @@ mod tests {
             let frame_accesses = sys.phys.access_count - before;
             assert_eq!(words, frames, "seed {seed}, plants {plants:?}");
             assert_eq!(word_accesses, frame_accesses, "seed {seed}");
+            if let [Plant::SelfFrames] = plants[..] {
+                assert!(
+                    matches!(words, Err(AuditError::BitmapSelfFrame { .. })),
+                    "seed {seed}: a tracked or unmarked bitmap frame passed: {words:?}"
+                );
+            }
             verdicts.insert(match words {
                 Ok(_) => "ok",
                 Err(AuditError::UntrackedEnclaveFrame { .. }) => "untracked",
@@ -455,11 +494,12 @@ mod tests {
                 }
                 Err(AuditError::MissingBitmapBit { .. }) => "missing bit",
                 Err(AuditError::FreeButOwned { .. }) => "owned and free",
+                Err(AuditError::BitmapSelfFrame { .. }) => "self frame",
                 Err(AuditError::PoolAccountingMismatch { .. }) => "accounting",
                 Err(e) => panic!("unexpected {e:?}"),
             });
         }
-        assert_eq!(verdicts.len(), 6, "verdicts seen: {verdicts:?}");
+        assert_eq!(verdicts.len(), 7, "verdicts seen: {verdicts:?}");
     }
 
     /// Past the bitmap's reach the audit names the lowest tracked frame,

@@ -53,6 +53,10 @@ echo "==> memory-engine tests and the data-plane wall in release (the build the 
 cargo test --release --offline -p hypertee-mem -q
 cargo test --release --offline --test fastpath -q
 
+echo "==> EMS primitive tests and the fault campaigns in release (the rollback walls the primitives lean on)"
+cargo test --release --offline -p hypertee-ems -q
+cargo test --release --offline --test faults -q
+
 echo "==> hostile-input sweep in release (overflowed lengths wrap here where debug panics)"
 cargo test --release --offline -p hypertee-chaos --test hostile_input -q
 

@@ -662,3 +662,191 @@ fn lost_ecreate_responses_keep_the_host_window_from_the_os() {
         "the OS handed out a window frame the orphan still maps"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Real exhaustion: the CS OS, not the injector, runs the pool dry.
+// ---------------------------------------------------------------------------
+
+use hypertee_repro::ems::control::layout;
+use hypertee_repro::fabric::message::Status;
+use hypertee_repro::hypertee::machine::{EnclaveHandle, MachineResult};
+use hypertee_repro::hypertee::sdk::ShmPerm;
+use hypertee_repro::mem::addr::VirtAddr;
+
+/// One long-lived enclave of the exhaustion campaign, with the heap
+/// ranges and regions it holds. Only the creator attaches its regions, so
+/// destroying it destroys every region it made.
+struct Tenant {
+    handle: EnclaveHandle,
+    heap: Vec<(VirtAddr, u64)>,
+    /// (region, attached, device-shared).
+    regions: Vec<(u64, bool, bool)>,
+}
+
+/// The CS OS keeps only a few hundred frames after boot, so EALLOC/EFREE,
+/// ESHMGET/ESHMAT/ESHMDT/ESHMDES, ECREATE/EADD and EDESTROY keep running
+/// the pool dry under a heavy fault storm. Every failed take must hand back
+/// what its primitive took: the audit holds after every operation, and
+/// once every enclave and region is gone no pool frame is in use and no
+/// KeyID is programmed.
+#[test]
+fn exhaustion_campaign_hands_back_every_frame_and_key() {
+    const SEED: u64 = 0x0e4a_0057;
+    let _guard = SeedReporter {
+        seed: SEED,
+        test: "exhaustion_campaign_hands_back_every_frame_and_key",
+    };
+    let mut m = Machine::boot_default();
+    while m.os.available() > 300 {
+        m.os.alloc();
+    }
+    // Where the short-lived enclaves' images are staged for EADD.
+    let image_frame = m.os.alloc().unwrap();
+    m.arm_faults(&FaultPlan::new(SEED, FaultConfig::heavy()));
+    let mut rng = ChaChaRng::from_u64(SEED);
+    let mut exhausted = 0u32;
+    let mut os_ran_dry = false;
+    let mut audit_after = |m: &mut Machine, what: &str| {
+        m.audit()
+            .unwrap_or_else(|e| panic!("audit violated after {what}: {e}"));
+        os_ran_dry |= m.os.available() == 0;
+    };
+    macro_rules! op {
+        ($what:expr, $res:expr) => {{
+            let r: MachineResult<_> = $res;
+            match &r {
+                Err(MachineError::Primitive(Status::Exhausted)) => exhausted += 1,
+                Err(e) => assert!(
+                    !matches!(e, MachineError::Gate(_) | MachineError::Boot(_)),
+                    "unclean {} failure: {e}",
+                    $what
+                ),
+                Ok(_) => {}
+            }
+            audit_after(&mut m, $what);
+            r.ok()
+        }};
+    }
+    macro_rules! destroy {
+        ($h:expr) => {{
+            let mut destroyed = false;
+            for _ in 0..8 {
+                destroyed = op!("EDESTROY", m.destroy(0, $h)).is_some();
+                if destroyed {
+                    break;
+                }
+            }
+            assert!(destroyed, "EDESTROY never completed");
+        }};
+    }
+
+    let mut tenants = Vec::new();
+    for i in 0..4 {
+        let image = format!("exhaustion tenant {i}");
+        if let Some(handle) = op!(
+            "ECREATE",
+            m.create_enclave(0, &manifest(), image.as_bytes())
+        ) {
+            tenants.push(Tenant {
+                handle,
+                heap: Vec::new(),
+                regions: Vec::new(),
+            });
+        }
+    }
+    assert!(!tenants.is_empty(), "no tenant was ever created");
+    for round in 0..120usize {
+        let slot = round % tenants.len();
+        let t = &mut tenants[slot];
+        if op!("EENTER", m.enter(0, t.handle)).is_some() {
+            for _ in 0..6 {
+                match rng.gen_range(7) {
+                    0 | 1 => {
+                        let bytes = (1 + rng.gen_range(96)) * 4096;
+                        if let Some(va) = op!("EALLOC", m.ealloc(0, bytes)) {
+                            t.heap.push((va, bytes));
+                        }
+                    }
+                    2 | 3 => {
+                        if let Some((va, bytes)) = t.heap.pop() {
+                            op!("EFREE", m.efree(0, va, bytes));
+                        }
+                    }
+                    4 => {
+                        let bytes = (1 + rng.gen_range(128)) * 4096;
+                        let device = rng.gen_range(2) == 0;
+                        let shm = m.shmget(0, bytes, ShmPerm::ReadWrite, device);
+                        if let Some(id) = op!("ESHMGET", shm) {
+                            t.regions.push((id, false, device));
+                        }
+                    }
+                    5 => {
+                        // A device-shared region stays unattached: its
+                        // KeyID-0 view of enclave-marked frames fails the
+                        // audit's host-window rule.
+                        if let Some((id, attached @ false, false)) = t.regions.last_mut() {
+                            *attached = op!("ESHMAT", m.shmat(0, *id, t.handle)).is_some();
+                        }
+                    }
+                    _ => {
+                        if let Some(&(id, attached, _)) = t.regions.last() {
+                            if attached {
+                                if op!("ESHMDT", m.shmdt(0, id)).is_some() {
+                                    t.regions.last_mut().unwrap().1 = false;
+                                }
+                            } else if op!("ESHMDES", m.shmdes(0, id)).is_some() {
+                                t.regions.pop();
+                            }
+                        }
+                    }
+                }
+            }
+            let mut exited = false;
+            for _ in 0..8 {
+                exited = op!("EEXIT", m.exit(0)).is_some();
+                if exited {
+                    break;
+                }
+            }
+            if !exited {
+                m.emcall.exit_enclave(&mut m.harts[0]);
+            }
+        }
+        // A short-lived enclave without a host window, so no contiguous
+        // host frames are needed: ECREATE and EADD straight through the
+        // gate while the pool runs dry, then EDESTROY.
+        if round % 3 == 2 {
+            let image = format!("exhaustion round {round}");
+            m.sys
+                .phys
+                .write(image_frame.base(), image.as_bytes())
+                .unwrap();
+            let man = manifest();
+            let ecreate = vec![man.heap_max, man.stack_bytes, 0, 0];
+            let os = |m: &mut Machine, p: Primitive, args: Vec<u64>| {
+                m.invoke_as(0, Privilege::Os, p, args, Vec::new())
+            };
+            if let Some(resp) = op!("ECREATE", os(&mut m, Primitive::Ecreate, ecreate)) {
+                let eid = resp.new_enclave_id().unwrap();
+                let len = image.len() as u64;
+                let eadd = vec![eid, layout::CODE_BASE.0, image_frame.base().0, len, 0b101];
+                op!("EADD", os(&mut m, Primitive::Eadd, eadd));
+                destroy!(EnclaveHandle(eid));
+            }
+        }
+    }
+    for t in &tenants {
+        destroy!(t.handle);
+    }
+
+    // Calm weather: destroy whatever a lost response hid from the rounds.
+    m.arm_faults(&FaultPlan::new(0, FaultConfig::disabled()));
+    for view in m.enclave_views() {
+        m.destroy(0, EnclaveHandle(view.eid)).unwrap();
+        audit_after(&mut m, "the final EDESTROY");
+    }
+    assert!(os_ran_dry, "the OS never ran out of frames");
+    assert!(exhausted >= 20, "only {exhausted} calls met exhaustion");
+    assert_eq!(m.ems.pool().used_frames(), 0, "frames leaked");
+    assert_eq!(m.sys.engine.keys_in_use(), 0, "KeyIDs leaked");
+}
