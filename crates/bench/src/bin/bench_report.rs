@@ -37,6 +37,7 @@ use hypertee_crypto::ed::Point;
 use hypertee_crypto::fnv;
 use hypertee_crypto::mac::{mac28_lines, mac28_ref};
 use hypertee_crypto::scalar::Scalar;
+use hypertee_crypto::sha256::{sha256, sha256_ref};
 use hypertee_crypto::sha3::{keccakf, keccakf_ref, sha3_256_ref, Sha3_256};
 use hypertee_crypto::sig::Keypair;
 use hypertee_fabric::message::Primitive;
@@ -156,6 +157,31 @@ fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
             cipher.ctr_apply_ref(black_box(&iv), black_box(&mut buf_ref));
         },
     ));
+
+    // SHA-256 over 4 KiB, the page EADD measures: the SHA-NI kernel vs the
+    // portable scalar compression. Without SHA-NI both arms run the same
+    // code and the ratio is a coin flip, so the row is only emitted when
+    // the kernel is dispatched.
+    let sha_ni = hypertee_crypto::dispatched_kernels()
+        .iter()
+        .any(|&(name, on)| name == "sha" && on);
+    if sha_ni {
+        let n = iters(cfg, 500, 50);
+        let page: Vec<u8> = (0..4096u32).map(|i| (i * 13 + 7) as u8).collect();
+        assert_eq!(sha256(&page), sha256_ref(&page), "SHA-256 paths must agree");
+        rows.push(pair(
+            "sha256_4k",
+            n,
+            4096,
+            1,
+            || {
+                black_box(sha256(black_box(&page)));
+            },
+            || {
+                black_box(sha256_ref(black_box(&page)));
+            },
+        ));
+    }
 }
 
 fn curve_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {

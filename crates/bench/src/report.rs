@@ -12,7 +12,7 @@
 //!   "mode": "full" | "smoke",
 //!   "threads": 4,            // optional, no longer emitted: older reports' pool width
 //!   "available_parallelism": 2,
-//!   "kernels": { "aes": true, "bmi2": true, "avx512f": false },
+//!   "kernels": { "aes": true, "bmi2": true, "avx512f": false, "sha": true },
 //!   "benches": [
 //!     { "name": "...", "ns_per_op": 123.4, "gb_per_sec": 1.2|null,
 //!       "baseline_ns_per_op": 456.7|null, "speedup": 3.7|null }, ...
@@ -81,7 +81,7 @@ pub struct HostFacts {
     pub(crate) available_parallelism: u64,
     /// [`hypertee_crypto::dispatched_kernels`]: each runtime-dispatched
     /// kernel's CPU feature and whether this host has it.
-    pub(crate) kernels: [(&'static str, bool); 3],
+    pub(crate) kernels: [(&'static str, bool); 4],
 }
 
 impl HostFacts {
@@ -694,7 +694,12 @@ mod tests {
     fn fixed_host() -> HostFacts {
         HostFacts {
             available_parallelism: 2,
-            kernels: [("aes", true), ("bmi2", true), ("avx512f", false)],
+            kernels: [
+                ("aes", true),
+                ("bmi2", true),
+                ("avx512f", false),
+                ("sha", true),
+            ],
         }
     }
 
@@ -746,7 +751,9 @@ mod tests {
     fn host_facts_are_required() {
         let json = sample().to_json();
         assert!(json.contains("\"available_parallelism\": 2"));
-        assert!(json.contains("\"kernels\": { \"aes\": true, \"bmi2\": true, \"avx512f\": false }"));
+        assert!(json.contains(
+            "\"kernels\": { \"aes\": true, \"bmi2\": true, \"avx512f\": false, \"sha\": true }"
+        ));
         validate(&json).unwrap();
         for doctored in [
             json.replace(
@@ -756,6 +763,7 @@ mod tests {
             json.replace("\"available_parallelism\": 2,\n", ""),
             json.replace("\"avx512f\": false", "\"avx512f\": 0"),
             json.replace(", \"bmi2\": true", ""),
+            json.replace(", \"sha\": true", ""),
         ] {
             assert!(validate(&doctored).is_err(), "must be invalid:\n{doctored}");
         }

@@ -375,10 +375,10 @@ impl Aes128 {
 
 /// AES-NI backend: the hardware round instruction does SubBytes, ShiftRows,
 /// MixColumns and AddRoundKey in one `aesenc`, and the CTR path keeps four
-/// counter blocks in flight to cover the instruction's latency. This module
-/// and the AVX-512 Keccak backend are the crate's only `unsafe` code; both
-/// are reachable solely through runtime-dispatched safe wrappers with
-/// portable fallbacks, and are pinned by KATs and differential tests.
+/// counter blocks in flight to cover the instruction's latency. Like the
+/// AVX-512 Keccak and SHA-NI backends, it is reachable solely through
+/// runtime-dispatched safe wrappers with portable fallbacks, and is pinned
+/// by KATs and differential tests.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod aesni {

@@ -12,8 +12,8 @@
 //! measured slower than the BMI scalar kernel and is not provided; one-shot
 //! permutations in [`crate::sha3`] dispatch to the scalar paths only.
 //!
-//! This module is the only `unsafe` code in the crate (together with the
-//! AES-NI backend); it is reachable solely through the runtime-dispatched
+//! Like the AES-NI and SHA-NI backends, this module's `unsafe` code is
+//! reachable solely through the runtime-dispatched
 //! [`crate::mac::mac28_lines`], which falls back to eight scalar tags when
 //! AVX-512F is absent. Equivalence with the scalar tags is pinned by the
 //! `mac28_lines` doc test and `mac::tests::batched_lines_match_single_line_macs`,

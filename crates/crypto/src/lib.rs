@@ -5,17 +5,19 @@
 //! "3843 lines of code written in memory-safe Rust" (§VIII-A), so this crate
 //! mirrors that spirit: every primitive is implemented in-tree, in safe Rust,
 //! with no external cryptography dependencies. The single exception is the
-//! pair of runtime-dispatched hardware backends (AVX-512 Keccak, AES-NI),
-//! whose intrinsics require `unsafe`; they sit behind the same safe APIs,
-//! fall back to the portable paths on other hosts, and are pinned against
-//! the safe reference implementations by KATs and differential tests.
+//! three runtime-dispatched hardware backends (AVX-512 Keccak, AES-NI,
+//! SHA-NI), whose intrinsics require `unsafe`; they sit behind the same
+//! safe APIs, fall back to the portable paths on other hosts, and are
+//! pinned against the safe reference implementations by KATs and
+//! differential tests.
 //!
 //! Provided primitives:
 //!
 //! * [`aes`] — AES-128 block cipher with ECB and CTR modes (models the
 //!   multi-key memory encryption engine of §IV-C and the crypto engine of
 //!   Table III).
-//! * [`sha256`] — SHA-256 (crypto-engine digest, SIGMA transcripts).
+//! * [`sha256`] — SHA-256 (crypto-engine digest: measurement, KDF, HMAC,
+//!   SIGMA transcripts).
 //! * [`sha3`] — SHA3-256 / Keccak-f\[1600\] (memory-integrity MAC base, §IV-C).
 //! * [`mac`] — the 28-bit truncated SHA-3 MAC used for enclave memory
 //!   integrity, as employed by commercial TEEs (paper cites \[61\]).
@@ -64,8 +66,9 @@ pub mod util;
 
 /// The CPU features that runtime dispatch keys its kernels on, each with
 /// whether this host has it: `aes` selects the AES-NI CTR path, `bmi2` (with
-/// BMI1) the `andn`-scheduled Keccak, `avx512f` the eight-lane line MAC.
-pub fn dispatched_kernels() -> [(&'static str, bool); 3] {
+/// BMI1) the `andn`-scheduled Keccak, `avx512f` the eight-lane line MAC,
+/// `sha` (with SSE4.1) the SHA-NI SHA-256 compression.
+pub fn dispatched_kernels() -> [(&'static str, bool); 4] {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
@@ -73,11 +76,17 @@ pub fn dispatched_kernels() -> [(&'static str, bool); 3] {
             ("aes", has!("aes")),
             ("bmi2", has!("bmi2") && has!("bmi1")),
             ("avx512f", has!("avx512f")),
+            ("sha", has!("sha") && has!("sse4.1")),
         ]
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        [("aes", false), ("bmi2", false), ("avx512f", false)]
+        [
+            ("aes", false),
+            ("bmi2", false),
+            ("avx512f", false),
+            ("sha", false),
+        ]
     }
 }
 

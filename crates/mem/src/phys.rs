@@ -367,17 +367,40 @@ impl FrameAllocator {
     }
 
     /// Allocates `n` physically contiguous frames (host windows, image
-    /// staging). Draws from the untouched tail of the range, never from the
-    /// free list.
+    /// staging). Draws from the untouched tail of the range; when the tail
+    /// is too short, takes the lowest run of `n` consecutive frames in the
+    /// free list, and the free list keeps the rest in their order, so
+    /// [`FrameAllocator::alloc`] still pops them as before.
     pub fn alloc_contiguous(&mut self, n: u64) -> Option<Ppn> {
         if self.next + n <= self.limit {
             let base = Ppn(self.next);
             self.next += n;
             self.allocated += n;
-            Some(base)
-        } else {
-            None
+            return Some(base);
         }
+        let base = self.free_run(n)?;
+        self.free.retain(|p| !(base..base + n).contains(&p.0));
+        self.allocated += n;
+        Some(Ppn(base))
+    }
+
+    /// The lowest first frame of `n` (at least one) consecutive frames all
+    /// on the free list.
+    fn free_run(&self, n: u64) -> Option<u64> {
+        let mut sorted: Vec<u64> = self.free.iter().map(|p| p.0).collect();
+        sorted.sort_unstable();
+        let (mut base, mut len) = (0, 0);
+        for &p in &sorted {
+            if len > 0 && p == base + len {
+                len += 1;
+            } else {
+                (base, len) = (p, 1);
+            }
+            if len >= n {
+                return Some(base);
+            }
+        }
+        None
     }
 
     /// Returns a frame to the free list.
@@ -396,6 +419,21 @@ impl FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn contiguous_falls_back_to_a_free_run_and_keeps_the_pop_order() {
+        let mut fa = FrameAllocator::new(Ppn(0), Ppn(32));
+        let all: Vec<Ppn> = std::iter::from_fn(|| fa.alloc()).collect();
+        assert_eq!((all.len(), fa.available()), (32, 0));
+        for p in [10, 3, 4, 20, 5, 6, 30] {
+            fa.free(Ppn(p));
+        }
+        assert_eq!(fa.alloc_contiguous(5), None, "no run of 5");
+        assert_eq!(fa.alloc_contiguous(3), Some(Ppn(3)), "lowest run of 3");
+        assert_eq!((fa.allocated, fa.available()), (28, 4));
+        let popped: Vec<u64> = std::iter::from_fn(|| fa.alloc()).map(|p| p.0).collect();
+        assert_eq!(popped, [30, 6, 20, 10]);
+    }
 
     #[test]
     fn read_write_roundtrip() {

@@ -850,3 +850,23 @@ fn exhaustion_campaign_hands_back_every_frame_and_key() {
     assert_eq!(m.ems.pool().used_frames(), 0, "frames leaked");
     assert_eq!(m.sys.engine.keys_in_use(), 0, "KeyIDs leaked");
 }
+
+/// Once the EMS pool has absorbed the OS's untouched frame range, the host
+/// window and image staging of `create_enclave` come from a run of frames
+/// the OS freed back, instead of failing with `OutOfMemory` for good.
+#[test]
+fn create_enclave_after_the_drain_stages_in_freed_frames() {
+    let mut m = Machine::boot_default();
+    let drained: Vec<_> = std::iter::from_fn(|| m.os.alloc()).collect();
+    for &ppn in &drained[drained.len() - 100..] {
+        m.os.free(ppn);
+    }
+    assert_eq!(m.os.available(), 100);
+    let handle = m
+        .create_enclave(0, &manifest(), b"staged in freed frames")
+        .expect("100 free frames hold a 4-page window and a 1-page image");
+    m.audit().expect("audit after the ECREATE");
+    m.destroy(0, handle).unwrap();
+    m.audit().expect("audit after the EDESTROY");
+    assert_eq!(m.ems.pool().used_frames(), 0, "frames leaked");
+}
