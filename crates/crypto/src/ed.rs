@@ -7,10 +7,10 @@
 //! Scalar multiplication takes one of two shapes:
 //!
 //! * [`Prepared`] is the one radix-16 table type. For a point P it holds
-//!   j·16^i·P for 64 rows × 8 entries in the affine addition form
-//!   (Y+X, Y−X, Z = 1, 2d·T), 64 KiB, and [`Prepared::mul`] is the one
-//!   table walk: one addition per signed radix-16 digit, 64 in all, and
-//!   no doublings.
+//!   j·16^i·P for 64 rows × 8 entries in the affine "Niels" form
+//!   (y+x, y−x, 2d·xy), 48 KiB, and [`Prepared::mul`] is the one table
+//!   walk: one addition per signed radix-16 digit, 64 in all, no Z
+//!   multiply and no doublings.
 //!   [`Point::mul_base`] walks B's table, built once per process;
 //!   `sig` keeps the tables of verifying keys it sees more than once.
 //! * [`Point::mul`] is the variable-base path for a point used once: a
@@ -70,25 +70,52 @@ pub struct Point {
     t: Fe,
 }
 
-/// A point prepared as the right-hand operand of an addition:
-/// (Y + X, Y − X, Z, 2d·T). With Z = 1 it is the affine "Niels" form a
-/// [`Prepared`] table stores.
+/// A point in the affine "Niels" form a [`Prepared`] table stores:
+/// (y + x, y − x, 2d·x·y), 96 bytes. Adding it needs no Z multiply.
 #[derive(Debug, Clone, Copy)]
-struct Cached {
+struct Niels {
     y_plus_x: Fe,
     y_minus_x: Fe,
-    z: Fe,
     t2d: Fe,
 }
 
-impl Cached {
+impl Niels {
+    /// The identity (0, 1): y ± x = 1 and 2d·x·y = 0.
+    const IDENTITY: Niels = Niels {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        t2d: Fe::ZERO,
+    };
+}
+
+impl core::ops::Neg for Niels {
+    type Output = Niels;
+
     /// −P: swap Y ± X and negate T.
-    fn neg(&self) -> Cached {
-        Cached {
+    fn neg(self) -> Niels {
+        Niels {
             y_plus_x: self.y_minus_x,
             y_minus_x: self.y_plus_x,
-            z: self.z,
             t2d: self.t2d.neg(),
+        }
+    }
+}
+
+/// A projective point prepared as the right-hand operand of an addition:
+/// (Y + X, Y − X, 2d·T) and Z.
+#[derive(Debug, Clone, Copy)]
+struct Cached {
+    niels: Niels,
+    z: Fe,
+}
+
+impl core::ops::Neg for Cached {
+    type Output = Cached;
+
+    fn neg(self) -> Cached {
+        Cached {
+            niels: -self.niels,
+            z: self.z,
         }
     }
 }
@@ -113,27 +140,26 @@ fn window(p: &Point) -> [Cached; DIGIT_MAX] {
 }
 
 /// Selects `digit`·P from a table of 1·P … 8·P (`None` for digit 0).
-fn select(table: &[Cached; DIGIT_MAX], digit: i8) -> Option<Cached> {
+fn select<T: Copy + core::ops::Neg<Output = T>>(table: &[T; DIGIT_MAX], digit: i8) -> Option<T> {
     match digit {
         0 => None,
         d if d > 0 => Some(table[d as usize - 1]),
-        d => Some(table[d.unsigned_abs() as usize - 1].neg()),
+        d => Some(-table[d.unsigned_abs() as usize - 1]),
     }
 }
 
 /// A point's radix-16 table: row `i` holds j·16^i·P for j = 1…8, so k·P
 /// is one addition per signed radix-16 digit of k and no doublings.
-/// 512 affine entries of 128 bytes, 64 KiB.
+/// 512 affine entries of 96 bytes, 48 KiB.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    rows: Box<[[Cached; DIGIT_MAX]]>,
+    rows: Box<[[Niels; DIGIT_MAX]]>,
 }
 
 impl Prepared {
     /// Builds the table of `p`: each row's window in projective form, then
     /// all 512 entries normalised with one inversion (Montgomery's trick).
-    /// Scaling a cached entry's Y ± X and 2d·T by 1/Z is its affine form,
-    /// so the only extra buffer is the 16 KiB of prefix products.
+    /// Scaling a cached entry's Y ± X and 2d·T by 1/Z is its affine form.
     pub fn new(p: &Point) -> Prepared {
         let mut rows = Vec::with_capacity(DIGITS);
         let mut row_base = *p;
@@ -150,24 +176,27 @@ impl Prepared {
             prefix.push(acc);
             acc = acc.mul(&q.z);
         }
+        // Prefix products are consumed back to front, so each entry's
+        // affine form is written into the same slot, last entry first.
         let mut inv = acc.invert();
-        for (q, pre) in rows
-            .iter_mut()
+        let mut affine = vec![[Niels::IDENTITY; DIGIT_MAX]; DIGITS];
+        for ((q, pre), out) in rows
+            .iter()
             .flatten()
             .rev()
             .zip(prefix.into_iter().rev())
+            .zip(affine.iter_mut().flatten().rev())
         {
             let zinv = inv.mul(&pre);
             inv = inv.mul(&q.z);
-            *q = Cached {
-                y_plus_x: q.y_plus_x.mul(&zinv),
-                y_minus_x: q.y_minus_x.mul(&zinv),
-                z: Fe::ONE,
-                t2d: q.t2d.mul(&zinv),
+            *out = Niels {
+                y_plus_x: q.niels.y_plus_x.mul(&zinv),
+                y_minus_x: q.niels.y_minus_x.mul(&zinv),
+                t2d: q.niels.t2d.mul(&zinv),
             };
         }
         Prepared {
-            rows: rows.into_boxed_slice(),
+            rows: affine.into_boxed_slice(),
         }
     }
 
@@ -176,7 +205,7 @@ impl Prepared {
         let mut acc = Point::identity();
         for (row, &digit) in self.rows.iter().zip(k.signed_radix16().iter()) {
             if let Some(q) = select(row, digit) {
-                acc = acc.add_cached(&q);
+                acc = acc.add_niels(&q, acc.z);
             }
         }
         acc
@@ -255,24 +284,27 @@ impl Point {
 
     fn to_cached(self) -> Cached {
         Cached {
-            y_plus_x: self.y.add(&self.x),
-            y_minus_x: self.y.sub(&self.x),
+            niels: Niels {
+                y_plus_x: self.y.add(&self.x),
+                y_minus_x: self.y.sub(&self.x),
+                t2d: self.t.mul(&D2),
+            },
             z: self.z,
-            t2d: self.t.mul(&D2),
         }
     }
 
-    /// Adds a prepared point (add-2008-hwcd-3, a = −1); one multiply fewer
-    /// when the operand is affine.
+    /// Adds a projective prepared point.
     fn add_cached(&self, q: &Cached) -> Point {
+        self.add_niels(&q.niels, self.z.mul(&q.z))
+    }
+
+    /// Adds Q given as its (Y + X, Y − X, 2d·T) and the product of the two
+    /// Z coordinates (add-2008-hwcd-3, a = −1). An affine Q has Z = 1, so
+    /// `zz` is just `self.z`.
+    fn add_niels(&self, q: &Niels, zz: Fe) -> Point {
         let a = self.y.sub(&self.x).mul(&q.y_minus_x);
         let b = self.y.add(&self.x).mul(&q.y_plus_x);
         let c = self.t.mul(&q.t2d);
-        let zz = if q.z == Fe::ONE {
-            self.z
-        } else {
-            self.z.mul(&q.z)
-        };
         let d = zz.add(&zz);
         let e = b.sub(&a);
         let f = d.sub(&c);

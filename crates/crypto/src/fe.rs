@@ -1,4 +1,13 @@
 //! Arithmetic in the field GF(2^255 − 19) underlying Curve25519.
+//!
+//! Elements are reduced lazily. An [`Fe`] holds any 256-bit value that is
+//! congruent to the element, so the arithmetic never compares against p:
+//! `mul` and `square` stop after their two folds, and `add`, `sub` and
+//! `neg` fold a carry or borrow out of bit 256 back in as 38
+//! (2^256 ≡ 38). The canonical form (< p) is taken only where a value
+//! leaves the field: [`Fe::to_le_bytes`], [`Fe::is_zero`], equality and
+//! hashing. Because 2^256 = 2p + 38, at most two subtractions of p
+//! canonicalise any representative.
 
 use crate::u256::{U256, U512};
 
@@ -10,9 +19,19 @@ pub const P: U256 = U256([
     0x7fff_ffff_ffff_ffff,
 ]);
 
-/// An element of GF(2^255 − 19), kept in canonical form (`< p`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// An element of GF(2^255 − 19): any value below 2^256 congruent to it.
+/// `Debug` shows the limbs as held, not the canonical form.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Fe(pub(crate) U256);
+
+/// `x − p` when `x ≥ p`, else `x`.
+#[inline]
+fn sub_p_once(x: U256) -> U256 {
+    match x.sbb(&P) {
+        (reduced, false) => reduced,
+        (_, true) => x,
+    }
+}
 
 /// Multiplies a 512-bit value by a small constant, asserting no overflow out
 /// of 512 bits (true for the reduction path where the top limbs are sparse).
@@ -113,9 +132,9 @@ fn square_wide(a: &[u64; 4]) -> [u64; 8] {
     out
 }
 
-/// Reduces a 512-bit value modulo p in one pass: fold the high half with
-/// 2^256 ≡ 38, fold everything above bit 255 with 2^255 ≡ 19, then one
-/// conditional subtraction.
+/// Reduces a 512-bit value to a representative below 2^256 in one pass:
+/// fold the high half with 2^256 ≡ 38, then everything above bit 255 with
+/// 2^255 ≡ 19.
 #[inline]
 fn reduce_wide(w: &[u64; 8]) -> U256 {
     let mut r = [0u64; 4];
@@ -126,7 +145,7 @@ fn reduce_wide(w: &[u64; 8]) -> U256 {
         carry = acc >> 64;
     }
     // carry < 40, so the part above bit 255 is below 80 and the sum below
-    // stays under 2^255 + 1520 < p + 2^11: one subtraction canonicalises.
+    // stays under 2^255 + 1520: no carry leaves bit 255's limb.
     let top = ((carry as u64) << 1) | (r[3] >> 63);
     r[3] &= 0x7fff_ffff_ffff_ffff;
     let mut c = (top * 19) as u128;
@@ -135,11 +154,7 @@ fn reduce_wide(w: &[u64; 8]) -> U256 {
         *limb = acc as u64;
         c = acc >> 64;
     }
-    let r = U256(r);
-    match r.sbb(&P) {
-        (reduced, false) => reduced,
-        (_, true) => r,
-    }
+    U256(r)
 }
 
 impl Fe {
@@ -166,24 +181,40 @@ impl Fe {
         raw.cmp_u256(&P).is_lt().then_some(Fe(raw))
     }
 
+    /// The canonical representative (< p): at most two subtractions,
+    /// since every representative is below 2^256 = 2p + 38.
+    fn canonical(&self) -> U256 {
+        sub_p_once(sub_p_once(self.0))
+    }
+
     /// Serializes to 32 little-endian bytes (canonical form).
     pub fn to_le_bytes(self) -> [u8; 32] {
-        self.0.to_le_bytes()
+        self.canonical().to_le_bytes()
     }
 
-    /// Returns `true` when this element is zero.
+    /// Returns `true` when this element is zero (0, p or 2p).
     pub fn is_zero(&self) -> bool {
-        self.0.is_zero()
+        self.canonical().is_zero()
     }
 
-    /// Field addition.
+    /// Field addition: a carry out of bit 256 folds back in as 38. The
+    /// second fold cannot carry, because a sum that carried twice is
+    /// below 38 after the first.
     pub(crate) fn add(&self, other: &Fe) -> Fe {
-        Fe(crate::u256::add_mod(&self.0, &other.0, &P))
+        let (sum, carry) = self.0.adc(&other.0);
+        let (mut r, carry) = sum.adc(&U256::from_u64(38 * carry as u64));
+        r.0[0] += 38 * carry as u64;
+        Fe(r)
     }
 
-    /// Field subtraction.
+    /// Field subtraction: a borrow out of bit 256 folds back in as −38.
+    /// The second fold cannot borrow, because a difference that borrowed
+    /// twice is at least 2^256 − 38 after the first.
     pub(crate) fn sub(&self, other: &Fe) -> Fe {
-        Fe(crate::u256::sub_mod(&self.0, &other.0, &P))
+        let (diff, borrow) = self.0.sbb(&other.0);
+        let (mut r, borrow) = diff.sbb(&U256::from_u64(38 * borrow as u64));
+        r.0[0] -= 38 * borrow as u64;
+        Fe(r)
     }
 
     /// Field negation.
@@ -248,6 +279,20 @@ impl Fe {
         assert!(!self.is_zero(), "zero has no inverse");
         let (p_minus_2, _) = P.sbb(&U256::from_u64(2));
         pow_with(self, &p_minus_2, Fe::mul_ref)
+    }
+}
+
+impl PartialEq for Fe {
+    fn eq(&self, other: &Fe) -> bool {
+        self.canonical() == other.canonical()
+    }
+}
+
+impl Eq for Fe {}
+
+impl core::hash::Hash for Fe {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.canonical().hash(state);
     }
 }
 
@@ -321,5 +366,97 @@ mod tests {
     #[should_panic(expected = "zero has no inverse")]
     fn invert_zero_panics() {
         Fe::ZERO.invert();
+    }
+
+    /// Representatives at or above p: p, p + 1, 2p, 2p + 37 and 2^256 − 1,
+    /// plus p + 37 and 2p + 1 around the one- and two-subtraction edges.
+    fn high_reps() -> Vec<Fe> {
+        let (two_p, _) = P.adc(&P);
+        let plus = |v: &U256, k: u64| Fe(v.adc(&U256::from_u64(k)).0);
+        vec![
+            Fe(P),
+            plus(&P, 1),
+            plus(&P, 37),
+            Fe(two_p),
+            plus(&two_p, 1),
+            plus(&two_p, 37),
+            Fe(U256([u64::MAX; 4])),
+        ]
+    }
+
+    /// Seeded random limbs (any 256-bit value) and the high representatives.
+    fn lazy_values() -> Vec<Fe> {
+        let mut rng = crate::chacha::ChaChaRng::from_u64(0x1A2_F0E5);
+        let mut values = high_reps();
+        values.extend([Fe::ZERO, Fe::ONE]);
+        values.extend((0..200).map(|_| {
+            Fe(U256([
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+            ]))
+        }));
+        values
+    }
+
+    /// Every operation on (a, b) against `u256`'s generic arithmetic mod p
+    /// and the `*_ref` oracles, compared after canonicalising.
+    fn check_against_generic(a: &Fe, b: &Fe) {
+        use crate::u256::{add_mod, mul_mod, sub_mod};
+        let (ca, cb) = (a.canonical(), b.canonical());
+        assert_eq!(a.add(b).canonical(), add_mod(&ca, &cb, &P), "{a:?} + {b:?}");
+        assert_eq!(a.sub(b).canonical(), sub_mod(&ca, &cb, &P), "{a:?} − {b:?}");
+        assert_eq!(a.neg().canonical(), sub_mod(&U256::ZERO, &ca, &P), "−{a:?}");
+        assert_eq!(a.mul(b).canonical(), mul_mod(&a.0, &b.0, &P), "{a:?}·{b:?}");
+        assert_eq!(a.mul(b), a.mul_ref(b), "{a:?}·{b:?}");
+        assert_eq!(a.square().canonical(), mul_mod(&a.0, &a.0, &P), "{a:?}²");
+        assert_eq!(a.square(), a.mul_ref(a), "{a:?}²");
+        if !a.is_zero() {
+            assert_eq!(a.invert(), a.invert_ref(), "1/{a:?}");
+            assert_eq!(a.invert().mul(a).canonical(), U256::ONE, "{a:?}/{a:?}");
+        }
+    }
+
+    #[test]
+    fn lazy_ops_agree_with_generic_modular_arithmetic() {
+        let values = lazy_values();
+        for (i, a) in values.iter().enumerate() {
+            check_against_generic(a, &values[(i * 7 + 3) % values.len()]);
+        }
+        // Every pair of high representatives, each with itself included:
+        // (2^256 − 1) + (2^256 − 1) carries twice, 0 − (2^256 − 1) borrows
+        // twice.
+        let mut high = high_reps();
+        high.extend([Fe::ZERO, Fe::ONE]);
+        for a in &high {
+            for b in &high {
+                check_against_generic(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn representatives_of_one_element_are_one_value() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        for x in lazy_values() {
+            let canon = Fe(x.canonical());
+            let (plus_p, carry) = canon.0.adc(&P);
+            assert!(!carry, "x + p stays below 2^256 for canonical x");
+            let plus_p = Fe(plus_p);
+            assert_eq!(plus_p, canon);
+            assert_eq!(x, canon);
+            assert_eq!(hasher.hash_one(plus_p), hasher.hash_one(canon));
+            assert_eq!(hasher.hash_one(x), hasher.hash_one(canon));
+            assert_eq!(plus_p.to_le_bytes(), canon.to_le_bytes());
+            assert_eq!(x.to_le_bytes(), canon.0.to_le_bytes());
+            assert!(canon.0.cmp_u256(&P).is_lt(), "{x:?} canonicalised to ≥ p");
+        }
+        let (two_p, _) = P.adc(&P);
+        assert!(Fe(P).is_zero());
+        assert!(Fe(two_p).is_zero());
+        assert_eq!(Fe(two_p), Fe::ZERO);
+        assert!(!high_reps()[1].is_zero());
     }
 }

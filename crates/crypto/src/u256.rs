@@ -3,12 +3,12 @@
 //!
 //! Performance note: these routines favour obvious correctness over speed.
 //! The hot curve paths do not run on them: the attestation facade performs
-//! about 12 scalar multiplications per client handshake, so the field
-//! multiply, the scalar reductions mod L and the point arithmetic have
+//! nine scalar multiplications per client handshake, so the field
+//! arithmetic, the scalar reductions mod L and the point arithmetic have
 //! dedicated fixed-width code in [`crate::fe`], [`crate::scalar`] and
-//! [`crate::ed`]. What remains here backs field and scalar addition,
-//! parsing, and the seed `*_ref` oracles (`U512::reduce_mod`'s binary
-//! long division among them).
+//! [`crate::ed`]. What remains here backs scalar addition, parsing, and
+//! the seed `*_ref` oracles (`U512::reduce_mod`'s binary long division
+//! among them).
 
 /// A 256-bit unsigned integer, little-endian limbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -9,6 +9,17 @@
 //! its arms verify each key several times: once cold, once while the
 //! table is built, and then warm, against `verify_ref` every time.
 //!
+//! The field is reduced lazily: an `Fe` may hold any 256-bit value
+//! congruent to its element, and only `to_le_bytes`, `is_zero`, `==` and
+//! hashing take the canonical form (< p). The values built here come
+//! through `from_le_bytes` and start canonical, but the sums, products and
+//! inverses compared need not be, so every comparison goes through `==`
+//! or an encoding: it holds the fast paths to the oracles per element, not
+//! per limb. The representatives in [p, 2^256) that only the crate can
+//! build (p, p + 1, 2p, 2p + 37, 2^256 − 1, seeded random limbs) are held
+//! by `fe.rs`'s unit tests, which check every operation on them against
+//! `u256`'s generic modular arithmetic and the `*_ref` oracles.
+//!
 //! The limb arithmetic wraps silently in release builds where debug
 //! builds panic on overflow, so this suite is meant to pass in both
 //! (`cargo test -p hypertee-crypto` and `cargo test --release ...`).

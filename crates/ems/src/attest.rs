@@ -243,8 +243,10 @@ impl Ems {
 
     fn quote_for(&self, enclave_measurement: [u8; 32], report_data: [u8; 32]) -> Quote {
         let pm = self.platform_measurement;
-        let platform_msg = Quote::platform_msg(&self.vault.ak.public, &self.vault.ak_salt, &pm);
-        let platform_sig = self.vault.ek.sign(&platform_msg);
+        let platform_sig = *self.platform_cert.get_or_init(|| {
+            let msg = Quote::platform_msg(&self.vault.ak.public, &self.vault.ak_salt, &pm);
+            self.vault.ek.sign(&msg)
+        });
         let enclave_msg = Quote::enclave_msg(&enclave_measurement, &report_data, &pm);
         let enclave_sig = self.vault.ak.sign(&enclave_msg);
         Quote {

@@ -283,8 +283,9 @@ impl Ems {
 
     /// EDESTROY: reclaims every page (zeroed back into the pool), releases
     /// ownership, revokes the key, and removes the control structure. Shared
-    /// regions the enclave was attached to are detached; regions it created
-    /// are destroyed once no connections remain.
+    /// regions the enclave was attached to are detached, and a region whose
+    /// last reference this was (its creator gone, nobody attached) is
+    /// destroyed.
     ///
     /// Destruction is *resumable* rather than transactional: there is no
     /// useful state to roll back to (the enclave is going away either way),
@@ -317,10 +318,7 @@ impl Ems {
             if shm.attached.remove(&eid).is_some() {
                 shm.active_connections = shm.active_connections.saturating_sub(1);
             }
-            let (creator, active) = (shm.creator, shm.active_connections);
-            if creator == EnclaveId(eid) && active == 0 {
-                self.destroy_shm_internal(ctx, sid)?;
-            }
+            self.reclaim_if_unreferenced(ctx, sid, Some(eid))?;
         }
         // Reclaim data pages, popping each frame only once it is fully
         // reclaimed so a resumed destroy continues exactly where it stopped.

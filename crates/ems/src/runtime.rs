@@ -13,6 +13,7 @@ use crate::keys::{EFuse, KeyVault};
 use crate::mempool::MemPool;
 use crate::shm::ShmControl;
 use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_crypto::sig::Signature;
 use hypertee_fabric::ihub::{EmsCapability, IHub};
 use hypertee_fabric::message::{Primitive, Request, Response, Status};
 use hypertee_fabric::ring::Ring;
@@ -23,6 +24,7 @@ use hypertee_mem::pagetable::PageTable;
 use hypertee_mem::phys::FrameAllocator;
 use hypertee_mem::system::MemorySystem;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::OnceLock;
 
 /// Completed Ok responses kept for idempotent resubmission (bounded FIFO).
 const RESPONSE_CACHE_CAP: usize = 256;
@@ -102,6 +104,10 @@ pub struct Ems {
     keyid_limit: u16,
     /// Platform measurement from secure boot (part of every quote).
     pub(crate) platform_measurement: [u8; 32],
+    /// The platform certificate: the EK's signature over (AK ‖ AK salt ‖
+    /// platform measurement). None of the three changes after boot, so it
+    /// is signed on the first quote and copied into every later one.
+    pub(crate) platform_cert: OnceLock<Signature>,
     /// Counters.
     pub stats: EmsStats,
     /// EMS-site fault injector (disarmed in production).
@@ -162,6 +168,7 @@ impl Ems {
             free_keyids: Vec::new(),
             keyid_limit: u16::MAX,
             platform_measurement,
+            platform_cert: OnceLock::new(),
             stats: EmsStats::default(),
             injector: FaultInjector::disarmed(),
             poisoned: BTreeSet::new(),

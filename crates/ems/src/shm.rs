@@ -207,7 +207,8 @@ impl Ems {
     }
 
     /// ESHMDT: detaches an enclave from a region, unmapping its pages and
-    /// decrementing the active-connection count.
+    /// decrementing the active-connection count. The last receiver to
+    /// detach from a region whose creator is gone destroys it.
     ///
     /// # Errors
     ///
@@ -221,7 +222,7 @@ impl Ems {
         for i in 0..pages {
             table.unmap(VirtAddr(base.0 + i * PAGE_SIZE), &mut ctx.sys.phys)?;
         }
-        Ok(())
+        self.reclaim_if_unreferenced(ctx, shmid, None)
     }
 
     /// ESHMDES: destroys a region. Only the *initial sender* may do so, and
@@ -244,11 +245,28 @@ impl Ems {
         self.destroy_shm_internal(ctx, shmid)
     }
 
-    pub(crate) fn destroy_shm_internal(
+    /// Destroys region `shmid` once its last reference is gone: nobody is
+    /// attached, and its creator no longer exists or is `leaving` (the
+    /// enclave EDESTROY is tearing down). Creator and receivers may go in
+    /// either order; whichever goes last reclaims the frames and KeyID.
+    pub(crate) fn reclaim_if_unreferenced(
         &mut self,
         ctx: &mut EmsContext<'_>,
         shmid: u64,
+        leaving: Option<u64>,
     ) -> EmsResult<()> {
+        let Some(shm) = self.shms.get(&shmid) else {
+            return Ok(());
+        };
+        let creator = shm.creator.0;
+        let creator_gone = leaving == Some(creator) || !self.enclaves.contains_key(&creator);
+        if shm.active_connections == 0 && creator_gone {
+            self.destroy_shm_internal(ctx, shmid)?;
+        }
+        Ok(())
+    }
+
+    fn destroy_shm_internal(&mut self, ctx: &mut EmsContext<'_>, shmid: u64) -> EmsResult<()> {
         let shm = self.shms.remove(&shmid).ok_or(EmsError::NotFound)?;
         for frame in shm.frames {
             self.ownership

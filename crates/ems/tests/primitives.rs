@@ -3,7 +3,8 @@
 //! the runtime the way EMCall would, against real simulated memory.
 
 use hypertee_crypto::chacha::ChaChaRng;
-use hypertee_ems::attest::SigmaInitiator;
+use hypertee_crypto::sig::Keypair;
+use hypertee_ems::attest::{Quote, SigmaInitiator};
 use hypertee_ems::control::{layout, EnclaveConfig};
 use hypertee_ems::cvm::CvmState;
 use hypertee_ems::error::EmsError;
@@ -761,6 +762,91 @@ fn quote_tampering_matrix() {
     let mut q = quote.clone();
     q.ak_pub = hypertee_crypto::sig::Keypair::from_key_material(&[3; 32]).public;
     assert!(!q.verify(&ek));
+}
+
+#[test]
+fn platform_certificate_is_signed_once_and_survives_crash_restart() {
+    let seed = 35;
+    let mut m = Machine::new(seed);
+    let eid = m.build_enclave(b"certified");
+    let cert = |q: &Quote| -> [u8; 96] { q.to_bytes()[192..288].try_into().unwrap() };
+    let first = m.ems.eattest(eid, b"one").unwrap();
+    let second = m.ems.eattest(eid, b"two").unwrap();
+    assert_ne!(first.report_data, second.report_data);
+    assert_eq!(cert(&first), cert(&second));
+    // The EK comes from the eFuse `Machine::new` burnt: replay its RNG.
+    let ek = Keypair::from_key_material(&ChaChaRng::from_u64(seed).gen_bytes32());
+    assert_eq!(ek.public, m.ems.ek_public());
+    let mut platform_msg = first.ak_pub.to_bytes().to_vec();
+    platform_msg.extend_from_slice(&first.ak_salt);
+    platform_msg.extend_from_slice(&first.platform_measurement);
+    assert_eq!(cert(&first), ek.sign_ref(&platform_msg).to_bytes());
+
+    m.ems.crash_restart();
+    let after = m.ems.eattest(eid, b"three").unwrap();
+    assert_eq!(cert(&after), cert(&first));
+    assert!(after.verify(&ek.public));
+
+    // Every flipped certificate byte makes the quote unparseable or
+    // unverifiable; flipping s's low bit keeps s canonical, so that quote
+    // parses and must fail verification.
+    let bytes = after.to_bytes();
+    for i in 192..288 {
+        let mut forged = bytes.clone();
+        forged[i] ^= 0x01;
+        let verdict = Quote::from_bytes(&forged).map(|q| q.verify(&ek.public));
+        assert_ne!(verdict, Ok(true), "certificate byte {} flipped", i - 192);
+    }
+    let mut forged = bytes;
+    forged[192 + 64] ^= 0x01;
+    assert!(!Quote::from_bytes(&forged).unwrap().verify(&ek.public));
+}
+
+/// A creator and a receiver, an 8-page region shared with and attached by
+/// the receiver, then the creator destroyed: the region must outlive its
+/// creator while the receiver is attached.
+fn region_outliving_its_creator(seed: u64) -> (Machine, u64, u64) {
+    let mut m = Machine::new(seed);
+    let creator = m.build_enclave(b"region creator");
+    let receiver = m.build_enclave(b"region receiver");
+    let shmid = m
+        .with(|ems, ctx| ems.eshmget(ctx, creator, 8 * PAGE_SIZE, 0b11, false))
+        .unwrap();
+    m.with(|ems, ctx| ems.eshmshr(ctx, creator, shmid, receiver, 0b11))
+        .unwrap();
+    m.with(|ems, ctx| ems.eshmat(ctx, receiver, shmid, creator))
+        .unwrap();
+    m.with(|ems, ctx| ems.edestroy(ctx, creator)).unwrap();
+    assert!(m.ems.shm(shmid).is_some(), "the receiver is still attached");
+    (m, receiver, shmid)
+}
+
+/// With every enclave gone, the region, its frames and its KeyID are too.
+fn assert_everything_came_home(m: &mut Machine, shmid: u64) {
+    assert!(m.ems.shm(shmid).is_none(), "the region was never reclaimed");
+    let (used, _, keys, audit) = m.books();
+    assert_eq!(used, 0, "pool frames stranded");
+    assert_eq!(keys, 0, "KeyIDs left programmed");
+    audit.expect("audit with every enclave gone");
+}
+
+#[test]
+fn receiver_destroyed_after_the_creator_reclaims_the_region() {
+    let (mut m, receiver, shmid) = region_outliving_its_creator(36);
+    m.with(|ems, ctx| ems.edestroy(ctx, receiver)).unwrap();
+    assert_everything_came_home(&mut m, shmid);
+}
+
+#[test]
+fn receiver_detaching_after_the_creator_reclaims_the_region() {
+    let (mut m, receiver, shmid) = region_outliving_its_creator(37);
+    m.with(|ems, ctx| ems.eshmdt(ctx, receiver, shmid)).unwrap();
+    assert!(
+        m.ems.shm(shmid).is_none(),
+        "the last detach left the region"
+    );
+    m.with(|ems, ctx| ems.edestroy(ctx, receiver)).unwrap();
+    assert_everything_came_home(&mut m, shmid);
 }
 
 /// Key of the CVM images the exhaustion tests deploy.
