@@ -324,6 +324,66 @@ fn mktme_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
         || roundtrip(&mut back),
         || roundtrip_ref(&mut back_ref),
     ));
+
+    // The guest read-modify-write shape: an 8-byte store, then a load of
+    // the same line, once in each line of the page written above.
+    let n = iters(cfg, 400, 80);
+    let lines = PAGE_SIZE / 64;
+    let at = |i: u64| PhysAddr(pa.0 + (i % lines) * 64 + 8);
+    let mut store_load = |mem: &mut PhysMemory, i: u64| {
+        engine
+            .write(mem, at(i), BENCH_KEY, black_box(&i.to_le_bytes()))
+            .expect("bench store");
+        let mut word = [0u8; 8];
+        engine
+            .read(mem, at(i), BENCH_KEY, black_box(&mut word))
+            .expect("bench load");
+        u64::from_le_bytes(word)
+    };
+    let mut store_load_ref = |mem: &mut PhysMemory, i: u64| {
+        engine_ref
+            .write_ref(mem, at(i), BENCH_KEY, black_box(&i.to_le_bytes()))
+            .expect("bench store_ref");
+        let mut word = [0u8; 8];
+        engine_ref
+            .read_ref(mem, at(i), BENCH_KEY, black_box(&mut word))
+            .expect("bench load_ref");
+        u64::from_le_bytes(word)
+    };
+    for i in 0..lines {
+        assert_eq!(
+            store_load(&mut mem, i),
+            i,
+            "a load must return the stored word"
+        );
+        let seed = store_load_ref(&mut mem_ref, i);
+        assert_eq!(seed, i, "seed load must return the stored word");
+    }
+    let raw = |mem: &mut PhysMemory| {
+        let mut raw = vec![0u8; PAGE_SIZE as usize];
+        mem.read(pa, &mut raw).expect("raw page");
+        raw
+    };
+    assert!(
+        raw(&mut mem) == raw(&mut mem_ref),
+        "both paths must leave the same ciphertext"
+    );
+    rows.push(pair(
+        "mktme_store_load_u64",
+        n,
+        16,
+        lines,
+        || {
+            for i in 0..lines {
+                black_box(store_load(&mut mem, i));
+            }
+        },
+        || {
+            for i in 0..lines {
+                black_box(store_load_ref(&mut mem_ref, i));
+            }
+        },
+    ));
 }
 
 fn ptw_bench(rows: &mut Vec<PerfBench>) {

@@ -94,8 +94,8 @@ pub const MAC_BATCH_LINES: usize = 8;
 /// Line MACs are independent, so on AVX-512 hosts the batch runs eight
 /// lane-sliced Keccak sponges in one pass — the permutation's ops are shared
 /// eight ways, which a one-line-at-a-time MAC can never approach. This is
-/// the shape the memory engine's span paths feed: a 4 KiB page is eight
-/// such batches.
+/// the shape physical memory feeds when it computes the pending tags of a
+/// page the engine wrote: a 4 KiB page is eight such batches.
 ///
 /// # Example
 ///

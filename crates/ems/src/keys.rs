@@ -4,8 +4,15 @@
 //! (EK) issued by certificate authority and Sealed Key (SK) randomly
 //! generated. Both EK and SK are burnt into the eFuse of EMS during
 //! manufacturing… All key operations are carried out on EMS and are
-//! invisible to CS. When keys are no longer useful, EMS erases them with
-//! random values."
+//! invisible to CS."
+//!
+//! The paper also has EMS erase keys with random values once they are no
+//! longer useful. The simulator does not model key erasure: key material
+//! lives on the host heap, outside simulated memory, where no attack can
+//! observe it either way. Revoking a KeyID drops the engine's key slot,
+//! but a frame that still holds lines decrypted or zeros under that slot
+//! keeps the slot, key included, until the frame is rewritten or zeroed
+//! (DESIGN.md §5).
 
 use hypertee_crypto::chacha::ChaChaRng;
 use hypertee_crypto::hmac::{kdf, kdf_aes128};

@@ -9,7 +9,7 @@
 //!   verification of the encrypted EMS runtime image, verification of the CS
 //!   firmware/EMCall before the CS OS starts.
 //! * [`keys`] — the key vault: EK/SK roots, derivation of memory, sealing,
-//!   attestation, report, and shared-memory keys; erasure with random values.
+//!   attestation, report, and shared-memory keys.
 //! * [`control`] — enclave control structures and life-cycle states.
 //! * [`mempool`] — the enclave memory pool with randomized-threshold growth
 //!   that hides allocation events from the CS OS (§IV-A).

@@ -6,18 +6,22 @@
 //! iHub… HyperTEE employs SHA-3 based MAC (28-bit)… In case of an integrity
 //! violation, an exception is triggered."
 //!
-//! The engine sits between the cores and [`crate::phys::PhysMemory`]:
-//! physical memory holds *ciphertext* for encrypted KeyIDs. Reads through
-//! the wrong KeyID therefore really return garbage and (when integrity is
-//! on) really fault — the behaviour the paper's attack-surface analysis
-//! (§VIII-C, "PTW cannot decrypt enclave data correctly") relies on.
+//! The engine sits between the cores and [`crate::phys::PhysMemory`], at
+//! the memory interface: every raw access observes *ciphertext* for
+//! encrypted KeyIDs. Reads through the wrong KeyID therefore really return
+//! garbage and (when integrity is on) really fault — the behaviour the
+//! paper's attack-surface analysis (§VIII-C, "PTW cannot decrypt enclave
+//! data correctly") relies on. Lines the engine last wrote or verified are
+//! kept decrypted, as the SoC's caches would hold them, and read and
+//! written with no AES and no MAC; `PhysMemory` encrypts them and computes
+//! their pending tags only where ciphertext or a tag is observed (see its
+//! module docs). The charges are the eager engine's either way.
 
 use crate::addr::{KeyId, PhysAddr, Ppn, PAGE_SIZE};
-use crate::framehash::FrameMap;
-use crate::phys::PhysMemory;
+use crate::phys::{PhysMemory, FRAME_LINES};
 use crate::MemFault;
 use hypertee_crypto::aes::{ctr_iv, Aes128};
-use hypertee_crypto::mac::{mac28, mac28_lines, mac28_ref, MacTag, MAC_BATCH_LINES};
+use hypertee_crypto::mac::mac28_ref;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,21 +29,19 @@ use std::sync::Arc;
 /// Memory-line granularity of encryption and MAC (bytes).
 pub(crate) const LINE_SIZE: u64 = 64;
 
-/// Lines per 4 KiB frame.
-const FRAME_LINES: u64 = PAGE_SIZE / LINE_SIZE;
-
 /// Serial of the next programmed [`KeySlot`]. Process-wide, so no two
 /// slots share one: not a KeyID's old and new key, not two KeyIDs, not
 /// two engines over the same memory. 0 is never issued.
 static NEXT_SLOT_SERIAL: AtomicU64 = AtomicU64::new(1);
 
-/// A programmed key. Shared by reference so a lazily zeroed frame keeps
-/// the key it was zeroed under across revocation and re-programming.
+/// A programmed key. Shared by reference so the frames that hold lines
+/// plain under it, or zeros written under it, keep it across revocation
+/// and re-programming.
 pub(crate) struct KeySlot {
     cipher: Aes128,
-    mac_key: [u8; 32],
-    /// Names this slot in [`PhysMemory`]'s checked lines.
-    serial: u64,
+    pub(crate) mac_key: [u8; 32],
+    /// Names this slot in [`PhysMemory`]'s frames.
+    pub(crate) serial: u64,
 }
 
 impl KeySlot {
@@ -76,67 +78,6 @@ pub struct MktmeStats {
     pub(crate) keystream_blocks_batched: u64,
 }
 
-/// Lines of MAC tags per [`MacTable`] page (each page covers 32 KiB of
-/// protected memory; a tag page costs 2 KiB).
-const MAC_PAGE_LINES: u64 = 512;
-
-/// Sentinel for "no tag recorded": real tags are 28-bit, so `u32::MAX`
-/// can never collide with one.
-const MAC_EMPTY: u32 = u32::MAX;
-
-/// Sentinel for "the tag of a zero line under the frame's zeroing MAC
-/// key", computed on demand.
-const MAC_ZERO: u32 = u32::MAX - 1;
-
-/// Paged flat MAC store indexed by line number: one hash probe per
-/// 512-line page plus an array index, instead of one probe per line.
-#[derive(Debug, Default)]
-pub(crate) struct MacTable {
-    pages: FrameMap<Box<[u32]>>,
-    /// MAC key each lazily zeroed frame was zeroed under, by PPN.
-    zeroed: FrameMap<[u8; 32]>,
-}
-
-impl MacTable {
-    /// Looks up the tag recorded for a line number (`pa / LINE_SIZE`). A
-    /// line of a lazily zeroed frame gets its zero-line tag computed here.
-    pub(crate) fn get(&self, line: u64) -> Option<MacTag> {
-        let tag = *self
-            .pages
-            .get(&(line / MAC_PAGE_LINES))?
-            .get((line % MAC_PAGE_LINES) as usize)?;
-        match tag {
-            MAC_EMPTY => None,
-            MAC_ZERO => {
-                let key = &self.zeroed[&(line / FRAME_LINES)];
-                Some(mac28(key, line * LINE_SIZE, &[0u8; LINE_SIZE as usize]))
-            }
-            tag => Some(MacTag(tag)),
-        }
-    }
-
-    fn page_mut(&mut self, line: u64) -> &mut [u32] {
-        self.pages
-            .entry(line / MAC_PAGE_LINES)
-            .or_insert_with(|| vec![MAC_EMPTY; MAC_PAGE_LINES as usize].into_boxed_slice())
-    }
-
-    /// Records the tag for a line number.
-    pub(crate) fn insert(&mut self, line: u64, tag: MacTag) {
-        self.page_mut(line)[(line % MAC_PAGE_LINES) as usize] = tag.0;
-    }
-
-    /// Records every line of frame `ppn` as a zero line tagged under
-    /// `mac_key`, exactly as 64 [`MacTable::insert`]s of
-    /// `mac28(mac_key, line_base, zeros)` would, without computing them.
-    fn insert_zero_frame(&mut self, ppn: Ppn, mac_key: &[u8; 32]) {
-        let first = ppn.0 * FRAME_LINES;
-        let at = (first % MAC_PAGE_LINES) as usize;
-        self.page_mut(first)[at..at + FRAME_LINES as usize].fill(MAC_ZERO);
-        self.zeroed.insert(ppn.0, *mac_key);
-    }
-}
-
 /// Lines covered by `len` bytes at `pa`, at least one; 0 when the range
 /// wraps the address space, which sends the request down the per-line
 /// path to fault at its first out-of-range line.
@@ -147,14 +88,18 @@ fn span_lines(pa: PhysAddr, len: usize) -> u64 {
         .map_or(0, |span_end| ((span_end - span_base) / LINE_SIZE).max(1))
 }
 
+/// Whole aligned lines inside `len` bytes at `pa`, a range that does not
+/// wrap.
+fn full_lines(pa: PhysAddr, len: usize) -> u64 {
+    let first = pa.0.next_multiple_of(LINE_SIZE);
+    let end = (pa.0 + len as u64) & !(LINE_SIZE - 1);
+    end.saturating_sub(first) / LINE_SIZE
+}
+
 /// The multi-key engine.
 #[derive(Debug)]
 pub struct MktmeEngine {
     keys: HashMap<u16, Arc<KeySlot>>,
-    /// Per-line MACs: line number → tag (keyed by the writing key's
-    /// MAC key, so re-programming the same key under a new KeyID — the
-    /// suspension/resume path of §IV-C — keeps lines verifiable).
-    macs: MacTable,
     integrity: bool,
     /// Counters.
     pub stats: MktmeStats,
@@ -165,7 +110,6 @@ impl MktmeEngine {
     pub fn new(integrity: bool) -> Self {
         MktmeEngine {
             keys: HashMap::new(),
-            macs: MacTable::default(),
             integrity,
             stats: MktmeStats::default(),
         }
@@ -190,7 +134,8 @@ impl MktmeEngine {
     }
 
     /// Revokes a key slot (KeyID exhaustion handling, §IV-C). Lines written
-    /// under the key keep their MACs, so stale reuse is detectable.
+    /// under the key keep their MACs, so stale reuse is detectable. The
+    /// slot itself lives on in the frames that hold lines plain under it.
     pub fn revoke_key(&mut self, key: KeyId) {
         self.keys.remove(&key.0);
     }
@@ -212,65 +157,14 @@ impl MktmeEngine {
         slot.cipher.ctr_apply_ref(&iv, line);
     }
 
-    /// Tags for every line of a plaintext span, in line order. Aligned
-    /// groups of eight consecutive lines go through the lane-sliced
-    /// [`mac28_lines`] batch; the remainder falls back to [`mac28`]. MAC
-    /// computation touches neither physical memory nor the engine counters,
-    /// so batching is invisible to the timing model.
-    fn span_tags(slot: &KeySlot, span_base: u64, span: &[u8]) -> Vec<MacTag> {
-        let nlines = span.len() / LINE_SIZE as usize;
-        let mut tags = Vec::with_capacity(nlines);
-        let mut i = 0usize;
-        while i + MAC_BATCH_LINES <= nlines {
-            let chunk: &[u8; MAC_BATCH_LINES * LINE_SIZE as usize] = span
-                [i * LINE_SIZE as usize..(i + MAC_BATCH_LINES) * LINE_SIZE as usize]
-                .try_into()
-                .expect("eight lines");
-            tags.extend(mac28_lines(
-                &slot.mac_key,
-                span_base + i as u64 * LINE_SIZE,
-                chunk,
-            ));
-            i += MAC_BATCH_LINES;
-        }
-        while i < nlines {
-            let line_base = span_base + i as u64 * LINE_SIZE;
-            tags.push(mac28(
-                &slot.mac_key,
-                line_base,
-                &span[i * LINE_SIZE as usize..(i + 1) * LINE_SIZE as usize],
-            ));
-            i += 1;
-        }
-        tags
-    }
-
-    /// Stores whole encrypted lines. Under integrity their tags were just
-    /// refreshed, so the lines count as checked under `slot`.
-    fn store(
-        &self,
-        mem: &mut PhysMemory,
-        slot: &KeySlot,
-        pa: PhysAddr,
-        lines: &[u8],
-    ) -> Result<(), MemFault> {
-        if self.integrity {
-            mem.write_checked(pa, lines, slot.serial)
-        } else {
-            mem.write(pa, lines)
-        }
-    }
-
     /// Writes `data` at `pa` through `key`.
     ///
-    /// For encrypted KeyIDs this stores ciphertext at line granularity and
-    /// refreshes each line's MAC. Fast paths (host wall-clock only — the
-    /// modelled byte/MAC charges are identical to the scalar data plane):
-    ///
-    /// * a write covering a whole aligned line skips the
-    ///   read-decrypt-splice RMW entirely;
-    /// * a request spanning several contiguous lines makes one physical
-    ///   round trip for the whole span and streams the keystream across it.
+    /// For encrypted KeyIDs the lines are stored in [`PhysMemory`] as
+    /// plaintext under the key's slot, their tags pending, and charged as
+    /// the scalar data plane charges encrypting them and refreshing each
+    /// line's MAC (see the `phys` module docs for when the ciphertext and
+    /// the tags are made). A request spanning several contiguous lines
+    /// makes one range check for the whole span.
     ///
     /// Zeroing a whole frame is [`MktmeEngine::zero_page`].
     ///
@@ -293,81 +187,40 @@ impl MktmeEngine {
             .get(&key.0)
             .ok_or(MemFault::BusError { pa: pa.0 })?;
         self.stats.bytes_encrypted += data.len() as u64;
-        let span_base = pa.0 & !(LINE_SIZE - 1);
         let nlines = span_lines(pa, data.len());
-        if nlines > 1 {
-            let mut span = vec![0u8; (nlines * LINE_SIZE) as usize];
-            if mem.read(PhysAddr(span_base), &mut span).is_ok() {
-                // The raw-access counter stays on the per-line trajectory
-                // (one read + one write per line) even though the span makes
-                // a single round trip each way.
-                mem.access_count += 2 * (nlines - 1);
-                self.stats.keystream_blocks_batched += span.len() as u64 / 16;
-                // Pass 1: assemble the plaintext span — decrypt-splice the
-                // partial edge lines, copy full lines straight from `data`.
-                let mut written = 0usize;
-                for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    let line_base = span_base + i as u64 * LINE_SIZE;
-                    let off = (pa.0.max(line_base) - line_base) as usize;
-                    let take = (LINE_SIZE as usize - off).min(data.len() - written);
-                    if off == 0 && take == LINE_SIZE as usize {
-                        // Full line: the fetched ciphertext is irrelevant.
-                        line.copy_from_slice(&data[written..written + take]);
-                        self.stats.full_line_writes += 1;
-                    } else {
-                        slot.keystream(line_base, line);
-                        line[off..off + take].copy_from_slice(&data[written..written + take]);
-                    }
-                    written += take;
-                }
-                // MAC the plaintext span eight lines at a time, then
-                // re-encrypt it in place.
-                if self.integrity {
-                    for (i, tag) in Self::span_tags(slot, span_base, &span)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        self.macs.insert(span_base / LINE_SIZE + i as u64, tag);
-                    }
-                }
-                for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    slot.keystream(span_base + i as u64 * LINE_SIZE, line);
-                }
-                return self.store(mem, slot, PhysAddr(span_base), &span);
-            }
-            // Span read refused (range straddles the end of installed
-            // memory): fall through to the per-line path, which faults at
-            // exactly the line the scalar data plane would.
+        if nlines > 1
+            && mem
+                .check(PhysAddr(pa.0 & !(LINE_SIZE - 1)), nlines * LINE_SIZE)
+                .is_ok()
+        {
+            // The raw-access counter stays on the per-line trajectory: one
+            // read and one write per line.
+            mem.access_count += 2 * nlines;
+            self.stats.keystream_blocks_batched += nlines * LINE_SIZE / 16;
+            self.stats.full_line_writes += full_lines(pa, data.len());
+            mem.store_plain(pa, data, slot, self.integrity);
+            return Ok(());
         }
+        // A single line, or a span straddling the end of installed memory:
+        // line by line, faulting at exactly the line the scalar data plane
+        // would.
         let mut written = 0usize;
         let mut addr = pa.0;
         while written < data.len() {
             let line_base = addr & !(LINE_SIZE - 1);
             let off = (addr - line_base) as usize;
             let take = (LINE_SIZE as usize - off).min(data.len() - written);
-            let mut line = [0u8; LINE_SIZE as usize];
-            if off == 0 && take == LINE_SIZE as usize {
-                // Full aligned line: skip the fetch-decrypt-splice RMW. The
-                // raw read still happens so the access trajectory (and any
-                // fault it would raise) is unchanged.
-                mem.read(PhysAddr(line_base), &mut line)?;
-                line.copy_from_slice(&data[written..written + take]);
+            mem.check(PhysAddr(line_base), LINE_SIZE)?;
+            mem.access_count += 2;
+            if take == LINE_SIZE as usize {
                 self.stats.full_line_writes += 1;
-            } else {
-                // Fetch the current line ciphertext and decrypt it.
-                mem.read(PhysAddr(line_base), &mut line)?;
-                slot.keystream(line_base, &mut line);
-                // Splice in the new plaintext bytes.
-                line[off..off + take].copy_from_slice(&data[written..written + take]);
             }
-            // Refresh the MAC over the plaintext line.
-            if self.integrity {
-                let tag = mac28(&slot.mac_key, line_base, &line);
-                self.macs.insert(line_base / LINE_SIZE, tag);
-            }
-            // Re-encrypt and store.
-            slot.keystream(line_base, &mut line);
-            self.store(mem, slot, PhysAddr(line_base), &line)?;
+            mem.store_plain(
+                PhysAddr(addr),
+                &data[written..written + take],
+                slot,
+                self.integrity,
+            );
             written += take;
             addr += take as u64;
         }
@@ -406,10 +259,7 @@ impl MktmeEngine {
             // Where `write` faults: at the page's first line.
             return Err(MemFault::BusError { pa: pa.0 });
         }
-        mem.zero_under_key(ppn, Arc::clone(slot));
-        if self.integrity {
-            self.macs.insert_zero_frame(ppn, &slot.mac_key);
-        }
+        mem.zero_under_key(ppn, Arc::clone(slot), self.integrity);
         // The span path's charges: one read and one write per line, every
         // line full, the whole page through the keystream.
         mem.access_count += 2 * FRAME_LINES;
@@ -420,12 +270,11 @@ impl MktmeEngine {
 
     /// Reads through `key` into `buf`.
     ///
-    /// Requests spanning several contiguous lines make one physical round
-    /// trip for the whole span; per-line MAC verification, fill order, and
-    /// every fault are identical to the scalar data plane. A single-line
-    /// request reuses the line's verdict when it passed under this key slot
-    /// and its frame has not changed since (or this engine wrote it): the
-    /// check is still counted, but no MAC is computed.
+    /// A line held plain under the key's slot is copied; any other line is
+    /// decrypted and its MAC checked, and is then held plain. Every check
+    /// is counted either way, and the fill order, the counter trajectories
+    /// and every fault are the scalar data plane's. A request spanning
+    /// several contiguous lines makes one range check for the whole span.
     ///
     /// # Errors
     ///
@@ -447,53 +296,13 @@ impl MktmeEngine {
             .get(&key.0)
             .ok_or(MemFault::BusError { pa: pa.0 })?;
         self.stats.bytes_decrypted += buf.len() as u64;
-        let span_base = pa.0 & !(LINE_SIZE - 1);
         let nlines = span_lines(pa, buf.len());
-        if nlines > 1 {
-            let mut span = vec![0u8; (nlines * LINE_SIZE) as usize];
-            if mem.read(PhysAddr(span_base), &mut span).is_ok() {
-                self.stats.keystream_blocks_batched += span.len() as u64 / 16;
-                // Decrypt the whole span and batch-compute the expected tags
-                // up front (neither touches memory or counters); comparisons
-                // below stay strictly per-line so counter trajectories and
-                // the first-failing-line fault are identical to the scalar
-                // data plane.
-                for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    slot.keystream(span_base + i as u64 * LINE_SIZE, line);
-                }
-                let tags = if self.integrity {
-                    Self::span_tags(slot, span_base, &span)
-                } else {
-                    Vec::new()
-                };
-                let mut done = 0usize;
-                for (i, line) in span.chunks(LINE_SIZE as usize).enumerate() {
-                    let line_base = span_base + i as u64 * LINE_SIZE;
-                    if i > 0 {
-                        // Keep the raw-access counter on the per-line
-                        // trajectory, including after an early MAC-failure
-                        // return (k+1 line reads for a failure at line k).
-                        mem.access_count += 1;
-                    }
-                    let off = (pa.0.max(line_base) - line_base) as usize;
-                    let take = (LINE_SIZE as usize - off).min(buf.len() - done);
-                    if self.integrity {
-                        self.stats.mac_checks += 1;
-                        let valid = match self.macs.get(line_base / LINE_SIZE) {
-                            Some(tag) => tags[i] == tag,
-                            None => false,
-                        };
-                        if !valid {
-                            self.stats.mac_failures += 1;
-                            return Err(MemFault::IntegrityViolation { pa: line_base });
-                        }
-                    }
-                    buf[done..done + take].copy_from_slice(&line[off..off + take]);
-                    done += take;
-                }
-                return Ok(());
-            }
-            // Fall through: fault at exactly the line the scalar path would.
+        let span = nlines > 1
+            && mem
+                .check(PhysAddr(pa.0 & !(LINE_SIZE - 1)), nlines * LINE_SIZE)
+                .is_ok();
+        if span {
+            self.stats.keystream_blocks_batched += nlines * LINE_SIZE / 16;
         }
         let mut done = 0usize;
         let mut addr = pa.0;
@@ -501,25 +310,19 @@ impl MktmeEngine {
             let line_base = addr & !(LINE_SIZE - 1);
             let off = (addr - line_base) as usize;
             let take = (LINE_SIZE as usize - off).min(buf.len() - done);
-            let mut line = [0u8; LINE_SIZE as usize];
-            let checked = mem.read_line(PhysAddr(line_base), slot.serial, &mut line)?;
-            slot.keystream(line_base, &mut line);
+            if !span {
+                mem.check(PhysAddr(line_base), LINE_SIZE)?;
+            }
+            // One raw access per line, up to and including a failing one.
+            mem.access_count += 1;
+            let line = mem.load_plain(PhysAddr(line_base), slot, self.integrity);
             if self.integrity {
                 self.stats.mac_checks += 1;
-                // A line that passed under this slot and has not changed
-                // since would pass again: its verdict is reused.
-                if !checked {
-                    let valid = match self.macs.get(line_base / LINE_SIZE) {
-                        Some(tag) => mac28(&slot.mac_key, line_base, &line) == tag,
-                        None => false,
-                    };
-                    if !valid {
-                        self.stats.mac_failures += 1;
-                        return Err(MemFault::IntegrityViolation { pa: line_base });
-                    }
-                    mem.mark_checked(PhysAddr(line_base), slot.serial);
-                }
             }
+            let Some(line) = line else {
+                self.stats.mac_failures += 1;
+                return Err(MemFault::IntegrityViolation { pa: line_base });
+            };
             buf[done..done + take].copy_from_slice(&line[off..off + take]);
             done += take;
             addr += take as u64;
@@ -527,11 +330,11 @@ impl MktmeEngine {
         Ok(())
     }
 
-    /// The seed's scalar write path (per-line RMW, cloned key slot, scalar
-    /// AES/Keccak), kept verbatim as the differential oracle and the
-    /// "before" measurement of the tracked benchmark pipeline. Shares the
-    /// key and MAC state with the optimized path, so the two can be
-    /// interleaved freely.
+    /// The seed's scalar write path (per-line RMW over raw ciphertext,
+    /// cloned key slot, scalar AES/Keccak), kept as the differential
+    /// oracle and the "before" measurement of the tracked benchmark
+    /// pipeline. Shares the key state and the memory's tags with the
+    /// optimized path, so the two can be interleaved freely.
     ///
     /// # Errors
     ///
@@ -564,7 +367,7 @@ impl MktmeEngine {
             line[off..off + take].copy_from_slice(&data[written..written + take]);
             if self.integrity {
                 let tag = mac28_ref(&slot.mac_key, line_base, &line);
-                self.macs.insert(line_base / LINE_SIZE, tag);
+                mem.set_tag(PhysAddr(line_base), tag);
             }
             Self::keystream_ref(&slot, line_base, &mut line);
             mem.write(PhysAddr(line_base), &line)?;
@@ -607,7 +410,7 @@ impl MktmeEngine {
             Self::keystream_ref(&slot, line_base, &mut line);
             if self.integrity {
                 self.stats.mac_checks += 1;
-                let valid = match self.macs.get(line_base / LINE_SIZE) {
+                let valid = match mem.tag(PhysAddr(line_base)) {
                     Some(tag) => mac28_ref(&slot.mac_key, line_base, &line) == tag,
                     None => false,
                 };
@@ -691,10 +494,10 @@ mod tests {
         assert_eq!(engine.stats.mac_failures, 1);
     }
 
-    /// A checked line's verdict does not outlive a change to its
-    /// ciphertext: a flipped byte faults at that line on the next read.
+    /// A line held plain does not outlive a change to its ciphertext: a
+    /// flipped byte faults at that line on the next read.
     #[test]
-    fn tampering_after_a_checked_read_is_detected() {
+    fn tampering_after_a_held_read_is_detected() {
         let (mut mem, mut engine) = setup();
         let line = PhysAddr(0x30_040);
         engine.write(&mut mem, line, KeyId(1), &[3u8; 64]).unwrap();
@@ -712,47 +515,6 @@ mod tests {
         );
         assert_eq!(engine.stats.mac_checks, 3);
         assert_eq!(engine.stats.mac_failures, 1);
-    }
-
-    /// Which lines count as checked, and under which slot.
-    #[test]
-    fn checked_lines_follow_writes_reads_and_slots() {
-        let (mut mem, mut engine) = setup();
-        let serial = |e: &MktmeEngine, k: u16| e.keys[&k].serial;
-        let (one, two) = (serial(&engine, 1), serial(&engine, 2));
-        assert_ne!(one, two);
-        let mut line = [0u8; 64];
-        let mut is_checked = |mem: &mut PhysMemory, pa: u64, s: u64| {
-            mem.read_line(PhysAddr(pa), s, &mut line).unwrap()
-        };
-        // An engine write checks exactly the lines it stored.
-        engine
-            .write(&mut mem, PhysAddr(0x8040), KeyId(1), &[1u8; 128])
-            .unwrap();
-        assert!(is_checked(&mut mem, 0x8040, one));
-        assert!(is_checked(&mut mem, 0x8080, one));
-        assert!(!is_checked(&mut mem, 0x8000, one));
-        assert!(!is_checked(&mut mem, 0x80c0, one));
-        assert!(!is_checked(&mut mem, 0x8040, two), "another slot");
-        // A passing read checks its line; one under another slot replaces
-        // the frame's verdicts.
-        engine
-            .write(&mut mem, PhysAddr(0x8fc0), KeyId(2), &[2u8; 64])
-            .unwrap();
-        assert!(is_checked(&mut mem, 0x8fc0, two));
-        assert!(!is_checked(&mut mem, 0x8040, one));
-        let mut buf = [0u8; 8];
-        engine
-            .read(&mut mem, PhysAddr(0x8048), KeyId(1), &mut buf)
-            .unwrap();
-        assert!(is_checked(&mut mem, 0x8040, one));
-        assert!(!is_checked(&mut mem, 0x8fc0, two));
-        // Re-programming a KeyID issues a new slot.
-        engine.program_key(KeyId(1), &[0x11; 16], &[0xa1; 32]);
-        assert!(serial(&engine, 1) > two);
-        // Any raw write forgets the whole frame's verdicts.
-        mem.write(PhysAddr(0x8800), &[0]).unwrap();
-        assert!(!is_checked(&mut mem, 0x8040, one));
     }
 
     #[test]
@@ -860,21 +622,20 @@ mod tests {
             lazy_raw == raw(&mut oracle_mem),
             "bytes differ from write_ref"
         );
-        let tags = |e: &MktmeEngine| {
+        let tags = |mem: &mut PhysMemory| {
             (0..64)
-                .map(|i| e.macs.get(pa.0 / LINE_SIZE + i))
+                .map(|i| mem.tag(PhysAddr(pa.0 + i * LINE_SIZE)))
                 .collect::<Vec<_>>()
         };
-        assert!(tags(&lazy).iter().all(Option::is_some));
-        assert_eq!(tags(&lazy), tags(&span));
-        assert_eq!(tags(&lazy), tags(&oracle));
-        let tagged: usize = lazy
-            .macs
-            .pages
-            .values()
-            .map(|p| p.iter().filter(|&&t| t != MAC_EMPTY).count())
-            .sum();
-        assert_eq!(tagged, 64, "only the frame's lines carry tags");
+        let lazy_tags = tags(&mut lazy_mem);
+        assert!(lazy_tags.iter().all(Option::is_some));
+        assert_eq!(lazy_tags, tags(&mut span_mem));
+        assert_eq!(lazy_tags, tags(&mut oracle_mem));
+        assert_eq!(
+            lazy_mem.tagged_lines(),
+            64,
+            "only the frame's lines carry tags"
+        );
         assert_eq!(lazy_mem.materialized_frames().count(), 0);
         let mut buf = [0xffu8; 4096];
         lazy.read(&mut lazy_mem, pa, KeyId(1), &mut buf).unwrap();

@@ -15,10 +15,12 @@
 //! pins that path to both the oracle and the span path that `write` of a
 //! page of zeros takes.
 //!
-//! A single-line read reuses a line's MAC verdict while the line, its tag
-//! and its key slot are unchanged. A second seeded mix, with tampering,
-//! re-keying, wrong-KeyID reads and a second engine over the same memory,
-//! pins that memo to the oracle, which checks every line every time.
+//! The engine keeps the lines it last wrote or verified decrypted, and
+//! makes ciphertext and MAC tags only where they are observed. A second
+//! seeded mix, with tampering, zeroed and whole pages, re-keying, resumed
+//! keys, wrong-KeyID reads and a second engine over the same memory, pins
+//! that to the oracle, which works on ciphertext and checks every line
+//! every time, down to the raw bytes after every operation.
 
 use hypertee_repro::ems::control::layout;
 use hypertee_repro::hypertee::exec::{InterpMode, RunOutcome};
@@ -426,51 +428,77 @@ fn zero_pages_match_span_path_and_oracle() {
     }
 }
 
-/// One side of the checked-line wall: a memory and two engines over it,
+/// One side of the held-line wall: a memory and two engines over it,
 /// which program the same KeyIDs with different keys.
 struct Twin {
     mem: PhysMemory,
     engines: [MktmeEngine; 2],
 }
 
+/// The key material each engine holds for KeyIDs 1..=3 (index 0 unused).
+type Keys = [[([u8; 16], [u8; 32]); 4]; 2];
+
 impl Twin {
-    fn new() -> Twin {
-        let engines = [0x10u8, 0x20].map(|salt| {
-            let mut e = MktmeEngine::new(true);
-            for k in 1..=3u8 {
-                e.program_key(KeyId(k.into()), &[salt + k; 16], &[salt ^ k; 32]);
+    fn new(keys: &Keys) -> Twin {
+        let engines = [0, 1].map(|e| {
+            let mut engine = MktmeEngine::new(true);
+            for (k, (aes, mac)) in keys[e].iter().enumerate().skip(1) {
+                engine.program_key(KeyId(k as u16), aes, mac);
             }
-            e
+            engine
         });
         Twin {
             mem: PhysMemory::new(1 << 20),
             engines,
         }
     }
+
+    /// The raw bytes of `[base, base + len)`.
+    fn raw(&mut self, base: u64, len: u64) -> Vec<u8> {
+        let mut raw = vec![0u8; len as usize];
+        self.mem.read(PhysAddr(base), &mut raw).unwrap();
+        raw
+    }
 }
 
 /// Runs `ops` seeded operations on a twin driven through `write`/`read`
-/// and one driven through `write_ref`/`read_ref`, and compares after every
-/// operation: the result (data, or the fault and its line), both engines'
-/// modelled counters and the raw access count. The operations: stores and
-/// loads through either engine and any KeyID (so wrong-KeyID reads), raw
-/// bit flips, `write_u64` and `zero_frame` on the memory, and revoking a
-/// KeyID and programming it with a key it never held. Returns the number of
-/// single-line loads that passed, the ones the memo may answer.
+/// and `zero_page` and one driven through `write_ref`/`read_ref`, and
+/// compares after every operation: the result (data, or the fault and its
+/// line), both engines' modelled counters, the raw access count and the
+/// raw bytes of the whole four-frame window. The operations: stores
+/// (whole pages among them) and loads through either engine and any KeyID
+/// (so wrong-KeyID reads), zeroed pages, raw bit flips, raw replays of a
+/// frame's saved bytes, `write_u64` and `zero_frame` on the memory, revoking a KeyID and programming it with a
+/// key it never held, and programming a KeyID's key under another KeyID
+/// (the resume path). Returns the number of single-line loads that passed,
+/// the ones a held line may answer.
 fn checked_line_mix(seed: u64, ops: u32) -> u64 {
-    const WINDOW: u64 = 0x4000; // four frames at 0x8000
-    let mut twins = [Twin::new(), Twin::new()];
+    const BASE: u64 = 0x8000;
+    const WINDOW: u64 = 0x4000; // four frames at BASE
+    let mut keys: Keys = [0x10u8, 0x20].map(|salt| {
+        let mut k = [([0; 16], [0; 32]); 4];
+        for (i, key) in k.iter_mut().enumerate() {
+            *key = ([salt + i as u8; 16], [salt ^ i as u8; 32]);
+        }
+        k
+    });
+    let mut twins = [Twin::new(&keys), Twin::new(&keys)];
     let mut rng = Rng(seed);
     let mut passed_loads = 0;
     // Recent stores (engine, KeyID, line): most accesses revisit one, so
-    // loads pass, and pass again, often enough to exercise the memo. Some
-    // revisit it through the other engine or another KeyID.
+    // loads pass, and pass again, often enough for lines to stay held.
+    // Some revisit it through the other engine or another KeyID.
     let mut recent: Vec<(usize, KeyId, u64)> = Vec::new();
+    let mut saved: Option<(PhysAddr, Vec<u8>)> = None;
     for op in 0..ops {
         let (mut e, mut key) = (rng.range(2) as usize, KeyId(1 + rng.range(3) as u16));
         let (pa, len) = if rng.range(4) == 0 {
-            let len = [65u64, 130, 520][rng.range(3) as usize];
-            (0x8000 + rng.range(WINDOW - len), len)
+            let len = [65u64, 130, 520, 4096][rng.range(4) as usize];
+            if len == PAGE_SIZE {
+                (BASE + rng.range(WINDOW / PAGE_SIZE) * PAGE_SIZE, len)
+            } else {
+                (BASE + rng.range(WINDOW - len), len)
+            }
         } else if !recent.is_empty() && rng.range(4) != 0 {
             let line;
             (e, key, line) = recent[rng.range(recent.len() as u64) as usize];
@@ -481,11 +509,11 @@ fn checked_line_mix(seed: u64, ops: u32) -> u64 {
             }
             (line + rng.range(8) * 8, 8)
         } else {
-            (0x8000 + rng.range(WINDOW / 8) * 8, 8)
+            (BASE + rng.range(WINDOW / 8) * 8, 8)
         };
         let pa = PhysAddr(pa);
         let results: Vec<Result<Vec<u8>, MemFault>> = match rng.range(100) {
-            0..=29 => {
+            0..=27 => {
                 if recent.len() == 16 {
                     recent.remove(0);
                 }
@@ -495,6 +523,22 @@ fn checked_line_mix(seed: u64, ops: u32) -> u64 {
                 vec![
                     fast[0].engines[e].write(&mut fast[0].mem, pa, key, &data),
                     oracle[0].engines[e].write_ref(&mut oracle[0].mem, pa, key, &data),
+                ]
+                .into_iter()
+                .map(|r| r.map(|()| Vec::new()))
+                .collect()
+            }
+            28..=29 => {
+                let (fast, oracle) = twins.split_at_mut(1);
+                let zeros = [0u8; PAGE_SIZE as usize];
+                vec![
+                    fast[0].engines[e].zero_page(&mut fast[0].mem, pa.ppn(), key),
+                    oracle[0].engines[e].write_ref(
+                        &mut oracle[0].mem,
+                        pa.ppn().base(),
+                        key,
+                        &zeros,
+                    ),
                 ]
                 .into_iter()
                 .map(|r| r.map(|()| Vec::new()))
@@ -511,7 +555,7 @@ fn checked_line_mix(seed: u64, ops: u32) -> u64 {
                 }
                 vec![ra.map(|()| a), rb.map(|()| b)]
             }
-            85..=91 => {
+            85..=88 => {
                 let flip = 1u8 << rng.range(8);
                 twins
                     .iter_mut()
@@ -522,20 +566,56 @@ fn checked_line_mix(seed: u64, ops: u32) -> u64 {
                     })
                     .collect()
             }
-            92..=93 => {
+            89..=90 => {
+                // Save a frame's raw bytes, or write the saved ones back: a
+                // replayed line verifies exactly when its tag still matches.
+                match saved.take() {
+                    Some((at, bytes)) if rng.range(2) == 0 => twins
+                        .iter_mut()
+                        .map(|t| t.mem.write(at, &bytes).map(|()| Vec::new()))
+                        .collect(),
+                    _ => {
+                        let at = pa.ppn().base();
+                        let [fast, oracle] = twins.each_mut().map(|t| t.raw(at.0, PAGE_SIZE));
+                        saved = Some((at, fast.clone()));
+                        vec![Ok(fast), Ok(oracle)]
+                    }
+                }
+            }
+            91..=92 => {
                 let v = rng.next();
                 twins
                     .iter_mut()
                     .map(|t| t.mem.write_u64(pa, v).map(|()| Vec::new()))
                     .collect()
             }
-            94..=95 => twins
+            93..=94 => twins
                 .iter_mut()
                 .map(|t| t.mem.zero_frame(pa.ppn()).map(|()| Vec::new()))
                 .collect(),
+            95..=97 => {
+                // Suspend and resume: KeyID `key`'s key is programmed under
+                // another KeyID, and `key` is revoked half the time.
+                let to = KeyId(1 + (key.0 + rng.range(2) as u16) % 3);
+                let revoke = rng.range(2) == 0;
+                let (aes, mac) = keys[e][key.0 as usize];
+                keys[e][to.0 as usize] = (aes, mac);
+                for t in &mut twins {
+                    if revoke {
+                        t.engines[e].revoke_key(key);
+                    }
+                    t.engines[e].program_key(to, &aes, &mac);
+                }
+                // Later revisits read those lines back through `to`.
+                for r in recent.iter_mut().filter(|r| r.0 == e && r.1 == key) {
+                    r.1 = to;
+                }
+                vec![Ok(Vec::new()); 2]
+            }
             _ => {
                 let aes = [rng.next() as u8; 16];
                 let mac = [rng.next() as u8; 32];
+                keys[e][key.0 as usize] = (aes, mac);
                 for t in &mut twins {
                     t.engines[e].revoke_key(key);
                     t.engines[e].program_key(key, &aes, &mac);
@@ -564,13 +644,19 @@ fn checked_line_mix(seed: u64, ops: u32) -> u64 {
             twins[0].mem.access_count, twins[1].mem.access_count,
             "seed {seed:#x}: access count diverged at op {op}"
         );
+        let raw = twins.each_mut().map(|t| t.raw(BASE, WINDOW));
+        assert!(
+            raw[0] == raw[1],
+            "seed {seed:#x}: raw window bytes diverged at op {op}"
+        );
     }
     passed_loads
 }
 
-/// The checked-line memo is invisible: every result, fault and charge
-/// matches the oracle across tampering, re-keying, wrong-KeyID reads and a
-/// second engine over the same memory.
+/// Lines held decrypted are invisible: every result, fault, charge and
+/// raw byte matches the oracle across tampering, zeroed and whole pages,
+/// re-keying, resumed keys, wrong-KeyID reads and a second engine over the
+/// same memory.
 #[test]
 fn checked_lines_match_the_oracle() {
     for seed in [0x0c4e_c4ed, 0x5eed_0001, 0x7777_2024] {
